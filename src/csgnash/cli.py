@@ -261,6 +261,11 @@ def _evaluate_property(csg, text, args):
                 "gap1": report.gap1, "gap2": report.gap2,
                 "passed": report.passed,
             }
+            subgame = {"subgame_gap1": report.subgame_gap1,
+                       "subgame_gap2": report.subgame_gap2}
+            # None for bounded pairs, and where a deviation is unbounded
+            record["verification"].update(
+                {key: gap for key, gap in subgame.items() if gap is not None})
             if not report.passed and status == EXIT_OK:
                 status = EXIT_VIOLATED
     return record, status
@@ -293,8 +298,11 @@ def _emit_human(stats, records, out):
                 print(f"  assumption warning: {message}", file=out)
         if "verification" in rec:
             ver = rec["verification"]
+            subgame = "".join(f"{key}={ver[key]:.3g} "
+                              for key in ("subgame_gap1", "subgame_gap2")
+                              if key in ver)
             print(f"  verification: gap1={ver['gap1']:.3g} "
-                  f"gap2={ver['gap2']:.3g} "
+                  f"gap2={ver['gap2']:.3g} {subgame}"
                   f"passed={str(ver['passed']).lower()}", file=out)
         if "strategy_file" in rec:
             print(f"  strategy written to {rec['strategy_file']}", file=out)

@@ -35,7 +35,7 @@ order, all arithmetic exact (decimal literals become rationals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -712,12 +712,10 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
 
     game = Csg.create(players, ast.alphabets, order, [init_state], trans,
                       labels, rewards)
-    valuations = {s: dict(zip(var_order, s)) for s in game.states}
-    object.__setattr__(game, "valuations", valuations)
-    object.__setattr__(game, "constants", dict(constants))
-    object.__setattr__(game, "var_order", var_order)
-    object.__setattr__(game, "label_names", frozenset(n for n, _ in ast.labels))
-    return game
+    return replace(
+        game, valuations={s: dict(zip(var_order, s)) for s in game.states},
+        constants=dict(constants), var_order=var_order,
+        label_names=frozenset(n for n, _ in ast.labels))
 
 
 def _truth(expr, env, line):

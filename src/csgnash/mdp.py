@@ -32,6 +32,9 @@ DEFAULT_MAX_ITERS = 100000
 # relative slack when recovering argmax/argmin sets from float-valued vectors
 _ARG_TOL = 1e-9
 
+ONE = Fraction(1)
+ZERO = Fraction(0)
+
 
 def _edges(mdp, allowed=None):
     out = {}
@@ -155,6 +158,51 @@ def _iterate(mdp, fixed, undecided, bellman, epsilon, max_iters):
     raise SolverError("MDP value iteration exceeded the iteration limit")
 
 
+def _backward(mdp, vals, k, optimise, pinned=None, action_rewards=None,
+              state_rewards=None):
+    """`k` exact backward steps from the horizon-0 value vector `vals`.
+
+    Each step gives every state outside `pinned` the best, over its choices,
+    of sum(p * v[t]) plus the choice's action reward (keyed (state,
+    choice-id)), then adds the state's reward; ties keep the first choice in
+    `mdp.choices` order.  Pinned states keep their value and record no
+    choice.  Returns the value vectors of horizons 0..k and the chosen ids
+    per step (None at horizon 0).
+    """
+    pinned = pinned or {}
+    a_rew = action_rewards or {}
+    s_rew = state_rewards or {}
+    maximise = optimise == "max"
+    # per state, looked up once: (state, pinned?, choices, state reward)
+    rows = [(s, s in pinned, mdp.choices[s], s_rew.get(s))
+            for s in mdp.states]
+    history = [vals]
+    steps = [None]
+    for _ in range(k):
+        new = {}
+        step_choice = {}
+        for s, is_pinned, choices, paid in rows:
+            if is_pinned:
+                new[s] = pinned[s]
+                continue
+            best = None
+            best_choice = None
+            for cid, dist in choices:
+                val = sum(p * vals[t] for t, p in dist.items())
+                if a_rew and (s, cid) in a_rew:
+                    val += a_rew[(s, cid)]
+                if best is None or (val > best if maximise else val < best):
+                    best, best_choice = val, cid
+            if paid is not None:
+                best += paid
+            new[s] = best
+            step_choice[s] = best_choice
+        vals = new
+        history.append(vals)
+        steps.append(step_choice)
+    return history, steps
+
+
 def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
                epsilon=DEFAULT_EPSILON, max_iters=DEFAULT_MAX_ITERS,
                with_strategy=False, all_horizons=False):
@@ -171,32 +219,11 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
     allowed = set(mdp.states) if constraint is None else (set(constraint) | targets)
 
     if bound is not None:
-        zero = Fraction(0)
-        vals = {s: Fraction(1) if s in targets else zero for s in mdp.states}
-        history = [vals]
-        steps = [None]
-        for _ in range(bound):
-            new = {}
-            step_choice = {}
-            for s in mdp.states:
-                if s in targets:
-                    new[s] = Fraction(1)
-                    continue
-                if s not in allowed:
-                    new[s] = zero
-                    continue
-                best = None
-                best_choice = None
-                for cid, dist in mdp.choices[s]:
-                    val = sum(p * vals[t] for t, p in dist.items())
-                    if best is None or (val > best if optimise == "max" else val < best):
-                        best, best_choice = val, cid
-                new[s] = best
-                step_choice[s] = best_choice
-            vals = new
-            history.append(vals)
-            steps.append(step_choice)
-        result = history if all_horizons else vals
+        vals = {s: ONE if s in targets else ZERO for s in mdp.states}
+        pinned = {s: vals[s] for s in mdp.states
+                  if s in targets or s not in allowed}
+        history, steps = _backward(mdp, vals, bound, optimise, pinned)
+        result = history if all_horizons else history[-1]
         return (result, steps) if with_strategy else result
 
     # qualitative analysis
@@ -212,9 +239,9 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
     fixed = {}
     for s in mdp.states:
         if s in targets or s in one:
-            fixed[s] = Fraction(1)
+            fixed[s] = ONE
         elif s in zero or s not in allowed:
-            fixed[s] = Fraction(0)
+            fixed[s] = ZERO
     undecided = [s for s in mdp.states if s not in fixed]
 
     def bellman(s, vals):
@@ -299,17 +326,8 @@ def _extract_reach_strategy(mdp, vals, targets, allowed, one_set, optimise, zero
 def step_prob(mdp: Mdp, targets, optimise="max", with_strategy=False):
     """One-step (next-state) probabilities of hitting `targets`."""
     targets = set(targets)
-    vals = {}
-    strategy = {}
-    for s in mdp.states:
-        best = None
-        best_choice = None
-        for cid, dist in mdp.choices[s]:
-            val = sum(p for t, p in dist.items() if t in targets)
-            if best is None or (val > best if optimise == "max" else val < best):
-                best, best_choice = val, cid
-        vals[s] = best
-        strategy[s] = best_choice
+    start = {s: ONE if s in targets else ZERO for s in mdp.states}
+    (_, vals), (_, strategy) = _backward(mdp, start, 1, optimise)
     return (vals, strategy) if with_strategy else vals
 
 
@@ -330,38 +348,17 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
     a_rew = action_rewards or {}
     s_rew = state_rewards or {}
 
-    def ar(s, cid):
-        return a_rew.get((s, cid), 0)
-
-    def sr(s):
-        return s_rew.get(s, 0)
-
     if kind in ("I", "C"):
         if k is None or k < 0:
             raise SolverError("bounded reward objectives need a bound k >= 0")
-        vals = {s: (sr(s) if kind == "I" else Fraction(0)) for s in mdp.states}
-        history = [vals]
-        steps = [None]
-        for _ in range(k):
-            new = {}
-            step_choice = {}
-            for s in mdp.states:
-                best = None
-                best_choice = None
-                for cid, dist in mdp.choices[s]:
-                    val = sum(p * vals[t] for t, p in dist.items())
-                    if kind == "C":
-                        val += ar(s, cid)
-                    if best is None or (val > best if optimise == "max" else val < best):
-                        best, best_choice = val, cid
-                if kind == "C":
-                    best += sr(s)
-                new[s] = best
-                step_choice[s] = best_choice
-            vals = new
-            history.append(vals)
-            steps.append(step_choice)
-        result = history if all_horizons else vals
+        if kind == "I":
+            vals = {s: s_rew.get(s, 0) for s in mdp.states}
+            history, steps = _backward(mdp, vals, k, optimise)
+        else:
+            vals = {s: ZERO for s in mdp.states}
+            history, steps = _backward(mdp, vals, k, optimise, None, a_rew,
+                                       s_rew)
+        result = history if all_horizons else history[-1]
         return (result, steps) if with_strategy else result
 
     if kind != "F":
@@ -374,12 +371,13 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
         raise InfiniteValue(
             "expected reachability reward is infinite: targets are not "
             "reached almost surely under all strategies", states=bad)
-    fixed = {s: Fraction(0) for s in targets}
+    fixed = {s: ZERO for s in targets}
     undecided = [s for s in mdp.states if s in finite and s not in targets]
 
     def bellman(s, vals):
-        return float(sr(s)) + _optimise(
-            [float(ar(s, cid)) + sum(p * vals[t] for t, p in dist.items())
+        return float(s_rew.get(s, 0)) + _optimise(
+            [float(a_rew.get((s, cid), 0))
+             + sum(p * vals[t] for t, p in dist.items())
              for cid, dist in mdp.choices[s]], optimise)
 
     vals = _iterate(mdp, fixed, undecided, bellman, epsilon, max_iters)
@@ -397,7 +395,8 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
         best = None
         best_choice = None
         for cid, dist in mdp.choices[s]:
-            val = float(ar(s, cid)) + sum(p * vals[t] for t, p in dist.items())
+            val = float(a_rew.get((s, cid), 0)) + \
+                sum(p * vals[t] for t, p in dist.items())
             if best is None or (val > best if optimise == "max" else val < best):
                 best, best_choice = val, cid
         strategy[s] = best_choice

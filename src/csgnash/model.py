@@ -10,6 +10,7 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,7 +43,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RewardStructure:
-    """Nonnegative action rewards r_A(s, alpha) and state rewards r_S(s)."""
+    """Nonnegative action rewards r_A(s, alpha) and state rewards r_S(s).
+
+    Action rewards are keyed by (state, the holder's own choice id): a joint
+    action in a Csg, an (a1, a2) pair in a coalition or product game, a
+    choice id in an Mdp.  Missing entries mean zero.
+    """
 
     action_rewards: dict = field(default_factory=dict)
     state_rewards: dict = field(default_factory=dict)
@@ -61,6 +67,8 @@ class Csg:
     `trans[s][alpha]` maps each defined joint action tuple `alpha` (one entry
     per player, idle written as IDLE) to a probability distribution
     {successor: probability}.  Use `Csg.create` to validate and normalise.
+    Language-built games also carry per-state variable valuations, the
+    model constants, the variable order and the declared label names.
     """
 
     players: tuple
@@ -70,6 +78,10 @@ class Csg:
     trans: dict
     labels: dict
     rewards: dict = field(default_factory=dict)
+    valuations: dict = None
+    constants: dict = field(default_factory=dict)
+    var_order: tuple = None
+    label_names: frozenset = frozenset()
 
     @classmethod
     def create(cls, players, alphabets, states, initial, trans, labels=None,
@@ -187,7 +199,8 @@ class CoalitionGame:
 
     Actions of each side are tuples over the members' actions in ascending
     player-index order; `trans[s][(a1, a2)]` carries the base distribution of
-    the flattened joint action.
+    the flattened joint action, and `rewards` the base reward structures
+    with action rewards keyed by (state, (a1, a2)).
     """
 
     base: Csg
@@ -195,6 +208,7 @@ class CoalitionGame:
     rest: tuple            # side-2 player names, ascending base index
     trans: dict            # state -> {(tuple1, tuple2): dist}
     _flatten: dict         # (state, tuple1, tuple2) -> base joint action
+    rewards: dict          # name -> RewardStructure over (a1, a2) pairs
 
     @property
     def states(self):
@@ -217,12 +231,6 @@ class CoalitionGame:
     def flatten(self, state, a1, a2):
         return self._flatten[(state, a1, a2)]
 
-    def action_reward(self, name, state, a1, a2):
-        return self.base.rewards[name].action(state, self.flatten(state, a1, a2))
-
-    def state_reward(self, name, state):
-        return self.base.rewards[name].state(state)
-
 
 def coalition_game(game: Csg, coalition) -> CoalitionGame:
     """Regroup an n-player game into the two-player coalition game."""
@@ -239,16 +247,22 @@ def coalition_game(game: Csg, coalition) -> CoalitionGame:
     side2 = tuple(p for p in game.players if p not in member_set)
     idx1 = [game.players.index(p) for p in side1]
     idx2 = [game.players.index(p) for p in side2]
+
+    def split(alpha):
+        return tuple(alpha[i] for i in idx1), tuple(alpha[i] for i in idx2)
+
     trans = {}
     flatten = {}
     for s in game.states:
         trans[s] = {}
         for alpha, dist in game.trans[s].items():
-            a1 = tuple(alpha[i] for i in idx1)
-            a2 = tuple(alpha[i] for i in idx2)
+            a1, a2 = split(alpha)
             trans[s][(a1, a2)] = dist
             flatten[(s, a1, a2)] = alpha
-    return CoalitionGame(game, side1, side2, trans, flatten)
+    rewards = {name: RewardStructure(
+        {(s, split(alpha)): v for (s, alpha), v in rs.action_rewards.items()},
+        rs.state_rewards) for name, rs in game.rewards.items()}
+    return CoalitionGame(game, side1, side2, trans, flatten, rewards)
 
 
 @dataclass(frozen=True)
@@ -360,32 +374,25 @@ def enumerate_mecs(game: Csg):
 class Mdp:
     """A plain MDP: `choices[s]` lists (choice-id, distribution) pairs.
 
-    Optional reward maps: `action_rewards[(state, choice-id)]` and
-    `state_rewards[state]`, missing entries meaning zero.
+    `rewards` maps each reward structure name to a RewardStructure whose
+    action rewards are keyed by (state, choice-id).
     """
 
     states: tuple
     initial: tuple
     choices: dict
-    action_rewards: dict = field(default_factory=dict)
-    state_rewards: dict = field(default_factory=dict)
-
-    def action_reward(self, state, choice):
-        return self.action_rewards.get((state, choice), Fraction(0))
-
-    def state_reward(self, state):
-        return self.state_rewards.get(state, Fraction(0))
+    rewards: dict = field(default_factory=dict)
 
 
 def joint_mdp(game) -> Mdp:
     """The MDP where one controller picks whole joint actions.
 
-    Accepts a Csg or a CoalitionGame (anything with states/initial/trans).
-    Reward structures are not attached; engines that need them read the
-    source game directly.
+    Accepts a Csg, a CoalitionGame or a product game (anything with
+    states/initial/trans/rewards).  The choice ids are the game's joint-action
+    keys, so its reward structures carry over unchanged.
     """
     choices = {s: sorted(game.trans[s].items()) for s in game.states}
-    return Mdp(tuple(game.states), tuple(game.initial), choices)
+    return Mdp(tuple(game.states), tuple(game.initial), choices, game.rewards)
 
 
 class MemoryStrategy:
@@ -406,67 +413,77 @@ class MemoryStrategy:
         raise NotImplementedError
 
 
+def _fold(game, initial_mode, node_choices, update) -> Mdp:
+    """The MDP over reachable (state, memory-mode) nodes of `game` under
+    strategies whose memory starts in `initial_mode` and moves by `update`.
+
+    `node_choices(state, mode)` lists the node's choices as (choice-id,
+    {joint action: weight}) pairs; a choice mixes the distributions and the
+    action rewards of its joint actions by weight.  Every reward structure of
+    the game is folded, state rewards carried over per node.
+    """
+    rewards = {name: RewardStructure() for name in game.rewards}
+    init = [(s, initial_mode) for s in game.initial]
+    states = []
+    seen = set(init)
+    frontier = deque(init)
+    choices = {}
+    while frontier:
+        node = frontier.popleft()
+        states.append(node)
+        s, mode = node
+        trans = game.trans[s]
+        node_choices_out = []
+        for cid, weights in node_choices(s, mode):
+            dist = {}
+            for pair, w in weights.items():
+                if pair not in trans:
+                    raise IncompleteStrategy(
+                        f"strategy plays unavailable action {pair!r} at {s!r}")
+                for t, pt in trans[pair].items():
+                    succ = (t, update(mode, t))
+                    dist[succ] = dist.get(succ, 0) + w * pt
+            node_choices_out.append((cid, dist))
+            for name, rs in game.rewards.items():
+                folded = sum(w * rs.action_rewards[(s, pair)]
+                             for pair, w in weights.items()
+                             if (s, pair) in rs.action_rewards)
+                if folded:
+                    rewards[name].action_rewards[(node, cid)] = folded
+            for succ in dist:
+                if succ not in seen:
+                    seen.add(succ)
+                    frontier.append(succ)
+        choices[node] = node_choices_out
+        for name, rs in game.rewards.items():
+            if rs.state_rewards.get(s):
+                rewards[name].state_rewards[node] = rs.state_rewards[s]
+    return Mdp(tuple(states), tuple(init), choices, rewards)
+
+
 def induce_mdp(cg: CoalitionGame, fixed: int, strategy: MemoryStrategy) -> Mdp:
     """Fold one side's strategy into the game, leaving the other side free.
 
     `fixed` is 1 or 2 (which side follows `strategy`).  The result is an MDP
     over reachable (state, memory-mode) pairs whose choices are the free
     side's actions; transition probabilities and action rewards are averaged
-    over the fixed side's randomisation.  Every named reward structure of the
-    base game is folded and attached.
+    over the fixed side's randomisation, and `Mdp.rewards` holds every folded
+    reward structure of the game.
     """
     if fixed not in (1, 2):
         raise ModelError("fixed side must be 1 or 2")
-    reward_names = sorted(getattr(cg.base, "rewards", {}))
-    init = [(s, strategy.initial_mode) for s in cg.initial]
-    states = []
-    seen = set(init)
-    frontier = list(init)
-    choices = {}
-    action_rewards = {}
-    state_rewards = {}
-    while frontier:
-        node = frontier.pop(0)
-        states.append(node)
-        s, mode = node
+
+    def node_choices(s, mode):
         sigma = strategy.distribution(s, mode)
         if sigma is None:
-            raise IncompleteStrategy(f"no strategy entry for state {s!r}, mode {mode!r}")
-        free_actions = cg.actions2(s) if fixed == 1 else cg.actions1(s)
-        node_choices = []
-        for b in free_actions:
-            dist = {}
-            reward = {name: Fraction(0) for name in reward_names}
-            for a, pa in sigma.items():
-                if pa == 0:
-                    continue
-                pair = (a, b) if fixed == 1 else (b, a)
-                if pair not in cg.trans[s]:
-                    raise IncompleteStrategy(
-                        f"strategy plays unavailable action {a!r} at {s!r}")
-                for name in reward_names:
-                    reward[name] += pa * cg.action_reward(name, s, *pair)
-                for t, pt in cg.trans[s][pair].items():
-                    succ = (t, strategy.update(mode, t))
-                    dist[succ] = dist.get(succ, 0) + pa * pt
-            node_choices.append((b, dist))
-            for name in reward_names:
-                if reward[name]:
-                    action_rewards.setdefault(name, {})[(node, b)] = reward[name]
-            for succ in dist:
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-        choices[node] = node_choices
-        for name in reward_names:
-            rs = cg.state_reward(name, s)
-            if rs:
-                state_rewards.setdefault(name, {})[node] = rs
-    mdp = Mdp(tuple(states), tuple(init), choices)
-    # attach folded reward maps per structure name for callers that need them
-    object.__setattr__(mdp, "named_action_rewards", action_rewards)
-    object.__setattr__(mdp, "named_state_rewards", state_rewards)
-    return mdp
+            raise IncompleteStrategy(
+                f"no strategy entry for state {s!r}, mode {mode!r}")
+        free = cg.actions2(s) if fixed == 1 else cg.actions1(s)
+        return [(b, {((a, b) if fixed == 1 else (b, a)): pa
+                     for a, pa in sigma.items() if pa != 0})
+                for b in free]
+
+    return _fold(cg, strategy.initial_mode, node_choices, strategy.update)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,13 @@ from .errors import (
     PropertyError,
     UnsupportedOperator,
 )
-from .model import CoalitionGame, check_assumption, coalition_game, joint_mdp
+from .model import (
+    CoalitionGame,
+    RewardStructure,
+    check_assumption,
+    coalition_game,
+    joint_mdp,
+)
 from .mdp import expected_reward, reach_prob, step_prob
 from .properties import (
     Atom,
@@ -104,19 +110,6 @@ def _horizon(obj: Objective):
     return obj.bound
 
 
-def _mdp_reward_maps(game, name):
-    action, state = {}, {}
-    for s in game.states:
-        for pair in game.trans[s]:
-            val = game.action_reward(name, s, *pair)
-            if val:
-                action[(s, pair)] = val
-        val = game.state_reward(name, s)
-        if val:
-            state[s] = val
-    return action, state
-
-
 def _statuses(game, objectives):
     """Per objective: (win set, lose set, settleable flag)."""
     out = []
@@ -135,10 +128,27 @@ def _statuses(game, objectives):
     return out
 
 
-def _settled_value(obj, won):
-    if obj.kind == "P":
-        return ONE if won else ZERO
-    return ZERO
+def _settlement(game, objectives):
+    """The statuses of `objectives`, and per state where at least one of them
+    is settled, a flag per objective: True won, False lost, None pending."""
+    stat = _statuses(game, objectives)
+    flags = {}
+    for s in game.states:
+        row = tuple(True if can and s in win else
+                    False if can and s in lose else None
+                    for win, lose, can in stat)
+        if row != (None, None):
+            flags[s] = row
+    return stat, flags
+
+
+def _settled_pair(objectives, row, pending_values):
+    """Value pair at a state with settlement flags `row`: a won probability
+    objective is worth 1, any other settled objective 0, and a pending one
+    takes its value from `pending_values`."""
+    return tuple(pending if won is None else
+                 ONE if won and obj.kind == "P" else ZERO
+                 for obj, won, pending in zip(objectives, row, pending_values))
 
 
 def local_game(game, state, continuation, rewards=(None, None)) -> BimatrixGame:
@@ -149,6 +159,8 @@ def local_game(game, state, continuation, rewards=(None, None)) -> BimatrixGame:
     added (the cumulative and reachability-reward shapes).
     """
     acts1, acts2 = game.actions1(state), game.actions2(state)
+    structures = [(l, game.rewards[name]) for l, name in enumerate(rewards)
+                  if name is not None]
     z1, z2 = [], []
     for a in acts1:
         row1, row2 = [], []
@@ -156,10 +168,8 @@ def local_game(game, state, continuation, rewards=(None, None)) -> BimatrixGame:
             dist = game.trans[state][(a, b)]
             vals = [sum(p * continuation[t][l] for t, p in dist.items())
                     for l in (0, 1)]
-            for l, name in enumerate(rewards):
-                if name is not None:
-                    vals[l] += game.state_reward(name, state) + \
-                        game.action_reward(name, state, a, b)
+            for l, rs in structures:
+                vals[l] += rs.state(state) + rs.action(state, (a, b))
             row1.append(vals[0])
             row2.append(vals[1])
         z1.append(row1)
@@ -188,12 +198,12 @@ def _coop_family(game, jmdp, obj, with_strategy):
         vals, strat = step_prob(jmdp, target, "max", with_strategy=True)
         history = [base, vals]
         return (history, [None, strat]) if with_strategy else history
-    action, state = _mdp_reward_maps(game, obj.reward)
+    rs = game.rewards[obj.reward]
     if obj.op == "I":
-        return expected_reward(jmdp, "I", k=k, state_rewards=state,
+        return expected_reward(jmdp, "I", k=k, state_rewards=rs.state_rewards,
                                all_horizons=True, with_strategy=with_strategy)
-    return expected_reward(jmdp, "C", k=k, action_rewards=action,
-                           state_rewards=state, all_horizons=True,
+    return expected_reward(jmdp, "C", k=k, action_rewards=rs.action_rewards,
+                           state_rewards=rs.state_rewards, all_horizons=True,
                            with_strategy=with_strategy)
 
 
@@ -210,7 +220,7 @@ def solve_bounded_pair(cg, query: NashNode, trace=True) -> PairResult:
         family, strats = _coop_family(cg, jmdp, obj, with_strategy=True)
         coop.append(family)
         coop_strats.append(strats)
-    stat = _statuses(cg, (o1, o2))
+    stat, settled = _settlement(cg, (o1, o2))
     rewards = _reward_names((o1, o2))
     step_rewards = tuple(name if obj.op == "C" else None
                          for name, obj in zip(rewards, (o1, o2)))
@@ -222,26 +232,13 @@ def solve_bounded_pair(cg, query: NashNode, trace=True) -> PairResult:
         new = {}
         profiles = {}
         for s in cg.states:
-            settled = []
-            for l, (win, lose, can) in enumerate(stat):
-                if can and s in win:
-                    settled.append(True)
-                elif can and s in lose:
-                    settled.append(False)
-                else:
-                    settled.append(None)
-            if settled[0] is not None and settled[1] is not None:
-                new[s] = (_settled_value(o1, settled[0]),
-                          _settled_value(o2, settled[1]))
-                profiles[s] = ("settled",)
-            elif settled[0] is not None:
-                new[s] = (_settled_value(o1, settled[0]),
-                          coop[1][n + pads[1]][s])
-                profiles[s] = ("coop", 1)
-            elif settled[1] is not None:
-                new[s] = (coop[0][n + pads[0]][s],
-                          _settled_value(o2, settled[1]))
-                profiles[s] = ("coop", 0)
+            row = settled.get(s)
+            if row is not None:
+                new[s] = _settled_pair(
+                    (o1, o2), row,
+                    [coop[l][n + pads[l]][s] for l in (0, 1)])
+                profiles[s] = ("coop", row.index(None)) if None in row \
+                    else ("settled",)
             else:
                 game = local_game(cg, s, vals, step_rewards)
                 chosen, _ = solve_swne(game)
@@ -264,58 +261,27 @@ def solve_bounded_pair(cg, query: NashNode, trace=True) -> PairResult:
 def _unbounded_fixed_rows(cg, query, jmdp):
     """Constant value rows, plus single-objective optima and strategies."""
     o1, o2 = query.objectives
-    stat = _statuses(cg, (o1, o2))
-    (win1, lose1, _), (win2, lose2, _) = stat
-    fixed = {}
+    stat, settled = _settlement(cg, (o1, o2))
     aux = {"statuses": stat, "opt_vals": [None, None],
            "opt_strats": [None, None]}
-    if o1.kind == "P":
-        cons1, cons2 = _sat(cg, o1.sub1), _sat(cg, o2.sub1)
-        pmax1, strat1 = reach_prob(jmdp, win1, "max", constraint=cons1,
-                                   with_strategy=True)
-        pmax2, strat2 = reach_prob(jmdp, win2, "max", constraint=cons2,
-                                   with_strategy=True)
-        aux["opt_vals"] = [pmax1, pmax2]
-        aux["opt_strats"] = [strat1, strat2]
-        for s in cg.states:
-            in1, in2 = s in win1, s in win2
-            if in1 and in2:
-                fixed[s] = (ONE, ONE)
-            elif in1:
-                fixed[s] = (ONE, pmax2[s])
-            elif in2:
-                fixed[s] = (pmax1[s], ONE)
-            elif s in lose1 and s in lose2:
-                fixed[s] = (ZERO, ZERO)
-            elif s in lose2:                 # only objective 1 still live
-                fixed[s] = (pmax1[s], ZERO)
-            elif s in lose1:
-                fixed[s] = (ZERO, pmax2[s])
-        return fixed, aux
-
-    maps1 = _mdp_reward_maps(cg, o1.reward)
-    maps2 = _mdp_reward_maps(cg, o2.reward)
-    need2 = {s for s in cg.states if s in win1 and s not in win2}
-    need1 = {s for s in cg.states if s in win2 and s not in win1}
-    rmax1 = rmax2 = None
-    if need1:
-        rmax1, strat1 = expected_reward(
-            jmdp, "F", targets=win1, action_rewards=maps1[0],
-            state_rewards=maps1[1], needed_states=need1, with_strategy=True)
-        aux["opt_vals"][0], aux["opt_strats"][0] = rmax1, strat1
-    if need2:
-        rmax2, strat2 = expected_reward(
-            jmdp, "F", targets=win2, action_rewards=maps2[0],
-            state_rewards=maps2[1], needed_states=need2, with_strategy=True)
-        aux["opt_vals"][1], aux["opt_strats"][1] = rmax2, strat2
-    for s in cg.states:
-        in1, in2 = s in win1, s in win2
-        if in1 and in2:
-            fixed[s] = (ZERO, ZERO)
-        elif in1:
-            fixed[s] = (ZERO, rmax2[s])
-        elif in2:
-            fixed[s] = (rmax1[s], ZERO)
+    for l, obj in enumerate((o1, o2)):
+        win = stat[l][0]
+        if obj.kind == "P":
+            aux["opt_vals"][l], aux["opt_strats"][l] = reach_prob(
+                jmdp, win, "max", constraint=_sat(cg, obj.sub1),
+                with_strategy=True)
+            continue
+        # only states where the other objective is won need this optimum
+        need = {s for s, row in settled.items() if row[l] is None}
+        if need:
+            rs = cg.rewards[obj.reward]
+            aux["opt_vals"][l], aux["opt_strats"][l] = expected_reward(
+                jmdp, "F", targets=win, action_rewards=rs.action_rewards,
+                state_rewards=rs.state_rewards, needed_states=need,
+                with_strategy=True)
+    opt = [vals or {} for vals in aux["opt_vals"]]
+    fixed = {s: _settled_pair((o1, o2), row, [vals.get(s) for vals in opt])
+             for s, row in settled.items()}
     return fixed, aux
 
 
@@ -407,7 +373,8 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
 @dataclass(frozen=True)
 class ProductGame:
     """Step-counter product of a two-coalition game: states are (s, layer)
-    with the layer counting up to an absorbing cap."""
+    with the layer counting up to an absorbing cap.  Valuations, constants
+    and declared label names are lifted from the base model."""
 
     base: object
     layers: int                  # cap value L; layers are 0..L
@@ -415,19 +382,16 @@ class ProductGame:
     initial: tuple
     trans: dict
     labels: dict
-    reward_maps: dict            # name -> (action map, state map)
+    rewards: dict                # name -> RewardStructure over (a1, a2) pairs
+    valuations: dict = None
+    constants: dict = field(default_factory=dict)
+    label_names: frozenset = frozenset()
 
     def actions1(self, state):
         return self.base.actions1(state[0])
 
     def actions2(self, state):
         return self.base.actions2(state[0])
-
-    def action_reward(self, name, state, a1, a2):
-        return self.reward_maps[name][0].get((state, (a1, a2)), ZERO)
-
-    def state_reward(self, name, state):
-        return self.reward_maps[name][1].get(state, ZERO)
 
 
 def mixed_horizon_transform(cg, query: NashNode):
@@ -458,8 +422,8 @@ def mixed_horizon_transform(cg, query: NashNode):
         trans[(s, i)] = {pair: {(t, nxt): p for t, p in dist.items()}
                          for pair, dist in cg.trans[s].items()}
 
-    base_labels = (cg.base if isinstance(cg, CoalitionGame) else cg).labels
-    labels = {(s, i): set(base_labels[s]) for (s, i) in states}
+    source = cg.base if isinstance(cg, CoalitionGame) else cg
+    labels = {(s, i): set(source.labels[s]) for (s, i) in states}
 
     # rewrite the finite objective over fresh layer-indexed propositions
     if obj.kind == "P" and obj.op == "X":
@@ -484,54 +448,32 @@ def mixed_horizon_transform(cg, query: NashNode):
                 labels[(s, i)].add("__top")
         new_obj = Objective("R", "F", sub2=Atom("__top"), reward="__bounded")
 
-    reward_maps = {}
-    source = cg.base if isinstance(cg, CoalitionGame) else cg
-    names = set()
-    for o in objectives:
-        if o.reward is not None:
-            names.add(o.reward)
-    for name in names:
-        action, state = {}, {}
-        for (s, i) in states:
-            for pair in cg.trans[s]:
-                val = cg.action_reward(name, s, *pair)
-                if val:
-                    action[((s, i), pair)] = val
-            val = cg.state_reward(name, s)
-            if val:
-                state[(s, i)] = val
-        reward_maps[name] = (action, state)
+    def lift(rs, layers):
+        return RewardStructure(
+            {((s, i), pair): v for (s, pair), v in rs.action_rewards.items()
+             for i in layers},
+            {(s, i): v for s, v in rs.state_rewards.items() for i in layers})
+
+    rewards = {o.reward: lift(cg.rewards[o.reward], range(cap + 1))
+               for o in objectives if o.reward is not None}
     if obj.kind == "R":
-        action, state = {}, {}
-        k = obj.bound
-        for (s, i) in states:
-            if obj.op == "I":
-                if i == k:
-                    val = cg.state_reward(obj.reward, s)
-                    if val:
-                        state[(s, i)] = val
-            elif i < k:
-                val = cg.state_reward(obj.reward, s)
-                if val:
-                    state[(s, i)] = val
-                for pair in cg.trans[s]:
-                    val = cg.action_reward(obj.reward, s, *pair)
-                    if val:
-                        action[((s, i), pair)] = val
-        reward_maps["__bounded"] = (action, state)
+        # I=k pays the state reward at layer k only; C<=k pays in layers < k
+        bounded = cg.rewards[obj.reward]
+        if obj.op == "I":
+            bounded = RewardStructure({}, bounded.state_rewards)
+        rewards["__bounded"] = lift(
+            bounded, [obj.bound] if obj.op == "I" else range(obj.bound))
 
     objectives[fi] = new_obj
     new_query = NashNode(query.coalition1, query.coalition2, query.relation,
                          query.threshold, tuple(objectives), query.epsilon)
+    valuations = None
+    if source.valuations is not None:
+        valuations = {(s, i): source.valuations[s] for (s, i) in states}
     product = ProductGame(cg, cap, states, initial, trans,
                           {s: frozenset(l) for s, l in labels.items()},
-                          reward_maps)
-    valuations = getattr(source, "valuations", None)
-    if valuations is not None:
-        object.__setattr__(product, "valuations",
-                           {(s, i): valuations[s] for (s, i) in states})
-        object.__setattr__(product, "constants",
-                           getattr(source, "constants", {}))
+                          rewards, valuations, source.constants,
+                          source.label_names)
     embedding = {s: (s, 0) for s in cg.states}
     return product, new_query, embedding
 
@@ -559,22 +501,16 @@ def _zero_sum_values(game, node: ZeroSumNode):
         return reach_prob(mdp, satisfying_states(game, obj.sub2), optimise,
                           bound=obj.bound,
                           constraint=satisfying_states(game, obj.sub1))
-    action, state = {}, {}
-    for s in game.states:
-        for alpha in game.trans[s]:
-            val = game.rewards[obj.reward].action(s, alpha)
-            if val:
-                action[(s, alpha)] = val
-        val = game.rewards[obj.reward].state(s)
-        if val:
-            state[s] = val
+    rs = game.rewards[obj.reward]
     if obj.op in ("I", "C"):
-        return expected_reward(mdp, obj.op, k=obj.bound, action_rewards=action,
-                               state_rewards=state, optimise=optimise)
+        return expected_reward(mdp, obj.op, k=obj.bound,
+                               action_rewards=rs.action_rewards,
+                               state_rewards=rs.state_rewards,
+                               optimise=optimise)
     return expected_reward(mdp, "F",
                            targets=satisfying_states(game, obj.sub2),
-                           action_rewards=action, state_rewards=state,
-                           optimise=optimise)
+                           action_rewards=rs.action_rewards,
+                           state_rewards=rs.state_rewards, optimise=optimise)
 
 
 def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,

@@ -136,7 +136,7 @@ class _Parser:
         self.model = model
         self.constants = dict(constants or {})
         if model is not None:
-            self.constants = {**getattr(model, "constants", {}), **self.constants}
+            self.constants = {**model.constants, **self.constants}
 
     # -- state formulae -------------------------------------------------------
 
@@ -480,10 +480,10 @@ def satisfying_states(game, formula):
     if isinstance(formula, Atom):
         name = formula.name
         known_labels = set().union(*game.labels.values()) if game.labels else set()
-        known_labels |= set(getattr(game, "label_names", ()))
+        known_labels |= game.label_names
         if name in known_labels:
             return frozenset(s for s in states if name in game.labels[s])
-        valuations = getattr(game, "valuations", None)
+        valuations = game.valuations
         if valuations is not None and name in next(iter(valuations.values()), {}):
             result = set()
             for s in states:
@@ -496,8 +496,7 @@ def satisfying_states(game, formula):
             return frozenset(result)
         raise UndeclaredSymbol(f"unknown atomic proposition {name!r}")
     if isinstance(formula, VarPredicate):
-        valuations = getattr(game, "valuations", None)
-        constants = getattr(game, "constants", {})
+        valuations, constants = game.valuations, game.constants
         if valuations is None:
             raise UndeclaredSymbol(
                 "variable predicates need a model with state valuations")

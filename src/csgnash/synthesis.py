@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfiniteValue, UnsupportedOperator
-from .model import CoalitionGame, MemoryStrategy, Mdp, induce_mdp
+from .model import MemoryStrategy, _fold, induce_mdp
 from .mdp import expected_reward, reach_prob
 from .nash import PairResult, _sat
 from .properties import NashNode, to_text
@@ -229,50 +229,6 @@ def synthesise_profile(game, query: NashNode, result: PairResult
 
 # --- verification -----------------------------------------------------------------
 
-def _fold_chain(cg, profile):
-    """The Markov chain (single-choice MDP) induced by both strategies."""
-    s1, s2 = profile.strategy(1), profile.strategy(2)
-    init = [(s, s1.initial_mode) for s in cg.initial]
-    seen = set(init)
-    order = []
-    frontier = list(init)
-    choices = {}
-    action_rewards = {}
-    reward_names = sorted(getattr(cg.base, "rewards", {})) \
-        if isinstance(cg, CoalitionGame) else []
-    state_rewards = {}
-    while frontier:
-        node = frontier.pop(0)
-        order.append(node)
-        s, mode = node
-        d1 = s1.distribution(s, mode)
-        d2 = s2.distribution(s, mode)
-        dist = {}
-        rew = {name: Fraction(0) for name in reward_names}
-        for a, pa in d1.items():
-            for b, pb in d2.items():
-                for name in reward_names:
-                    rew[name] += pa * pb * cg.action_reward(name, s, a, b)
-                for t, pt in cg.trans[s][(a, b)].items():
-                    succ = (t, s1.update(mode, t))
-                    dist[succ] = dist.get(succ, 0) + pa * pb * pt
-        choices[node] = [("step", dist)]
-        for name in reward_names:
-            if rew[name]:
-                action_rewards.setdefault(name, {})[(node, "step")] = rew[name]
-            rs = cg.state_reward(name, s)
-            if rs:
-                state_rewards.setdefault(name, {})[node] = rs
-        for succ in dist:
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
-    mdp = Mdp(tuple(order), tuple(init), choices)
-    object.__setattr__(mdp, "named_action_rewards", action_rewards)
-    object.__setattr__(mdp, "named_state_rewards", state_rewards)
-    return mdp
-
-
 def _objective_value(mdp, cg, obj, needed):
     """Per-node maximal objective value on an MDP over (state, mode) nodes."""
     if obj.kind == "P" and obj.op == "U":
@@ -285,10 +241,10 @@ def _objective_value(mdp, cg, obj, needed):
     if obj.kind == "R" and obj.op == "F":
         targets = _sat(cg, obj.sub2)
         node_targets = {n for n in mdp.states if n[0] in targets}
-        action = getattr(mdp, "named_action_rewards", {}).get(obj.reward, {})
-        state = getattr(mdp, "named_state_rewards", {}).get(obj.reward, {})
+        rs = mdp.rewards[obj.reward]
         return expected_reward(mdp, "F", targets=node_targets,
-                               action_rewards=action, state_rewards=state,
+                               action_rewards=rs.action_rewards,
+                               state_rewards=rs.state_rewards,
                                optimise="max", needed_states=needed)
     raise UnsupportedOperator(
         "profile verification supports until and reachability-reward "
@@ -319,7 +275,15 @@ class VerificationReport:
 def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
                       epsilon=1e-4) -> VerificationReport:
     """Check the profile is an ε-Nash equilibrium of the objective pair."""
-    chain = _fold_chain(cg, profile)
+    s1, s2 = profile.strategy(1), profile.strategy(2)
+
+    def joint_choice(state, mode):
+        # the induced chain has one choice, both strategies' product
+        d1, d2 = s1.distribution(state, mode), s2.distribution(state, mode)
+        return [("step", {(a, b): pa * pb for a, pa in d1.items()
+                          for b, pb in d2.items()})]
+
+    chain = _fold(cg, s1.initial_mode, joint_choice, s1.update)
     chain_nodes = set(chain.states)
     gaps = []
     sub_gaps = []

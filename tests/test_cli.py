@@ -160,11 +160,19 @@ class TestVerifyAndExport:
             "--property", "<<p1:p2>>max=? (P[F sent1] + P[F sent2])",
             "--verify", "--export-strategy", str(target))
         assert code == 0
-        assert "passed=true" in out
+        assert "subgame_gap1=0 subgame_gap2=0 passed=true" in out
         with open(target, encoding="utf-8") as handle:
             data = json.load(handle)
         assert data["kind"] == "unbounded"
         assert data["entries"]
+        # bounded pairs have no subgame gaps, so the record omits them
+        code, out, _ = run_cli(
+            capsys, "run", "--model", model_path("fig1.csgx"),
+            "--property", "<<p1:p2>>max=? (P[F<=2 sent1] + P[F<=2 sent2])",
+            "--verify", "--format", "json")
+        verification = json.loads(out)["results"][0]["verification"]
+        assert code == 0 and verification["passed"]
+        assert "subgame_gap1" not in verification
 
     def test_mixed_horizon_verification_is_refused(self, capsys):
         code, out, _ = run_cli(

@@ -173,11 +173,11 @@ class TestExpectedReward:
         action = {}
         for s in mdp.states:
             for cid, _ in mdp.choices[s]:
-                val = cg.action_reward(name, s, *cid)
+                val = cg.rewards[name].action(s, cid)
                 if val:
                     action[(s, cid)] = val
-        state = {s: cg.state_reward(name, s) for s in mdp.states
-                 if cg.state_reward(name, s)}
+        state = {s: cg.rewards[name].state(s) for s in mdp.states
+                 if cg.rewards[name].state(s)}
         return action, state
 
     def test_cumulative_zero_horizon(self):

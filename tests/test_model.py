@@ -248,6 +248,6 @@ class TestInduceMdp:
                  "s2": {(IDLE,): F(1)},
                  "t1": {(IDLE,): F(1)}, "t2": {(IDLE,): F(1)}}
         mdp = induce_mdp(cg, 1, FixedStrategy(table))
-        folded = mdp.named_action_rewards["r1"]
+        folded = mdp.rewards["r1"].action_rewards
         # half the weight on the rewarded send action at s1
         assert folded[(("s1", 0), (IDLE,))] == F(1, 6)

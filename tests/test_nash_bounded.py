@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import model_path
-from csgnash.explicit import load_explicit
+from conftest import REWARD_GAME, model_path
+from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
 from csgnash.model import Csg, coalition_game
 from csgnash.nash import evaluate, solve_bounded_pair
@@ -39,6 +39,19 @@ class TestBaseCases:
         ev = evaluate(csg, parse_property(
             '<<p1:p2>>max=? (R{"r1"}[C<=0] + R{"r2"}[C<=0])'))
         assert all(pair == (0, 0) for pair in ev.values.values())
+
+    def test_instantaneous_pair_with_unequal_bounds(self):
+        # r is paid in s0 (1) and s1 (2), r2 in s2 (4).  The r2 objective is
+        # padded by one cooperative step: r2[I=1] is 4 at s0 and 2 at s1.
+        # At s0, a strictly dominates b for p1 and p2 answers d, so both
+        # move to s1 and collect (2, 2); at s2, p2 plays d into s1 likewise.
+        csg = loads_explicit(REWARD_GAME)
+        ev = evaluate(csg, parse_property(
+            '<<p1:p2>>max=? (R{"r"}[I=1] + R{"r2"}[I=2])', csg))
+        assert ev.values == {"s0": (2, 2), "s1": (0, 0), "s2": (2, 2),
+                             "g": (0, 0)}
+        assert all(isinstance(v, F) for pair in ev.values.values()
+                   for v in pair)
 
 
 class TestChannelTables:

@@ -6,9 +6,9 @@ from itertools import product
 
 import pytest
 
-from conftest import model_path
+from conftest import REWARD_GAME, model_path
 from csgnash.errors import NotConverged, UnsupportedOperator
-from csgnash.explicit import load_explicit
+from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.model import check_assumption
 from csgnash.nash import evaluate
 from csgnash.properties import parse_property
@@ -173,3 +173,31 @@ class TestZeroSumOperators:
     def test_proper_subcoalition_is_rejected(self):
         with pytest.raises(UnsupportedOperator):
             evaluate(self.csg, parse_property("<<p1>>Pmax=? [F sent1]"))
+
+    def reward_values(self, text):
+        game = loads_explicit(REWARD_GAME)
+        return evaluate(game, parse_property(text, game)).values
+
+    def test_grand_coalition_cumulative_reward(self):
+        # one step: s0 pays 1 plus 3 for (a,c); s1 pays 2 plus 1 for b
+        vals = self.reward_values('<<{p1,p2}>>R{"r"}max=? [C<=1]')
+        assert vals == {"s0": 4, "s1": 3, "s2": F(1, 2), "g": 0}
+        # two steps from s0: 1 + 3 + (3 + 1/2) / 2 via (a,c)
+        vals = self.reward_values('<<{p1,p2}>>R{"r"}max=? [C<=2]')
+        assert vals == {"s0": F(23, 4), "s1": F(13, 4), "s2": F(7, 2),
+                        "g": 0}
+        assert all(isinstance(v, F) for v in vals.values())
+
+    def test_grand_coalition_instantaneous_reward(self):
+        # only state rewards count: s1 is worth 2 after two steps from s0
+        # via (b,c) then d, and s1 reaches s2 -> s1 only with probability 1/2
+        vals = self.reward_values('<<{p1,p2}>>R{"r"}max=? [I=2]')
+        assert vals == {"s0": 2, "s1": 1, "s2": 0, "g": 0}
+
+    def test_grand_coalition_min_reachability_reward(self):
+        # cheapest route to g: s0 -(b,c)-> s2 -c-> g pays only s0's 1;
+        # s1 must pay its state reward 2 and then leaves by a
+        vals = self.reward_values('<<{p1,p2}>>R{"r"}min=? [F goal]')
+        assert vals["g"] == 0
+        for state, want in (("s0", 1), ("s1", 2), ("s2", 0)):
+            assert abs(vals[state] - want) < 1e-9

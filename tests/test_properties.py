@@ -218,6 +218,7 @@ def coalition_splits(draw):
 
 class FakeModel:
     players = ("p1", "p2", "p3", "p4")
+    constants = {}
     rewards = {}
     labels = {}
     states = ()

@@ -3,8 +3,8 @@
 import json
 from fractions import Fraction as F
 
-from conftest import model_path
-from csgnash.explicit import load_explicit
+from conftest import REWARD_GAME, model_path
+from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
 from csgnash.model import MemoryStrategy
 from csgnash.nash import evaluate
@@ -154,3 +154,16 @@ class TestRewardProfiles:
             csg, '<<p1:p2>>max=? (R{"r1"}[F done1] + R{"r2"}[F done2])')
         report = verify_epsilon_ne(ev.game, profile, ev.formula, 1e-4)
         assert report.passed
+
+    def test_state_and_action_rewards_verify_with_zero_gaps(self):
+        # at s0, (a,c) is the equilibrium: r collects 1 + 3 + (13/2 + 7)/2
+        # and r2 collects (4 + 8)/2, with p2 looping s2 -> s1 for r2's 4
+        csg = loads_explicit(REWARD_GAME)
+        ev, profile = solved_profile(
+            csg, '<<p1:p2>>max=? (R{"r"}[F goal] + R{"r2"}[F goal])')
+        v1, v2 = ev.values["s0"]
+        assert abs(v1 - F(43, 4)) < 1e-5 and abs(v2 - 6) < 1e-5
+        report = verify_epsilon_ne(ev.game, profile, ev.formula, 1e-4)
+        assert report.passed
+        assert (report.gap1, report.gap2) == (0, 0)
+        assert (report.subgame_gap1, report.subgame_gap2) == (0, 0)

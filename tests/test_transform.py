@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 from conftest import ACYCLIC_GAME, model_path
 from csgnash.explicit import load_explicit, loads_explicit
+from csgnash.lang import build_csg, parse_model
 from csgnash.model import coalition_game
 from csgnash.nash import evaluate, mixed_horizon_transform
 from csgnash.properties import parse_property
@@ -60,6 +61,17 @@ class TestConstructions:
                            for (_, j) in dist)
 
 
+    def test_declared_label_that_never_holds_stays_known(self):
+        # the product must carry the declared label names: "never" holds in
+        # no reachable state, so only the declaration makes it a label
+        with open(model_path("robot.csg"), encoding="utf-8") as handle:
+            text = handle.read() + '\nlabel "never" = x1=l & y1=l;\n'
+        csg = build_csg(parse_model(text), {"l": 3})
+        ev = evaluate(csg, parse_property(
+            "<<p1:p2>>max=? (P[F<=4 goal1] + P[F never])", csg))
+        assert initial_pair(ev) == (1, 0)
+
+
 class TestRewardConstructions:
     def setup_method(self):
         self.csg = loads_explicit(ACYCLIC_GAME)
@@ -69,7 +81,8 @@ class TestRewardConstructions:
         product, query, _ = transform(
             self.csg,
             f'<<p1:p2>>max=? (R{{"r1"}}[I={k}] + R{{"r2"}}[F end])')
-        action_map, state_map = product.reward_maps["__bounded"]
+        bounded = product.rewards["__bounded"]
+        action_map, state_map = bounded.action_rewards, bounded.state_rewards
         assert not action_map
         assert state_map == {("m2", k): F(3)}       # the only r1 state reward
         assert query.objectives[0].reward == "__bounded"
@@ -79,7 +92,8 @@ class TestRewardConstructions:
         product, _, _ = transform(
             self.csg,
             f'<<p1:p2>>max=? (R{{"r1"}}[C<={k}] + R{{"r2"}}[F end])')
-        action_map, state_map = product.reward_maps["__bounded"]
+        bounded = product.rewards["__bounded"]
+        action_map, state_map = bounded.action_rewards, bounded.state_rewards
         assert all(i < k for (_, i) in state_map)
         assert all(i < k for ((_, i), _) in action_map)
         assert action_map[(("s0", 0), (("a1",), ("b1",)))] == 2
