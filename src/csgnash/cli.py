@@ -17,71 +17,24 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from . import mdp as mdp_module
-from . import nash as nash_module
-from . import synthesis as synthesis_module
 from .bimatrix import BimatrixGame, enumerate_equilibria, select_swne
 from .errors import CsgError, NotConverged
 from .explicit import load_explicit
 from .lang import load_model
 from .model import check_assumption
-from .nash import evaluate
-from .properties import NashNode, parse_property, to_text
+from .nash import DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, evaluate
+from .properties import NashNode, parse_property
 from .synthesis import synthesise_profile, verify_epsilon_ne
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
-
-_MDP_OPS = ("reach_prob", "step_prob", "expected_reward", "prob1_min_set")
-
-
-class _MdpTimer:
-    """Accumulates wall-clock time spent inside the MDP sub-solvers.
-
-    Wraps the solver entry points in every module that calls them, so the
-    per-property timing can be split into the MDP and game-level shares.
-    """
-
-    def __init__(self):
-        self.elapsed = 0.0
-        self._saved = []
-
-    def _wrap(self, fn):
-        @functools.wraps(fn)
-        def timed(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self.elapsed += time.perf_counter() - start
-        timed.__wrapped_by_timer__ = True
-        return timed
-
-    def __enter__(self):
-        for module in (mdp_module, nash_module, synthesis_module):
-            for name in _MDP_OPS:
-                fn = getattr(module, name, None)
-                if fn is None or getattr(fn, "__wrapped_by_timer__", False):
-                    continue
-                self._saved.append((module, name, fn))
-                setattr(module, name, self._wrap(fn))
-        return self
-
-    def __exit__(self, *exc):
-        for module, name, fn in self._saved:
-            setattr(module, name, fn)
-        self._saved = []
-        return False
 
 
 # --- shared parsing helpers --------------------------------------------------------
@@ -199,13 +152,10 @@ def _evaluate_property(csg, text, args):
                 "; ".join(report.messages())
             return record, EXIT_USAGE
 
-    timer = _MdpTimer()
     start = time.perf_counter()
     try:
-        with timer:
-            result = evaluate(csg, formula,
-                              conv_epsilon=args.conv_epsilon,
-                              max_iters=args.max_iters)
+        result = evaluate(csg, formula, conv_epsilon=args.conv_epsilon,
+                          max_iters=args.max_iters)
     except NotConverged as err:
         record["converged"] = False
         record["diagnostic"] = str(err)
@@ -214,12 +164,17 @@ def _evaluate_property(csg, text, args):
             record["assumption"] = {"severity": report.severity,
                                     "messages": report.messages()}
         record["time"] = time.perf_counter() - start
-        record["mdp_time"] = timer.elapsed
+        record["mdp_time"] = err.result.aux["mdp_s"]
         return record, EXIT_NOT_CONVERGED
     total = time.perf_counter() - start
     record["kind"] = result.kind
     record["time"] = total
-    record["mdp_time"] = timer.elapsed
+    if result.solve is not None:
+        record["mdp_time"] = result.solve.aux["mdp_s"]
+    elif result.kind.startswith("zero-sum"):
+        record["mdp_time"] = total      # a grand-coalition MDP problem
+    else:
+        record["mdp_time"] = 0.0
 
     if result.kind == "nash-query":
         pair = next(iter(result.initial.values()))
@@ -345,14 +300,9 @@ def _run_sweep(args, out):
         print("error: sweep mode needs exactly one property", file=sys.stderr)
         return EXIT_USAGE
     consts = dict(args.const or [])
-    jobs = [(args.model, consts, name, value, texts[0],
-             args.conv_epsilon, args.max_iters) for value in values]
-    workers = int(os.environ.get("CSG_THREADS", "1") or "1")
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
-    else:
-        rows = [_sweep_point(*job) for job in jobs]
+    rows = [_sweep_point(args.model, consts, name, value, texts[0],
+                         args.conv_epsilon, args.max_iters)
+            for value in values]
     writer = csv.writer(out)
     writer.writerow(["parameter", "v1", "v2", "sum", "iterations", "time"])
     for row in rows:
@@ -360,10 +310,6 @@ def _run_sweep(args, out):
                          f"{row[2]:.10g}",
                          f"{row[3]:.10g}", row[4], f"{row[5]:.6f}"])
     return EXIT_OK
-
-
-def _sweep_worker(job):
-    return _sweep_point(*job)
 
 
 def cmd_run(args, out=None):
@@ -475,9 +421,10 @@ def build_parser():
                      help="file with one property per line (// comments)")
     run.add_argument("--epsilon", type=float, default=1e-4,
                      help="equilibrium tolerance for --verify")
-    run.add_argument("--conv-epsilon", type=float, default=1e-6,
+    run.add_argument("--conv-epsilon", type=float,
+                     default=DEFAULT_CONV_EPSILON,
                      help="value-iteration convergence threshold")
-    run.add_argument("--max-iters", type=int, default=10000)
+    run.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     run.add_argument("--strict-assumptions", action="store_true",
                      help="treat assumption violations as errors")
     run.add_argument("--export-strategy", metavar="PATH",

@@ -124,7 +124,7 @@ class NotConverged(SolverError):
     """Value iteration stopped without meeting the convergence criterion.
 
     Carries the result object of the failed solve (``result``) so callers can
-    inspect the last two value vectors and any recorded iteration trace.
+    inspect its last value vectors and the trace of the final sweeps.
     """
 
     def __init__(self, message, result=None):

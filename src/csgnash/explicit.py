@@ -128,7 +128,7 @@ def load_explicit(path) -> Csg:
 
 
 def _fmt(value):
-    return str(Fraction(value)) if not isinstance(value, float) else repr(value)
+    return str(Fraction(value))
 
 
 def dumps_explicit(game: Csg) -> str:

@@ -138,14 +138,14 @@ def _optimise(values, optimise):
     return max(values) if optimise == "max" else min(values)
 
 
-def _iterate(mdp, fixed, undecided, bellman, epsilon, max_iters):
+def _iterate(fixed, undecided, bellman):
     """Generic unbounded value iteration over the undecided states."""
     vals = dict(fixed)
     for s in undecided:
         vals[s] = 0.0
     if not undecided:
         return vals
-    for _ in range(max_iters):
+    for _ in range(DEFAULT_MAX_ITERS):
         new = dict(vals)
         delta = 0.0
         for s in undecided:
@@ -153,7 +153,7 @@ def _iterate(mdp, fixed, undecided, bellman, epsilon, max_iters):
             new[s] = nv
             delta = max(delta, abs(nv - vals[s]) / max(1.0, abs(nv)))
         vals = new
-        if delta < epsilon:
+        if delta < DEFAULT_EPSILON:
             return vals
     raise SolverError("MDP value iteration exceeded the iteration limit")
 
@@ -204,7 +204,6 @@ def _backward(mdp, vals, k, optimise, pinned=None, action_rewards=None,
 
 
 def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
-               epsilon=DEFAULT_EPSILON, max_iters=DEFAULT_MAX_ITERS,
                with_strategy=False, all_horizons=False):
     """(Constrained) reachability probabilities, optimised over strategies.
 
@@ -248,7 +247,7 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
         return _optimise([sum(p * vals[t] for t, p in dist.items())
                           for _, dist in mdp.choices[s]], optimise)
 
-    vals = _iterate(mdp, fixed, undecided, bellman, epsilon, max_iters)
+    vals = _iterate(fixed, undecided, bellman)
     if not with_strategy:
         return vals
     strategy = _extract_reach_strategy(mdp, vals, targets, allowed, one,
@@ -333,7 +332,6 @@ def step_prob(mdp: Mdp, targets, optimise="max", with_strategy=False):
 
 def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
                     action_rewards=None, state_rewards=None, optimise="max",
-                    epsilon=DEFAULT_EPSILON, max_iters=DEFAULT_MAX_ITERS,
                     with_strategy=False, all_horizons=False,
                     needed_states=None):
     """Optimal expected reward for one of the three reward shapes.
@@ -380,7 +378,7 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
              + sum(p * vals[t] for t, p in dist.items())
              for cid, dist in mdp.choices[s]], optimise)
 
-    vals = _iterate(mdp, fixed, undecided, bellman, epsilon, max_iters)
+    vals = _iterate(fixed, undecided, bellman)
     for s in mdp.states:
         vals.setdefault(s, None)        # states with infinite value, unrequested
     if not with_strategy:

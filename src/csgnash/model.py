@@ -60,6 +60,14 @@ class RewardStructure:
         return self.state_rewards.get(state, Fraction(0))
 
 
+def _exact(value, what, where):
+    """`value` as a Fraction; a float would make every later result inexact."""
+    if isinstance(value, float):
+        raise ModelError(f"{what} {value!r} at {where} is a float; models "
+                         f"hold exact numbers only")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class Csg:
     """A concurrent stochastic game over named players and states.
@@ -120,7 +128,7 @@ class Csg:
                         raise ModelError(
                             f"action {a!r} not in alphabet of {players[i]} at {s}")
                     per_player[i].add(a)
-                dist = {t: Fraction(p) if not isinstance(p, float) else p
+                dist = {t: _exact(p, "probability", (s, alpha))
                         for t, p in dist.items()}
                 trans[s][alpha] = dist
                 if any(p <= 0 for p in dist.values()):
@@ -148,7 +156,7 @@ class Csg:
         for name, rs in (rewards or {}).items():
             action_rewards, state_rewards = {}, {}
             for (s, alpha), val in rs.action_rewards.items():
-                val = Fraction(val) if not isinstance(val, float) else val
+                val = _exact(val, "action reward", (name, s, alpha))
                 if val < 0:
                     raise ModelError(f"negative action reward in {name!r}")
                 if s not in state_set or alpha not in trans[s]:
@@ -156,7 +164,7 @@ class Csg:
                 if val != 0:
                     action_rewards[(s, alpha)] = val
             for s, val in rs.state_rewards.items():
-                val = Fraction(val) if not isinstance(val, float) else val
+                val = _exact(val, "state reward", (name, s))
                 if val < 0:
                     raise ModelError(f"negative state reward in {name!r}")
                 if s not in state_set:
@@ -490,7 +498,6 @@ def induce_mdp(cg: CoalitionGame, fixed: int, strategy: MemoryStrategy) -> Mdp:
 class AssumptionReport:
     """Result of checking the convergence assumption for a query.
 
-    finite_only: the query has only finite-horizon objectives (trivial pass).
     nonterminal_mecs: non-terminal maximal end components (relevant to
         infinite-horizon probabilistic objectives).
     reward_issues: list of (objective index, states from which the target is
@@ -498,7 +505,6 @@ class AssumptionReport:
         reward objectives.
     """
 
-    finite_only: bool
     nonterminal_mecs: tuple
     reward_issues: tuple
 
@@ -538,7 +544,7 @@ def check_assumption(game: Csg, query) -> AssumptionReport:
     objectives = query.objectives
     infinite = [obj for obj in objectives if not obj.is_finite_horizon()]
     if not infinite:
-        return AssumptionReport(True, (), ())
+        return AssumptionReport((), ())
     nonterminal = ()
     if any(obj.kind == "P" for obj in infinite):
         nonterminal = tuple(ec for ec in enumerate_mecs(game) if ec.non_terminal)
@@ -553,4 +559,4 @@ def check_assumption(game: Csg, query) -> AssumptionReport:
             bad = [s for s in game.states if s not in sure]
             if bad:
                 reward_issues.append((idx, tuple(bad)))
-    return AssumptionReport(False, nonterminal, tuple(reward_issues))
+    return AssumptionReport(nonterminal, tuple(reward_issues))

@@ -17,6 +17,8 @@ Vocabulary used below for an objective at a state:
 
 from __future__ import annotations
 
+import time
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -59,6 +61,9 @@ DEFAULT_CONV_EPSILON = 1e-6
 DEFAULT_MAX_ITERS = 10000
 _OSC_TOL = 1e-12
 _EXACT_STATE_LIMIT = 64
+# value vectors a result keeps: the oscillation check reads two sweeps back,
+# and a run stopped at sweep 4 still holds sweeps 0..4
+_TRACE_LENGTH = 5
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -75,9 +80,9 @@ class PairResult:
     converged: bool
     kind: str                    # "bounded" | "unbounded"
     diagnostic: str = None
-    trace: list = None           # value vectors per sweep (index 0 = start)
+    trace: list = None           # last _TRACE_LENGTH vectors, oldest first
     profiles: object = None      # per-state local profiles; bounded: per stage
-    aux: dict = field(default_factory=dict)
+    aux: dict = field(default_factory=dict)  # "mdp_s": MDP precompute seconds
 
 
 @dataclass
@@ -207,7 +212,7 @@ def _coop_family(game, jmdp, obj, with_strategy):
                            with_strategy=with_strategy)
 
 
-def solve_bounded_pair(cg, query: NashNode, trace=True) -> PairResult:
+def solve_bounded_pair(cg, query: NashNode) -> PairResult:
     """Exact backwards induction for a pair of finite-horizon objectives."""
     o1, o2 = query.objectives
     k1, k2 = _horizon(o1), _horizon(o2)
@@ -216,17 +221,19 @@ def solve_bounded_pair(cg, query: NashNode, trace=True) -> PairResult:
     jmdp = joint_mdp(cg)
     coop = []
     coop_strats = []
+    start = time.perf_counter()
     for obj in (o1, o2):
         family, strats = _coop_family(cg, jmdp, obj, with_strategy=True)
         coop.append(family)
         coop_strats.append(strats)
+    mdp_s = time.perf_counter() - start
     stat, settled = _settlement(cg, (o1, o2))
     rewards = _reward_names((o1, o2))
     step_rewards = tuple(name if obj.op == "C" else None
                          for name, obj in zip(rewards, (o1, o2)))
 
     vals = {s: (coop[0][pads[0]][s], coop[1][pads[1]][s]) for s in cg.states}
-    history = [vals]
+    history = deque([vals], maxlen=_TRACE_LENGTH)
     stage_profiles = [None]
     for n in range(1, k + 1):
         new = {}
@@ -251,9 +258,9 @@ def solve_bounded_pair(cg, query: NashNode, trace=True) -> PairResult:
 
     return PairResult(
         values=vals, iterations=k, converged=True, kind="bounded",
-        trace=history if trace else None, profiles=stage_profiles,
+        trace=list(history), profiles=stage_profiles,
         aux={"coop_strats": coop_strats, "pads": pads, "statuses": stat,
-             "horizon": k})
+             "horizon": k, "mdp_s": mdp_s})
 
 
 # --- unbounded pairs --------------------------------------------------------------
@@ -290,22 +297,22 @@ def _max_delta(a, b, combine):
 
 
 def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
-                         max_iters=DEFAULT_MAX_ITERS, trace="auto",
-                         exact=None) -> PairResult:
+                         max_iters=DEFAULT_MAX_ITERS) -> PairResult:
     """Value iteration for a pair of infinite-horizon objectives.
 
     Converges when the per-state sum of the two values is stable below
     `conv_epsilon` and, guarding against the sum masking oscillation, each
     individual value is stable for two consecutive sweeps.  A detected
     period-two oscillation or exhausting `max_iters` raises NotConverged
-    carrying the partial result.
+    carrying the partial result.  Small games iterate in exact rationals,
+    larger ones in floats.
     """
     o1, o2 = query.objectives
-    if exact is None:
-        exact = len(cg.states) <= _EXACT_STATE_LIMIT
-    keep_trace = trace if trace != "auto" else len(cg.states) <= 2000
+    exact = len(cg.states) <= _EXACT_STATE_LIMIT
     jmdp = joint_mdp(cg)
+    start = time.perf_counter()
     fixed, aux = _unbounded_fixed_rows(cg, query, jmdp)
+    aux["mdp_s"] = time.perf_counter() - start
     rewards = _reward_names((o1, o2)) if o1.kind == "R" else (None, None)
     free = [s for s in cg.states if s not in fixed]
 
@@ -314,7 +321,7 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
 
     vals = {s: fixed.get(s, (ZERO, ZERO)) for s in cg.states}
     vals = {s: (norm(a), norm(b)) for s, (a, b) in vals.items()}
-    history = [vals]
+    history = deque([vals], maxlen=_TRACE_LENGTH)
     profiles = {}
     stable = 0
     osc = 0
@@ -354,13 +361,11 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
                     "while their sum is constant; no equilibrium value "
                     "vector is being approached")
                 break
-        if not keep_trace and len(history) > 4:
-            history.pop(0)
 
     result = PairResult(
         values=vals, iterations=iterations, converged=converged,
         kind="unbounded", diagnostic=diagnostic,
-        trace=history, profiles=profiles, aux=aux)
+        trace=list(history), profiles=profiles, aux=aux)
     if not converged:
         message = diagnostic or (
             f"value iteration did not converge within {iterations} sweeps")
@@ -466,7 +471,7 @@ def mixed_horizon_transform(cg, query: NashNode):
 
     objectives[fi] = new_obj
     new_query = NashNode(query.coalition1, query.coalition2, query.relation,
-                         query.threshold, tuple(objectives), query.epsilon)
+                         query.threshold, tuple(objectives))
     valuations = None
     if source.valuations is not None:
         valuations = {(s, i): source.valuations[s] for (s, i) in states}
@@ -514,7 +519,7 @@ def _zero_sum_values(game, node: ZeroSumNode):
 
 
 def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
-                max_iters=DEFAULT_MAX_ITERS, trace="auto", exact=None):
+                max_iters=DEFAULT_MAX_ITERS):
     """Dispatch a Nash query to the matching solver.
 
     Returns (result, solved game, embedding, assumption report, per-base-state
@@ -528,15 +533,13 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     if horizon == "both-infinite":
         report = check_assumption(csg, node)
         result = solve_unbounded_pair(cg, node, conv_epsilon=conv_epsilon,
-                                      max_iters=max_iters, trace=trace,
-                                      exact=exact)
+                                      max_iters=max_iters)
         return result, cg, None, report, result.values
     product, new_query, embedding = mixed_horizon_transform(cg, node)
     report = check_assumption(product, new_query)
     result = solve_unbounded_pair(product, new_query,
                                   conv_epsilon=conv_epsilon,
-                                  max_iters=max_iters, trace=trace,
-                                  exact=exact)
+                                  max_iters=max_iters)
     values = {s: result.values[embedding[s]] for s in cg.states}
     return result, product, embedding, report, values
 
@@ -563,8 +566,7 @@ def sat_operator(game, node):
 
 
 def evaluate(csg, formula, conv_epsilon=DEFAULT_CONV_EPSILON,
-             max_iters=DEFAULT_MAX_ITERS, trace="auto",
-             exact=None) -> Evaluation:
+             max_iters=DEFAULT_MAX_ITERS) -> Evaluation:
     """Evaluate a parsed property on a game.
 
     Boolean state formulae yield a satisfying set; coalition operators in
@@ -583,8 +585,7 @@ def evaluate(csg, formula, conv_epsilon=DEFAULT_CONV_EPSILON,
                           initial={s: s in sat for s in csg.initial})
     if isinstance(formula, NashNode):
         result, game, embedding, report, values = _solve_nash(
-            csg, formula, conv_epsilon=conv_epsilon, max_iters=max_iters,
-            trace=trace, exact=exact)
+            csg, formula, conv_epsilon=conv_epsilon, max_iters=max_iters)
         if formula.threshold is None:
             return Evaluation(formula, "nash-query", values=values,
                               initial={s: values[s] for s in csg.initial},

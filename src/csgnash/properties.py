@@ -16,7 +16,7 @@ must partition the players.  Property files hold one formula per line with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -45,8 +45,6 @@ __all__ = [
     "parse_property", "parse_property_file", "to_text",
     "classify_horizon", "satisfying_states",
 ]
-
-DEFAULT_EPSILON = 1e-6
 
 _RELATIONS = ("<=", ">=", "<", ">")
 
@@ -127,7 +125,6 @@ class NashNode:
     relation: str               # <, <=, >, >= or "max=?"
     threshold: object
     objectives: tuple           # (Objective, Objective)
-    epsilon: float = field(default=DEFAULT_EPSILON, compare=False)
 
 
 class _Parser:
@@ -359,7 +356,7 @@ class _Parser:
             f"expected I=k, C<=k or F, got {tok.value!r}")
 
 
-def parse_property(text, model=None, constants=None, epsilon=DEFAULT_EPSILON):
+def parse_property(text, model=None, constants=None):
     """Parse one property against a model (used for name resolution)."""
     ts = TokenStream(tokenize(text))
     parser = _Parser(ts, model, constants)
@@ -367,29 +364,16 @@ def parse_property(text, model=None, constants=None, epsilon=DEFAULT_EPSILON):
     tok = ts.peek()
     if tok.kind != "end":
         raise PropertySyntaxError(f"unexpected trailing input {tok.value!r}")
-    return _set_epsilon(node, epsilon)
-
-
-def _set_epsilon(node, epsilon):
-    if isinstance(node, NashNode) and epsilon != node.epsilon:
-        node = NashNode(node.coalition1, node.coalition2, node.relation,
-                        node.threshold, node.objectives, epsilon)
-    elif isinstance(node, Not):
-        node = Not(_set_epsilon(node.sub, epsilon))
-    elif isinstance(node, (And, Or)):
-        node = type(node)(_set_epsilon(node.left, epsilon),
-                          _set_epsilon(node.right, epsilon))
     return node
 
 
-def parse_property_file(text, model=None, constants=None,
-                        epsilon=DEFAULT_EPSILON):
+def parse_property_file(text, model=None, constants=None):
     """One property per non-empty line; // comments."""
     out = []
     for raw in text.splitlines():
         line = raw.split("//", 1)[0].strip()
         if line:
-            out.append(parse_property(line, model, constants, epsilon))
+            out.append(parse_property(line, model, constants))
     return out
 
 

@@ -151,6 +151,20 @@ class TestRunFormats:
         assert "timing: constr=" in out
         assert "mdp=" in out and "csg=" in out
 
+    @pytest.mark.parametrize("model,prop", [
+        ("robot.csg", "<<{p1,p2}>>Pmin=? [F goal1]"),
+        ("power.csg",
+         '<<p1:p2>>max=? (R{"r1"}[F done1] + R{"r2"}[F done2])'),
+    ])
+    def test_mdp_time_is_part_of_the_total(self, capsys, model, prop):
+        # nested MDP calls must not be counted twice
+        code, out, _ = run_cli(
+            capsys, "run", "--model", model_path(model), "--format", "json",
+            "--property", prop)
+        assert code == 0
+        (record,) = json.loads(out)["results"]
+        assert 0 <= record["mdp_time"] <= record["time"]
+
 
 class TestVerifyAndExport:
     def test_verify_and_export(self, capsys, tmp_path):

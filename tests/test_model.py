@@ -14,6 +14,7 @@ from csgnash.model import (
     IDLE,
     Csg,
     MemoryStrategy,
+    RewardStructure,
     coalition_game,
     enumerate_mecs,
     induce_mdp,
@@ -108,6 +109,16 @@ class TestValidation:
             },
         )
         assert g.states == ("u", "v")
+
+    @pytest.mark.parametrize("spec", [
+        {"trans": {"u": {("a", "b"): {"v": 0.5, "u": 0.5}},
+                   "v": {("a", "b"): {"v": F(1)}}}},
+        {"rewards": {"r": RewardStructure({("u", ("a", "b")): 0.5}, {})}},
+        {"rewards": {"r": RewardStructure({}, {"v": 1.0})}},
+    ], ids=["probability", "action-reward", "state-reward"])
+    def test_float_numbers_rejected(self, spec):
+        with pytest.raises(ModelError, match="float"):
+            tiny_game(**spec)
 
     def test_negative_reward_rejected(self):
         from csgnash.model import RewardStructure

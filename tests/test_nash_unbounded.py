@@ -9,6 +9,7 @@ import pytest
 from conftest import REWARD_GAME, model_path
 from csgnash.errors import NotConverged, UnsupportedOperator
 from csgnash.explicit import load_explicit, loads_explicit
+from csgnash.lang import load_model
 from csgnash.model import check_assumption
 from csgnash.nash import evaluate
 from csgnash.properties import parse_property
@@ -154,6 +155,26 @@ class TestOscillatingRewards:
         result = excinfo.value.result
         assert [result.trace[n]["s1"] for n in (1, 2, 3, 4)] == \
             [(F(1, 3), 1), (2, F(1, 3)), (F(1, 3), 1), (2, F(1, 3))]
+
+
+class TestTraceIsBounded:
+    """A result keeps the last five value vectors, however long the run."""
+
+    def test_unbounded_pair_keeps_the_last_five_sweeps(self):
+        csg = load_model(model_path("robot.csg"))
+        ev = evaluate(csg, parse_property(
+            "<<p1:p2>>max=? (P[F goal1] + P[F goal2])"))
+        assert ev.solve.iterations == 8
+        assert len(ev.solve.trace) == 5
+        assert ev.solve.trace[-1] == ev.solve.values
+
+    def test_bounded_pair_keeps_the_last_five_stages(self):
+        csg = load_model(model_path("robot.csg"), {"l": 6})
+        ev = evaluate(csg, parse_property(
+            "<<p1:p2>>max=? (P[F<=15 goal1] + P[F<=15 goal2])"))
+        assert ev.solve.iterations == 15
+        assert len(ev.solve.trace) == 5
+        assert ev.solve.trace[-1] == ev.solve.values
 
 
 class TestZeroSumOperators:
