@@ -14,6 +14,7 @@ type the model carries (rationals stay rational).
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .errors import InfiniteValue, SolverError
@@ -299,26 +300,39 @@ def _extract_reach_strategy(mdp, vals, targets, allowed, one_set, optimise, zero
         for s, cand in candidates.items():
             strategy[s] = cand[0]
         return strategy
+    # Layers are assigned one state at a time: always the least pending state
+    # (by str, then state order) with a candidate reaching an assigned state,
+    # which takes the first such candidate.  `ready` is a heap of exactly the
+    # pending states that can progress; a state joins it when the first
+    # successor of one of its candidates is assigned.
     assigned = set(targets)
-    pending = dict(candidates)
-    while pending:
-        progressed = False
-        for s in sorted(pending, key=str):
-            dists = dict(mdp.choices[s])
-            for cid in pending[s]:
-                if set(dists[cid]) & assigned:
-                    strategy[s] = cid
-                    assigned.add(s)
-                    del pending[s]
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if not progressed:
-            # remaining states have value 0 (cannot progress); any choice
-            for s in pending:
-                strategy[s] = candidates[s][0]
-            break
+    pending = {}
+    ready = []
+    queued = set()
+    waiting = {}                  # successor -> heap entries of states reaching it
+    for i, (s, cand) in enumerate(candidates.items()):
+        dists = dict(mdp.choices[s])
+        pending[s] = [(cid, dists[cid]) for cid in cand]
+        entry = (str(s), i, s)
+        succ = set().union(*(dist for _, dist in pending[s]))
+        if not assigned.isdisjoint(succ):
+            heapq.heappush(ready, entry)
+            queued.add(s)
+        else:
+            for t in succ:
+                waiting.setdefault(t, []).append(entry)
+    while ready:
+        _, _, s = heapq.heappop(ready)
+        strategy[s] = next(cid for cid, dist in pending.pop(s)
+                           if not assigned.isdisjoint(dist))
+        assigned.add(s)
+        for entry in waiting.pop(s, ()):
+            if entry[2] not in queued:
+                queued.add(entry[2])
+                heapq.heappush(ready, entry)
+    # remaining states have value 0 (cannot progress); any choice
+    for s in pending:
+        strategy[s] = candidates[s][0]
     return strategy
 
 

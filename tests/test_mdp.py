@@ -127,6 +127,20 @@ class TestReachability:
             achieved = chain_reach_probability(trans, strat, targets, s)
             assert abs(achieved - vals[s]) < 1e-9, s
 
+    def test_max_strategy_leaves_value_conserving_cycles(self):
+        # every choice keeps value 1, but only stepping forward reaches goal
+        n = 40
+        trans = {"goal": {"stay": {"goal": F(1)}}}
+        for i in range(n):
+            ahead = f"s{i + 1}" if i + 1 < n else "goal"
+            trans[f"s{i}"] = {"back": {f"s{max(i - 1, 0)}": F(1)},
+                              "fwd": {ahead: F(1)}, "stay": {f"s{i}": F(1)}}
+        mdp = simple_mdp(trans)
+        vals, strat = reach_prob(mdp, {"goal"}, "max", with_strategy=True)
+        assert all(vals[s] == 1 for s in mdp.states)
+        assert all(strat[f"s{i}"] == "fwd" for i in range(n))
+        assert chain_reach_probability(trans, strat, {"goal"}, "s0") == 1
+
     def test_strategy_achieves_min(self):
         g, mdp = appendix_b_mdp()
         targets = {"t1"}
