@@ -290,16 +290,13 @@ def _lift(profile: MixedProfile, row_map, col_map, rows, cols) -> MixedProfile:
     return MixedProfile(tuple(x), tuple(y), profile.u, profile.v)
 
 
-def solve_swne(game: BimatrixGame, prefilter: bool = True):
+def solve_swne(game: BimatrixGame):
     """Convenience pipeline: dominance filter, enumerate, lift, select.
 
     Returns (selected SWNE profile, all equilibria), both in the index space
     of the original game.
     """
-    if prefilter:
-        reduced, row_map, col_map = eliminate_dominated(game)
-    else:
-        reduced, row_map, col_map = game, tuple(range(game.rows)), tuple(range(game.cols))
+    reduced, row_map, col_map = eliminate_dominated(game)
     equilibria = enumerate_equilibria(reduced)
     if len(row_map) != game.rows or len(col_map) != game.cols:
         equilibria = [_lift(p, row_map, col_map, game.rows, game.cols)

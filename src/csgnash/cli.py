@@ -160,9 +160,8 @@ def _evaluate_property(csg, text, args):
         record["converged"] = False
         record["diagnostic"] = str(err)
         if isinstance(formula, NashNode):
-            report = check_assumption(csg, formula)
-            record["assumption"] = {"severity": report.severity,
-                                    "messages": report.messages()}
+            record["assumption"] = {"severity": err.assumption.severity,
+                                    "messages": err.assumption.messages()}
         record["time"] = time.perf_counter() - start
         record["mdp_time"] = err.result.aux["mdp_s"]
         return record, EXIT_NOT_CONVERGED

@@ -558,7 +558,7 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
     """Explore the reachable state space and return the game.
 
     The returned Csg additionally carries `valuations` (state -> variable
-    environment), `constants`, `var_order`, and `label_names` so properties
+    environment), `constants` and `label_names` so properties
     can refer to model variables.
     """
     constants = resolve_constants(ast, overrides)
@@ -567,7 +567,7 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
     for mod in ast.modules:
         for decl in mod.variables:
             var_infos.append((mod.name, _VarInfo(decl, constants)))
-    var_order = tuple(info.name for _, info in var_infos)
+    var_names = tuple(info.name for _, info in var_infos)
     info_by_name = {info.name: info for _, info in var_infos}
 
     module_cmds = {mod.name: mod.commands for mod in ast.modules}
@@ -575,7 +575,7 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
 
     def env_of(state):
         env = dict(constants)
-        env.update(zip(var_order, state))
+        env.update(zip(var_names, state))
         return env
 
     def own_action(cmd, player):
@@ -605,7 +605,7 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
                 raise UpdateClash(
                     f"module {mname!r}: two commands (lines {found.line} and "
                     f"{cmd.line}) fire together at state "
-                    f"{dict(zip(var_order, state))}")
+                    f"{dict(zip(var_names, state))}")
             found = cmd
         return found
 
@@ -655,7 +655,7 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
                 if total != 1:
                     raise ProbabilitySum(
                         f"probabilities at line {cmd.line} sum to {total} at "
-                        f"state {dict(zip(var_order, state))}")
+                        f"state {dict(zip(var_names, state))}")
                 new_dist = {}
                 for partial, pp in dist.items():
                     for p, assigns in branches:
@@ -669,10 +669,10 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
                 dist = new_dist
             succ_dist = {}
             for assigns, p in dist.items():
-                new_env = dict(zip(var_order, state))
+                new_env = dict(zip(var_names, state))
                 for name, value in assigns:
                     new_env[name] = value
-                succ = tuple(new_env[name] for name in var_order)
+                succ = tuple(new_env[name] for name in var_names)
                 succ_dist[succ] = succ_dist.get(succ, Fraction(0)) + p
             state_trans[joint] = succ_dist
             for succ in succ_dist:
@@ -713,8 +713,8 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
     game = Csg.create(players, ast.alphabets, order, [init_state], trans,
                       labels, rewards)
     return replace(
-        game, valuations={s: dict(zip(var_order, s)) for s in game.states},
-        constants=dict(constants), var_order=var_order,
+        game, valuations={s: dict(zip(var_names, s)) for s in game.states},
+        constants=dict(constants),
         label_names=frozenset(n for n, _ in ast.labels))
 
 

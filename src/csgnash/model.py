@@ -76,7 +76,7 @@ class Csg:
     per player, idle written as IDLE) to a probability distribution
     {successor: probability}.  Use `Csg.create` to validate and normalise.
     Language-built games also carry per-state variable valuations, the
-    model constants, the variable order and the declared label names.
+    model constants and the declared label names.
     """
 
     players: tuple
@@ -88,7 +88,6 @@ class Csg:
     rewards: dict = field(default_factory=dict)
     valuations: dict = None
     constants: dict = field(default_factory=dict)
-    var_order: tuple = None
     label_names: frozenset = frozenset()
 
     @classmethod
@@ -196,10 +195,6 @@ class Csg:
         return cls(players, alphabets, states, initial, trans, labels,
                    reward_structs)
 
-    def available(self, state, player):
-        idx = self.players.index(player)
-        return sorted({alpha[idx] for alpha in self.trans[state]})
-
 
 @dataclass(frozen=True)
 class CoalitionGame:
@@ -215,7 +210,6 @@ class CoalitionGame:
     coalition: tuple       # side-1 player names, ascending base index
     rest: tuple            # side-2 player names, ascending base index
     trans: dict            # state -> {(tuple1, tuple2): dist}
-    _flatten: dict         # (state, tuple1, tuple2) -> base joint action
     rewards: dict          # name -> RewardStructure over (a1, a2) pairs
 
     @property
@@ -235,9 +229,6 @@ class CoalitionGame:
 
     def actions2(self, state):
         return sorted({pair[1] for pair in self.trans[state]})
-
-    def flatten(self, state, a1, a2):
-        return self._flatten[(state, a1, a2)]
 
 
 def coalition_game(game: Csg, coalition) -> CoalitionGame:
@@ -259,18 +250,12 @@ def coalition_game(game: Csg, coalition) -> CoalitionGame:
     def split(alpha):
         return tuple(alpha[i] for i in idx1), tuple(alpha[i] for i in idx2)
 
-    trans = {}
-    flatten = {}
-    for s in game.states:
-        trans[s] = {}
-        for alpha, dist in game.trans[s].items():
-            a1, a2 = split(alpha)
-            trans[s][(a1, a2)] = dist
-            flatten[(s, a1, a2)] = alpha
+    trans = {s: {split(alpha): dist for alpha, dist in game.trans[s].items()}
+             for s in game.states}
     rewards = {name: RewardStructure(
         {(s, split(alpha)): v for (s, alpha), v in rs.action_rewards.items()},
         rs.state_rewards) for name, rs in game.rewards.items()}
-    return CoalitionGame(game, side1, side2, trans, flatten, rewards)
+    return CoalitionGame(game, side1, side2, trans, rewards)
 
 
 @dataclass(frozen=True)
@@ -282,9 +267,6 @@ class EndComponent:
     states: frozenset
     sub_trans: dict        # (state, joint-action) -> distribution
     non_terminal: bool
-
-    def __contains__(self, state):
-        return state in self.states
 
 
 def _sccs(nodes, edges):

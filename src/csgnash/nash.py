@@ -7,12 +7,15 @@ falling back to single-objective MDP computations at states where one
 objective is already settled.  Mixed pairs (one finite, one infinite horizon)
 are reduced to infinite-horizon pairs on a step-counter product game.
 
-Vocabulary used below for an objective at a state:
-  "won":   the objective is already satisfied (until target reached /
-           reachability-reward target reached, value fixed at 1 resp. 0);
-  "lost":  it can no longer be satisfied (until constraint violated);
-  settled: won or lost — only the other objective has stakes left, so both
-           coalitions cooperate on its single-objective optimum.
+Vocabulary used below for an objective at a state (`_refine` classifies,
+and both engines and synthesis share it):
+  "won":     the objective is already satisfied (until target reached /
+             reachability-reward target reached, value fixed at 1 resp. 0);
+  "lost":    it can no longer be satisfied (until constraint violated);
+  "pending": neither;
+  settled:   won or lost — only the other objective has stakes left, so both
+             coalitions cooperate on its single-objective optimum
+             (`_optimum`, which also serves the zero-sum operators).
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ _TRACE_LENGTH = 5
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+
+PENDING, WON, LOST = "pending", "won", "lost"
 
 
 # --- results ---------------------------------------------------------------------
@@ -133,27 +138,73 @@ def _statuses(game, objectives):
     return out
 
 
+def _refine(status_defs, state, statuses):
+    """`statuses` with each pending, settleable objective marked won or lost
+    where `state` is in its win or lose set."""
+    out = []
+    for st, (win, lose, can) in zip(statuses, status_defs):
+        if st == PENDING and can:
+            if state in win:
+                st = WON
+            elif state in lose:
+                st = LOST
+        out.append(st)
+    return tuple(out)
+
+
 def _settlement(game, objectives):
     """The statuses of `objectives`, and per state where at least one of them
-    is settled, a flag per objective: True won, False lost, None pending."""
+    is settled, their won/lost/pending statuses there."""
     stat = _statuses(game, objectives)
-    flags = {}
+    settled = {}
     for s in game.states:
-        row = tuple(True if can and s in win else
-                    False if can and s in lose else None
-                    for win, lose, can in stat)
-        if row != (None, None):
-            flags[s] = row
-    return stat, flags
+        row = _refine(stat, s, (PENDING, PENDING))
+        if row != (PENDING, PENDING):
+            settled[s] = row
+    return stat, settled
 
 
 def _settled_pair(objectives, row, pending_values):
-    """Value pair at a state with settlement flags `row`: a won probability
+    """Value pair at a state with statuses `row`: a won probability
     objective is worth 1, any other settled objective 0, and a pending one
     takes its value from `pending_values`."""
-    return tuple(pending if won is None else
-                 ONE if won and obj.kind == "P" else ZERO
-                 for obj, won, pending in zip(objectives, row, pending_values))
+    return tuple(pending if st == PENDING else
+                 ONE if st == WON and obj.kind == "P" else ZERO
+                 for obj, st, pending in zip(objectives, row, pending_values))
+
+
+def _optimum(game, mdp, obj, optimise, status, all_horizons=False,
+             with_strategy=False, needed_states=None):
+    """Single-objective optimum of `obj` on `mdp`, the joint MDP of `game`.
+
+    `status` is the objective's (win, lose, settleable) entry of `_statuses`:
+    the win set is the target of an until or reachability reward, and the
+    until constraint is every state not lost.  Returns per-state values or,
+    with `all_horizons`, the value vectors of horizons 0..k; with
+    `with_strategy` also the optimal choices (per step for bounded
+    objectives, None at horizon 0).  `needed_states` restricts where a
+    reachability reward must be finite.
+    """
+    win, lose, _ = status
+    if obj.kind == "R":
+        rs = mdp.rewards[obj.reward]
+        return expected_reward(mdp, obj.op, k=obj.bound, targets=win,
+                               action_rewards=rs.action_rewards,
+                               state_rewards=rs.state_rewards,
+                               optimise=optimise, with_strategy=with_strategy,
+                               all_horizons=all_horizons,
+                               needed_states=needed_states)
+    if obj.op == "U":
+        return reach_prob(mdp, win, optimise, bound=obj.bound,
+                          constraint={s for s in game.states if s not in lose},
+                          with_strategy=with_strategy,
+                          all_horizons=all_horizons)
+    target = _sat(game, obj.sub2)   # P[X] is not settleable: no win set
+    vals, strategy = step_prob(mdp, target, optimise, with_strategy=True)
+    if all_horizons:
+        vals = [{s: ONE if s in target else ZERO for s in game.states}, vals]
+        strategy = [None, strategy]
+    return (vals, strategy) if with_strategy else vals
 
 
 def local_game(game, state, continuation, rewards=(None, None)) -> BimatrixGame:
@@ -187,30 +238,16 @@ def _reward_names(objectives):
                  for obj in objectives)
 
 
+def _swne_step(game, state, continuation, rewards):
+    """Solve the local game at `state`: the SWNE value pair and the profile
+    ("mix", acts1, acts2, x, y) that plays it."""
+    chosen, _ = solve_swne(local_game(game, state, continuation, rewards))
+    return ((chosen.u, chosen.v),
+            ("mix", game.actions1(state), game.actions2(state),
+             chosen.x, chosen.y))
+
+
 # --- bounded pairs ----------------------------------------------------------------
-
-def _coop_family(game, jmdp, obj, with_strategy):
-    """Single-objective max-value vectors at horizons 0..horizon(obj)."""
-    k = _horizon(obj)
-    if obj.kind == "P" and obj.op == "U":
-        cons = _sat(game, obj.sub1)
-        return reach_prob(jmdp, _sat(game, obj.sub2), "max", bound=k,
-                          constraint=cons, all_horizons=True,
-                          with_strategy=with_strategy)
-    if obj.kind == "P" and obj.op == "X":
-        target = _sat(game, obj.sub2)
-        base = {s: ONE if s in target else ZERO for s in game.states}
-        vals, strat = step_prob(jmdp, target, "max", with_strategy=True)
-        history = [base, vals]
-        return (history, [None, strat]) if with_strategy else history
-    rs = game.rewards[obj.reward]
-    if obj.op == "I":
-        return expected_reward(jmdp, "I", k=k, state_rewards=rs.state_rewards,
-                               all_horizons=True, with_strategy=with_strategy)
-    return expected_reward(jmdp, "C", k=k, action_rewards=rs.action_rewards,
-                           state_rewards=rs.state_rewards, all_horizons=True,
-                           with_strategy=with_strategy)
-
 
 def solve_bounded_pair(cg, query: NashNode) -> PairResult:
     """Exact backwards induction for a pair of finite-horizon objectives."""
@@ -219,15 +256,16 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
     k = min(k1, k2)
     pads = (k1 - k, k2 - k)
     jmdp = joint_mdp(cg)
+    stat, settled = _settlement(cg, (o1, o2))
     coop = []
     coop_strats = []
     start = time.perf_counter()
-    for obj in (o1, o2):
-        family, strats = _coop_family(cg, jmdp, obj, with_strategy=True)
+    for obj, status in zip((o1, o2), stat):
+        family, strats = _optimum(cg, jmdp, obj, "max", status,
+                                  all_horizons=True, with_strategy=True)
         coop.append(family)
         coop_strats.append(strats)
     mdp_s = time.perf_counter() - start
-    stat, settled = _settlement(cg, (o1, o2))
     rewards = _reward_names((o1, o2))
     step_rewards = tuple(name if obj.op == "C" else None
                          for name, obj in zip(rewards, (o1, o2)))
@@ -244,14 +282,10 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
                 new[s] = _settled_pair(
                     (o1, o2), row,
                     [coop[l][n + pads[l]][s] for l in (0, 1)])
-                profiles[s] = ("coop", row.index(None)) if None in row \
-                    else ("settled",)
+                profiles[s] = ("coop", row.index(PENDING)) \
+                    if PENDING in row else ("settled",)
             else:
-                game = local_game(cg, s, vals, step_rewards)
-                chosen, _ = solve_swne(game)
-                new[s] = (chosen.u, chosen.v)
-                profiles[s] = ("mix", cg.actions1(s), cg.actions2(s),
-                               chosen.x, chosen.y)
+                new[s], profiles[s] = _swne_step(cg, s, vals, step_rewards)
         vals = new
         history.append(vals)
         stage_profiles.append(profiles)
@@ -272,28 +306,19 @@ def _unbounded_fixed_rows(cg, query, jmdp):
     aux = {"statuses": stat, "opt_vals": [None, None],
            "opt_strats": [None, None]}
     for l, obj in enumerate((o1, o2)):
-        win = stat[l][0]
-        if obj.kind == "P":
-            aux["opt_vals"][l], aux["opt_strats"][l] = reach_prob(
-                jmdp, win, "max", constraint=_sat(cg, obj.sub1),
-                with_strategy=True)
-            continue
-        # only states where the other objective is won need this optimum
-        need = {s for s, row in settled.items() if row[l] is None}
-        if need:
-            rs = cg.rewards[obj.reward]
-            aux["opt_vals"][l], aux["opt_strats"][l] = expected_reward(
-                jmdp, "F", targets=win, action_rewards=rs.action_rewards,
-                state_rewards=rs.state_rewards, needed_states=need,
-                with_strategy=True)
+        need = None
+        if obj.kind == "R":
+            # only states where the other objective is won need this optimum
+            need = {s for s, row in settled.items() if row[l] == PENDING}
+            if not need:
+                continue
+        aux["opt_vals"][l], aux["opt_strats"][l] = _optimum(
+            cg, jmdp, obj, "max", stat[l], with_strategy=True,
+            needed_states=need)
     opt = [vals or {} for vals in aux["opt_vals"]]
     fixed = {s: _settled_pair((o1, o2), row, [vals.get(s) for vals in opt])
              for s, row in settled.items()}
     return fixed, aux
-
-
-def _max_delta(a, b, combine):
-    return max(combine(a[s], b[s]) for s in a) if a else 0.0
 
 
 def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
@@ -331,29 +356,27 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     for iterations in range(1, max_iters + 1):
         new = dict(vals)
         for s in free:
-            game = local_game(cg, s, vals, rewards)
-            chosen, _ = solve_swne(game)
-            new[s] = (norm(chosen.u), norm(chosen.v))
-            profiles[s] = ("mix", cg.actions1(s), cg.actions2(s),
-                           chosen.x, chosen.y)
+            (u, v), profiles[s] = _swne_step(cg, s, vals, rewards)
+            new[s] = (norm(u), norm(v))
+        # largest change over the free states: of the sum, of either value,
+        # and of either value against two sweeps back
+        back2 = history[-2] if len(history) >= 2 else None
+        sum_delta = per_delta = back2_delta = 0.0
+        for s in free:
+            (a, b), (c, d) = new[s], vals[s]
+            sum_delta = max(sum_delta, abs((a + b) - (c + d)))
+            per_delta = max(per_delta, abs(a - c), abs(b - d))
+            if back2 is not None:
+                c, d = back2[s]
+                back2_delta = max(back2_delta, abs(a - c), abs(b - d))
         history.append(new)
-        prev = vals
         vals = new
-        sum_delta = _max_delta(
-            {s: vals[s] for s in free}, prev,
-            lambda a, b: abs((a[0] + a[1]) - (b[0] + b[1])))
-        per_delta = _max_delta(
-            {s: vals[s] for s in free}, prev,
-            lambda a, b: max(abs(a[0] - b[0]), abs(a[1] - b[1])))
         stable = stable + 1 if per_delta < conv_epsilon else 0
         if sum_delta < conv_epsilon and stable >= 2:
             converged = True
             break
-        if len(history) >= 3:
-            back2 = _max_delta({s: vals[s] for s in free}, history[-3],
-                               lambda a, b: max(abs(a[0] - b[0]),
-                                                abs(a[1] - b[1])))
-            osc = osc + 1 if (back2 <= _OSC_TOL and
+        if back2 is not None:
+            osc = osc + 1 if (back2_delta <= _OSC_TOL and
                               per_delta >= conv_epsilon) else 0
             if osc >= 2:
                 diagnostic = (
@@ -499,23 +522,8 @@ def _zero_sum_values(game, node: ZeroSumNode):
             "coalition (general stochastic-game solving is out of scope)")
     optimise = "min" if node.relation in ("<", "<=", "min=?") else "max"
     obj = node.objective
-    mdp = joint_mdp(game)
-    if obj.kind == "P":
-        if obj.op == "X":
-            return step_prob(mdp, satisfying_states(game, obj.sub2), optimise)
-        return reach_prob(mdp, satisfying_states(game, obj.sub2), optimise,
-                          bound=obj.bound,
-                          constraint=satisfying_states(game, obj.sub1))
-    rs = game.rewards[obj.reward]
-    if obj.op in ("I", "C"):
-        return expected_reward(mdp, obj.op, k=obj.bound,
-                               action_rewards=rs.action_rewards,
-                               state_rewards=rs.state_rewards,
-                               optimise=optimise)
-    return expected_reward(mdp, "F",
-                           targets=satisfying_states(game, obj.sub2),
-                           action_rewards=rs.action_rewards,
-                           state_rewards=rs.state_rewards, optimise=optimise)
+    return _optimum(game, joint_mdp(game), obj, optimise,
+                    _statuses(game, [obj])[0])
 
 
 def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
@@ -523,7 +531,7 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     """Dispatch a Nash query to the matching solver.
 
     Returns (result, solved game, embedding, assumption report, per-base-state
-    values)."""
+    values); a NotConverged raised by the solver carries the report."""
     cg = coalition_game(csg, node.coalition1)
     horizon = classify_horizon(node)
     if horizon == "both-finite":
@@ -531,17 +539,20 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
         result = solve_bounded_pair(cg, node)
         return result, cg, None, report, result.values
     if horizon == "both-infinite":
+        game, query, embedding = cg, node, None
         report = check_assumption(csg, node)
-        result = solve_unbounded_pair(cg, node, conv_epsilon=conv_epsilon,
+    else:
+        game, query, embedding = mixed_horizon_transform(cg, node)
+        report = check_assumption(game, query)
+    try:
+        result = solve_unbounded_pair(game, query, conv_epsilon=conv_epsilon,
                                       max_iters=max_iters)
-        return result, cg, None, report, result.values
-    product, new_query, embedding = mixed_horizon_transform(cg, node)
-    report = check_assumption(product, new_query)
-    result = solve_unbounded_pair(product, new_query,
-                                  conv_epsilon=conv_epsilon,
-                                  max_iters=max_iters)
-    values = {s: result.values[embedding[s]] for s in cg.states}
-    return result, product, embedding, report, values
+    except NotConverged as err:
+        err.assumption = report
+        raise
+    values = result.values if embedding is None else \
+        {s: result.values[embedding[s]] for s in cg.states}
+    return result, game, embedding, report, values
 
 
 def sat_operator(game, node):

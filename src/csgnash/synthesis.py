@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import InfiniteValue, UnsupportedOperator
 from .model import MemoryStrategy, _fold, induce_mdp
 from .mdp import expected_reward, reach_prob
-from .nash import PairResult, _sat
+from .nash import LOST, PENDING, WON, PairResult, _refine
 from .properties import NashNode, to_text
 
 __all__ = [
@@ -33,21 +33,6 @@ __all__ = [
     "synthesise_profile",
     "verify_epsilon_ne",
 ]
-
-PENDING, WON, LOST = "pending", "won", "lost"
-
-
-def _refine(status_defs, state, statuses):
-    out = []
-    for st, (win, lose, can) in zip(statuses, status_defs):
-        if st == PENDING and can:
-            if state in win:
-                st = WON
-            elif state in lose:
-                st = LOST
-        out.append(st)
-    return tuple(out)
-
 
 def _first_pair(game, state):
     return min(game.trans[state])
@@ -67,29 +52,20 @@ class SynthesisedProfile:
     pads: tuple = (0, 0)
 
     def choice(self, state, step, statuses):
-        """The joint behaviour at a state for given memory contents: either
-        ("mix", acts1, acts2, x, y) or ("pure", a1, a2)."""
+        """The joint behaviour at a state for memory contents `statuses`
+        refined at that state: either ("mix", acts1, acts2, x, y) or
+        ("pure", a1, a2).  Where both objectives are pending the state is
+        free, so the solve recorded a "mix" profile there."""
         pending = [l for l, st in enumerate(statuses) if st == PENDING]
         if self.kind == "unbounded":
             if len(pending) == 2:
-                info = self.result.profiles.get(state)
-                if info is not None:
-                    _, acts1, acts2, x, y = info
-                    return ("mix", acts1, acts2, x, y)
-                return ("pure",) + _first_pair(self.game, state)
+                return self.result.profiles[state]
             if len(pending) == 1:
                 return self._single_pending(state, pending[0])
             return ("pure",) + _first_pair(self.game, state)
 
         if len(pending) == 2 and step >= 1:
-            info = self.result.profiles[step][state]
-            if info[0] == "mix":
-                _, acts1, acts2, x, y = info
-                return ("mix", acts1, acts2, x, y)
-            if info[0] == "coop":
-                l = info[1]
-                return self._coop(state, l, step + self.pads[l])
-            return ("pure",) + _first_pair(self.game, state)
+            return self.result.profiles[step][state]
         if pending:
             # either one objective settled, or the shared stage count ran
             # out with one objective's longer horizon still live
@@ -229,18 +205,16 @@ def synthesise_profile(game, query: NashNode, result: PairResult
 
 # --- verification -----------------------------------------------------------------
 
-def _objective_value(mdp, cg, obj, needed):
-    """Per-node maximal objective value on an MDP over (state, mode) nodes."""
+def _objective_value(mdp, obj, status, needed):
+    """Per-node maximal objective value on an MDP over (state, mode) nodes;
+    `status` holds the objective's won and lost states."""
+    win, lose, _ = status
+    node_targets = {n for n in mdp.states if n[0] in win}
     if obj.kind == "P" and obj.op == "U":
-        targets = _sat(cg, obj.sub2)
-        cons = _sat(cg, obj.sub1)
-        node_targets = {n for n in mdp.states if n[0] in targets}
-        node_cons = {n for n in mdp.states if n[0] in cons}
+        node_cons = {n for n in mdp.states if n[0] not in lose}
         return reach_prob(mdp, node_targets, "max", bound=obj.bound,
                           constraint=node_cons)
     if obj.kind == "R" and obj.op == "F":
-        targets = _sat(cg, obj.sub2)
-        node_targets = {n for n in mdp.states if n[0] in targets}
         rs = mdp.rewards[obj.reward]
         return expected_reward(mdp, "F", targets=node_targets,
                                action_rewards=rs.action_rewards,
@@ -289,10 +263,11 @@ def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
     sub_gaps = []
     for idx, obj in enumerate(query.objectives):
         fixed_side = 2 if idx == 0 else 1
+        status = profile.status_defs[idx]
         induced = induce_mdp(cg, fixed_side, profile.strategy(fixed_side))
         try:
-            best = _objective_value(induced, cg, obj, chain_nodes)
-            achieved = _objective_value(chain, cg, obj, chain_nodes)
+            best = _objective_value(induced, obj, status, chain_nodes)
+            achieved = _objective_value(chain, obj, status, chain_nodes)
         except InfiniteValue:
             # a unilateral deviation can make the objective unbounded, so
             # no finite gap exists

@@ -166,8 +166,8 @@ class TestAgainstOracle:
         for _ in range(60):
             z1, z2 = random_game(rng, max_dim=3)
             game = BimatrixGame.from_rows(z1, z2)
-            with_filter = as_tuples(solve_swne(game, prefilter=True)[1])
-            without = as_tuples(solve_swne(game, prefilter=False)[1])
+            with_filter = as_tuples(solve_swne(game)[1])
+            without = as_tuples(enumerate_equilibria(game))
             assert with_filter == without, (z1, z2)
 
 

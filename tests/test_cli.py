@@ -96,6 +96,29 @@ class TestRunExitCodes:
         assert "not converged" in out
         assert "oscillation" in out
 
+    def test_nonconvergent_run_checks_the_assumption_once(self, capsys,
+                                                          monkeypatch):
+        import csgnash.model
+        calls = []
+        original = csgnash.model.enumerate_mecs
+
+        def counted(game):
+            calls.append(game)
+            return original(game)
+
+        monkeypatch.setattr(csgnash.model, "enumerate_mecs", counted)
+        code, out, _ = run_cli(
+            capsys, "run", "--model", model_path("appendix_b.csgx"),
+            "--format", "json",
+            "--property", "<<p1:p2>>max=? (P[F a1] + P[F a2])")
+        assert code == 3
+        assert len(calls) == 1
+        (record,) = json.loads(out)["results"]
+        assert record["assumption"] == {
+            "severity": "warning",
+            "messages": ["non-terminal end component {s1, s2} may prevent "
+                         "value-iteration convergence"]}
+
     def test_strict_assumptions_exits_two_before_solving(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--model", model_path("appendix_b.csgx"),

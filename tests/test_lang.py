@@ -35,6 +35,12 @@ label "hit" = x=1 & y;
 """
 
 
+def available(game, state, player):
+    """The actions `player` can take at `state`."""
+    idx = game.players.index(player)
+    return sorted({alpha[idx] for alpha in game.trans[state]})
+
+
 def counts(game):
     choices = sum(len(game.trans[s]) for s in game.states)
     transitions = sum(len(d) for s in game.states
@@ -58,9 +64,9 @@ class TestMediumAccess:
         drained = next(s for s in g.states
                        if g.valuations[s]["e1"] == 0
                        and g.valuations[s]["e2"] == 0)
-        assert g.available(drained, "p1") == ["w1"]
+        assert available(g, drained, "p1") == ["w1"]
         full = g.initial[0]
-        assert g.available(full, "p1") == ["t1", "w1"]
+        assert available(g, full, "p1") == ["t1", "w1"]
 
     def test_correlated_channel_outcome(self):
         g = load_model(model_path("mac.csg"))
@@ -125,7 +131,7 @@ class TestSemantics:
             (0, True): F(1, 2), (1, True): F(1, 2)}
         # once y holds, p2 has no enabled command and idles
         held = (0, True)
-        assert g.available(held, "p2") == ["-"]
+        assert available(g, held, "p2") == ["-"]
         assert ("a", "-") in g.trans[held]
 
     def test_deadlock_gets_self_loop(self):

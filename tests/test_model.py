@@ -134,10 +134,12 @@ class TestCoalitionGame:
         assert cg.coalition == ("p1",) and cg.rest == ("p2",)
         assert cg.actions1("s0") == [("t1",), ("w1",)]
         assert cg.actions2("s0") == [("t2",), ("w2",)]
-        # faithfulness: flattened transitions equal the base game's
+        # faithfulness: each base joint action, split into the two sides,
+        # keeps its distribution, and no other pair is defined
         for s in g.states:
-            for (a1, a2), dist in cg.trans[s].items():
-                assert g.trans[s][cg.flatten(s, a1, a2)] is dist
+            assert len(cg.trans[s]) == len(g.trans[s])
+            for (b1, b2), dist in g.trans[s].items():
+                assert cg.trans[s][((b1,), (b2,))] is dist
 
     def test_three_player_regrouping(self):
         g = Csg.create(

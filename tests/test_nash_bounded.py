@@ -95,11 +95,12 @@ class TestMediumAccessCumulative:
     def setup_method(self):
         self.csg = load_model(model_path("mac.csg"), {"emax": 5})
         self.cg = coalition_game(self.csg, ("p1",))
+        # with p1 first of two players, a pair ((a,), (b,)) is the base
+        # joint action (a, b): the oracle reads the base rewards directly
         self.rew = {}
         for name in ("r1", "r2"):
             self.rew[name] = {
-                (s, pair): self.csg.rewards[name].action(
-                    s, self.cg.flatten(s, *pair))
+                (s, pair): self.csg.rewards[name].action(s, pair[0] + pair[1])
                 for s in self.cg.states for pair in self.cg.trans[s]}
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from conftest import REWARD_GAME, model_path
+from conftest import ACYCLIC_GAME, REWARD_GAME, model_path
 from csgnash.errors import NotConverged, UnsupportedOperator
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
@@ -222,3 +222,39 @@ class TestZeroSumOperators:
         assert vals["g"] == 0
         for state, want in (("s0", 1), ("s1", 2), ("s2", 0)):
             assert abs(vals[state] - want) < 1e-9
+
+
+class TestNestedOperatorsOnAcyclicGame:
+    """Zero-sum `P[X]`, nested operators and plain state formulae.
+
+    The inner `<<{p1,p2}>>P>=1 [F g1]` holds everywhere but t2, so the
+    nested target of the second objective is {b}, which m1 cannot reach."""
+
+    def setup_method(self):
+        self.csg = loads_explicit(ACYCLIC_GAME)
+
+    def evaluate(self, text):
+        return evaluate(self.csg, parse_property(text, self.csg))
+
+    def test_grand_coalition_next_step(self):
+        vals = self.evaluate("<<{p1,p2}>>Pmax=? [X g1]").values
+        assert vals["s0"] == 0 and vals["m1"] == 1
+
+    def test_nested_zero_sum_inside_a_nash_objective(self):
+        vals = self.evaluate(
+            "<<p1:p2>>max=? (P[F g1] + P[F (g2 & <<{p1,p2}>>P>=1 [F g1])])"
+        ).values
+        assert vals["s0"] == (1, 1)
+        assert vals["m1"] == (1, 0)
+        assert vals["t2"] == (0, 0)
+
+    def test_nested_nash_threshold_inside_a_zero_sum_objective(self):
+        vals = self.evaluate(
+            "<<{p1,p2}>>Pmax=? [F (<<p1:p2>> >=2 (P[F g1] + P[F g2]))]"
+        ).values
+        assert vals["s0"] == 1 and vals["m1"] == 0
+
+    def test_plain_state_formula(self):
+        ev = self.evaluate("g1 & !g2")
+        assert ev.kind == "state-set"
+        assert ev.sat == {"t1"}
