@@ -141,7 +141,7 @@ def _model_stats(game):
 
 def _evaluate_property(csg, text, args):
     """Evaluate one property; returns (record, exit code)."""
-    formula = parse_property(text)
+    formula = parse_property(text, csg)
     record = {"property": text.strip()}
     status = EXIT_OK
 
@@ -280,7 +280,7 @@ def _sweep_point(model, consts, name, value, prop, conv_epsilon, max_iters):
     overrides = dict(consts)
     overrides[name] = value
     csg = _load(model, overrides)
-    formula = parse_property(prop)
+    formula = parse_property(prop, csg)
     start = time.perf_counter()
     result = evaluate(csg, formula, conv_epsilon=conv_epsilon,
                       max_iters=max_iters)

@@ -77,7 +77,7 @@ def loads_explicit(text) -> Csg:
             touch(parts[1])
             labels.setdefault(parts[1], set()).update(parts[2:])
         elif head == "reward":
-            if len(parts) < 4 or parts[2] not in ("action", "state"):
+            if len(parts) < 5 or parts[2] not in ("action", "state"):
                 raise ModelError(f"line {lineno}: malformed reward line")
             name = parts[1]
             if parts[2] == "state":

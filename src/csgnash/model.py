@@ -220,10 +220,6 @@ class CoalitionGame:
     def initial(self):
         return self.base.initial
 
-    @property
-    def labels(self):
-        return self.base.labels
-
     def actions1(self, state):
         return sorted({pair[0] for pair in self.trans[state]})
 

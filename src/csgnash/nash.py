@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .bimatrix import BimatrixGame, solve_swne
@@ -40,9 +40,9 @@ from .model import (
 )
 from .mdp import expected_reward, reach_prob, step_prob
 from .properties import (
-    Atom,
     NashNode,
     Objective,
+    StateSet,
     TrueF,
     ZeroSumNode,
     classify_horizon,
@@ -112,6 +112,12 @@ def _sat(game, formula):
     """Satisfying states, resolving labels on the underlying game."""
     base = game.base if isinstance(game, CoalitionGame) else game
     return satisfying_states(base, formula)
+
+
+def _with_sets(obj, resolve):
+    """`obj` with each state sub-formula replaced by `resolve(sub)`."""
+    return replace(obj, **{name: resolve(sub) for name in ("sub1", "sub2")
+                           if (sub := getattr(obj, name)) is not None})
 
 
 def _horizon(obj: Objective):
@@ -401,19 +407,14 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
 @dataclass(frozen=True)
 class ProductGame:
     """Step-counter product of a two-coalition game: states are (s, layer)
-    with the layer counting up to an absorbing cap.  Valuations, constants
-    and declared label names are lifted from the base model."""
+    with the layer counting up to an absorbing cap."""
 
     base: object
     layers: int                  # cap value L; layers are 0..L
     states: tuple
     initial: tuple
     trans: dict
-    labels: dict
     rewards: dict                # name -> RewardStructure over (a1, a2) pairs
-    valuations: dict = None
-    constants: dict = field(default_factory=dict)
-    label_names: frozenset = frozenset()
 
     def actions1(self, state):
         return self.base.actions1(state[0])
@@ -425,6 +426,9 @@ class ProductGame:
 def mixed_horizon_transform(cg, query: NashNode):
     """Reduce a mixed-horizon pair to an infinite-horizon pair on a product.
 
+    Each state sub-formula is resolved on the base game (a `StateSet` as
+    is) and lifted to the product states over it: in every layer for the
+    infinite objective, in the layers its bound allows for the finite one.
     Returns (product game, rewritten query, embedding base-state -> product
     state).  Values of the original pair at s equal values of the rewritten
     pair at (s, 0).
@@ -450,31 +454,23 @@ def mixed_horizon_transform(cg, query: NashNode):
         trans[(s, i)] = {pair: {(t, nxt): p for t, p in dist.items()}
                          for pair, dist in cg.trans[s].items()}
 
-    source = cg.base if isinstance(cg, CoalitionGame) else cg
-    labels = {(s, i): set(source.labels[s]) for (s, i) in states}
+    def layered(formula, layers=range(cap + 1)):
+        sat = _sat(cg, formula)
+        return StateSet(frozenset(p for p in states
+                                  if p[0] in sat and p[1] in layers))
 
-    # rewrite the finite objective over fresh layer-indexed propositions
+    # the finite objective becomes an unbounded one over layer-indexed sets
     if obj.kind == "P" and obj.op == "X":
-        target = _sat(cg, obj.sub2)
-        for (s, i) in states:
-            if i == 1 and s in target:
-                labels[(s, i)].add("__next")
-        new_obj = Objective("P", "U", sub1=TrueF(), sub2=Atom("__next"))
+        new_obj = Objective("P", "U", sub1=TrueF(),
+                            sub2=layered(obj.sub2, [1]))
     elif obj.kind == "P":
         k = obj.bound
-        cons, target = _sat(cg, obj.sub1), _sat(cg, obj.sub2)
-        for (s, i) in states:
-            if i <= k - 1 and s in cons:
-                labels[(s, i)].add("__cons")
-            if i <= k and s in target:
-                labels[(s, i)].add("__target")
-        new_obj = Objective("P", "U", sub1=Atom("__cons"),
-                            sub2=Atom("__target"))
+        new_obj = Objective("P", "U", sub1=layered(obj.sub1, range(k)),
+                            sub2=layered(obj.sub2, range(k + 1)))
     else:
-        for (s, i) in states:
-            if i == cap:
-                labels[(s, i)].add("__top")
-        new_obj = Objective("R", "F", sub2=Atom("__top"), reward="__bounded")
+        new_obj = Objective("R", "F", sub2=layered(TrueF(), [cap]),
+                            reward="__bounded")
+    objectives[1 - fi] = _with_sets(objectives[1 - fi], layered)
 
     def lift(rs, layers):
         return RewardStructure(
@@ -495,13 +491,7 @@ def mixed_horizon_transform(cg, query: NashNode):
     objectives[fi] = new_obj
     new_query = NashNode(query.coalition1, query.coalition2, query.relation,
                          query.threshold, tuple(objectives))
-    valuations = None
-    if source.valuations is not None:
-        valuations = {(s, i): source.valuations[s] for (s, i) in states}
-    product = ProductGame(cg, cap, states, initial, trans,
-                          {s: frozenset(l) for s, l in labels.items()},
-                          rewards, valuations, source.constants,
-                          source.label_names)
+    product = ProductGame(cg, cap, states, initial, trans, rewards)
     embedding = {s: (s, 0) for s in cg.states}
     return product, new_query, embedding
 
@@ -530,9 +520,15 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
                 max_iters=DEFAULT_MAX_ITERS):
     """Dispatch a Nash query to the matching solver.
 
-    Returns (result, solved game, embedding, assumption report, per-base-state
-    values); a NotConverged raised by the solver carries the report."""
+    Each objective's state sub-formulae are resolved once, on the base game,
+    to `StateSet`s: the assumption check, the engines and the mixed-horizon
+    product read sets only.  Returns (result, solved game, embedding,
+    assumption report, per-base-state values); a NotConverged raised by the
+    solver carries the report."""
     cg = coalition_game(csg, node.coalition1)
+    node = replace(node, objectives=tuple(
+        _with_sets(obj, lambda sub: StateSet(_sat(csg, sub)))
+        for obj in node.objectives))
     horizon = classify_horizon(node)
     if horizon == "both-finite":
         report = check_assumption(csg, node)
@@ -557,23 +553,10 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
 
 def sat_operator(game, node):
     """States satisfying a nested (threshold-form) coalition operator."""
-    if isinstance(node, ZeroSumNode):
-        if node.threshold is None:
-            raise PropertyError(
-                "a numerical query cannot appear as a state subformula")
-        vals = _zero_sum_values(game, node)
-        return frozenset(s for s in game.states
-                         if _compare(vals[s], node.relation, node.threshold))
-    if isinstance(node, NashNode):
-        if node.threshold is None:
-            raise PropertyError(
-                "a numerical query cannot appear as a state subformula")
-        _, _, _, _, values = _solve_nash(game, node)
-        return frozenset(
-            s for s in game.states
-            if _compare(values[s][0] + values[s][1], node.relation,
-                        node.threshold))
-    raise PropertyError(f"unsupported operator node {node!r}")
+    if node.threshold is None:
+        raise PropertyError(
+            "a numerical query cannot appear as a state subformula")
+    return evaluate(game, node).sat
 
 
 def evaluate(csg, formula, conv_epsilon=DEFAULT_CONV_EPSILON,

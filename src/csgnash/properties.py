@@ -40,7 +40,7 @@ from .expr import (
 )
 
 __all__ = [
-    "TrueF", "Atom", "VarPredicate", "Not", "And", "Or",
+    "TrueF", "Atom", "VarPredicate", "Not", "And", "Or", "StateSet",
     "ZeroSumNode", "NashNode", "Objective",
     "parse_property", "parse_property_file", "to_text",
     "classify_horizon", "satisfying_states",
@@ -79,6 +79,13 @@ class And:
 class Or:
     left: object
     right: object
+
+
+@dataclass(frozen=True)
+class StateSet:
+    """A state formula already resolved to the states satisfying it."""
+
+    states: frozenset
 
 
 @dataclass(frozen=True)
@@ -456,8 +463,11 @@ def satisfying_states(game, formula):
 
     Atoms resolve against state labels first, then against boolean model
     variables when the game carries per-state valuations (language-built
-    models).  Coalition operators are delegated to the game engines.
+    models).  Coalition operators are delegated to the game engines; a
+    `StateSet` is already resolved and is returned as is.
     """
+    if isinstance(formula, StateSet):
+        return formula.states
     states = game.states
     if isinstance(formula, TrueF):
         return frozenset(states)

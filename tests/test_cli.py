@@ -74,6 +74,23 @@ class TestRunExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_unknown_player_exits_two(self, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--model", model_path("robot.csg"),
+            "--const", "l=3",
+            "--property", "<<p1:p9>>max=? (P[F goal1] + P[F goal2])")
+        assert code == 2
+        assert "unknown player 'p9'" in err
+
+    def test_unknown_reward_structure_exits_two(self, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--model", model_path("robot.csg"),
+            "--const", "l=3",
+            "--property", '<<p1:p2>>max=? (R{"nope"}[F goal1] + '
+                          'R{"nope"}[F goal2])')
+        assert code == 2
+        assert "unknown reward structure 'nope'" in err
+
     def test_no_property_exits_two(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--model", model_path("fig1.csgx"))

@@ -58,6 +58,11 @@ u (a,-) -> 1/2:u + 1/2:u
         with pytest.raises(ModelError):
             loads_explicit("player p1 a\ninit u\nu (a) -> 1:u\nu (a) -> 1:u\n")
 
+    def test_reward_line_without_a_value(self):
+        with pytest.raises(ModelError, match="line 3"):
+            loads_explicit("player p1 a\ninit u\nreward r1 state u\n"
+                           "u (a) -> 1:u\n")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["fig1.csgx", "appendix_b.csgx",

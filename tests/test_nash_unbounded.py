@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from conftest import ACYCLIC_GAME, REWARD_GAME, model_path
+from csgnash import nash
 from csgnash.errors import NotConverged, UnsupportedOperator
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
@@ -258,3 +259,21 @@ class TestNestedOperatorsOnAcyclicGame:
         ev = self.evaluate("g1 & !g2")
         assert ev.kind == "state-set"
         assert ev.sat == {"t1"}
+
+
+def test_nested_reward_target_is_solved_once(monkeypatch):
+    # the sub-formula is resolved on the base game before the assumption
+    # check, which then reads the same set as the engine
+    calls = []
+    original = nash._zero_sum_values
+
+    def counted(game, node):
+        calls.append(node)
+        return original(game, node)
+
+    monkeypatch.setattr(nash, "_zero_sum_values", counted)
+    csg = loads_explicit(REWARD_GAME)
+    evaluate(csg, parse_property(
+        '<<p1:p2>>max=? (R{"r"}[F (goal & <<{p1,p2}>>P>=1 [F goal])]'
+        ' + R{"r"}[F goal])', csg))
+    assert len(calls) == 1

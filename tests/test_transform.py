@@ -7,7 +7,7 @@ from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import build_csg, parse_model
 from csgnash.model import coalition_game
 from csgnash.nash import evaluate, mixed_horizon_transform
-from csgnash.properties import parse_property
+from csgnash.properties import StateSet, parse_property
 
 
 def initial_pair(evaluation):
@@ -28,29 +28,32 @@ class TestConstructions:
     def test_next_product_layers_and_labels(self):
         product, query, embedding = transform(
             self.csg, "<<p1:p2>>max=? (P[X sent1] + P[F sent2])")
-        # layers 0, 1 and an absorbing top layer so the fresh atom can only
-        # be collected exactly one step in
+        # layers 0, 1 and an absorbing top layer so the rewritten target can
+        # only be reached exactly one step in
         assert len(product.states) == 3 * self.n
-        labelled = {s for s in product.states if "__next" in product.labels[s]}
-        assert labelled == {(s, 1) for s in self.csg.states
-                            if "sent1" in self.csg.labels[s]}
+        first, second = query.objectives
+        assert first.sub2 == StateSet(frozenset(
+            (s, 1) for s in self.csg.states if "sent1" in self.csg.labels[s]))
+        # the infinite objective's target holds in every layer
+        assert second.sub2 == StateSet(frozenset(
+            (s, i) for s in self.csg.states if "sent2" in self.csg.labels[s]
+            for i in range(3)))
         assert embedding["s0"] == ("s0", 0)
-        assert query.objectives[0].op == "U"
-        assert not query.objectives[0].is_finite_horizon()
+        assert first.op == "U"
+        assert not first.is_finite_horizon()
 
     def test_bounded_until_product_labels_respect_the_bound(self):
         k = 2
         product, query, _ = transform(
             self.csg, f"<<p1:p2>>max=? (P[F<={k} sent1] + P[F sent2])")
         assert len(product.states) == (k + 2) * self.n
-        cons = {s for s in product.states if "__cons" in product.labels[s]}
-        target = {s for s in product.states
-                  if "__target" in product.labels[s]}
-        assert cons == {(s, i) for s in self.csg.states
-                        for i in range(k)}          # "true" below the bound
-        assert target == {(s, i) for s in self.csg.states
-                          if "sent1" in self.csg.labels[s]
-                          for i in range(k + 1)}
+        cons, target = query.objectives[0].sub1, query.objectives[0].sub2
+        assert cons == StateSet(frozenset(
+            (s, i) for s in self.csg.states
+            for i in range(k)))                     # "true" below the bound
+        assert target == StateSet(frozenset(
+            (s, i) for s in self.csg.states if "sent1" in self.csg.labels[s]
+            for i in range(k + 1)))
 
     def test_layers_advance_and_saturate(self):
         product, _, _ = transform(
@@ -125,6 +128,12 @@ class TestValueAgreement:
     def test_finite_objective_in_second_position(self):
         self.agree("<<p1:p2>>max=? (P[F g1] + P[X g2])",
                    "<<p1:p2>>max=? (P[F<=2 g1] + P[X g2])")
+
+    def test_nested_operator_in_the_infinite_objective(self):
+        # the inner operator is solved on the base game, then lifted
+        nested = "(g2 & <<{p1,p2}>>P>=1 [F g1])"
+        self.agree(f"<<p1:p2>>max=? (P[F<=2 g1] + P[F {nested}])",
+                   f"<<p1:p2>>max=? (P[F<=2 g1] + P[F<=2 {nested}])")
 
 
 class TestRewardValuesByHand:
