@@ -15,6 +15,13 @@ are exactly the Nash equilibria (after normalising x', y' to distributions).
 Vertices are found by support enumeration over the defining inequalities,
 with exact rational arithmetic throughout, so degenerate games yield the
 finitely many vertices of each equilibrium component.
+
+Payoffs are Fractions or floats.  Float payoffs stay floats through
+dominance elimination and the equilibrium-cache key: a float's order,
+equality and hash are exactly those of the dyadic rational it denotes, so a
+float game and its Fraction image share one cache entry.  Only a cache miss
+converts the payoffs to Fractions, for the exact vertex enumeration, and
+returned profiles are always Fractions.
 """
 
 from __future__ import annotations
@@ -44,17 +51,25 @@ def _frac(value) -> Fraction:
     return Fraction(value)
 
 
+def _payoff(value):
+    """A payoff entry as stored: floats and Fractions as they are, any other
+    number as a Fraction."""
+    return value if isinstance(value, (float, Fraction)) else Fraction(value)
+
+
 @dataclass(frozen=True)
 class BimatrixGame:
-    """An l x m two-player game in matrix form (row player 1, column player 2)."""
+    """An l x m two-player game in matrix form (row player 1, column player 2).
 
-    z1: tuple[tuple[Fraction, ...], ...]
-    z2: tuple[tuple[Fraction, ...], ...]
+    Payoffs are Fractions or floats (see the module docstring)."""
+
+    z1: tuple[tuple[Fraction | float, ...], ...]
+    z2: tuple[tuple[Fraction | float, ...], ...]
 
     @classmethod
     def from_rows(cls, z1, z2) -> "BimatrixGame":
-        t1 = tuple(tuple(_frac(v) for v in row) for row in z1)
-        t2 = tuple(tuple(_frac(v) for v in row) for row in z2)
+        t1 = tuple(tuple(_payoff(v) for v in row) for row in z1)
+        t2 = tuple(tuple(_payoff(v) for v in row) for row in z2)
         if not t1 or not t1[0]:
             raise DimensionMismatch("payoff matrices must be at least 1x1")
         if len(t1) != len(t2) or any(len(r1) != len(t1[0]) or len(r2) != len(t1[0])
@@ -179,6 +194,8 @@ def enumerate_equilibria(game: BimatrixGame) -> list[MixedProfile]:
 
 @lru_cache(maxsize=65536)
 def _enumerate_cached(z1, z2):
+    z1 = tuple(tuple(_frac(v) for v in row) for row in z1)
+    z2 = tuple(tuple(_frac(v) for v in row) for row in z2)
     l, m = len(z1), len(z1[0])
     shift1 = 1 - min(min(row) for row in z1)
     shift2 = 1 - min(min(row) for row in z2)
@@ -245,9 +262,11 @@ def is_equilibrium(game: BimatrixGame, x, y, u, v, tolerance=0) -> bool:
     x = [_frac(p) for p in x]
     y = [_frac(p) for p in y]
     u, v, tol = _frac(u), _frac(v), _frac(tolerance)
-    z1y = [sum(game.z1[i][j] * y[j] for j in range(game.cols))
+    z1 = [[_frac(w) for w in row] for row in game.z1]
+    z2 = [[_frac(w) for w in row] for row in game.z2]
+    z1y = [sum(z1[i][j] * y[j] for j in range(game.cols))
            for i in range(game.rows)]
-    z2tx = [sum(game.z2[i][j] * x[i] for i in range(game.rows))
+    z2tx = [sum(z2[i][j] * x[i] for i in range(game.rows))
             for j in range(game.cols)]
     slack1 = [u - w for w in z1y]
     slack2 = [v - w for w in z2tx]

@@ -23,10 +23,9 @@ import time
 from fractions import Fraction
 
 from .bimatrix import BimatrixGame, enumerate_equilibria, select_swne
-from .errors import CsgError, NotConverged
+from .errors import AssumptionViolated, CsgError, NotConverged
 from .explicit import load_explicit
 from .lang import load_model
-from .model import check_assumption
 from .nash import DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, evaluate
 from .properties import NashNode, parse_property
 from .synthesis import synthesise_profile, verify_epsilon_ne
@@ -145,17 +144,14 @@ def _evaluate_property(csg, text, args):
     record = {"property": text.strip()}
     status = EXIT_OK
 
-    if args.strict_assumptions and isinstance(formula, NashNode):
-        report = check_assumption(csg, formula)
-        if not report.passed:
-            record["error"] = "assumption violated: " + \
-                "; ".join(report.messages())
-            return record, EXIT_USAGE
-
     start = time.perf_counter()
     try:
         result = evaluate(csg, formula, conv_epsilon=args.conv_epsilon,
-                          max_iters=args.max_iters)
+                          max_iters=args.max_iters,
+                          strict_assumptions=args.strict_assumptions)
+    except AssumptionViolated as err:
+        record["error"] = str(err)
+        return record, EXIT_USAGE
     except NotConverged as err:
         record["converged"] = False
         record["diagnostic"] = str(err)

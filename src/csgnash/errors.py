@@ -120,6 +120,15 @@ class InfiniteValue(SolverError):
         self.states = tuple(states)
 
 
+class AssumptionViolated(SolverError):
+    """The convergence assumption fails and the caller asked for it to hold;
+    carries the assumption report (``report``)."""
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
+
+
 class NotConverged(SolverError):
     """Value iteration stopped without meeting the convergence criterion.
 

@@ -79,16 +79,25 @@ def loads_explicit(text) -> Csg:
         elif head == "reward":
             if len(parts) < 5 or parts[2] not in ("action", "state"):
                 raise ModelError(f"line {lineno}: malformed reward line")
-            name = parts[1]
+            name, state = parts[1], parts[3]
+            end = 4                     # index of the value token
+            if parts[2] == "action":
+                # the joint action tuple may contain spaces: it ends at the
+                # first token closing it
+                end = next((i + 1 for i in range(4, len(parts))
+                            if parts[i].endswith(")")), len(parts) - 1)
+            rest = parts[end:]
+            if not rest:
+                raise ModelError(f"line {lineno}: reward line has no value")
+            if len(rest) > 1:
+                raise ModelError(f"line {lineno}: unexpected token {rest[1]!r} "
+                                 f"after the reward value")
+            value = _rational(rest[0], lineno)
             if parts[2] == "state":
-                state, value = parts[3], parts[4]
-                reward_states.setdefault(name, {})[state] = _rational(value, lineno)
+                reward_states.setdefault(name, {})[state] = value
             else:
-                state = parts[3]
-                joint = _joint(" ".join(parts[4:-1]), lineno)
-                value = parts[-1]
-                reward_actions.setdefault(name, {})[(state, joint)] = \
-                    _rational(value, lineno)
+                joint = _joint(" ".join(parts[4:end]), lineno)
+                reward_actions.setdefault(name, {})[(state, joint)] = value
         else:
             if "->" not in parts:
                 raise ModelError(f"line {lineno}: unrecognised line {line!r}")

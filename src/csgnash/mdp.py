@@ -9,13 +9,14 @@ Unbounded values are computed by value iteration after qualitative
 precomputation of the probability-0 and probability-1 state sets, so states
 decided qualitatively carry exact 0/1 values even when iteration runs in
 floating point.  Bounded values are exact backward steps over whatever number
-type the model carries (rationals stay rational).
+type the model carries (rationals stay rational).  Fixed 0/1 values are in
+the number type of the MDP's probabilities: Fractions for an exact model,
+floats for one compiled to floats.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 
 from .errors import InfiniteValue, SolverError
 from .model import Mdp, _mec_state_sets
@@ -33,8 +34,12 @@ DEFAULT_MAX_ITERS = 100000
 # relative slack when recovering argmax/argmin sets from float-valued vectors
 _ARG_TOL = 1e-9
 
-ONE = Fraction(1)
-ZERO = Fraction(0)
+
+def _units(mdp):
+    """0 and 1 in the number type of `mdp`'s probabilities."""
+    _, dist = mdp.choices[mdp.states[0]][0]
+    number = type(next(iter(dist.values())))
+    return number(0), number(1)
 
 
 def _edges(mdp, allowed=None):
@@ -217,9 +222,10 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
     """
     targets = set(targets)
     allowed = set(mdp.states) if constraint is None else (set(constraint) | targets)
+    zero, one = _units(mdp)
 
     if bound is not None:
-        vals = {s: ONE if s in targets else ZERO for s in mdp.states}
+        vals = {s: one if s in targets else zero for s in mdp.states}
         pinned = {s: vals[s] for s in mdp.states
                   if s in targets or s not in allowed}
         history, steps = _backward(mdp, vals, bound, optimise, pinned)
@@ -229,19 +235,19 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
     # qualitative analysis
     if optimise == "max":
         can = _backward_reachable(mdp, targets, allowed=allowed - targets) | targets
-        one = _prob1_max_set(mdp, targets, allowed)
-        zero = {s for s in mdp.states if s not in can}
+        sure = _prob1_max_set(mdp, targets, allowed)
+        never = {s for s in mdp.states if s not in can}
     else:
-        one = prob1_min_set(mdp, targets) if constraint is None else \
+        sure = prob1_min_set(mdp, targets) if constraint is None else \
             _prob1_min_constrained(mdp, targets, allowed)
-        zero = _prob0_min_set(mdp, targets, allowed)
+        never = _prob0_min_set(mdp, targets, allowed)
 
     fixed = {}
     for s in mdp.states:
-        if s in targets or s in one:
-            fixed[s] = ONE
-        elif s in zero or s not in allowed:
-            fixed[s] = ZERO
+        if s in targets or s in sure:
+            fixed[s] = one
+        elif s in never or s not in allowed:
+            fixed[s] = zero
     undecided = [s for s in mdp.states if s not in fixed]
 
     def bellman(s, vals):
@@ -251,8 +257,8 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
     vals = _iterate(fixed, undecided, bellman)
     if not with_strategy:
         return vals
-    strategy = _extract_reach_strategy(mdp, vals, targets, allowed, one,
-                                       optimise, zero)
+    strategy = _extract_reach_strategy(mdp, vals, targets, allowed, sure,
+                                       optimise, never)
     return vals, strategy
 
 
@@ -339,7 +345,8 @@ def _extract_reach_strategy(mdp, vals, targets, allowed, one_set, optimise, zero
 def step_prob(mdp: Mdp, targets, optimise="max", with_strategy=False):
     """One-step (next-state) probabilities of hitting `targets`."""
     targets = set(targets)
-    start = {s: ONE if s in targets else ZERO for s in mdp.states}
+    zero, one = _units(mdp)
+    start = {s: one if s in targets else zero for s in mdp.states}
     (_, vals), (_, strategy) = _backward(mdp, start, 1, optimise)
     return (vals, strategy) if with_strategy else vals
 
@@ -359,6 +366,7 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
     """
     a_rew = action_rewards or {}
     s_rew = state_rewards or {}
+    zero, _ = _units(mdp)
 
     if kind in ("I", "C"):
         if k is None or k < 0:
@@ -367,7 +375,7 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
             vals = {s: s_rew.get(s, 0) for s in mdp.states}
             history, steps = _backward(mdp, vals, k, optimise)
         else:
-            vals = {s: ZERO for s in mdp.states}
+            vals = {s: zero for s in mdp.states}
             history, steps = _backward(mdp, vals, k, optimise, None, a_rew,
                                        s_rew)
         result = history if all_horizons else history[-1]
@@ -383,7 +391,7 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
         raise InfiniteValue(
             "expected reachability reward is infinite: targets are not "
             "reached almost surely under all strategies", states=bad)
-    fixed = {s: ZERO for s in targets}
+    fixed = {s: zero for s in targets}
     undecided = [s for s in mdp.states if s in finite and s not in targets]
 
     def bellman(s, vals):

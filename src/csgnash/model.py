@@ -29,11 +29,13 @@ __all__ = [
     "Csg",
     "RewardStructure",
     "CoalitionGame",
+    "CompiledGame",
     "EndComponent",
     "Mdp",
     "MemoryStrategy",
     "AssumptionReport",
     "coalition_game",
+    "compile_game",
     "enumerate_mecs",
     "check_assumption",
     "joint_mdp",
@@ -47,17 +49,18 @@ class RewardStructure:
 
     Action rewards are keyed by (state, the holder's own choice id): a joint
     action in a Csg, an (a1, a2) pair in a coalition or product game, a
-    choice id in an Mdp.  Missing entries mean zero.
+    choice id in an Mdp.  Missing entries mean zero (an int, so that adding
+    one keeps the other operand's number type).
     """
 
     action_rewards: dict = field(default_factory=dict)
     state_rewards: dict = field(default_factory=dict)
 
     def action(self, state, joint):
-        return self.action_rewards.get((state, joint), Fraction(0))
+        return self.action_rewards.get((state, joint), 0)
 
     def state(self, state):
-        return self.state_rewards.get(state, Fraction(0))
+        return self.state_rewards.get(state, 0)
 
 
 def _exact(value, what, where):
@@ -252,6 +255,66 @@ def coalition_game(game: Csg, coalition) -> CoalitionGame:
         {(s, split(alpha)): v for (s, alpha), v in rs.action_rewards.items()},
         rs.state_rewards) for name, rs in game.rewards.items()}
     return CoalitionGame(game, side1, side2, trans, rewards)
+
+
+@dataclass(frozen=True)
+class CompiledGame:
+    """A two-coalition game in the one number type it is solved in.
+
+    Every probability and reward is a `number` (Fraction or float), and each
+    state's sorted side-1 and side-2 actions are listed once in `moves`.  It
+    has the interface of the game it was compiled from (states, initial,
+    trans, rewards, actions1/actions2), so the engines, the joint MDP,
+    strategy folding and verification read it unchanged.
+    """
+
+    states: tuple
+    initial: tuple
+    trans: dict            # state -> {(a1, a2): {successor: number}}
+    rewards: dict          # name -> RewardStructure of numbers
+    moves: dict            # state -> (sorted actions1, sorted actions2)
+    number: type           # Fraction or float
+
+    def actions1(self, state):
+        return self.moves[state][0]
+
+    def actions2(self, state):
+        return self.moves[state][1]
+
+
+def compile_game(game, number) -> CompiledGame:
+    """`game` (a CoalitionGame or a product game) with every probability and
+    reward converted to `number`.
+
+    An exact game compiled to Fraction shares its transition and reward
+    maps.  Converted numbers, distributions and action lists that are equal
+    are stored once, so a float copy of a large model costs a fraction of
+    the model's own size."""
+    shared = {}
+
+    def once(value):
+        return shared.setdefault(value, value)
+
+    trans, rewards = game.trans, game.rewards
+    if number is not Fraction:
+        dists = {}
+        trans = {}
+        for s in game.states:
+            row = {}
+            for pair, dist in game.trans[s].items():
+                items = tuple((t, once(number(p))) for t, p in dist.items())
+                row[pair] = dists.get(items) or \
+                    dists.setdefault(items, dict(items))
+            trans[s] = row
+        rewards = {name: RewardStructure(
+            {key: number(v) for key, v in rs.action_rewards.items()},
+            {s: number(v) for s, v in rs.state_rewards.items()})
+            for name, rs in rewards.items()}
+    moves = {s: once((tuple(sorted({pair[0] for pair in trans[s]})),
+                      tuple(sorted({pair[1] for pair in trans[s]}))))
+             for s in game.states}
+    return CompiledGame(tuple(game.states), tuple(game.initial), trans,
+                        rewards, moves, number)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ falling back to single-objective MDP computations at states where one
 objective is already settled.  Mixed pairs (one finite, one infinite horizon)
 are reduced to infinite-horizon pairs on a step-counter product game.
 
+The number type of a solve is chosen once, in `_solve_nash`, and the solved
+game is compiled to it (`model.compile_game`): bounded pairs and games of up
+to `_EXACT_STATE_LIMIT` states are exact, larger unbounded and mixed pairs
+run in floats end to end.
+
 Vocabulary used below for an objective at a state (`_refine` classifies,
 and both engines and synthesis share it):
   "won":     the objective is already satisfied (until target reached /
@@ -27,6 +32,7 @@ from fractions import Fraction
 
 from .bimatrix import BimatrixGame, solve_swne
 from .errors import (
+    AssumptionViolated,
     NotConverged,
     PropertyError,
     UnsupportedOperator,
@@ -36,6 +42,7 @@ from .model import (
     RewardStructure,
     check_assumption,
     coalition_game,
+    compile_game,
     joint_mdp,
 )
 from .mdp import expected_reward, reach_prob, step_prob
@@ -101,7 +108,7 @@ class Evaluation:
     values: dict = None          # per-state pair (nash) or scalar (zero-sum)
     initial: dict = None         # initial state -> value(s) / boolean
     solve: PairResult = None
-    game: object = None          # the two-coalition game that was solved
+    game: object = None          # the CompiledGame that was solved
     embedding: dict = None       # base state -> solved-game state (mixed only)
     assumption: object = None
 
@@ -170,12 +177,14 @@ def _settlement(game, objectives):
     return stat, settled
 
 
-def _settled_pair(objectives, row, pending_values):
+def _settled_pair(objectives, row, pending_values, units):
     """Value pair at a state with statuses `row`: a won probability
-    objective is worth 1, any other settled objective 0, and a pending one
-    takes its value from `pending_values`."""
+    objective is worth 1, any other settled objective 0 (`units` holds the
+    solve's 0 and 1), and a pending one takes its value from
+    `pending_values`."""
+    zero, one = units
     return tuple(pending if st == PENDING else
-                 ONE if st == WON and obj.kind == "P" else ZERO
+                 one if st == WON and obj.kind == "P" else zero
                  for obj, st, pending in zip(objectives, row, pending_values))
 
 
@@ -287,7 +296,7 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
             if row is not None:
                 new[s] = _settled_pair(
                     (o1, o2), row,
-                    [coop[l][n + pads[l]][s] for l in (0, 1)])
+                    [coop[l][n + pads[l]][s] for l in (0, 1)], (ZERO, ONE))
                 profiles[s] = ("coop", row.index(PENDING)) \
                     if PENDING in row else ("settled",)
             else:
@@ -322,24 +331,26 @@ def _unbounded_fixed_rows(cg, query, jmdp):
             cg, jmdp, obj, "max", stat[l], with_strategy=True,
             needed_states=need)
     opt = [vals or {} for vals in aux["opt_vals"]]
-    fixed = {s: _settled_pair((o1, o2), row, [vals.get(s) for vals in opt])
+    units = (cg.number(0), cg.number(1))
+    fixed = {s: _settled_pair((o1, o2), row, [vals.get(s) for vals in opt],
+                              units)
              for s, row in settled.items()}
     return fixed, aux
 
 
 def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
                          max_iters=DEFAULT_MAX_ITERS) -> PairResult:
-    """Value iteration for a pair of infinite-horizon objectives.
+    """Value iteration for a pair of infinite-horizon objectives on a
+    `CompiledGame`, in its number type.
 
     Converges when the per-state sum of the two values is stable below
     `conv_epsilon` and, guarding against the sum masking oscillation, each
     individual value is stable for two consecutive sweeps.  A detected
     period-two oscillation or exhausting `max_iters` raises NotConverged
-    carrying the partial result.  Small games iterate in exact rationals,
-    larger ones in floats.
+    carrying the partial result.
     """
     o1, o2 = query.objectives
-    exact = len(cg.states) <= _EXACT_STATE_LIMIT
+    number = cg.number
     jmdp = joint_mdp(cg)
     start = time.perf_counter()
     fixed, aux = _unbounded_fixed_rows(cg, query, jmdp)
@@ -347,11 +358,8 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     rewards = _reward_names((o1, o2)) if o1.kind == "R" else (None, None)
     free = [s for s in cg.states if s not in fixed]
 
-    def norm(v):
-        return v if exact else float(v)
-
-    vals = {s: fixed.get(s, (ZERO, ZERO)) for s in cg.states}
-    vals = {s: (norm(a), norm(b)) for s, (a, b) in vals.items()}
+    zero = number(0)
+    vals = {s: fixed.get(s, (zero, zero)) for s in cg.states}
     history = deque([vals], maxlen=_TRACE_LENGTH)
     profiles = {}
     stable = 0
@@ -362,8 +370,9 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     for iterations in range(1, max_iters + 1):
         new = dict(vals)
         for s in free:
+            # the equilibrium's payoffs are exact; keep the solve's type
             (u, v), profiles[s] = _swne_step(cg, s, vals, rewards)
-            new[s] = (norm(u), norm(v))
+            new[s] = (number(u), number(v))
         # largest change over the free states: of the sum, of either value,
         # and of either value against two sweeps back
         back2 = history[-2] if len(history) >= 2 else None
@@ -407,7 +416,8 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
 @dataclass(frozen=True)
 class ProductGame:
     """Step-counter product of a two-coalition game: states are (s, layer)
-    with the layer counting up to an absorbing cap."""
+    with the layer counting up to an absorbing cap.  It is solved as a
+    `CompiledGame`, which lists each state's actions."""
 
     base: object
     layers: int                  # cap value L; layers are 0..L
@@ -415,12 +425,6 @@ class ProductGame:
     initial: tuple
     trans: dict
     rewards: dict                # name -> RewardStructure over (a1, a2) pairs
-
-    def actions1(self, state):
-        return self.base.actions1(state[0])
-
-    def actions2(self, state):
-        return self.base.actions2(state[0])
 
 
 def mixed_horizon_transform(cg, query: NashNode):
@@ -517,29 +521,38 @@ def _zero_sum_values(game, node: ZeroSumNode):
 
 
 def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
-                max_iters=DEFAULT_MAX_ITERS):
+                max_iters=DEFAULT_MAX_ITERS, strict_assumptions=False):
     """Dispatch a Nash query to the matching solver.
 
     Each objective's state sub-formulae are resolved once, on the base game,
     to `StateSet`s: the assumption check, the engines and the mixed-horizon
-    product read sets only.  Returns (result, solved game, embedding,
-    assumption report, per-base-state values); a NotConverged raised by the
-    solver carries the report."""
+    product read sets only.  The solved game (the coalition game, or the
+    product of a mixed pair) is compiled once to the solve's number type:
+    exact for bounded pairs and for games of at most `_EXACT_STATE_LIMIT`
+    states, floats otherwise.  With `strict_assumptions` a failed assumption
+    check raises AssumptionViolated before anything is solved.  Returns
+    (result, solved game, embedding, assumption report, per-base-state
+    values); a NotConverged raised by the solver carries the report."""
     cg = coalition_game(csg, node.coalition1)
     node = replace(node, objectives=tuple(
         _with_sets(obj, lambda sub: StateSet(_sat(csg, sub)))
         for obj in node.objectives))
     horizon = classify_horizon(node)
-    if horizon == "both-finite":
-        report = check_assumption(csg, node)
-        result = solve_bounded_pair(cg, node)
-        return result, cg, None, report, result.values
-    if horizon == "both-infinite":
-        game, query, embedding = cg, node, None
-        report = check_assumption(csg, node)
-    else:
+    if horizon.startswith("mixed"):
         game, query, embedding = mixed_horizon_transform(cg, node)
         report = check_assumption(game, query)
+    else:
+        game, query, embedding = cg, node, None
+        report = check_assumption(csg, node)
+    if strict_assumptions and not report.passed:
+        raise AssumptionViolated(
+            "assumption violated: " + "; ".join(report.messages()), report)
+    exact = horizon == "both-finite" or \
+        len(game.states) <= _EXACT_STATE_LIMIT
+    game = compile_game(game, Fraction if exact else float)
+    if horizon == "both-finite":
+        result = solve_bounded_pair(game, query)
+        return result, game, None, report, result.values
     try:
         result = solve_unbounded_pair(game, query, conv_epsilon=conv_epsilon,
                                       max_iters=max_iters)
@@ -560,12 +573,15 @@ def sat_operator(game, node):
 
 
 def evaluate(csg, formula, conv_epsilon=DEFAULT_CONV_EPSILON,
-             max_iters=DEFAULT_MAX_ITERS) -> Evaluation:
+             max_iters=DEFAULT_MAX_ITERS, strict_assumptions=False
+             ) -> Evaluation:
     """Evaluate a parsed property on a game.
 
     Boolean state formulae yield a satisfying set; coalition operators in
     query form yield per-state values with a summary at the initial states,
     in threshold form a satisfying set plus initial-state truth values.
+    With `strict_assumptions`, a Nash operator whose assumption check fails
+    raises AssumptionViolated instead of being solved.
     """
     if isinstance(formula, ZeroSumNode):
         vals = _zero_sum_values(csg, formula)
@@ -579,7 +595,8 @@ def evaluate(csg, formula, conv_epsilon=DEFAULT_CONV_EPSILON,
                           initial={s: s in sat for s in csg.initial})
     if isinstance(formula, NashNode):
         result, game, embedding, report, values = _solve_nash(
-            csg, formula, conv_epsilon=conv_epsilon, max_iters=max_iters)
+            csg, formula, conv_epsilon=conv_epsilon, max_iters=max_iters,
+            strict_assumptions=strict_assumptions)
         if formula.threshold is None:
             return Evaluation(formula, "nash-query", values=values,
                               initial={s: values[s] for s in csg.initial},

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from csgnash.bimatrix import (
     BimatrixGame,
     MixedProfile,
+    _enumerate_cached,
     eliminate_dominated,
     enumerate_equilibria,
     is_equilibrium,
@@ -175,11 +176,11 @@ small_entries = st.integers(min_value=-4, max_value=4)
 
 
 @st.composite
-def games(draw, max_dim=3):
+def games(draw, max_dim=3, entries=small_entries):
     l = draw(st.integers(1, max_dim))
     m = draw(st.integers(1, max_dim))
-    z1 = [[draw(small_entries) for _ in range(m)] for _ in range(l)]
-    z2 = [[draw(small_entries) for _ in range(m)] for _ in range(l)]
+    z1 = [[draw(entries) for _ in range(m)] for _ in range(l)]
+    z2 = [[draw(entries) for _ in range(m)] for _ in range(l)]
     return z1, z2
 
 
@@ -213,3 +214,30 @@ class TestProperties:
         s2 = [[v + c for v in row] for row in z2]
         shifted = as_tuples(enumerate_equilibria(BimatrixGame.from_rows(s1, s2)))
         assert [(x, y, u - c, v - c) for x, y, u, v in shifted] == base
+
+
+float_entries = st.one_of(
+    st.sampled_from([-1.5, -0.25, 0.0, 0.1, 1 / 3, 0.75, 2.0]),
+    st.floats(min_value=-4, max_value=4, allow_nan=False))
+
+
+class TestFloatPayoffs:
+    @settings(max_examples=60, deadline=None)
+    @given(games(entries=float_entries))
+    def test_float_game_solves_as_its_fraction_image(self, zz):
+        # float payoffs stay floats up to the cache, which the exact image
+        # of the same game then hits
+        z1, z2 = zz
+        floats = BimatrixGame.from_rows(z1, z2)
+        image = BimatrixGame.from_rows(
+            [[F(v) for v in row] for row in z1],
+            [[F(v) for v in row] for row in z2])
+        assert all(isinstance(v, float)
+                   for row in floats.z1 + floats.z2 for v in row)
+        chosen, equilibria = solve_swne(floats)
+        before = _enumerate_cached.cache_info()
+        assert solve_swne(image) == (chosen, equilibria)
+        after = _enumerate_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert all(isinstance(c, Fraction) for p in equilibria
+                   for c in p.x + p.y + (p.u, p.v))

@@ -144,6 +144,29 @@ class TestRunExitCodes:
         assert code == 2
         assert "assumption violated" in out
 
+    @pytest.mark.parametrize("model,prop,expected", [
+        ("appendix_b.csgx", "<<p1:p2>>max=? (P[F a1] + P[F a2])", 2),
+        ("robot.csg", "<<p1:p2>>max=? (P[F goal1] + P[F goal2])", 0),
+    ])
+    def test_strict_assumptions_check_once(self, capsys, monkeypatch,
+                                           model, prop, expected):
+        import csgnash.model
+        calls = []
+        original = csgnash.model.enumerate_mecs
+
+        def counted(game):
+            calls.append(game)
+            return original(game)
+
+        monkeypatch.setattr(csgnash.model, "enumerate_mecs", counted)
+        const = ["--const", "l=3"] if model == "robot.csg" else []
+        code, out, _ = run_cli(
+            capsys, "run", "--model", model_path(model), *const,
+            "--strict-assumptions", "--property", prop)
+        assert code == expected
+        assert len(calls) == 1
+        assert ("assumption violated" in out) == (expected == 2)
+
 
 class TestRunFormats:
     def test_json_payload(self, capsys):

@@ -63,6 +63,22 @@ u (a,-) -> 1/2:u + 1/2:u
             loads_explicit("player p1 a\ninit u\nreward r1 state u\n"
                            "u (a) -> 1:u\n")
 
+    def test_state_reward_line_with_an_extra_token(self):
+        with pytest.raises(ModelError, match="line 3: unexpected token '7'"):
+            loads_explicit("player p1 a\ninit u\nreward r1 state u 2 7\n"
+                           "u (a) -> 1:u\n")
+
+    def test_action_reward_line_without_a_value(self):
+        with pytest.raises(ModelError, match="line 3: reward line has no value"):
+            loads_explicit("player p1 a\ninit u\nreward r1 action u (a)\n"
+                           "u (a) -> 1:u\n")
+
+    def test_action_reward_tuple_may_contain_spaces(self):
+        g = loads_explicit("player p1 a\nplayer p2 b\ninit u\n"
+                           "reward r1 action u (a, b) 1/2\n"
+                           "u (a,b) -> 1:u\n")
+        assert g.rewards["r1"].action("u", ("a", "b")) == F(1, 2)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["fig1.csgx", "appendix_b.csgx",

@@ -11,9 +11,10 @@ from csgnash import nash
 from csgnash.errors import NotConverged, UnsupportedOperator
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
-from csgnash.model import check_assumption
+from csgnash.model import check_assumption, coalition_game
 from csgnash.nash import evaluate
 from csgnash.properties import parse_property
+from csgnash.synthesis import synthesise_profile, verify_epsilon_ne
 from oracles import chain_reach_probability
 
 
@@ -277,3 +278,51 @@ def test_nested_reward_target_is_solved_once(monkeypatch):
         '<<p1:p2>>max=? (R{"r"}[F (goal & <<{p1,p2}>>P>=1 [F goal])]'
         ' + R{"r"}[F goal])', csg))
     assert len(calls) == 1
+
+
+class TestExactAndFloatEnginesAgree:
+    """The same query solved exactly and, with the exact limit lowered to 0,
+    in floats: values agree, and the float solve is float throughout."""
+
+    CASES = [
+        ("robot.csg", "<<p1:p2>>max=? (P[F goal1] + P[F goal2])"),
+        ("fig1.csgx", "<<p1:p2>>max=? (P[F sent1] + P[F sent2])"),
+        ("power.csg",
+         '<<p1:p2>>max=? (R{"r1"}[F done1] + R{"r2"}[F done2])'),
+        ("robot.csg", "<<p1:p2>>max=? (P[F<=4 goal1] + P[F goal2])"),
+    ]
+
+    @staticmethod
+    def load(name):
+        if name.endswith(".csgx"):
+            return load_explicit(model_path(name))
+        return load_model(model_path(name), {"l": 3} if name == "robot.csg"
+                          else None)
+
+    @pytest.mark.parametrize("name,prop", CASES)
+    def test_float_solve_matches_the_exact_one(self, name, prop, monkeypatch):
+        csg = self.load(name)
+        formula = parse_property(prop, csg)
+        monkeypatch.setattr(nash, "_EXACT_STATE_LIMIT", 10 ** 6)
+        exact = evaluate(csg, formula)
+        monkeypatch.setattr(nash, "_EXACT_STATE_LIMIT", 0)
+        ev = evaluate(csg, formula)
+
+        assert exact.game.number is F and ev.game.number is float
+        for s in csg.states:
+            assert all(abs(a - b) <= 1e-6
+                       for a, b in zip(ev.values[s], exact.values[s]))
+        assert all(isinstance(v, float)
+                   for pair in ev.solve.values.values() for v in pair)
+        assert all(isinstance(v, float) for vals in ev.solve.aux["opt_vals"]
+                   if vals is not None for v in vals.values())
+        assert all(isinstance(p, float) for s in ev.game.states
+                   for dist in ev.game.trans[s].values()
+                   for p in dist.values())
+
+        query = formula
+        if ev.embedding is not None:     # verify on the product's query
+            _, query, _ = nash.mixed_horizon_transform(
+                coalition_game(csg, formula.coalition1), formula)
+        profile = synthesise_profile(ev.game, query, ev.solve)
+        assert verify_epsilon_ne(ev.game, profile, query, 1e-4).passed
