@@ -179,17 +179,19 @@ def eliminate_dominated(game: BimatrixGame):
     return reduced, tuple(rows), tuple(cols)
 
 
-def enumerate_equilibria(game: BimatrixGame) -> list[MixedProfile]:
+def enumerate_equilibria(game: BimatrixGame, *, with_swne=False):
     """All Nash equilibria of the game (vertices of equilibrium components).
 
     Every returned profile satisfies `is_equilibrium` with tolerance 0; the
-    list is never empty (finite games always admit an equilibrium).
+    list is never empty (finite games always admit an equilibrium).  With
+    `with_swne`, returns (equilibria, i) where equilibria[i] is the profile
+    `select_swne` picks, selected once per distinct game.
     """
-    profiles = _enumerate_cached(game.z1, game.z2)
+    profiles, best = _enumerate_cached(game.z1, game.z2)
     if not profiles:
         raise SolverError(
             "internal error: no equilibrium found (finite games always have one)")
-    return list(profiles)
+    return (list(profiles), best) if with_swne else list(profiles)
 
 
 @lru_cache(maxsize=65536)
@@ -250,7 +252,8 @@ def _enumerate_cached(z1, z2):
             v = sum(x[i] * z2[i][j] * y[j] for i in range(l) for j in range(m))
             profiles.append(MixedProfile(x, y, Fraction(u), Fraction(v)))
     profiles.sort(key=MixedProfile.sort_key)
-    return tuple(profiles)
+    best = profiles.index(select_swne(profiles)) if profiles else None
+    return tuple(profiles), best
 
 
 def is_equilibrium(game: BimatrixGame, x, y, u, v, tolerance=0) -> bool:
@@ -299,9 +302,12 @@ def select_swne(equilibria) -> MixedProfile:
     return min(pool, key=MixedProfile.sort_key)
 
 
+_ZERO = Fraction(0)
+
+
 def _lift(profile: MixedProfile, row_map, col_map, rows, cols) -> MixedProfile:
-    x = [Fraction(0)] * rows
-    y = [Fraction(0)] * cols
+    x = [_ZERO] * rows
+    y = [_ZERO] * cols
     for i, p in zip(row_map, profile.x):
         x[i] = p
     for j, q in zip(col_map, profile.y):
@@ -316,8 +322,9 @@ def solve_swne(game: BimatrixGame):
     of the original game.
     """
     reduced, row_map, col_map = eliminate_dominated(game)
-    equilibria = enumerate_equilibria(reduced)
+    equilibria, best = enumerate_equilibria(reduced, with_swne=True)
     if len(row_map) != game.rows or len(col_map) != game.cols:
+        # lifting keeps the order select_swne breaks ties by
         equilibria = [_lift(p, row_map, col_map, game.rows, game.cols)
                       for p in equilibria]
-    return select_swne(equilibria), equilibria
+    return equilibria[best], equilibria

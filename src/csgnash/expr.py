@@ -1,7 +1,10 @@
-"""Shared tokenizer, expression AST, parser, and evaluator.
+"""Shared tokenizer, expression AST, parser, and compiler.
 
 Used by both the model language and the property language.  Numbers are kept
-exact: integer literals as ints, decimal literals as Fractions.  Boolean and
+exact: integer literals as ints, decimal literals as Fractions.
+`compile_expr` turns an expression into a function of a state tuple once,
+folding every constant sub-expression; `eval_expr` evaluates an expression
+against a name environment through the same compiler.  Boolean and
 arithmetic operators follow the usual precedence
 
     |  <  &  <  !  <  comparisons  <  + -  <  * /  <  unary -  <  atoms
@@ -11,7 +14,9 @@ and the functions min, max, floor, ceil, pow, mod are available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ModelSyntaxError, ModelTypeError, UndeclaredSymbol
@@ -19,7 +24,8 @@ from .errors import ModelSyntaxError, ModelTypeError, UndeclaredSymbol
 __all__ = [
     "Token", "TokenStream", "tokenize",
     "Lit", "Var", "Unary", "Binary", "Call",
-    "parse_expression", "eval_expr", "free_vars", "expr_to_text",
+    "parse_expression", "eval_expr", "compile_expr", "free_vars",
+    "expr_to_text",
 ]
 
 _SYMBOLS = [
@@ -144,16 +150,27 @@ class TokenStream:
 
 # --- expression AST -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lit:
+    """A literal; literals of different types (1, 1.0, true) are unequal."""
+
     value: object
+
+    def __eq__(self, other):
+        return type(other) is Lit and type(other.value) is type(self.value) \
+            and other.value == self.value
+
+    def __hash__(self):
+        return hash((type(self.value), self.value))
 
 
 @dataclass(frozen=True)
 class Var:
+    """A name; its position is kept for error messages only."""
+
     name: str
-    line: int = 0
-    col: int = 0
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -286,59 +303,220 @@ def _need_bool(value, node):
     return value
 
 
+def _divide(lhs, rhs):
+    return Fraction(lhs) / rhs
+
+
+_NUMS = frozenset((int, Fraction))
+_EQUALITY_OPS = {"=": operator.eq, "!=": operator.ne}
+_NUMERIC_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+                ">=": operator.ge, "+": operator.add, "-": operator.sub,
+                "*": operator.mul, "/": _divide}
+
+
+def _call(func, args, node):
+    """`func(*args)` for evaluated arguments."""
+    if func in ("min", "max"):
+        nums = [_need_num(a, node) for a in args]
+        return min(nums) if func == "min" else max(nums)
+    if func == "floor":
+        return math.floor(_need_num(args[0], node))
+    if func == "ceil":
+        return math.ceil(_need_num(args[0], node))
+    if func == "pow":
+        return _need_num(args[0], node) ** int(_need_num(args[1], node))
+    if func == "mod":
+        return int(_need_num(args[0], node)) % int(_need_num(args[1], node))
+    raise ModelTypeError(f"cannot evaluate {node!r}")
+
+
 def eval_expr(node, env):
+    """The value of `node` with every name looked up in `env`."""
+    return compile_expr(node, env, {})(())
+
+
+# --- compilation --------------------------------------------------------------
+#
+# `_compile` returns (closure, value, shareable).  `value` is the folded value
+# of a sub-tree that reads no slot, or one of the two markers below.  A
+# sub-tree naming an unknown symbol is not shareable: its error carries the
+# symbol's position, so it is never handed to an equal sub-tree elsewhere.
+
+_STATEFUL = object()     # the sub-tree reads a slot
+_RAISES = object()       # the sub-tree reads no slot, and evaluating it raises
+
+
+def _is_value(value):
+    return value is not _STATEFUL and value is not _RAISES
+
+
+def _is_num(value):
+    return _is_value(value) and not isinstance(value, bool) and \
+        isinstance(value, (int, Fraction))
+
+
+def compile_expr(node, constants, slots, memo=None):
+    """Compile `node` to a function of one state.
+
+    A name in `slots` reads `state[slots[name]]`; any other name is looked up
+    in `constants` now, and a name in neither raises UndeclaredSymbol when the
+    function reaches it.  Every sub-tree that reads no slot is evaluated once,
+    here, and replaced by its value; one whose evaluation raises is kept as a
+    function, so its error surfaces only where evaluation reaches it.  Type
+    checks, short-circuiting & and |, and exact division are the same for
+    every caller.  Calls that pass the same `memo` dict (with the same
+    constants and slots) compile each distinct sub-tree once.
+    """
+    return _compile(node, constants, slots, {} if memo is None else memo)[0]
+
+
+def _constant(value):
+    return (lambda state: value), value, True
+
+
+def _fold_constant(fn, values, shareable):
+    """`fn` with its value, evaluated once if no operand reads a slot."""
+    if any(v is _STATEFUL for v in values):
+        return fn, _STATEFUL, shareable
+    try:
+        value = fn(())
+    except Exception:          # raised again wherever `fn` is reached
+        return fn, _RAISES, shareable
+    return (lambda state: value), value, shareable
+
+
+def _compile(node, constants, slots, memo):
+    try:
+        hit = memo.get(node)
+    except TypeError:                  # a hand-built node with a list field
+        hit, memo = None, {}
+    if hit is not None:
+        return hit
+    result = _compile_node(node, constants, slots, memo)
+    if result[2]:
+        memo[node] = result
+    return result
+
+
+def _compile_node(node, constants, slots, memo):
     if isinstance(node, Lit):
-        return node.value
+        return _constant(node.value)
     if isinstance(node, Var):
-        if node.name not in env:
+        if node.name in slots:
+            return operator.itemgetter(slots[node.name]), _STATEFUL, True
+        if node.name in constants:
+            return _constant(constants[node.name])
+
+        def unknown(state):
             raise UndeclaredSymbol(f"unknown symbol {node.name!r}",
                                    node.line, node.col)
-        return env[node.name]
+        return unknown, _RAISES, False
     if isinstance(node, Unary):
-        val = eval_expr(node.operand, env)
+        f, v, shareable = _compile(node.operand, constants, slots, memo)
         if node.op == "-":
-            return -_need_num(val, node)
-        return not _need_bool(val, node)
+            def fn(state):
+                return -_need_num(f(state), node)
+        else:
+            def fn(state):
+                value = f(state)
+                if value is True:
+                    return False
+                if value is False:
+                    return True
+                return not _need_bool(value, node)
+        return _fold_constant(fn, (v,), shareable)
     if isinstance(node, Binary):
-        lhs = eval_expr(node.left, env)
-        if node.op == "&":
-            return _need_bool(lhs, node) and _need_bool(eval_expr(node.right, env), node)
-        if node.op == "|":
-            return _need_bool(lhs, node) or _need_bool(eval_expr(node.right, env), node)
-        rhs = eval_expr(node.right, env)
-        if node.op == "=":
-            return lhs == rhs
-        if node.op == "!=":
-            return lhs != rhs
-        if node.op in ("<", "<=", ">", ">="):
-            lhs, rhs = _need_num(lhs, node), _need_num(rhs, node)
-            return {"<": lhs < rhs, "<=": lhs <= rhs,
-                    ">": lhs > rhs, ">=": lhs >= rhs}[node.op]
-        lhs, rhs = _need_num(lhs, node), _need_num(rhs, node)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if node.op == "/":
-            return Fraction(lhs) / rhs
+        return _compile_binary(node, constants, slots, memo)
     if isinstance(node, Call):
-        args = [eval_expr(a, env) for a in node.args]
-        if node.func in ("min", "max"):
-            nums = [_need_num(a, node) for a in args]
-            return min(nums) if node.func == "min" else max(nums)
-        if node.func == "floor":
-            import math
-            return math.floor(_need_num(args[0], node))
-        if node.func == "ceil":
-            import math
-            return math.ceil(_need_num(args[0], node))
-        if node.func == "pow":
-            return _need_num(args[0], node) ** int(_need_num(args[1], node))
-        if node.func == "mod":
-            return int(_need_num(args[0], node)) % int(_need_num(args[1], node))
-    raise ModelTypeError(f"cannot evaluate {node!r}")
+        parts = [_compile(a, constants, slots, memo) for a in node.args]
+        fns = [f for f, _, _ in parts]
+        func = node.func
+        if func in ("min", "max") and len(parts) == 2 and _is_num(parts[1][1]):
+            first, pick, other = fns[0], min if func == "min" else max, \
+                parts[1][1]
+
+            def fn(state):
+                value = first(state)
+                if type(value) not in _NUMS:
+                    _need_num(value, node)
+                return pick(value, other)
+        else:
+            def fn(state):
+                return _call(func, [f(state) for f in fns], node)
+        return _fold_constant(fn, [v for _, v, _ in parts],
+                     all(s for _, _, s in parts))
+
+    def fn(state):
+        raise ModelTypeError(f"cannot evaluate {node!r}")
+    return fn, _RAISES, False
+
+
+def _compile_binary(node, constants, slots, memo):
+    op = node.op
+    fl, vl, sl = _compile(node.left, constants, slots, memo)
+    fr, vr, sr = _compile(node.right, constants, slots, memo)
+    shareable = sl and sr
+    if op in ("&", "|"):
+        stop = op == "|"            # the left value that decides the result
+        if vl is stop:
+            return _constant(stop)
+
+        def fn(state):
+            lhs = fl(state)
+            if lhs is stop:
+                return stop
+            if lhs is not True and lhs is not False:
+                _need_bool(lhs, node)
+            rhs = fr(state)
+            if rhs is True or rhs is False:
+                return rhs
+            return _need_bool(rhs, node)
+        return _fold_constant(fn, (vl, vr), shareable)
+
+    slot = slots.get(node.left.name) if isinstance(node.left, Var) else None
+    if op == "=" and _is_value(vr) and slot is not None:
+        def fn(state):
+            return state[slot] == vr
+        return _fold_constant(fn, (vl, vr), shareable)
+
+    if op in _EQUALITY_OPS:
+        equal = _EQUALITY_OPS[op]
+
+        def fn(state):
+            return equal(fl(state), fr(state))
+        return _fold_constant(fn, (vl, vr), shareable)
+
+    apply = _NUMERIC_OPS.get(op)
+    if apply is None:
+        def apply(lhs, rhs):
+            raise ModelTypeError(f"cannot evaluate {node!r}")
+    if _is_num(vr) and slot is not None:
+        def fn(state):
+            lhs = state[slot]
+            if type(lhs) not in _NUMS:
+                _need_num(lhs, node)
+            return apply(lhs, vr)
+    elif _is_num(vr):
+        def fn(state):
+            lhs = fl(state)
+            if type(lhs) not in _NUMS:
+                _need_num(lhs, node)
+            return apply(lhs, vr)
+    elif _is_num(vl):
+        def fn(state):
+            rhs = fr(state)
+            if type(rhs) not in _NUMS:
+                _need_num(rhs, node)
+            return apply(vl, rhs)
+    else:
+        def fn(state):
+            lhs, rhs = fl(state), fr(state)
+            if type(lhs) not in _NUMS:
+                _need_num(lhs, node)
+            if type(rhs) not in _NUMS:
+                _need_num(rhs, node)
+            return apply(lhs, rhs)
+    return _fold_constant(fn, (vl, vr), shareable)
 
 
 def expr_to_text(node):

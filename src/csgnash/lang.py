@@ -35,6 +35,8 @@ order, all arithmetic exact (decimal literals become rationals).
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -51,6 +53,7 @@ from .errors import (
 from .expr import (
     Lit,
     TokenStream,
+    compile_expr,
     eval_expr,
     free_vars,
     parse_expression,
@@ -536,6 +539,8 @@ class _VarInfo:
 
     def check(self, value, line):
         if self.kind == "int":
+            if type(value) is int and self.low <= value <= self.high:
+                return value
             if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                 raise ModelTypeError(
                     f"assignment to {self.name!r} must be an integer")
@@ -554,158 +559,247 @@ class _VarInfo:
         return value
 
 
+class _Command:
+    """A command compiled against one model's constants and state layout.
+
+    `needs` lists the (player index, action) pairs a joint action must
+    contain for the command to fire; `own` is the action it makes available
+    to its module's player.  `branches` lists each update alternative as
+    (probability function, ((slot, variable, value function), ...)).  When
+    every probability is a constant that passes the per-state checks and
+    sums to 1, `fixed` holds the (branch index, probability) pairs of the
+    positive branches; otherwise it is None and the probabilities are
+    evaluated and checked at each state where the command fires.
+    """
+
+    def __init__(self, index, cmd, player, ast, compiled, slots, infos):
+        players = [block.name for block in ast.players]
+        self.index = index
+        self.line = cmd.line
+        self.guard = compiled(cmd.guard)
+        self.needs = tuple((players.index(ast.action_owner[a]), a)
+                           for a in cmd.actions)
+        self.own = next(a for a in cmd.actions
+                        if ast.action_owner[a] == player)
+        self.branches = [
+            (compiled(prob),
+             tuple((slots[name], infos[slots[name]], compiled(value))
+                   for name, value in assigns))
+            for prob, assigns in cmd.updates]
+        self.fixed = None
+        if not any(free_vars(prob) & slots.keys() for prob, _ in cmd.updates):
+            try:
+                kept, total = self.weigh(())
+            except Exception:
+                return             # raised again where the command first fires
+            if total == 1:
+                self.fixed = kept
+
+    def weigh(self, state):
+        """The (branch index, probability) pairs of the positive branches at
+        `state`, and the sum of all probabilities."""
+        kept, total = [], Fraction(0)
+        for k, (prob, _) in enumerate(self.branches):
+            p = prob(state)
+            if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
+                raise ModelTypeError(
+                    f"probability is not numeric at line {self.line}")
+            p = Fraction(p)
+            if p < 0:
+                raise ProbabilitySum(f"negative probability at line {self.line}")
+            total += p
+            if p > 0:
+                kept.append((k, p))
+        return kept, total
+
+    def outcomes(self, state, var_names):
+        """(probabilities, updates) of the positive branches at `state`:
+        each update lists (slot, new value) pairs."""
+        kept = self.fixed
+        if kept is None:
+            kept, total = self.weigh(state)
+            if total != 1:
+                raise ProbabilitySum(
+                    f"probabilities at line {self.line} sum to {total} at "
+                    f"state {dict(zip(var_names, state))}")
+        line = self.line
+        updates = [[(slot, info.check(value(state), line))
+                    for slot, info, value in self.branches[k][1]]
+                   for k, _ in kept]
+        return [p for _, p in kept], updates
+
+
+class _Clash:
+    """Two commands of one module that fire on the same joint action: the
+    build raises UpdateClash at the first state that reaches them."""
+
+    index = fixed = None
+
+    def __init__(self, module, first, second):
+        self.module, self.first, self.second = module, first, second
+
+    def outcomes(self, state, var_names):
+        raise UpdateClash(
+            f"module {self.module!r}: two commands (lines {self.first.line} "
+            f"and {self.second.line}) fire together at state "
+            f"{dict(zip(var_names, state))}")
+
+
+def _products(prob_lists):
+    """The product of one probability from each list, for every choice in
+    lexicographic order."""
+    out = [Fraction(1)]
+    for probs in prob_lists:
+        out = [a * b for a in out for b in probs]
+    return out
+
+
 def build_csg(ast: ModelAst, overrides=None) -> Csg:
     """Explore the reachable state space and return the game.
 
-    The returned Csg additionally carries `valuations` (state -> variable
-    environment), `constants` and `label_names` so properties
-    can refer to model variables.
+    Every expression of the model is compiled once, against the constants
+    and the state layout, before exploration starts; a state is a tuple of
+    variable values in declaration order.  The returned Csg additionally
+    carries `valuations` (state -> variable environment), `constants` and
+    `label_names` so properties can refer to model variables.
     """
     constants = resolve_constants(ast, overrides)
     players = tuple(block.name for block in ast.players)
-    var_infos = []
-    for mod in ast.modules:
-        for decl in mod.variables:
-            var_infos.append((mod.name, _VarInfo(decl, constants)))
-    var_names = tuple(info.name for _, info in var_infos)
-    info_by_name = {info.name: info for _, info in var_infos}
+    infos = [_VarInfo(decl, constants)
+             for mod in ast.modules for decl in mod.variables]
+    var_names = tuple(info.name for info in infos)
+    slots = {name: i for i, name in enumerate(var_names)}
+    memo = {}
 
-    module_cmds = {mod.name: mod.commands for mod in ast.modules}
-    player_modules = {block.name: block.modules for block in ast.players}
+    def compiled(node):
+        return compile_expr(node, constants, slots, memo)
 
-    def env_of(state):
-        env = dict(constants)
-        env.update(zip(var_names, state))
-        return env
+    # Commands in the order the availability scan visits them: players, each
+    # player's modules, each module's commands.  Equal guards compile to one
+    # function, which is evaluated once per state.
+    modules = {mod.name: (m, mod) for m, mod in enumerate(ast.modules)}
+    commands = []
+    for p, block in enumerate(ast.players):
+        for mname in block.modules:
+            m, mod = modules[mname]
+            for cmd in mod.commands:
+                commands.append((p, m, _Command(len(commands), cmd, block.name,
+                                                ast, compiled, slots, infos)))
+    guards = []                # (function, line of its first command)
+    guard_index = {}
+    for _, _, cmd in commands:
+        if cmd.guard not in guard_index:
+            guard_index[cmd.guard] = len(guards)
+            guards.append((cmd.guard, cmd.line))
+    scan = [(p, m, guard_index[cmd.guard], cmd) for p, m, cmd in commands]
+    products = {}              # fired command indices -> branch products
 
-    def own_action(cmd, player):
-        for a in cmd.actions:
-            if ast.action_owner[a] == player:
-                return a
-        return None
+    def plan(held):
+        """The joint actions of a state whose guards evaluate to `held`, each
+        with the commands it fires in module order and, when they all have
+        fixed probabilities, the products of their branch probabilities."""
+        enabled = [[] for _ in ast.modules]
+        acts = [set() for _ in players]
+        for p, m, g, cmd in scan:
+            if held[g]:
+                enabled[m].append(cmd)
+                acts[p].add(cmd.own)
+        if not any(acts):
+            return ()
+        steps = []
+        for joint in itertools.product(*[sorted(a) or [IDLE] for a in acts]):
+            fired = []
+            for m, cmds in enumerate(enabled):
+                matching = [cmd for cmd in cmds
+                            if all(joint[i] == a for i, a in cmd.needs)]
+                if len(matching) > 1:
+                    fired.append(_Clash(ast.modules[m].name, *matching[:2]))
+                    break
+                fired += matching
+            weights = None
+            if all(cmd.fixed is not None for cmd in fired):
+                key = tuple(cmd.index for cmd in fired)
+                if key not in products:
+                    products[key] = _products(
+                        [[prob for _, prob in cmd.fixed] for cmd in fired])
+                weights = products[key]
+            steps.append((joint, fired, weights))
+        return steps
 
-    def available(player, env):
-        acts = set()
-        for mname in player_modules[player]:
-            for cmd in module_cmds[mname]:
-                mine = own_action(cmd, player)
-                if mine is not None and _truth(cmd.guard, env, cmd.line):
-                    acts.add(mine)
-        return sorted(acts)
-
-    def matching_command(mname, joint_by_player, env, state):
-        found = None
-        for cmd in module_cmds[mname]:
-            if not all(joint_by_player.get(ast.action_owner[a]) == a
-                       for a in cmd.actions):
-                continue
-            if not _truth(cmd.guard, env, cmd.line):
-                continue
-            if found is not None:
-                raise UpdateClash(
-                    f"module {mname!r}: two commands (lines {found.line} and "
-                    f"{cmd.line}) fire together at state "
-                    f"{dict(zip(var_names, state))}")
-            found = cmd
-        return found
-
-    init_state = tuple(info.init for _, info in var_infos)
+    init_state = tuple(info.init for info in infos)
     order = [init_state]
     seen = {init_state}
     trans = {}
-    queue = [init_state]
+    queue = deque(order)
+    plans = {}                 # guard values -> plan
     while queue:
-        state = queue.pop(0)
-        env = env_of(state)
-        avail = {}
-        any_available = False
-        for player in players:
-            acts = available(player, env)
-            if acts:
-                any_available = True
-            avail[player] = acts or [IDLE]
-        state_trans = {}
-        if not any_available:
+        state = queue.popleft()
+        held = []
+        for guard, line in guards:
+            value = guard(state)
+            if value is not True and value is not False:
+                raise _not_a_condition(line)
+            held.append(value)
+        held = tuple(held)
+        steps = plans.get(held)
+        if steps is None:
+            steps = plans[held] = plan(held)
+        if not steps:
             trans[state] = {}          # Csg.create adds the idle self-loop
             continue
-        joints = [()]
-        for player in players:
-            joints = [j + (a,) for j in joints for a in avail[player]]
-        for joint in joints:
-            joint_by_player = dict(zip(players, joint))
-            dist = {(): Fraction(1)}
-            for mod in ast.modules:
-                cmd = matching_command(mod.name, joint_by_player, env, state)
-                if cmd is None:
-                    continue
-                branches = []
-                total = Fraction(0)
-                for prob, assigns in cmd.updates:
-                    p = eval_expr(prob, env)
-                    if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
-                        raise ModelTypeError(
-                            f"probability is not numeric at line {cmd.line}")
-                    p = Fraction(p)
-                    if p < 0:
-                        raise ProbabilitySum(
-                            f"negative probability at line {cmd.line}")
-                    total += p
-                    if p > 0:
-                        branches.append((p, assigns))
-                if total != 1:
-                    raise ProbabilitySum(
-                        f"probabilities at line {cmd.line} sum to {total} at "
-                        f"state {dict(zip(var_names, state))}")
-                new_dist = {}
-                for partial, pp in dist.items():
-                    for p, assigns in branches:
-                        resolved = []
-                        for name, value_expr in assigns:
-                            value = info_by_name[name].check(
-                                eval_expr(value_expr, env), cmd.line)
-                            resolved.append((name, value))
-                        key = partial + tuple(resolved)
-                        new_dist[key] = new_dist.get(key, Fraction(0)) + pp * p
-                dist = new_dist
-            succ_dist = {}
-            for assigns, p in dist.items():
-                new_env = dict(zip(var_names, state))
-                for name, value in assigns:
-                    new_env[name] = value
-                succ = tuple(new_env[name] for name in var_names)
-                succ_dist[succ] = succ_dist.get(succ, Fraction(0)) + p
-            state_trans[joint] = succ_dist
-            for succ in succ_dist:
-                if succ not in seen:
-                    seen.add(succ)
-                    order.append(succ)
-                    queue.append(succ)
+        outcomes = {}                  # command index -> its branches here
+        state_trans = {}
+        for joint, fired, weights in steps:
+            for cmd in fired:
+                if cmd.index not in outcomes:
+                    outcomes[cmd.index] = cmd.outcomes(state, var_names)
+            if weights is None:
+                weights = _products([outcomes[cmd.index][0] for cmd in fired])
+            dist = {}
+            for w, combo in zip(weights, itertools.product(
+                    *[outcomes[cmd.index][1] for cmd in fired])):
+                succ = list(state)
+                for updates in combo:
+                    for slot, value in updates:
+                        succ[slot] = value
+                succ = tuple(succ)
+                if succ in dist:
+                    dist[succ] += w
+                else:
+                    dist[succ] = w
+                    if succ not in seen:
+                        seen.add(succ)
+                        order.append(succ)
+                        queue.append(succ)
+            state_trans[joint] = dist
         trans[state] = state_trans
 
     # labels
-    labels = {}
-    for state in order:
-        env = env_of(state)
-        labels[state] = {name for name, pred in ast.labels
-                         if _truth(pred, env, 0)}
+    label_preds = [(name, compiled(pred)) for name, pred in ast.labels]
+    labels = {state: {name for name, pred in label_preds
+                      if _holds(pred, state, 0)}
+              for state in order}
 
     # rewards
     rewards = {}
     for block in ast.rewards:
+        items = []
+        for item in block.items:
+            wanted = {players.index(ast.action_owner[a]): a
+                      for a in item.actions}
+            items.append((compiled(item.guard), compiled(item.value),
+                          tuple(wanted.items()), item))
         action_rewards, state_rewards = {}, {}
         for state in order:
-            env = env_of(state)
-            for item in block.items:
-                if not _truth(item.guard, env, item.line):
+            for guard, value_of, wanted, item in items:
+                if not _holds(guard, state, item.line):
                     continue
-                value = eval_expr(item.value, env)
+                value = value_of(state)
                 if not item.actions:
                     state_rewards[state] = state_rewards.get(state, 0) + value
                     continue
-                wanted = {ast.action_owner[a]: a for a in item.actions}
                 for joint in trans[state]:
-                    by_player = dict(zip(players, joint))
-                    if all(by_player.get(p) == a for p, a in wanted.items()):
+                    if all(joint[i] == a for i, a in wanted):
                         key = (state, joint)
                         action_rewards[key] = action_rewards.get(key, 0) + value
         rewards[block.name] = RewardStructure(action_rewards, state_rewards)
@@ -718,11 +812,15 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
         label_names=frozenset(n for n, _ in ast.labels))
 
 
-def _truth(expr, env, line):
-    value = eval_expr(expr, env)
-    if not isinstance(value, bool):
-        raise ModelTypeError(f"expected a boolean condition at line {line}")
-    return value
+def _holds(condition, state, line):
+    value = condition(state)
+    if value is True or value is False:
+        return value
+    raise _not_a_condition(line)
+
+
+def _not_a_condition(line):
+    return ModelTypeError(f"expected a boolean condition at line {line}")
 
 
 def load_model(path, overrides=None) -> Csg:

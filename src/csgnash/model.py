@@ -65,6 +65,8 @@ class RewardStructure:
 
 def _exact(value, what, where):
     """`value` as a Fraction; a float would make every later result inexact."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise ModelError(f"{what} {value!r} at {where} is a float; models "
                          f"hold exact numbers only")
@@ -469,8 +471,11 @@ def _fold(game, initial_mode, node_choices, update) -> Mdp:
     `node_choices(state, mode)` lists the node's choices as (choice-id,
     {joint action: weight}) pairs; a choice mixes the distributions and the
     action rewards of its joint actions by weight.  Every reward structure of
-    the game is folded, state rewards carried over per node.
+    the game is folded, state rewards carried over per node.  Weights are
+    converted once to the number type of a CompiledGame; any other game
+    holds Fractions.
     """
+    number = getattr(game, "number", Fraction)
     rewards = {name: RewardStructure() for name in game.rewards}
     init = [(s, initial_mode) for s in game.initial]
     states = []
@@ -484,6 +489,8 @@ def _fold(game, initial_mode, node_choices, update) -> Mdp:
         trans = game.trans[s]
         node_choices_out = []
         for cid, weights in node_choices(s, mode):
+            if number is not Fraction:
+                weights = {pair: number(w) for pair, w in weights.items()}
             dist = {}
             for pair, w in weights.items():
                 if pair not in trans:

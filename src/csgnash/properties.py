@@ -33,6 +33,7 @@ from .expr import (
     Lit,
     TokenStream,
     Var,
+    compile_expr,
     eval_expr,
     expr_to_text,
     parse_expression,
@@ -494,11 +495,10 @@ def satisfying_states(game, formula):
         if valuations is None:
             raise UndeclaredSymbol(
                 "variable predicates need a model with state valuations")
-        result = set()
-        for s in states:
-            if eval_expr(formula.expr, {**constants, **valuations[s]}):
-                result.add(s)
-        return frozenset(result)
+        # every valuation names the same variables: read them by name
+        names = next(iter(valuations.values()), {})
+        holds = compile_expr(formula.expr, constants, {n: n for n in names})
+        return frozenset(s for s in states if holds(valuations[s]))
     if isinstance(formula, Not):
         return frozenset(states) - satisfying_states(game, formula.sub)
     if isinstance(formula, And):

@@ -7,11 +7,17 @@ main code so that agreement is meaningful:
   indifference equations (the main solver enumerates polytope vertices);
 - a brute-force maximal-end-component search for small models;
 - a pure-strategy-profile Markov-chain evaluator for reachability values;
-- an exhaustive memoryless-strategy MDP evaluator.
+- an exhaustive memoryless-strategy MDP evaluator;
+- a tree-walking expression evaluator (the package compiles expressions to
+  closures once, folding constant sub-expressions).
 """
 
+import math
 from fractions import Fraction
 from itertools import chain, combinations, product
+
+from csgnash.errors import ModelTypeError, UndeclaredSymbol
+from csgnash.expr import Binary, Call, Lit, Unary, Var, expr_to_text
 
 
 def _solve_unique(matrix, rhs):
@@ -340,3 +346,72 @@ def bounded_cumulative_pair(transitions, rewards1, rewards2, horizon):
             new[s] = swne_value(z1, z2)
         vals = new
     return vals
+
+
+def _need_num(value, node):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ModelTypeError(f"expected a number in {expr_to_text(node)}")
+    return value
+
+
+def _need_bool(value, node):
+    if not isinstance(value, bool):
+        raise ModelTypeError(f"expected a boolean in {expr_to_text(node)}")
+    return value
+
+
+def walk_expr(node, env):
+    """Evaluate an expression AST by walking it, every name read from `env`."""
+    if isinstance(node, Lit):
+        return node.value
+    if isinstance(node, Var):
+        if node.name not in env:
+            raise UndeclaredSymbol(f"unknown symbol {node.name!r}",
+                                   node.line, node.col)
+        return env[node.name]
+    if isinstance(node, Unary):
+        val = walk_expr(node.operand, env)
+        if node.op == "-":
+            return -_need_num(val, node)
+        return not _need_bool(val, node)
+    if isinstance(node, Binary):
+        lhs = walk_expr(node.left, env)
+        if node.op == "&":
+            return _need_bool(lhs, node) and \
+                _need_bool(walk_expr(node.right, env), node)
+        if node.op == "|":
+            return _need_bool(lhs, node) or \
+                _need_bool(walk_expr(node.right, env), node)
+        rhs = walk_expr(node.right, env)
+        if node.op == "=":
+            return lhs == rhs
+        if node.op == "!=":
+            return lhs != rhs
+        if node.op in ("<", "<=", ">", ">="):
+            lhs, rhs = _need_num(lhs, node), _need_num(rhs, node)
+            return {"<": lhs < rhs, "<=": lhs <= rhs,
+                    ">": lhs > rhs, ">=": lhs >= rhs}[node.op]
+        lhs, rhs = _need_num(lhs, node), _need_num(rhs, node)
+        if node.op == "+":
+            return lhs + rhs
+        if node.op == "-":
+            return lhs - rhs
+        if node.op == "*":
+            return lhs * rhs
+        if node.op == "/":
+            return Fraction(lhs) / rhs
+    if isinstance(node, Call):
+        args = [walk_expr(a, env) for a in node.args]
+        if node.func in ("min", "max"):
+            nums = [_need_num(a, node) for a in args]
+            return min(nums) if node.func == "min" else max(nums)
+        if node.func == "floor":
+            return math.floor(_need_num(args[0], node))
+        if node.func == "ceil":
+            return math.ceil(_need_num(args[0], node))
+        if node.func == "pow":
+            return _need_num(args[0], node) ** int(_need_num(args[1], node))
+        if node.func == "mod":
+            return int(_need_num(args[0], node)) % \
+                int(_need_num(args[1], node))
+    raise ModelTypeError(f"cannot evaluate {node!r}")

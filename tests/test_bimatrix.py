@@ -241,3 +241,38 @@ class TestFloatPayoffs:
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert all(isinstance(c, Fraction) for p in equilibria
                    for c in p.x + p.y + (p.u, p.v))
+
+
+@st.composite
+def dominated_games(draw, entries, gaps):
+    """A game with up to two strictly dominated rows and columns inserted
+    at random positions, so the selected profile must be lifted back."""
+    z1, z2 = draw(games(entries=entries))
+    for _ in range(draw(st.integers(0, 2))):
+        base, at = draw(st.integers(0, len(z1) - 1)), \
+            draw(st.integers(0, len(z1)))
+        z1.insert(at, [v - draw(gaps) for v in z1[base]])
+        z2.insert(at, [draw(entries) for _ in z2[0]])
+    for _ in range(draw(st.integers(0, 2))):
+        base, at = draw(st.integers(0, len(z1[0]) - 1)), \
+            draw(st.integers(0, len(z1[0])))
+        for r1, r2 in zip(z1, z2):
+            r2.insert(at, r2[base] - draw(gaps))
+            r1.insert(at, draw(entries))
+    return z1, z2
+
+
+class TestSelectedProfile:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        dominated_games(small_entries, st.integers(1, 3)),
+        dominated_games(st.integers(0, 1), st.just(1)),      # degenerate
+        dominated_games(float_entries, st.sampled_from([0.5, 1.25, 3.0]))))
+    def test_solve_swne_selects_from_its_equilibria(self, zz):
+        game = BimatrixGame.from_rows(*zz)
+        chosen, equilibria = solve_swne(game)
+        assert chosen == select_swne(equilibria)
+        before = _enumerate_cached.cache_info()
+        assert solve_swne(game) == (chosen, equilibria)
+        after = _enumerate_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)

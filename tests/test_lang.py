@@ -1,6 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+
+import csgnash.expr as expr
 
 from csgnash.errors import (
     AlphabetViolation,
@@ -276,3 +279,133 @@ endmodule
 """
         with pytest.raises(RangeOverflow):
             build_csg(parse_model(text))
+
+
+def fingerprint(game):
+    """SHA-256 of a game as built: players, alphabets, initial states,
+    constants and label names, then every state in order with its labels,
+    valuation and each joint action's successor distribution as ordered
+    lists, then every reward structure's entries in order."""
+    digest = hashlib.sha256()
+
+    def put(item):
+        digest.update(repr(item).encode())
+        digest.update(b"\n")
+    put((game.players,
+         sorted((p, sorted(a)) for p, a in game.alphabets.items()),
+         game.initial))
+    put(sorted(game.constants.items()))
+    put(sorted(game.label_names))
+    for s in game.states:
+        put((s, sorted(game.labels[s]), list(game.valuations[s].items())))
+        for joint, dist in game.trans[s].items():
+            put((joint, list(dist.items())))
+    for name, rs in sorted(game.rewards.items()):
+        put((name, list(rs.action_rewards.items()),
+             list(rs.state_rewards.items())))
+    return digest.hexdigest()
+
+
+class TestBuiltGames:
+    # Recorded with the tree-walking builder that the compiled one replaced;
+    # the digest covers state order, joint-action order, successor order and
+    # exact probability types.
+    @pytest.mark.parametrize("model, consts, states, digest", [
+        ("aloha.csg", {}, 7794,
+         "eb8b65650173fb3b025c782bfe044fb25985782cb0e6f9aa71d78dccf850d864"),
+        ("robot.csg", {"l": 3}, 44,
+         "3580f0d924c6cfdf3a67f46fe9492c4699a3d18eee0fc598c77d2021ae999d15"),
+        ("robot.csg", {"l": 5}, 323,
+         "ff0f4d3c63be873e69123de7e6db05b0900a6c1985dd3755ebaa30a3cb26c09b"),
+        ("robot.csg", {"l": 6}, 666,
+         "8c9ccafed8be6de86b645513a45da1d61f362728d24e43fb03e47a01efdbb5dd"),
+        ("mac.csg", {"emax": 10}, 441,
+         "322e4e8c7ab24bf8ced99ee0602dafc0e7eb8aa35178b20243c407a364dd99be"),
+        ("power.csg", {}, 41,
+         "c6dff6589c3c93cacf84a423aaefc75bb293b94e7a8f4720520e60d736499208"),
+        ("fig1.csg", {}, 5,
+         "578105888df55c01fff87f07c408ee1f2400842e03975047397eaf75767ecbd8"),
+    ])
+    def test_fingerprint(self, model, consts, states, digest):
+        g = load_model(model_path(model), consts)
+        assert len(g.states) == states
+        assert fingerprint(g) == digest
+
+    def test_compilation_does_not_grow_with_the_state_space(self, monkeypatch):
+        # every expression is compiled once per build, never per state
+        calls = []
+        original = expr._compile_node
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+        monkeypatch.setattr(expr, "_compile_node", counting)
+        ast = parse_model(open(model_path("mac.csg")).read())
+        sizes = []
+        for emax in (2, 10):
+            calls.clear()
+            sizes.append((len(build_csg(ast, {"emax": emax}).states),
+                          len(calls)))
+        (small, small_calls), (large, large_calls) = sizes
+        assert large > 10 * small
+        assert large_calls == small_calls
+
+
+ONE_PLAYER = """
+player p1 m endplayer
+module m
+  x : [0..2] init 0;
+{body}
+endmodule
+"""
+
+
+def one_player(body):
+    return build_csg(parse_model(ONE_PLAYER.format(body=body)))
+
+
+class TestProbabilityPaths:
+    def test_state_dependent_probabilities(self):
+        # x=0: 1/4 to x=1, 3/4 to x=2; x=1: both branches lead to x=2 and
+        # merge; x=2: the guard is false, so the idle self-loop
+        g = one_player("  [a] x<2 -> (x+1)/4:(x'=x+1) + (3-x)/4:(x'=2);")
+        assert g.states == ((0,), (1,), (2,))
+        assert g.trans[(0,)] == {("a",): {(1,): F(1, 4), (2,): F(3, 4)}}
+        assert list(g.trans[(0,)][("a",)]) == [(1,), (2,)]
+        assert g.trans[(1,)] == {("a",): {(2,): F(1)}}
+        assert g.trans[(2,)] == {("-",): {(2,): F(1)}}
+        assert all(type(p) is Fraction for s in g.states
+                   for d in g.trans[s].values() for p in d.values())
+
+    def test_sum_fails_in_some_states_only(self):
+        # sums to 1 at x=0, to 1/2 at x=1
+        with pytest.raises(ProbabilitySum) as err:
+            one_player("  [a] x<2 -> 1/2:(x'=1) + (1-x)/2:(x'=0);")
+        assert str(err.value) == \
+            "probabilities at line 5 sum to 1/2 at state {'x': 1}"
+
+    def test_bad_constant_command_raises_where_it_first_fires(self):
+        with pytest.raises(ProbabilitySum) as err:
+            one_player("  [a] x<2 -> (x'=x+1);\n"
+                       "  [b] x=1 -> 0.3:(x'=0) + 0.3:(x'=2);")
+        assert str(err.value) == \
+            "probabilities at line 6 sum to 3/5 at state {'x': 1}"
+
+    def test_negative_constant_probability_raises_where_it_fires(self):
+        with pytest.raises(ProbabilitySum) as err:
+            one_player("  [a] x<2 -> (x'=x+1);\n"
+                       "  [b] x=2 -> -0.5:(x'=0) + 1.5:(x'=1);")
+        assert str(err.value) == "negative probability at line 6"
+
+    def test_update_clash_names_the_first_state_and_both_lines(self):
+        with pytest.raises(UpdateClash) as err:
+            one_player("  [a] x<2 -> (x'=x+1);\n  [a] x=1 -> (x'=0);")
+        assert str(err.value) == ("module 'm': two commands (lines 5 and 6) "
+                                  "fire together at state {'x': 1}")
+
+    def test_bad_constant_command_that_never_fires(self):
+        good = one_player("  [a] x<2 -> (x'=x+1);")
+        g = one_player("  [a] x<2 -> (x'=x+1);\n"
+                       "  [b] x>5 -> 0.3:(x'=0) + 0.3:(x'=1) + 1/0:(x'=2);")
+        assert g.states == good.states
+        assert g.trans == good.trans

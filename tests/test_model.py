@@ -16,6 +16,7 @@ from csgnash.model import (
     MemoryStrategy,
     RewardStructure,
     coalition_game,
+    compile_game,
     enumerate_mecs,
     induce_mdp,
     joint_mdp,
@@ -246,6 +247,33 @@ class TestInduceMdp:
         assert choices[("w2",)] == {("s3", 0): F(1)}
         total = sum(choices[("t2",)].values())
         assert total == 1
+
+    def test_float_game_folds_like_fraction_weights(self):
+        # weights are converted to float once per choice; the products are
+        # those of Fraction * float, bit for bit
+        g = load_explicit(model_path("appendix_c.csgx"))
+        exact = coalition_game(g, ["p1"])
+        floats = compile_game(exact, float)
+        third = F(1, 3)
+        table = {"s1": {("c1",): third, ("s1_",): 1 - third},
+                 "s2": {(IDLE,): F(1)},
+                 "t1": {(IDLE,): F(1)}, "t2": {(IDLE,): F(1)}}
+        mdp = induce_mdp(floats, 1, FixedStrategy(table))
+        for (s, mode), choices in mdp.choices.items():
+            for b, dist in choices:
+                expected = {}
+                for a, w in table[s].items():
+                    for t, p in floats.trans[s][(a, b)].items():
+                        expected[(t, 0)] = expected.get((t, 0), 0) + w * p
+                assert dist == expected
+                assert all(type(p) is float for p in dist.values())
+                rewards = floats.rewards["r1"].action_rewards
+                reward = sum(w * rewards[(s, (a, b))]
+                             for a, w in table[s].items()
+                             if (s, (a, b)) in rewards)
+                assert mdp.rewards["r1"].action_rewards.get(
+                    ((s, mode), b), 0) == reward
+        assert mdp.rewards["r1"].action_rewards
 
     def test_incomplete_strategy(self):
         g = fig1()
