@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelSyntaxError, ModelTypeError, UndeclaredSymbol
@@ -150,27 +150,16 @@ class TokenStream:
 
 # --- expression AST -----------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Lit:
-    """A literal; literals of different types (1, 1.0, true) are unequal."""
-
     value: object
-
-    def __eq__(self, other):
-        return type(other) is Lit and type(other.value) is type(self.value) \
-            and other.value == self.value
-
-    def __hash__(self):
-        return hash((type(self.value), self.value))
 
 
 @dataclass(frozen=True)
 class Var:
-    """A name; its position is kept for error messages only."""
-
     name: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
 
 @dataclass(frozen=True)
@@ -307,7 +296,6 @@ def _divide(lhs, rhs):
     return Fraction(lhs) / rhs
 
 
-_NUMS = frozenset((int, Fraction))
 _EQUALITY_OPS = {"=": operator.eq, "!=": operator.ne}
 _NUMERIC_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
                 ">=": operator.ge, "+": operator.add, "-": operator.sub,
@@ -337,25 +325,14 @@ def eval_expr(node, env):
 
 # --- compilation --------------------------------------------------------------
 #
-# `_compile` returns (closure, value, shareable).  `value` is the folded value
-# of a sub-tree that reads no slot, or one of the two markers below.  A
-# sub-tree naming an unknown symbol is not shareable: its error carries the
-# symbol's position, so it is never handed to an equal sub-tree elsewhere.
+# `_compile` returns (closure, value).  `value` is the folded value of a
+# sub-tree that reads no slot, or one of the two markers below.
 
 _STATEFUL = object()     # the sub-tree reads a slot
 _RAISES = object()       # the sub-tree reads no slot, and evaluating it raises
 
 
-def _is_value(value):
-    return value is not _STATEFUL and value is not _RAISES
-
-
-def _is_num(value):
-    return _is_value(value) and not isinstance(value, bool) and \
-        isinstance(value, (int, Fraction))
-
-
-def compile_expr(node, constants, slots, memo=None):
+def compile_expr(node, constants, slots):
     """Compile `node` to a function of one state.
 
     A name in `slots` reads `state[slots[name]]`; any other name is looked up
@@ -364,159 +341,89 @@ def compile_expr(node, constants, slots, memo=None):
     here, and replaced by its value; one whose evaluation raises is kept as a
     function, so its error surfaces only where evaluation reaches it.  Type
     checks, short-circuiting & and |, and exact division are the same for
-    every caller.  Calls that pass the same `memo` dict (with the same
-    constants and slots) compile each distinct sub-tree once.
+    every caller.
     """
-    return _compile(node, constants, slots, {} if memo is None else memo)[0]
+    return _compile(node, constants, slots)[0]
 
 
 def _constant(value):
-    return (lambda state: value), value, True
+    return (lambda state: value), value
 
 
-def _fold_constant(fn, values, shareable):
+def _fold(fn, values):
     """`fn` with its value, evaluated once if no operand reads a slot."""
     if any(v is _STATEFUL for v in values):
-        return fn, _STATEFUL, shareable
+        return fn, _STATEFUL
     try:
         value = fn(())
     except Exception:          # raised again wherever `fn` is reached
-        return fn, _RAISES, shareable
-    return (lambda state: value), value, shareable
+        return fn, _RAISES
+    return _constant(value)
 
 
-def _compile(node, constants, slots, memo):
-    try:
-        hit = memo.get(node)
-    except TypeError:                  # a hand-built node with a list field
-        hit, memo = None, {}
-    if hit is not None:
-        return hit
-    result = _compile_node(node, constants, slots, memo)
-    if result[2]:
-        memo[node] = result
-    return result
-
-
-def _compile_node(node, constants, slots, memo):
+def _compile(node, constants, slots):
     if isinstance(node, Lit):
         return _constant(node.value)
     if isinstance(node, Var):
         if node.name in slots:
-            return operator.itemgetter(slots[node.name]), _STATEFUL, True
+            return operator.itemgetter(slots[node.name]), _STATEFUL
         if node.name in constants:
             return _constant(constants[node.name])
 
         def unknown(state):
             raise UndeclaredSymbol(f"unknown symbol {node.name!r}",
                                    node.line, node.col)
-        return unknown, _RAISES, False
+        return unknown, _RAISES
     if isinstance(node, Unary):
-        f, v, shareable = _compile(node.operand, constants, slots, memo)
+        f, v = _compile(node.operand, constants, slots)
         if node.op == "-":
             def fn(state):
                 return -_need_num(f(state), node)
         else:
             def fn(state):
-                value = f(state)
-                if value is True:
-                    return False
-                if value is False:
-                    return True
-                return not _need_bool(value, node)
-        return _fold_constant(fn, (v,), shareable)
+                return not _need_bool(f(state), node)
+        return _fold(fn, (v,))
     if isinstance(node, Binary):
-        return _compile_binary(node, constants, slots, memo)
+        return _compile_binary(node, constants, slots)
     if isinstance(node, Call):
-        parts = [_compile(a, constants, slots, memo) for a in node.args]
-        fns = [f for f, _, _ in parts]
-        func = node.func
-        if func in ("min", "max") and len(parts) == 2 and _is_num(parts[1][1]):
-            first, pick, other = fns[0], min if func == "min" else max, \
-                parts[1][1]
+        parts = [_compile(a, constants, slots) for a in node.args]
+        fns = [f for f, _ in parts]
 
-            def fn(state):
-                value = first(state)
-                if type(value) not in _NUMS:
-                    _need_num(value, node)
-                return pick(value, other)
-        else:
-            def fn(state):
-                return _call(func, [f(state) for f in fns], node)
-        return _fold_constant(fn, [v for _, v, _ in parts],
-                     all(s for _, _, s in parts))
+        def fn(state):
+            return _call(node.func, [f(state) for f in fns], node)
+        return _fold(fn, [v for _, v in parts])
 
     def fn(state):
         raise ModelTypeError(f"cannot evaluate {node!r}")
-    return fn, _RAISES, False
+    return fn, _RAISES
 
 
-def _compile_binary(node, constants, slots, memo):
+def _compile_binary(node, constants, slots):
     op = node.op
-    fl, vl, sl = _compile(node.left, constants, slots, memo)
-    fr, vr, sr = _compile(node.right, constants, slots, memo)
-    shareable = sl and sr
+    fl, vl = _compile(node.left, constants, slots)
+    fr, vr = _compile(node.right, constants, slots)
     if op in ("&", "|"):
         stop = op == "|"            # the left value that decides the result
-        if vl is stop:
-            return _constant(stop)
 
         def fn(state):
-            lhs = fl(state)
-            if lhs is stop:
+            if _need_bool(fl(state), node) is stop:
                 return stop
-            if lhs is not True and lhs is not False:
-                _need_bool(lhs, node)
-            rhs = fr(state)
-            if rhs is True or rhs is False:
-                return rhs
-            return _need_bool(rhs, node)
-        return _fold_constant(fn, (vl, vr), shareable)
-
-    slot = slots.get(node.left.name) if isinstance(node.left, Var) else None
-    if op == "=" and _is_value(vr) and slot is not None:
-        def fn(state):
-            return state[slot] == vr
-        return _fold_constant(fn, (vl, vr), shareable)
-
-    if op in _EQUALITY_OPS:
+            return _need_bool(fr(state), node)
+    elif op in _EQUALITY_OPS:
         equal = _EQUALITY_OPS[op]
 
         def fn(state):
             return equal(fl(state), fr(state))
-        return _fold_constant(fn, (vl, vr), shareable)
-
-    apply = _NUMERIC_OPS.get(op)
-    if apply is None:
-        def apply(lhs, rhs):
-            raise ModelTypeError(f"cannot evaluate {node!r}")
-    if _is_num(vr) and slot is not None:
-        def fn(state):
-            lhs = state[slot]
-            if type(lhs) not in _NUMS:
-                _need_num(lhs, node)
-            return apply(lhs, vr)
-    elif _is_num(vr):
-        def fn(state):
-            lhs = fl(state)
-            if type(lhs) not in _NUMS:
-                _need_num(lhs, node)
-            return apply(lhs, vr)
-    elif _is_num(vl):
-        def fn(state):
-            rhs = fr(state)
-            if type(rhs) not in _NUMS:
-                _need_num(rhs, node)
-            return apply(vl, rhs)
     else:
+        apply = _NUMERIC_OPS.get(op)
+        if apply is None:
+            def apply(lhs, rhs):
+                raise ModelTypeError(f"cannot evaluate {node!r}")
+
         def fn(state):
-            lhs, rhs = fl(state), fr(state)
-            if type(lhs) not in _NUMS:
-                _need_num(lhs, node)
-            if type(rhs) not in _NUMS:
-                _need_num(rhs, node)
-            return apply(lhs, rhs)
-    return _fold_constant(fn, (vl, vr), shareable)
+            lhs, rhs = fl(state), fr(state)      # both before either check
+            return apply(_need_num(lhs, node), _need_num(rhs, node))
+    return _fold(fn, (vl, vr))
 
 
 def expr_to_text(node):

@@ -51,8 +51,12 @@ from .errors import (
     UpdateClash,
 )
 from .expr import (
+    Binary,
+    Call,
     Lit,
     TokenStream,
+    Unary,
+    Var,
     compile_expr,
     eval_expr,
     free_vars,
@@ -539,8 +543,6 @@ class _VarInfo:
 
     def check(self, value, line):
         if self.kind == "int":
-            if type(value) is int and self.low <= value <= self.high:
-                return value
             if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                 raise ModelTypeError(
                     f"assignment to {self.name!r} must be an integer")
@@ -576,7 +578,6 @@ class _Command:
         players = [block.name for block in ast.players]
         self.index = index
         self.line = cmd.line
-        self.guard = compiled(cmd.guard)
         self.needs = tuple((players.index(ast.action_owner[a]), a)
                            for a in cmd.actions)
         self.own = next(a for a in cmd.actions
@@ -669,29 +670,28 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
              for mod in ast.modules for decl in mod.variables]
     var_names = tuple(info.name for info in infos)
     slots = {name: i for i, name in enumerate(var_names)}
-    memo = {}
 
     def compiled(node):
-        return compile_expr(node, constants, slots, memo)
+        return compile_expr(node, constants, slots)
 
     # Commands in the order the availability scan visits them: players, each
     # player's modules, each module's commands.  Equal guards compile to one
     # function, which is evaluated once per state.
     modules = {mod.name: (m, mod) for m, mod in enumerate(ast.modules)}
-    commands = []
+    scan = []                  # (player, module, guard index, command)
+    guards = []                # (function, line of its first command)
+    guard_index = {}
     for p, block in enumerate(ast.players):
         for mname in block.modules:
             m, mod = modules[mname]
             for cmd in mod.commands:
-                commands.append((p, m, _Command(len(commands), cmd, block.name,
-                                                ast, compiled, slots, infos)))
-    guards = []                # (function, line of its first command)
-    guard_index = {}
-    for _, _, cmd in commands:
-        if cmd.guard not in guard_index:
-            guard_index[cmd.guard] = len(guards)
-            guards.append((cmd.guard, cmd.line))
-    scan = [(p, m, guard_index[cmd.guard], cmd) for p, m, cmd in commands]
+                key = _same_expr_key(cmd.guard)
+                if key not in guard_index:
+                    guard_index[key] = len(guards)
+                    guards.append((compiled(cmd.guard), cmd.line))
+                scan.append((p, m, guard_index[key],
+                             _Command(len(scan), cmd, block.name, ast,
+                                      compiled, slots, infos)))
     products = {}              # fired command indices -> branch products
 
     def plan(held):
@@ -810,6 +810,24 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
         game, valuations={s: dict(zip(var_names, s)) for s in game.states},
         constants=dict(constants),
         label_names=frozenset(n for n, _ in ast.labels))
+
+
+def _same_expr_key(node):
+    """A key equal for two expressions exactly when they are the same
+    expression: literals keep their type (1, 1.0 and true differ) and names
+    drop their position."""
+    if isinstance(node, Lit):
+        return Lit, type(node.value), node.value
+    if isinstance(node, Var):
+        return Var, node.name
+    if isinstance(node, Unary):
+        return Unary, node.op, _same_expr_key(node.operand)
+    if isinstance(node, Binary):
+        return (Binary, node.op, _same_expr_key(node.left),
+                _same_expr_key(node.right))
+    if isinstance(node, Call):
+        return (Call, node.func) + tuple(_same_expr_key(a) for a in node.args)
+    return node
 
 
 def _holds(condition, state, line):

@@ -334,12 +334,12 @@ class TestBuiltGames:
     def test_compilation_does_not_grow_with_the_state_space(self, monkeypatch):
         # every expression is compiled once per build, never per state
         calls = []
-        original = expr._compile_node
+        original = expr._compile
 
         def counting(*args):
             calls.append(args[0])
             return original(*args)
-        monkeypatch.setattr(expr, "_compile_node", counting)
+        monkeypatch.setattr(expr, "_compile", counting)
         ast = parse_model(open(model_path("mac.csg")).read())
         sizes = []
         for emax in (2, 10):
@@ -409,3 +409,23 @@ class TestProbabilityPaths:
                        "  [b] x>5 -> 0.3:(x'=0) + 0.3:(x'=1) + 1/0:(x'=2);")
         assert g.states == good.states
         assert g.trans == good.trans
+
+
+class TestSharedGuards:
+    # equal guards are evaluated once per state; guards that only look
+    # alike must stay apart
+    def test_literals_of_different_types_stay_apart(self):
+        # !false holds, !0 is a type error: 0 == false must not merge them
+        with pytest.raises(ModelTypeError, match="expected a boolean"):
+            one_player("  [a] !false -> (x'=1);\n  [b] !0 -> (x'=2);")
+
+    def test_equal_guards_build_like_distinct_ones(self):
+        shared = one_player("  [a] x<2 -> (x'=x+1);\n  [b] x<2 -> (x'=0);")
+        apart = one_player("  [a] x<2 -> (x'=x+1);\n  [b] 2>x -> (x'=0);")
+        assert shared.states == apart.states
+        assert shared.trans == apart.trans
+
+    def test_unknown_name_reports_the_first_guard(self):
+        with pytest.raises(UndeclaredSymbol) as err:
+            one_player("  [a] u>0 -> (x'=1);\n  [b] u>0 -> (x'=2);")
+        assert str(err.value).startswith("5:")
