@@ -3,7 +3,8 @@
 Subcommands:
 
   run        build a model, evaluate properties, optionally synthesise and
-             verify strategy profiles, or sweep a model constant over a range
+             verify strategy profiles, or sweep a model or property constant
+             over a range
   solve-nfg  solve a two-player normal-form game given by its two utility
              matrices, printing all equilibria and the selected
              welfare-optimal one
@@ -23,9 +24,10 @@ import time
 from fractions import Fraction
 
 from .bimatrix import BimatrixGame, enumerate_equilibria, select_swne
-from .errors import AssumptionViolated, CsgError, NotConverged
+from .errors import (AssumptionViolated, CsgError, NotConverged,
+                     UndefinedConstant)
 from .explicit import load_explicit
-from .lang import load_model
+from .lang import load_model, parse_model
 from .nash import DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, evaluate
 from .properties import NashNode, parse_property
 from .synthesis import synthesise_profile, verify_epsilon_ne
@@ -272,20 +274,34 @@ def _emit_csv(records, out):
                          f"{rec.get('time', 0.0):.6f}"])
 
 
-def _sweep_point(model, consts, name, value, prop, conv_epsilon, max_iters):
-    overrides = dict(consts)
-    overrides[name] = value
-    csg = _load(model, overrides)
-    formula = parse_property(prop, csg)
-    start = time.perf_counter()
-    result = evaluate(csg, formula, conv_epsilon=conv_epsilon,
-                      max_iters=max_iters)
-    elapsed = time.perf_counter() - start
-    if result.kind != "nash-query":
-        raise CsgError("sweep requires a numerical equilibrium query")
-    pair = next(iter(result.initial.values()))
-    return (value, _num(pair[0]), _num(pair[1]), _num(pair[0] + pair[1]),
-            result.solve.iterations, elapsed)
+def _declared_constants(path):
+    """Names of the constants a model file declares (none in `.csgx`)."""
+    if path.endswith(".csgx"):
+        return set()
+    with open(path, encoding="utf-8") as handle:
+        return {c.name for c in parse_model(handle.read()).constants}
+
+
+def _sweep_points(args, name, values, prop):
+    """(value, model, property) per sweep value.  A model constant is set
+    on the model, rebuilt per value; any other name is bound as a constant
+    of the property on a model built once."""
+    consts = dict(args.const or [])
+    if name in _declared_constants(args.model):
+        for value in values:
+            csg = _load(args.model, {**consts, name: value})
+            yield value, csg, parse_property(prop, csg)
+        return
+    csg = _load(args.model, consts)
+    try:
+        parse_property(prop, csg)
+    except UndefinedConstant:
+        pass
+    else:
+        raise CsgError(f"sweep name {name!r} is neither a constant of the "
+                       f"model nor used by the property")
+    for value in values:
+        yield value, csg, parse_property(prop, csg, {name: value})
 
 
 def _run_sweep(args, out):
@@ -294,10 +310,17 @@ def _run_sweep(args, out):
     if len(texts) != 1:
         print("error: sweep mode needs exactly one property", file=sys.stderr)
         return EXIT_USAGE
-    consts = dict(args.const or [])
-    rows = [_sweep_point(args.model, consts, name, value, texts[0],
-                         args.conv_epsilon, args.max_iters)
-            for value in values]
+    rows = []
+    for value, csg, formula in _sweep_points(args, name, values, texts[0]):
+        start = time.perf_counter()
+        result = evaluate(csg, formula, conv_epsilon=args.conv_epsilon,
+                          max_iters=args.max_iters)
+        elapsed = time.perf_counter() - start
+        if result.kind != "nash-query":
+            raise CsgError("sweep requires a numerical equilibrium query")
+        v1, v2 = next(iter(result.initial.values()))
+        rows.append((value, _num(v1), _num(v2), _num(v1 + v2),
+                     result.solve.iterations, elapsed))
     writer = csv.writer(out)
     writer.writerow(["parameter", "v1", "v2", "sum", "iterations", "time"])
     for row in rows:
@@ -430,7 +453,7 @@ def build_parser():
                      default="human")
     run.add_argument("--sweep", type=_parse_sweep, metavar="NAME=LO..HI[:STEP]",
                      help="evaluate the property for each value of a model "
-                          "constant; emits CSV")
+                          "or property constant; emits CSV")
     run.set_defaults(func=cmd_run)
 
     nfg = sub.add_parser("solve-nfg",

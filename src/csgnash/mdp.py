@@ -10,8 +10,8 @@ precomputation of the probability-0 and probability-1 state sets, so states
 decided qualitatively carry exact 0/1 values even when iteration runs in
 floating point.  Bounded values are exact backward steps over whatever number
 type the model carries (rationals stay rational).  Fixed 0/1 values are in
-the number type of the MDP's probabilities: Fractions for an exact model,
-floats for one compiled to floats.
+the MDP's `number` type: Fractions for an exact model, floats for one
+compiled to floats.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ DEFAULT_MAX_ITERS = 100000
 
 # relative slack when recovering argmax/argmin sets from float-valued vectors
 _ARG_TOL = 1e-9
-
-
-def _units(mdp):
-    """0 and 1 in the number type of `mdp`'s probabilities."""
-    _, dist = mdp.choices[mdp.states[0]][0]
-    number = type(next(iter(dist.values())))
-    return number(0), number(1)
 
 
 def _edges(mdp, allowed=None):
@@ -222,7 +215,7 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
     """
     targets = set(targets)
     allowed = set(mdp.states) if constraint is None else (set(constraint) | targets)
-    zero, one = _units(mdp)
+    zero, one = mdp.number(0), mdp.number(1)
 
     if bound is not None:
         vals = {s: one if s in targets else zero for s in mdp.states}
@@ -345,7 +338,7 @@ def _extract_reach_strategy(mdp, vals, targets, allowed, one_set, optimise, zero
 def step_prob(mdp: Mdp, targets, optimise="max", with_strategy=False):
     """One-step (next-state) probabilities of hitting `targets`."""
     targets = set(targets)
-    zero, one = _units(mdp)
+    zero, one = mdp.number(0), mdp.number(1)
     start = {s: one if s in targets else zero for s in mdp.states}
     (_, vals), (_, strategy) = _backward(mdp, start, 1, optimise)
     return (vals, strategy) if with_strategy else vals
@@ -366,7 +359,7 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
     """
     a_rew = action_rewards or {}
     s_rew = state_rewards or {}
-    zero, _ = _units(mdp)
+    zero = mdp.number(0)
 
     if kind in ("I", "C"):
         if k is None or k < 0:

@@ -11,8 +11,9 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import (
     EmptyCoalition,
@@ -29,7 +30,6 @@ __all__ = [
     "Csg",
     "RewardStructure",
     "CoalitionGame",
-    "CompiledGame",
     "EndComponent",
     "Mdp",
     "MemoryStrategy",
@@ -94,6 +94,7 @@ class Csg:
     valuations: dict = None
     constants: dict = field(default_factory=dict)
     label_names: frozenset = frozenset()
+    number: ClassVar[type] = Fraction      # models hold exact numbers only
 
     @classmethod
     def create(cls, players, alphabets, states, initial, trans, labels=None,
@@ -207,29 +208,26 @@ class CoalitionGame:
 
     Actions of each side are tuples over the members' actions in ascending
     player-index order; `trans[s][(a1, a2)]` carries the base distribution of
-    the flattened joint action, and `rewards` the base reward structures
-    with action rewards keyed by (state, (a1, a2)).
+    the flattened joint action, `rewards` the base reward structures with
+    action rewards keyed by (state, (a1, a2)), and `moves[s]` the sorted
+    side-1 and side-2 actions at s.  Every probability and reward is a
+    `number`.  `base` is the game whose labels state formulae resolve on;
+    a step-counter product has none, its formulae being resolved already.
     """
 
     base: Csg
-    coalition: tuple       # side-1 player names, ascending base index
-    rest: tuple            # side-2 player names, ascending base index
-    trans: dict            # state -> {(tuple1, tuple2): dist}
+    states: tuple
+    initial: tuple
+    trans: dict            # state -> {(a1, a2): {successor: number}}
     rewards: dict          # name -> RewardStructure over (a1, a2) pairs
-
-    @property
-    def states(self):
-        return self.base.states
-
-    @property
-    def initial(self):
-        return self.base.initial
+    moves: dict            # state -> (sorted actions1, sorted actions2)
+    number: type = Fraction
 
     def actions1(self, state):
-        return sorted({pair[0] for pair in self.trans[state]})
+        return self.moves[state][0]
 
     def actions2(self, state):
-        return sorted({pair[1] for pair in self.trans[state]})
+        return self.moves[state][1]
 
 
 def coalition_game(game: Csg, coalition) -> CoalitionGame:
@@ -243,80 +241,51 @@ def coalition_game(game: Csg, coalition) -> CoalitionGame:
     member_set = set(members)
     if len(member_set) == len(game.players):
         raise FullCoalition("coalition must be a proper subset of the players")
-    side1 = tuple(p for p in game.players if p in member_set)
-    side2 = tuple(p for p in game.players if p not in member_set)
-    idx1 = [game.players.index(p) for p in side1]
-    idx2 = [game.players.index(p) for p in side2]
+    idx1 = [i for i, p in enumerate(game.players) if p in member_set]
+    idx2 = [i for i, p in enumerate(game.players) if p not in member_set]
 
     def split(alpha):
         return tuple(alpha[i] for i in idx1), tuple(alpha[i] for i in idx2)
 
-    trans = {s: {split(alpha): dist for alpha, dist in game.trans[s].items()}
-             for s in game.states}
+    trans, moves, shared = {}, {}, {}
+    for s in game.states:
+        trans[s] = row = {split(alpha): dist
+                          for alpha, dist in game.trans[s].items()}
+        pair = (tuple(sorted({a1 for a1, _ in row})),
+                tuple(sorted({a2 for _, a2 in row})))
+        moves[s] = shared.setdefault(pair, pair)
     rewards = {name: RewardStructure(
         {(s, split(alpha)): v for (s, alpha), v in rs.action_rewards.items()},
         rs.state_rewards) for name, rs in game.rewards.items()}
-    return CoalitionGame(game, side1, side2, trans, rewards)
+    return CoalitionGame(game, game.states, game.initial, trans, rewards,
+                         moves)
 
 
-@dataclass(frozen=True)
-class CompiledGame:
-    """A two-coalition game in the one number type it is solved in.
+def compile_game(game: CoalitionGame, number) -> CoalitionGame:
+    """`game` with every probability and reward converted to `number`.
 
-    Every probability and reward is a `number` (Fraction or float), and each
-    state's sorted side-1 and side-2 actions are listed once in `moves`.  It
-    has the interface of the game it was compiled from (states, initial,
-    trans, rewards, actions1/actions2), so the engines, the joint MDP,
-    strategy folding and verification read it unchanged.
-    """
-
-    states: tuple
-    initial: tuple
-    trans: dict            # state -> {(a1, a2): {successor: number}}
-    rewards: dict          # name -> RewardStructure of numbers
-    moves: dict            # state -> (sorted actions1, sorted actions2)
-    number: type           # Fraction or float
-
-    def actions1(self, state):
-        return self.moves[state][0]
-
-    def actions2(self, state):
-        return self.moves[state][1]
-
-
-def compile_game(game, number) -> CompiledGame:
-    """`game` (a CoalitionGame or a product game) with every probability and
-    reward converted to `number`.
-
-    An exact game compiled to Fraction shares its transition and reward
-    maps.  Converted numbers, distributions and action lists that are equal
-    are stored once, so a float copy of a large model costs a fraction of
-    the model's own size."""
-    shared = {}
+    A game already in `number` is returned as is.  The copy shares `moves`;
+    converted numbers and distributions that are equal are stored once, so
+    a float copy of a large model costs a fraction of the model's own
+    size."""
+    if number is game.number:
+        return game
+    shared, dists, trans = {}, {}, {}
 
     def once(value):
         return shared.setdefault(value, value)
 
-    trans, rewards = game.trans, game.rewards
-    if number is not Fraction:
-        dists = {}
-        trans = {}
-        for s in game.states:
-            row = {}
-            for pair, dist in game.trans[s].items():
-                items = tuple((t, once(number(p))) for t, p in dist.items())
-                row[pair] = dists.get(items) or \
-                    dists.setdefault(items, dict(items))
-            trans[s] = row
-        rewards = {name: RewardStructure(
-            {key: number(v) for key, v in rs.action_rewards.items()},
-            {s: number(v) for s, v in rs.state_rewards.items()})
-            for name, rs in rewards.items()}
-    moves = {s: once((tuple(sorted({pair[0] for pair in trans[s]})),
-                      tuple(sorted({pair[1] for pair in trans[s]}))))
-             for s in game.states}
-    return CompiledGame(tuple(game.states), tuple(game.initial), trans,
-                        rewards, moves, number)
+    for s in game.states:
+        row = {}
+        for pair, dist in game.trans[s].items():
+            items = tuple((t, once(number(p))) for t, p in dist.items())
+            row[pair] = dists.get(items) or dists.setdefault(items, dict(items))
+        trans[s] = row
+    rewards = {name: RewardStructure(
+        {key: number(v) for key, v in rs.action_rewards.items()},
+        {s: number(v) for s, v in rs.state_rewards.items()})
+        for name, rs in game.rewards.items()}
+    return replace(game, trans=trans, rewards=rewards, number=number)
 
 
 @dataclass(frozen=True)
@@ -426,24 +395,27 @@ class Mdp:
     """A plain MDP: `choices[s]` lists (choice-id, distribution) pairs.
 
     `rewards` maps each reward structure name to a RewardStructure whose
-    action rewards are keyed by (state, choice-id).
+    action rewards are keyed by (state, choice-id); `number` is the type of
+    its probabilities (Fraction or float).
     """
 
     states: tuple
     initial: tuple
     choices: dict
     rewards: dict = field(default_factory=dict)
+    number: type = Fraction
 
 
 def joint_mdp(game) -> Mdp:
     """The MDP where one controller picks whole joint actions.
 
-    Accepts a Csg, a CoalitionGame or a product game (anything with
-    states/initial/trans/rewards).  The choice ids are the game's joint-action
-    keys, so its reward structures carry over unchanged.
+    Accepts a Csg or a CoalitionGame.  The choice ids are the game's
+    joint-action keys, so its reward structures and number type carry over
+    unchanged.
     """
     choices = {s: sorted(game.trans[s].items()) for s in game.states}
-    return Mdp(tuple(game.states), tuple(game.initial), choices, game.rewards)
+    return Mdp(tuple(game.states), tuple(game.initial), choices, game.rewards,
+               game.number)
 
 
 class MemoryStrategy:
@@ -472,10 +444,9 @@ def _fold(game, initial_mode, node_choices, update) -> Mdp:
     {joint action: weight}) pairs; a choice mixes the distributions and the
     action rewards of its joint actions by weight.  Every reward structure of
     the game is folded, state rewards carried over per node.  Weights are
-    converted once to the number type of a CompiledGame; any other game
-    holds Fractions.
+    converted once to the game's number type.
     """
-    number = getattr(game, "number", Fraction)
+    number = game.number
     rewards = {name: RewardStructure() for name in game.rewards}
     init = [(s, initial_mode) for s in game.initial]
     states = []
@@ -514,7 +485,7 @@ def _fold(game, initial_mode, node_choices, update) -> Mdp:
         for name, rs in game.rewards.items():
             if rs.state_rewards.get(s):
                 rewards[name].state_rewards[node] = rs.state_rewards[s]
-    return Mdp(tuple(states), tuple(init), choices, rewards)
+    return Mdp(tuple(states), tuple(init), choices, rewards, number)
 
 
 def induce_mdp(cg: CoalitionGame, fixed: int, strategy: MemoryStrategy) -> Mdp:
@@ -602,7 +573,7 @@ def check_assumption(game: Csg, query) -> AssumptionReport:
         for idx, obj in enumerate(objectives):
             if obj.kind != "R" or obj.is_finite_horizon():
                 continue
-            targets = satisfying_states(game, obj.target)
+            targets = satisfying_states(game, obj.sub2)
             sure = prob1_min_set(mdp, targets)
             bad = [s for s in game.states if s not in sure]
             if bad:

@@ -108,7 +108,7 @@ class Evaluation:
     values: dict = None          # per-state pair (nash) or scalar (zero-sum)
     initial: dict = None         # initial state -> value(s) / boolean
     solve: PairResult = None
-    game: object = None          # the CompiledGame that was solved
+    game: object = None          # the CoalitionGame that was solved
     embedding: dict = None       # base state -> solved-game state (mixed only)
     assumption: object = None
 
@@ -297,8 +297,6 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
                 new[s] = _settled_pair(
                     (o1, o2), row,
                     [coop[l][n + pads[l]][s] for l in (0, 1)], (ZERO, ONE))
-                profiles[s] = ("coop", row.index(PENDING)) \
-                    if PENDING in row else ("settled",)
             else:
                 new[s], profiles[s] = _swne_step(cg, s, vals, step_rewards)
         vals = new
@@ -341,7 +339,7 @@ def _unbounded_fixed_rows(cg, query, jmdp):
 def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
                          max_iters=DEFAULT_MAX_ITERS) -> PairResult:
     """Value iteration for a pair of infinite-horizon objectives on a
-    `CompiledGame`, in its number type.
+    `CoalitionGame`, in its number type.
 
     Converges when the per-state sum of the two values is stable below
     `conv_epsilon` and, guarding against the sum masking oscillation, each
@@ -413,20 +411,6 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
 
 # --- mixed horizons ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProductGame:
-    """Step-counter product of a two-coalition game: states are (s, layer)
-    with the layer counting up to an absorbing cap.  It is solved as a
-    `CompiledGame`, which lists each state's actions."""
-
-    base: object
-    layers: int                  # cap value L; layers are 0..L
-    states: tuple
-    initial: tuple
-    trans: dict
-    rewards: dict                # name -> RewardStructure over (a1, a2) pairs
-
-
 def mixed_horizon_transform(cg, query: NashNode):
     """Reduce a mixed-horizon pair to an infinite-horizon pair on a product.
 
@@ -434,8 +418,10 @@ def mixed_horizon_transform(cg, query: NashNode):
     is) and lifted to the product states over it: in every layer for the
     infinite objective, in the layers its bound allows for the finite one.
     Returns (product game, rewritten query, embedding base-state -> product
-    state).  Values of the original pair at s equal values of the rewritten
-    pair at (s, 0).
+    state).  The product is a `CoalitionGame` over states (s, layer), the
+    layer counting up to an absorbing cap; it has no base game, and (s, i)
+    has the moves of s.  Values of the original pair at s equal values of
+    the rewritten pair at (s, 0).
     """
     objectives = list(query.objectives)
     fi = 0 if objectives[0].is_finite_horizon() else 1
@@ -465,7 +451,7 @@ def mixed_horizon_transform(cg, query: NashNode):
 
     # the finite objective becomes an unbounded one over layer-indexed sets
     if obj.kind == "P" and obj.op == "X":
-        new_obj = Objective("P", "U", sub1=TrueF(),
+        new_obj = Objective("P", "U", sub1=layered(TrueF()),
                             sub2=layered(obj.sub2, [1]))
     elif obj.kind == "P":
         k = obj.bound
@@ -495,7 +481,8 @@ def mixed_horizon_transform(cg, query: NashNode):
     objectives[fi] = new_obj
     new_query = NashNode(query.coalition1, query.coalition2, query.relation,
                          query.threshold, tuple(objectives))
-    product = ProductGame(cg, cap, states, initial, trans, rewards)
+    product = CoalitionGame(None, states, initial, trans, rewards,
+                            {p: cg.moves[p[0]] for p in states}, cg.number)
     embedding = {s: (s, 0) for s in cg.states}
     return product, new_query, embedding
 

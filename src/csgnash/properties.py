@@ -111,10 +111,6 @@ class Objective:
             return self.op == "X" or self.bound is not None
         return self.op in ("I", "C")
 
-    @property
-    def target(self):
-        return self.sub2
-
 
 @dataclass(frozen=True)
 class ZeroSumNode:

@@ -281,6 +281,64 @@ class TestSweep:
         assert "exactly one property" in err
 
 
+class TestSweepRecipes:
+    """Curves of the bundled models, one sweep each: a model constant is
+    set on the model, any other name is bound in the property."""
+
+    @staticmethod
+    def pairs(capsys, *argv):
+        code, out, _ = run_cli(capsys, "run", *argv)
+        assert code == 0
+        return [(row[0], row[1], row[2])
+                for row in list(csv.reader(io.StringIO(out)))[1:]]
+
+    def test_channel_one_shot_and_eventual_pairs(self, capsys):
+        for prop, pair in (("P[X sent1] + P[X sent2]", ("0.5", "0.5")),
+                           ("P[F sent1] + P[F sent2]", ("1", "1"))):
+            assert self.pairs(
+                capsys, "--model", model_path("fig1.csg"),
+                "--sweep", "q2=1/2..1/2",
+                "--property", f"<<p1:p2>>max=? ({prop})") == [("0.5",) + pair]
+
+    def test_grid_horizon_curve(self, capsys):
+        assert self.pairs(
+            capsys, "--model", model_path("robot.csg"), "--const", "l=3",
+            "--sweep", "k=1..2",
+            "--property", "<<p1:p2>>max=? (P[F<=k goal1] + P[F<=k goal2])"
+        ) == [("1", "0", "0"), ("2", "0.081", "0.081")]
+        assert self.pairs(
+            capsys, "--model", model_path("robot.csg"), "--const", "l=3",
+            "--sweep", "q=1/10..1/10",
+            "--property", "<<p1:p2>>max=? (P[F goal1] + P[F goal2])"
+        ) == [("0.1", "1", "1")]
+
+    def test_mac_energy_curve(self, capsys):
+        assert self.pairs(
+            capsys, "--model", model_path("mac.csg"), "--const", "emax=2",
+            "--sweep", "k=1..2",
+            "--property",
+            '<<p1:p2>>max=? (R{"r1"}[C<=k] + R{"r2"}[C<=k])'
+        ) == [("1", "0.75", "0.75"), ("2", "1.5", "1.5")]
+
+    def test_name_neither_model_nor_property_constant_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--model", model_path("fig1.csg"),
+            "--sweep", "k=1..2",
+            "--property", "<<p1:p2>>max=? (P[F sent1] + P[F sent2])")
+        assert code == 2 and out == ""
+        assert "'k' is neither a constant of the model nor used by the " \
+            "property" in err
+
+    def test_not_converged_point_exits_three(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--model", model_path("robot.csg"),
+            "--const", "l=3", "--sweep", "q=1/10..1/10", "--max-iters", "1",
+            "--property", "<<p1:p2>>max=? (P[F goal1] + P[F goal2])")
+        assert code == 3 and out == ""
+        assert err == ("error: value iteration did not converge within 1 "
+                       "sweeps\n")
+
+
 class TestSolveNfg:
     Z1 = "2 2 2; 0 4 6"
     Z2 = "4 2 0; 4 6 9"

@@ -132,9 +132,8 @@ class TestCoalitionGame:
     def test_fig1_split(self):
         g = fig1()
         cg = coalition_game(g, ["p1"])
-        assert cg.coalition == ("p1",) and cg.rest == ("p2",)
-        assert cg.actions1("s0") == [("t1",), ("w1",)]
-        assert cg.actions2("s0") == [("t2",), ("w2",)]
+        assert cg.actions1("s0") == (("t1",), ("w1",))
+        assert cg.actions2("s0") == (("t2",), ("w2",))
         # faithfulness: each base joint action, split into the two sides,
         # keeps its distribution, and no other pair is defined
         for s in g.states:
@@ -154,8 +153,10 @@ class TestCoalitionGame:
                          for c in ("c0", "c1")}},
         )
         cg = coalition_game(g, ["p3", "p2"])
-        assert cg.coalition == ("p2", "p3")
-        assert cg.rest == ("p1",)
+        # side 1 holds p2 then p3 (base order), side 2 holds p1
+        assert all(b in ("b0", "b1") and c in ("c0", "c1")
+                   for b, c in cg.actions1("s"))
+        assert cg.actions2("s") == (("a0",), ("a1",))
         assert len(cg.actions1("s")) == 4        # one tuple per (b, c) pair
         assert len(cg.actions2("s")) == 2
 
@@ -167,6 +168,27 @@ class TestCoalitionGame:
             coalition_game(g, ["p1", "p2"])
         with pytest.raises(UnknownPlayer):
             coalition_game(g, ["p9"])
+
+    def test_one_game_type_carries_its_number(self):
+        from csgnash.model import CoalitionGame
+        from csgnash.nash import mixed_horizon_transform
+        from csgnash.properties import parse_property
+        g = fig1()
+        cg = coalition_game(g, ["p1"])
+        assert cg.number is F and compile_game(cg, F) is cg
+        assert joint_mdp(g).number is F and joint_mdp(cg).number is F
+        floats = compile_game(cg, float)
+        assert isinstance(floats, CoalitionGame) and floats.number is float
+        assert floats.moves is cg.moves and floats.base is g
+        assert compile_game(floats, float) is floats
+        assert joint_mdp(floats).number is float
+        # equal action lists are stored once
+        assert cg.moves["s1"] is cg.moves["s2"] is cg.moves["s5"]
+        product, _, _ = mixed_horizon_transform(cg, parse_property(
+            "<<p1:p2>>max=? (P[X sent1] + P[F sent2])"))
+        assert isinstance(product, CoalitionGame) and product.base is None
+        assert all(product.moves[p] is cg.moves[p[0]]
+                   for p in product.states)
 
 
 class TestEndComponents:

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction as F
 
 from conftest import REWARD_GAME, model_path
+from csgnash import nash
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
 from csgnash.model import MemoryStrategy
@@ -145,6 +146,23 @@ class TestGridProfiles:
         assert data["kind"] == "bounded"
         steps = {e["step"] for e in data["entries"]}
         assert steps == {0, 1, 2, 3}
+
+    def test_float_export_keeps_exact_weights(self, monkeypatch):
+        # a float solve exports float values, but the equilibrium weights of
+        # each local game are exact: ints or "p/q" strings
+        monkeypatch.setattr(nash, "_EXACT_STATE_LIMIT", 0)
+        ev, profile = solved_profile(
+            load_model(model_path("robot.csg"), {"l": 3}),
+            "<<p1:p2>>max=? (P[F goal1] + P[F goal2])")
+        assert ev.game.number is float
+        data = json.loads(json.dumps(profile.export()))
+        assert data["values"] and all(
+            type(v) is float for pair in data["values"].values() for v in pair)
+        weights = [w for e in data["entries"] for side in ("x", "y")
+                   for w in e.get(side, {}).values()]
+        assert weights and all(
+            type(w) is int or (type(w) is str and F(w).denominator > 1)
+            for w in weights)
 
 
 class TestRewardProfiles:

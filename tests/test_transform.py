@@ -58,10 +58,10 @@ class TestConstructions:
     def test_layers_advance_and_saturate(self):
         product, _, _ = transform(
             self.csg, "<<p1:p2>>max=? (P[X sent1] + P[F sent2])")
+        cap = max(i for _, i in product.states)
         for (s, i) in product.states:
             for dist in product.trans[(s, i)].values():
-                assert all(j == min(i + 1, product.layers)
-                           for (_, j) in dist)
+                assert all(j == min(i + 1, cap) for (_, j) in dist)
 
 
     def test_declared_label_that_never_holds_stays_known(self):
