@@ -310,23 +310,27 @@ def _run_sweep(args, out):
     if len(texts) != 1:
         print("error: sweep mode needs exactly one property", file=sys.stderr)
         return EXIT_USAGE
-    rows = []
-    for value, csg, formula in _sweep_points(args, name, values, texts[0]):
+    writer = csv.writer(out)
+    points = _sweep_points(args, name, values, texts[0])
+    for i, (value, csg, formula) in enumerate(points):
         start = time.perf_counter()
-        result = evaluate(csg, formula, conv_epsilon=args.conv_epsilon,
-                          max_iters=args.max_iters)
+        try:
+            result = evaluate(csg, formula, conv_epsilon=args.conv_epsilon,
+                              max_iters=args.max_iters)
+        except NotConverged as err:
+            err.args = (f"{name}={value}: {err}",)
+            raise
         elapsed = time.perf_counter() - start
         if result.kind != "nash-query":
             raise CsgError("sweep requires a numerical equilibrium query")
         v1, v2 = next(iter(result.initial.values()))
-        rows.append((value, _num(v1), _num(v2), _num(v1 + v2),
-                     result.solve.iterations, elapsed))
-    writer = csv.writer(out)
-    writer.writerow(["parameter", "v1", "v2", "sum", "iterations", "time"])
-    for row in rows:
-        writer.writerow([f"{float(row[0]):.10g}", f"{row[1]:.10g}",
-                         f"{row[2]:.10g}",
-                         f"{row[3]:.10g}", row[4], f"{row[5]:.6f}"])
+        if i == 0:
+            writer.writerow(["parameter", "v1", "v2", "sum", "iterations",
+                             "time"])
+        writer.writerow([f"{float(value):.10g}", f"{_num(v1):.10g}",
+                         f"{_num(v2):.10g}", f"{_num(v1 + v2):.10g}",
+                         result.solve.iterations, f"{elapsed:.6f}"])
+        out.flush()
     return EXIT_OK
 
 

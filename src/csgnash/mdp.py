@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 
 from .errors import InfiniteValue, SolverError
-from .model import Mdp, _mec_state_sets
+from .model import Mdp
 
 __all__ = [
     "reach_prob",
@@ -70,16 +70,12 @@ def _backward_reachable(mdp, sources, allowed=None):
 def prob1_min_set(mdp: Mdp, targets):
     """States from which EVERY strategy reaches `targets` almost surely.
 
-    The complement consists of states with a target-avoiding path into an end
-    component that itself avoids the targets.
+    These are the states with no path, through non-target states, into the
+    states where some strategy avoids the targets forever.
     """
-    targets = set(targets) & set(mdp.states)
-    avoid = [s for s in mdp.states if s not in targets]
-    sub = {s: {cid: dist for cid, dist in mdp.choices[s]} for s in avoid}
-    core = set()
-    for group, _ in _mec_state_sets(sub):
-        core |= group
-    bad = _backward_reachable(mdp, core, allowed=set(avoid))
+    targets, states = set(targets), set(mdp.states)
+    never = _prob0_min_set(mdp, targets, states)
+    bad = _backward_reachable(mdp, never, allowed=states - targets)
     return {s for s in mdp.states if s not in bad}
 
 
@@ -133,72 +129,71 @@ def _prob0_min_set(mdp, targets, allowed):
         group = keep
 
 
-def _optimise(values, optimise):
-    return max(values) if optimise == "max" else min(values)
+def _step(rows, vals, maximise, action_rewards):
+    """One Bellman backup of the states in `rows`.
+
+    `rows` lists (state, choices, state reward or None).  Each such state
+    gets the best, over its choices, of sum(p * v[t]) plus the choice's
+    action reward (keyed (state, choice-id)), then its state reward; ties
+    keep the first choice.  States outside `rows` keep their value.  Returns
+    the new value vector and the chosen id per state in `rows`.
+    """
+    new = dict(vals)
+    chosen = {}
+    for s, choices, paid in rows:
+        best = best_choice = None
+        for cid, dist in choices:
+            val = sum(p * vals[t] for t, p in dist.items())
+            if action_rewards and (s, cid) in action_rewards:
+                val += action_rewards[(s, cid)]
+            if best is None or (val > best if maximise else val < best):
+                best, best_choice = val, cid
+        new[s] = best if paid is None else best + paid
+        chosen[s] = best_choice
+    return new, chosen
 
 
-def _iterate(fixed, undecided, bellman):
-    """Generic unbounded value iteration over the undecided states."""
+def _iterate(mdp, fixed, undecided, optimise, action_rewards=None,
+             state_rewards=None):
+    """Unbounded value iteration of the undecided states, from 0.0.
+
+    Stops when no undecided value changes by DEFAULT_EPSILON or more,
+    relative to its new size (at least 1).
+    """
     vals = dict(fixed)
-    for s in undecided:
-        vals[s] = 0.0
+    vals.update(dict.fromkeys(undecided, 0.0))
     if not undecided:
         return vals
+    s_rew = state_rewards or {}
+    rows = [(s, mdp.choices[s], s_rew.get(s)) for s in undecided]
+    maximise = optimise == "max"
     for _ in range(DEFAULT_MAX_ITERS):
-        new = dict(vals)
-        delta = 0.0
-        for s in undecided:
-            nv = bellman(s, vals)
-            new[s] = nv
-            delta = max(delta, abs(nv - vals[s]) / max(1.0, abs(nv)))
+        new, _ = _step(rows, vals, maximise, action_rewards)
+        delta = max(abs(new[s] - vals[s]) / max(1.0, abs(new[s]))
+                    for s in undecided)
         vals = new
         if delta < DEFAULT_EPSILON:
             return vals
     raise SolverError("MDP value iteration exceeded the iteration limit")
 
 
-def _backward(mdp, vals, k, optimise, pinned=None, action_rewards=None,
+def _backward(mdp, vals, k, optimise, pinned=(), action_rewards=None,
               state_rewards=None):
     """`k` exact backward steps from the horizon-0 value vector `vals`.
 
-    Each step gives every state outside `pinned` the best, over its choices,
-    of sum(p * v[t]) plus the choice's action reward (keyed (state,
-    choice-id)), then adds the state's reward; ties keep the first choice in
-    `mdp.choices` order.  Pinned states keep their value and record no
-    choice.  Returns the value vectors of horizons 0..k and the chosen ids
-    per step (None at horizon 0).
+    States in `pinned` keep their value and record no choice.  Returns the
+    value vectors of horizons 0..k and the chosen ids per step (None at
+    horizon 0).
     """
-    pinned = pinned or {}
-    a_rew = action_rewards or {}
     s_rew = state_rewards or {}
-    maximise = optimise == "max"
-    # per state, looked up once: (state, pinned?, choices, state reward)
-    rows = [(s, s in pinned, mdp.choices[s], s_rew.get(s))
-            for s in mdp.states]
+    rows = [(s, mdp.choices[s], s_rew.get(s))
+            for s in mdp.states if s not in pinned]
     history = [vals]
     steps = [None]
     for _ in range(k):
-        new = {}
-        step_choice = {}
-        for s, is_pinned, choices, paid in rows:
-            if is_pinned:
-                new[s] = pinned[s]
-                continue
-            best = None
-            best_choice = None
-            for cid, dist in choices:
-                val = sum(p * vals[t] for t, p in dist.items())
-                if a_rew and (s, cid) in a_rew:
-                    val += a_rew[(s, cid)]
-                if best is None or (val > best if maximise else val < best):
-                    best, best_choice = val, cid
-            if paid is not None:
-                best += paid
-            new[s] = best
-            step_choice[s] = best_choice
-        vals = new
+        vals, chosen = _step(rows, vals, optimise == "max", action_rewards)
         history.append(vals)
-        steps.append(step_choice)
+        steps.append(chosen)
     return history, steps
 
 
@@ -219,8 +214,7 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
 
     if bound is not None:
         vals = {s: one if s in targets else zero for s in mdp.states}
-        pinned = {s: vals[s] for s in mdp.states
-                  if s in targets or s not in allowed}
+        pinned = {s for s in mdp.states if s in targets or s not in allowed}
         history, steps = _backward(mdp, vals, bound, optimise, pinned)
         result = history if all_horizons else history[-1]
         return (result, steps) if with_strategy else result
@@ -231,9 +225,9 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
         sure = _prob1_max_set(mdp, targets, allowed)
         never = {s for s in mdp.states if s not in can}
     else:
-        sure = prob1_min_set(mdp, targets) if constraint is None else \
-            _prob1_min_constrained(mdp, targets, allowed)
         never = _prob0_min_set(mdp, targets, allowed)
+        bad = _backward_reachable(mdp, never, allowed=allowed - targets)
+        sure = {s for s in mdp.states if s not in bad}
 
     fixed = {}
     for s in mdp.states:
@@ -242,40 +236,23 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
         elif s in never or s not in allowed:
             fixed[s] = zero
     undecided = [s for s in mdp.states if s not in fixed]
-
-    def bellman(s, vals):
-        return _optimise([sum(p * vals[t] for t, p in dist.items())
-                          for _, dist in mdp.choices[s]], optimise)
-
-    vals = _iterate(fixed, undecided, bellman)
+    vals = _iterate(mdp, fixed, undecided, optimise)
     if not with_strategy:
         return vals
-    strategy = _extract_reach_strategy(mdp, vals, targets, allowed, sure,
-                                       optimise, never)
+    strategy = _extract_reach_strategy(mdp, vals, targets, allowed, optimise,
+                                       never)
     return vals, strategy
 
 
-def _prob1_min_constrained(mdp, targets, allowed):
-    """prob1_min for a constrained event: leaving `allowed` counts as failure."""
-    bad_exit = {s for s in mdp.states if s not in allowed}
-    result = set()
-    base = prob1_min_set(mdp, targets)
-    # a state surely satisfies (constraint U target) under all strategies iff
-    # it reaches the targets a.s. AND cannot touch a constraint-violating
-    # state before doing so
-    touch_bad = _backward_reachable(mdp, bad_exit, allowed=allowed - targets)
-    for s in mdp.states:
-        if s in targets or (s in base and s not in touch_bad):
-            result.add(s)
-    return result
-
-
-def _extract_reach_strategy(mdp, vals, targets, allowed, one_set, optimise, zero):
+def _extract_reach_strategy(mdp, vals, targets, allowed, optimise, zero):
     """Memoryless optimal strategy for (un)constrained reachability.
 
-    Optimal actions must conserve the value; for maximisation we additionally
-    require positive-probability progress towards the targets (assigned in
-    BFS layers), which rules out value-conserving cycles.
+    Optimal actions attain the best one-step value of their state; for
+    maximisation we additionally require positive-probability progress
+    towards the targets (assigned in BFS layers), which rules out
+    value-conserving cycles.  The best one-step value, not `vals[s]`, is the
+    reference: where value iteration stopped short of the fixed point, the
+    two differ by more than `_ARG_TOL`.
     """
     strategy = {}
     candidates = {}
@@ -286,13 +263,11 @@ def _extract_reach_strategy(mdp, vals, targets, allowed, one_set, optimise, zero
         if s not in allowed or s in zero and optimise == "max":
             strategy[s] = mdp.choices[s][0][0]
             continue
-        cand = []
-        best = vals[s]
-        for cid, dist in mdp.choices[s]:
-            val = sum(p * vals[t] for t, p in dist.items())
-            if abs(val - best) <= _ARG_TOL * max(1.0, abs(best)):
-                cand.append(cid)
-        candidates[s] = cand
+        step = [(cid, sum(p * vals[t] for t, p in dist.items()))
+                for cid, dist in mdp.choices[s]]
+        best = (max if optimise == "max" else min)(val for _, val in step)
+        candidates[s] = [cid for cid, val in step
+                         if abs(val - best) <= _ARG_TOL * max(1.0, abs(best))]
     if optimise == "min":
         # staying put can only lower reach probability, so any conserving
         # choice is optimal for minimisation
@@ -369,7 +344,7 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
             history, steps = _backward(mdp, vals, k, optimise)
         else:
             vals = {s: zero for s in mdp.states}
-            history, steps = _backward(mdp, vals, k, optimise, None, a_rew,
+            history, steps = _backward(mdp, vals, k, optimise, (), a_rew,
                                        s_rew)
         result = history if all_horizons else history[-1]
         return (result, steps) if with_strategy else result
@@ -386,31 +361,15 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
             "reached almost surely under all strategies", states=bad)
     fixed = {s: zero for s in targets}
     undecided = [s for s in mdp.states if s in finite and s not in targets]
-
-    def bellman(s, vals):
-        return float(s_rew.get(s, 0)) + _optimise(
-            [float(a_rew.get((s, cid), 0))
-             + sum(p * vals[t] for t, p in dist.items())
-             for cid, dist in mdp.choices[s]], optimise)
-
-    vals = _iterate(fixed, undecided, bellman)
+    a_rew = {key: float(r) for key, r in a_rew.items()}
+    s_rew = {s: float(s_rew.get(s, 0)) for s in undecided}
+    vals = _iterate(mdp, fixed, undecided, optimise, a_rew, s_rew)
     for s in mdp.states:
         vals.setdefault(s, None)        # states with infinite value, unrequested
     if not with_strategy:
         return vals
-    strategy = {}
-    for s in mdp.states:
-        if s in targets or vals[s] is None:
-            strategy[s] = mdp.choices[s][0][0]
-            continue
-        # all strategies reach the targets here, so any conserving choice is
-        # optimal
-        best = None
-        best_choice = None
-        for cid, dist in mdp.choices[s]:
-            val = float(a_rew.get((s, cid), 0)) + \
-                sum(p * vals[t] for t, p in dist.items())
-            if best is None or (val > best if optimise == "max" else val < best):
-                best, best_choice = val, cid
-        strategy[s] = best_choice
-    return vals, strategy
+    # all strategies reach the targets here, so any conserving choice is
+    # optimal
+    _, chosen = _step([(s, mdp.choices[s], None) for s in undecided], vals,
+                      optimise == "max", a_rew)
+    return vals, {s: chosen.get(s, mdp.choices[s][0][0]) for s in mdp.states}

@@ -165,18 +165,32 @@ def maximal_end_components(transitions):
             if not any(c < other for other in candidates)]
 
 
-def chain_reach_probability(transitions, choice, targets, source, horizon=None):
+def _until(transitions, targets, allowed):
+    """`transitions` with every choice of a state outside `allowed` and
+    `targets` looping on that state, so the event (allowed U targets) fails
+    there."""
+    if allowed is None:
+        return transitions
+    return {s: acts if s in allowed or s in targets else
+            {a: {s: Fraction(1)} for a in acts}
+            for s, acts in transitions.items()}
+
+
+def chain_reach_probability(transitions, choice, targets, source, horizon=None,
+                            allowed=None):
     """Probability of reaching `targets` from `source` under pure `choice`.
 
     `choice` maps state -> action; the induced Markov chain is evaluated by
     exact linear solving (unbounded) or backward iteration (bounded).
     Unbounded evaluation assumes target and non-reaching states are detected
-    by graph search, so it is exact.
+    by graph search, so it is exact.  With `allowed`, the event is
+    (allowed U targets): states outside both sets have value 0.
     """
+    targets = set(targets)
+    transitions = _until(transitions, targets, allowed)
     states = sorted(transitions)
     idx = {s: i for i, s in enumerate(states)}
     succ = {s: transitions[s][choice[s]] for s in states}
-    targets = set(targets)
     if horizon is not None:
         vals = {s: Fraction(1) if s in targets else Fraction(0) for s in states}
         for _ in range(horizon):
@@ -218,14 +232,16 @@ def chain_reach_probability(transitions, choice, targets, source, horizon=None):
     return sol[pos[source]]
 
 
-def mdp_extreme_reach(transitions, targets, maximise=True):
+def mdp_extreme_reach(transitions, targets, maximise=True, allowed=None):
     """Optimal reachability probabilities over all memoryless strategies.
 
     Exhaustively evaluates every pure memoryless strategy with
     `chain_reach_probability` and takes the per-state optimum.  Memoryless
     pure strategies suffice for MDP reachability, so this is exact (and
-    exponential - small models only).
+    exponential - small models only).  With `allowed`, the event is
+    (allowed U targets).
     """
+    transitions = _until(transitions, set(targets), allowed)
     states = sorted(transitions)
     actions = [sorted(transitions[s]) for s in states]
     best = None

@@ -251,6 +251,49 @@ class TestVerifyAndExport:
         assert code == 0 and verification["passed"]
         assert "subgame_gap1" not in verification
 
+    # value iteration reaches s0's value 1/2 (x) only geometrically
+    GEOMETRIC = """player p1 a
+player p2 b
+init s0
+label g x
+label h x y
+s0 (a,b) -> 1/3:g + 1/3:sink + 1/3:s0
+g (a,b) -> 1/2:h + 1/2:sink
+h (a,b) -> 1:h
+sink (a,b) -> 1:sink
+"""
+    # a1 keeps s's iterate exactly but never reaches x; a2 is optimal
+    SELF_LOOP = """player p1 a1 a2
+player p2 b
+init s
+label s y
+label g x
+s (a1,b) -> 1:s
+s (a2,b) -> 1/3:g + 1/3:sink + 1/3:s
+g (a1,b) -> 1:g
+sink (a1,b) -> 1:sink
+"""
+
+    def verify(self, capsys, tmp_path, text):
+        model = tmp_path / "game.csgx"
+        model.write_text(text)
+        code, out, _ = run_cli(
+            capsys, "run", "--model", str(model),
+            "--property", "<<p1:p2>>max=? (P[F x] + P[F y])",
+            "--verify", "--format", "json")
+        return code, json.loads(out)["results"][0]["verification"]
+
+    def test_strategy_after_geometric_convergence_verifies(self, capsys,
+                                                           tmp_path):
+        code, verification = self.verify(capsys, tmp_path, self.GEOMETRIC)
+        assert code == 0 and verification["passed"]
+
+    def test_value_keeping_self_loop_is_not_the_strategy(self, capsys,
+                                                         tmp_path):
+        code, verification = self.verify(capsys, tmp_path, self.SELF_LOOP)
+        assert code == 0 and verification["passed"]
+        assert verification["gap1"] <= 1e-4 and verification["gap2"] <= 1e-4
+
     def test_mixed_horizon_verification_is_refused(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--model", model_path("fig1.csgx"),
@@ -335,8 +378,23 @@ class TestSweepRecipes:
             "--const", "l=3", "--sweep", "q=1/10..1/10", "--max-iters", "1",
             "--property", "<<p1:p2>>max=? (P[F goal1] + P[F goal2])")
         assert code == 3 and out == ""
-        assert err == ("error: value iteration did not converge within 1 "
-                       "sweeps\n")
+        assert err == ("error: q=1/10: value iteration did not converge "
+                       "within 1 sweeps\n")
+
+    def test_points_solved_before_a_non_converged_one_are_printed(self,
+                                                                  capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--model", model_path("robot.csg"),
+            "--const", "l=3", "--sweep", "k=1..6", "--max-iters", "4",
+            "--property", "<<p1:p2>>max=? (P[F<=k goal1] + P[F goal2])")
+        assert code == 3
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["parameter", "v1", "v2", "sum", "iterations",
+                           "time"]
+        assert [row[:5] for row in rows[1:]] == [
+            ["1", "0", "1", "1", "3"], ["2", "0.81", "1", "1.81", "4"]]
+        assert err == ("error: k=3: value iteration did not converge "
+                       "within 4 sweeps\n")
 
 
 class TestSolveNfg:

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csgnash.errors import InfiniteValue
 from csgnash.explicit import load_explicit
@@ -29,11 +31,45 @@ def appendix_c_mdp():
     return g, joint_mdp(coalition_game(g, ["p1"]))
 
 
-def simple_mdp(trans):
+def simple_mdp(trans, number=F):
     """trans: state -> {action: {succ: prob}}, first state initial."""
     states = tuple(trans)
-    choices = {s: sorted(trans[s].items()) for s in states}
-    return Mdp(states, (states[0],), choices)
+    choices = {s: [(a, {t: number(p) for t, p in dist.items()})
+                   for a, dist in sorted(trans[s].items())]
+               for s in states}
+    return Mdp(states, (states[0],), choices, number=number)
+
+
+# the ways to split one choice's probability over 1, 2 or 3 successors
+SPLITS = {1: [(F(1),)],
+          2: [(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(2, 3), F(1, 3))],
+          3: [(F(1, 3),) * 3]}
+
+
+@st.composite
+def small_mdps(draw):
+    """(trans, targets, constraint or None): up to 5 states, 3 choices per
+    state and 3 successors per choice."""
+    states = [f"s{i}" for i in range(draw(st.integers(1, 5)))]
+    subsets = st.lists(st.sampled_from(states), unique=True).map(set)
+    trans = {}
+    for s in states:
+        trans[s] = {}
+        for a in range(draw(st.integers(1, 3))):
+            succ = draw(st.lists(st.sampled_from(states), min_size=1,
+                                 max_size=3, unique=True))
+            probs = draw(st.sampled_from(SPLITS[len(succ)]))
+            trans[s][f"a{a}"] = dict(zip(succ, probs))
+    return trans, draw(subsets), draw(st.none() | subsets)
+
+
+# value iteration reaches s0's value only in the limit, at rate 1/3 in
+# GEOMETRIC and 2/3 in SLOW
+GEOMETRIC = {"s0": {"a0": {"g": F(1, 3), "sink": F(1, 3), "s0": F(1, 3)}},
+             "g": {"a0": {"g": F(1)}}, "sink": {"a0": {"sink": F(1)}}}
+SLOW = {"s0": {"a0": {"s0": F(2, 3), "s1": F(1, 3)}},
+        "s1": {"a0": {"g": F(1, 2), "sink": F(1, 2)}},
+        "g": {"a0": {"g": F(1)}}, "sink": {"a0": {"sink": F(1)}}}
 
 
 class TestReachability:
@@ -149,6 +185,34 @@ class TestReachability:
         for s in mdp.states:
             achieved = chain_reach_probability(trans, strat, targets, s)
             assert abs(achieved - vals[s]) < 1e-9, s
+
+
+class TestAgainstOracles:
+    """Random small MDPs against exhaustive memoryless-strategy search."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_mdps(), st.sampled_from([F, float]))
+    @example((GEOMETRIC, {"g"}, None), F)
+    @example((GEOMETRIC, {"g"}, None), float)
+    @example((SLOW, {"g"}, None), float)
+    def test_values_strategies_and_prob1_min_set(self, case, number):
+        trans, targets, constraint = case
+        mdp = simple_mdp(trans, number)
+        allowed = None if constraint is None else constraint | targets
+        pmin = mdp_extreme_reach(trans, targets, maximise=False)
+        assert prob1_min_set(mdp, targets) == \
+            {s for s, v in pmin.items() if v == 1}
+        for opt in ("max", "min"):
+            best = mdp_extreme_reach(trans, targets, opt == "max", allowed)
+            vals, strat = reach_prob(mdp, targets, opt, constraint=constraint,
+                                     with_strategy=True)
+            for s in mdp.states:
+                # 1e-4, not 1e-6: value iteration stops once a sweep changes
+                # no value by 1e-6, which leaves s0 of SLOW 1.7e-6 short
+                assert abs(vals[s] - best[s]) < 1e-4, (s, opt)
+                achieved = chain_reach_probability(trans, strat, targets, s,
+                                                   allowed=allowed)
+                assert abs(achieved - vals[s]) < 1e-4, (s, opt)
 
 
 class TestQualitative:
