@@ -8,15 +8,21 @@ prob-1 analysis, and extraction of optimal strategies.
 Unbounded values are computed by value iteration after qualitative
 precomputation of the probability-0 and probability-1 state sets, so states
 decided qualitatively carry exact 0/1 values even when iteration runs in
-floating point.  Bounded values are exact backward steps over whatever number
-type the model carries (rationals stay rational).  Fixed 0/1 values are in
-the MDP's `number` type: Fractions for an exact model, floats for one
-compiled to floats.
+floating point.  Bounded values are backward steps.  On an exact MDP they run
+on integers: every probability and reward is a numerator over one common
+denominator D, the value vector after n steps holds numerators over a known
+power of D, and exact rationals are built only for the vectors returned.  On
+an MDP compiled to floats they run in floats.  Fixed 0/1 values are in the
+MDP's `number` type: Fractions for an exact model, floats for one compiled to
+floats.
 """
 
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import InfiniteValue, SolverError
 from .model import Mdp
@@ -79,122 +85,214 @@ def prob1_min_set(mdp: Mdp, targets):
     return {s for s in mdp.states if s not in bad}
 
 
+def _leaving(mdp, states, inside):
+    """The choices of `states`, numbered in order: each one's state, how
+    many of its successors lie outside `inside`, and per state of `inside`
+    the numbers of the choices leading to it."""
+    owner, out, preds = [], [], {t: [] for t in inside}
+    for s in states:
+        for _, dist in mdp.choices[s]:
+            c = len(out)
+            owner.append(s)
+            n = 0
+            for t in dist:
+                if t in inside:
+                    preds[t].append(c)
+                else:
+                    n += 1
+            out.append(n)
+    return owner, out, preds
+
+
 def _prob1_max_set(mdp, targets, allowed):
     """States from which SOME strategy reaches `targets` almost surely.
 
     Standard double fixpoint: repeatedly keep only states that can reach the
-    targets while never leaving the current candidate set.
+    targets while never leaving the current candidate set.  A choice stays
+    inside while none of its successors has left; each round searches
+    backwards from the targets along such choices.
     """
     targets = set(targets)
     universe = {s for s in mdp.states if s in allowed} | targets
+    movers = [s for s in mdp.states if s in universe and s not in targets]
+    owner, out, preds = _leaving(mdp, movers, universe)
     while True:
         reach = set(targets)
-        changed = True
-        while changed:
-            changed = False
-            for s in universe:
-                if s in reach or s in targets:
-                    continue
-                for _, dist in mdp.choices[s]:
-                    if set(dist) <= universe and set(dist) & reach:
-                        reach.add(s)
-                        changed = True
-                        break
+        frontier = list(reach)
+        while frontier:
+            for c in preds[frontier.pop()]:
+                s = owner[c]
+                if not out[c] and s not in reach and s in universe:
+                    reach.add(s)
+                    frontier.append(s)
         if reach == universe:
             return reach
+        for t in universe - reach:
+            for c in preds[t]:
+                out[c] += 1
         universe = reach
 
 
 def _prob0_min_set(mdp, targets, allowed):
     """States where SOME strategy avoids `targets` forever.
 
-    Greatest fixpoint of "has an action staying inside the set".  States
-    outside `allowed` (until-constraint violations) trivially avoid.
+    Greatest fixpoint of "has an action staying inside the set", by a
+    worklist: a state leaves once none of its choices stays inside, and
+    its leaving counts against the choices leading to it.  States outside
+    `allowed` (until-constraint violations) trivially avoid.
     """
     targets = set(targets)
-    outside = {s for s in mdp.states if s not in allowed and s not in targets}
     group = {s for s in mdp.states if s not in targets}
-    while True:
-        keep = set()
-        for s in group:
-            if s in outside:
-                keep.add(s)
-                continue
-            for _, dist in mdp.choices[s]:
-                if set(dist) <= group:
-                    keep.add(s)
-                    break
-        if keep == group:
-            return group
-        group = keep
+    movers = [s for s in mdp.states if s in group and s in allowed]
+    owner, out, preds = _leaving(mdp, movers, group)
+    staying = dict.fromkeys(movers, 0)
+    for s, n in zip(owner, out):
+        if not n:
+            staying[s] += 1
+    drop = [s for s in movers if not staying[s]]
+    while drop:
+        t = drop.pop()
+        group.discard(t)
+        for c in preds[t]:
+            out[c] += 1
+            if out[c] == 1:
+                s = owner[c]
+                staying[s] -= 1
+                if not staying[s]:
+                    drop.append(s)
+    return group
 
 
-def _step(rows, vals, maximise, action_rewards):
-    """One Bellman backup of the states in `rows`.
+def _rows(mdp, ids, states, action_rewards=None, state_rewards=None):
+    """The states to back up as indexed rows, in the MDP's own numbers.
 
-    `rows` lists (state, choices, state reward or None).  Each such state
-    gets the best, over its choices, of sum(p * v[t]) plus the choice's
-    action reward (keyed (state, choice-id)), then its state reward; ties
-    keep the first choice.  States outside `rows` keep their value.  Returns
-    the new value vector and the chosen id per state in `rows`.
+    Each row is (state id, choices, state reward or None); each choice is
+    (choice-id, successor ids, probabilities, action reward or None), with
+    `ids` mapping states to their index in the value vector.
     """
-    new = dict(vals)
-    chosen = {}
-    for s, choices, paid in rows:
-        best = best_choice = None
-        for cid, dist in choices:
-            val = sum(p * vals[t] for t, p in dist.items())
-            if action_rewards and (s, cid) in action_rewards:
-                val += action_rewards[(s, cid)]
-            if best is None or (val > best if maximise else val < best):
-                best, best_choice = val, cid
-        new[s] = best if paid is None else best + paid
-        chosen[s] = best_choice
+    a_rew = action_rewards or {}
+    s_rew = state_rewards or {}
+    return [(ids[s], [(cid, [ids[t] for t in dist], list(dist.values()),
+                       a_rew.get((s, cid)))
+                      for cid, dist in mdp.choices[s]], s_rew.get(s))
+            for s in states]
+
+
+def _on_integers(rows):
+    """Rational `rows` over one denominator D, the lcm of the denominators
+    of their probabilities and rewards: returns the rows with every number
+    replaced by its integer numerator over D, and D."""
+    dens = set()
+    for _, choices, paid in rows:
+        for _, _, probs, a in choices:
+            dens.update(p.denominator for p in probs)
+            if a is not None:
+                dens.add(a.denominator)
+        if paid is not None:
+            dens.add(paid.denominator)
+    d = lcm(*dens)
+
+    def num(r):
+        return None if r is None else r.numerator * (d // r.denominator)
+
+    return [(i, [(cid, succ, [num(p) for p in probs], num(a))
+                 for cid, succ, probs, a in choices], num(paid))
+            for i, choices, paid in rows], d
+
+
+def _step(rows, vals, maximise, scale=1, grow=1):
+    """One Bellman backup of the states in `rows` (see `_rows`).
+
+    `vals` is indexed by state id.  Each row's state gets the best, over its
+    choices, of sum(p * v[t]) plus the choice's action reward times `scale`,
+    then its state reward times `scale`; ties keep the first choice.  States
+    outside `rows` keep their value times `grow`.  Returns the new vector and
+    the chosen id per row.
+    """
+    new = [v * grow for v in vals] if grow != 1 else list(vals)
+    get = vals.__getitem__
+    pick = max if maximise else min
+    chosen = []
+    for i, choices, paid in rows:
+        totals = [sum(map(mul, probs, map(get, succ))) if a is None else
+                  sum(map(mul, probs, map(get, succ))) + a * scale
+                  for _, succ, probs, a in choices]
+        best = pick(totals)
+        new[i] = best if paid is None else best + paid * scale
+        chosen.append(choices[totals.index(best)][0])
     return new, chosen
 
 
 def _iterate(mdp, fixed, undecided, optimise, action_rewards=None,
-             state_rewards=None):
+             state_rewards=None, with_strategy=False):
     """Unbounded value iteration of the undecided states, from 0.0.
 
     Stops when no undecided value changes by DEFAULT_EPSILON or more,
-    relative to its new size (at least 1).
+    relative to its new size (at least 1).  Returns the values and, with
+    `with_strategy`, the choices of one more backup of the undecided states
+    (else an empty map).
     """
     vals = dict(fixed)
     vals.update(dict.fromkeys(undecided, 0.0))
     if not undecided:
-        return vals
-    s_rew = state_rewards or {}
-    rows = [(s, mdp.choices[s], s_rew.get(s)) for s in undecided]
+        return vals, {}
+    ids = {s: i for i, s in enumerate(vals)}
+    rows = _rows(mdp, ids, undecided, action_rewards, state_rewards)
+    cur = list(vals.values())
+    moving = [ids[s] for s in undecided]
     maximise = optimise == "max"
     for _ in range(DEFAULT_MAX_ITERS):
-        new, _ = _step(rows, vals, maximise, action_rewards)
-        delta = max(abs(new[s] - vals[s]) / max(1.0, abs(new[s]))
-                    for s in undecided)
-        vals = new
+        new, _ = _step(rows, cur, maximise)
+        delta = max(abs(new[i] - cur[i]) / max(1.0, abs(new[i]))
+                    for i in moving)
+        cur = new
         if delta < DEFAULT_EPSILON:
-            return vals
-    raise SolverError("MDP value iteration exceeded the iteration limit")
+            break
+    else:
+        raise SolverError("MDP value iteration exceeded the iteration limit")
+    chosen = {}
+    if with_strategy:
+        chosen = dict(zip(undecided, _step(rows, cur, maximise)[1]))
+    return dict(zip(vals, cur)), chosen
 
 
 def _backward(mdp, vals, k, optimise, pinned=(), action_rewards=None,
-              state_rewards=None):
+              state_rewards=None, all_horizons=False):
     """`k` exact backward steps from the horizon-0 value vector `vals`.
 
-    States in `pinned` keep their value and record no choice.  Returns the
-    value vectors of horizons 0..k and the chosen ids per step (None at
-    horizon 0).
+    States in `pinned` keep their value and record no choice.  On an exact
+    MDP the steps run on integers: with D from `_on_integers` and S the lcm
+    of the denominators in `vals`, the value at horizon n is N/(S·D^n) for
+    an integer vector N, rewards enter step n times S·D^(n-1) and pinned
+    values are multiplied by D each step.  All choices of one step compare
+    at one scale, so they pick as rational arithmetic would.  Returns the
+    value vectors of horizons 0..k, or with `all_horizons` off only
+    horizon k's, and the chosen ids per step (None at horizon 0).
     """
-    s_rew = state_rewards or {}
-    rows = [(s, mdp.choices[s], s_rew.get(s))
-            for s in mdp.states if s not in pinned]
-    history = [vals]
-    steps = [None]
-    for _ in range(k):
-        vals, chosen = _step(rows, vals, optimise == "max", action_rewards)
-        history.append(vals)
-        steps.append(chosen)
-    return history, steps
+    states = mdp.states
+    ids = {s: i for i, s in enumerate(states)}
+    free = [s for s in states if s not in pinned]
+    rows = _rows(mdp, ids, free, action_rewards, state_rewards)
+    exact = mdp.number is Fraction
+    if exact:
+        rows, d = _on_integers(rows)
+        scale = lcm(*(v.denominator for v in vals.values()))
+        cur = [v.numerator * (scale // v.denominator)
+               for v in map(vals.__getitem__, states)]
+    else:
+        d, scale = 1, 1
+        cur = [vals[s] for s in states]
+    history, steps = [vals], [None]
+    maximise = optimise == "max"
+    for n in range(1, k + 1):
+        cur, chosen = _step(rows, cur, maximise, scale, d)
+        scale *= d
+        steps.append(dict(zip(free, chosen)))
+        if all_horizons or n == k:
+            history.append({s: Fraction(v, scale)
+                            for s, v in zip(states, cur)} if exact
+                           else dict(zip(states, cur)))
+    return (history if all_horizons else history[-1]), steps
 
 
 def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
@@ -215,8 +313,8 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
     if bound is not None:
         vals = {s: one if s in targets else zero for s in mdp.states}
         pinned = {s for s in mdp.states if s in targets or s not in allowed}
-        history, steps = _backward(mdp, vals, bound, optimise, pinned)
-        result = history if all_horizons else history[-1]
+        result, steps = _backward(mdp, vals, bound, optimise, pinned,
+                                  all_horizons=all_horizons)
         return (result, steps) if with_strategy else result
 
     # qualitative analysis
@@ -236,7 +334,7 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
         elif s in never or s not in allowed:
             fixed[s] = zero
     undecided = [s for s in mdp.states if s not in fixed]
-    vals = _iterate(mdp, fixed, undecided, optimise)
+    vals, _ = _iterate(mdp, fixed, undecided, optimise)
     if not with_strategy:
         return vals
     strategy = _extract_reach_strategy(mdp, vals, targets, allowed, optimise,
@@ -315,7 +413,7 @@ def step_prob(mdp: Mdp, targets, optimise="max", with_strategy=False):
     targets = set(targets)
     zero, one = mdp.number(0), mdp.number(1)
     start = {s: one if s in targets else zero for s in mdp.states}
-    (_, vals), (_, strategy) = _backward(mdp, start, 1, optimise)
+    vals, (_, strategy) = _backward(mdp, start, 1, optimise)
     return (vals, strategy) if with_strategy else vals
 
 
@@ -341,12 +439,12 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
             raise SolverError("bounded reward objectives need a bound k >= 0")
         if kind == "I":
             vals = {s: s_rew.get(s, 0) for s in mdp.states}
-            history, steps = _backward(mdp, vals, k, optimise)
+            result, steps = _backward(mdp, vals, k, optimise,
+                                      all_horizons=all_horizons)
         else:
             vals = {s: zero for s in mdp.states}
-            history, steps = _backward(mdp, vals, k, optimise, (), a_rew,
-                                       s_rew)
-        result = history if all_horizons else history[-1]
+            result, steps = _backward(mdp, vals, k, optimise, (), a_rew,
+                                      s_rew, all_horizons)
         return (result, steps) if with_strategy else result
 
     if kind != "F":
@@ -363,13 +461,12 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
     undecided = [s for s in mdp.states if s in finite and s not in targets]
     a_rew = {key: float(r) for key, r in a_rew.items()}
     s_rew = {s: float(s_rew.get(s, 0)) for s in undecided}
-    vals = _iterate(mdp, fixed, undecided, optimise, a_rew, s_rew)
+    vals, chosen = _iterate(mdp, fixed, undecided, optimise, a_rew, s_rew,
+                            with_strategy)
     for s in mdp.states:
         vals.setdefault(s, None)        # states with infinite value, unrequested
     if not with_strategy:
         return vals
     # all strategies reach the targets here, so any conserving choice is
     # optimal
-    _, chosen = _step([(s, mdp.choices[s], None) for s in undecided], vals,
-                      optimise == "max", a_rew)
     return vals, {s: chosen.get(s, mdp.choices[s][0][0]) for s in mdp.states}

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from typing import ClassVar
 
 from .errors import (
@@ -138,7 +139,9 @@ class Csg:
                 trans[s][alpha] = dist
                 if any(p <= 0 for p in dist.values()):
                     raise ModelError(f"non-positive probability at {s}, {alpha}")
-                if sum(dist.values()) != 1:
+                den = lcm(*(p.denominator for p in dist.values()))
+                if sum(p.numerator * (den // p.denominator)
+                       for p in dist.values()) != den:
                     raise ModelError(f"distribution at {s}, {alpha} does not sum to 1")
                 if not set(dist) <= state_set:
                     raise ModelError(f"unknown successor at {s}, {alpha}")

@@ -8,6 +8,8 @@ main code so that agreement is meaningful:
 - a brute-force maximal-end-component search for small models;
 - a pure-strategy-profile Markov-chain evaluator for reachability values;
 - an exhaustive memoryless-strategy MDP evaluator;
+- a plain rational backward recursion for bounded MDP values (the package
+  runs it on integer numerators over one common denominator);
 - a tree-walking expression evaluator (the package compiles expressions to
   closures once, folding constant sub-expressions).
 """
@@ -256,6 +258,41 @@ def mdp_extreme_reach(transitions, targets, maximise=True, allowed=None):
         else:
             best = [min(a, b) for a, b in zip(best, vals)]
     return dict(zip(states, best))
+
+
+def mdp_backward_induction(transitions, start, horizon, maximise=True,
+                           pinned=(), action_rewards=None, state_rewards=None):
+    """Optimal bounded values of an MDP by plain rational backward recursion.
+
+    `transitions` maps state -> {choice: {successor: prob}}; `start` is the
+    horizon-0 value per state.  Each step gives every state outside `pinned`
+    the best, over its choices in order, of the expected next value plus the
+    choice's action reward (keyed (state, choice)), plus its state reward;
+    the first best choice is kept.  Pinned states keep their value.  Returns
+    the value dicts of horizons 0..horizon and the chosen choice per state
+    and step (None at horizon 0).
+    """
+    a_rew = action_rewards or {}
+    s_rew = state_rewards or {}
+    vals = {s: Fraction(v) for s, v in start.items()}
+    family, chosen = [vals], [None]
+    for _ in range(horizon):
+        new, picks = dict(vals), {}
+        for s, acts in transitions.items():
+            if s in pinned:
+                continue
+            best = None
+            for a, dist in acts.items():
+                val = Fraction(a_rew.get((s, a), 0))
+                for t, p in dist.items():
+                    val += Fraction(p) * vals[t]
+                if best is None or (val > best if maximise else val < best):
+                    best, picks[s] = val, a
+            new[s] = best + Fraction(s_rew.get(s, 0))
+        vals = new
+        family.append(vals)
+        chosen.append(picks)
+    return family, chosen
 
 
 def swne_value(z1, z2):

@@ -11,7 +11,8 @@ from csgnash.model import Mdp, coalition_game, joint_mdp
 from csgnash.mdp import expected_reward, prob1_min_set, reach_prob, step_prob
 
 from conftest import model_path
-from oracles import chain_reach_probability, mdp_extreme_reach
+from oracles import (chain_reach_probability, mdp_backward_induction,
+                     mdp_extreme_reach)
 
 F = Fraction
 
@@ -61,6 +62,20 @@ def small_mdps(draw):
             probs = draw(st.sampled_from(SPLITS[len(succ)]))
             trans[s][f"a{a}"] = dict(zip(succ, probs))
     return trans, draw(subsets), draw(st.none() | subsets)
+
+
+def risky_chain(n, risky):
+    """s0 -> ... -> s(n-1) -> goal, each step sure ("fwd") or taken with
+    probability 1/2 ("wait"); s(risky) can also fall into an absorbing
+    trap."""
+    trans = {"goal": {"stay": {"goal": F(1)}},
+             "trap": {"stay": {"trap": F(1)}}}
+    for i in range(n):
+        ahead = f"s{i + 1}" if i + 1 < n else "goal"
+        trans[f"s{i}"] = {"fwd": {ahead: F(1)},
+                          "wait": {f"s{i}": F(1, 2), ahead: F(1, 2)}}
+    trans[f"s{risky}"]["risk"] = {"trap": F(1, 2), f"s{risky + 1}": F(1, 2)}
+    return trans
 
 
 # value iteration reaches s0's value only in the limit, at rate 1/3 in
@@ -215,6 +230,62 @@ class TestAgainstOracles:
                 assert abs(achieved - vals[s]) < 1e-4, (s, opt)
 
 
+# reward denominators that do not divide the probabilities' (1, 2 or 3)
+REWARDS = st.sampled_from([F(1), F(2, 5), F(3, 7), F(5, 4)])
+
+
+@st.composite
+def rewarded_mdps(draw):
+    """`small_mdps` plus action rewards and state rewards."""
+    trans, targets, constraint = draw(small_mdps())
+    pairs = [(s, a) for s in trans for a in trans[s]]
+    action = draw(st.dictionaries(st.sampled_from(pairs), REWARDS))
+    state = draw(st.dictionaries(st.sampled_from(sorted(trans)), REWARDS))
+    return trans, targets, constraint, action, state
+
+
+class TestBoundedAgainstOracle:
+    """Bounded backups against plain rational backward recursion."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rewarded_mdps(), st.integers(0, 4), st.sampled_from(["max", "min"]))
+    def test_values_and_choices_every_horizon(self, case, k, opt):
+        trans, targets, constraint, action, state = case
+        mdp = simple_mdp(trans)
+        choices = {s: dict(mdp.choices[s]) for s in mdp.states}
+        maximise = opt == "max"
+        allowed = set(trans) if constraint is None else constraint | targets
+        start = {s: F(s in targets) for s in mdp.states}
+        zeros = dict.fromkeys(mdp.states, F(0))
+        vals, strat = step_prob(mdp, targets, opt, with_strategy=True)
+        runs = [
+            (reach_prob(mdp, targets, opt, bound=k, constraint=constraint,
+                        with_strategy=True, all_horizons=True),
+             mdp_backward_induction(choices, start, k, maximise, {
+                 s for s in mdp.states if s in targets or s not in allowed})),
+            (([start, vals], [None, strat]),
+             mdp_backward_induction(choices, start, 1, maximise)),
+            (expected_reward(mdp, "I", k=k, state_rewards=state,
+                             optimise=opt, with_strategy=True,
+                             all_horizons=True),
+             mdp_backward_induction(choices, {s: state.get(s, 0)
+                                              for s in mdp.states},
+                                    k, maximise)),
+            (expected_reward(mdp, "C", k=k, action_rewards=action,
+                             state_rewards=state, optimise=opt,
+                             with_strategy=True, all_horizons=True),
+             mdp_backward_induction(choices, zeros, k, maximise, (), action,
+                                    state)),
+        ]
+        for (family, steps), (want, want_steps) in runs:
+            assert family == want
+            assert steps == want_steps
+            # horizon 0 is the given vector: I's holds int 0 where a state
+            # has no reward
+            assert all(isinstance(v, Fraction)
+                       for vec in family[1:] for v in vec.values())
+
+
 class TestQualitative:
     def test_appendix_c_prob1_min(self):
         g, mdp = appendix_c_mdp()
@@ -233,6 +304,14 @@ class TestQualitative:
     def test_empty_targets(self):
         _, mdp = fig1_mdp()
         assert prob1_min_set(mdp, set()) == set()
+
+    def test_long_chain(self):
+        # each state leaves the fixpoints only after its successor did
+        mdp = simple_mdp(risky_chain(3000, 1500))
+        states = [f"s{i}" for i in range(3000)]
+        assert prob1_min_set(mdp, {"goal"}) == set(states[1501:]) | {"goal"}
+        vals = reach_prob(mdp, {"goal"}, "max")
+        assert vals == {s: F(s != "trap") for s in mdp.states}
 
 
 class TestStepProb:

@@ -65,6 +65,28 @@ class TestValidation:
                 "v": {("a", "b"): {"v": F(1)}},
             })
 
+    @pytest.mark.parametrize("probs, sums_to_one", [
+        ((F(1, 6), F(1, 3), F(1, 2)), True),
+        ((F(1, 10), 2, F(-11, 10)), None),
+        ((F(1, 3), F(2, 3) - F(1, 10**30)), False),
+        ((F(1, 3), F(2, 3) + F(1, 10**30)), False),
+    ])
+    def test_distribution_sums_exactly(self, probs, sums_to_one):
+        dist = dict(zip(["u", "v", "w"], probs))
+
+        def build():
+            return tiny_game(states=["u", "v", "w"], trans={
+                "u": {("a", "b"): dist}, "v": {("a", "b"): {"v": F(1)}},
+                "w": {("a", "b"): {"w": F(1)}}})
+
+        if sums_to_one:
+            assert build().trans["u"][("a", "b")] == dist
+            return
+        message = ("non-positive probability" if sums_to_one is None else
+                   r"distribution at u, \('a', 'b'\) does not sum to 1")
+        with pytest.raises(ModelError, match=message):
+            build()
+
     def test_overlapping_alphabets_rejected(self):
         with pytest.raises(ModelError):
             tiny_game(alphabets={"p1": ["a"], "p2": ["a"]})
