@@ -197,16 +197,14 @@ def _evaluate_property(csg, text, args):
                                 "messages": result.assumption.messages()}
 
     if (args.export_strategy or args.verify) and result.solve is not None:
-        if result.embedding is not None:
-            record["error"] = ("strategy export/verification is not "
-                               "supported for mixed-horizon pairs")
-            return record, EXIT_USAGE
+        # the export names the user's query; a mixed pair is verified on the
+        # product's rewritten one
         profile = synthesise_profile(result.game, formula, result.solve)
         if args.export_strategy:
             profile.export_json(args.export_strategy)
             record["strategy_file"] = args.export_strategy
         if args.verify:
-            report = verify_epsilon_ne(result.game, profile, formula,
+            report = verify_epsilon_ne(result.game, profile, result.query,
                                        args.epsilon)
             record["verification"] = {
                 "epsilon": report.epsilon,
@@ -306,6 +304,10 @@ def _sweep_points(args, name, values, prop):
 
 def _run_sweep(args, out):
     name, values = args.sweep
+    if args.verify or args.export_strategy:
+        print("error: sweep mode does not synthesise strategies (drop "
+              "--verify and --export-strategy)", file=sys.stderr)
+        return EXIT_USAGE
     texts = _read_properties(args)
     if len(texts) != 1:
         print("error: sweep mode needs exactly one property", file=sys.stderr)

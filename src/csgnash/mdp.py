@@ -438,7 +438,7 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
         if k is None or k < 0:
             raise SolverError("bounded reward objectives need a bound k >= 0")
         if kind == "I":
-            vals = {s: s_rew.get(s, 0) for s in mdp.states}
+            vals = {s: s_rew.get(s, zero) for s in mdp.states}
             result, steps = _backward(mdp, vals, k, optimise,
                                       all_horizons=all_horizons)
         else:

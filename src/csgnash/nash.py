@@ -109,6 +109,7 @@ class Evaluation:
     initial: dict = None         # initial state -> value(s) / boolean
     solve: PairResult = None
     game: object = None          # the CoalitionGame that was solved
+    query: NashNode = None       # the pair solved on it (rewritten if mixed)
     embedding: dict = None       # base state -> solved-game state (mixed only)
     assumption: object = None
 
@@ -134,20 +135,18 @@ def _horizon(obj: Objective):
 
 
 def _statuses(game, objectives):
-    """Per objective: (win set, lose set, settleable flag)."""
+    """Per objective: (win set, lose set, settleable flag).  The win set is
+    the target `sub2` (a next step's too); only an until has a lose set, and
+    only untils and reachability rewards settle."""
     out = []
     for obj in objectives:
-        if obj.kind == "P" and obj.op == "U":
-            win = _sat(game, obj.sub2)
+        win = frozenset() if obj.sub2 is None else _sat(game, obj.sub2)
+        lose = frozenset()
+        if obj.op == "U":
             cons = _sat(game, obj.sub1)
             lose = frozenset(s for s in game.states
                              if s not in win and s not in cons)
-            out.append((win, lose, True))
-        elif obj.kind == "R" and obj.op == "F":
-            win = _sat(game, obj.sub2)
-            out.append((win, frozenset(), True))
-        else:
-            out.append((frozenset(), frozenset(), False))
+        out.append((win, lose, obj.op in ("U", "F")))
     return out
 
 
@@ -188,17 +187,19 @@ def _settled_pair(objectives, row, pending_values, units):
                  for obj, st, pending in zip(objectives, row, pending_values))
 
 
-def _optimum(game, mdp, obj, optimise, status, all_horizons=False,
+def _optimum(mdp, obj, optimise, status, all_horizons=False,
              with_strategy=False, needed_states=None):
-    """Single-objective optimum of `obj` on `mdp`, the joint MDP of `game`.
+    """Single-objective optimum of `obj` on `mdp`, any MDP whose states the
+    sets of `status` range over: a joint MDP, or the (state, mode) nodes of
+    a profile under verification.
 
     `status` is the objective's (win, lose, settleable) entry of `_statuses`:
-    the win set is the target of an until or reachability reward, and the
-    until constraint is every state not lost.  Returns per-state values or,
-    with `all_horizons`, the value vectors of horizons 0..k; with
-    `with_strategy` also the optimal choices (per step for bounded
-    objectives, None at horizon 0).  `needed_states` restricts where a
-    reachability reward must be finite.
+    the win set is the target of an until, a next step or a reachability
+    reward, and the until constraint is every state not lost.  Returns
+    per-state values or, with `all_horizons`, the value vectors of horizons
+    0..k; with `with_strategy` also the optimal choices (per step for
+    bounded objectives, None at horizon 0).  `needed_states` restricts where
+    a reachability reward must be finite.
     """
     win, lose, _ = status
     if obj.kind == "R":
@@ -211,13 +212,12 @@ def _optimum(game, mdp, obj, optimise, status, all_horizons=False,
                                needed_states=needed_states)
     if obj.op == "U":
         return reach_prob(mdp, win, optimise, bound=obj.bound,
-                          constraint={s for s in game.states if s not in lose},
+                          constraint={s for s in mdp.states if s not in lose},
                           with_strategy=with_strategy,
                           all_horizons=all_horizons)
-    target = _sat(game, obj.sub2)   # P[X] is not settleable: no win set
-    vals, strategy = step_prob(mdp, target, optimise, with_strategy=True)
+    vals, strategy = step_prob(mdp, win, optimise, with_strategy=True)
     if all_horizons:
-        vals = [{s: ONE if s in target else ZERO for s in game.states}, vals]
+        vals = [{s: ONE if s in win else ZERO for s in mdp.states}, vals]
         strategy = [None, strategy]
     return (vals, strategy) if with_strategy else vals
 
@@ -276,7 +276,7 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
     coop_strats = []
     start = time.perf_counter()
     for obj, status in zip((o1, o2), stat):
-        family, strats = _optimum(cg, jmdp, obj, "max", status,
+        family, strats = _optimum(jmdp, obj, "max", status,
                                   all_horizons=True, with_strategy=True)
         coop.append(family)
         coop_strats.append(strats)
@@ -326,7 +326,7 @@ def _unbounded_fixed_rows(cg, query, jmdp):
             if not need:
                 continue
         aux["opt_vals"][l], aux["opt_strats"][l] = _optimum(
-            cg, jmdp, obj, "max", stat[l], with_strategy=True,
+            jmdp, obj, "max", stat[l], with_strategy=True,
             needed_states=need)
     opt = [vals or {} for vals in aux["opt_vals"]]
     units = (cg.number(0), cg.number(1))
@@ -419,9 +419,10 @@ def mixed_horizon_transform(cg, query: NashNode):
     infinite objective, in the layers its bound allows for the finite one.
     Returns (product game, rewritten query, embedding base-state -> product
     state).  The product is a `CoalitionGame` over states (s, layer), the
-    layer counting up to an absorbing cap; it has no base game, and (s, i)
-    has the moves of s.  Values of the original pair at s equal values of
-    the rewritten pair at (s, 0).
+    layer counting up to an absorbing cap; it has no base game, (s, i) has
+    the moves of s, and its initial states are (s, 0) for the initial s.
+    Values of the original pair at s equal values of the rewritten pair at
+    (s, 0).
     """
     objectives = list(query.objectives)
     fi = 0 if objectives[0].is_finite_horizon() else 1
@@ -437,7 +438,7 @@ def mixed_horizon_transform(cg, query: NashNode):
         cap = obj.bound
 
     states = tuple((s, i) for i in range(cap + 1) for s in cg.states)
-    initial = tuple((s, 0) for s in cg.states)
+    initial = tuple((s, 0) for s in cg.initial)
     trans = {}
     for (s, i) in states:
         nxt = min(i + 1, cap)
@@ -503,7 +504,7 @@ def _zero_sum_values(game, node: ZeroSumNode):
             "coalition (general stochastic-game solving is out of scope)")
     optimise = "min" if node.relation in ("<", "<=", "min=?") else "max"
     obj = node.objective
-    return _optimum(game, joint_mdp(game), obj, optimise,
+    return _optimum(joint_mdp(game), obj, optimise,
                     _statuses(game, [obj])[0])
 
 
@@ -513,16 +514,20 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
 
     Each objective's state sub-formulae are resolved once, on the base game,
     to `StateSet`s: the assumption check, the engines and the mixed-horizon
-    product read sets only.  The solved game (the coalition game, or the
+    product read sets only.  `true` stays as is: it holds on every game, and
+    a set of every state would stay in the evaluation's query.  The solved
+    game (the coalition game, or the
     product of a mixed pair) is compiled once to the solve's number type:
     exact for bounded pairs and for games of at most `_EXACT_STATE_LIMIT`
     states, floats otherwise.  With `strict_assumptions` a failed assumption
     check raises AssumptionViolated before anything is solved.  Returns
-    (result, solved game, embedding, assumption report, per-base-state
-    values); a NotConverged raised by the solver carries the report."""
+    (result, solved game, solved query, embedding, assumption report,
+    per-base-state values); a NotConverged raised by the solver carries the
+    report."""
     cg = coalition_game(csg, node.coalition1)
     node = replace(node, objectives=tuple(
-        _with_sets(obj, lambda sub: StateSet(_sat(csg, sub)))
+        _with_sets(obj, lambda sub: sub if sub == TrueF() else
+                   StateSet(_sat(csg, sub)))
         for obj in node.objectives))
     horizon = classify_horizon(node)
     if horizon.startswith("mixed"):
@@ -539,7 +544,7 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     game = compile_game(game, Fraction if exact else float)
     if horizon == "both-finite":
         result = solve_bounded_pair(game, query)
-        return result, game, None, report, result.values
+        return result, game, query, None, report, result.values
     try:
         result = solve_unbounded_pair(game, query, conv_epsilon=conv_epsilon,
                                       max_iters=max_iters)
@@ -548,7 +553,7 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
         raise
     values = result.values if embedding is None else \
         {s: result.values[embedding[s]] for s in cg.states}
-    return result, game, embedding, report, values
+    return result, game, query, embedding, report, values
 
 
 def sat_operator(game, node):
@@ -581,21 +586,19 @@ def evaluate(csg, formula, conv_epsilon=DEFAULT_CONV_EPSILON,
         return Evaluation(formula, "zero-sum-threshold", sat=sat, values=vals,
                           initial={s: s in sat for s in csg.initial})
     if isinstance(formula, NashNode):
-        result, game, embedding, report, values = _solve_nash(
+        result, game, query, embedding, report, values = _solve_nash(
             csg, formula, conv_epsilon=conv_epsilon, max_iters=max_iters,
             strict_assumptions=strict_assumptions)
+        solved = dict(values=values, solve=result, game=game, query=query,
+                      embedding=embedding, assumption=report)
         if formula.threshold is None:
-            return Evaluation(formula, "nash-query", values=values,
-                              initial={s: values[s] for s in csg.initial},
-                              solve=result, game=game, embedding=embedding,
-                              assumption=report)
+            return Evaluation(formula, "nash-query", **solved,
+                              initial={s: values[s] for s in csg.initial})
         sat = frozenset(s for s in csg.states
                         if _compare(values[s][0] + values[s][1],
                                     formula.relation, formula.threshold))
-        return Evaluation(formula, "nash-threshold", sat=sat, values=values,
-                          initial={s: s in sat for s in csg.initial},
-                          solve=result, game=game, embedding=embedding,
-                          assumption=report)
+        return Evaluation(formula, "nash-threshold", sat=sat, **solved,
+                          initial={s: s in sat for s in csg.initial})
     sat = satisfying_states(csg, formula)
     return Evaluation(formula, "state-set", sat=sat,
                       initial={s: s in sat for s in csg.initial})

@@ -11,7 +11,10 @@ they play the first available actions.
 
 Verification fixes one coalition's strategy, computes the free coalition's
 best-response value in the induced MDP, and compares it with the value the
-profile itself achieves (the fully induced chain).
+profile itself achieves (the fully induced chain).  Both values come from
+`nash._optimum`, the engine's own objective dispatcher, run on the
+(state, mode) nodes of those MDPs, so every objective shape the engine
+solves is verified.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfiniteValue, UnsupportedOperator
+from .errors import InfiniteValue
 from .model import MemoryStrategy, _fold, induce_mdp
+# unused here: perfbench/layers.py wraps these two names in this module
 from .mdp import expected_reward, reach_prob
-from .nash import LOST, PENDING, WON, PairResult, _refine
+from .nash import LOST, PENDING, WON, PairResult, _optimum, _refine
 from .properties import NashNode, to_text
 
 __all__ = [
@@ -96,7 +100,15 @@ class SynthesisedProfile:
         return TableStrategy(self, side)
 
     def export(self):
-        """JSON-shaped description: query, memory modes, per-entry choices."""
+        """JSON-shaped description: query, memory modes, per-entry choices.
+        A state (s, layer) of a mixed pair's product (a game with no base)
+        is named by s, with its layer beside it."""
+
+        def place(state):
+            if self.game.base is None:
+                return {"state": _name(state[0]), "layer": state[1]}
+            return {"state": _name(state)}
+
         entries = []
         statuses_seen = [(PENDING, PENDING), (WON, PENDING), (LOST, PENDING),
                          (PENDING, WON), (PENDING, LOST)]
@@ -107,8 +119,7 @@ class SynthesisedProfile:
                 for statuses in statuses_seen:
                     if _refine(self.status_defs, state, statuses) != statuses:
                         continue        # not a reachable memory for this state
-                    entry = {"state": _name(state),
-                             "mode": list(statuses)}
+                    entry = {**place(state), "mode": list(statuses)}
                     if step is not None:
                         entry["step"] = step
                     ch = self.choice(state, step, statuses)
@@ -126,7 +137,7 @@ class SynthesisedProfile:
             "query": to_text(self.query),
             "kind": self.kind,
             "modes": ["pending", "won", "lost"],
-            "values": {_name(s): [_num(v) for v in pair]
+            "values": {place(s)["state"]: [_num(v) for v in pair]
                        for s, pair in self.values.items()},
             "entries": entries,
         }
@@ -192,38 +203,14 @@ class TableStrategy(MemoryStrategy):
 def synthesise_profile(game, query: NashNode, result: PairResult
                        ) -> SynthesisedProfile:
     """Package a solved pair into an executable strategy profile."""
-    values = {s: result.values[s] for s in game.initial}
-    if result.kind == "bounded":
-        return SynthesisedProfile(
-            query, game, result, values,
-            tuple(result.aux["statuses"]), "bounded",
-            horizon=result.aux["horizon"], pads=tuple(result.aux["pads"]))
+    aux = result.aux
     return SynthesisedProfile(
-        query, game, result, values, tuple(result.aux["statuses"]),
-        "unbounded")
+        query, game, result, {s: result.values[s] for s in game.initial},
+        tuple(aux["statuses"]), result.kind, horizon=aux.get("horizon"),
+        pads=tuple(aux.get("pads", (0, 0))))
 
 
 # --- verification -----------------------------------------------------------------
-
-def _objective_value(mdp, obj, status, needed):
-    """Per-node maximal objective value on an MDP over (state, mode) nodes;
-    `status` holds the objective's won and lost states."""
-    win, lose, _ = status
-    node_targets = {n for n in mdp.states if n[0] in win}
-    if obj.kind == "P" and obj.op == "U":
-        node_cons = {n for n in mdp.states if n[0] not in lose}
-        return reach_prob(mdp, node_targets, "max", bound=obj.bound,
-                          constraint=node_cons)
-    if obj.kind == "R" and obj.op == "F":
-        rs = mdp.rewards[obj.reward]
-        return expected_reward(mdp, "F", targets=node_targets,
-                               action_rewards=rs.action_rewards,
-                               state_rewards=rs.state_rewards,
-                               optimise="max", needed_states=needed)
-    raise UnsupportedOperator(
-        "profile verification supports until and reachability-reward "
-        "objectives")
-
 
 @dataclass
 class VerificationReport:
@@ -246,9 +233,18 @@ class VerificationReport:
         return self.gap1 <= self.epsilon and self.gap2 <= self.epsilon
 
 
+def _lift(status, mdp):
+    """`status` over the (state, mode) nodes of `mdp`."""
+    win, lose, can = status
+    return (frozenset(n for n in mdp.states if n[0] in win),
+            frozenset(n for n in mdp.states if n[0] in lose), can)
+
+
 def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
                       epsilon=1e-4) -> VerificationReport:
-    """Check the profile is an ε-Nash equilibrium of the objective pair."""
+    """Check the profile is an ε-Nash equilibrium of the objective pair.
+    `query` is the pair solved on `cg`: for a mixed pair, the product's
+    rewritten query (`Evaluation.query`)."""
     s1, s2 = profile.strategy(1), profile.strategy(2)
 
     def joint_choice(state, mode):
@@ -266,8 +262,9 @@ def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
         status = profile.status_defs[idx]
         induced = induce_mdp(cg, fixed_side, profile.strategy(fixed_side))
         try:
-            best = _objective_value(induced, obj, status, chain_nodes)
-            achieved = _objective_value(chain, obj, status, chain_nodes)
+            best, achieved = [_optimum(mdp, obj, "max", _lift(status, mdp),
+                                       needed_states=chain_nodes)
+                              for mdp in (induced, chain)]
         except InfiniteValue:
             # a unilateral deviation can make the objective unbounded, so
             # no finite gap exists

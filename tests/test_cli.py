@@ -183,6 +183,16 @@ class TestRunFormats:
         assert record["sum"] == 1.5
         assert record["converged"] is True
 
+    def test_instantaneous_reward_at_step_zero_is_exact(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--model", model_path("mac.csg"),
+            "--const", "emax=2", "--format", "json",
+            "--property", '<<p1:p2>>max=? (R{"r1"}[I=0] + R{"r2"}[I=0])')
+        assert code == 0
+        (record,) = json.loads(out)["results"]
+        assert record["values"] == [0.0, 0.0]
+        assert record["exact"] == ["0", "0"]
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--model", model_path("fig1.csgx"),
@@ -294,13 +304,75 @@ sink (a1,b) -> 1:sink
         assert code == 0 and verification["passed"]
         assert verification["gap1"] <= 1e-4 and verification["gap2"] <= 1e-4
 
-    def test_mixed_horizon_verification_is_refused(self, capsys):
+    def test_mixed_pair_verifies_and_exports_base_states(self, capsys,
+                                                        tmp_path):
+        target = tmp_path / "profile.json"
         code, out, _ = run_cli(
             capsys, "run", "--model", model_path("fig1.csgx"),
             "--property", "<<p1:p2>>max=? (P[X sent1] + P[F sent2])",
-            "--verify")
-        assert code == 2
-        assert "mixed-horizon" in out
+            "--verify", "--export-strategy", str(target), "--format", "json")
+        assert code == 0
+        verification = json.loads(out)["results"][0]["verification"]
+        assert verification["passed"]
+        assert verification["gap1"] <= 1e-4 and verification["gap2"] <= 1e-4
+        data = json.loads(target.read_text())
+        # the user's query, base state names, the product layer per entry
+        assert data["query"] == "<<p1:p2>>max=?(P[X sent1] + P[F sent2])"
+        assert list(data["values"]) == ["s0"]
+        assert data["entries"][0]["state"] == "s0"
+        assert data["entries"][0]["layer"] == 0
+        assert {e["layer"] for e in data["entries"]} == {0, 1, 2}
+        assert all(e["state"] in {f"s{i}" for i in range(6)}
+                   for e in data["entries"])
+
+    # a one-shot choice of where to go, rewarded on arrival (r1 at step 1,
+    # r2 at step 2); no bundled model has state rewards
+    INSTANT = """player p1 a1 a2
+player p2 b1 b2
+init s0
+s0 (a1,b1) -> 1/2:u + 1/2:v
+s0 (a1,b2) -> 1:u
+s0 (a2,b1) -> 1:v
+s0 (a2,b2) -> 1:w
+u (-,-) -> 1:u
+v (-,-) -> 1:v
+w (-,-) -> 1:w
+reward r1 state s0 5
+reward r1 state u 2
+reward r1 state w 1
+reward r2 state v 2
+reward r2 state w 1
+"""
+
+    @pytest.mark.parametrize("model,consts,prop,values", [
+        ("fig1.csgx", (), "P[X sent1] + P[X sent2]", ["3/4", "3/4"]),
+        # bounded until against a one-step objective: the horizons differ
+        ("fig1.csgx", (), "P[!sent2 U<=2 sent1] + P[X sent2]",
+         ["3/4", "3/4"]),
+        ("mac.csg", ("--const", "emax=2"),
+         'R{"r1"}[C<=2] + R{"r2"}[C<=2]', ["3/2", "3/2"]),
+        (None, (), 'R{"r1"}[I=1] + R{"r2"}[I=2]', ["1", "1"]),
+    ], ids=["next", "bounded-until", "cumulative", "instantaneous"])
+    def test_every_bounded_shape_verifies_and_exports(
+            self, capsys, tmp_path, model, consts, prop, values):
+        if model is None:
+            path = tmp_path / "instant.csgx"
+            path.write_text(self.INSTANT)
+        else:
+            path = model_path(model)
+        target = tmp_path / "profile.json"
+        code, out, _ = run_cli(
+            capsys, "run", "--model", str(path), *consts,
+            "--property", f"<<p1:p2>>max=? ({prop})",
+            "--verify", "--export-strategy", str(target), "--format", "json")
+        assert code == 0
+        (record,) = json.loads(out)["results"]
+        assert record["exact"] == values
+        verification = record["verification"]
+        assert verification["passed"]
+        assert verification["gap1"] <= 1e-4 and verification["gap2"] <= 1e-4
+        data = json.loads(target.read_text())
+        assert data["kind"] == "bounded" and data["entries"]
 
 
 class TestSweep:
@@ -315,6 +387,20 @@ class TestSweep:
                            "time"]
         points = [(row[0], row[3]) for row in rows[1:]]
         assert points == [("0.25", "0.5"), ("0.5", "1"), ("0.75", "1.5")]
+
+    @pytest.mark.parametrize("flags", [
+        ("--verify",), ("--export-strategy", "profile.json")],
+        ids=["verify", "export"])
+    def test_sweep_refuses_strategy_flags(self, capsys, tmp_path, flags):
+        flags = [str(tmp_path / f) if f.endswith(".json") else f
+                 for f in flags]
+        code, out, err = run_cli(
+            capsys, "run", "--model", model_path("fig1.csg"),
+            "--sweep", "q2=0.25..0.75:0.25", *flags,
+            "--property", "<<p1:p2>>max=? (P[F sent1] + P[F sent2])")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+        assert not (tmp_path / "profile.json").exists()
 
     def test_sweep_needs_exactly_one_property(self, capsys):
         code, _, err = run_cli(
