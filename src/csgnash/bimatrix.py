@@ -12,16 +12,21 @@ best-response polytopes
     P = {x' >= 0 | Z2'^T x' <= 1}   and   Q = {y' >= 0 | Z1' y' <= 1}
 
 are exactly the Nash equilibria (after normalising x', y' to distributions).
-Vertices are found by support enumeration over the defining inequalities,
-with exact rational arithmetic throughout, so degenerate games yield the
-finitely many vertices of each equilibrium component.
+Each polytope is scaled to integers over one denominator per player: with
+D the lcm of the denominators of the shifted matrix Z', B = D Z' is an
+integer matrix and {p >= 0 | B p <= D 1} is the same polytope.  A vertex is
+found for every set of tight inequalities by Bareiss's fraction-free
+elimination, as integer numerators over a determinant, so degenerate games
+yield the finitely many vertices of each equilibrium component.  Equilibrium
+strategies, their payoffs and the SWNE selection stay exact rationals; only
+the polytope constraints are scaled, never the payoffs.
 
 Payoffs are Fractions or floats.  Float payoffs stay floats through
 dominance elimination and the equilibrium-cache key: a float's order,
 equality and hash are exactly those of the dyadic rational it denotes, so a
-float game and its Fraction image share one cache entry.  Only a cache miss
-converts the payoffs to Fractions, for the exact vertex enumeration, and
-returned profiles are always Fractions.
+float game and its Fraction image share one cache entry, and a cache miss
+reads each float as that rational (its D is a power of two).  Returned
+profiles are always Fractions.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, EmptyList, SolverError
 
@@ -107,45 +113,104 @@ class MixedProfile:
         return (self.support_x, self.support_y, self.x, self.y)
 
 
-# --- exact linear algebra ----------------------------------------------------
+# --- fraction-free vertex enumeration ----------------------------------------
 
-def _solve_square(matrix, rhs):
-    """Solve a square rational system; return None if the matrix is singular."""
-    n = len(matrix)
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+def _integer_matrix(z):
+    """A payoff matrix over one common denominator.
 
-
-def _polytope_vertices(constraints, dim):
-    """Vertices of {p >= 0 with explicit constraints row . p <= rhs}.
-
-    `constraints` lists every inequality (including the nonnegativity ones),
-    each as (coefficient tuple, rhs). A vertex is any feasible point where
-    some `dim` of the inequalities are tight and independent.
+    Returns (a, den, b, d): a = den*Z is the integer image of the payoffs
+    over den, the lcm of their denominators (a power of two for floats), and
+    b = d*(Z + shift) with shift = 1 - min Z is the shifted matrix over d,
+    the lcm of its own denominators, so every entry of b is at least d.
     """
-    verts = set()
-    n = len(constraints)
-    for combo in combinations(range(n), dim):
-        a = [constraints[i][0] for i in combo]
-        b = [constraints[i][1] for i in combo]
-        point = _solve_square(a, b)
-        if point is None:
-            continue
-        if all(sum(c * p for c, p in zip(row, point)) <= rhs
-               for row, rhs in constraints):
-            verts.add(tuple(point))
-    return verts
+    ratios = [[v.as_integer_ratio() for v in row] for row in z]
+    den = lcm(*(q for row in ratios for _, q in row))
+    a = [[n * (den // q) for n, q in row] for row in ratios]
+    low = min(map(min, a))
+    b = [[v - low + den for v in row] for row in a]
+    g = gcd(den, *(v for row in b for v in row))
+    return a, den, [[v // g for v in row] for row in b], den // g
+
+
+def _fraction_free_solve(m):
+    """Solve the square system given by its augmented integer rows [A | c].
+
+    Bareiss's fraction-free Gauss-Jordan elimination: every intermediate
+    entry is an integer minor of [A | c], so each division is exact.  Returns
+    (det, numerators) with det > 0 and A . numerators = det * c, or None if A
+    is singular.  The rows of `m` are overwritten.
+    """
+    s = len(m)
+    prev = 1
+    for k in range(s):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, s) if m[r][k]), None)
+            if swap is None:
+                return None
+            m[k], m[swap] = m[swap], m[k]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(s):
+            if i != k:
+                row = m[i]
+                factor = row[k]
+                for j in range(k + 1, s + 1):
+                    row[j] = (pivot * row[j] - factor * pivot_row[j]) // prev
+        prev = pivot
+    nums = [row[s] for row in m]
+    if prev < 0:
+        return -prev, [-v for v in nums]
+    return prev, nums
+
+
+def _vertices(rows, d):
+    """Nonzero vertices of {p >= 0 : r . p <= d for every r in rows}.
+
+    `rows` are integer vectors with positive entries.  A vertex has s free
+    coordinates F and s rows T tight at it with rows[T][F] nonsingular, for
+    some s >= 1; on F it is N/det for the Cramer numerators N of
+    rows[T][F] p = d*1, and 0 elsewhere.  Every (F, T) is tried, and each
+    vertex is kept once, keyed by its numerator vector divided by its gcd
+    (distinct nonzero vertices never lie on one ray).  Returns a dict from
+    that key to (bitmask of zero coordinates, bitmask of tight rows).
+    """
+    n, k = len(rows[0]), len(rows)
+    found = {}
+    for size in range(1, min(n, k) + 1):
+        for free in combinations(range(n), size):
+            sub = [[r[f] for f in free] for r in rows]
+            for tight in combinations(range(k), size):
+                solved = _fraction_free_solve([sub[t] + [d] for t in tight])
+                if solved is None:
+                    continue
+                det, nums = solved
+                if min(nums) < 0:
+                    continue
+                bound = d * det
+                tight_mask = 0
+                for t, row in enumerate(sub):
+                    lhs = sum(c * v for c, v in zip(row, nums))
+                    if lhs > bound:
+                        break
+                    if lhs == bound:
+                        tight_mask |= 1 << t
+                else:
+                    g = gcd(*nums)
+                    point = [0] * n
+                    for f, v in zip(free, nums):
+                        point[f] = v // g
+                    key = tuple(point)
+                    if key not in found:
+                        zero_mask = sum(1 << i for i, v in enumerate(key)
+                                        if v == 0)
+                        found[key] = (zero_mask, tight_mask)
+    return found
+
+
+def _bilinear(x, a, y):
+    """x^T a y for integer vectors x, y and an integer matrix a."""
+    return sum(xi * sum(c * yj for c, yj in zip(row, y))
+               for xi, row in zip(x, a))
 
 
 # --- public operations -------------------------------------------------------
@@ -196,61 +261,32 @@ def enumerate_equilibria(game: BimatrixGame, *, with_swne=False):
 
 @lru_cache(maxsize=65536)
 def _enumerate_cached(z1, z2):
-    z1 = tuple(tuple(_frac(v) for v in row) for row in z1)
-    z2 = tuple(tuple(_frac(v) for v in row) for row in z2)
-    l, m = len(z1), len(z1[0])
-    shift1 = 1 - min(min(row) for row in z1)
-    shift2 = 1 - min(min(row) for row in z2)
-    one = Fraction(1)
-    zero = Fraction(0)
-
-    # P = {x >= 0, Z2'^T x <= 1}: labels are i (x_i = 0) and l+j (column j tight).
-    p_cons = [(tuple(-one if k == i else zero for k in range(l)), zero)
-              for i in range(l)]
-    p_cons += [(tuple(z2[i][j] + shift2 for i in range(l)), one)
-               for j in range(m)]
-    # Q = {y >= 0, Z1' y <= 1}: labels are i (row i tight) and l+j (y_j = 0).
-    q_cons = [(tuple(z1[i][j] + shift1 for j in range(m)), one)
-              for i in range(l)]
-    q_cons += [(tuple(-one if k == j else zero for k in range(m)), zero)
-               for j in range(m)]
-
-    full = frozenset(range(l + m))
-
-    x_verts = []
-    for xv in _polytope_vertices(p_cons, l):
-        if all(c == 0 for c in xv):
-            continue
-        labels = {i for i in range(l) if xv[i] == 0}
-        labels |= {l + j for j in range(m)
-                   if sum((z2[i][j] + shift2) * xv[i] for i in range(l)) == 1}
-        x_verts.append((xv, frozenset(labels)))
-
-    y_verts = []
-    for yv in _polytope_vertices(q_cons, m):
-        if all(c == 0 for c in yv):
-            continue
-        labels = {l + j for j in range(m) if yv[j] == 0}
-        labels |= {i for i in range(l)
-                   if sum((z1[i][j] + shift1) * yv[j] for j in range(m)) == 1}
-        y_verts.append((yv, frozenset(labels)))
-
-    seen = set()
+    l = len(z1)
+    a1, den1, b1, d1 = _integer_matrix(z1)
+    a2, den2, b2, d2 = _integer_matrix(z2)
+    # P = {x >= 0 : B2^T x <= d2}: labels are i (x_i = 0) and l+j (column j
+    # tight); Q = {y >= 0 : B1 y <= d1}: labels are i (row i tight) and l+j
+    # (y_j = 0).
+    x_verts = [(nums, zero | tight << l)
+               for nums, (zero, tight) in _vertices(list(zip(*b2)), d2).items()]
+    y_verts = [(nums, tight | zero << l)
+               for nums, (zero, tight) in _vertices(b1, d1).items()]
+    full = (1 << (l + len(z1[0]))) - 1
+    # payoffs from the unshifted integer image: u = x^T Z1 y with
+    # x = xn/sx, y = yn/sy and Z1 = a1/den1
     profiles = []
-    for xv, xl in x_verts:
-        missing = full - xl
-        for yv, yl in y_verts:
-            if not (missing <= yl):
+    for xn, x_labels in x_verts:
+        missing = full & ~x_labels
+        sx = sum(xn)
+        x = tuple(Fraction(c, sx) for c in xn)
+        for yn, y_labels in y_verts:
+            if missing & ~y_labels:
                 continue
-            xs, ys = sum(xv), sum(yv)
-            x = tuple(c / xs for c in xv)
-            y = tuple(c / ys for c in yv)
-            if (x, y) in seen:
-                continue
-            seen.add((x, y))
-            u = sum(x[i] * z1[i][j] * y[j] for i in range(l) for j in range(m))
-            v = sum(x[i] * z2[i][j] * y[j] for i in range(l) for j in range(m))
-            profiles.append(MixedProfile(x, y, Fraction(u), Fraction(v)))
+            sy = sum(yn)
+            y = tuple(Fraction(c, sy) for c in yn)
+            profiles.append(MixedProfile(
+                x, y, Fraction(_bilinear(xn, a1, yn), den1 * sx * sy),
+                Fraction(_bilinear(xn, a2, yn), den2 * sx * sy)))
     profiles.sort(key=MixedProfile.sort_key)
     best = profiles.index(select_swne(profiles)) if profiles else None
     return tuple(profiles), best

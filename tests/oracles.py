@@ -5,6 +5,10 @@ main code so that agreement is meaningful:
 
 - an equilibrium finder based on support-pair enumeration and solving
   indifference equations (the main solver enumerates polytope vertices);
+- the package's earlier vertex enumerator, which solves every tight subset
+  of the best-response polytopes by Gauss-Jordan elimination on Fractions
+  (the package solves the same subsets on integer-scaled polytopes by
+  fraction-free elimination);
 - a brute-force maximal-end-component search for small models;
 - a pure-strategy-profile Markov-chain evaluator for reachability values;
 - an exhaustive memoryless-strategy MDP evaluator;
@@ -18,6 +22,7 @@ import math
 from fractions import Fraction
 from itertools import chain, combinations, product
 
+from csgnash.bimatrix import MixedProfile, select_swne
 from csgnash.errors import ModelTypeError, UndeclaredSymbol
 from csgnash.expr import Binary, Call, Lit, Unary, Var, expr_to_text
 
@@ -126,6 +131,114 @@ def nash_equilibria_by_support(z1, z2):
             found[(x, y)] = (x, y, u, v)
     return sorted(found.values())
 
+
+
+def _solve_square(matrix, rhs):
+    """Solve a square rational system; return None if the matrix is singular."""
+    n = len(matrix)
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def _polytope_vertices(constraints, dim):
+    """Vertices of {p >= 0 with explicit constraints row . p <= rhs}.
+
+    `constraints` lists every inequality (including the nonnegativity ones),
+    each as (coefficient tuple, rhs). A vertex is any feasible point where
+    some `dim` of the inequalities are tight and independent.
+    """
+    verts = set()
+    n = len(constraints)
+    for combo in combinations(range(n), dim):
+        a = [constraints[i][0] for i in combo]
+        b = [constraints[i][1] for i in combo]
+        point = _solve_square(a, b)
+        if point is None:
+            continue
+        if all(sum(c * p for c, p in zip(row, point)) <= rhs
+               for row, rhs in constraints):
+            verts.add(tuple(point))
+    return verts
+
+
+def equilibria_by_vertex_subsets(z1, z2):
+    """(profiles, best) of the bimatrix game (z1, z2), as the package's
+    `_enumerate_cached` returns them: every completely labelled vertex pair
+    of the best-response polytopes, normalised to MixedProfiles and sorted
+    by `MixedProfile.sort_key`, with `best` the index `select_swne` picks.
+
+    Each polytope is built in Fractions and each of its C(l+m, l) tight
+    subsets solved by rational Gauss-Jordan elimination.
+    """
+    z1 = tuple(tuple(Fraction(v) for v in row) for row in z1)
+    z2 = tuple(tuple(Fraction(v) for v in row) for row in z2)
+    l, m = len(z1), len(z1[0])
+    shift1 = 1 - min(min(row) for row in z1)
+    shift2 = 1 - min(min(row) for row in z2)
+    one = Fraction(1)
+    zero = Fraction(0)
+
+    # P = {x >= 0, Z2'^T x <= 1}: labels are i (x_i = 0) and l+j (column j tight).
+    p_cons = [(tuple(-one if k == i else zero for k in range(l)), zero)
+              for i in range(l)]
+    p_cons += [(tuple(z2[i][j] + shift2 for i in range(l)), one)
+               for j in range(m)]
+    # Q = {y >= 0, Z1' y <= 1}: labels are i (row i tight) and l+j (y_j = 0).
+    q_cons = [(tuple(z1[i][j] + shift1 for j in range(m)), one)
+              for i in range(l)]
+    q_cons += [(tuple(-one if k == j else zero for k in range(m)), zero)
+               for j in range(m)]
+
+    full = frozenset(range(l + m))
+
+    x_verts = []
+    for xv in _polytope_vertices(p_cons, l):
+        if all(c == 0 for c in xv):
+            continue
+        labels = {i for i in range(l) if xv[i] == 0}
+        labels |= {l + j for j in range(m)
+                   if sum((z2[i][j] + shift2) * xv[i] for i in range(l)) == 1}
+        x_verts.append((xv, frozenset(labels)))
+
+    y_verts = []
+    for yv in _polytope_vertices(q_cons, m):
+        if all(c == 0 for c in yv):
+            continue
+        labels = {l + j for j in range(m) if yv[j] == 0}
+        labels |= {i for i in range(l)
+                   if sum((z1[i][j] + shift1) * yv[j] for j in range(m)) == 1}
+        y_verts.append((yv, frozenset(labels)))
+
+    seen = set()
+    profiles = []
+    for xv, xl in x_verts:
+        missing = full - xl
+        for yv, yl in y_verts:
+            if not (missing <= yl):
+                continue
+            xs, ys = sum(xv), sum(yv)
+            x = tuple(c / xs for c in xv)
+            y = tuple(c / ys for c in yv)
+            if (x, y) in seen:
+                continue
+            seen.add((x, y))
+            u = sum(x[i] * z1[i][j] * y[j] for i in range(l) for j in range(m))
+            v = sum(x[i] * z2[i][j] * y[j] for i in range(l) for j in range(m))
+            profiles.append(MixedProfile(x, y, Fraction(u), Fraction(v)))
+    profiles.sort(key=MixedProfile.sort_key)
+    best = profiles.index(select_swne(profiles)) if profiles else None
+    return tuple(profiles), best
 
 def maximal_end_components(transitions):
     """Maximal end components of a small game/MDP, by brute force.

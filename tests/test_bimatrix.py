@@ -17,7 +17,8 @@ from csgnash.bimatrix import (
 )
 from csgnash.errors import DimensionMismatch, EmptyList
 
-from oracles import nash_equilibria_by_support
+from oracles import (equilibria_by_vertex_subsets,
+                     nash_equilibria_by_support)
 
 F = Fraction
 
@@ -146,15 +147,30 @@ def random_game(rng, max_dim=4, lo=-5, hi=5):
     return z1, z2
 
 
+def random_rational_game(rng, max_dim=4):
+    """A game whose entries have unequal denominators, so each player's
+    common denominator is a true lcm."""
+    l = rng.randint(1, max_dim)
+    m = rng.randint(1, max_dim)
+
+    def entry():
+        return F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5, 7)))
+
+    z1 = [[entry() for _ in range(m)] for _ in range(l)]
+    z2 = [[entry() for _ in range(m)] for _ in range(l)]
+    return z1, z2
+
+
 class TestAgainstOracle:
     def test_random_games_match_support_oracle(self):
-        # 200 random integer games up to 4x4: the polytope-vertex solver and
-        # the independent support-pair oracle must produce identical
-        # equilibrium sets, and every equilibrium must pass the exact LCP
-        # check (tolerance 0).
+        # 200 random integer games and 100 rational ones up to 4x4: the
+        # polytope-vertex solver and the independent support-pair oracle
+        # must produce identical equilibrium sets, and every equilibrium
+        # must pass the exact LCP check (tolerance 0).
         rng = random.Random(20240817)
-        for _ in range(200):
-            z1, z2 = random_game(rng)
+        drawn = [random_game(rng) for _ in range(200)]
+        drawn += [random_rational_game(rng) for _ in range(100)]
+        for z1, z2 in drawn:
             game = BimatrixGame.from_rows(z1, z2)
             ours = as_tuples(enumerate_equilibria(game))
             theirs = nash_equilibria_by_support(z1, z2)
@@ -241,6 +257,40 @@ class TestFloatPayoffs:
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert all(isinstance(c, Fraction) for p in equilibria
                    for c in p.x + p.y + (p.u, p.v))
+
+
+@st.composite
+def oracle_games(draw, entries):
+    """Games up to 4x4, at times with a repeated row or column, or constant."""
+    z1, z2 = draw(games(max_dim=4, entries=entries))
+    shape = draw(st.sampled_from(("plain", "row", "column", "constant")))
+    if shape == "row":
+        z1[-1], z2[-1] = list(z1[0]), list(z2[0])
+    elif shape == "column":
+        for r1, r2 in zip(z1, z2):
+            r1[-1], r2[-1] = r1[0], r2[0]
+    elif shape == "constant":
+        z1 = [[z1[0][0]] * len(row) for row in z1]
+        z2 = [[z2[0][0]] * len(row) for row in z2]
+    return z1, z2
+
+
+class TestAgainstVertexSubsetOracle:
+    # The earlier Fraction enumerator, kept in the oracles: the integer
+    # polytopes must give the same list, in the same order, with the same
+    # selection.
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        oracle_games(st.integers(-2, 2)),
+        oracle_games(st.fractions(-4, 4, max_denominator=2 ** 40)),
+        oracle_games(st.one_of(
+            st.sampled_from([1 / 3, 1e-9, 0.5 + 1e-12, -0.75, 2.0]),
+            st.floats(min_value=-4, max_value=4, allow_nan=False)))))
+    def test_enumeration_equals_the_oracle(self, zz):
+        game = BimatrixGame.from_rows(*zz)
+        profiles, best = equilibria_by_vertex_subsets(game.z1, game.z2)
+        assert enumerate_equilibria(game, with_swne=True) == \
+            (list(profiles), best)
 
 
 @st.composite

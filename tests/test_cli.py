@@ -504,6 +504,27 @@ class TestSolveNfg:
         assert payload["swne"] == {"x": ["0", "1"], "y": ["0", "0", "1"],
                                    "u": "6", "v": "9", "sum": "15"}
 
+    def test_json_output_of_a_degenerate_rational_game(self, capsys):
+        # row 0 leaves the column player indifferent, so (1, 0) against
+        # every y with y2 <= 2/5 is an equilibrium: one component with two
+        # vertices, whose tie on (u, v) the selection breaks by strategy
+        code, out, _ = run_cli(capsys, "solve-nfg", "--format", "json",
+                               "--z1", "1/2 1/2; 1/3 3/4",
+                               "--z2", "2/3 2/3; 1/5 1/4")
+        assert code == 0
+        expected = {
+            "rows": 2, "cols": 2,
+            "equilibria": [
+                {"x": ["1", "0"], "y": ["1", "0"], "u": "1/2", "v": "2/3"},
+                {"x": ["1", "0"], "y": ["3/5", "2/5"],
+                 "u": "1/2", "v": "2/3"},
+                {"x": ["0", "1"], "y": ["0", "1"], "u": "3/4", "v": "1/4"},
+            ],
+            "swne": {"x": ["1", "0"], "y": ["1", "0"],
+                     "u": "1/2", "v": "2/3", "sum": "7/6"},
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
+
     def test_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "game.json"
         path.write_text(json.dumps(
