@@ -21,12 +21,18 @@ yield the finitely many vertices of each equilibrium component.  Equilibrium
 strategies, their payoffs and the SWNE selection stay exact rationals; only
 the polytope constraints are scaled, never the payoffs.
 
-Payoffs are Fractions or floats.  Float payoffs stay floats through
-dominance elimination and the equilibrium-cache key: a float's order,
-equality and hash are exactly those of the dyadic rational it denotes, so a
-float game and its Fraction image share one cache entry, and a cache miss
-reads each float as that rational (its D is a power of two).  Returned
-profiles are always Fractions.
+Each player's payoffs are numerators over one denominator: entry (i, j) of
+player k is z_k[i][j] / den_k.  The local games of an exact solve are
+integer games, each player's numerators and den over their least common
+denominator (`BimatrixGame.from_numerators` divides by the gcd), so two
+games with equal payoffs have equal numerators, and dominance elimination
+compares integers.  `BimatrixGame.from_rows` builds a game over 1 from
+Fractions or floats (the normal-form solver's and the tests' form).  Float
+payoffs stay floats through dominance elimination and the equilibrium-cache
+key: a float's order, equality and hash are exactly those of the dyadic
+rational it denotes, so a float game and its Fraction image share one cache
+entry, and a cache miss reads each float as that rational (its D is a
+power of two).  Returned profiles are always Fractions.
 """
 
 from __future__ import annotations
@@ -35,9 +41,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
+from operator import gt
 
-from .errors import DimensionMismatch, EmptyList, SolverError
+from .errors import DimensionMismatch, EmptyList, NonFinitePayoff, SolverError
 
 __all__ = [
     "BimatrixGame",
@@ -59,18 +66,36 @@ def _frac(value) -> Fraction:
 
 def _payoff(value):
     """A payoff entry as stored: floats and Fractions as they are, any other
-    number as a Fraction."""
-    return value if isinstance(value, (float, Fraction)) else Fraction(value)
+    number as a Fraction.  NaN and infinities have no rational image."""
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise NonFinitePayoff(f"payoff {value!r} is not a finite number")
+        return value
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _lowest(z, den):
+    """The integer matrix `z` over `den` as row tuples, both divided by
+    their gcd."""
+    if den != 1:
+        g = gcd(den, *(v for row in z for v in row))
+        if g != 1:
+            return tuple(tuple(v // g for v in row) for row in z), den // g
+    return tuple(map(tuple, z)), den
 
 
 @dataclass(frozen=True)
 class BimatrixGame:
     """An l x m two-player game in matrix form (row player 1, column player 2).
 
-    Payoffs are Fractions or floats (see the module docstring)."""
+    Player k's payoff at (i, j) is z_k[i][j] / den_k: integers over den_k
+    (see `from_numerators`), or Fractions or floats over 1 (see the module
+    docstring)."""
 
-    z1: tuple[tuple[Fraction | float, ...], ...]
-    z2: tuple[tuple[Fraction | float, ...], ...]
+    z1: tuple[tuple[int | Fraction | float, ...], ...]
+    z2: tuple[tuple[int | Fraction | float, ...], ...]
+    den1: int = 1
+    den2: int = 1
 
     @classmethod
     def from_rows(cls, z1, z2) -> "BimatrixGame":
@@ -82,6 +107,15 @@ class BimatrixGame:
                                      for r1, r2 in zip(t1, t2)):
             raise DimensionMismatch("Z1 and Z2 must have identical l x m shape")
         return cls(t1, t2)
+
+    @classmethod
+    def from_numerators(cls, z1, den1, z2, den2) -> "BimatrixGame":
+        """The game z1/den1, z2/den2, each player's integer numerators and
+        denominator divided by their gcd, so that equal games are equal
+        objects.  Over 1 the entries may be floats and are kept as given."""
+        z1, den1 = _lowest(z1, den1)
+        z2, den2 = _lowest(z2, den2)
+        return cls(z1, z2, den1, den2)
 
     @property
     def rows(self) -> int:
@@ -115,17 +149,20 @@ class MixedProfile:
 
 # --- fraction-free vertex enumeration ----------------------------------------
 
-def _integer_matrix(z):
-    """A payoff matrix over one common denominator.
+def _integer_matrix(z, den):
+    """A payoff matrix z/den over one common denominator.
 
-    Returns (a, den, b, d): a = den*Z is the integer image of the payoffs
-    over den, the lcm of their denominators (a power of two for floats), and
-    b = d*(Z + shift) with shift = 1 - min Z is the shifted matrix over d,
-    the lcm of its own denominators, so every entry of b is at least d.
+    Entries are ints, Fractions or floats, read through `as_integer_ratio`.
+    Returns (a, den', b, d): a = den'*Z is the integer image of the payoffs
+    Z = z/den over den', `den` times the lcm of the entries' own
+    denominators (a power of two for floats), and b = d*(Z + shift) with
+    shift = 1 - min Z is the shifted matrix over d, the lcm of its own
+    denominators, so every entry of b is at least d.
     """
     ratios = [[v.as_integer_ratio() for v in row] for row in z]
-    den = lcm(*(q for row in ratios for _, q in row))
-    a = [[n * (den // q) for n, q in row] for row in ratios]
+    q = lcm(*(q for row in ratios for _, q in row))
+    a = [[n * (q // r) for n, r in row] for row in ratios]
+    den *= q
     low = min(map(min, a))
     b = [[v - low + den for v in row] for row in a]
     g = gcd(den, *(v for row in b for v in row))
@@ -215,32 +252,39 @@ def _bilinear(x, a, y):
 
 # --- public operations -------------------------------------------------------
 
+def _undominated(lines, keep, over):
+    """The members i of `keep` whose line, lines[i] read at the indices
+    `over`, no other member's line beats strictly at every index."""
+    if len(keep) < 2:
+        return keep
+    vectors = [[lines[i][j] for j in over] for i in keep]
+    return [i for i, v in zip(keep, vectors)
+            if not any(all(map(gt, w, v)) for w in vectors)]
+
+
 def eliminate_dominated(game: BimatrixGame):
     """Iterated elimination of strictly dominated pure strategies.
 
     Only strict dominance by pure strategies is used, which preserves the
-    equilibrium set exactly. Returns the reduced game plus maps from reduced
+    equilibrium set exactly.  Each player's entries share one positive
+    denominator, so numerators are compared.  Returns the reduced game,
+    divided by its gcd where strategies were removed, plus maps from reduced
     row/column indices back to the original ones.
     """
-    rows = list(range(game.rows))
-    cols = list(range(game.cols))
-    changed = True
-    while changed:
-        changed = False
-        keep = [i for i in rows
-                if not any(p != i and all(game.z1[p][j] > game.z1[i][j] for j in cols)
-                           for p in rows)]
-        if len(keep) < len(rows):
-            rows, changed = keep, True
-        keep = [j for j in cols
-                if not any(q != j and all(game.z2[i][q] > game.z2[i][j] for i in rows)
-                           for q in cols)]
-        if len(keep) < len(cols):
-            cols, changed = keep, True
-    reduced = BimatrixGame(
-        tuple(tuple(game.z1[i][j] for j in cols) for i in rows),
-        tuple(tuple(game.z2[i][j] for j in cols) for i in rows),
-    )
+    z1, z2 = game.z1, game.z2
+    columns2 = tuple(zip(*z2))
+    rows, cols = list(range(game.rows)), list(range(game.cols))
+    while True:
+        keep_rows = _undominated(z1, rows, cols)
+        keep_cols = _undominated(columns2, cols, keep_rows)
+        if len(keep_rows) == len(rows) and len(keep_cols) == len(cols):
+            break
+        rows, cols = keep_rows, keep_cols
+    if len(rows) == game.rows and len(cols) == game.cols:
+        return game, tuple(rows), tuple(cols)
+    reduced = BimatrixGame.from_numerators(
+        [[z1[i][j] for j in cols] for i in rows], game.den1,
+        [[z2[i][j] for j in cols] for i in rows], game.den2)
     return reduced, tuple(rows), tuple(cols)
 
 
@@ -252,7 +296,7 @@ def enumerate_equilibria(game: BimatrixGame, *, with_swne=False):
     `with_swne`, returns (equilibria, i) where equilibria[i] is the profile
     `select_swne` picks, selected once per distinct game.
     """
-    profiles, best = _enumerate_cached(game.z1, game.z2)
+    profiles, best = _enumerate_cached(game.z1, game.den1, game.z2, game.den2)
     if not profiles:
         raise SolverError(
             "internal error: no equilibrium found (finite games always have one)")
@@ -260,10 +304,10 @@ def enumerate_equilibria(game: BimatrixGame, *, with_swne=False):
 
 
 @lru_cache(maxsize=65536)
-def _enumerate_cached(z1, z2):
+def _enumerate_cached(z1, den1, z2, den2):
     l = len(z1)
-    a1, den1, b1, d1 = _integer_matrix(z1)
-    a2, den2, b2, d2 = _integer_matrix(z2)
+    a1, den1, b1, d1 = _integer_matrix(z1, den1)
+    a2, den2, b2, d2 = _integer_matrix(z2, den2)
     # P = {x >= 0 : B2^T x <= d2}: labels are i (x_i = 0) and l+j (column j
     # tight); Q = {y >= 0 : B1 y <= d1}: labels are i (row i tight) and l+j
     # (y_j = 0).
@@ -301,8 +345,8 @@ def is_equilibrium(game: BimatrixGame, x, y, u, v, tolerance=0) -> bool:
     x = [_frac(p) for p in x]
     y = [_frac(p) for p in y]
     u, v, tol = _frac(u), _frac(v), _frac(tolerance)
-    z1 = [[_frac(w) for w in row] for row in game.z1]
-    z2 = [[_frac(w) for w in row] for row in game.z2]
+    z1 = [[_frac(w) / game.den1 for w in row] for row in game.z1]
+    z2 = [[_frac(w) / game.den2 for w in row] for row in game.z2]
     z1y = [sum(z1[i][j] * y[j] for j in range(game.cols))
            for i in range(game.rows)]
     z2tx = [sum(z2[i][j] * x[i] for i in range(game.rows))

@@ -112,6 +112,10 @@ class EmptyList(SolverError):
     pass
 
 
+class NonFinitePayoff(SolverError):
+    """A bimatrix payoff is NaN or infinite."""
+
+
 class InfiniteValue(SolverError):
     """Expected reward is infinite; carries the offending states."""
 

@@ -10,7 +10,9 @@ are reduced to infinite-horizon pairs on a step-counter product game.
 The number type of a solve is chosen once, in `_solve_nash`, and the solved
 game is compiled to it (`model.compile_game`): bounded pairs and games of up
 to `_EXACT_STATE_LIMIT` states are exact, larger unbounded and mixed pairs
-run in floats end to end.
+run in floats end to end.  Each engine compiles the states it solves once
+into a `LocalGameTable`; on an exact solve every local game is then an
+integer game, one denominator per player in lowest terms.
 
 Vocabulary used below for an objective at a state (`_refine` classifies,
 and both engines and synthesis share it):
@@ -29,6 +31,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .bimatrix import BimatrixGame, solve_swne
 from .errors import (
@@ -59,7 +63,9 @@ from .properties import (
 __all__ = [
     "PairResult",
     "Evaluation",
+    "LocalGameTable",
     "local_game",
+    "local_game_table",
     "solve_bounded_pair",
     "solve_unbounded_pair",
     "mixed_horizon_transform",
@@ -222,30 +228,94 @@ def _optimum(mdp, obj, optimise, status, all_horizons=False,
     return (vals, strategy) if with_strategy else vals
 
 
-def local_game(game, state, continuation, rewards=(None, None)) -> BimatrixGame:
+def _over_lcm(values, exact):
+    """`values` over one denominator: on an exact solve, the lcm of their
+    denominators and the integer numerators over it; floats are kept, over
+    1."""
+    if not exact:
+        return 1, values
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*(q for _, q in ratios))
+    return den, [n * (den // q) for n, q in ratios]
+
+
+@dataclass(frozen=True)
+class LocalGameTable:
+    """What the local games of one solve are built from, per state.
+
+    `entries[s]` is (moves, successors, D, choices, payments): the state's
+    `moves`; the union of its successors; per joint move, row-major over the
+    moves, the positions of its successors in that union and their
+    probabilities, numerators over D (the lcm of the state's probability
+    denominators); and per objective None, or (R, the state plus action
+    reward of each move as numerators over R).  In float mode every
+    denominator is 1 and the numbers are the game's floats.
+    """
+
+    exact: bool
+    entries: dict
+
+
+def local_game_table(game, states, rewards=(None, None)) -> LocalGameTable:
+    """The local-game table of `states`; per objective, `rewards` may name a
+    reward structure whose state and action rewards every entry adds (the
+    cumulative and reachability-reward shapes)."""
+    exact = game.number is Fraction
+    structures = [None if name is None else game.rewards[name]
+                  for name in rewards]
+    entries = {}
+    for s in states:
+        acts1, acts2 = moves = game.moves[s]
+        dists = [game.trans[s][(a, b)] for a in acts1 for b in acts2]
+        succ = list(dict.fromkeys(t for dist in dists for t in dist))
+        pos = {t: i for i, t in enumerate(succ)}
+        d, probs = _over_lcm([p for dist in dists for p in dist.values()],
+                             exact)
+        choices, at = [], 0
+        for dist in dists:
+            choices.append((tuple(pos[t] for t in dist),
+                            tuple(probs[at:at + len(dist)])))
+            at += len(dist)
+        payments = []
+        for rs in structures:
+            pays = [] if rs is None else [rs.state(s) + rs.action(s, (a, b))
+                                          for a in acts1 for b in acts2]
+            payments.append(_over_lcm(pays, exact) if any(pays) else None)
+        entries[s] = (moves, succ, d, choices, tuple(payments))
+    return LocalGameTable(exact, entries)
+
+
+def local_game(table, state, continuation) -> BimatrixGame:
     """The one-shot game at `state` over coalition actions.
 
-    Each payoff entry is the expected continuation value; per objective,
-    `rewards` may name a reward structure whose state and action rewards are
-    added (the cumulative and reachability-reward shapes).
+    Each payoff entry is the expected continuation value plus, where the
+    table has them, the move's rewards.  On an exact solve, objective l's
+    entries are integers: with the successors' values over their lcm L, the
+    entry sum(p * v) + r is the integer dot product of the probability and
+    value numerators times R, plus r's numerator times D*L, over D*L*R;
+    `BimatrixGame.from_numerators` divides by the gcd, so games with equal
+    payoffs are equal.  A float value in an exact solve (the optimum of a
+    settled state's pending objective, from float value iteration) is read
+    as the rational it denotes.
     """
-    acts1, acts2 = game.actions1(state), game.actions2(state)
-    structures = [(l, game.rewards[name]) for l, name in enumerate(rewards)
-                  if name is not None]
-    z1, z2 = [], []
-    for a in acts1:
-        row1, row2 = [], []
-        for b in acts2:
-            dist = game.trans[state][(a, b)]
-            vals = [sum(p * continuation[t][l] for t, p in dist.items())
-                    for l in (0, 1)]
-            for l, rs in structures:
-                vals[l] += rs.state(state) + rs.action(state, (a, b))
-            row1.append(vals[0])
-            row2.append(vals[1])
-        z1.append(row1)
-        z2.append(row2)
-    return BimatrixGame.from_rows(z1, z2)
+    moves, succ, d, choices, payments = table.entries[state]
+    cols = len(moves[1])
+    matrices = []
+    for l, paid in enumerate(payments):
+        scale, vals = _over_lcm([continuation[t][l] for t in succ],
+                                table.exact)
+        get = vals.__getitem__
+        entries = [sum(map(mul, probs, map(get, idx)))
+                   for idx, probs in choices]
+        scale *= d
+        if paid is not None:
+            r, pays = paid
+            entries = [e * r + scale * p for e, p in zip(entries, pays)]
+            scale *= r
+        matrices.append([tuple(entries[i:i + cols])
+                         for i in range(0, len(entries), cols)])
+        matrices.append(scale)
+    return BimatrixGame.from_numerators(*matrices)
 
 
 def _reward_names(objectives):
@@ -253,13 +323,12 @@ def _reward_names(objectives):
                  for obj in objectives)
 
 
-def _swne_step(game, state, continuation, rewards):
+def _swne_step(table, state, continuation):
     """Solve the local game at `state`: the SWNE value pair and the profile
     ("mix", acts1, acts2, x, y) that plays it."""
-    chosen, _ = solve_swne(local_game(game, state, continuation, rewards))
-    return ((chosen.u, chosen.v),
-            ("mix", game.actions1(state), game.actions2(state),
-             chosen.x, chosen.y))
+    chosen, _ = solve_swne(local_game(table, state, continuation))
+    acts1, acts2 = table.entries[state][0]
+    return (chosen.u, chosen.v), ("mix", acts1, acts2, chosen.x, chosen.y)
 
 
 # --- bounded pairs ----------------------------------------------------------------
@@ -282,8 +351,10 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
         coop_strats.append(strats)
     mdp_s = time.perf_counter() - start
     rewards = _reward_names((o1, o2))
-    step_rewards = tuple(name if obj.op == "C" else None
-                         for name, obj in zip(rewards, (o1, o2)))
+    table = local_game_table(
+        cg, [s for s in cg.states if s not in settled],
+        tuple(name if obj.op == "C" else None
+              for name, obj in zip(rewards, (o1, o2))))
 
     vals = {s: (coop[0][pads[0]][s], coop[1][pads[1]][s]) for s in cg.states}
     history = deque([vals], maxlen=_TRACE_LENGTH)
@@ -298,7 +369,7 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
                     (o1, o2), row,
                     [coop[l][n + pads[l]][s] for l in (0, 1)], (ZERO, ONE))
             else:
-                new[s], profiles[s] = _swne_step(cg, s, vals, step_rewards)
+                new[s], profiles[s] = _swne_step(table, s, vals)
         vals = new
         history.append(vals)
         stage_profiles.append(profiles)
@@ -353,8 +424,9 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     start = time.perf_counter()
     fixed, aux = _unbounded_fixed_rows(cg, query, jmdp)
     aux["mdp_s"] = time.perf_counter() - start
-    rewards = _reward_names((o1, o2)) if o1.kind == "R" else (None, None)
     free = [s for s in cg.states if s not in fixed]
+    table = local_game_table(
+        cg, free, _reward_names((o1, o2)) if o1.kind == "R" else (None, None))
 
     zero = number(0)
     vals = {s: fixed.get(s, (zero, zero)) for s in cg.states}
@@ -369,7 +441,7 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
         new = dict(vals)
         for s in free:
             # the equilibrium's payoffs are exact; keep the solve's type
-            (u, v), profiles[s] = _swne_step(cg, s, vals, rewards)
+            (u, v), profiles[s] = _swne_step(table, s, vals)
             new[s] = (number(u), number(v))
         # largest change over the free states: of the sum, of either value,
         # and of either value against two sweeps back

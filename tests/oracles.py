@@ -15,14 +15,17 @@ main code so that agreement is meaningful:
 - a plain rational backward recursion for bounded MDP values (the package
   runs it on integer numerators over one common denominator);
 - a tree-walking expression evaluator (the package compiles expressions to
-  closures once, folding constant sub-expressions).
+  closures once, folding constant sub-expressions);
+- the package's earlier local-game builder, which sums each payoff entry in
+  Fractions (the package builds it as integer numerators over one
+  denominator per player).
 """
 
 import math
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from csgnash.bimatrix import MixedProfile, select_swne
+from csgnash.bimatrix import BimatrixGame, MixedProfile, select_swne
 from csgnash.errors import ModelTypeError, UndeclaredSymbol
 from csgnash.expr import Binary, Call, Lit, Unary, Var, expr_to_text
 
@@ -406,6 +409,32 @@ def mdp_backward_induction(transitions, start, horizon, maximise=True,
         family.append(vals)
         chosen.append(picks)
     return family, chosen
+
+
+def local_game_by_fractions(game, state, continuation, rewards=(None, None)):
+    """The one-shot game at `state` of a coalition game, over its actions.
+
+    Each payoff entry is sum(p * continuation[t][l]) over the successors;
+    per objective l, `rewards` may name a reward structure whose state and
+    action rewards are added.  Built in the game's own numbers.
+    """
+    acts1, acts2 = game.actions1(state), game.actions2(state)
+    structures = [(l, game.rewards[name]) for l, name in enumerate(rewards)
+                  if name is not None]
+    z1, z2 = [], []
+    for a in acts1:
+        row1, row2 = [], []
+        for b in acts2:
+            dist = game.trans[state][(a, b)]
+            vals = [sum(p * continuation[t][l] for t, p in dist.items())
+                    for l in (0, 1)]
+            for l, rs in structures:
+                vals[l] += rs.state(state) + rs.action(state, (a, b))
+            row1.append(vals[0])
+            row2.append(vals[1])
+        z1.append(row1)
+        z2.append(row2)
+    return BimatrixGame.from_rows(z1, z2)
 
 
 def swne_value(z1, z2):

@@ -15,7 +15,8 @@ from csgnash.bimatrix import (
     select_swne,
     solve_swne,
 )
-from csgnash.errors import DimensionMismatch, EmptyList
+from csgnash.errors import (DimensionMismatch, EmptyList, NonFinitePayoff,
+                            SolverError)
 
 from oracles import (equilibria_by_vertex_subsets,
                      nash_equilibria_by_support)
@@ -137,6 +138,16 @@ class TestValidation:
         x = (0.5 + 1e-7, 0.5 - 1e-7)
         assert not is_equilibrium(game, x, (0.5, 0.5), 0, 0, tolerance=1e-8)
         assert is_equilibrium(game, x, (0.5, 0.5), 0, 0, tolerance=1e-6)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_payoffs_are_rejected(self, bad):
+        # NaN and infinities have no rational image to enumerate on
+        with pytest.raises(NonFinitePayoff) as err:
+            BimatrixGame.from_rows([[1.0, bad]], [[0.0, 1.0]])
+        assert isinstance(err.value, SolverError)
+        with pytest.raises(NonFinitePayoff):
+            BimatrixGame.from_rows([[1.0, 0.0]], [[bad, 1.0]])
 
 
 def random_game(rng, max_dim=4, lo=-5, hi=5):
@@ -326,3 +337,65 @@ class TestSelectedProfile:
         assert solve_swne(game) == (chosen, equilibria)
         after = _enumerate_cached.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def over(z, den):
+    return tuple(map(tuple, z)), den
+
+
+@st.composite
+def integer_games(draw):
+    """A game of integer numerators over denominators 2..12, with dominated
+    rows and columns inserted."""
+    z1, z2 = draw(dominated_games(small_entries, st.integers(1, 3)))
+    return BimatrixGame(tuple(map(tuple, z1)), tuple(map(tuple, z2)),
+                        draw(st.integers(2, 12)), draw(st.integers(2, 12)))
+
+
+def fraction_image(game):
+    return BimatrixGame.from_rows(
+        [[F(v, game.den1) for v in row] for row in game.z1],
+        [[F(v, game.den2) for v in row] for row in game.z2])
+
+
+class TestDenominators:
+    @settings(max_examples=100, deadline=None)
+    @given(integer_games())
+    def test_den_game_agrees_with_its_fraction_image(self, game):
+        image = fraction_image(game)
+        reduced, row_map, col_map = eliminate_dominated(game)
+        image_reduced, image_rows, image_cols = eliminate_dominated(image)
+        assert (row_map, col_map) == (image_rows, image_cols)
+        assert fraction_image(reduced) == image_reduced
+        pure = [(tuple(F(int(i == k)) for k in range(game.rows)),
+                 tuple(F(int(j == k)) for k in range(game.cols)),
+                 image.z1[i][j], image.z2[i][j])
+                for i in range(game.rows) for j in range(game.cols)]
+        mixed = [(p.x, p.y, p.u, p.v) for p in enumerate_equilibria(image)]
+        for x, y, u, v in pure + mixed:
+            assert is_equilibrium(game, x, y, u, v) == \
+                is_equilibrium(image, x, y, u, v)
+        assert all(is_equilibrium(game, *profile) for profile in mixed)
+
+    def test_reduced_games_share_their_lowest_terms(self):
+        # both reduce, after their third row goes, to the same 2x2 game
+        # over 2; the full games have denominators 6 and 10
+        first = BimatrixGame.from_numerators(
+            [[3, 0], [0, 3], [-2, -2]], 6, [[0, 3], [3, 0], [2, 2]], 6)
+        second = BimatrixGame.from_numerators(
+            [[5, 0], [0, 5], [-2, -2]], 10, [[0, 5], [5, 0], [2, 4]], 10)
+        assert (first.den1, second.den1) == (6, 10)
+        reduced, rows, _ = eliminate_dominated(first)
+        assert rows == (0, 1)
+        assert (reduced.z1, reduced.den1) == over([[1, 0], [0, 1]], 2)
+        assert eliminate_dominated(second)[0] == reduced
+        chosen, equilibria = solve_swne(first)
+        before = _enumerate_cached.cache_info()
+        assert solve_swne(second) == (chosen, equilibria)
+        after = _enumerate_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_from_numerators_divides_by_the_gcd(self):
+        game = BimatrixGame.from_numerators([[4, 6]], 8, [[3, 0]], 9)
+        assert (game.z1, game.den1) == over([[2, 3]], 4)
+        assert (game.z2, game.den2) == over([[1, 0]], 3)
