@@ -5,6 +5,12 @@ optionally with an until-style constraint set), one-step probabilities,
 expected rewards (instantaneous, cumulative, reachability), qualitative
 prob-1 analysis, and extraction of optimal strategies.
 
+Each public call reads its MDP once, into one id-indexed form (`_index`):
+states are numbered in `mdp.states` order, each state's choices become
+(choice id, successor ids, probabilities), and each state lists the choices
+leading to it, for the qualitative sets and the max-reach strategy.  All
+other code works on ids.
+
 Unbounded values are computed by value iteration after qualitative
 precomputation of the probability-0 and probability-1 state sets, so states
 decided qualitatively carry exact 0/1 values even when iteration runs in
@@ -20,7 +26,9 @@ floats.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
 
@@ -41,33 +49,53 @@ DEFAULT_MAX_ITERS = 100000
 _ARG_TOL = 1e-9
 
 
-def _edges(mdp, allowed=None):
-    out = {}
-    for s in mdp.states:
-        if allowed is not None and s not in allowed:
-            out[s] = set()
-            continue
-        succ = set()
-        for _, dist in mdp.choices[s]:
-            succ |= set(dist)
-        out[s] = succ
-    return out
+_Graph = namedtuple("_Graph", "states ids rows owner preds number")
 
 
-def _backward_reachable(mdp, sources, allowed=None):
-    """States with a path to `sources` (path interior restricted to `allowed`)."""
-    edges = _edges(mdp, allowed)
-    preds = {s: set() for s in mdp.states}
-    for s, succ in edges.items():
-        for t in succ:
-            if t in preds:
-                preds[t].add(s)
-    reached = set(sources) & set(mdp.states)
+def _index(mdp):
+    """`mdp` in the id-indexed form; the only reader of `mdp.choices`.
+
+    State i is `states[i]` (`ids` maps it back) and `rows[i]` lists its
+    choices as (choice id, successor ids, probabilities); the probabilities
+    are a view of the distribution's values.  Choices are also numbered in
+    row order: `owner[c]` is the state id of choice c, and `preds[i]` lists
+    the numbers of the choices leading to state i (one entry per choice,
+    shared by all of its successors).
+    """
+    states = mdp.states
+    ids = {s: i for i, s in enumerate(states)}
+    rows = [[(cid, tuple([ids[t] for t in dist]), dist.values())
+             for cid, dist in mdp.choices[s]] for s in states]
+    owner, preds = [], [[] for _ in rows]
+    for i, choices in enumerate(rows):
+        for _, succ, _ in choices:
+            c = len(owner)
+            owner.append(i)
+            for t in succ:
+                preds[t].append(c)
+    return _Graph(states, ids, rows, owner, preds, mdp.number)
+
+
+def _id_set(g, states):
+    return {g.ids[s] for s in states if s in g.ids}
+
+
+def _outside(g, inside):
+    """Per choice number: how many of its successors lie outside `inside`."""
+    return [sum(t not in inside for t in succ)
+            for choices in g.rows for _, succ, _ in choices]
+
+
+def _attractor(g, sources, through, out):
+    """`sources` and the states of `through` with a path into them whose
+    every step takes a choice c with no successor counted in `out[c]`."""
+    owner, preds = g.owner, g.preds
+    reached = set(sources)
     frontier = list(reached)
     while frontier:
-        t = frontier.pop()
-        for s in preds[t]:
-            if s not in reached and (allowed is None or s in allowed):
+        for c in preds[frontier.pop()]:
+            s = owner[c]
+            if not out[c] and s not in reached and s in through:
                 reached.add(s)
                 frontier.append(s)
     return reached
@@ -79,32 +107,45 @@ def prob1_min_set(mdp: Mdp, targets):
     These are the states with no path, through non-target states, into the
     states where some strategy avoids the targets forever.
     """
-    targets, states = set(targets), set(mdp.states)
-    never = _prob0_min_set(mdp, targets, states)
-    bad = _backward_reachable(mdp, never, allowed=states - targets)
-    return {s for s in mdp.states if s not in bad}
+    g = _index(mdp)
+    _, sure = _almost_sure(g, _id_set(g, targets), set(range(len(g.rows))))
+    return {s for s, i in g.ids.items() if i in sure}
 
 
-def _leaving(mdp, states, inside):
-    """The choices of `states`, numbered in order: each one's state, how
-    many of its successors lie outside `inside`, and per state of `inside`
-    the numbers of the choices leading to it."""
-    owner, out, preds = [], [], {t: [] for t in inside}
-    for s in states:
-        for _, dist in mdp.choices[s]:
-            c = len(out)
-            owner.append(s)
-            n = 0
-            for t in dist:
-                if t in inside:
-                    preds[t].append(c)
-                else:
-                    n += 1
-            out.append(n)
-    return owner, out, preds
+def _almost_sure(g, targets, allowed):
+    """The states where SOME strategy avoids `targets` forever, and those
+    where EVERY strategy satisfies (allowed U targets) almost surely.
+
+    The first set is the greatest fixpoint of "has an action staying inside
+    the set", by a worklist: a state leaves once none of its choices stays
+    inside, and its leaving counts against the choices leading to it.
+    States outside `allowed` (until-constraint violations) trivially avoid.
+    The second set is the states with no path, through allowed non-target
+    states, into the first.
+    """
+    owner = g.owner
+    never = set(range(len(g.rows))) - targets
+    out = _outside(g, never)
+    staying = dict.fromkeys(never & allowed, 0)
+    for s, n in zip(owner, out):
+        if not n and s in staying:
+            staying[s] += 1
+    drop = [s for s, n in staying.items() if not n]
+    while drop:
+        t = drop.pop()
+        never.discard(t)
+        for c in g.preds[t]:
+            out[c] += 1
+            s = owner[c]
+            if out[c] == 1 and s in staying:
+                staying[s] -= 1
+                if not staying[s]:
+                    drop.append(s)
+    bad = _attractor(g, never, allowed - targets, bytes(len(owner)))
+    return never, set(range(len(g.rows))) - bad
 
 
-def _prob1_max_set(mdp, targets, allowed):
+def _prob1_max_set(g, targets, allowed):
     """States from which SOME strategy reaches `targets` almost surely.
 
     Standard double fixpoint: repeatedly keep only states that can reach the
@@ -112,70 +153,30 @@ def _prob1_max_set(mdp, targets, allowed):
     inside while none of its successors has left; each round searches
     backwards from the targets along such choices.
     """
-    targets = set(targets)
-    universe = {s for s in mdp.states if s in allowed} | targets
-    movers = [s for s in mdp.states if s in universe and s not in targets]
-    owner, out, preds = _leaving(mdp, movers, universe)
+    universe = allowed | targets
+    out = _outside(g, universe)
     while True:
-        reach = set(targets)
-        frontier = list(reach)
-        while frontier:
-            for c in preds[frontier.pop()]:
-                s = owner[c]
-                if not out[c] and s not in reach and s in universe:
-                    reach.add(s)
-                    frontier.append(s)
+        reach = _attractor(g, targets, universe, out)
         if reach == universe:
             return reach
         for t in universe - reach:
-            for c in preds[t]:
+            for c in g.preds[t]:
                 out[c] += 1
         universe = reach
 
 
-def _prob0_min_set(mdp, targets, allowed):
-    """States where SOME strategy avoids `targets` forever.
-
-    Greatest fixpoint of "has an action staying inside the set", by a
-    worklist: a state leaves once none of its choices stays inside, and
-    its leaving counts against the choices leading to it.  States outside
-    `allowed` (until-constraint violations) trivially avoid.
-    """
-    targets = set(targets)
-    group = {s for s in mdp.states if s not in targets}
-    movers = [s for s in mdp.states if s in group and s in allowed]
-    owner, out, preds = _leaving(mdp, movers, group)
-    staying = dict.fromkeys(movers, 0)
-    for s, n in zip(owner, out):
-        if not n:
-            staying[s] += 1
-    drop = [s for s in movers if not staying[s]]
-    while drop:
-        t = drop.pop()
-        group.discard(t)
-        for c in preds[t]:
-            out[c] += 1
-            if out[c] == 1:
-                s = owner[c]
-                staying[s] -= 1
-                if not staying[s]:
-                    drop.append(s)
-    return group
-
-
-def _rows(mdp, ids, states, action_rewards=None, state_rewards=None):
-    """The states to back up as indexed rows, in the MDP's own numbers.
+def _rows(g, free, action_rewards=None, state_rewards=None):
+    """The states `free` (ids) to back up, as rows for `_step`.
 
     Each row is (state id, choices, state reward or None); each choice is
-    (choice-id, successor ids, probabilities, action reward or None), with
-    `ids` mapping states to their index in the value vector.
+    (choice id, successor ids, probabilities, action reward or None).
     """
     a_rew = action_rewards or {}
     s_rew = state_rewards or {}
-    return [(ids[s], [(cid, [ids[t] for t in dist], list(dist.values()),
-                       a_rew.get((s, cid)))
-                      for cid, dist in mdp.choices[s]], s_rew.get(s))
-            for s in states]
+    states, rows = g.states, g.rows
+    return [(i, [(cid, succ, probs, a_rew.get((states[i], cid)))
+                 for cid, succ, probs in rows[i]], s_rew.get(states[i]))
+            for i in free]
 
 
 def _on_integers(rows):
@@ -223,40 +224,39 @@ def _step(rows, vals, maximise, scale=1, grow=1):
     return new, chosen
 
 
-def _iterate(mdp, fixed, undecided, optimise, action_rewards=None,
+def _iterate(g, start, undecided, optimise, action_rewards=None,
              state_rewards=None, with_strategy=False):
-    """Unbounded value iteration of the undecided states, from 0.0.
+    """Unbounded value iteration of the `undecided` ids from 0.0; the other
+    ids keep their value in the vector `start`.
 
     Stops when no undecided value changes by DEFAULT_EPSILON or more,
-    relative to its new size (at least 1).  Returns the values and, with
-    `with_strategy`, the choices of one more backup of the undecided states
-    (else an empty map).
+    relative to its new size (at least 1).  Returns the value vector and,
+    with `with_strategy`, the choices of one more backup of the undecided
+    states (else an empty list).
     """
-    vals = dict(fixed)
-    vals.update(dict.fromkeys(undecided, 0.0))
-    if not undecided:
-        return vals, {}
-    ids = {s: i for i, s in enumerate(vals)}
-    rows = _rows(mdp, ids, undecided, action_rewards, state_rewards)
-    cur = list(vals.values())
-    moving = [ids[s] for s in undecided]
+    cur = list(start)
+    for i in undecided:
+        cur[i] = 0.0
+    rows = _rows(g, undecided, action_rewards, state_rewards)
     maximise = optimise == "max"
     for _ in range(DEFAULT_MAX_ITERS):
         new, _ = _step(rows, cur, maximise)
-        delta = max(abs(new[i] - cur[i]) / max(1.0, abs(new[i]))
-                    for i in moving)
+        moved = [abs(new[i] - cur[i]) / max(1.0, abs(new[i]))
+                 for i in undecided]
         cur = new
-        if delta < DEFAULT_EPSILON:
+        if max(moved, default=0.0) < DEFAULT_EPSILON:
             break
     else:
-        raise SolverError("MDP value iteration exceeded the iteration limit")
-    chosen = {}
-    if with_strategy:
-        chosen = dict(zip(undecided, _step(rows, cur, maximise)[1]))
-    return dict(zip(vals, cur)), chosen
+        worst = max(moved)
+        raise SolverError(
+            f"MDP value iteration exceeded the iteration limit of "
+            f"{DEFAULT_MAX_ITERS} sweeps: state "
+            f"{g.states[undecided[moved.index(worst)]]} still changed by "
+            f"{worst:.3g} (relative) in the last sweep")
+    return cur, _step(rows, cur, maximise)[1] if with_strategy else []
 
 
-def _backward(mdp, vals, k, optimise, pinned=(), action_rewards=None,
+def _backward(g, vals, k, optimise, pinned=(), action_rewards=None,
               state_rewards=None, all_horizons=False):
     """`k` exact backward steps from the horizon-0 value vector `vals`.
 
@@ -269,11 +269,10 @@ def _backward(mdp, vals, k, optimise, pinned=(), action_rewards=None,
     value vectors of horizons 0..k, or with `all_horizons` off only
     horizon k's, and the chosen ids per step (None at horizon 0).
     """
-    states = mdp.states
-    ids = {s: i for i, s in enumerate(states)}
-    free = [s for s in states if s not in pinned]
-    rows = _rows(mdp, ids, free, action_rewards, state_rewards)
-    exact = mdp.number is Fraction
+    states = g.states
+    free = [i for i, s in enumerate(states) if s not in pinned]
+    rows = _rows(g, free, action_rewards, state_rewards)
+    exact = g.number is Fraction
     if exact:
         rows, d = _on_integers(rows)
         scale = lcm(*(v.denominator for v in vals.values()))
@@ -287,7 +286,7 @@ def _backward(mdp, vals, k, optimise, pinned=(), action_rewards=None,
     for n in range(1, k + 1):
         cur, chosen = _step(rows, cur, maximise, scale, d)
         scale *= d
-        steps.append(dict(zip(free, chosen)))
+        steps.append(dict(zip(map(states.__getitem__, free), chosen)))
         if all_horizons or n == k:
             history.append({s: Fraction(v, scale)
                             for s, v in zip(states, cur)} if exact
@@ -313,98 +312,92 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
     if bound is not None:
         vals = {s: one if s in targets else zero for s in mdp.states}
         pinned = {s for s in mdp.states if s in targets or s not in allowed}
-        result, steps = _backward(mdp, vals, bound, optimise, pinned,
+        result, steps = _backward(_index(mdp), vals, bound, optimise, pinned,
                                   all_horizons=all_horizons)
         return (result, steps) if with_strategy else result
 
-    # qualitative analysis
+    # qualitative analysis, on ids from here on
+    g = _index(mdp)
+    targets, allowed = _id_set(g, targets), _id_set(g, allowed)
     if optimise == "max":
-        can = _backward_reachable(mdp, targets, allowed=allowed - targets) | targets
-        sure = _prob1_max_set(mdp, targets, allowed)
-        never = {s for s in mdp.states if s not in can}
+        can = _attractor(g, targets, allowed - targets, bytes(len(g.owner)))
+        never = set(range(len(g.rows))) - can
+        sure = _prob1_max_set(g, targets, allowed)
     else:
-        never = _prob0_min_set(mdp, targets, allowed)
-        bad = _backward_reachable(mdp, never, allowed=allowed - targets)
-        sure = {s for s in mdp.states if s not in bad}
+        never, sure = _almost_sure(g, targets, allowed)
 
-    fixed = {}
-    for s in mdp.states:
-        if s in targets or s in sure:
-            fixed[s] = one
-        elif s in never or s not in allowed:
-            fixed[s] = zero
-    undecided = [s for s in mdp.states if s not in fixed]
-    vals, _ = _iterate(mdp, fixed, undecided, optimise)
+    start = [one if i in targets or i in sure else
+             zero if i in never or i not in allowed else None
+             for i in range(len(g.rows))]
+    undecided = [i for i, v in enumerate(start) if v is None]
+    vals, _ = _iterate(g, start, undecided, optimise)
+    # the result lists the decided states first, then the undecided ones
+    order = chain((i for i, v in enumerate(start) if v is not None), undecided)
+    result = {g.states[i]: vals[i] for i in order}
     if not with_strategy:
-        return vals
-    strategy = _extract_reach_strategy(mdp, vals, targets, allowed, optimise,
+        return result
+    strategy = _extract_reach_strategy(g, vals, targets, allowed, optimise,
                                        never)
-    return vals, strategy
+    return result, strategy
 
 
-def _extract_reach_strategy(mdp, vals, targets, allowed, optimise, zero):
+def _extract_reach_strategy(g, vals, targets, allowed, optimise, never):
     """Memoryless optimal strategy for (un)constrained reachability.
 
     Optimal actions attain the best one-step value of their state; for
     maximisation we additionally require positive-probability progress
     towards the targets (assigned in BFS layers), which rules out
-    value-conserving cycles.  The best one-step value, not `vals[s]`, is the
+    value-conserving cycles.  The best one-step value, not `vals[i]`, is the
     reference: where value iteration stopped short of the fixed point, the
     two differ by more than `_ARG_TOL`.
     """
+    states, rows = g.states, g.rows
+    maximise = optimise == "max"
+    pick = max if maximise else min
+    get = vals.__getitem__
     strategy = {}
-    candidates = {}
-    for s in mdp.states:
-        if s in targets:
-            strategy[s] = mdp.choices[s][0][0]
+    candidates = {}                     # state id -> positions in its row
+    wanted = bytearray(len(g.owner))    # per choice number: a candidate?
+    c = 0
+    for i, choices in enumerate(rows):
+        first, c = c, c + len(choices)
+        if i in targets or i not in allowed or maximise and i in never:
+            strategy[states[i]] = choices[0][0]
             continue
-        if s not in allowed or s in zero and optimise == "max":
-            strategy[s] = mdp.choices[s][0][0]
-            continue
-        step = [(cid, sum(p * vals[t] for t, p in dist.items()))
-                for cid, dist in mdp.choices[s]]
-        best = (max if optimise == "max" else min)(val for _, val in step)
-        candidates[s] = [cid for cid, val in step
+        step = [sum(map(mul, probs, map(get, succ)))
+                for _, succ, probs in choices]
+        best = pick(step)
+        candidates[i] = [j for j, val in enumerate(step)
                          if abs(val - best) <= _ARG_TOL * max(1.0, abs(best))]
-    if optimise == "min":
-        # staying put can only lower reach probability, so any conserving
-        # choice is optimal for minimisation
-        for s, cand in candidates.items():
-            strategy[s] = cand[0]
-        return strategy
+        for j in candidates[i]:
+            wanted[first + j] = 1
     # Layers are assigned one state at a time: always the least pending state
-    # (by str, then state order) with a candidate reaching an assigned state,
+    # (by str, then state id) with a candidate reaching an assigned state,
     # which takes the first such candidate.  `ready` is a heap of exactly the
-    # pending states that can progress; a state joins it when the first
-    # successor of one of its candidates is assigned.
+    # pending states that can progress; a state joins it when a successor of
+    # one of its candidates (a `wanted` choice) is assigned.
     assigned = set(targets)
-    pending = {}
-    ready = []
-    queued = set()
-    waiting = {}                  # successor -> heap entries of states reaching it
-    for i, (s, cand) in enumerate(candidates.items()):
-        dists = dict(mdp.choices[s])
-        pending[s] = [(cid, dists[cid]) for cid in cand]
-        entry = (str(s), i, s)
-        succ = set().union(*(dist for _, dist in pending[s]))
-        if not assigned.isdisjoint(succ):
-            heapq.heappush(ready, entry)
-            queued.add(s)
-        else:
-            for t in succ:
-                waiting.setdefault(t, []).append(entry)
+    ready = [(str(states[i]), i) for i, cand in candidates.items()
+             if maximise and any(not assigned.isdisjoint(rows[i][j][1])
+                                 for j in cand)]
+    heapq.heapify(ready)
+    queued = {i for _, i in ready}
     while ready:
-        _, _, s = heapq.heappop(ready)
-        strategy[s] = next(cid for cid, dist in pending.pop(s)
-                           if not assigned.isdisjoint(dist))
-        assigned.add(s)
-        for entry in waiting.pop(s, ()):
-            if entry[2] not in queued:
-                queued.add(entry[2])
-                heapq.heappush(ready, entry)
-    # remaining states have value 0 (cannot progress); any choice
-    for s in pending:
-        strategy[s] = candidates[s][0]
+        _, i = heapq.heappop(ready)
+        strategy[states[i]] = next(
+            rows[i][j][0] for j in candidates.pop(i)
+            if not assigned.isdisjoint(rows[i][j][1]))
+        assigned.add(i)
+        for n in g.preds[i]:
+            s = g.owner[n]
+            if wanted[n] and s not in queued:
+                queued.add(s)
+                heapq.heappush(ready, (str(states[s]), s))
+    # The rest take their first candidate: when minimising, staying put can
+    # only lower the reach probability, so any conserving choice is optimal;
+    # when maximising, the rest have value 0 (cannot progress).
+    for i, cand in candidates.items():
+        strategy[states[i]] = rows[i][cand[0]][0]
     return strategy
 
 
@@ -413,7 +406,7 @@ def step_prob(mdp: Mdp, targets, optimise="max", with_strategy=False):
     targets = set(targets)
     zero, one = mdp.number(0), mdp.number(1)
     start = {s: one if s in targets else zero for s in mdp.states}
-    vals, (_, strategy) = _backward(mdp, start, 1, optimise)
+    vals, (_, strategy) = _backward(_index(mdp), start, 1, optimise)
     return (vals, strategy) if with_strategy else vals
 
 
@@ -439,12 +432,12 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
             raise SolverError("bounded reward objectives need a bound k >= 0")
         if kind == "I":
             vals = {s: s_rew.get(s, zero) for s in mdp.states}
-            result, steps = _backward(mdp, vals, k, optimise,
+            result, steps = _backward(_index(mdp), vals, k, optimise,
                                       all_horizons=all_horizons)
         else:
             vals = {s: zero for s in mdp.states}
-            result, steps = _backward(mdp, vals, k, optimise, (), a_rew,
-                                      s_rew, all_horizons)
+            result, steps = _backward(_index(mdp), vals, k, optimise, (),
+                                      a_rew, s_rew, all_horizons)
         return (result, steps) if with_strategy else result
 
     if kind != "F":
@@ -457,16 +450,21 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
         raise InfiniteValue(
             "expected reachability reward is infinite: targets are not "
             "reached almost surely under all strategies", states=bad)
-    fixed = {s: zero for s in targets}
-    undecided = [s for s in mdp.states if s in finite and s not in targets]
+    g = _index(mdp)
+    undecided = [i for i, s in enumerate(g.states)
+                 if s in finite and s not in targets]
     a_rew = {key: float(r) for key, r in a_rew.items()}
-    s_rew = {s: float(s_rew.get(s, 0)) for s in undecided}
-    vals, chosen = _iterate(mdp, fixed, undecided, optimise, a_rew, s_rew,
-                            with_strategy)
+    s_rew = {g.states[i]: float(s_rew.get(g.states[i], 0)) for i in undecided}
+    cur, chosen = _iterate(g, [zero] * len(g.rows), undecided, optimise,
+                           a_rew, s_rew, with_strategy)
+    vals = dict.fromkeys(targets, zero)
+    vals.update((g.states[i], cur[i]) for i in undecided)
     for s in mdp.states:
         vals.setdefault(s, None)        # states with infinite value, unrequested
     if not with_strategy:
         return vals
     # all strategies reach the targets here, so any conserving choice is
     # optimal
-    return vals, {s: chosen.get(s, mdp.choices[s][0][0]) for s in mdp.states}
+    chosen = dict(zip(undecided, chosen))
+    return vals, {s: chosen.get(i, choices[0][0])
+                  for i, (s, choices) in enumerate(zip(g.states, g.rows))}

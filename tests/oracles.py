@@ -14,6 +14,11 @@ main code so that agreement is meaningful:
 - an exhaustive memoryless-strategy MDP evaluator;
 - a plain rational backward recursion for bounded MDP values (the package
   runs it on integer numerators over one common denominator);
+- the package's earlier unbounded reachability, which walks the
+  `mdp.choices` dicts once per qualitative set, per value-iteration sweep
+  and for the strategy, waking pending states through its own map (the
+  package reads each MDP once into an id-indexed form with predecessor
+  lists);
 - a tree-walking expression evaluator (the package compiles expressions to
   closures once, folding constant sub-expressions);
 - the package's earlier local-game builder, which sums each payoff entry in
@@ -21,6 +26,7 @@ main code so that agreement is meaningful:
   denominator per player).
 """
 
+import heapq
 import math
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -409,6 +415,211 @@ def mdp_backward_induction(transitions, start, horizon, maximise=True,
         family.append(vals)
         chosen.append(picks)
     return family, chosen
+
+
+def _choice_edges(mdp, allowed=None):
+    out = {}
+    for s in mdp.states:
+        if allowed is not None and s not in allowed:
+            out[s] = set()
+            continue
+        succ = set()
+        for _, dist in mdp.choices[s]:
+            succ |= set(dist)
+        out[s] = succ
+    return out
+
+
+def _backward_reachable(mdp, sources, allowed=None):
+    """States with a path to `sources` (path interior restricted to `allowed`)."""
+    edges = _choice_edges(mdp, allowed)
+    preds = {s: set() for s in mdp.states}
+    for s, succ in edges.items():
+        for t in succ:
+            if t in preds:
+                preds[t].add(s)
+    reached = set(sources) & set(mdp.states)
+    frontier = list(reached)
+    while frontier:
+        t = frontier.pop()
+        for s in preds[t]:
+            if s not in reached and (allowed is None or s in allowed):
+                reached.add(s)
+                frontier.append(s)
+    return reached
+
+
+def _leaving(mdp, states, inside):
+    """The choices of `states`, numbered in order: each one's state, how
+    many of its successors lie outside `inside`, and per state of `inside`
+    the numbers of the choices leading to it."""
+    owner, out, preds = [], [], {t: [] for t in inside}
+    for s in states:
+        for _, dist in mdp.choices[s]:
+            c = len(out)
+            owner.append(s)
+            n = 0
+            for t in dist:
+                if t in inside:
+                    preds[t].append(c)
+                else:
+                    n += 1
+            out.append(n)
+    return owner, out, preds
+
+
+def _prob1_max_set(mdp, targets, allowed):
+    """States from which some strategy reaches `targets` almost surely
+    (double fixpoint)."""
+    targets = set(targets)
+    universe = {s for s in mdp.states if s in allowed} | targets
+    movers = [s for s in mdp.states if s in universe and s not in targets]
+    owner, out, preds = _leaving(mdp, movers, universe)
+    while True:
+        reach = set(targets)
+        frontier = list(reach)
+        while frontier:
+            for c in preds[frontier.pop()]:
+                s = owner[c]
+                if not out[c] and s not in reach and s in universe:
+                    reach.add(s)
+                    frontier.append(s)
+        if reach == universe:
+            return reach
+        for t in universe - reach:
+            for c in preds[t]:
+                out[c] += 1
+        universe = reach
+
+
+def _prob0_min_set(mdp, targets, allowed):
+    """States where some strategy avoids `targets` forever (greatest
+    fixpoint by a worklist); states outside `allowed` trivially avoid."""
+    targets = set(targets)
+    group = {s for s in mdp.states if s not in targets}
+    movers = [s for s in mdp.states if s in group and s in allowed]
+    owner, out, preds = _leaving(mdp, movers, group)
+    staying = dict.fromkeys(movers, 0)
+    for s, n in zip(owner, out):
+        if not n:
+            staying[s] += 1
+    drop = [s for s in movers if not staying[s]]
+    while drop:
+        t = drop.pop()
+        group.discard(t)
+        for c in preds[t]:
+            out[c] += 1
+            if out[c] == 1:
+                s = owner[c]
+                staying[s] -= 1
+                if not staying[s]:
+                    drop.append(s)
+    return group
+
+
+def prob1_min_set_by_dicts(mdp, targets):
+    """The package's earlier `prob1_min_set`: states with no path, through
+    non-target states, into the states where some strategy avoids the
+    targets forever."""
+    targets, states = set(targets), set(mdp.states)
+    never = _prob0_min_set(mdp, targets, states)
+    bad = _backward_reachable(mdp, never, allowed=states - targets)
+    return {s for s in mdp.states if s not in bad}
+
+
+def reach_prob_by_dicts(mdp, targets, optimise="max", constraint=None):
+    """The package's earlier unbounded `reach_prob(..., with_strategy=True)`.
+
+    Qualitative sets as above, then Jacobi value iteration from 0.0 over the
+    `mdp.choices` dicts, each one-step value summed left to right as
+    p * v[t] (the package's order, so float values agree to the bit), with
+    the package's stop rule.  Returns the values, fixed states first, and
+    the strategy of `_extract_reach_strategy`.
+    """
+    targets = set(targets)
+    allowed = (set(mdp.states) if constraint is None
+               else set(constraint) | targets)
+    zero, one = mdp.number(0), mdp.number(1)
+    if optimise == "max":
+        can = _backward_reachable(mdp, targets, allowed - targets) | targets
+        sure = _prob1_max_set(mdp, targets, allowed)
+        never = {s for s in mdp.states if s not in can}
+    else:
+        never = _prob0_min_set(mdp, targets, allowed)
+        bad = _backward_reachable(mdp, never, allowed - targets)
+        sure = {s for s in mdp.states if s not in bad}
+    vals = {}
+    for s in mdp.states:
+        if s in targets or s in sure:
+            vals[s] = one
+        elif s in never or s not in allowed:
+            vals[s] = zero
+    undecided = [s for s in mdp.states if s not in vals]
+    vals.update(dict.fromkeys(undecided, 0.0))
+    pick = max if optimise == "max" else min
+    for _ in range(100000 if undecided else 0):
+        new = dict(vals)
+        for s in undecided:
+            new[s] = pick(sum(p * vals[t] for t, p in dist.items())
+                          for _, dist in mdp.choices[s])
+        delta = max(abs(new[s] - vals[s]) / max(1.0, abs(new[s]))
+                    for s in undecided)
+        vals = new
+        if delta < 1e-6:
+            break
+    return vals, _extract_reach_strategy(mdp, vals, targets, allowed,
+                                         optimise, never)
+
+
+def _extract_reach_strategy(mdp, vals, targets, allowed, optimise, zero):
+    """Memoryless optimal reachability strategy: choices within 1e-9
+    (relative) of their state's best one-step value; when maximising,
+    assigned in layers towards the targets, least pending state (by str,
+    then state order) first, each taking its first candidate reaching an
+    assigned state."""
+    strategy = {}
+    candidates = {}
+    for s in mdp.states:
+        if s in targets or s not in allowed or s in zero and optimise == "max":
+            strategy[s] = mdp.choices[s][0][0]
+            continue
+        step = [(cid, sum(p * vals[t] for t, p in dist.items()))
+                for cid, dist in mdp.choices[s]]
+        best = (max if optimise == "max" else min)(val for _, val in step)
+        candidates[s] = [cid for cid, val in step
+                         if abs(val - best) <= 1e-9 * max(1.0, abs(best))]
+    if optimise == "min":
+        for s, cand in candidates.items():
+            strategy[s] = cand[0]
+        return strategy
+    assigned = set(targets)
+    pending = {}
+    ready = []
+    queued = set()
+    waiting = {}                  # successor -> heap entries of states reaching it
+    for i, (s, cand) in enumerate(candidates.items()):
+        dists = dict(mdp.choices[s])
+        pending[s] = [(cid, dists[cid]) for cid in cand]
+        entry = (str(s), i, s)
+        succ = set().union(*(dist for _, dist in pending[s]))
+        if not assigned.isdisjoint(succ):
+            heapq.heappush(ready, entry)
+            queued.add(s)
+        else:
+            for t in succ:
+                waiting.setdefault(t, []).append(entry)
+    while ready:
+        _, _, s = heapq.heappop(ready)
+        strategy[s] = next(cid for cid, dist in pending.pop(s)
+                           if not assigned.isdisjoint(dist))
+        assigned.add(s)
+        for entry in waiting.pop(s, ()):
+            if entry[2] not in queued:
+                queued.add(entry[2])
+                heapq.heappush(ready, entry)
+    for s in pending:
+        strategy[s] = candidates[s][0]
+    return strategy
 
 
 def local_game_by_fractions(game, state, continuation, rewards=(None, None)):

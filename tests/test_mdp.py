@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csgnash.errors import InfiniteValue
+from csgnash.errors import InfiniteValue, SolverError
 from csgnash.explicit import load_explicit
 from csgnash.model import Mdp, coalition_game, joint_mdp
 from csgnash.mdp import expected_reward, prob1_min_set, reach_prob, step_prob
 
 from conftest import model_path
 from oracles import (chain_reach_probability, mdp_backward_induction,
-                     mdp_extreme_reach)
+                     mdp_extreme_reach, prob1_min_set_by_dicts,
+                     reach_prob_by_dicts)
 
 F = Fraction
 
@@ -85,6 +86,11 @@ GEOMETRIC = {"s0": {"a0": {"g": F(1, 3), "sink": F(1, 3), "s0": F(1, 3)}},
 SLOW = {"s0": {"a0": {"s0": F(2, 3), "s1": F(1, 3)}},
         "s1": {"a0": {"g": F(1, 2), "sink": F(1, 2)}},
         "g": {"a0": {"g": F(1)}}, "sink": {"a0": {"sink": F(1)}}}
+# two states whose str is equal: the max-reach strategy assigns its layers
+# by str, then by state order, so 1 moves to g and "1" follows it
+TWINS = {1: {"a0": {"1": F(1)}, "a1": {"g": F(1)}},
+         "1": {"a0": {1: F(1)}, "a1": {"g": F(1)}},
+         "g": {"a0": {"g": F(1)}}}
 
 
 class TestReachability:
@@ -192,6 +198,17 @@ class TestReachability:
         assert all(strat[f"s{i}"] == "fwd" for i in range(n))
         assert chain_reach_probability(trans, strat, {"goal"}, "s0") == 1
 
+    def test_iteration_limit_names_the_slowest_state(self):
+        # s0's value 1/2 is approached at rate 1 - 2e: after the sweep limit
+        # it still moves by e * (1 - 2e)^99999, about 1.35e-6
+        e = 1 / 100000
+        mdp = simple_mdp({"s0": {"a0": {"s0": 1 - 2 * e, "g": e, "x": e}},
+                          "g": {"a0": {"g": 1}}, "x": {"a0": {"x": 1}}},
+                         float)
+        with pytest.raises(SolverError, match=r"limit of 100000 sweeps: "
+                           r"state s0 still changed by 1\.35e-06"):
+            reach_prob(mdp, {"g"})
+
     def test_strategy_achieves_min(self):
         g, mdp = appendix_b_mdp()
         targets = {"t1"}
@@ -228,6 +245,29 @@ class TestAgainstOracles:
                 achieved = chain_reach_probability(trans, strat, targets, s,
                                                    allowed=allowed)
                 assert abs(achieved - vals[s]) < 1e-4, (s, opt)
+
+
+class TestAgainstDictReference:
+    """The id-indexed routines against the earlier ones that walk the
+    `mdp.choices` dicts: the same values, number types and strategies."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_mdps(), st.sampled_from([F, float]))
+    @example((TWINS, {"g"}, None), F)
+    def test_values_types_and_strategies(self, case, number):
+        trans, targets, constraint = case
+        mdp = simple_mdp(trans, number)
+        assert prob1_min_set(mdp, targets) == \
+            prob1_min_set_by_dicts(mdp, targets)
+        for opt in ("max", "min"):
+            vals, strat = reach_prob(mdp, targets, opt, constraint=constraint,
+                                     with_strategy=True)
+            want, want_strat = reach_prob_by_dicts(mdp, targets, opt,
+                                                   constraint)
+            assert list(vals.items()) == list(want.items())
+            assert list(map(type, vals.values())) == \
+                list(map(type, want.values()))
+            assert strat == want_strat
 
 
 # reward denominators that do not divide the probabilities' (1, 2 or 3)
