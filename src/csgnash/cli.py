@@ -157,11 +157,12 @@ def _evaluate_property(csg, text, args):
     except NotConverged as err:
         record["converged"] = False
         record["diagnostic"] = str(err)
-        if isinstance(formula, NashNode):
+        if isinstance(formula, NashNode) and err.assumption is not None:
             record["assumption"] = {"severity": err.assumption.severity,
                                     "messages": err.assumption.messages()}
         record["time"] = time.perf_counter() - start
-        record["mdp_time"] = err.result.aux["mdp_s"]
+        if err.result is not None:
+            record["mdp_time"] = err.result.aux["mdp_s"]
         return record, EXIT_NOT_CONVERGED
     total = time.perf_counter() - start
     record["kind"] = result.kind

@@ -136,10 +136,10 @@ class AssumptionViolated(SolverError):
 class NotConverged(SolverError):
     """Value iteration stopped without meeting the convergence criterion.
 
-    Carries the result object of the failed solve (``result``) so callers can
-    inspect its last value vectors and the trace of the final sweeps, and the
-    assumption report of the solved game (``assumption``) once the solver
-    has checked it.
+    Carries the result object of the failed solve (``result``, None at an
+    MDP's iteration limit) so callers can inspect its last value vectors and
+    the trace of the final sweeps, and the assumption report of the solved
+    game (``assumption``) once the solver has checked it.
     """
 
     def __init__(self, message, result=None):

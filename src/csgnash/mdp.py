@@ -32,7 +32,7 @@ from itertools import chain
 from math import lcm
 from operator import mul
 
-from .errors import InfiniteValue, SolverError
+from .errors import InfiniteValue, NotConverged, SolverError
 from .model import Mdp
 
 __all__ = [
@@ -230,9 +230,10 @@ def _iterate(g, start, undecided, optimise, action_rewards=None,
     ids keep their value in the vector `start`.
 
     Stops when no undecided value changes by DEFAULT_EPSILON or more,
-    relative to its new size (at least 1).  Returns the value vector and,
-    with `with_strategy`, the choices of one more backup of the undecided
-    states (else an empty list).
+    relative to its new size (at least 1), or raises NotConverged after
+    DEFAULT_MAX_ITERS sweeps.  Returns the value vector and, with
+    `with_strategy`, the choices of one more backup of the undecided states
+    (else an empty list).
     """
     cur = list(start)
     for i in undecided:
@@ -248,7 +249,7 @@ def _iterate(g, start, undecided, optimise, action_rewards=None,
             break
     else:
         worst = max(moved)
-        raise SolverError(
+        raise NotConverged(
             f"MDP value iteration exceeded the iteration limit of "
             f"{DEFAULT_MAX_ITERS} sweeps: state "
             f"{g.states[undecided[moved.index(worst)]]} still changed by "

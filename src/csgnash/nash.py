@@ -2,10 +2,12 @@
 objective pairs.
 
 Finite-horizon pairs are solved by exact backwards induction, infinite-horizon
-pairs by value iteration; both solve one bimatrix game per state and stage,
-falling back to single-objective MDP computations at states where one
-objective is already settled.  Mixed pairs (one finite, one infinite horizon)
-are reduced to infinite-horizon pairs on a step-counter product game.
+pairs by value iteration.  Both loop over one sweep, `_sweep`: it puts in the
+rows of states where an objective is already settled (single-objective MDP
+optima) and solves one bimatrix game per other state; the engines differ
+only in those rows and in their stop rule.  Mixed pairs (one finite, one
+infinite horizon) are reduced to infinite-horizon pairs on a step-counter
+product game.
 
 The number type of a solve is chosen once, in `_solve_nash`, and the solved
 game is compiled to it (`model.compile_game`): bounded pairs and games of up
@@ -323,54 +325,65 @@ def _reward_names(objectives):
                  for obj in objectives)
 
 
-def _swne_step(table, state, continuation):
-    """Solve the local game at `state`: the SWNE value pair and the profile
-    ("mix", acts1, acts2, x, y) that plays it."""
-    chosen, _ = solve_swne(local_game(table, state, continuation))
-    acts1, acts2 = table.entries[state][0]
-    return (chosen.u, chosen.v), ("mix", acts1, acts2, chosen.x, chosen.y)
+def _coop_optima(jmdp, objectives, stat, settled, all_horizons=False):
+    """Per objective, its joint optimum on `jmdp` and an optimal strategy,
+    and the seconds they took.  An R[F] optimum is read only where the other
+    objective is settled: it is computed there alone, or not at all."""
+    start = time.perf_counter()
+    optima, strategies = [None, None], [None, None]
+    for l, (obj, status) in enumerate(zip(objectives, stat)):
+        need = None
+        if obj.kind == "R" and obj.op == "F":
+            need = {s for s, row in settled.items() if row[l] == PENDING}
+            if not need:
+                continue
+        optima[l], strategies[l] = _optimum(
+            jmdp, obj, "max", status, all_horizons=all_horizons,
+            with_strategy=True, needed_states=need)
+    return optima, strategies, time.perf_counter() - start
+
+
+def _sweep(table, free, vals, settled=()):
+    """A stage or sweep: `vals` with the `settled` (state, pair)s put in and
+    each free state's local game against `vals` solved (its exact payoffs
+    converted on a float table).  Returns the new vector and the free
+    states' profiles ("mix", acts1, acts2, x, y)."""
+    new = dict(vals)
+    new.update(settled)
+    profiles = {}
+    for s in free:
+        chosen, _ = solve_swne(local_game(table, s, vals))
+        acts1, acts2 = table.entries[s][0]
+        new[s] = (chosen.u, chosen.v) if table.exact else \
+            (float(chosen.u), float(chosen.v))
+        profiles[s] = ("mix", acts1, acts2, chosen.x, chosen.y)
+    return new, profiles
 
 
 # --- bounded pairs ----------------------------------------------------------------
 
 def solve_bounded_pair(cg, query: NashNode) -> PairResult:
     """Exact backwards induction for a pair of finite-horizon objectives."""
-    o1, o2 = query.objectives
-    k1, k2 = _horizon(o1), _horizon(o2)
+    objectives = query.objectives
+    k1, k2 = (_horizon(obj) for obj in objectives)
     k = min(k1, k2)
     pads = (k1 - k, k2 - k)
     jmdp = joint_mdp(cg)
-    stat, settled = _settlement(cg, (o1, o2))
-    coop = []
-    coop_strats = []
-    start = time.perf_counter()
-    for obj, status in zip((o1, o2), stat):
-        family, strats = _optimum(jmdp, obj, "max", status,
-                                  all_horizons=True, with_strategy=True)
-        coop.append(family)
-        coop_strats.append(strats)
-    mdp_s = time.perf_counter() - start
-    rewards = _reward_names((o1, o2))
-    table = local_game_table(
-        cg, [s for s in cg.states if s not in settled],
-        tuple(name if obj.op == "C" else None
-              for name, obj in zip(rewards, (o1, o2))))
+    stat, settled = _settlement(cg, objectives)
+    coop, coop_strats, mdp_s = _coop_optima(jmdp, objectives, stat, settled,
+                                            all_horizons=True)
+    free = [s for s in cg.states if s not in settled]
+    table = local_game_table(cg, free, _reward_names(objectives))
 
     vals = {s: (coop[0][pads[0]][s], coop[1][pads[1]][s]) for s in cg.states}
     history = deque([vals], maxlen=_TRACE_LENGTH)
     stage_profiles = [None]
     for n in range(1, k + 1):
-        new = {}
-        profiles = {}
-        for s in cg.states:
-            row = settled.get(s)
-            if row is not None:
-                new[s] = _settled_pair(
-                    (o1, o2), row,
+        rows = {s: _settled_pair(
+                    objectives, row,
                     [coop[l][n + pads[l]][s] for l in (0, 1)], (ZERO, ONE))
-            else:
-                new[s], profiles[s] = _swne_step(table, s, vals)
-        vals = new
+                for s, row in settled.items()}
+        vals, profiles = _sweep(table, free, vals, rows)
         history.append(vals)
         stage_profiles.append(profiles)
 
@@ -383,30 +396,6 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
 
 # --- unbounded pairs --------------------------------------------------------------
 
-def _unbounded_fixed_rows(cg, query, jmdp):
-    """Constant value rows, plus single-objective optima and strategies."""
-    o1, o2 = query.objectives
-    stat, settled = _settlement(cg, (o1, o2))
-    aux = {"statuses": stat, "opt_vals": [None, None],
-           "opt_strats": [None, None]}
-    for l, obj in enumerate((o1, o2)):
-        need = None
-        if obj.kind == "R":
-            # only states where the other objective is won need this optimum
-            need = {s for s, row in settled.items() if row[l] == PENDING}
-            if not need:
-                continue
-        aux["opt_vals"][l], aux["opt_strats"][l] = _optimum(
-            jmdp, obj, "max", stat[l], with_strategy=True,
-            needed_states=need)
-    opt = [vals or {} for vals in aux["opt_vals"]]
-    units = (cg.number(0), cg.number(1))
-    fixed = {s: _settled_pair((o1, o2), row, [vals.get(s) for vals in opt],
-                              units)
-             for s, row in settled.items()}
-    return fixed, aux
-
-
 def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
                          max_iters=DEFAULT_MAX_ITERS) -> PairResult:
     """Value iteration for a pair of infinite-horizon objectives on a
@@ -418,17 +407,21 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     period-two oscillation or exhausting `max_iters` raises NotConverged
     carrying the partial result.
     """
-    o1, o2 = query.objectives
-    number = cg.number
+    objectives = query.objectives
     jmdp = joint_mdp(cg)
-    start = time.perf_counter()
-    fixed, aux = _unbounded_fixed_rows(cg, query, jmdp)
-    aux["mdp_s"] = time.perf_counter() - start
-    free = [s for s in cg.states if s not in fixed]
-    table = local_game_table(
-        cg, free, _reward_names((o1, o2)) if o1.kind == "R" else (None, None))
+    stat, settled = _settlement(cg, objectives)
+    opt_vals, opt_strats, mdp_s = _coop_optima(jmdp, objectives, stat,
+                                               settled)
+    aux = {"statuses": stat, "opt_vals": opt_vals, "opt_strats": opt_strats,
+           "mdp_s": mdp_s}
+    free = [s for s in cg.states if s not in settled]
+    table = local_game_table(cg, free, _reward_names(objectives))
 
-    zero = number(0)
+    zero, one = cg.number(0), cg.number(1)
+    opt = [optima or {} for optima in opt_vals]
+    fixed = {s: _settled_pair(objectives, row,
+                              [optima.get(s) for optima in opt], (zero, one))
+             for s, row in settled.items()}
     vals = {s: fixed.get(s, (zero, zero)) for s in cg.states}
     history = deque([vals], maxlen=_TRACE_LENGTH)
     profiles = {}
@@ -438,11 +431,7 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        new = dict(vals)
-        for s in free:
-            # the equilibrium's payoffs are exact; keep the solve's type
-            (u, v), profiles[s] = _swne_step(table, s, vals)
-            new[s] = (number(u), number(v))
+        new, profiles = _sweep(table, free, vals)
         # largest change over the free states: of the sum, of either value,
         # and of either value against two sweeps back
         back2 = history[-2] if len(history) >= 2 else None

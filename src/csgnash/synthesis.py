@@ -65,7 +65,8 @@ class SynthesisedProfile:
             if len(pending) == 2:
                 return self.result.profiles[state]
             if len(pending) == 1:
-                return self._single_pending(state, pending[0])
+                return self._pure(
+                    state, self.result.aux["opt_strats"][pending[0]])
             return ("pure",) + _first_pair(self.game, state)
 
         if len(pending) == 2 and step >= 1:
@@ -79,19 +80,15 @@ class SynthesisedProfile:
                     return self._coop(state, l, max(remaining, 0))
         return ("pure",) + _first_pair(self.game, state)
 
-    def _single_pending(self, state, l):
-        strat = self.result.aux["opt_strats"][l]
-        cid = strat.get(state) if strat else None
-        if cid is None:
-            cid = _first_pair(self.game, state)
-        return ("pure",) + tuple(cid)
-
     def _coop(self, state, l, remaining):
         steps = self.result.aux["coop_strats"][l]
         remaining = min(remaining, len(steps) - 1)
-        if remaining < 1 or steps[remaining] is None:
-            return ("pure",) + _first_pair(self.game, state)
-        cid = steps[remaining].get(state)
+        return self._pure(state, steps[remaining] if remaining >= 1 else None)
+
+    def _pure(self, state, strat):
+        """The joint action `strat` (state -> joint action, or None) picks
+        at `state`, or the first joint action where it picks none."""
+        cid = strat.get(state) if strat else None
         if cid is None:
             cid = _first_pair(self.game, state)
         return ("pure",) + tuple(cid)

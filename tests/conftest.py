@@ -1,5 +1,12 @@
 import os
 import sys
+from fractions import Fraction
+from itertools import product
+
+from hypothesis import strategies as st
+
+from csgnash.model import IDLE, Csg, RewardStructure
+from csgnash.properties import StateSet
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -64,3 +71,50 @@ reward r action s2 (-,d) 1/2
 reward r2 state s2 4
 reward r2 action s0 (b,d) 2
 """
+
+
+@st.composite
+def small_csgs(draw):
+    """A small random CSG and a random proper coalition of its players.
+
+    2-3 players with 1-3 actions each; at each state every player has a
+    nonempty subset of its actions available, or idles.  2-5 states; each
+    joint action's successors are drawn with integer weights 0-3.  Labels
+    `t1` and `t2` and the state and action rewards of `r1` and `r2` (0-2)
+    are drawn per state and joint action.
+    """
+    players = [f"p{i}" for i in range(1, draw(st.integers(2, 3)) + 1)]
+    alphabets = {p: [f"{p}{c}" for c in "abc"[:draw(st.integers(1, 3))]]
+                 for p in players}
+    states = [f"s{i}" for i in range(draw(st.integers(2, 5)))]
+
+    def dist():
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(states),
+                                max_size=len(states)))
+        if not any(weights):
+            weights[draw(st.integers(0, len(states) - 1))] = 1
+        return {s: Fraction(w, sum(weights))
+                for s, w in zip(states, weights) if w}
+
+    trans = {}
+    for s in states:
+        avail = [sorted(draw(st.sets(st.sampled_from(alphabets[p]))))
+                 or [IDLE] for p in players]
+        trans[s] = {joint: dist() for joint in product(*avail)}
+    labels = {s: {name for name in ("t1", "t2") if draw(st.booleans())}
+              for s in states}
+    rewards = {name: RewardStructure(
+        {(s, joint): draw(st.integers(0, 2))
+         for s in states for joint in trans[s]},
+        {s: draw(st.integers(0, 2)) for s in states})
+        for name in ("r1", "r2")}
+    csg = Csg.create(players, alphabets, states, states[:1], trans, labels,
+                     rewards)
+    members = draw(st.sets(st.sampled_from(players), min_size=1,
+                           max_size=len(players) - 1))
+    return csg, tuple(p for p in players if p in members)
+
+
+def labelled(csg, name):
+    """The states of `csg` labelled `name`, as a resolved state formula."""
+    return StateSet(frozenset(s for s in csg.states if name in csg.labels[s]))

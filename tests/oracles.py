@@ -23,16 +23,28 @@ main code so that agreement is meaningful:
   closures once, folding constant sub-expressions);
 - the package's earlier local-game builder, which sums each payoff entry in
   Fractions (the package builds it as integer numerators over one
-  denominator per player).
+  denominator per player);
+- the package's earlier pair engines, backwards induction and value
+  iteration each with its own per-state loop, settled-row merge and
+  single-objective precompute (the package runs both as a loop over one
+  sweep helper).  They share the package's local-game, equilibrium and MDP
+  primitives, so agreement checks the loops, not those primitives.
 """
 
 import heapq
 import math
+import time
+from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, product
 
 from csgnash.bimatrix import BimatrixGame, MixedProfile, select_swne
-from csgnash.errors import ModelTypeError, UndeclaredSymbol
+from csgnash.errors import ModelTypeError, NotConverged, UndeclaredSymbol
+from csgnash.nash import (DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, ONE,
+                          PENDING, ZERO, PairResult, _horizon, _optimum,
+                          _OSC_TOL, _reward_names, _settled_pair, _settlement,
+                          _TRACE_LENGTH, joint_mdp, local_game,
+                          local_game_table, solve_swne)
 from csgnash.expr import Binary, Call, Lit, Unary, Var, expr_to_text
 
 
@@ -752,6 +764,144 @@ def bounded_cumulative_pair(transitions, rewards1, rewards2, horizon):
             new[s] = swne_value(z1, z2)
         vals = new
     return vals
+
+
+def bounded_pair_by_stage_loop(cg, query):
+    """Backwards induction for a finite-horizon pair, one stage at a time:
+    settled states take their rows from the cooperative optima, every other
+    state solves its local game against the previous stage."""
+    o1, o2 = query.objectives
+    k1, k2 = _horizon(o1), _horizon(o2)
+    k = min(k1, k2)
+    pads = (k1 - k, k2 - k)
+    jmdp = joint_mdp(cg)
+    stat, settled = _settlement(cg, (o1, o2))
+    coop = []
+    coop_strats = []
+    start = time.perf_counter()
+    for obj, status in zip((o1, o2), stat):
+        family, strats = _optimum(jmdp, obj, "max", status,
+                                  all_horizons=True, with_strategy=True)
+        coop.append(family)
+        coop_strats.append(strats)
+    mdp_s = time.perf_counter() - start
+    rewards = _reward_names((o1, o2))
+    table = local_game_table(
+        cg, [s for s in cg.states if s not in settled],
+        tuple(name if obj.op == "C" else None
+              for name, obj in zip(rewards, (o1, o2))))
+
+    vals = {s: (coop[0][pads[0]][s], coop[1][pads[1]][s]) for s in cg.states}
+    history = deque([vals], maxlen=_TRACE_LENGTH)
+    stage_profiles = [None]
+    for n in range(1, k + 1):
+        new = {}
+        profiles = {}
+        for s in cg.states:
+            row = settled.get(s)
+            if row is not None:
+                new[s] = _settled_pair(
+                    (o1, o2), row,
+                    [coop[l][n + pads[l]][s] for l in (0, 1)], (ZERO, ONE))
+            else:
+                chosen, _ = solve_swne(local_game(table, s, vals))
+                acts1, acts2 = table.entries[s][0]
+                new[s] = (chosen.u, chosen.v)
+                profiles[s] = ("mix", acts1, acts2, chosen.x, chosen.y)
+        vals = new
+        history.append(vals)
+        stage_profiles.append(profiles)
+
+    return PairResult(
+        values=vals, iterations=k, converged=True, kind="bounded",
+        trace=list(history), profiles=stage_profiles,
+        aux={"coop_strats": coop_strats, "pads": pads, "statuses": stat,
+             "horizon": k, "mdp_s": mdp_s})
+
+
+def unbounded_pair_by_sweep_loop(cg, query,
+                                 conv_epsilon=DEFAULT_CONV_EPSILON,
+                                 max_iters=DEFAULT_MAX_ITERS):
+    """Value iteration for an infinite-horizon pair: settled states keep
+    fixed rows, every other state solves its local game against the
+    previous sweep, until the stop rule of the package's engine holds."""
+    o1, o2 = query.objectives
+    number = cg.number
+    jmdp = joint_mdp(cg)
+    start = time.perf_counter()
+    stat, settled = _settlement(cg, (o1, o2))
+    aux = {"statuses": stat, "opt_vals": [None, None],
+           "opt_strats": [None, None]}
+    for l, obj in enumerate((o1, o2)):
+        need = None
+        if obj.kind == "R":
+            # only states where the other objective is won need this optimum
+            need = {s for s, row in settled.items() if row[l] == PENDING}
+            if not need:
+                continue
+        aux["opt_vals"][l], aux["opt_strats"][l] = _optimum(
+            jmdp, obj, "max", stat[l], with_strategy=True,
+            needed_states=need)
+    opt = [vals or {} for vals in aux["opt_vals"]]
+    units = (cg.number(0), cg.number(1))
+    fixed = {s: _settled_pair((o1, o2), row, [vals.get(s) for vals in opt],
+                              units)
+             for s, row in settled.items()}
+    aux["mdp_s"] = time.perf_counter() - start
+    free = [s for s in cg.states if s not in fixed]
+    table = local_game_table(
+        cg, free, _reward_names((o1, o2)) if o1.kind == "R" else (None, None))
+
+    zero = number(0)
+    vals = {s: fixed.get(s, (zero, zero)) for s in cg.states}
+    history = deque([vals], maxlen=_TRACE_LENGTH)
+    profiles = {}
+    stable = 0
+    osc = 0
+    diagnostic = None
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        new = dict(vals)
+        for s in free:
+            chosen, _ = solve_swne(local_game(table, s, vals))
+            acts1, acts2 = table.entries[s][0]
+            new[s] = (number(chosen.u), number(chosen.v))
+            profiles[s] = ("mix", acts1, acts2, chosen.x, chosen.y)
+        back2 = history[-2] if len(history) >= 2 else None
+        sum_delta = per_delta = back2_delta = 0.0
+        for s in free:
+            (a, b), (c, d) = new[s], vals[s]
+            sum_delta = max(sum_delta, abs((a + b) - (c + d)))
+            per_delta = max(per_delta, abs(a - c), abs(b - d))
+            if back2 is not None:
+                c, d = back2[s]
+                back2_delta = max(back2_delta, abs(a - c), abs(b - d))
+        history.append(new)
+        vals = new
+        stable = stable + 1 if per_delta < conv_epsilon else 0
+        if sum_delta < conv_epsilon and stable >= 2:
+            converged = True
+            break
+        if back2 is not None:
+            osc = osc + 1 if (back2_delta <= _OSC_TOL and
+                              per_delta >= conv_epsilon) else 0
+            if osc >= 2:
+                diagnostic = (
+                    "oscillation: individual values repeat with period 2 "
+                    "while their sum is constant; no equilibrium value "
+                    "vector is being approached")
+                break
+
+    result = PairResult(
+        values=vals, iterations=iterations, converged=converged,
+        kind="unbounded", diagnostic=diagnostic,
+        trace=list(history), profiles=profiles, aux=aux)
+    if not converged:
+        message = diagnostic or (
+            f"value iteration did not converge within {iterations} sweeps")
+        raise NotConverged(message, result)
+    return result
 
 
 def _need_num(value, node):

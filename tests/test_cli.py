@@ -113,6 +113,25 @@ class TestRunExitCodes:
         assert "not converged" in out
         assert "oscillation" in out
 
+    def test_mdp_iteration_limit_exits_three(self, capsys, tmp_path):
+        # s0 reaches goal with probability 1/2 at rate 1 - 2e per sweep, too
+        # slowly for the MDP layer's sweep limit
+        model = tmp_path / "slow.csgx"
+        model.write_text("player p1 a\nplayer p2 b\ninit s0\n"
+                         "label g goal\n"
+                         "s0 (-,-) -> 49999/50000:s0 + 1/100000:g "
+                         "+ 1/100000:x\n"
+                         "g (-,-) -> 1:g\nx (-,-) -> 1:x\n")
+        code, out, _ = run_cli(
+            capsys, "run", "--model", str(model), "--format", "json",
+            "--property", "<<p1:p2>>max=? (P[F goal] + P[F goal])")
+        assert code == 3
+        (record,) = json.loads(out)["results"]
+        assert record["converged"] is False
+        assert record["diagnostic"].startswith(
+            "MDP value iteration exceeded the iteration limit of 100000 "
+            "sweeps: state s0 still changed by 1.35e-06")
+
     def test_nonconvergent_run_checks_the_assumption_once(self, capsys,
                                                           monkeypatch):
         import csgnash.model

@@ -1,0 +1,74 @@
+"""Golden outputs: the CLI's JSON record and strategy export of bundled
+queries, pinned by SHA-256 digest.
+
+Each case runs `run --format json --verify --export-strategy` and hashes the
+export file's bytes and the property's record, without its timings and the
+export path.  A change to the engines that is meant to keep every output
+identical keeps these digests; a change that alters an output on purpose
+updates the digest and says which output changed and why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from conftest import model_path
+from csgnash.cli import main
+
+# fields that vary between runs (timings) or with the test's scratch path
+VOLATILE = ("time", "mdp_time", "constr_time", "strategy_file")
+
+CASES = [
+    ("fig1.csg", (), "<<p1:p2>>max=? (P[F<=3 sent1] + P[F<=3 sent2])",
+     "74c2da77dad195173da2a41df8060dbe9f7437ed4886d2075f54d168c441035d",
+     "1af5f4701ca61aaeceb1f94167bb3dce2ec2b8dacbadf85f8a6593b453cb1821"),
+    ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F<=6 goal1] + P[F<=6 goal2])",
+     "2bdcf471164f701cde36a884e4f0991a7a63f772f04a53b6ed769f1145066f13",
+     "897b7d1a676096aece62aad466037e75d0313e882c8749955250ff55f023bbc5"),
+    ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F<=4 goal1] + P[F<=6 goal2])",
+     "c08a3acc4dc1e9978929a752ff5590b86050e4bb7dbcd62404f8d38a7b406aef",
+     "1189811bfbad279129968aa2e07225e4ad3963ff0a83dc6b12acf36c86a84678"),
+    ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F goal1] + P[F goal2])",
+     "26bce5f7a7f203e465e80ea3770dc2590fdebfede31a03a3adee092d6f7021bb",
+     "7eb9132b581949d8902f55c35e7d2e6818094e70acb15e3a341add8c9f9cadd6"),
+    ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F<=4 goal1] + P[F goal2])",
+     "c17c766362a69244aba2c7a7abdff25d123f880c27850901c357e537db21d3b9",
+     "e9604c453991644f3532f9cb240510426002c5ec2c57fb761fa1f5cb865876b3"),
+    ("power.csg", (), '<<p1:p2>>max=? (R{"r1"}[F done1] + R{"r2"}[F done2])',
+     "ede44614d14b2d12302e9d11c3ce718d6594c487bd530f60ce138a10f40bcac6",
+     "d6edd83d4eaa86d3c6bc9bc1a028f64837feb336a0737d37fde605dba6086fc5"),
+    ("mac.csg", ("emax=2",),
+     '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=4])',
+     "1ef0d846f7a710a1cb48cce46c18fc103c43ccd849c6e3ea281259a30df13f3d",
+     "859a5a631f9a10242dbd68003313f279d7a17026b9d8e819a2aeac21caea75c8"),
+    ("aloha.csg", ("D=3",),
+     "<<p1:{p2,p3}>>max=? "
+     "(P[F (sent1 & t<=8)] + P[F (sent2 & sent3 & t<=8)])",
+     "dc861995ae451e2ba2ab04785703b26352192512cecefcaa53bcf35c678b1848",
+     "1cd207c5ba7ae90a2636416176a1f991a638801a3357259aae170627bf17530c"),
+]
+
+
+def digests(capsys, tmp_path, model, consts, prop):
+    """(export digest, record digest) of one CLI run of `prop`."""
+    export = tmp_path / "strategy.json"
+    argv = ["run", "--model", model_path(model), "--property", prop,
+            "--format", "json", "--verify", "--export-strategy", str(export)]
+    for const in consts:
+        argv += ["--const", const]
+    code = main(argv)
+    assert code == 0
+    record = json.loads(capsys.readouterr().out)["results"][0]
+    for key in VOLATILE:
+        record.pop(key, None)
+    text = json.dumps(record, sort_keys=True)
+    return (hashlib.sha256(export.read_bytes()).hexdigest(),
+            hashlib.sha256(text.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("model,consts,prop,export_sha,record_sha", CASES)
+def test_outputs_match_golden_digests(capsys, tmp_path, model, consts, prop,
+                                      export_sha, record_sha):
+    assert digests(capsys, tmp_path, model, consts, prop) == \
+        (export_sha, record_sha)

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REWARD_GAME, model_path
+from conftest import REWARD_GAME, labelled, model_path, small_csgs
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
-from csgnash.model import Csg, coalition_game
+from csgnash.model import coalition_game
 from csgnash.nash import evaluate, solve_bounded_pair
-from csgnash.properties import (NashNode, Not, Objective, TrueF, Atom,
-                                parse_property)
+from csgnash.properties import NashNode, Objective, TrueF, parse_property
 from oracles import bounded_cumulative_pair, bounded_reach_pair
 
 
@@ -122,47 +121,40 @@ class TestMediumAccessCumulative:
         assert v1 + v2 == 2 * k * F(3, 4)
 
 
-def random_game(draw):
-    n = draw(st.integers(min_value=2, max_value=4))
-    states = [f"s{i}" for i in range(n)]
-
-    def dist():
-        weights = draw(st.lists(st.integers(min_value=0, max_value=3),
-                                min_size=n, max_size=n))
-        if sum(weights) == 0:
-            weights = [1] + [0] * (n - 1)
-        total = sum(weights)
-        return {s: F(w, total) for s, w in zip(states, weights) if w}
-
-    trans = {s: {(a, b): dist() for a in ("a0", "a1") for b in ("b0", "b1")}
-             for s in states}
-    targets1 = {s for s in states if draw(st.booleans())}
-    targets2 = {s for s in states if draw(st.booleans())}
-    labels = {s: {name for name, members in
-                  (("t1", targets1), ("t2", targets2)) if s in members}
-              for s in states}
-    csg = Csg.create(("p1", "p2"), {"p1": {"a0", "a1"}, "p2": {"b0", "b1"}},
-                     states, states, trans, labels)
-    return csg, targets1, targets2
-
-
 class TestAgainstBackwardsInductionOracle:
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_reachability_pairs_match_exactly(self, data):
-        csg, targets1, targets2 = random_game(data.draw)
-        horizon = data.draw(st.integers(min_value=0, max_value=3))
-        cg = coalition_game(csg, ("p1",))
-        # an unlabelled atom is rejected by the property checker, so an
-        # empty target set is spelled "false"
-        sub1 = Atom("t1") if targets1 else Not(TrueF())
-        sub2 = Atom("t2") if targets2 else Not(TrueF())
+    """Random CSGs of 2-3 players, every coalition split, against the plain
+    rational backward recursion of `oracles`."""
+
+    @settings(max_examples=75, deadline=None)
+    @given(small_csgs(), st.integers(min_value=0, max_value=3))
+    def test_reachability_pairs_match_exactly(self, case, horizon):
+        csg, coalition = case
+        cg = coalition_game(csg, coalition)
         query = pair_query(
-            Objective("P", "U", sub1=TrueF(), sub2=sub1, bound=horizon),
-            Objective("P", "U", sub1=TrueF(), sub2=sub2, bound=horizon))
+            Objective("P", "U", sub1=TrueF(), sub2=labelled(csg, "t1"),
+                      bound=horizon),
+            Objective("P", "U", sub1=TrueF(), sub2=labelled(csg, "t2"),
+                      bound=horizon))
         result = solve_bounded_pair(cg, query)
-        oracle = bounded_reach_pair(cg.trans, targets1, targets2, horizon)
-        assert {s: tuple(v) for s, v in result.values.items()} == oracle
+        oracle = bounded_reach_pair(
+            cg.trans, labelled(csg, "t1").states,
+            labelled(csg, "t2").states, horizon)
+        assert result.values == oracle
+
+    @settings(max_examples=75, deadline=None)
+    @given(small_csgs(), st.integers(min_value=0, max_value=3))
+    def test_cumulative_pairs_match_exactly(self, case, horizon):
+        csg, coalition = case
+        cg = coalition_game(csg, coalition)
+        query = pair_query(Objective("R", "C", reward="r1", bound=horizon),
+                           Objective("R", "C", reward="r2", bound=horizon))
+        result = solve_bounded_pair(cg, query)
+        # each step pays the state reward plus the joint action's reward
+        paid = [{(s, joint): rs.state(s) + rs.action(s, joint)
+                 for s in cg.states for joint in cg.trans[s]}
+                for rs in (cg.rewards["r1"], cg.rewards["r2"])]
+        oracle = bounded_cumulative_pair(cg.trans, *paid, horizon)
+        assert result.values == oracle
 
 
 class TestBoundedUnboundedConsistency:
