@@ -24,12 +24,12 @@ import time
 from fractions import Fraction
 
 from .bimatrix import BimatrixGame, enumerate_equilibria, select_swne
-from .errors import (AssumptionViolated, CsgError, NotConverged,
-                     UndefinedConstant)
+from .errors import (AssumptionViolated, CsgError, ModelTypeError,
+                     NotConverged, UndefinedConstant)
 from .explicit import load_explicit
-from .lang import load_model, parse_model
+from .lang import load_model, parse_constant_value, parse_model
 from .nash import DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, evaluate
-from .properties import NashNode, parse_property
+from .properties import NashNode, parse_property, property_lines
 from .synthesis import synthesise_profile, verify_epsilon_ne
 
 EXIT_OK = 0
@@ -41,17 +41,9 @@ EXIT_NOT_CONVERGED = 3
 # --- shared parsing helpers --------------------------------------------------------
 
 def _parse_value(text):
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        # exact rational so model probabilities stay exactly representable
-        return Fraction(text)
-    except ValueError:
+        return parse_constant_value(text)
+    except ModelTypeError:
         raise argparse.ArgumentTypeError(
             f"constant value {text!r} is not an int, double, or bool")
 
@@ -92,15 +84,10 @@ def _parse_sweep(text):
 
 
 def _read_properties(args):
-    texts = []
-    for text in args.property or []:
-        texts.append(text)
+    texts = list(args.property or [])
     if args.property_file:
         with open(args.property_file, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.split("//", 1)[0].strip()
-                if line:
-                    texts.append(line)
+            texts += property_lines(handle.read())
     return texts
 
 
@@ -162,13 +149,13 @@ def _evaluate_property(csg, text, args):
                                     "messages": err.assumption.messages()}
         record["time"] = time.perf_counter() - start
         if err.result is not None:
-            record["mdp_time"] = err.result.aux["mdp_s"]
+            record["mdp_time"] = err.result.mdp_s
         return record, EXIT_NOT_CONVERGED
     total = time.perf_counter() - start
     record["kind"] = result.kind
     record["time"] = total
     if result.solve is not None:
-        record["mdp_time"] = result.solve.aux["mdp_s"]
+        record["mdp_time"] = result.solve.mdp_s
     elif result.kind.startswith("zero-sum"):
         record["mdp_time"] = total      # a grand-coalition MDP problem
     else:
@@ -257,10 +244,13 @@ def _emit_human(stats, records, out):
                   f"passed={str(ver['passed']).lower()}", file=out)
         if "strategy_file" in rec:
             print(f"  strategy written to {rec['strategy_file']}", file=out)
-        mdp_time = rec.get("mdp_time", 0.0)
-        game_time = max(rec.get("time", 0.0) - mdp_time, 0.0)
-        print(f"  timing: constr={stats['constr_time']:.3f}s "
-              f"mdp={mdp_time:.3f}s csg={game_time:.3f}s", file=out)
+        total = rec.get("time", 0.0)
+        # an MDP-layer NotConverged carries no result to split the time by
+        split = f"total={total:.3f}s" if "mdp_time" not in rec else \
+            f"mdp={rec['mdp_time']:.3f}s " \
+            f"csg={max(total - rec['mdp_time'], 0.0):.3f}s"
+        print(f"  timing: constr={stats['constr_time']:.3f}s {split}",
+              file=out)
 
 
 def _emit_csv(records, out):

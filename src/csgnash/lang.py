@@ -65,7 +65,8 @@ from .expr import (
 )
 from .model import IDLE, Csg, RewardStructure
 
-__all__ = ["parse_model", "build_csg", "load_model", "ModelAst"]
+__all__ = ["parse_model", "build_csg", "load_model", "ModelAst",
+           "parse_constant_value"]
 
 
 # --- AST -----------------------------------------------------------------------
@@ -455,25 +456,28 @@ def _check_model(ast: ModelAst) -> ModelAst:
 
 # --- constant resolution ------------------------------------------------------------
 
-def _parse_override(text):
+def parse_constant_value(text):
+    """A constant value given as text: true or false (in any case), an int,
+    or an exact rational such as 0.25 or 1/4, so that model probabilities
+    stay exactly representable.  A value that is not a string is kept."""
     if isinstance(text, str):
-        if text == "true":
-            return True
-        if text == "false":
-            return False
+        lowered = text.lower()
+        if lowered in ("true", "false"):
+            return lowered == "true"
         try:
             return int(text)
         except ValueError:
             pass
         try:
             return Fraction(text)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ModelTypeError(f"cannot parse constant value {text!r}")
     return text
 
 
 def resolve_constants(ast: ModelAst, overrides=None):
-    overrides = {k: _parse_override(v) for k, v in (overrides or {}).items()}
+    overrides = {k: parse_constant_value(v)
+                 for k, v in (overrides or {}).items()}
     declared = {c.name: c for c in ast.constants}
     for name in overrides:
         if name not in declared:

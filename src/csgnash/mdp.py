@@ -444,16 +444,18 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
     if kind != "F":
         raise SolverError(f"unknown reward objective kind {kind!r}")
     targets = set(targets or ())
-    finite = prob1_min_set(mdp, targets)
+    g = _index(mdp)
+    target_ids = _id_set(g, targets)
+    # the states reaching the targets almost surely, as `prob1_min_set`
+    _, finite = _almost_sure(g, target_ids, set(range(len(g.rows))))
     wanted = set(needed_states) if needed_states is not None else set(mdp.states)
-    bad = sorted((s for s in wanted if s not in finite), key=str)
+    bad = sorted((s for s in wanted if g.ids.get(s) not in finite), key=str)
     if bad:
         raise InfiniteValue(
             "expected reachability reward is infinite: targets are not "
             "reached almost surely under all strategies", states=bad)
-    g = _index(mdp)
-    undecided = [i for i, s in enumerate(g.states)
-                 if s in finite and s not in targets]
+    undecided = [i for i in range(len(g.rows))
+                 if i in finite and i not in target_ids]
     a_rew = {key: float(r) for key, r in a_rew.items()}
     s_rew = {g.states[i]: float(s_rew.get(g.states[i], 0)) for i in undecided}
     cur, chosen = _iterate(g, [zero] * len(g.rows), undecided, optimise,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -93,7 +93,13 @@ PENDING, WON, LOST = "pending", "won", "lost"
 
 @dataclass
 class PairResult:
-    """Outcome of solving one objective pair on a two-coalition game."""
+    """Outcome of solving one objective pair on a two-coalition game, and
+    everything synthesis plays from it.  `iterations` is the stage count of
+    a bounded pair (its shorter horizon), the sweep count of an unbounded
+    one.  `single[l]` holds objective l's optimal joint choices (state ->
+    joint action) by remaining steps, None at 0: a bounded pair's per-step
+    list, `[None, strategy]` for an unbounded pair (strategy None where the
+    optimum was not needed)."""
 
     values: dict                 # state -> (v1, v2)
     iterations: int
@@ -102,7 +108,10 @@ class PairResult:
     diagnostic: str = None
     trace: list = None           # last _TRACE_LENGTH vectors, oldest first
     profiles: object = None      # per-state local profiles; bounded: per stage
-    aux: dict = field(default_factory=dict)  # "mdp_s": MDP precompute seconds
+    statuses: tuple = None       # `_statuses` of the pair
+    single: tuple = None
+    pads: tuple = (0, 0)         # how far each horizon exceeds `iterations`
+    mdp_s: float = 0.0           # seconds the single-objective optima took
 
 
 @dataclass
@@ -155,7 +164,7 @@ def _statuses(game, objectives):
             lose = frozenset(s for s in game.states
                              if s not in win and s not in cons)
         out.append((win, lose, obj.op in ("U", "F")))
-    return out
+    return tuple(out)
 
 
 def _refine(status_defs, state, statuses):
@@ -389,9 +398,8 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
 
     return PairResult(
         values=vals, iterations=k, converged=True, kind="bounded",
-        trace=list(history), profiles=stage_profiles,
-        aux={"coop_strats": coop_strats, "pads": pads, "statuses": stat,
-             "horizon": k, "mdp_s": mdp_s})
+        trace=list(history), profiles=stage_profiles, statuses=stat,
+        single=tuple(coop_strats), pads=pads, mdp_s=mdp_s)
 
 
 # --- unbounded pairs --------------------------------------------------------------
@@ -412,8 +420,6 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     stat, settled = _settlement(cg, objectives)
     opt_vals, opt_strats, mdp_s = _coop_optima(jmdp, objectives, stat,
                                                settled)
-    aux = {"statuses": stat, "opt_vals": opt_vals, "opt_strats": opt_strats,
-           "mdp_s": mdp_s}
     free = [s for s in cg.states if s not in settled]
     table = local_game_table(cg, free, _reward_names(objectives))
 
@@ -462,7 +468,9 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     result = PairResult(
         values=vals, iterations=iterations, converged=converged,
         kind="unbounded", diagnostic=diagnostic,
-        trace=list(history), profiles=profiles, aux=aux)
+        trace=list(history), profiles=profiles, statuses=stat,
+        single=tuple([None, strategy] for strategy in opt_strats),
+        mdp_s=mdp_s)
     if not converged:
         message = diagnostic or (
             f"value iteration did not converge within {iterations} sweeps")
@@ -581,10 +589,12 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     product of a mixed pair) is compiled once to the solve's number type:
     exact for bounded pairs and for games of at most `_EXACT_STATE_LIMIT`
     states, floats otherwise.  With `strict_assumptions` a failed assumption
-    check raises AssumptionViolated before anything is solved.  Returns
-    (result, solved game, solved query, embedding, assumption report,
-    per-base-state values); a NotConverged raised by the solver carries the
-    report."""
+    check raises AssumptionViolated before anything is solved.  Returns the
+    `Evaluation` fields of the solve by name: `solve`, `game`, `query`,
+    `embedding`, `assumption` and the per-base-state `values`; a
+    NotConverged raised by the solver carries the assumption report.  The
+    assumption is checked on the solved game: a coalition game has its base
+    game's distributions, so its end components and prob-1 sets."""
     cg = coalition_game(csg, node.coalition1)
     node = replace(node, objectives=tuple(
         _with_sets(obj, lambda sub: sub if sub == TrueF() else
@@ -593,28 +603,29 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     horizon = classify_horizon(node)
     if horizon.startswith("mixed"):
         game, query, embedding = mixed_horizon_transform(cg, node)
-        report = check_assumption(game, query)
     else:
         game, query, embedding = cg, node, None
-        report = check_assumption(csg, node)
+    report = check_assumption(game, query)
     if strict_assumptions and not report.passed:
         raise AssumptionViolated(
             "assumption violated: " + "; ".join(report.messages()), report)
     exact = horizon == "both-finite" or \
         len(game.states) <= _EXACT_STATE_LIMIT
     game = compile_game(game, Fraction if exact else float)
-    if horizon == "both-finite":
-        result = solve_bounded_pair(game, query)
-        return result, game, query, None, report, result.values
     try:
-        result = solve_unbounded_pair(game, query, conv_epsilon=conv_epsilon,
-                                      max_iters=max_iters)
+        if horizon == "both-finite":
+            result = solve_bounded_pair(game, query)
+        else:
+            result = solve_unbounded_pair(game, query,
+                                          conv_epsilon=conv_epsilon,
+                                          max_iters=max_iters)
     except NotConverged as err:
         err.assumption = report
         raise
     values = result.values if embedding is None else \
         {s: result.values[embedding[s]] for s in cg.states}
-    return result, game, query, embedding, report, values
+    return dict(values=values, solve=result, game=game, query=query,
+                embedding=embedding, assumption=report)
 
 
 def sat_operator(game, node):
@@ -647,11 +658,10 @@ def evaluate(csg, formula, conv_epsilon=DEFAULT_CONV_EPSILON,
         return Evaluation(formula, "zero-sum-threshold", sat=sat, values=vals,
                           initial={s: s in sat for s in csg.initial})
     if isinstance(formula, NashNode):
-        result, game, query, embedding, report, values = _solve_nash(
-            csg, formula, conv_epsilon=conv_epsilon, max_iters=max_iters,
-            strict_assumptions=strict_assumptions)
-        solved = dict(values=values, solve=result, game=game, query=query,
-                      embedding=embedding, assumption=report)
+        solved = _solve_nash(csg, formula, conv_epsilon=conv_epsilon,
+                             max_iters=max_iters,
+                             strict_assumptions=strict_assumptions)
+        values = solved["values"]
         if formula.threshold is None:
             return Evaluation(formula, "nash-query", **solved,
                               initial={s: values[s] for s in csg.initial})

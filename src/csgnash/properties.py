@@ -43,7 +43,7 @@ from .expr import (
 __all__ = [
     "TrueF", "Atom", "VarPredicate", "Not", "And", "Or", "StateSet",
     "ZeroSumNode", "NashNode", "Objective",
-    "parse_property", "parse_property_file", "to_text",
+    "parse_property", "parse_property_file", "property_lines", "to_text",
     "classify_horizon", "satisfying_states",
 ]
 
@@ -371,14 +371,17 @@ def parse_property(text, model=None, constants=None):
     return node
 
 
+def property_lines(text):
+    """The properties of a property file's text: one per non-empty line,
+    each line cut at its first `//` comment."""
+    lines = (raw.split("//", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
+
+
 def parse_property_file(text, model=None, constants=None):
-    """One property per non-empty line; // comments."""
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("//", 1)[0].strip()
-        if line:
-            out.append(parse_property(line, model, constants))
-    return out
+    """Parse every property of a property file's text (`property_lines`)."""
+    return [parse_property(line, model, constants)
+            for line in property_lines(text)]
 
 
 # --- printing -----------------------------------------------------------------

@@ -44,54 +44,36 @@ def _first_pair(game, state):
 
 @dataclass
 class SynthesisedProfile:
-    """Joint strategy pair for a solved two-coalition query."""
+    """Joint strategy pair for a solved two-coalition query; it plays from
+    the solve's record (`PairResult`) as it is."""
 
     query: NashNode
     game: object
     result: PairResult
-    values: dict                 # initial state -> achieved value pair
-    status_defs: tuple           # per objective: (win set, lose set, flag)
-    kind: str                    # "bounded" | "unbounded"
-    horizon: int = None          # bounded only
-    pads: tuple = (0, 0)
 
     def choice(self, state, step, statuses):
         """The joint behaviour at a state for memory contents `statuses`
-        refined at that state: either ("mix", acts1, acts2, x, y) or
-        ("pure", a1, a2).  Where both objectives are pending the state is
-        free, so the solve recorded a "mix" profile there."""
+        refined at that state (and `step` stages left of a bounded pair):
+        either ("mix", acts1, acts2, x, y) or ("pure", a1, a2).  Where both
+        objectives are pending the state is free, so the solve recorded a
+        "mix" profile there."""
+        result = self.result
+        bounded = step is not None
         pending = [l for l, st in enumerate(statuses) if st == PENDING]
-        if self.kind == "unbounded":
-            if len(pending) == 2:
-                return self.result.profiles[state]
-            if len(pending) == 1:
-                return self._pure(
-                    state, self.result.aux["opt_strats"][pending[0]])
-            return ("pure",) + _first_pair(self.game, state)
-
-        if len(pending) == 2 and step >= 1:
-            return self.result.profiles[step][state]
-        if pending:
-            # either one objective settled, or the shared stage count ran
-            # out with one objective's longer horizon still live
-            for l in pending:
-                remaining = step + self.pads[l]
-                if remaining > 0 or len(pending) == 1:
-                    return self._coop(state, l, max(remaining, 0))
+        if len(pending) == 2 and (not bounded or step >= 1):
+            return (result.profiles[step] if bounded else
+                    result.profiles)[state]
+        # one objective settled, or a bounded pair's shared stage count ran
+        # out with one objective's longer horizon still live; an unbounded
+        # pair's entry 1 is its strategy, as nothing runs out
+        for l in pending:
+            remaining = step + result.pads[l] if bounded else 1
+            if remaining > 0 or len(pending) == 1:
+                steps = result.single[l]
+                strat = steps[min(max(remaining, 0), len(steps) - 1)]
+                cid = strat.get(state) if strat else None
+                return ("pure",) + tuple(cid or _first_pair(self.game, state))
         return ("pure",) + _first_pair(self.game, state)
-
-    def _coop(self, state, l, remaining):
-        steps = self.result.aux["coop_strats"][l]
-        remaining = min(remaining, len(steps) - 1)
-        return self._pure(state, steps[remaining] if remaining >= 1 else None)
-
-    def _pure(self, state, strat):
-        """The joint action `strat` (state -> joint action, or None) picks
-        at `state`, or the first joint action where it picks none."""
-        cid = strat.get(state) if strat else None
-        if cid is None:
-            cid = _first_pair(self.game, state)
-        return ("pure",) + tuple(cid)
 
     def strategy(self, side) -> "TableStrategy":
         return TableStrategy(self, side)
@@ -109,12 +91,13 @@ class SynthesisedProfile:
         entries = []
         statuses_seen = [(PENDING, PENDING), (WON, PENDING), (LOST, PENDING),
                          (PENDING, WON), (PENDING, LOST)]
-        steps = [None] if self.kind == "unbounded" else \
-            list(range(self.horizon, -1, -1))
+        result = self.result
+        steps = [None] if result.kind == "unbounded" else \
+            list(range(result.iterations, -1, -1))
         for state in self.game.states:
             for step in steps:
                 for statuses in statuses_seen:
-                    if _refine(self.status_defs, state, statuses) != statuses:
+                    if _refine(result.statuses, state, statuses) != statuses:
                         continue        # not a reachable memory for this state
                     entry = {**place(state), "mode": list(statuses)}
                     if step is not None:
@@ -132,10 +115,10 @@ class SynthesisedProfile:
                     entries.append(entry)
         return {
             "query": to_text(self.query),
-            "kind": self.kind,
+            "kind": result.kind,
             "modes": ["pending", "won", "lost"],
-            "values": {place(s)["state"]: [_num(v) for v in pair]
-                       for s, pair in self.values.items()},
+            "values": {place(s)["state"]: [_num(v) for v in result.values[s]]
+                       for s in self.game.initial},
             "entries": entries,
         }
 
@@ -167,21 +150,22 @@ class TableStrategy(MemoryStrategy):
     def __init__(self, profile: SynthesisedProfile, side):
         self.profile = profile
         self.side = side
+        result = profile.result
         statuses = (PENDING, PENDING)
-        if profile.kind == "bounded":
-            self.initial_mode = (profile.horizon,) + statuses
-            self._floor = -max(profile.pads)
+        if result.kind == "bounded":
+            self.initial_mode = (result.iterations,) + statuses
+            self._floor = -max(result.pads)
         else:
             self.initial_mode = statuses
 
     def _split(self, mode):
-        if self.profile.kind == "bounded":
+        if self.profile.result.kind == "bounded":
             return mode[0], mode[1:]
         return None, mode
 
     def distribution(self, state, mode):
         step, statuses = self._split(mode)
-        statuses = _refine(self.profile.status_defs, state, statuses)
+        statuses = _refine(self.profile.result.statuses, state, statuses)
         ch = self.profile.choice(state, step, statuses)
         if ch[0] == "pure":
             return {ch[self.side]: Fraction(1)}
@@ -191,7 +175,7 @@ class TableStrategy(MemoryStrategy):
 
     def update(self, mode, next_state):
         step, statuses = self._split(mode)
-        statuses = _refine(self.profile.status_defs, next_state, statuses)
+        statuses = _refine(self.profile.result.statuses, next_state, statuses)
         if step is None:
             return statuses
         return (max(step - 1, self._floor),) + statuses
@@ -200,11 +184,7 @@ class TableStrategy(MemoryStrategy):
 def synthesise_profile(game, query: NashNode, result: PairResult
                        ) -> SynthesisedProfile:
     """Package a solved pair into an executable strategy profile."""
-    aux = result.aux
-    return SynthesisedProfile(
-        query, game, result, {s: result.values[s] for s in game.initial},
-        tuple(aux["statuses"]), result.kind, horizon=aux.get("horizon"),
-        pads=tuple(aux.get("pads", (0, 0))))
+    return SynthesisedProfile(query, game, result)
 
 
 # --- verification -----------------------------------------------------------------
@@ -252,11 +232,12 @@ def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
 
     chain = _fold(cg, s1.initial_mode, joint_choice, s1.update)
     chain_nodes = set(chain.states)
+    statuses = profile.result.statuses
     gaps = []
     sub_gaps = []
     for idx, obj in enumerate(query.objectives):
         fixed_side = 2 if idx == 0 else 1
-        status = profile.status_defs[idx]
+        status = statuses[idx]
         induced = induce_mdp(cg, fixed_side, profile.strategy(fixed_side))
         try:
             best, achieved = [_optimum(mdp, obj, "max", _lift(status, mdp),
@@ -270,9 +251,9 @@ def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
             continue
         gap = max(float(best[n]) - float(achieved[n]) for n in chain.initial)
         gaps.append(gap)
-        if profile.kind == "unbounded":
+        if profile.result.kind == "unbounded":
             pend = [n for n in chain.states
-                    if _refine(profile.status_defs, n[0], n[1])
+                    if _refine(statuses, n[0], n[1])
                     == (PENDING, PENDING)]
             sub = max((float(best[n]) - float(achieved[n]) for n in pend
                        if n in best and n in achieved), default=0.0)

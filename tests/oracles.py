@@ -814,9 +814,8 @@ def bounded_pair_by_stage_loop(cg, query):
 
     return PairResult(
         values=vals, iterations=k, converged=True, kind="bounded",
-        trace=list(history), profiles=stage_profiles,
-        aux={"coop_strats": coop_strats, "pads": pads, "statuses": stat,
-             "horizon": k, "mdp_s": mdp_s})
+        trace=list(history), profiles=stage_profiles, statuses=stat,
+        single=tuple(coop_strats), pads=pads, mdp_s=mdp_s)
 
 
 def unbounded_pair_by_sweep_loop(cg, query,
@@ -830,8 +829,7 @@ def unbounded_pair_by_sweep_loop(cg, query,
     jmdp = joint_mdp(cg)
     start = time.perf_counter()
     stat, settled = _settlement(cg, (o1, o2))
-    aux = {"statuses": stat, "opt_vals": [None, None],
-           "opt_strats": [None, None]}
+    opt_vals, opt_strats = [None, None], [None, None]
     for l, obj in enumerate((o1, o2)):
         need = None
         if obj.kind == "R":
@@ -839,15 +837,15 @@ def unbounded_pair_by_sweep_loop(cg, query,
             need = {s for s, row in settled.items() if row[l] == PENDING}
             if not need:
                 continue
-        aux["opt_vals"][l], aux["opt_strats"][l] = _optimum(
+        opt_vals[l], opt_strats[l] = _optimum(
             jmdp, obj, "max", stat[l], with_strategy=True,
             needed_states=need)
-    opt = [vals or {} for vals in aux["opt_vals"]]
+    opt = [vals or {} for vals in opt_vals]
     units = (cg.number(0), cg.number(1))
     fixed = {s: _settled_pair((o1, o2), row, [vals.get(s) for vals in opt],
                               units)
              for s, row in settled.items()}
-    aux["mdp_s"] = time.perf_counter() - start
+    mdp_s = time.perf_counter() - start
     free = [s for s in cg.states if s not in fixed]
     table = local_game_table(
         cg, free, _reward_names((o1, o2)) if o1.kind == "R" else (None, None))
@@ -896,7 +894,9 @@ def unbounded_pair_by_sweep_loop(cg, query,
     result = PairResult(
         values=vals, iterations=iterations, converged=converged,
         kind="unbounded", diagnostic=diagnostic,
-        trace=list(history), profiles=profiles, aux=aux)
+        trace=list(history), profiles=profiles, statuses=stat,
+        single=tuple([None, strategy] for strategy in opt_strats),
+        mdp_s=mdp_s)
     if not converged:
         message = diagnostic or (
             f"value iteration did not converge within {iterations} sweeps")

@@ -4,11 +4,13 @@ import argparse
 import csv
 import io
 import json
+import re
 
 import pytest
 
 from conftest import model_path
 from csgnash.cli import _parse_const, _parse_sweep, _parse_value, main
+from csgnash.lang import parse_constant_value
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +27,22 @@ class TestOptionParsing:
         assert _parse_value("1/4") == 0.25
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_value("maybe")
+
+    def test_values_follow_the_model_language_rule(self):
+        # one rule for constant values, `lang.parse_constant_value`; a bad
+        # value is a usage error, never a traceback
+        for text in ("TRUE", "false", "-2", "0.25", "3/8"):
+            assert _parse_value(text) == parse_constant_value(text)
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_value("1/0")
+
+    def test_bad_constant_value_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--model", model_path("fig1.csgx"),
+                  "--const", "k=maybe", "--property", "true"])
+        assert excinfo.value.code == 2
+        assert "constant value 'maybe' is not an int, double, or bool" in \
+            capsys.readouterr().err
 
     def test_const(self):
         assert _parse_const("emax = 5") == ("emax", 5)
@@ -113,24 +131,40 @@ class TestRunExitCodes:
         assert "not converged" in out
         assert "oscillation" in out
 
+    # s0 reaches goal with probability 1/2 at rate 1 - 2e per sweep, too
+    # slowly for the MDP layer's sweep limit
+    SLOW_MODEL = ("player p1 a\nplayer p2 b\ninit s0\nlabel g goal\n"
+                  "s0 (-,-) -> 49999/50000:s0 + 1/100000:g + 1/100000:x\n"
+                  "g (-,-) -> 1:g\nx (-,-) -> 1:x\n")
+    SLOW_PROPERTY = "<<p1:p2>>max=? (P[F goal] + P[F goal])"
+
     def test_mdp_iteration_limit_exits_three(self, capsys, tmp_path):
-        # s0 reaches goal with probability 1/2 at rate 1 - 2e per sweep, too
-        # slowly for the MDP layer's sweep limit
         model = tmp_path / "slow.csgx"
-        model.write_text("player p1 a\nplayer p2 b\ninit s0\n"
-                         "label g goal\n"
-                         "s0 (-,-) -> 49999/50000:s0 + 1/100000:g "
-                         "+ 1/100000:x\n"
-                         "g (-,-) -> 1:g\nx (-,-) -> 1:x\n")
+        model.write_text(self.SLOW_MODEL)
         code, out, _ = run_cli(
             capsys, "run", "--model", str(model), "--format", "json",
-            "--property", "<<p1:p2>>max=? (P[F goal] + P[F goal])")
+            "--property", self.SLOW_PROPERTY)
         assert code == 3
         (record,) = json.loads(out)["results"]
         assert record["converged"] is False
         assert record["diagnostic"].startswith(
             "MDP value iteration exceeded the iteration limit of 100000 "
             "sweeps: state s0 still changed by 1.35e-06")
+        assert "mdp_time" not in record
+
+    def test_mdp_iteration_limit_timing_has_no_split(self, capsys,
+                                                      tmp_path):
+        # no result carries the MDP seconds, so the human line gives the
+        # total alone instead of booking it all to the game layer
+        model = tmp_path / "slow.csgx"
+        model.write_text(self.SLOW_MODEL)
+        code, out, _ = run_cli(capsys, "run", "--model", str(model),
+                               "--property", self.SLOW_PROPERTY)
+        assert code == 3
+        (timing,) = [line for line in out.splitlines()
+                     if "timing:" in line]
+        assert re.fullmatch(r"  timing: constr=\d+\.\d{3}s "
+                            r"total=\d+\.\d{3}s", timing)
 
     def test_nonconvergent_run_checks_the_assumption_once(self, capsys,
                                                           monkeypatch):

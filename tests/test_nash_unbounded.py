@@ -8,7 +8,8 @@ import pytest
 
 from conftest import ACYCLIC_GAME, REWARD_GAME, model_path
 from csgnash import nash
-from csgnash.errors import NotConverged, UnsupportedOperator
+from csgnash.errors import (AssumptionViolated, NotConverged,
+                             UnsupportedOperator)
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
 from csgnash.model import check_assumption
@@ -280,6 +281,38 @@ def test_nested_reward_target_is_solved_once(monkeypatch):
     assert len(calls) == 1
 
 
+class TestAssumptionCheckedOnTheSolvedGame:
+    """The solve checks the assumption once, on the coalition game it
+    solves; regrouping players keeps every distribution, so the report is
+    the one the base game gives."""
+
+    CASES = [
+        ("robot.csg", {"l": 3}, "<<p1:p2>>max=? (P[F goal1] + P[F goal2])",
+         0),
+        ("power.csg", None,
+         '<<p1:p2>>max=? (R{"r1"}[F done1] + R{"r2"}[F done2])', 0),
+        ("appendix_b.csgx", None, "<<p1:p2>>max=? (P[F a1] + P[F a2])", 1),
+        ("appendix_c.csgx", None,
+         '<<p1:p2>>max=? (R{"r1"}[F a] + R{"r2"}[F a])', 2),
+        ("fig1.csgx", None, "<<p1:p2>>max=? (P[F sent1] + P[F sent2])", 3),
+        ("aloha.csg", {"D": 3}, "<<p1:{p2,p3}>>max=? "
+         "(P[F (sent1 & t<=8)] + P[F (sent2 & sent3 & t<=8)])", 189),
+    ]
+
+    @pytest.mark.parametrize("name,consts,prop,count", CASES)
+    def test_report_matches_the_base_game(self, name, consts, prop, count):
+        csg = load_explicit(model_path(name)) if name.endswith(".csgx") \
+            else load_model(model_path(name), consts)
+        query = parse_property(prop, csg)
+        base = check_assumption(csg, query)
+        try:
+            solved = evaluate(csg, query, strict_assumptions=True).assumption
+        except AssumptionViolated as err:
+            solved = err.report
+        assert solved.messages() == base.messages()
+        assert len(base.messages()) == count
+
+
 class TestExactAndFloatEnginesAgree:
     """The same query solved exactly and, with the exact limit lowered to 0,
     in floats: values agree, and the float solve is float throughout."""
@@ -314,8 +347,6 @@ class TestExactAndFloatEnginesAgree:
                        for a, b in zip(ev.values[s], exact.values[s]))
         assert all(isinstance(v, float)
                    for pair in ev.solve.values.values() for v in pair)
-        assert all(isinstance(v, float) for vals in ev.solve.aux["opt_vals"]
-                   if vals is not None for v in vals.values())
         assert all(isinstance(p, float) for s in ev.game.states
                    for dist in ev.game.trans[s].values()
                    for p in dist.values())

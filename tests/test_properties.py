@@ -26,6 +26,7 @@ from csgnash.properties import (
     classify_horizon,
     parse_property,
     parse_property_file,
+    property_lines,
     satisfying_states,
     to_text,
 )
@@ -254,3 +255,7 @@ class TestPropertyFile:
         assert len(props) == 2
         assert props[0].relation == "max=?"
         assert props[1].threshold == 2
+
+    def test_lines_drop_comments_and_blanks(self):
+        text = "// header\n\n  a // note\nb\n   // only a comment\n"
+        assert property_lines(text) == ["a", "b"]

@@ -33,10 +33,10 @@ def typed(obj):
 
 def fields(result):
     """Everything a `PairResult` holds except its MDP timing."""
-    aux = {key: value for key, value in result.aux.items() if key != "mdp_s"}
     return typed((result.values, result.iterations, result.converged,
                   result.kind, result.diagnostic, result.trace,
-                  result.profiles, aux))
+                  result.profiles, result.statuses, result.single,
+                  result.pads))
 
 
 def outcome(solve, *args, **kwargs):

@@ -89,10 +89,7 @@ class TestFailingProfile:
         formula = parse_property(
             "<<p1:p2>>max=? (P[F sent1] + P[F sent2])")
         ev = evaluate(csg, formula)
-        good = synthesise_profile(ev.game, formula, ev.solve)
-        lazy = SynthesisedProfile(
-            formula, ev.game, ev.solve, good.values,
-            good.status_defs, "unbounded")
+        lazy = SynthesisedProfile(formula, ev.game, ev.solve)
         lazy.strategy = lambda side: AlwaysWait("w1" if side == 1 else "w2")
         report = verify_epsilon_ne(ev.game, lazy, formula, 1e-4)
         assert report.gap1 == report.gap2 == 1
@@ -103,10 +100,7 @@ class TestFailingProfile:
         formula = parse_property(
             "<<p1:p2>>max=? (P[F sent1] + P[F sent2])")
         ev = evaluate(csg, formula)
-        good = synthesise_profile(ev.game, formula, ev.solve)
-        lazy = SynthesisedProfile(
-            formula, ev.game, ev.solve, good.values,
-            good.status_defs, "unbounded")
+        lazy = SynthesisedProfile(formula, ev.game, ev.solve)
         lazy.strategy = lambda side: AlwaysWait("w1" if side == 1 else "w2")
         assert verify_epsilon_ne(ev.game, lazy, formula, 1.0).passed
 
