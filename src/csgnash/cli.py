@@ -362,26 +362,33 @@ def cmd_run(args, out=None):
 
 # --- solve-nfg subcommand ----------------------------------------------------------
 
-def _parse_matrix(text):
-    rows = []
-    for row_text in text.strip().split(";"):
-        row = [Fraction(entry) for entry in row_text.replace(",", " ").split()]
-        if row:
-            rows.append(row)
-    return rows
+def _entry(value, where):
+    """One payoff, an exact rational written as text or a JSON number."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise CsgError(f"{where}: bad payoff entry {value!r}")
+
+
+def _parse_matrix(text, where):
+    rows = [row.replace(",", " ").split() for row in text.strip().split(";")]
+    return [[_entry(e, where) for e in row] for row in rows if row]
 
 
 def _load_nfg(args):
     if args.file:
         with open(args.file, encoding="utf-8") as handle:
             data = json.load(handle)
-        z1 = [[Fraction(str(e)) for e in row] for row in data["z1"]]
-        z2 = [[Fraction(str(e)) for e in row] for row in data["z2"]]
+        for key in ("z1", "z2"):
+            if not isinstance(data, dict) or key not in data:
+                raise CsgError(f"{args.file}: missing key {key!r}")
+        z1, z2 = ([[_entry(e, f"{args.file}: {key}") for e in row]
+                   for row in data[key]] for key in ("z1", "z2"))
         return BimatrixGame.from_rows(z1, z2)
     if not args.z1 or not args.z2:
         raise CsgError("give either --file or both --z1 and --z2")
-    return BimatrixGame.from_rows(_parse_matrix(args.z1),
-                                  _parse_matrix(args.z2))
+    return BimatrixGame.from_rows(_parse_matrix(args.z1, "--z1"),
+                                  _parse_matrix(args.z2, "--z2"))
 
 
 def _vec(values):

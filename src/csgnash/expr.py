@@ -9,7 +9,8 @@ arithmetic operators follow the usual precedence
 
     |  <  &  <  !  <  comparisons  <  + -  <  * /  <  unary -  <  atoms
 
-and the functions min, max, floor, ceil, pow, mod are available.
+and the functions min, max, floor, ceil, pow, mod are available.  Division
+by zero (`/`, `mod`, `pow(0, e<0)`) raises ModelTypeError.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ __all__ = [
     "Token", "TokenStream", "tokenize",
     "Lit", "Var", "Unary", "Binary", "Call",
     "parse_expression", "eval_expr", "compile_expr", "free_vars",
-    "expr_to_text",
+    "expr_to_text", "integer",
 ]
 
 _SYMBOLS = [
@@ -280,6 +281,16 @@ def free_vars(node):
     return set()
 
 
+def integer(value, what):
+    """`value` as an int: the one rule for what a model integer is.  An int,
+    or a Fraction with denominator 1; never a bool or anything else."""
+    if type(value) is int:
+        return value
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    raise ModelTypeError(f"{what} must be an integer")
+
+
 def _need_num(value, node):
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ModelTypeError(f"expected a number in {expr_to_text(node)}")
@@ -292,18 +303,20 @@ def _need_bool(value, node):
     return value
 
 
-def _divide(lhs, rhs):
-    return Fraction(lhs) / rhs
+def _divisor(value, node):
+    if value == 0:
+        raise ModelTypeError(f"division by zero in {expr_to_text(node)}")
+    return value
 
 
 _EQUALITY_OPS = {"=": operator.eq, "!=": operator.ne}
 _NUMERIC_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
                 ">=": operator.ge, "+": operator.add, "-": operator.sub,
-                "*": operator.mul, "/": _divide}
+                "*": operator.mul}
 
 
-def _call(func, args, node):
-    """`func(*args)` for evaluated arguments."""
+def _call(func, args, node, text):
+    """`func(*args)` for evaluated arguments; `text` renders `node`."""
     if func in ("min", "max"):
         nums = [_need_num(a, node) for a in args]
         return min(nums) if func == "min" else max(nums)
@@ -312,9 +325,15 @@ def _call(func, args, node):
     if func == "ceil":
         return math.ceil(_need_num(args[0], node))
     if func == "pow":
-        return _need_num(args[0], node) ** int(_need_num(args[1], node))
+        base = _need_num(args[0], node)
+        exponent = integer(args[1], f"the exponent of {text}")
+        if exponent < 0:                  # exact, as division is
+            base = Fraction(_divisor(base, node))
+        return base ** exponent
     if func == "mod":
-        return int(_need_num(args[0], node)) % int(_need_num(args[1], node))
+        dividend = integer(args[0], f"the dividend of {text}")
+        return dividend % _divisor(
+            integer(args[1], f"the divisor of {text}"), node)
     raise ModelTypeError(f"cannot evaluate {node!r}")
 
 
@@ -388,9 +407,10 @@ def _compile(node, constants, slots):
     if isinstance(node, Call):
         parts = [_compile(a, constants, slots) for a in node.args]
         fns = [f for f, _ in parts]
+        text = expr_to_text(node)
 
         def fn(state):
-            return _call(node.func, [f(state) for f in fns], node)
+            return _call(node.func, [f(state) for f in fns], node, text)
         return _fold(fn, [v for _, v in parts])
 
     def fn(state):
@@ -416,7 +436,10 @@ def _compile_binary(node, constants, slots):
             return equal(fl(state), fr(state))
     else:
         apply = _NUMERIC_OPS.get(op)
-        if apply is None:
+        if op == "/":
+            def apply(lhs, rhs):
+                return Fraction(lhs) / _divisor(rhs, node)
+        elif apply is None:
             def apply(lhs, rhs):
                 raise ModelTypeError(f"cannot evaluate {node!r}")
 

@@ -60,6 +60,7 @@ from .expr import (
     compile_expr,
     eval_expr,
     free_vars,
+    integer,
     parse_expression,
     tokenize,
 )
@@ -507,12 +508,8 @@ def resolve_constants(ast: ModelAst, overrides=None):
         pending = remaining
     for name, value in env.items():
         typ = declared[name].type
-        if typ == "int" and (isinstance(value, bool) or
-                             (isinstance(value, Fraction) and value.denominator != 1)
-                             or not isinstance(value, (int, Fraction))):
-            raise ModelTypeError(f"constant {name!r} must be an integer")
-        if typ == "int" and isinstance(value, Fraction):
-            env[name] = int(value)
+        if typ == "int":
+            env[name] = integer(value, f"constant {name!r}")
         if typ == "double" and (isinstance(value, bool) or
                                 not isinstance(value, (int, Fraction))):
             raise ModelTypeError(f"constant {name!r} must be numeric")
@@ -527,41 +524,28 @@ class _VarInfo:
     def __init__(self, decl, constants):
         self.name = decl.name
         self.kind = decl.kind
+        self.what = f"variable {decl.name!r}"
         if decl.kind == "int":
-            self.low = eval_expr(decl.low, constants)
-            self.high = eval_expr(decl.high, constants)
-            if isinstance(self.low, Fraction) or isinstance(self.high, Fraction):
-                self.low, self.high = int(self.low), int(self.high)
+            self.low = integer(eval_expr(decl.low, constants),
+                               f"the lower bound of {self.what}")
+            self.high = integer(eval_expr(decl.high, constants),
+                                f"the upper bound of {self.what}")
             if self.low > self.high:
-                raise RangeOverflow(f"empty range for variable {decl.name!r}")
-        init = eval_expr(decl.init, constants)
-        if decl.kind == "int":
-            if isinstance(init, bool) or not isinstance(init, (int, Fraction)):
-                raise ModelTypeError(f"init of {decl.name!r} must be an integer")
-            init = int(init)
-            if not self.low <= init <= self.high:
-                raise RangeOverflow(f"init of {decl.name!r} outside its range")
-        elif not isinstance(init, bool):
-            raise ModelTypeError(f"init of {decl.name!r} must be boolean")
-        self.init = init
+                raise RangeOverflow(f"empty range for {self.what}")
+        self.init = self.check(eval_expr(decl.init, constants))
 
-    def check(self, value, line):
-        if self.kind == "int":
-            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-                raise ModelTypeError(
-                    f"assignment to {self.name!r} must be an integer")
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise ModelTypeError(
-                        f"assignment to {self.name!r} must be an integer")
-                value = int(value)
-            if not self.low <= value <= self.high:
-                raise RangeOverflow(
-                    f"variable {self.name!r} leaves its range [{self.low}.."
-                    f"{self.high}] (value {value})")
-            return value
-        if not isinstance(value, bool):
-            raise ModelTypeError(f"assignment to {self.name!r} must be boolean")
+    def check(self, value):
+        """`value`, the initial or an assigned value, if the variable can
+        hold it: an integer in its range, or a boolean."""
+        if self.kind == "bool":
+            if value is True or value is False:
+                return value
+            raise ModelTypeError(f"{self.what} must be boolean")
+        value = integer(value, self.what)
+        if not self.low <= value <= self.high:
+            raise RangeOverflow(
+                f"{self.what} leaves its range [{self.low}..{self.high}] "
+                f"(value {value})")
         return value
 
 
@@ -627,8 +611,7 @@ class _Command:
                 raise ProbabilitySum(
                     f"probabilities at line {self.line} sum to {total} at "
                     f"state {dict(zip(var_names, state))}")
-        line = self.line
-        updates = [[(slot, info.check(value(state), line))
+        updates = [[(slot, info.check(value(state)))
                     for slot, info, value in self.branches[k][1]]
                    for k, _ in kept]
         return [p for _, p in kept], updates
@@ -665,8 +648,9 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
     Every expression of the model is compiled once, against the constants
     and the state layout, before exploration starts; a state is a tuple of
     variable values in declaration order.  The returned Csg additionally
-    carries `valuations` (state -> variable environment), `constants` and
-    `label_names` so properties can refer to model variables.
+    carries `variables` (the variable names, in slot order), `constants`
+    and `label_names`, so that properties compile their predicates against
+    the same layout.
     """
     constants = resolve_constants(ast, overrides)
     players = tuple(block.name for block in ast.players)
@@ -811,8 +795,7 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
     game = Csg.create(players, ast.alphabets, order, [init_state], trans,
                       labels, rewards)
     return replace(
-        game, valuations={s: dict(zip(var_names, s)) for s in game.states},
-        constants=dict(constants),
+        game, variables=var_names, constants=dict(constants),
         label_names=frozenset(n for n, _ in ast.labels))
 
 

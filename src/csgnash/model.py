@@ -81,8 +81,9 @@ class Csg:
     `trans[s][alpha]` maps each defined joint action tuple `alpha` (one entry
     per player, idle written as IDLE) to a probability distribution
     {successor: probability}.  Use `Csg.create` to validate and normalise.
-    Language-built games also carry per-state variable valuations, the
-    model constants and the declared label names.
+    Language-built games also carry `variables`, the variable names in slot
+    order (each state is the tuple of their values; None for explicit
+    games), the model constants and the declared label names.
     """
 
     players: tuple
@@ -92,7 +93,7 @@ class Csg:
     trans: dict
     labels: dict
     rewards: dict = field(default_factory=dict)
-    valuations: dict = None
+    variables: tuple = None
     constants: dict = field(default_factory=dict)
     label_names: frozenset = frozenset()
     number: ClassVar[type] = Fraction      # models hold exact numbers only

@@ -462,9 +462,9 @@ def satisfying_states(game, formula):
     """The set of states of `game` satisfying a state formula.
 
     Atoms resolve against state labels first, then against boolean model
-    variables when the game carries per-state valuations (language-built
-    models).  Coalition operators are delegated to the game engines; a
-    `StateSet` is already resolved and is returned as is.
+    variables when the game names its `variables` (language-built models).
+    Coalition operators are delegated to the game engines; a `StateSet` is
+    already resolved and is returned as is.
     """
     if isinstance(formula, StateSet):
         return formula.states
@@ -473,31 +473,24 @@ def satisfying_states(game, formula):
         return frozenset(states)
     if isinstance(formula, Atom):
         name = formula.name
-        known_labels = set().union(*game.labels.values()) if game.labels else set()
-        known_labels |= game.label_names
-        if name in known_labels:
+        if name in game.label_names or any(
+                name in labels for labels in game.labels.values()):
             return frozenset(s for s in states if name in game.labels[s])
-        valuations = game.valuations
-        if valuations is not None and name in next(iter(valuations.values()), {}):
-            result = set()
-            for s in states:
-                value = valuations[s][name]
-                if not isinstance(value, bool):
-                    raise UndeclaredSymbol(
-                        f"{name!r} is not a label or boolean variable")
-                if value:
-                    result.add(s)
-            return frozenset(result)
+        if game.variables is not None and name in game.variables:
+            slot = game.variables.index(name)
+            # a variable's values all have its declared type
+            if not isinstance(states[0][slot], bool):
+                raise UndeclaredSymbol(
+                    f"{name!r} is not a label or boolean variable")
+            return frozenset(s for s in states if s[slot])
         raise UndeclaredSymbol(f"unknown atomic proposition {name!r}")
     if isinstance(formula, VarPredicate):
-        valuations, constants = game.valuations, game.constants
-        if valuations is None:
+        if game.variables is None:
             raise UndeclaredSymbol(
-                "variable predicates need a model with state valuations")
-        # every valuation names the same variables: read them by name
-        names = next(iter(valuations.values()), {})
-        holds = compile_expr(formula.expr, constants, {n: n for n in names})
-        return frozenset(s for s in states if holds(valuations[s]))
+                "variable predicates need a model with state variables")
+        slots = {name: i for i, name in enumerate(game.variables)}
+        holds = compile_expr(formula.expr, game.constants, slots)
+        return frozenset(s for s in states if holds(s))
     if isinstance(formula, Not):
         return frozenset(states) - satisfying_states(game, formula.sub)
     if isinstance(formula, And):

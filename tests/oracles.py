@@ -916,6 +916,14 @@ def _need_bool(value, node):
     return value
 
 
+def _whole(value, what):
+    """`value` as an int: ints and whole Fractions, never bools."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)) \
+            or value != math.floor(value):
+        raise ModelTypeError(f"{what} must be an integer")
+    return math.floor(value)
+
+
 def walk_expr(node, env):
     """Evaluate an expression AST by walking it, every name read from `env`."""
     if isinstance(node, Lit):
@@ -955,6 +963,9 @@ def walk_expr(node, env):
         if node.op == "*":
             return lhs * rhs
         if node.op == "/":
+            if rhs == 0:
+                raise ModelTypeError(
+                    f"division by zero in {expr_to_text(node)}")
             return Fraction(lhs) / rhs
     if isinstance(node, Call):
         args = [walk_expr(a, env) for a in node.args]
@@ -965,9 +976,18 @@ def walk_expr(node, env):
             return math.floor(_need_num(args[0], node))
         if node.func == "ceil":
             return math.ceil(_need_num(args[0], node))
+        text = expr_to_text(node)
         if node.func == "pow":
-            return _need_num(args[0], node) ** int(_need_num(args[1], node))
+            base = _need_num(args[0], node)
+            exponent = _whole(args[1], f"the exponent of {text}")
+            if exponent < 0 and base == 0:
+                raise ModelTypeError(f"division by zero in {text}")
+            return base ** exponent if exponent >= 0 else \
+                Fraction(base) ** exponent
         if node.func == "mod":
-            return int(_need_num(args[0], node)) % \
-                int(_need_num(args[1], node))
+            dividend = _whole(args[0], f"the dividend of {text}")
+            divisor = _whole(args[1], f"the divisor of {text}")
+            if divisor == 0:
+                raise ModelTypeError(f"division by zero in {text}")
+            return dividend % divisor
     raise ModelTypeError(f"cannot evaluate {node!r}")

@@ -138,6 +138,20 @@ class TestRunExitCodes:
                   "g (-,-) -> 1:g\nx (-,-) -> 1:x\n")
     SLOW_PROPERTY = "<<p1:p2>>max=? (P[F goal] + P[F goal])"
 
+    def test_division_by_zero_in_a_model_exits_two(self, capsys, tmp_path):
+        # a model error, not a traceback (whose exit code 1 would read as
+        # "property violated")
+        model = tmp_path / "coin.csg"
+        model.write_text("const int N;\nplayer p1 m endplayer\nmodule m\n"
+                         "  x : [0..1] init 0;\n"
+                         "  [a] x=0 -> 1/N:(x'=1) + 1-1/N:(x'=0);\n"
+                         "endmodule\n")
+        code, _, err = run_cli(
+            capsys, "run", "--model", str(model), "--const", "N=0",
+            "--property", "<<p1>>Pmax=? [F x=1]")
+        assert code == 2
+        assert "division by zero in (1 / N)" in err
+
     def test_mdp_iteration_limit_exits_three(self, capsys, tmp_path):
         model = tmp_path / "slow.csgx"
         model.write_text(self.SLOW_MODEL)
@@ -585,6 +599,22 @@ class TestSolveNfg:
         code, out, _ = run_cli(capsys, "solve-nfg", "--file", str(path))
         assert code == 0
         assert "equilibria: 3" in out
+
+    @pytest.mark.parametrize("z1, message", [
+        ("1/0 1", "--z1: bad payoff entry '1/0'"),
+        ("a 1", "--z1: bad payoff entry 'a'"),
+    ])
+    def test_bad_inline_entry_exits_two(self, capsys, z1, message):
+        code, _, err = run_cli(capsys, "solve-nfg", "--z1", z1, "--z2", "1 2")
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    def test_matrix_file_without_z2_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"z1": [[1, 2]]}))
+        code, _, err = run_cli(capsys, "solve-nfg", "--file", str(path))
+        assert code == 2
+        assert err == f"error: {path}: missing key 'z2'\n"
 
     def test_missing_matrices_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "solve-nfg", "--z1", self.Z1)

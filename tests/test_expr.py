@@ -100,7 +100,7 @@ class TestSemantics:
     def test_constant_error_is_raised_only_when_reached(self):
         fn = compile_expr(parse("x = 0 | 1/0 > 0"), {}, {"x": 0})
         assert fn((0,)) is True
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ModelTypeError, match="division by zero"):
             fn((1,))
 
     def test_unknown_symbol_reports_the_reached_position(self):
@@ -112,6 +112,39 @@ class TestSemantics:
             compile_expr(node, {}, {})(())
         assert str(compiled.value) == str(walked.value) == \
             "1:19: unknown symbol 'u'"
+
+    def test_negative_powers_are_exact(self):
+        for text, value in (("pow(2, -1)", F(1, 2)), ("pow(2/3, -2)", F(9, 4)),
+                            ("pow(2, 3)", 8), ("pow(2, 4/2)", 4)):
+            node = parse(text)
+            for got in (walk_expr(node, {}), compile_expr(node, {}, {})(())):
+                assert got == value and type(got) is type(value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("pow(2, 0.5)", "the exponent of pow(2, 0.5) must be an integer"),
+        ("pow(2, true)", "the exponent of pow(2, true) must be an integer"),
+        ("mod(2.5, 2)", "the dividend of mod(2.5, 2) must be an integer"),
+        ("mod(5, x)", "the divisor of mod(5, x) must be an integer"),
+        ("1 / (x - x)", "division by zero in (1 / (x - x))"),
+        ("mod(3, 0)", "division by zero in mod(3, 0)"),
+        ("pow(0, -1)", "division by zero in pow(0, -(1))"),
+    ])
+    def test_integer_rule_and_zero_divisors(self, text, message):
+        # the one integer rule and a zero divisor are model errors, named
+        # by their expression, never a truncation or a ZeroDivisionError
+        node = parse(text)
+        for evaluate in (lambda: walk_expr(node, {"x": F(1, 2)}),
+                         lambda: compile_expr(node, {}, {"x": 0})((F(1, 2),))):
+            with pytest.raises(ModelTypeError) as err:
+                evaluate()
+            assert str(err.value) == message
+
+    def test_whole_rationals_are_integers(self):
+        assert expr.integer(F(6, 3), "n") == 2
+        assert type(expr.integer(F(6, 3), "n")) is int
+        for bad in (True, F(1, 2), 0.0, "1"):
+            with pytest.raises(ModelTypeError, match="n must be an integer"):
+                expr.integer(bad, "n")
 
     def test_division_is_exact(self):
         assert compile_expr(parse("x / 3"), {}, {"x": 0})((2,)) == F(2, 3)

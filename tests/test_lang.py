@@ -38,6 +38,11 @@ label "hit" = x=1 & y;
 """
 
 
+def value(game, state, name):
+    """The value of variable `name` at `state` of a language-built game."""
+    return state[game.variables.index(name)]
+
+
 def available(game, state, player):
     """The actions `player` can take at `state`."""
     idx = game.players.index(player)
@@ -65,8 +70,8 @@ class TestMediumAccess:
     def test_availability_tracks_energy(self):
         g = load_model(model_path("mac.csg"), {"emax": 1})
         drained = next(s for s in g.states
-                       if g.valuations[s]["e1"] == 0
-                       and g.valuations[s]["e2"] == 0)
+                       if value(g, s, "e1") == 0
+                       and value(g, s, "e2") == 0)
         assert available(g, drained, "p1") == ["w1"]
         full = g.initial[0]
         assert available(g, full, "p1") == ["t1", "w1"]
@@ -76,12 +81,11 @@ class TestMediumAccess:
         init = g.initial[0]
         joint = ("t1", "t2")
         dist = g.trans[init][joint]
-        succ = {g.valuations[s]["s1"]: p for s, p in dist.items()}
+        succ = {value(g, s, "s1"): p for s, p in dist.items()}
         # one probabilistic draw decides both flags together
         assert succ == {1: F(3, 4), 0: F(1, 4)}
         for s in dist:
-            v = g.valuations[s]
-            assert v["s1"] == v["s2"]
+            assert value(g, s, "s1") == value(g, s, "s2")
 
     def test_action_rewards(self):
         g = load_model(model_path("mac.csg"))
@@ -95,10 +99,10 @@ class TestMediumAccess:
         g = load_model(model_path("mac.csg"))
         init = g.initial[0]
         lone = g.trans[init][("t1", "w2")]
-        sent = next(s for s in lone if g.valuations[s]["s1"] == 1)
+        sent = next(s for s in lone if value(g, s, "s1") == 1)
         after_wait = g.trans[sent][("w1", "w2")]
         ((succ, p),) = after_wait.items()
-        assert p == 1 and g.valuations[succ]["s1"] == 0
+        assert p == 1 and value(g, succ, "s1") == 0
 
 
 class TestOneShot:
@@ -281,6 +285,49 @@ endmodule
             build_csg(parse_model(text))
 
 
+def declared(variable, const=""):
+    """A one-module game whose only variable is declared as given."""
+    return build_csg(parse_model(
+        f"{const}\nplayer p1 m endplayer\nmodule m\n  {variable}\n"
+        f"  [a] true -> true;\nendmodule\n"))
+
+
+class TestIntegerRule:
+    # one rule decides what a model integer is: an int or a whole rational,
+    # never a bool; a value that breaks it is an error, not truncated
+    @pytest.mark.parametrize("variable", [
+        "x : [0..2.5] init 1;",
+        "x : [0.5..2] init 1;",
+        "x : [0..2] init 1.5;",
+        "x : [false..true] init 0;",
+        "x : [0..1] init true;",
+    ])
+    def test_bad_declarations_are_type_errors(self, variable):
+        with pytest.raises(ModelTypeError, match="must be an integer"):
+            declared(variable)
+
+    def test_whole_rationals_are_integers(self):
+        g = declared("x : [0..N/2] init 4/2;", "const int N = 6/2*2;")
+        assert g.constants["N"] == 6 and type(g.constants["N"]) is int
+        ((x,),) = g.states
+        assert x == 2 and type(x) is int
+
+    @pytest.mark.parametrize("override", ["2.5", "true"])
+    def test_int_constants(self, override):
+        ast = parse_model("const int N;\nplayer p1 m endplayer\nmodule m\n"
+                          "  x : [0..1] init 0;\n  [a] true -> true;\n"
+                          "endmodule\n")
+        with pytest.raises(ModelTypeError, match="constant 'N' must be an "
+                                                 "integer"):
+            build_csg(ast, {"N": override})
+
+    @pytest.mark.parametrize("update", ["x/2", "true"])
+    def test_assignments_follow_the_same_rule(self, update):
+        with pytest.raises(ModelTypeError,
+                           match="variable 'x' must be an integer"):
+            one_player(f"  [a] x=0 -> (x'=1) ;\n  [b] x=1 -> (x'={update});")
+
+
 def fingerprint(game):
     """SHA-256 of a game as built: players, alphabets, initial states,
     constants and label names, then every state in order with its labels,
@@ -297,7 +344,7 @@ def fingerprint(game):
     put(sorted(game.constants.items()))
     put(sorted(game.label_names))
     for s in game.states:
-        put((s, sorted(game.labels[s]), list(game.valuations[s].items())))
+        put((s, sorted(game.labels[s]), list(zip(game.variables, s))))
         for joint, dist in game.trans[s].items():
             put((joint, list(dist.items())))
     for name, rs in sorted(game.rewards.items()):

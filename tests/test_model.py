@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from csgnash.errors import (
     EmptyCoalition,
@@ -22,7 +23,7 @@ from csgnash.model import (
     joint_mdp,
 )
 
-from conftest import model_path
+from conftest import model_path, small_csgs
 from oracles import maximal_end_components
 
 F = Fraction
@@ -239,6 +240,19 @@ class TestEndComponents:
             ours = sorted(sorted(ec.states) for ec in enumerate_mecs(game))
             brute = sorted(sorted(c) for c in maximal_end_components(game.trans))
             assert ours == brute
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_csgs())
+    def test_matches_bruteforce_on_random_games(self, case):
+        game, _ = case
+        mecs = enumerate_mecs(game)
+        assert sorted(sorted(ec.states) for ec in mecs) == \
+            sorted(sorted(c) for c in maximal_end_components(game.trans))
+        for ec in mecs:
+            # non-terminal: some action of a member leaves the component
+            assert ec.non_terminal == any(
+                not set(dist) <= ec.states
+                for s in ec.states for dist in game.trans[s].values())
 
     def test_sub_trans_closed_and_connected(self):
         for ec in enumerate_mecs(fig1()) + enumerate_mecs(appendix_b()):

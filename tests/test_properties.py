@@ -14,6 +14,7 @@ from csgnash.errors import (
     UnknownReward,
 )
 from csgnash.explicit import load_explicit
+from csgnash.lang import build_csg, parse_model
 from csgnash.properties import (
     And,
     Atom,
@@ -205,6 +206,20 @@ class TestSatisfyingStates:
     def test_var_predicate_requires_valuations(self):
         with pytest.raises(UndeclaredSymbol):
             satisfying_states(fig1(), parse_property("x<=2"))
+
+    def test_variables_are_read_from_the_state_tuple(self):
+        g = build_csg(parse_model(
+            "const int K = 2;\nplayer p1 m endplayer\nmodule m\n"
+            "  x : [0..3] init 0;\n  b : bool init false;\n"
+            "  [a] x<3 -> (x'=x+1) & (b'=!b);\nendmodule\n"))
+        assert g.variables == ("x", "b")
+        assert g.states == ((0, False), (1, True), (2, False), (3, True))
+        assert satisfying_states(g, Atom("b")) == {(1, True), (3, True)}
+        assert satisfying_states(g, parse_property("x>=K & !b", g)) == \
+            {(2, False)}
+        with pytest.raises(UndeclaredSymbol,
+                           match="'x' is not a label or boolean variable"):
+            satisfying_states(g, Atom("x"))
 
 
 @st.composite
