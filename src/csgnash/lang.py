@@ -783,6 +783,9 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
                 if not _holds(guard, state, item.line):
                     continue
                 value = value_of(state)
+                if type(value) not in (int, Fraction):    # bool included
+                    raise ModelTypeError(
+                        f"reward is not numeric at line {item.line}")
                 if not item.actions:
                     state_rewards[state] = state_rewards.get(state, 0) + value
                     continue

@@ -431,6 +431,10 @@ class MemoryStrategy:
 
     initial_mode = None
 
+    def start(self, state):
+        """Memory mode at the initial state `state`."""
+        return self.initial_mode
+
     def distribution(self, state, mode):
         """Map from this side's action to probability; None if undefined."""
         raise NotImplementedError
@@ -440,9 +444,10 @@ class MemoryStrategy:
         raise NotImplementedError
 
 
-def _fold(game, initial_mode, node_choices, update) -> Mdp:
+def _fold(game, start, node_choices, update) -> Mdp:
     """The MDP over reachable (state, memory-mode) nodes of `game` under
-    strategies whose memory starts in `initial_mode` and moves by `update`.
+    strategies whose memory starts in mode `start(s)` at each initial state
+    s and moves by `update`.
 
     `node_choices(state, mode)` lists the node's choices as (choice-id,
     {joint action: weight}) pairs; a choice mixes the distributions and the
@@ -452,7 +457,7 @@ def _fold(game, initial_mode, node_choices, update) -> Mdp:
     """
     number = game.number
     rewards = {name: RewardStructure() for name in game.rewards}
-    init = [(s, initial_mode) for s in game.initial]
+    init = [(s, start(s)) for s in game.initial]
     states = []
     seen = set(init)
     frontier = deque(init)
@@ -514,7 +519,7 @@ def induce_mdp(cg: CoalitionGame, fixed: int, strategy: MemoryStrategy) -> Mdp:
                      for a, pa in sigma.items() if pa != 0})
                 for b in free]
 
-    return _fold(cg, strategy.initial_mode, node_choices, strategy.update)
+    return _fold(cg, strategy.start, node_choices, strategy.update)
 
 
 @dataclass(frozen=True)

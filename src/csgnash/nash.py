@@ -4,7 +4,9 @@ objective pairs.
 Finite-horizon pairs are solved by exact backwards induction, infinite-horizon
 pairs by value iteration.  Both loop over one sweep, `_sweep`: it puts in the
 rows of states where an objective is already settled (single-objective MDP
-optima) and solves one bimatrix game per other state; the engines differ
+optima) and solves one bimatrix game per other state, re-solving a state
+only when a successor's value pair changed in the previous sweep (otherwise
+its game, and so its pair and profile, would repeat); the engines differ
 only in those rows and in their stop rule.  Mixed pairs (one finite, one
 infinite horizon) are reduced to infinite-horizon pairs on a step-counter
 product game.
@@ -261,10 +263,14 @@ class LocalGameTable:
     denominators); and per objective None, or (R, the state plus action
     reward of each move as numerators over R).  In float mode every
     denominator is 1 and the numbers are the game's floats.
+
+    `readers[t]` lists, in table order, the states whose successor union
+    holds t: the states whose local games read t's value pair.
     """
 
     exact: bool
     entries: dict
+    readers: dict
 
 
 def local_game_table(game, states, rewards=(None, None)) -> LocalGameTable:
@@ -274,11 +280,13 @@ def local_game_table(game, states, rewards=(None, None)) -> LocalGameTable:
     exact = game.number is Fraction
     structures = [None if name is None else game.rewards[name]
                   for name in rewards]
-    entries = {}
+    entries, readers = {}, {}
     for s in states:
         acts1, acts2 = moves = game.moves[s]
         dists = [game.trans[s][(a, b)] for a in acts1 for b in acts2]
         succ = list(dict.fromkeys(t for dist in dists for t in dist))
+        for t in succ:
+            readers.setdefault(t, []).append(s)
         pos = {t: i for i, t in enumerate(succ)}
         d, probs = _over_lcm([p for dist in dists for p in dist.values()],
                              exact)
@@ -293,7 +301,7 @@ def local_game_table(game, states, rewards=(None, None)) -> LocalGameTable:
                                           for a in acts1 for b in acts2]
             payments.append(_over_lcm(pays, exact) if any(pays) else None)
         entries[s] = (moves, succ, d, choices, tuple(payments))
-    return LocalGameTable(exact, entries)
+    return LocalGameTable(exact, entries, readers)
 
 
 def local_game(table, state, continuation) -> BimatrixGame:
@@ -352,21 +360,40 @@ def _coop_optima(jmdp, objectives, stat, settled, all_horizons=False):
     return optima, strategies, time.perf_counter() - start
 
 
-def _sweep(table, free, vals, settled=()):
-    """A stage or sweep: `vals` with the `settled` (state, pair)s put in and
-    each free state's local game against `vals` solved (its exact payoffs
-    converted on a float table).  Returns the new vector and the free
-    states' profiles ("mix", acts1, acts2, x, y)."""
+def _sweep(table, free, history, profiles, settled=()):
+    """A stage or sweep: the last vector of `history` with the `settled`
+    (state, pair)s put in and each free state's local game against that
+    vector solved (its exact payoffs converted on a float table).  Returns
+    the new vector and the free states' profiles ("mix", acts1, acts2, x,
+    y), in `free` order.
+
+    A local game is a function of its state and its successors' pairs, so
+    a free state is re-solved only when a successor's pair differs between
+    the last two vectors of `history`; the first sweep (one vector) solves
+    them all.  A skipped state keeps its pair and its profile in
+    `profiles`, the previous sweep's."""
+    vals = history[-1]
     new = dict(vals)
     new.update(settled)
-    profiles = {}
+    if len(history) == 1:
+        stale = set(free)
+    else:
+        before = history[-2]
+        stale = set()
+        for t, readers in table.readers.items():
+            if vals[t] != before[t]:
+                stale.update(readers)
+    out = {}
     for s in free:
+        if s not in stale:
+            out[s] = profiles[s]
+            continue
         chosen, _ = solve_swne(local_game(table, s, vals))
         acts1, acts2 = table.entries[s][0]
         new[s] = (chosen.u, chosen.v) if table.exact else \
             (float(chosen.u), float(chosen.v))
-        profiles[s] = ("mix", acts1, acts2, chosen.x, chosen.y)
-    return new, profiles
+        out[s] = ("mix", acts1, acts2, chosen.x, chosen.y)
+    return new, out
 
 
 # --- bounded pairs ----------------------------------------------------------------
@@ -392,7 +419,8 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
                     objectives, row,
                     [coop[l][n + pads[l]][s] for l in (0, 1)], (ZERO, ONE))
                 for s, row in settled.items()}
-        vals, profiles = _sweep(table, free, vals, rows)
+        vals, profiles = _sweep(table, free, history, stage_profiles[-1],
+                                rows)
         history.append(vals)
         stage_profiles.append(profiles)
 
@@ -437,7 +465,7 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        new, profiles = _sweep(table, free, vals)
+        new, profiles = _sweep(table, free, history, profiles)
         # largest change over the free states: of the sum, of either value,
         # and of either value against two sweeps back
         back2 = history[-2] if len(history) >= 2 else None

@@ -143,8 +143,9 @@ class TableStrategy(MemoryStrategy):
     """One coalition's side of a synthesised profile.
 
     Memory modes are (status1, status2) tuples, prefixed with the remaining
-    step count for finite-horizon pairs.  Updates refine statuses against the
-    successor state, so only initial modes can be unrefined.
+    step count for finite-horizon pairs.  The start mode is refined against
+    the initial state and each update against the successor, so a mode's
+    statuses are always refined at the state it is consulted in.
     """
 
     def __init__(self, profile: SynthesisedProfile, side):
@@ -158,15 +159,18 @@ class TableStrategy(MemoryStrategy):
         else:
             self.initial_mode = statuses
 
+    def start(self, state):
+        step, statuses = self._split(self.initial_mode)
+        statuses = _refine(self.profile.result.statuses, state, statuses)
+        return statuses if step is None else (step,) + statuses
+
     def _split(self, mode):
         if self.profile.result.kind == "bounded":
             return mode[0], mode[1:]
         return None, mode
 
     def distribution(self, state, mode):
-        step, statuses = self._split(mode)
-        statuses = _refine(self.profile.result.statuses, state, statuses)
-        ch = self.profile.choice(state, step, statuses)
+        ch = self.profile.choice(state, *self._split(mode))
         if ch[0] == "pure":
             return {ch[self.side]: Fraction(1)}
         _, acts1, acts2, x, y = ch
@@ -230,7 +234,7 @@ def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
         return [("step", {(a, b): pa * pb for a, pa in d1.items()
                           for b, pb in d2.items()})]
 
-    chain = _fold(cg, s1.initial_mode, joint_choice, s1.update)
+    chain = _fold(cg, s1.start, joint_choice, s1.update)
     chain_nodes = set(chain.states)
     statuses = profile.result.statuses
     gaps = []

@@ -284,6 +284,22 @@ endmodule
         with pytest.raises(RangeOverflow):
             build_csg(parse_model(text))
 
+    @pytest.mark.parametrize("value", ["true", "x=0"])
+    def test_reward_must_be_numeric(self, value):
+        text = f"""
+player p1 m1 endplayer
+module m1
+  x : [0..1] init 0;
+  [a] true -> (x'=0);
+endmodule
+rewards "r"
+  true : {value};
+endrewards
+"""
+        with pytest.raises(ModelTypeError,
+                           match="reward is not numeric at line 8"):
+            build_csg(parse_model(text))
+
 
 def declared(variable, const=""):
     """A one-module game whose only variable is declared as given."""

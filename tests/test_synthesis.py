@@ -231,10 +231,6 @@ class TestRandomGames:
         profile = synthesise_profile(ev.game, query, ev.solve)
         return verify_epsilon_ne(ev.game, profile, ev.query, 1e-4)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "a profile's initial memory mode ignores targets the initial state "
-        "satisfies: on INITIAL_TARGET p1 plays a at s1 to reach t1 again, "
-        "so gap2 is 1/4"))
     @settings(max_examples=75, deadline=None)
     @given(small_csgs())
     @example(INITIAL_TARGET)
