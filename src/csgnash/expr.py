@@ -344,91 +344,117 @@ def eval_expr(node, env):
 
 # --- compilation --------------------------------------------------------------
 #
-# `_compile` returns (closure, value).  `value` is the folded value of a
-# sub-tree that reads no slot, or one of the two markers below.
+# `_compile` returns (closure, value, type).  `value` is the folded value of a
+# sub-tree that reads no slot, or one of the two markers below.  `type` is
+# what every value the closure returns is: bool, int, Fraction (a rational:
+# an int or a Fraction) or None (unknown).  A sub-tree that raises returns
+# nothing, so any type is true of it.
 
 _STATEFUL = object()     # the sub-tree reads a slot
 _RAISES = object()       # the sub-tree reads no slot, and evaluating it raises
+_NUMBERS = (int, Fraction)
 
 
-def compile_expr(node, constants, slots):
+def compile_expr(node, constants, slots, types=None):
     """Compile `node` to a function of one state.
 
     A name in `slots` reads `state[slots[name]]`; any other name is looked up
     in `constants` now, and a name in neither raises UndeclaredSymbol when the
     function reaches it.  Every sub-tree that reads no slot is evaluated once,
     here, and replaced by its value; one whose evaluation raises is kept as a
-    function, so its error surfaces only where evaluation reaches it.  Type
-    checks, short-circuiting & and |, and exact division are the same for
-    every caller.
+    function, so its error surfaces only where evaluation reaches it.
+
+    `types` maps a slot name to the type of all its values, bool or int.
+    Each node's type follows from these and the constants; a node whose
+    operands have the types it needs skips the run-time type checks, and
+    any other node keeps them, so an ill-typed node raises the same error
+    wherever evaluation reaches it.  Short-circuiting & and |, and exact
+    division are the same for every caller.
     """
-    return _compile(node, constants, slots)[0]
+    return _compile(node, constants, slots, types or {})[0]
 
 
 def _constant(value):
-    return (lambda state: value), value
+    kind = type(value)
+    return (lambda state: value), value, (
+        kind if kind in (bool, int, Fraction) else None)
 
 
-def _fold(fn, values):
-    """`fn` with its value, evaluated once if no operand reads a slot."""
+def _fold(fn, values, kind):
+    """`fn` with its value and type, evaluated once if no operand reads a
+    slot."""
     if any(v is _STATEFUL for v in values):
-        return fn, _STATEFUL
+        return fn, _STATEFUL, kind
     try:
         value = fn(())
     except Exception:          # raised again wherever `fn` is reached
-        return fn, _RAISES
+        return fn, _RAISES, kind
     return _constant(value)
 
 
-def _compile(node, constants, slots):
+def _checking(f, need, node):
+    """`f` with its value checked by `need` on each call, for an operand
+    of `node` whose type is not known to be the one `node` needs."""
+    def checked(state):
+        return need(f(state), node)
+    return checked
+
+
+def _compile(node, constants, slots, types):
     if isinstance(node, Lit):
         return _constant(node.value)
     if isinstance(node, Var):
         if node.name in slots:
-            return operator.itemgetter(slots[node.name]), _STATEFUL
+            return (operator.itemgetter(slots[node.name]), _STATEFUL,
+                    types.get(node.name))
         if node.name in constants:
             return _constant(constants[node.name])
 
         def unknown(state):
             raise UndeclaredSymbol(f"unknown symbol {node.name!r}",
                                    node.line, node.col)
-        return unknown, _RAISES
+        return unknown, _RAISES, None
     if isinstance(node, Unary):
-        f, v = _compile(node.operand, constants, slots)
+        f, v, kind = _compile(node.operand, constants, slots, types)
         if node.op == "-":
-            def fn(state):
-                return -_need_num(f(state), node)
-        else:
-            def fn(state):
-                return not _need_bool(f(state), node)
-        return _fold(fn, (v,))
-    if isinstance(node, Binary):
-        return _compile_binary(node, constants, slots)
-    if isinstance(node, Call):
-        parts = [_compile(a, constants, slots) for a in node.args]
-        fns = [f for f, _ in parts]
-        text = expr_to_text(node)
+            if kind not in _NUMBERS:
+                f, kind = _checking(f, _need_num, node), Fraction
 
-        def fn(state):
-            return _call(node.func, [f(state) for f in fns], node, text)
-        return _fold(fn, [v for _, v in parts])
+            def fn(state):
+                return -f(state)
+        else:
+            if kind is not bool:
+                f, kind = _checking(f, _need_bool, node), bool
+
+            def fn(state):
+                return not f(state)
+        return _fold(fn, (v,), kind)
+    if isinstance(node, Binary):
+        return _compile_binary(node, constants, slots, types)
+    if isinstance(node, Call):
+        return _compile_call(node, constants, slots, types)
 
     def fn(state):
         raise ModelTypeError(f"cannot evaluate {node!r}")
-    return fn, _RAISES
+    return fn, _RAISES, None
 
 
-def _compile_binary(node, constants, slots):
+def _compile_binary(node, constants, slots, types):
     op = node.op
-    fl, vl = _compile(node.left, constants, slots)
-    fr, vr = _compile(node.right, constants, slots)
+    fl, vl, left = _compile(node.left, constants, slots, types)
+    fr, vr, right = _compile(node.right, constants, slots, types)
+    kind = bool
     if op in ("&", "|"):
-        stop = op == "|"            # the left value that decides the result
-
-        def fn(state):
-            if _need_bool(fl(state), node) is stop:
-                return stop
-            return _need_bool(fr(state), node)
+        if left is not bool:
+            fl = _checking(fl, _need_bool, node)
+        if right is not bool:
+            fr = _checking(fr, _need_bool, node)
+        if op == "&":
+            def fn(state):
+                return fl(state) and fr(state)
+        else:
+            def fn(state):
+                return fl(state) or fr(state)
     elif op in _EQUALITY_OPS:
         equal = _EQUALITY_OPS[op]
 
@@ -442,11 +468,37 @@ def _compile_binary(node, constants, slots):
         elif apply is None:
             def apply(lhs, rhs):
                 raise ModelTypeError(f"cannot evaluate {node!r}")
+        if op in ("+", "-", "*", "/"):
+            kind = int if op != "/" and left is int and right is int \
+                else Fraction
+        if left in _NUMBERS and right in _NUMBERS:
+            def fn(state):
+                return apply(fl(state), fr(state))
+        else:
+            def fn(state):
+                lhs, rhs = fl(state), fr(state)      # both before either check
+                return apply(_need_num(lhs, node), _need_num(rhs, node))
+    return _fold(fn, (vl, vr), kind)
+
+
+def _compile_call(node, constants, slots, types):
+    parts = [_compile(a, constants, slots, types) for a in node.args]
+    fns = [f for f, _, _ in parts]
+    kinds = [kind for _, _, kind in parts]
+    func = node.func
+    if func in ("min", "max") and all(k in _NUMBERS for k in kinds):
+        pick = min if func == "min" else max
 
         def fn(state):
-            lhs, rhs = fl(state), fr(state)      # both before either check
-            return apply(_need_num(lhs, node), _need_num(rhs, node))
-    return _fold(fn, (vl, vr))
+            return pick([f(state) for f in fns])
+    else:
+        text = expr_to_text(node)
+
+        def fn(state):
+            return _call(func, [f(state) for f in fns], node, text)
+    kind = int if func in ("floor", "ceil", "mod") or (
+        func in ("min", "max") and all(k is int for k in kinds)) else Fraction
+    return _fold(fn, [v for _, v, _ in parts], kind)
 
 
 def expr_to_text(node):

@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
     AlphabetViolation,
+    ModelError,
     ModelSyntaxError,
     ModelTypeError,
     ProbabilitySum,
@@ -134,7 +135,7 @@ class ModelAst:
     players: tuple
     modules: tuple
     rewards: tuple
-    labels: tuple       # (name, expression) pairs
+    labels: tuple       # (name, expression, line) triples
     alphabets: dict = field(default_factory=dict)   # player -> frozenset
     owner: dict = field(default_factory=dict)       # module -> player
     action_owner: dict = field(default_factory=dict)
@@ -327,7 +328,7 @@ def _parse_rewards(ts):
 
 
 def _parse_label(ts):
-    ts.next()
+    line = ts.next().line
     tok = ts.next()
     if tok.kind != "str":
         raise ModelSyntaxError('labels are declared as label "name" = pred;',
@@ -335,7 +336,7 @@ def _parse_label(ts):
     ts.expect_sym("=")
     value = parse_expression(ts)
     ts.expect_sym(";")
-    return (tok.value, value)
+    return (tok.value, value, line)
 
 
 # --- static checks ----------------------------------------------------------------
@@ -349,8 +350,12 @@ def _check_model(ast: ModelAst) -> ModelAst:
             raise ModelSyntaxError(f"duplicate module {mod.name!r}", mod.line)
         module_by_name[mod.name] = mod
 
-    owner = {}
+    owner, player_names = {}, set()
     for block in ast.players:
+        if block.name in player_names:
+            raise ModelSyntaxError(f"duplicate player {block.name!r}",
+                                   block.line)
+        player_names.add(block.name)
         for mname in block.modules:
             if mname not in module_by_name:
                 raise UndeclaredSymbol(f"player {block.name!r} lists unknown "
@@ -446,8 +451,8 @@ def _check_model(ast: ModelAst) -> ModelAst:
                 if a not in action_owner:
                     raise AlphabetViolation(
                         f"reward item names unknown action {a!r}", item.line)
-    for name, pred in ast.labels:
-        check_expr(pred, 0)
+    for _, pred, line in ast.labels:
+        check_expr(pred, line)
 
     return ModelAst(ast.constants, ast.players, ast.modules, ast.rewards,
                     ast.labels,
@@ -645,12 +650,20 @@ def _products(prob_lists):
 def build_csg(ast: ModelAst, overrides=None) -> Csg:
     """Explore the reachable state space and return the game.
 
-    Every expression of the model is compiled once, against the constants
-    and the state layout, before exploration starts; a state is a tuple of
-    variable values in declaration order.  The returned Csg additionally
-    carries `variables` (the variable names, in slot order), `constants`
-    and `label_names`, so that properties compile their predicates against
-    the same layout.
+    Every expression of the model is compiled once, against the constants,
+    the state layout and the variable types, before exploration starts; a
+    state is a tuple of variable values in declaration order.  The returned
+    Csg additionally carries `variables` (the variable names, in slot
+    order), `constants` and `label_names`, so that properties compile their
+    predicates against the same layout.
+
+    This is the one validation of a language model, so the Csg is
+    constructed directly, not through `Csg.create`.  Probabilities, variable
+    values, guards, labels and reward values are checked where they are
+    evaluated, and the reward totals for being nonnegative.  The state
+    space is reachable, and every state's joint actions the full product of
+    its per-player actions, by construction; a state where no player acts
+    gets the all-idle self-loop.
     """
     constants = resolve_constants(ast, overrides)
     players = tuple(block.name for block in ast.players)
@@ -658,9 +671,10 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
              for mod in ast.modules for decl in mod.variables]
     var_names = tuple(info.name for info in infos)
     slots = {name: i for i, name in enumerate(var_names)}
+    types = {info.name: bool if info.kind == "bool" else int for info in infos}
 
     def compiled(node):
-        return compile_expr(node, constants, slots)
+        return compile_expr(node, constants, slots, types)
 
     # Commands in the order the availability scan visits them: players, each
     # player's modules, each module's commands.  Equal guards compile to one
@@ -685,15 +699,15 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
     def plan(held):
         """The joint actions of a state whose guards evaluate to `held`, each
         with the commands it fires in module order and, when they all have
-        fixed probabilities, the products of their branch probabilities."""
+        fixed probabilities, the products of their branch probabilities.
+        Where no player acts, the one joint action is all idle and fires no
+        command: the deadlock's self-loop."""
         enabled = [[] for _ in ast.modules]
         acts = [set() for _ in players]
         for p, m, g, cmd in scan:
             if held[g]:
                 enabled[m].append(cmd)
                 acts[p].add(cmd.own)
-        if not any(acts):
-            return ()
         steps = []
         for joint in itertools.product(*[sorted(a) or [IDLE] for a in acts]):
             fired = []
@@ -732,9 +746,6 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
         steps = plans.get(held)
         if steps is None:
             steps = plans[held] = plan(held)
-        if not steps:
-            trans[state] = {}          # Csg.create adds the idle self-loop
-            continue
         outcomes = {}                  # command index -> its branches here
         state_trans = {}
         for joint, fired, weights in steps:
@@ -762,10 +773,10 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
             state_trans[joint] = dist
         trans[state] = state_trans
 
-    # labels
-    label_preds = [(name, compiled(pred)) for name, pred in ast.labels]
-    labels = {state: {name for name, pred in label_preds
-                      if _holds(pred, state, 0)}
+    label_preds = [(name, compiled(pred), line)
+                   for name, pred, line in ast.labels]
+    labels = {state: frozenset(name for name, pred, line in label_preds
+                               if _holds(pred, state, line))
               for state in order}
 
     # rewards
@@ -793,13 +804,26 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
                     if all(joint[i] == a for i, a in wanted):
                         key = (state, joint)
                         action_rewards[key] = action_rewards.get(key, 0) + value
-        rewards[block.name] = RewardStructure(action_rewards, state_rewards)
+        rewards[block.name] = RewardStructure(
+            _reward_values(action_rewards, "action", block.name),
+            _reward_values(state_rewards, "state", block.name))
 
-    game = Csg.create(players, ast.alphabets, order, [init_state], trans,
-                      labels, rewards)
-    return replace(
-        game, variables=var_names, constants=dict(constants),
-        label_names=frozenset(n for n, _ in ast.labels))
+    return Csg(players, dict(ast.alphabets), tuple(order), (init_state,),
+               trans, labels, rewards, variables=var_names,
+               constants=dict(constants),
+               label_names=frozenset(name for name, _, _ in ast.labels))
+
+
+def _reward_values(totals, kind, name):
+    """The nonzero reward `totals` as Fractions; a negative one is an
+    error."""
+    values = {}
+    for key, total in totals.items():
+        if total < 0:
+            raise ModelError(f"negative {kind} reward in {name!r}")
+        if total:
+            values[key] = Fraction(total)
+    return values
 
 
 def _same_expr_key(node):

@@ -80,10 +80,13 @@ class Csg:
 
     `trans[s][alpha]` maps each defined joint action tuple `alpha` (one entry
     per player, idle written as IDLE) to a probability distribution
-    {successor: probability}.  Use `Csg.create` to validate and normalise.
-    Language-built games also carry `variables`, the variable names in slot
-    order (each state is the tuple of their values; None for explicit
-    games), the model constants and the declared label names.
+    {successor: probability}.  Every game is validated once, where it is
+    made: `lang.build_csg` checks what it builds and constructs the Csg
+    directly; explicit files and direct calls go through `Csg.create`, which
+    checks all of it and normalises.  Language-built games also carry
+    `variables`, the variable names in slot order (each state is the tuple
+    of their values; None for explicit games), the model constants and the
+    declared label names.
     """
 
     players: tuple
@@ -101,6 +104,15 @@ class Csg:
     @classmethod
     def create(cls, players, alphabets, states, initial, trans, labels=None,
                rewards=None):
+        """The game given by unchecked parts, validated and normalised.
+
+        Players and alphabets must be distinct and disjoint; every joint
+        action set must be the full product of the players' available
+        actions; probabilities are positive exact rationals summing to 1
+        over known successors; rewards are nonnegative exact rationals on
+        defined actions.  Deadlocks get an all-idle self-loop, labels become
+        frozensets, zero rewards are dropped and unreachable states pruned.
+        """
         players = tuple(players)
         if not players or len(set(players)) != len(players):
             raise ModelError("players must be a nonempty list of distinct names")

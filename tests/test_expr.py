@@ -17,6 +17,7 @@ from csgnash.expr import (
     Var,
     compile_expr,
     eval_expr,
+    expr_to_text,
     parse_expression,
     tokenize,
 )
@@ -27,6 +28,7 @@ F = Fraction
 
 # x and y are state slots, c and d constants, u is unknown.
 SLOTS = {"x": 0, "y": 1}
+TYPES = {"x": int, "y": bool}
 CONSTANTS = {"c": F(3, 4), "d": True}
 NAMES = ("x", "y", "c", "d", "u")
 
@@ -82,6 +84,16 @@ class TestAgainstWalker:
         compiled = compile_expr(node, CONSTANTS, SLOTS)
         assert outcome(lambda: compiled((x, y))) == expected
         assert outcome(lambda: eval_expr(node, env)) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(expressions, st.integers(-3, 3), st.booleans())
+    def test_typed_slots_match_walk(self, node, x, y):
+        # with the slots' types declared, well-typed nodes skip their checks
+        # and ill-typed ones still raise the walker's error
+        env = {**CONSTANTS, "x": x, "y": y}
+        expected = outcome(lambda: walk_expr(node, env))
+        compiled = compile_expr(node, CONSTANTS, SLOTS, TYPES)
+        assert outcome(lambda: compiled((x, y))) == expected
 
 
 class TestSemantics:
@@ -168,3 +180,24 @@ class TestSemantics:
         assert folded == 2
         assert fn((0,)) is True and fn((1,)) is False
         assert len(calls) == folded
+
+    def test_well_typed_nodes_skip_type_checks(self, monkeypatch):
+        calls = []
+
+        def counting(check):
+            def wrapped(value, node):
+                calls.append(node)
+                return check(value, node)
+            return wrapped
+        for name in ("_need_num", "_need_bool"):
+            monkeypatch.setattr(expr, name, counting(getattr(expr, name)))
+        node = parse("!y & min(x + 1, c) > 0 | -x = 1")
+        typed = compile_expr(node, CONSTANTS, SLOTS, TYPES)
+        assert typed((1, False)) is True and typed((-2, False)) is False
+        assert not calls
+        # untyped slots are checked where they are read
+        assert compile_expr(node, CONSTANTS, SLOTS)((1, False)) is True
+        assert [expr_to_text(n) for n in calls] == ["!(y)", "(x + 1)",
+                                                    "(x + 1)"]
+        with pytest.raises(ModelTypeError, match=r"expected a number in -\(y\)"):
+            compile_expr(parse("x = 0 | -y > 0"), {}, SLOTS, TYPES)((1, True))

@@ -5,8 +5,10 @@ import pytest
 
 import csgnash.expr as expr
 
+from csgnash import nash
 from csgnash.errors import (
     AlphabetViolation,
+    ModelError,
     ModelSyntaxError,
     ModelTypeError,
     ProbabilitySum,
@@ -17,6 +19,8 @@ from csgnash.errors import (
 )
 from csgnash.explicit import dumps_explicit, loads_explicit
 from csgnash.lang import build_csg, load_model, parse_model
+from csgnash.model import Csg, RewardStructure
+from csgnash.properties import parse_property
 
 from conftest import model_path
 
@@ -164,23 +168,44 @@ endmodule
         assert a.states == b.states and a.trans == b.trans
 
     def test_explicit_round_trip(self):
-        g = load_model(model_path("fig1.csg"))
-        named = {
-            s: f"u{i}" for i, s in enumerate(g.states)
-        }
-        text_game = loads_explicit(dumps_explicit(
-            type(g).create(
+        # the builder alone checks a built game; read back from its explicit
+        # text, the same game passes Csg.create's full checks unchanged
+        for model, consts, prop in [
+            ("robot.csg", {"l": 3}, "<<p1:p2>>max=? (P[F goal1] + P[F goal2])"),
+            ("power.csg", {},
+             '<<p1:p2>>max=? (R{"r1"}[F done1] + R{"r2"}[F done2])'),
+        ]:
+            g = load_model(model_path(model), consts)
+            named = {s: f"u{i}" for i, s in enumerate(g.states)}
+            renamed = Csg(
                 g.players, g.alphabets,
-                [named[s] for s in g.states],
-                [named[s] for s in g.initial],
+                tuple(named[s] for s in g.states),
+                tuple(named[s] for s in g.initial),
                 {named[s]: {a: {named[t]: p for t, p in d.items()}
                             for a, d in g.trans[s].items()}
                  for s in g.states},
-                {named[s]: set(g.labels[s]) for s in g.states},
-                {})))
-        assert len(text_game.states) == len(g.states)
-        assert sum(len(text_game.trans[s]) for s in text_game.states) == \
-            sum(len(g.trans[s]) for s in g.states)
+                {named[s]: g.labels[s] for s in g.states},
+                {name: RewardStructure(
+                    {(named[s], a): v
+                     for (s, a), v in rs.action_rewards.items()},
+                    {named[s]: v for s, v in rs.state_rewards.items()})
+                 for name, rs in g.rewards.items()})
+            text_game = loads_explicit(dumps_explicit(renamed))
+            assert set(text_game.states) == set(renamed.states)
+            assert text_game.initial == renamed.initial
+            assert text_game.trans == renamed.trans
+            assert text_game.labels == renamed.labels
+            assert text_game.rewards == renamed.rewards
+            for game in (g, text_game):
+                assert all(type(p) is Fraction for s in game.states
+                           for d in game.trans[s].values() for p in d.values())
+                assert all(type(v) is Fraction for rs in game.rewards.values()
+                           for part in (rs.action_rewards, rs.state_rewards)
+                           for v in part.values())
+            built = nash.evaluate(g, parse_property(prop))
+            read = nash.evaluate(text_game, parse_property(prop))
+            assert {named[s]: v for s, v in built.values.items()} == \
+                read.values
 
 
 class TestErrors:
@@ -258,6 +283,12 @@ endmodule
         with pytest.raises(UndeclaredSymbol):
             build_csg(ast, {"nope": 1})
 
+    def test_duplicate_player(self):
+        with pytest.raises(ModelSyntaxError, match="3:0: duplicate player 'p1'"):
+            parse_model("\nplayer p1 m1 endplayer\nplayer p1 m2 endplayer\n"
+                        "module m1\n  x : [0..1] init 0;\nendmodule\n"
+                        "module m2\n  y : [0..1] init 0;\nendmodule\n")
+
     def test_unassigned_module(self):
         text = """
 player p1 m1 endplayer
@@ -299,6 +330,30 @@ endrewards
         with pytest.raises(ModelTypeError,
                            match="reward is not numeric at line 8"):
             build_csg(parse_model(text))
+
+    @pytest.mark.parametrize("old, new, kind", [
+        ("2*pow1/(pow1+pow2)", "pow1-2", "action"),
+        ("[t1] true : 2*pow1/(pow1+pow2)", "true : pow1-2", "state"),
+    ])
+    def test_negative_rewards(self, old, new, kind):
+        with open(model_path("power.csg")) as handle:
+            text = handle.read()
+        assert old in text
+        with pytest.raises(ModelError) as err:
+            build_csg(parse_model(text.replace(old, new)))
+        assert str(err.value) == f"negative {kind} reward in 'r1'"
+
+    @pytest.mark.parametrize("old, new, exc, message", [
+        ("e1=0;", "e1+0;", ModelTypeError,
+         "expected a boolean condition at line 41"),
+        ("e1=0;", "u1=0;", UndeclaredSymbol, "41:0: unknown symbol 'u1'"),
+    ])
+    def test_label_errors_name_the_label_line(self, old, new, exc, message):
+        with open(model_path("power.csg")) as handle:
+            text = handle.read()
+        with pytest.raises(exc) as err:
+            build_csg(parse_model(text.replace(old, new, 1)))
+        assert str(err.value).endswith(message)
 
 
 def declared(variable, const=""):
