@@ -560,7 +560,10 @@ class _Command:
     `needs` lists the (player index, action) pairs a joint action must
     contain for the command to fire; `own` is the action it makes available
     to its module's player.  `branches` lists each update alternative as
-    (probability function, ((slot, variable, value function), ...)).  When
+    (probability function, ((slot, check, value), ...)): an assignment of a
+    constant that the variable can hold has check None and its checked
+    value; any other has the variable's `check` and a value function, both
+    called at each state where the command fires.  When
     every probability is a constant that passes the per-state checks and
     sums to 1, `fixed` holds the (branch index, probability) pairs of the
     positive branches; otherwise it is None and the probabilities are
@@ -577,7 +580,9 @@ class _Command:
                         if ast.action_owner[a] == player)
         self.branches = [
             (compiled(prob),
-             tuple((slots[name], infos[slots[name]], compiled(value))
+             tuple(_assignment(slots[name], infos[slots[name]],
+                               compiled(value),
+                               not free_vars(value) & slots.keys())
                    for name, value in assigns))
             for prob, assigns in cmd.updates]
         self.fixed = None
@@ -616,10 +621,23 @@ class _Command:
                 raise ProbabilitySum(
                     f"probabilities at line {self.line} sum to {total} at "
                     f"state {dict(zip(var_names, state))}")
-        updates = [[(slot, info.check(value(state)))
-                    for slot, info, value in self.branches[k][1]]
+        updates = [[(slot, value if check is None else check(value(state)))
+                    for slot, check, value in self.branches[k][1]]
                    for k, _ in kept]
         return [p for _, p in kept], updates
+
+
+def _assignment(slot, info, value, constant):
+    """One compiled assignment of `_Command.branches`.  A constant is
+    checked once, here.  One the variable cannot hold keeps its check at
+    firing, as any other value: the build raises at the first state where
+    the command fires, and a command that never fires raises nothing."""
+    if constant:
+        try:
+            return slot, None, info.check(value(()))
+        except Exception:
+            pass
+    return slot, info.check, value
 
 
 class _Clash:

@@ -14,7 +14,11 @@ other code works on ids.
 Unbounded values are computed by value iteration after qualitative
 precomputation of the probability-0 and probability-1 state sets, so states
 decided qualitatively carry exact 0/1 values even when iteration runs in
-floating point.  Bounded values are backward steps.  On an exact MDP they run
+floating point.  Bounded values are backward steps, computed only where they
+are read: a caller may name the (state, horizon) pairs it reads, and a state
+is then backed up at horizon n only if such a read reaches it in the
+remaining steps through unpinned states (`_backward`); a caller that names
+none gets every state at every horizon.  On an exact MDP the steps run
 on integers: every probability and reward is a numerator over one common
 denominator D, the value vector after n steps holds numerators over a known
 power of D, and exact rationals are built only for the vectors returned.  On
@@ -201,16 +205,16 @@ def _on_integers(rows):
             for i, choices, paid in rows], d
 
 
-def _step(rows, vals, maximise, scale=1, grow=1):
+def _step(rows, vals, maximise, scale=1):
     """One Bellman backup of the states in `rows` (see `_rows`).
 
     `vals` is indexed by state id.  Each row's state gets the best, over its
     choices, of sum(p * v[t]) plus the choice's action reward times `scale`,
     then its state reward times `scale`; ties keep the first choice.  States
-    outside `rows` keep their value times `grow`.  Returns the new vector and
-    the chosen id per row.
+    outside `rows` keep their value.  Returns the new vector and the chosen
+    id per row.
     """
-    new = [v * grow for v in vals] if grow != 1 else list(vals)
+    new = list(vals)
     get = vals.__getitem__
     pick = max if maximise else min
     chosen = []
@@ -257,54 +261,105 @@ def _iterate(g, start, undecided, optimise, action_rewards=None,
     return cur, _step(rows, cur, maximise)[1] if with_strategy else []
 
 
+def _demand(g, k, fixed, reads):
+    """Which ids a backward run of `k` steps must hold to serve `reads`,
+    (state, horizon) pairs with 0 <= horizon <= k.
+
+    An id is needed at horizon n if it is read there or a state backed up
+    at step n + 1 has it as a successor; it is backed up at step n >= 1 if
+    it is needed there and not in `fixed` (the pinned ids).  Returns, per
+    horizon, the ids read there, the pinned ids needed there and the ids
+    backed up (None at horizon 0), each in id order.
+    """
+    read = [set() for _ in range(k + 1)]
+    for s, n in reads:
+        read[n].add(g.ids[s])
+    held, backed = [None] * (k + 1), [None] * (k + 1)
+    rows, carry = g.rows, set()
+    for n in range(k, -1, -1):
+        needed = sorted(read[n] | carry)
+        held[n] = [i for i in needed if i in fixed]
+        if n:
+            backed[n] = [i for i in needed if i not in fixed]
+            carry = {t for i in backed[n] for _, succ, _ in rows[i]
+                     for t in succ}
+    return [sorted(ids) for ids in read], held, backed
+
+
 def _backward(g, vals, k, optimise, pinned=(), action_rewards=None,
-              state_rewards=None, all_horizons=False):
+              state_rewards=None, all_horizons=False, reads=None):
     """`k` exact backward steps from the horizon-0 value vector `vals`.
 
-    States in `pinned` keep their value and record no choice.  On an exact
-    MDP the steps run on integers: with D from `_on_integers` and S the lcm
-    of the denominators in `vals`, the value at horizon n is N/(S·D^n) for
-    an integer vector N, rewards enter step n times S·D^(n-1) and pinned
-    values are multiplied by D each step.  All choices of one step compare
-    at one scale, so they pick as rational arithmetic would.  Returns the
-    value vectors of horizons 0..k, or with `all_horizons` off only
-    horizon k's, and the chosen ids per step (None at horizon 0).
+    States in `pinned` keep their value and record no choice.  Without
+    `reads`, every other state is backed up at every step and each returned
+    vector holds every state.  With `reads`, (state, horizon) pairs with
+    0 <= horizon <= k, a state is backed up at step n only if a read
+    reaches it in the remaining steps through unpinned states (`_demand`),
+    and each returned vector holds the states read at its horizon alone.
+    A value at a read is the same either way.
+
+    On an exact MDP the steps run on integers: with D from `_on_integers`
+    and S the lcm of the denominators in `vals`, the value at horizon n is
+    N/(S·D^n) for an integer vector N, rewards enter step n times S·D^(n-1)
+    and a pinned value's numerator is its horizon-0 one times D^n.  All
+    choices of one step compare at one scale, so they pick as rational
+    arithmetic would.  Returns the value vectors of horizons 0..k, or with
+    `all_horizons` off only horizon k's, and the chosen ids per step (None
+    at horizon 0).
     """
     states = g.states
-    free = [i for i, s in enumerate(states) if s not in pinned]
+    fixed = {i for i, s in enumerate(states) if s in pinned}
+    if reads is None:
+        free = [i for i in range(len(states)) if i not in fixed]
+        shown, held, backed = None, [sorted(fixed)] * (k + 1), \
+            [None] + [free] * k
+    else:
+        shown, held, backed = _demand(g, k, fixed, reads)
+        free = sorted(set().union(*backed[1:]))
     rows = _rows(g, free, action_rewards, state_rewards)
     exact = g.number is Fraction
     if exact:
         rows, d = _on_integers(rows)
         scale = lcm(*(v.denominator for v in vals.values()))
-        cur = [v.numerator * (scale // v.denominator)
-               for v in map(vals.__getitem__, states)]
+        base = [v.numerator * (scale // v.denominator)
+                for v in map(vals.__getitem__, states)]
     else:
         d, scale = 1, 1
-        cur = [vals[s] for s in states]
-    history, steps = [vals], [None]
+        base = [vals[s] for s in states]
+    row_of = dict(zip(free, rows))
+    cur = base
+    history = [vals if shown is None else
+               {states[i]: vals[states[i]] for i in shown[0]}]
+    steps = [None]
     maximise = optimise == "max"
     for n in range(1, k + 1):
-        cur, chosen = _step(rows, cur, maximise, scale, d)
+        cur, chosen = _step([row_of[i] for i in backed[n]], cur, maximise,
+                            scale)
         scale *= d
-        steps.append(dict(zip(map(states.__getitem__, free), chosen)))
+        if d != 1:
+            grow = d ** n
+            for i in held[n]:
+                cur[i] = base[i] * grow
+        steps.append(dict(zip(map(states.__getitem__, backed[n]), chosen)))
         if all_horizons or n == k:
-            history.append({s: Fraction(v, scale)
-                            for s, v in zip(states, cur)} if exact
-                           else dict(zip(states, cur)))
+            pairs = zip(states, cur) if shown is None else \
+                ((states[i], cur[i]) for i in shown[n])
+            history.append({s: Fraction(v, scale) for s, v in pairs}
+                           if exact else dict(pairs))
     return (history if all_horizons else history[-1]), steps
 
 
 def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
-               with_strategy=False, all_horizons=False):
+               with_strategy=False, all_horizons=False, reads=None):
     """(Constrained) reachability probabilities, optimised over strategies.
 
     With `constraint` the event is (constraint U targets); without, plain
     eventual reachability.  `bound=k` gives the k-step bounded variant (exact
     backward steps); `all_horizons` additionally returns the value vectors of
-    every horizon 0..k.  With `with_strategy`, also returns the optimal
-    strategy: a map state -> choice-id (unbounded, memoryless) or a list
-    indexed by remaining steps 1..k (bounded).
+    every horizon 0..k, and `reads` restricts a bounded run to the (state,
+    horizon) pairs a caller reads (`_backward`).  With `with_strategy`, also
+    returns the optimal strategy: a map state -> choice-id (unbounded,
+    memoryless) or a list indexed by remaining steps 1..k (bounded).
     """
     targets = set(targets)
     allowed = set(mdp.states) if constraint is None else (set(constraint) | targets)
@@ -314,7 +369,7 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
         vals = {s: one if s in targets else zero for s in mdp.states}
         pinned = {s for s in mdp.states if s in targets or s not in allowed}
         result, steps = _backward(_index(mdp), vals, bound, optimise, pinned,
-                                  all_horizons=all_horizons)
+                                  all_horizons=all_horizons, reads=reads)
         return (result, steps) if with_strategy else result
 
     # qualitative analysis, on ids from here on
@@ -402,19 +457,22 @@ def _extract_reach_strategy(g, vals, targets, allowed, optimise, never):
     return strategy
 
 
-def step_prob(mdp: Mdp, targets, optimise="max", with_strategy=False):
-    """One-step (next-state) probabilities of hitting `targets`."""
+def step_prob(mdp: Mdp, targets, optimise="max", with_strategy=False,
+              reads=None):
+    """One-step (next-state) probabilities of hitting `targets`; `reads`
+    as for `reach_prob`."""
     targets = set(targets)
     zero, one = mdp.number(0), mdp.number(1)
     start = {s: one if s in targets else zero for s in mdp.states}
-    vals, (_, strategy) = _backward(_index(mdp), start, 1, optimise)
+    vals, (_, strategy) = _backward(_index(mdp), start, 1, optimise,
+                                    reads=reads)
     return (vals, strategy) if with_strategy else vals
 
 
 def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
                     action_rewards=None, state_rewards=None, optimise="max",
                     with_strategy=False, all_horizons=False,
-                    needed_states=None):
+                    needed_states=None, reads=None):
     """Optimal expected reward for one of the three reward shapes.
 
     kind "I": state reward observed after exactly k steps.
@@ -423,6 +481,8 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
         targets to be reached almost surely under every strategy from each
         state in `needed_states` (default: all), else InfiniteValue is raised
         carrying the offending states.
+
+    `all_horizons` and `reads` serve the bounded kinds as in `reach_prob`.
     """
     a_rew = action_rewards or {}
     s_rew = state_rewards or {}
@@ -434,11 +494,11 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
         if kind == "I":
             vals = {s: s_rew.get(s, zero) for s in mdp.states}
             result, steps = _backward(_index(mdp), vals, k, optimise,
-                                      all_horizons=all_horizons)
+                                      all_horizons=all_horizons, reads=reads)
         else:
             vals = {s: zero for s in mdp.states}
             result, steps = _backward(_index(mdp), vals, k, optimise, (),
-                                      a_rew, s_rew, all_horizons)
+                                      a_rew, s_rew, all_horizons, reads)
         return (result, steps) if with_strategy else result
 
     if kind != "F":

@@ -465,7 +465,8 @@ def _fold(game, start, node_choices, update) -> Mdp:
     {joint action: weight}) pairs; a choice mixes the distributions and the
     action rewards of its joint actions by weight.  Every reward structure of
     the game is folded, state rewards carried over per node.  Weights are
-    converted once to the game's number type.
+    converted once to the game's number type, and `update` runs once per
+    node and successor state.
     """
     number = game.number
     rewards = {name: RewardStructure() for name in game.rewards}
@@ -480,6 +481,7 @@ def _fold(game, start, node_choices, update) -> Mdp:
         s, mode = node
         trans = game.trans[s]
         node_choices_out = []
+        successors = {}                 # state -> its node from this one
         for cid, weights in node_choices(s, mode):
             if number is not Fraction:
                 weights = {pair: number(w) for pair, w in weights.items()}
@@ -489,8 +491,11 @@ def _fold(game, start, node_choices, update) -> Mdp:
                     raise IncompleteStrategy(
                         f"strategy plays unavailable action {pair!r} at {s!r}")
                 for t, pt in trans[pair].items():
-                    succ = (t, update(mode, t))
-                    dist[succ] = dist.get(succ, 0) + w * pt
+                    succ = successors.get(t)
+                    if succ is None:
+                        succ = successors[t] = (t, update(mode, t))
+                    p = w * pt
+                    dist[succ] = dist[succ] + p if succ in dist else p
             node_choices_out.append((cid, dist))
             for name, rs in game.rewards.items():
                 folded = sum(w * rs.action_rewards[(s, pair)]

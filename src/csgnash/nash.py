@@ -100,8 +100,9 @@ class PairResult:
     a bounded pair (its shorter horizon), the sweep count of an unbounded
     one.  `single[l]` holds objective l's optimal joint choices (state ->
     joint action) by remaining steps, None at 0: a bounded pair's per-step
-    list, `[None, strategy]` for an unbounded pair (strategy None where the
-    optimum was not needed)."""
+    list (empty above pads[l] where the other objective cannot settle, as
+    nothing plays it there), `[None, strategy]` for an unbounded pair
+    (strategy None where the optimum was not needed)."""
 
     values: dict                 # state -> (v1, v2)
     iterations: int
@@ -207,7 +208,7 @@ def _settled_pair(objectives, row, pending_values, units):
 
 
 def _optimum(mdp, obj, optimise, status, all_horizons=False,
-             with_strategy=False, needed_states=None):
+             with_strategy=False, needed_states=None, reads=None):
     """Single-objective optimum of `obj` on `mdp`, any MDP whose states the
     sets of `status` range over: a joint MDP, or the (state, mode) nodes of
     a profile under verification.
@@ -218,7 +219,10 @@ def _optimum(mdp, obj, optimise, status, all_horizons=False,
     per-state values or, with `all_horizons`, the value vectors of horizons
     0..k; with `with_strategy` also the optimal choices (per step for
     bounded objectives, None at horizon 0).  `needed_states` restricts where
-    a reachability reward must be finite.
+    a reachability reward must be finite.  `reads`, for a bounded objective,
+    names the (state, horizon) pairs the caller reads: values are computed
+    only where those need them (`mdp._backward`), and each vector holds its
+    horizon's reads alone.
     """
     win, lose, _ = status
     if obj.kind == "R":
@@ -228,15 +232,18 @@ def _optimum(mdp, obj, optimise, status, all_horizons=False,
                                state_rewards=rs.state_rewards,
                                optimise=optimise, with_strategy=with_strategy,
                                all_horizons=all_horizons,
-                               needed_states=needed_states)
+                               needed_states=needed_states, reads=reads)
     if obj.op == "U":
         return reach_prob(mdp, win, optimise, bound=obj.bound,
                           constraint={s for s in mdp.states if s not in lose},
                           with_strategy=with_strategy,
-                          all_horizons=all_horizons)
-    vals, strategy = step_prob(mdp, win, optimise, with_strategy=True)
+                          all_horizons=all_horizons, reads=reads)
+    vals, strategy = step_prob(mdp, win, optimise, with_strategy=True,
+                               reads=reads)
     if all_horizons:
-        vals = [{s: ONE if s in win else ZERO for s in mdp.states}, vals]
+        start = mdp.states if reads is None else \
+            [s for s, n in reads if n == 0]
+        vals = [{s: ONE if s in win else ZERO for s in start}, vals]
         strategy = [None, strategy]
     return (vals, strategy) if with_strategy else vals
 
@@ -342,21 +349,32 @@ def _reward_names(objectives):
                  for obj in objectives)
 
 
-def _coop_optima(jmdp, objectives, stat, settled, all_horizons=False):
+def _coop_optima(jmdp, objectives, stat, settled, pads=None):
     """Per objective, its joint optimum on `jmdp` and an optimal strategy,
-    and the seconds they took.  An R[F] optimum is read only where the other
-    objective is settled: it is computed there alone, or not at all."""
+    and the seconds they took; with `pads` (a bounded pair), the optima of
+    every horizon.
+
+    An optimum is computed only where it is read.  An R[F] optimum is read
+    only where the other objective is settled: it is computed there alone,
+    or not at all.  A bounded pair reads objective l at horizon pads[l]
+    everywhere, and above it only where the other objective is settled, in
+    the solve's rows or in a synthesised profile's memory.  If the other
+    objective cannot settle, objective l is computed up to horizon pads[l]
+    alone, and its vectors and strategies above it are empty.
+    """
     start = time.perf_counter()
     optima, strategies = [None, None], [None, None]
     for l, (obj, status) in enumerate(zip(objectives, stat)):
-        need = None
+        need = reads = None
         if obj.kind == "R" and obj.op == "F":
             need = {s for s, row in settled.items() if row[l] == PENDING}
             if not need:
                 continue
+        if pads is not None and not stat[1 - l][2]:
+            reads = [(s, n) for n in range(pads[l] + 1) for s in jmdp.states]
         optima[l], strategies[l] = _optimum(
-            jmdp, obj, "max", status, all_horizons=all_horizons,
-            with_strategy=True, needed_states=need)
+            jmdp, obj, "max", status, all_horizons=pads is not None,
+            with_strategy=True, needed_states=need, reads=reads)
     return optima, strategies, time.perf_counter() - start
 
 
@@ -407,7 +425,7 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
     jmdp = joint_mdp(cg)
     stat, settled = _settlement(cg, objectives)
     coop, coop_strats, mdp_s = _coop_optima(jmdp, objectives, stat, settled,
-                                            all_horizons=True)
+                                            pads)
     free = [s for s in cg.states if s not in settled]
     table = local_game_table(cg, free, _reward_names(objectives))
 
@@ -417,7 +435,8 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
     for n in range(1, k + 1):
         rows = {s: _settled_pair(
                     objectives, row,
-                    [coop[l][n + pads[l]][s] for l in (0, 1)], (ZERO, ONE))
+                    [coop[l][n + pads[l]][s] if st == PENDING else None
+                     for l, st in enumerate(row)], (ZERO, ONE))
                 for s, row in settled.items()}
         vals, profiles = _sweep(table, free, history, stage_profiles[-1],
                                 rows)

@@ -27,7 +27,8 @@ from .errors import InfiniteValue
 from .model import MemoryStrategy, _fold, induce_mdp
 # unused here: perfbench/layers.py wraps these two names in this module
 from .mdp import expected_reward, reach_prob
-from .nash import LOST, PENDING, WON, PairResult, _optimum, _refine
+from .nash import (LOST, PENDING, WON, PairResult, _horizon, _optimum,
+                   _refine)
 from .properties import NashNode, to_text
 
 __all__ = [
@@ -80,8 +81,10 @@ class SynthesisedProfile:
 
     def export(self):
         """JSON-shaped description: query, memory modes, per-entry choices.
-        A state (s, layer) of a mixed pair's product (a game with no base)
-        is named by s, with its layer beside it."""
+        Only reachable modes are listed: a mode marks an objective won or
+        lost only if that objective can settle, and it is listed at a state
+        only if the state settles no objective it leaves pending.  A state (s, layer) of a mixed pair's product (a game with
+        no base) is named by s, with its layer beside it."""
 
         def place(state):
             if self.game.base is None:
@@ -89,9 +92,13 @@ class SynthesisedProfile:
             return {"state": _name(state)}
 
         entries = []
-        statuses_seen = [(PENDING, PENDING), (WON, PENDING), (LOST, PENDING),
-                         (PENDING, WON), (PENDING, LOST)]
         result = self.result
+        statuses_seen = [
+            statuses for statuses in [(PENDING, PENDING), (WON, PENDING),
+                                      (LOST, PENDING), (PENDING, WON),
+                                      (PENDING, LOST)]
+            if all(st == PENDING or can
+                   for st, (_, _, can) in zip(statuses, result.statuses))]
         steps = [None] if result.kind == "unbounded" else \
             list(range(result.iterations, -1, -1))
         for state in self.game.states:
@@ -237,15 +244,19 @@ def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
     chain = _fold(cg, s1.start, joint_choice, s1.update)
     chain_nodes = set(chain.states)
     statuses = profile.result.statuses
+    bounded = profile.result.kind == "bounded"
     gaps = []
     sub_gaps = []
     for idx, obj in enumerate(query.objectives):
         fixed_side = 2 if idx == 0 else 1
         status = statuses[idx]
         induced = induce_mdp(cg, fixed_side, profile.strategy(fixed_side))
+        # a bounded objective is read at the initial nodes alone
+        reads = [(n, _horizon(obj)) for n in chain.initial] if bounded \
+            else None
         try:
             best, achieved = [_optimum(mdp, obj, "max", _lift(status, mdp),
-                                       needed_states=chain_nodes)
+                                       needed_states=chain_nodes, reads=reads)
                               for mdp in (induced, chain)]
         except InfiniteValue:
             # a unilateral deviation can make the objective unbounded, so
@@ -255,7 +266,7 @@ def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
             continue
         gap = max(float(best[n]) - float(achieved[n]) for n in chain.initial)
         gaps.append(gap)
-        if profile.result.kind == "unbounded":
+        if not bounded:
             pend = [n for n in chain.states
                     if _refine(statuses, n[0], n[1])
                     == (PENDING, PENDING)]

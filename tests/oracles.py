@@ -779,9 +779,13 @@ def bounded_pair_by_stage_loop(cg, query):
     coop = []
     coop_strats = []
     start = time.perf_counter()
-    for obj, status in zip((o1, o2), stat):
+    for l, (obj, status) in enumerate(zip((o1, o2), stat)):
         family, strats = _optimum(jmdp, obj, "max", status,
                                   all_horizons=True, with_strategy=True)
+        if not stat[1 - l][2]:
+            # the other objective never settles, so nothing plays objective
+            # l's strategy above horizon pads[l]: the engine leaves it empty
+            strats = strats[:pads[l] + 1] + [{}] * (len(strats) - pads[l] - 1)
         coop.append(family)
         coop_strats.append(strats)
     mdp_s = time.perf_counter() - start

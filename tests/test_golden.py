@@ -40,13 +40,17 @@ CASES = [
      "d6edd83d4eaa86d3c6bc9bc1a028f64837feb336a0737d37fde605dba6086fc5"),
     ("mac.csg", ("emax=2",),
      '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=4])',
-     "1ef0d846f7a710a1cb48cce46c18fc103c43ccd849c6e3ea281259a30df13f3d",
+     "4372175892ed6fa77f2da4fdc763d254c90caa4c43949f18714085da1efb92c1",
      "859a5a631f9a10242dbd68003313f279d7a17026b9d8e819a2aeac21caea75c8"),
     ("aloha.csg", ("D=3",),
      "<<p1:{p2,p3}>>max=? "
      "(P[F (sent1 & t<=8)] + P[F (sent2 & sent3 & t<=8)])",
      "dc861995ae451e2ba2ab04785703b26352192512cecefcaa53bcf35c678b1848",
      "1cd207c5ba7ae90a2636416176a1f991a638801a3357259aae170627bf17530c"),
+    ("mac.csg", ("emax=2",),
+     '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=6])',
+     "8132254e87e9e6968933d13554650ffa9785ece9cf03fea5371f205d7e5a8505",
+     "a4e7c9a6a5d925f7754d599e4cd4e0667f0f056df1a3fb81c2833ef886dd8321"),
 ]
 
 

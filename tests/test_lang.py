@@ -5,7 +5,7 @@ import pytest
 
 import csgnash.expr as expr
 
-from csgnash import nash
+from csgnash import lang, nash
 from csgnash.errors import (
     AlphabetViolation,
     ModelError,
@@ -525,6 +525,45 @@ class TestProbabilityPaths:
         good = one_player("  [a] x<2 -> (x'=x+1);")
         g = one_player("  [a] x<2 -> (x'=x+1);\n"
                        "  [b] x>5 -> 0.3:(x'=0) + 0.3:(x'=1) + 1/0:(x'=2);")
+        assert g.states == good.states
+        assert g.trans == good.trans
+
+
+class TestConstantAssignments:
+    # a constant assigned value is checked once, when its command is
+    # compiled; one the variable cannot hold is checked where it fires
+    def test_valid_constants_are_not_checked_at_each_firing(self,
+                                                            monkeypatch):
+        calls = []
+        original = lang._VarInfo.check
+
+        def spy(info, value):
+            calls.append(value)
+            return original(info, value)
+
+        monkeypatch.setattr(lang._VarInfo, "check", spy)
+        g = one_player("  [a] x<2 -> (x'=x+1);\n  [b] true -> (x'=0);")
+        assert g.states == ((0,), (1,), (2,))
+        assert all(g.trans[s][("b",)] == {(0,): F(1)} for s in g.states)
+        # the initial value, the constant 0 once, x+1 at x=0 and x=1
+        assert calls == [0, 0, 1, 2]
+
+    def test_bad_constant_raises_where_it_first_fires(self):
+        with pytest.raises(RangeOverflow) as err:
+            one_player("  [a] x<2 -> (x'=x+1);\n  [b] x=1 -> (x'=5);")
+        assert str(err.value) == \
+            "variable 'x' leaves its range [0..2] (value 5)"
+        # x=1 is reached before x=2, so its probability error comes first
+        with pytest.raises(ProbabilitySum):
+            one_player("  [a] x<2 -> (x'=x+1);\n  [b] x=2 -> (x'=5);\n"
+                       "  [c] x=1 -> 0.3:(x'=0) + 0.3:(x'=2);")
+        with pytest.raises(ModelTypeError, match="must be an integer"):
+            one_player("  [a] true -> (x'=true);")
+
+    def test_bad_constant_that_never_fires(self):
+        good = one_player("  [a] x<2 -> (x'=x+1);")
+        g = one_player("  [a] x<2 -> (x'=x+1);\n"
+                       "  [b] x>5 -> 0.5:(x'=7) + 0.5:(x'=true);")
         assert g.states == good.states
         assert g.trans == good.trans
 

@@ -326,6 +326,81 @@ class TestBoundedAgainstOracle:
                        for vec in family[1:] for v in vec.values())
 
 
+class TestDemandDrivenBackups:
+    """With `reads`, a bounded run backs up a state only where a read needs
+    it; every read must equal the full run's value, with its type, and
+    every recorded choice the full run's choice."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(rewarded_mdps(), st.integers(0, 8),
+           st.sampled_from(["max", "min"]), st.sampled_from([F, float]),
+           st.data())
+    def test_reads_equal_the_full_run(self, case, k, opt, number, data):
+        trans, targets, constraint, action, state = case
+        mdp = simple_mdp(trans, number)
+        action = {key: number(r) for key, r in action.items()}
+        state = {s: number(r) for s, r in state.items()}
+        reads = data.draw(st.lists(st.tuples(st.sampled_from(mdp.states),
+                                             st.integers(0, k)),
+                                   max_size=6))
+        families = [
+            lambda **kw: reach_prob(mdp, targets, opt, bound=k,
+                                    constraint=constraint,
+                                    with_strategy=True, **kw),
+            lambda **kw: expected_reward(mdp, "I", k=k, state_rewards=state,
+                                         optimise=opt, with_strategy=True,
+                                         **kw),
+            lambda **kw: expected_reward(mdp, "C", k=k, action_rewards=action,
+                                         state_rewards=state, optimise=opt,
+                                         with_strategy=True, **kw),
+        ]
+
+        def typed(vector):
+            return {s: (v, type(v)) for s, v in vector.items()}
+
+        def at(vector, n):
+            return {s: (vector[s], type(vector[s]))
+                    for s, h in reads if h == n}
+
+        for family in families:
+            full, full_steps = family(all_horizons=True)
+            demand, steps = family(all_horizons=True, reads=reads)
+            last, _ = family(reads=reads)
+            assert len(demand) == len(steps) == k + 1
+            for n in range(k + 1):
+                assert typed(demand[n]) == at(full[n], n)
+            assert typed(last) == at(full[k], k)
+            for n in range(1, k + 1):
+                assert steps[n].items() <= full_steps[n].items()
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_mdps(), st.sampled_from(["max", "min"]), st.data())
+    def test_one_step_reads(self, case, opt, data):
+        trans, targets, _ = case
+        mdp = simple_mdp(trans)
+        reads = data.draw(st.lists(st.tuples(st.sampled_from(mdp.states),
+                                             st.integers(0, 1))))
+        full, full_strat = step_prob(mdp, targets, opt, with_strategy=True)
+        vals, strat = step_prob(mdp, targets, opt, with_strategy=True,
+                                reads=reads)
+        read = {s for s, n in reads if n == 1}
+        assert vals == {s: full[s] for s in read}
+        assert strat.items() <= full_strat.items() and read <= set(strat)
+
+    def test_unread_states_are_not_backed_up(self):
+        # a chain s0 -> s1 -> ... -> s5 -> goal: read at s0 after 3 steps,
+        # only s0, s1 and s2 are backed up, once each
+        trans = {f"s{i}": {"go": {f"s{i + 1}": F(1, 2), "goal": F(1, 2)}}
+                 for i in range(5)}
+        trans["s5"] = {"go": {"goal": F(1)}}
+        trans["goal"] = {"stay": {"goal": F(1)}}
+        mdp = simple_mdp(trans)
+        vals, steps = reach_prob(mdp, {"goal"}, bound=3, with_strategy=True,
+                                 all_horizons=True, reads=[("s0", 3)])
+        assert vals == [{}, {}, {}, {"s0": F(7, 8)}]
+        assert [list(step) for step in steps[1:]] == [["s2"], ["s1"], ["s0"]]
+
+
 class TestQualitative:
     def test_appendix_c_prob1_min(self):
         g, mdp = appendix_c_mdp()

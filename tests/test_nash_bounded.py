@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REWARD_GAME, labelled, model_path, small_csgs
+from csgnash import mdp
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
 from csgnash.model import coalition_game
@@ -168,3 +169,41 @@ class TestBoundedUnboundedConsistency:
             "<<p1:p2>>max=? (P[F<=2 g1] + P[F<=2 g2])"))
         assert unbounded.values == bounded.values
         assert unbounded.solve.converged
+
+
+def backed_up(monkeypatch):
+    """The number of rows of each `mdp._step` call, in call order."""
+    rows = []
+    original = mdp._step
+
+    def spy(step_rows, *args):
+        rows.append(len(step_rows))
+        return original(step_rows, *args)
+
+    monkeypatch.setattr(mdp, "_step", spy)
+    return rows
+
+
+class TestHorizonCap:
+    """An objective paired with one that never settles is read only up to
+    its pad, so the solve computes it that far and no further."""
+
+    def setup_method(self):
+        self.csg = load_model(model_path("mac.csg"), {"emax": 2})
+
+    def test_equal_cumulative_horizons_back_up_nothing(self, monkeypatch):
+        rows = backed_up(monkeypatch)
+        ev = evaluate(self.csg, parse_property(
+            '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=4])'))
+        assert ev.solve.pads == (0, 0)
+        assert rows == [0] * 8
+
+    def test_longer_horizon_backs_up_to_its_pad(self, monkeypatch):
+        rows = backed_up(monkeypatch)
+        ev = evaluate(self.csg, parse_property(
+            '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=6])'))
+        assert ev.solve.pads == (0, 2)
+        states = len(ev.game.states)
+        assert rows == [0] * 4 + [states] * 2 + [0] * 4
+        single = ev.solve.single[1]
+        assert [len(step) for step in single[1:]] == [states] * 2 + [0] * 4

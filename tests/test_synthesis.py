@@ -7,15 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import REWARD_GAME, labelled, model_path, small_csgs
-from csgnash import nash
+from csgnash import nash, synthesis
 from csgnash.errors import NotConverged
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
-from csgnash.model import MemoryStrategy
+from csgnash.model import MemoryStrategy, induce_mdp
 from csgnash.nash import evaluate
 from csgnash.properties import NashNode, Objective, TrueF, parse_property
-from csgnash.synthesis import (SynthesisedProfile, synthesise_profile,
-                               verify_epsilon_ne)
+from csgnash.synthesis import (SynthesisedProfile, _name,
+                               synthesise_profile, verify_epsilon_ne)
 from oracles import bounded_reach_pair
 
 
@@ -70,6 +70,40 @@ class TestSharedChannelProfiles:
         assert "x" in start and "y" in start
         # single-pending entries are deterministic joint actions
         assert "action1" in by_state[("s3", ("won", "pending"))]
+
+
+EXPORTED = [
+    ("mac.csg", {"emax": 2}, '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=4])'),
+    ("mac.csg", {"emax": 2}, '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=6])'),
+    ("robot.csg", {"l": 3}, "<<p1:p2>>max=? (P[F<=4 goal1] + P[F<=6 goal2])"),
+    ("fig1.csgx", {}, "<<p1:p2>>max=? (P[!send2 U send1] + P[!send1 U send2])"),
+]
+
+
+@pytest.mark.parametrize("model,consts,prop", EXPORTED)
+def test_exported_modes_are_reachable(model, consts, prop):
+    """An export lists a mode only if the memory can hold it: every
+    objective it marks won or lost can settle.  It lists every node with
+    something at stake that a deviation reaches with stages left."""
+    csg = (load_model(model_path(model), consts) if model.endswith(".csg")
+           else load_explicit(model_path(model)))
+    ev, profile = solved_profile(csg, prop)
+    result = ev.solve
+    entries = profile.export()["entries"]
+    settles = [can for _, _, can in result.statuses]
+    assert all(st == "pending" or settles[l]
+               for e in entries for l, st in enumerate(e["mode"]))
+    listed = {(e["state"], e.get("step"), tuple(e["mode"])) for e in entries}
+    bounded = result.kind == "bounded"
+    for side in (1, 2):
+        for state, mode in induce_mdp(ev.game, side,
+                                      profile.strategy(side)).states:
+            step, statuses = (mode[0], mode[1:]) if bounded else (None, mode)
+            if "pending" in statuses and (step is None or step >= 0):
+                assert (_name(state), step, statuses) in listed
+    if not any(settles):
+        assert all(e["mode"] == ["pending", "pending"] for e in entries)
+        assert len(entries) == len(ev.game.states) * (result.iterations + 1)
 
 
 class AlwaysWait(MemoryStrategy):
@@ -161,6 +195,34 @@ class TestGridProfiles:
         assert weights and all(
             type(w) is int or (type(w) is str and F(w).denominator > 1)
             for w in weights)
+
+
+class TestDemandDrivenVerification:
+    """Verification computes a bounded objective only where the initial
+    nodes need it; a deviation deep in the horizon must still show."""
+
+    def test_late_deviation_keeps_the_full_gap(self, monkeypatch):
+        csg = load_model(model_path("robot.csg"), {"l": 3})
+        ev, profile = solved_profile(
+            csg, "<<p1:p2>>max=? (P[F<=6 goal1] + P[F<=6 goal2])")
+        game, result = ev.game, ev.solve
+        # p1 at (1,1,2,2) with 4 of 6 stages left: first reached at step 2
+        late, step = (1, 1, 2, 2), 4
+        (start,) = game.initial
+        early = {start} | {t for dist in game.trans[start].values()
+                           for t in dist}
+        assert late not in early
+        _, acts1, acts2, x, y = result.profiles[step][late]
+        assert acts1 == (("d1",), ("e1",), ("n1",)) and x == (0, 1, 0)
+        result.profiles[step][late] = ("mix", acts1, acts2, (1, 0, 0), y)
+        report = verify_epsilon_ne(game, profile, ev.formula, 1e-4)
+
+        def full(*args, reads=None, **kwargs):
+            return nash._optimum(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "_optimum", full)
+        assert report == verify_epsilon_ne(game, profile, ev.formula, 1e-4)
+        assert report.gap1 > 0 and not report.passed
 
 
 class TestRewardProfiles:
