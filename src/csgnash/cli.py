@@ -446,7 +446,9 @@ def build_parser():
     run.add_argument("--conv-epsilon", type=float,
                      default=DEFAULT_CONV_EPSILON,
                      help="value-iteration convergence threshold")
-    run.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    run.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
+                     help="value-iteration sweeps per strongly connected "
+                          "component")
     run.add_argument("--strict-assumptions", action="store_true",
                      help="treat assumption violations as errors")
     run.add_argument("--export-strategy", metavar="PATH",

@@ -2,14 +2,17 @@
 objective pairs.
 
 Finite-horizon pairs are solved by exact backwards induction, infinite-horizon
-pairs by value iteration.  Both loop over one sweep, `_sweep`: it puts in the
-rows of states where an objective is already settled (single-objective MDP
-optima) and solves one bimatrix game per other state, re-solving a state
-only when a successor's value pair changed in the previous sweep (otherwise
-its game, and so its pair and profile, would repeat); the engines differ
-only in those rows and in their stop rule.  Mixed pairs (one finite, one
-infinite horizon) are reduced to infinite-horizon pairs on a step-counter
-product game.
+pairs by topological value iteration.  The rows of states where an objective
+is already settled hold single-objective MDP optima; every other (free)
+state solves one bimatrix game per sweep in `_sweep`, which re-solves a
+state only when a successor's value pair changed in the previous sweep
+(otherwise its game, and so its pair and profile, would repeat).  Backwards
+induction sweeps every free state once per stage.  Value iteration solves
+the strongly connected components of the free states one at a time, sinks
+first: a state off every cycle once, against its successors' final pairs,
+and any other component by sweeps over its own states until its stop rule
+holds.  Mixed pairs (one finite, one infinite horizon) are reduced to
+infinite-horizon pairs on a step-counter product game.
 
 The number type of a solve is chosen once, in `_solve_nash`, and the solved
 game is compiled to it (`model.compile_game`): bounded pairs and games of up
@@ -48,6 +51,7 @@ from .errors import (
 from .model import (
     CoalitionGame,
     RewardStructure,
+    _sccs,
     check_assumption,
     coalition_game,
     compile_game,
@@ -81,8 +85,8 @@ DEFAULT_CONV_EPSILON = 1e-6
 DEFAULT_MAX_ITERS = 10000
 _OSC_TOL = 1e-12
 _EXACT_STATE_LIMIT = 64
-# value vectors a result keeps: the oscillation check reads two sweeps back,
-# and a run stopped at sweep 4 still holds sweeps 0..4
+# value vectors a bounded or failed result keeps: the oscillation check reads
+# two sweeps back, and a run stopped at sweep 4 still holds sweeps 0..4
 _TRACE_LENGTH = 5
 
 ONE = Fraction(1)
@@ -97,19 +101,24 @@ PENDING, WON, LOST = "pending", "won", "lost"
 class PairResult:
     """Outcome of solving one objective pair on a two-coalition game, and
     everything synthesis plays from it.  `iterations` is the stage count of
-    a bounded pair (its shorter horizon), the sweep count of an unbounded
-    one.  `single[l]` holds objective l's optimal joint choices (state ->
-    joint action) by remaining steps, None at 0: a bounded pair's per-step
-    list (empty above pads[l] where the other objective cannot settle, as
-    nothing plays it there), `[None, strategy]` for an unbounded pair
-    (strategy None where the optimum was not needed)."""
+    a bounded pair (its shorter horizon); for an unbounded pair, the most
+    sweeps any strongly connected component of its free states took (1
+    when none lies on a cycle).  `trace` holds a bounded pair's last
+    _TRACE_LENGTH stage vectors; a converged unbounded pair's final vector
+    alone; a failed one's last _TRACE_LENGTH sweeps of the component that
+    failed, as whole vectors.  `single[l]` holds objective l's optimal
+    joint choices (state -> joint action) by remaining steps, None at 0: a
+    bounded pair's per-step list (empty above pads[l] where the other
+    objective cannot settle, as nothing plays it there), `[None, strategy]`
+    for an unbounded pair (strategy None where the optimum was not
+    needed)."""
 
     values: dict                 # state -> (v1, v2)
     iterations: int
     converged: bool
     kind: str                    # "bounded" | "unbounded"
     diagnostic: str = None
-    trace: list = None           # last _TRACE_LENGTH vectors, oldest first
+    trace: list = None           # value vectors, oldest first
     profiles: object = None      # per-state local profiles; bounded: per stage
     statuses: tuple = None       # `_statuses` of the pair
     single: tuple = None
@@ -271,13 +280,13 @@ class LocalGameTable:
     reward of each move as numerators over R).  In float mode every
     denominator is 1 and the numbers are the game's floats.
 
-    `readers[t]` lists, in table order, the states whose successor union
-    holds t: the states whose local games read t's value pair.
+    `read` holds the states in some successor union: those whose value
+    pairs some local game reads.
     """
 
     exact: bool
     entries: dict
-    readers: dict
+    read: frozenset
 
 
 def local_game_table(game, states, rewards=(None, None)) -> LocalGameTable:
@@ -287,13 +296,12 @@ def local_game_table(game, states, rewards=(None, None)) -> LocalGameTable:
     exact = game.number is Fraction
     structures = [None if name is None else game.rewards[name]
                   for name in rewards]
-    entries, readers = {}, {}
+    entries, read = {}, set()
     for s in states:
         acts1, acts2 = moves = game.moves[s]
         dists = [game.trans[s][(a, b)] for a in acts1 for b in acts2]
         succ = list(dict.fromkeys(t for dist in dists for t in dist))
-        for t in succ:
-            readers.setdefault(t, []).append(s)
+        read.update(succ)
         pos = {t: i for i, t in enumerate(succ)}
         d, probs = _over_lcm([p for dist in dists for p in dist.values()],
                              exact)
@@ -308,7 +316,7 @@ def local_game_table(game, states, rewards=(None, None)) -> LocalGameTable:
                                           for a in acts1 for b in acts2]
             payments.append(_over_lcm(pays, exact) if any(pays) else None)
         entries[s] = (moves, succ, d, choices, tuple(payments))
-    return LocalGameTable(exact, entries, readers)
+    return LocalGameTable(exact, entries, frozenset(read))
 
 
 def local_game(table, state, continuation) -> BimatrixGame:
@@ -378,40 +386,28 @@ def _coop_optima(jmdp, objectives, stat, settled, pads=None):
     return optima, strategies, time.perf_counter() - start
 
 
-def _sweep(table, free, history, profiles, settled=()):
-    """A stage or sweep: the last vector of `history` with the `settled`
-    (state, pair)s put in and each free state's local game against that
-    vector solved (its exact payoffs converted on a float table).  Returns
-    the new vector and the free states' profiles ("mix", acts1, acts2, x,
-    y), in `free` order.
+def _sweep(table, states, vals, changed, profiles):
+    """A stage or sweep over `states`: each one's local game against the
+    vector `vals` solved (its exact payoffs converted on a float table).
+    Returns the new pairs and the profiles ("mix", acts1, acts2, x, y) of
+    `states`, in their order.
 
     A local game is a function of its state and its successors' pairs, so
-    a free state is re-solved only when a successor's pair differs between
-    the last two vectors of `history`; the first sweep (one vector) solves
-    them all.  A skipped state keeps its pair and its profile in
-    `profiles`, the previous sweep's."""
-    vals = history[-1]
-    new = dict(vals)
-    new.update(settled)
-    if len(history) == 1:
-        stale = set(free)
-    else:
-        before = history[-2]
-        stale = set()
-        for t, readers in table.readers.items():
-            if vals[t] != before[t]:
-                stale.update(readers)
-    out = {}
-    for s in free:
-        if s not in stale:
-            out[s] = profiles[s]
+    a state is re-solved only when a successor is in `changed`, the states
+    whose pairs changed in the previous sweep; `changed` None solves them
+    all.  A skipped state keeps its pair in `vals` and its profile in
+    `profiles`.  The check reads the successors of `states` alone."""
+    pairs, out = {}, {}
+    for s in states:
+        moves, succ = table.entries[s][:2]
+        if changed is not None and changed.isdisjoint(succ):
+            pairs[s], out[s] = vals[s], profiles[s]
             continue
         chosen, _ = solve_swne(local_game(table, s, vals))
-        acts1, acts2 = table.entries[s][0]
-        new[s] = (chosen.u, chosen.v) if table.exact else \
+        pairs[s] = (chosen.u, chosen.v) if table.exact else \
             (float(chosen.u), float(chosen.v))
-        out[s] = ("mix", acts1, acts2, chosen.x, chosen.y)
-    return new, out
+        out[s] = ("mix", *moves, chosen.x, chosen.y)
+    return pairs, out
 
 
 # --- bounded pairs ----------------------------------------------------------------
@@ -432,14 +428,19 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
     vals = {s: (coop[0][pads[0]][s], coop[1][pads[1]][s]) for s in cg.states}
     history = deque([vals], maxlen=_TRACE_LENGTH)
     stage_profiles = [None]
+    changed = None
     for n in range(1, k + 1):
-        rows = {s: _settled_pair(
-                    objectives, row,
-                    [coop[l][n + pads[l]][s] if st == PENDING else None
-                     for l, st in enumerate(row)], (ZERO, ONE))
-                for s, row in settled.items()}
-        vals, profiles = _sweep(table, free, history, stage_profiles[-1],
-                                rows)
+        pairs, profiles = _sweep(table, free, vals, changed,
+                                 stage_profiles[-1])
+        new = dict(vals)
+        new.update((s, _settled_pair(
+                        objectives, row,
+                        [coop[l][n + pads[l]][s] if st == PENDING else None
+                         for l, st in enumerate(row)], (ZERO, ONE)))
+                   for s, row in settled.items())
+        new.update(pairs)
+        changed = {t for t in table.read if new[t] != vals[t]}
+        vals = new
         history.append(vals)
         stage_profiles.append(profiles)
 
@@ -451,16 +452,81 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
 
 # --- unbounded pairs --------------------------------------------------------------
 
-def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
-                         max_iters=DEFAULT_MAX_ITERS) -> PairResult:
-    """Value iteration for a pair of infinite-horizon objectives on a
-    `CoalitionGame`, in its number type.
+def _components(table, free, settled):
+    """The strongly connected components of the free states, over the edges
+    from each to the free states among its successors, sinks first (the
+    order Tarjan's algorithm emits them in).  Yields each as a list in
+    table order, with whether it lies on a cycle: more than one state, or a
+    state that is its own successor."""
+    edges = {s: [t for t in table.entries[s][1] if t not in settled]
+             for s in free}
+    position = {s: i for i, s in enumerate(free)}
+    for comp in _sccs(free, edges):
+        states = sorted(comp, key=position.__getitem__)
+        yield states, len(states) > 1 or states[0] in edges[states[0]]
+
+
+def _iterate(table, states, vals, profiles, conv_epsilon, max_iters):
+    """Value iteration on one component on a cycle: sweeps over `states`,
+    each against the last, with every successor outside them at its final
+    pair in `vals`.  Updates `vals` and `profiles` in place.  Returns the
+    sweep count, a diagnostic (None unless the values oscillate), and None
+    on convergence, else the component's last _TRACE_LENGTH vectors.
 
     Converges when the per-state sum of the two values is stable below
     `conv_epsilon` and, guarding against the sum masking oscillation, each
-    individual value is stable for two consecutive sweeps.  A detected
-    period-two oscillation or exhausting `max_iters` raises NotConverged
-    carrying the partial result.
+    individual value is stable for two consecutive sweeps."""
+    history = deque([{s: vals[s] for s in states}], maxlen=_TRACE_LENGTH)
+    changed = None
+    stable = osc = sweeps = 0
+    for sweeps in range(1, max_iters + 1):
+        pairs, out = _sweep(table, states, vals, changed, profiles)
+        # largest change: of the sum, of either value, and of either value
+        # against two sweeps back
+        back2 = history[-2] if len(history) >= 2 else None
+        sum_delta = per_delta = back2_delta = 0.0
+        changed = set()
+        for s in states:
+            if pairs[s] != vals[s]:
+                changed.add(s)
+            (a, b), (c, d) = pairs[s], vals[s]
+            sum_delta = max(sum_delta, abs((a + b) - (c + d)))
+            per_delta = max(per_delta, abs(a - c), abs(b - d))
+            if back2 is not None:
+                c, d = back2[s]
+                back2_delta = max(back2_delta, abs(a - c), abs(b - d))
+        history.append(pairs)
+        vals.update(pairs)
+        profiles.update(out)
+        stable = stable + 1 if per_delta < conv_epsilon else 0
+        if sum_delta < conv_epsilon and stable >= 2:
+            return sweeps, None, None
+        if back2 is not None:
+            osc = osc + 1 if (back2_delta <= _OSC_TOL and
+                              per_delta >= conv_epsilon) else 0
+            if osc >= 2:
+                return sweeps, (
+                    "oscillation: individual values repeat with period 2 "
+                    "while their sum is constant; no equilibrium value "
+                    "vector is being approached"), history
+    return sweeps, None, history
+
+
+def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
+                         max_iters=DEFAULT_MAX_ITERS) -> PairResult:
+    """Topological value iteration for a pair of infinite-horizon objectives
+    on a `CoalitionGame`, in its number type.
+
+    The free states are solved one strongly connected component at a time,
+    sinks first, so each component reads its successors' final pairs.  A
+    single state off every cycle is solved once, exactly.  Every other
+    component is iterated (`_iterate`) for at most `max_iters` sweeps; a
+    detected period-two oscillation or exhausting `max_iters` raises
+    NotConverged carrying the partial result, whose message names the
+    component.  `iterations` is the most sweeps any component took (1 when
+    no free state lies on a cycle); a converged result's `trace` holds its
+    final vector alone, a failed one's the last vectors of the failing
+    component, whole, as they stood when it stopped.
     """
     objectives = query.objectives
     jmdp = joint_mdp(cg)
@@ -476,52 +542,40 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
                               [optima.get(s) for optima in opt], (zero, one))
              for s, row in settled.items()}
     vals = {s: fixed.get(s, (zero, zero)) for s in cg.states}
-    history = deque([vals], maxlen=_TRACE_LENGTH)
     profiles = {}
-    stable = 0
-    osc = 0
-    diagnostic = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        new, profiles = _sweep(table, free, history, profiles)
-        # largest change over the free states: of the sum, of either value,
-        # and of either value against two sweeps back
-        back2 = history[-2] if len(history) >= 2 else None
-        sum_delta = per_delta = back2_delta = 0.0
-        for s in free:
-            (a, b), (c, d) = new[s], vals[s]
-            sum_delta = max(sum_delta, abs((a + b) - (c + d)))
-            per_delta = max(per_delta, abs(a - c), abs(b - d))
-            if back2 is not None:
-                c, d = back2[s]
-                back2_delta = max(back2_delta, abs(a - c), abs(b - d))
-        history.append(new)
-        vals = new
-        stable = stable + 1 if per_delta < conv_epsilon else 0
-        if sum_delta < conv_epsilon and stable >= 2:
-            converged = True
+    iterations = 1
+    failed = diagnostic = None
+    for states, cyclic in _components(table, free, settled):
+        if not cyclic:
+            pairs, out = _sweep(table, states, vals, None, profiles)
+            vals.update(pairs)
+            profiles.update(out)
+            continue
+        sweeps, diagnostic, history = _iterate(
+            table, states, vals, profiles, conv_epsilon, max_iters)
+        iterations = max(iterations, sweeps)
+        if history is not None:
+            failed = states
             break
-        if back2 is not None:
-            osc = osc + 1 if (back2_delta <= _OSC_TOL and
-                              per_delta >= conv_epsilon) else 0
-            if osc >= 2:
-                diagnostic = (
-                    "oscillation: individual values repeat with period 2 "
-                    "while their sum is constant; no equilibrium value "
-                    "vector is being approached")
-                break
 
     result = PairResult(
-        values=vals, iterations=iterations, converged=converged,
+        values=vals, iterations=iterations, converged=failed is None,
         kind="unbounded", diagnostic=diagnostic,
-        trace=list(history), profiles=profiles, statuses=stat,
+        trace=[vals] if failed is None else
+        [{**vals, **pairs} for pairs in history],
+        profiles={s: profiles[s] for s in free if s in profiles},
+        statuses=stat,
         single=tuple([None, strategy] for strategy in opt_strats),
         mdp_s=mdp_s)
-    if not converged:
+    if failed is not None:
         message = diagnostic or (
-            f"value iteration did not converge within {iterations} sweeps")
-        raise NotConverged(message, result)
+            f"value iteration did not converge within {sweeps} sweeps")
+        names = ", ".join(map(str, failed[:5]))
+        more = ", ..." if len(failed) > 5 else ""
+        raise NotConverged(
+            f"{message}, in a strongly connected component of "
+            f"{len(failed)} free state{'s' if len(failed) > 1 else ''}: "
+            f"{names}{more}", result)
     return result
 
 

@@ -99,8 +99,9 @@ class SynthesisedProfile:
                                       (PENDING, LOST)]
             if all(st == PENDING or can
                    for st, (_, _, can) in zip(statuses, result.statuses))]
+        # a bounded memory counts down to -max(pads) (`TableStrategy`)
         steps = [None] if result.kind == "unbounded" else \
-            list(range(result.iterations, -1, -1))
+            list(range(result.iterations, -max(result.pads) - 1, -1))
         for state in self.game.states:
             for step in steps:
                 for statuses in statuses_seen:

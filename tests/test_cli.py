@@ -532,22 +532,38 @@ class TestSweepRecipes:
             "--property", "<<p1:p2>>max=? (P[F goal1] + P[F goal2])")
         assert code == 3 and out == ""
         assert err == ("error: q=1/10: value iteration did not converge "
-                       "within 1 sweeps\n")
+                       "within 1 sweeps, in a strongly connected component "
+                       "of 1 free state: (1, 1, 1, 1)\n")
 
-    def test_points_solved_before_a_non_converged_one_are_printed(self,
-                                                                  capsys):
+    # x=0 reaches the goal with probability 1/N per step and otherwise
+    # stays: at N=1 it is off every cycle and solved once; above, its
+    # self-loop needs about 6 / log10(N / (N - 1)) sweeps to move by less
+    # than 1e-6 (20 at N=2, 34 at N=3)
+    LEAKY_LOOP = ("const int N;\nplayer p1 m endplayer\n"
+                  "player p2 w endplayer\nmodule m\n  x : [0..1] init 0;\n"
+                  "  [a] x=0 -> 1/N:(x'=1) + 1-1/N:(x'=0);\n"
+                  "  [a] x=1 -> true;\nendmodule\n"
+                  "module w\n  [b] true -> true;\nendmodule\n"
+                  "label \"goal\" = x=1;\n")
+
+    def test_points_solved_before_a_non_converged_one_are_printed(
+            self, capsys, tmp_path):
+        model = tmp_path / "loop.csg"
+        model.write_text(self.LEAKY_LOOP)
         code, out, err = run_cli(
-            capsys, "run", "--model", model_path("robot.csg"),
-            "--const", "l=3", "--sweep", "k=1..6", "--max-iters", "4",
-            "--property", "<<p1:p2>>max=? (P[F<=k goal1] + P[F goal2])")
+            capsys, "run", "--model", str(model), "--sweep", "N=1..3",
+            "--max-iters", "30",
+            "--property", "<<p1:p2>>max=? (P[F goal] + P[F goal])")
         assert code == 3
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["parameter", "v1", "v2", "sum", "iterations",
                            "time"]
         assert [row[:5] for row in rows[1:]] == [
-            ["1", "0", "1", "1", "3"], ["2", "0.81", "1", "1.81", "4"]]
-        assert err == ("error: k=3: value iteration did not converge "
-                       "within 4 sweeps\n")
+            ["1", "1", "1", "2", "1"],
+            ["2", "0.9999995232", "0.9999995232", "1.999999046", "21"]]
+        assert err == ("error: N=3: value iteration did not converge "
+                       "within 30 sweeps, in a strongly connected component "
+                       "of 1 free state: (0,)\n")
 
 
 class TestSolveNfg:

@@ -27,17 +27,17 @@ CASES = [
      "2bdcf471164f701cde36a884e4f0991a7a63f772f04a53b6ed769f1145066f13",
      "897b7d1a676096aece62aad466037e75d0313e882c8749955250ff55f023bbc5"),
     ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F<=4 goal1] + P[F<=6 goal2])",
-     "c08a3acc4dc1e9978929a752ff5590b86050e4bb7dbcd62404f8d38a7b406aef",
+     "dd3bfc2062b4fddd105c5272769a60ef4563f0037a364288fa2e7e4dcd0b9de6",
      "1189811bfbad279129968aa2e07225e4ad3963ff0a83dc6b12acf36c86a84678"),
     ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F goal1] + P[F goal2])",
      "26bce5f7a7f203e465e80ea3770dc2590fdebfede31a03a3adee092d6f7021bb",
-     "7eb9132b581949d8902f55c35e7d2e6818094e70acb15e3a341add8c9f9cadd6"),
+     "26583ec55ebb41a02a19b94cbf5bdd12c0798a95a98713a89abfd93e6842014f"),
     ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F<=4 goal1] + P[F goal2])",
      "c17c766362a69244aba2c7a7abdff25d123f880c27850901c357e537db21d3b9",
-     "e9604c453991644f3532f9cb240510426002c5ec2c57fb761fa1f5cb865876b3"),
+     "bbd600d5d0543adf715568f9e8cbcc6322f159d8b24e8edbd7500be8528160c5"),
     ("power.csg", (), '<<p1:p2>>max=? (R{"r1"}[F done1] + R{"r2"}[F done2])',
      "ede44614d14b2d12302e9d11c3ce718d6594c487bd530f60ce138a10f40bcac6",
-     "d6edd83d4eaa86d3c6bc9bc1a028f64837feb336a0737d37fde605dba6086fc5"),
+     "efde643bd88e44bda0fcd04258842cf51e9a822e858f1d2a96b1714928a974bf"),
     ("mac.csg", ("emax=2",),
      '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=4])',
      "4372175892ed6fa77f2da4fdc763d254c90caa4c43949f18714085da1efb92c1",
@@ -45,11 +45,11 @@ CASES = [
     ("aloha.csg", ("D=3",),
      "<<p1:{p2,p3}>>max=? "
      "(P[F (sent1 & t<=8)] + P[F (sent2 & sent3 & t<=8)])",
-     "dc861995ae451e2ba2ab04785703b26352192512cecefcaa53bcf35c678b1848",
-     "1cd207c5ba7ae90a2636416176a1f991a638801a3357259aae170627bf17530c"),
+     "e57d15ff1997f8ccf54f07fb1f74c0bbf3ec1eca88075229736ab2674302abdf",
+     "5683f01f7f7932ede0e7fba69daf786da057b7ffe8ce28af353ca95a1c7764fc"),
     ("mac.csg", ("emax=2",),
      '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=6])',
-     "8132254e87e9e6968933d13554650ffa9785ece9cf03fea5371f205d7e5a8505",
+     "d554882b5196645801a862c0636268950f1d278f0391fe5827c4be0dab2a5533",
      "a4e7c9a6a5d925f7754d599e4cd4e0667f0f056df1a3fb81c2833ef886dd8321"),
 ]
 

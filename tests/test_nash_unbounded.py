@@ -161,15 +161,32 @@ class TestOscillatingRewards:
 
 
 class TestTraceIsBounded:
-    """A result keeps the last five value vectors, however long the run."""
+    """A result keeps at most five value vectors, however long the run: a
+    failed unbounded run the last five sweeps of the component that failed,
+    as whole vectors; a converged one its final vector alone."""
+
+    # s0 halves its distance to the goal each sweep: 1 - 2**-n at sweep n
+    HALVING = loads_explicit("player p1 a\nplayer p2 b\ninit s0\n"
+                             "label g goal\ns0 (-,-) -> 1/2:s0 + 1/2:g\n"
+                             "g (-,-) -> 1:g\n")
 
     def test_unbounded_pair_keeps_the_last_five_sweeps(self):
+        with pytest.raises(NotConverged) as excinfo:
+            evaluate(self.HALVING, parse_property(
+                "<<p1:p2>>max=? (P[F goal] + P[F goal])"), max_iters=8)
+        result = excinfo.value.result
+        assert result.iterations == 8
+        assert [sweep["s0"] for sweep in result.trace] == \
+            [(1 - F(1, 2 ** n),) * 2 for n in range(4, 9)]
+        assert all(sweep["g"] == (1, 1) for sweep in result.trace)
+        assert result.trace[-1] == result.values
+
+    def test_converged_unbounded_pair_keeps_its_final_vector(self):
         csg = load_model(model_path("robot.csg"))
         ev = evaluate(csg, parse_property(
             "<<p1:p2>>max=? (P[F goal1] + P[F goal2])"))
-        assert ev.solve.iterations == 8
-        assert len(ev.solve.trace) == 5
-        assert ev.solve.trace[-1] == ev.solve.values
+        assert ev.solve.iterations == 2
+        assert ev.solve.trace == [ev.solve.values]
 
     def test_bounded_pair_keeps_the_last_five_stages(self):
         csg = load_model(model_path("robot.csg"), {"l": 6})

@@ -84,7 +84,8 @@ EXPORTED = [
 def test_exported_modes_are_reachable(model, consts, prop):
     """An export lists a mode only if the memory can hold it: every
     objective it marks won or lost can settle.  It lists every node with
-    something at stake that a deviation reaches with stages left."""
+    something at stake that a deviation reaches, the steps below 0 that a
+    padded bounded profile plays included."""
     csg = (load_model(model_path(model), consts) if model.endswith(".csg")
            else load_explicit(model_path(model)))
     ev, profile = solved_profile(csg, prop)
@@ -99,11 +100,12 @@ def test_exported_modes_are_reachable(model, consts, prop):
         for state, mode in induce_mdp(ev.game, side,
                                       profile.strategy(side)).states:
             step, statuses = (mode[0], mode[1:]) if bounded else (None, mode)
-            if "pending" in statuses and (step is None or step >= 0):
+            if "pending" in statuses:
                 assert (_name(state), step, statuses) in listed
     if not any(settles):
         assert all(e["mode"] == ["pending", "pending"] for e in entries)
-        assert len(entries) == len(ev.game.states) * (result.iterations + 1)
+        assert len(entries) == len(ev.game.states) * (
+            result.iterations + 1 + max(result.pads))
 
 
 class AlwaysWait(MemoryStrategy):
