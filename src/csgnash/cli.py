@@ -56,6 +56,16 @@ def _parse_const(text):
     return name.strip(), _parse_value(value.strip())
 
 
+def _positive_int(text):
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a positive integer, got {text!r}")
+
+
 def _parse_sweep(text):
     try:
         name, _, span = text.partition("=")
@@ -446,7 +456,8 @@ def build_parser():
     run.add_argument("--conv-epsilon", type=float,
                      default=DEFAULT_CONV_EPSILON,
                      help="value-iteration convergence threshold")
-    run.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
+    run.add_argument("--max-iters", type=_positive_int,
+                     default=DEFAULT_MAX_ITERS,
                      help="value-iteration sweeps per strongly connected "
                           "component")
     run.add_argument("--strict-assumptions", action="store_true",

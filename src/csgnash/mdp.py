@@ -14,11 +14,14 @@ other code works on ids.
 Unbounded values are computed by value iteration after qualitative
 precomputation of the probability-0 and probability-1 state sets, so states
 decided qualitatively carry exact 0/1 values even when iteration runs in
-floating point.  Bounded values are backward steps, computed only where they
-are read: a caller may name the (state, horizon) pairs it reads, and a state
+floating point.  Every value is computed only where it is read.  An
+unbounded caller may name the states it reads: the MDP is then indexed over
+their forward closure alone, the states a play can reach from them, which
+is all their values depend on (`_index`).  Bounded values are backward
+steps: a caller may name the (state, horizon) pairs it reads, and a state
 is then backed up at horizon n only if such a read reaches it in the
-remaining steps through unpinned states (`_backward`); a caller that names
-none gets every state at every horizon.  On an exact MDP the steps run
+remaining steps through unpinned states (`_backward`).  A caller that names
+no reads gets every state (at every horizon).  On an exact MDP the steps run
 on integers: every probability and reward is a numerator over one common
 denominator D, the value vector after n steps holds numerators over a known
 power of D, and exact rationals are built only for the vectors returned.  On
@@ -56,9 +59,12 @@ _ARG_TOL = 1e-9
 _Graph = namedtuple("_Graph", "states ids rows owner preds number")
 
 
-def _index(mdp):
+def _index(mdp, reads=None):
     """`mdp` in the id-indexed form; the only reader of `mdp.choices`.
 
+    With `reads`, a set of states, the form holds only their forward
+    closure: the states a play can reach from them, still in `mdp.states`
+    order, so ids, and every tie broken by id, keep their relative order.
     State i is `states[i]` (`ids` maps it back) and `rows[i]` lists its
     choices as (choice id, successor ids, probabilities); the probabilities
     are a view of the distribution's values.  Choices are also numbered in
@@ -67,6 +73,17 @@ def _index(mdp):
     shared by all of its successors).
     """
     states = mdp.states
+    if reads is not None:
+        seen = set(reads)
+        frontier = list(seen)
+        while frontier:
+            for _, dist in mdp.choices[frontier.pop()]:
+                for t in dist:
+                    if t not in seen:
+                        seen.add(t)
+                        frontier.append(t)
+        if len(seen) < len(states):
+            states = [s for s in states if s in seen]
     ids = {s: i for i, s in enumerate(states)}
     rows = [[(cid, tuple([ids[t] for t in dist]), dist.values())
              for cid, dist in mdp.choices[s]] for s in states]
@@ -356,10 +373,12 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
     With `constraint` the event is (constraint U targets); without, plain
     eventual reachability.  `bound=k` gives the k-step bounded variant (exact
     backward steps); `all_horizons` additionally returns the value vectors of
-    every horizon 0..k, and `reads` restricts a bounded run to the (state,
-    horizon) pairs a caller reads (`_backward`).  With `with_strategy`, also
-    returns the optimal strategy: a map state -> choice-id (unbounded,
-    memoryless) or a list indexed by remaining steps 1..k (bounded).
+    every horizon 0..k.  `reads` restricts the run to what a caller reads:
+    unbounded, a set of states, and the values and strategy then cover
+    their forward closure (`_index`); bounded, (state, horizon) pairs
+    (`_backward`).  With `with_strategy`, also returns the optimal strategy:
+    a map state -> choice-id (unbounded, memoryless) or a list indexed by
+    remaining steps 1..k (bounded).
     """
     targets = set(targets)
     allowed = set(mdp.states) if constraint is None else (set(constraint) | targets)
@@ -373,7 +392,7 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
         return (result, steps) if with_strategy else result
 
     # qualitative analysis, on ids from here on
-    g = _index(mdp)
+    g = _index(mdp, reads)
     targets, allowed = _id_set(g, targets), _id_set(g, allowed)
     if optimise == "max":
         can = _attractor(g, targets, allowed - targets, bytes(len(g.owner)))
@@ -471,18 +490,18 @@ def step_prob(mdp: Mdp, targets, optimise="max", with_strategy=False,
 
 def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
                     action_rewards=None, state_rewards=None, optimise="max",
-                    with_strategy=False, all_horizons=False,
-                    needed_states=None, reads=None):
+                    with_strategy=False, all_horizons=False, reads=None):
     """Optimal expected reward for one of the three reward shapes.
 
     kind "I": state reward observed after exactly k steps.
     kind "C": state+action rewards accumulated over the first k steps.
     kind "F": rewards accumulated until first hitting `targets`; requires the
         targets to be reached almost surely under every strategy from each
-        state in `needed_states` (default: all), else InfiniteValue is raised
-        carrying the offending states.
+        state in `reads` (default: all), else InfiniteValue is raised
+        carrying the offending states.  Other states of the forward closure
+        of `reads` whose value is infinite map to None.
 
-    `all_horizons` and `reads` serve the bounded kinds as in `reach_prob`.
+    `all_horizons` and `reads` serve as in `reach_prob`.
     """
     a_rew = action_rewards or {}
     s_rew = state_rewards or {}
@@ -504,12 +523,12 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
     if kind != "F":
         raise SolverError(f"unknown reward objective kind {kind!r}")
     targets = set(targets or ())
-    g = _index(mdp)
+    g = _index(mdp, reads)
     target_ids = _id_set(g, targets)
     # the states reaching the targets almost surely, as `prob1_min_set`
     _, finite = _almost_sure(g, target_ids, set(range(len(g.rows))))
-    wanted = set(needed_states) if needed_states is not None else set(mdp.states)
-    bad = sorted((s for s in wanted if g.ids.get(s) not in finite), key=str)
+    wanted = g.states if reads is None else reads
+    bad = sorted((s for s in wanted if g.ids[s] not in finite), key=str)
     if bad:
         raise InfiniteValue(
             "expected reachability reward is infinite: targets are not "
@@ -520,10 +539,10 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
     s_rew = {g.states[i]: float(s_rew.get(g.states[i], 0)) for i in undecided}
     cur, chosen = _iterate(g, [zero] * len(g.rows), undecided, optimise,
                            a_rew, s_rew, with_strategy)
-    vals = dict.fromkeys(targets, zero)
+    vals = dict.fromkeys((s for s in targets if s in g.ids), zero)
     vals.update((g.states[i], cur[i]) for i in undecided)
-    for s in mdp.states:
-        vals.setdefault(s, None)        # states with infinite value, unrequested
+    for s in g.states:
+        vals.setdefault(s, None)        # states with infinite value, unread
     if not with_strategy:
         return vals
     # all strategies reach the targets here, so any conserving choice is

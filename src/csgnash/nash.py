@@ -108,10 +108,11 @@ class PairResult:
     alone; a failed one's last _TRACE_LENGTH sweeps of the component that
     failed, as whole vectors.  `single[l]` holds objective l's optimal
     joint choices (state -> joint action) by remaining steps, None at 0: a
-    bounded pair's per-step list (empty above pads[l] where the other
-    objective cannot settle, as nothing plays it there), `[None, strategy]`
-    for an unbounded pair (strategy None where the optimum was not
-    needed)."""
+    bounded pair's per-step list, `[None, strategy]` for an unbounded pair.
+    A strategy holds only the states where a profile can play it
+    (`_coop_optima`): an unbounded one the forward closure of the settled
+    states where l is pending (None if there are none), a bounded one every
+    state up to step pads[l] and above it the states a read reaches."""
 
     values: dict                 # state -> (v1, v2)
     iterations: int
@@ -217,7 +218,7 @@ def _settled_pair(objectives, row, pending_values, units):
 
 
 def _optimum(mdp, obj, optimise, status, all_horizons=False,
-             with_strategy=False, needed_states=None, reads=None):
+             with_strategy=False, reads=None):
     """Single-objective optimum of `obj` on `mdp`, any MDP whose states the
     sets of `status` range over: a joint MDP, or the (state, mode) nodes of
     a profile under verification.
@@ -227,11 +228,16 @@ def _optimum(mdp, obj, optimise, status, all_horizons=False,
     reward, and the until constraint is every state not lost.  Returns
     per-state values or, with `all_horizons`, the value vectors of horizons
     0..k; with `with_strategy` also the optimal choices (per step for
-    bounded objectives, None at horizon 0).  `needed_states` restricts where
-    a reachability reward must be finite.  `reads`, for a bounded objective,
-    names the (state, horizon) pairs the caller reads: values are computed
-    only where those need them (`mdp._backward`), and each vector holds its
-    horizon's reads alone.
+    bounded objectives, None at horizon 0).
+
+    `reads` names what the caller reads, and the optimum is computed only
+    where that needs it.  For an unbounded objective it is a set of states:
+    values and strategy cover their forward closure, the states a play can
+    reach from them (`mdp._index`), and a reachability reward must be
+    finite at the reads alone.  For a bounded objective it is (state,
+    horizon) pairs: a state is backed up at a horizon only where a read
+    reaches it (`mdp._backward`), and each vector holds its horizon's reads
+    alone.
     """
     win, lose, _ = status
     if obj.kind == "R":
@@ -240,8 +246,7 @@ def _optimum(mdp, obj, optimise, status, all_horizons=False,
                                action_rewards=rs.action_rewards,
                                state_rewards=rs.state_rewards,
                                optimise=optimise, with_strategy=with_strategy,
-                               all_horizons=all_horizons,
-                               needed_states=needed_states, reads=reads)
+                               all_horizons=all_horizons, reads=reads)
     if obj.op == "U":
         return reach_prob(mdp, win, optimise, bound=obj.bound,
                           constraint={s for s in mdp.states if s not in lose},
@@ -362,27 +367,32 @@ def _coop_optima(jmdp, objectives, stat, settled, pads=None):
     and the seconds they took; with `pads` (a bounded pair), the optima of
     every horizon.
 
-    An optimum is computed only where it is read.  An R[F] optimum is read
-    only where the other objective is settled: it is computed there alone,
-    or not at all.  A bounded pair reads objective l at horizon pads[l]
-    everywhere, and above it only where the other objective is settled, in
-    the solve's rows or in a synthesised profile's memory.  If the other
-    objective cannot settle, objective l is computed up to horizon pads[l]
-    alone, and its vectors and strategies above it are empty.
+    An optimum is computed only where it is read.  Both coalitions play
+    objective l's optimum only once the other objective is settled and l is
+    still pending: from `need`, the settled states where l is pending, and
+    the states a play can reach from them.  Nothing else reads it, neither
+    the solve's rows nor a synthesised profile's memory, whichever side
+    deviates.  So an unbounded optimum is computed on the forward closure
+    of `need`, and not at all when `need` is empty.  A bounded pair also
+    reads objective l at every state at horizons 0..pads[l], where its
+    stage count starts and where a profile plays it once the shared stages
+    run out; above pads[l] it reads `need` alone.
     """
     start = time.perf_counter()
     optima, strategies = [None, None], [None, None]
     for l, (obj, status) in enumerate(zip(objectives, stat)):
-        need = reads = None
-        if obj.kind == "R" and obj.op == "F":
-            need = {s for s, row in settled.items() if row[l] == PENDING}
+        need = [s for s, row in settled.items() if row[l] == PENDING]
+        if pads is None:
             if not need:
                 continue
-        if pads is not None and not stat[1 - l][2]:
+            reads = set(need)
+        else:
             reads = [(s, n) for n in range(pads[l] + 1) for s in jmdp.states]
+            reads += [(s, n) for n in range(pads[l] + 1, _horizon(obj) + 1)
+                      for s in need]
         optima[l], strategies[l] = _optimum(
             jmdp, obj, "max", status, all_horizons=pads is not None,
-            with_strategy=True, needed_states=need, reads=reads)
+            with_strategy=True, reads=reads)
     return optima, strategies, time.perf_counter() - start
 
 

@@ -81,10 +81,15 @@ class SynthesisedProfile:
 
     def export(self):
         """JSON-shaped description: query, memory modes, per-entry choices.
+
         Only reachable modes are listed: a mode marks an objective won or
-        lost only if that objective can settle, and it is listed at a state
-        only if the state settles no objective it leaves pending.  A state (s, layer) of a mixed pair's product (a game with
-        no base) is named by s, with its layer beside it."""
+        lost only if that objective can settle and its win or lose set is
+        not empty, and it is listed at a state only if the state settles no
+        objective it leaves pending.  Where a mode with one objective
+        pending plays that objective's strategy, it is listed only at the
+        states where the strategy has an entry, those a play can reach
+        (`nash._coop_optima`).  A state (s, layer) of a mixed pair's product
+        (a game with no base) is named by s, with its layer beside it."""
 
         def place(state):
             if self.game.base is None:
@@ -97,8 +102,9 @@ class SynthesisedProfile:
             statuses for statuses in [(PENDING, PENDING), (WON, PENDING),
                                       (LOST, PENDING), (PENDING, WON),
                                       (PENDING, LOST)]
-            if all(st == PENDING or can
-                   for st, (_, _, can) in zip(statuses, result.statuses))]
+            if all(st == PENDING or can and (win if st == WON else lose)
+                   for st, (win, lose, can) in zip(statuses,
+                                                   result.statuses))]
         # a bounded memory counts down to -max(pads) (`TableStrategy`)
         steps = [None] if result.kind == "unbounded" else \
             list(range(result.iterations, -max(result.pads) - 1, -1))
@@ -107,6 +113,14 @@ class SynthesisedProfile:
                 for statuses in statuses_seen:
                     if _refine(result.statuses, state, statuses) != statuses:
                         continue        # not a reachable memory for this state
+                    if statuses != (PENDING, PENDING):
+                        l = statuses.index(PENDING)
+                        remaining = 1 if step is None else \
+                            step + result.pads[l]
+                        if remaining > 0 and \
+                                state not in (result.single[l][remaining]
+                                              or ()):
+                            continue    # no play reaches this memory here
                     entry = {**place(state), "mode": list(statuses)}
                     if step is not None:
                         entry["step"] = step
@@ -252,12 +266,13 @@ def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
         fixed_side = 2 if idx == 0 else 1
         status = statuses[idx]
         induced = induce_mdp(cg, fixed_side, profile.strategy(fixed_side))
-        # a bounded objective is read at the initial nodes alone
+        # a bounded objective is read at the initial nodes alone, an
+        # unbounded one at every node of the chain
         reads = [(n, _horizon(obj)) for n in chain.initial] if bounded \
-            else None
+            else chain_nodes
         try:
             best, achieved = [_optimum(mdp, obj, "max", _lift(status, mdp),
-                                       needed_states=chain_nodes, reads=reads)
+                                       reads=reads)
                               for mdp in (induced, chain)]
         except InfiniteValue:
             # a unilateral deviation can make the objective unbounded, so

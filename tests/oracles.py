@@ -28,7 +28,9 @@ main code so that agreement is meaningful:
   iteration each with its own per-state loop, settled-row merge and
   single-objective precompute (the package runs both as a loop over one
   sweep helper).  They share the package's local-game, equilibrium and MDP
-  primitives, so agreement checks the loops, not those primitives.
+  primitives, so agreement checks the loops, not those primitives.  Their
+  single-objective optima cover every state with a finite value (the
+  package's cover only the states a profile can play them at).
 """
 
 import heapq
@@ -46,6 +48,7 @@ from csgnash.nash import (DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, ONE,
                           _TRACE_LENGTH, joint_mdp, local_game,
                           local_game_table, solve_swne)
 from csgnash.expr import Binary, Call, Lit, Unary, Var, expr_to_text
+from csgnash.mdp import prob1_min_set
 
 
 def _solve_unique(matrix, rhs):
@@ -782,10 +785,6 @@ def bounded_pair_by_stage_loop(cg, query):
     for l, (obj, status) in enumerate(zip((o1, o2), stat)):
         family, strats = _optimum(jmdp, obj, "max", status,
                                   all_horizons=True, with_strategy=True)
-        if not stat[1 - l][2]:
-            # the other objective never settles, so nothing plays objective
-            # l's strategy above horizon pads[l]: the engine leaves it empty
-            strats = strats[:pads[l] + 1] + [{}] * (len(strats) - pads[l] - 1)
         coop.append(family)
         coop_strats.append(strats)
     mdp_s = time.perf_counter() - start
@@ -835,15 +834,16 @@ def unbounded_pair_by_sweep_loop(cg, query,
     stat, settled = _settlement(cg, (o1, o2))
     opt_vals, opt_strats = [None, None], [None, None]
     for l, obj in enumerate((o1, o2)):
-        need = None
+        reads = None
         if obj.kind == "R":
-            # only states where the other objective is won need this optimum
+            # only states where the other objective is won need this
+            # optimum finite; it is computed wherever it is finite
             need = {s for s, row in settled.items() if row[l] == PENDING}
             if not need:
                 continue
+            reads = need | prob1_min_set(jmdp, stat[l][0])
         opt_vals[l], opt_strats[l] = _optimum(
-            jmdp, obj, "max", stat[l], with_strategy=True,
-            needed_states=need)
+            jmdp, obj, "max", stat[l], with_strategy=True, reads=reads)
     opt = [vals or {} for vals in opt_vals]
     units = (cg.number(0), cg.number(1))
     fixed = {s: _settled_pair((o1, o2), row, [vals.get(s) for vals in opt],

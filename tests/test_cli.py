@@ -60,6 +60,18 @@ class TestOptionParsing:
             with pytest.raises(argparse.ArgumentTypeError):
                 _parse_sweep(bad)
 
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "many"])
+    def test_max_iters_must_be_positive(self, capsys, value):
+        # a cap of 0 sweeps would "converge" an acyclic game unsolved, and a
+        # negative one reported "did not converge within 0 sweeps"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--model", model_path("fig1.csgx"),
+                  "--max-iters", value,
+                  "--property", "<<p1:p2>>max=? (P[F sent1] + P[F sent2])"])
+        assert excinfo.value.code == 2
+        assert f"expected a positive integer, got '{value}'" in \
+            capsys.readouterr().err
+
 
 class TestRunExitCodes:
     def test_numerical_query_succeeds(self, capsys):
@@ -132,11 +144,14 @@ class TestRunExitCodes:
         assert "oscillation" in out
 
     # s0 reaches goal with probability 1/2 at rate 1 - 2e per sweep, too
-    # slowly for the MDP layer's sweep limit
-    SLOW_MODEL = ("player p1 a\nplayer p2 b\ninit s0\nlabel g goal\n"
+    # slowly for the MDP layer's sweep limit; s0 satisfies `a`, so the
+    # coalitions play goal's optimum there, from where the MDP layer must
+    # solve it
+    SLOW_MODEL = ("player p1 a\nplayer p2 b\ninit s0\nlabel s0 a\n"
+                  "label g goal\n"
                   "s0 (-,-) -> 49999/50000:s0 + 1/100000:g + 1/100000:x\n"
                   "g (-,-) -> 1:g\nx (-,-) -> 1:x\n")
-    SLOW_PROPERTY = "<<p1:p2>>max=? (P[F goal] + P[F goal])"
+    SLOW_PROPERTY = "<<p1:p2>>max=? (P[F a] + P[F goal])"
 
     def test_division_by_zero_in_a_model_exits_two(self, capsys, tmp_path):
         # a model error, not a traceback (whose exit code 1 would read as

@@ -21,22 +21,22 @@ VOLATILE = ("time", "mdp_time", "constr_time", "strategy_file")
 
 CASES = [
     ("fig1.csg", (), "<<p1:p2>>max=? (P[F<=3 sent1] + P[F<=3 sent2])",
-     "74c2da77dad195173da2a41df8060dbe9f7437ed4886d2075f54d168c441035d",
+     "731e216e0113750258affeebbe98ac98b67167834e2d75d978992204a82830b5",
      "1af5f4701ca61aaeceb1f94167bb3dce2ec2b8dacbadf85f8a6593b453cb1821"),
     ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F<=6 goal1] + P[F<=6 goal2])",
-     "2bdcf471164f701cde36a884e4f0991a7a63f772f04a53b6ed769f1145066f13",
+     "1c5ee07b4a47e33ee265e26f8b93f838fddbc8ad6f9e5ce55daecb0645deb9c5",
      "897b7d1a676096aece62aad466037e75d0313e882c8749955250ff55f023bbc5"),
     ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F<=4 goal1] + P[F<=6 goal2])",
-     "dd3bfc2062b4fddd105c5272769a60ef4563f0037a364288fa2e7e4dcd0b9de6",
+     "5c952cff58da05f9e3c784f327d0f814f7e63d0205b24ef4b545a4d9b181682b",
      "1189811bfbad279129968aa2e07225e4ad3963ff0a83dc6b12acf36c86a84678"),
     ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F goal1] + P[F goal2])",
-     "26bce5f7a7f203e465e80ea3770dc2590fdebfede31a03a3adee092d6f7021bb",
+     "d836d75d294e92843bc99fc37f09d6693285f12b93b4878a0f65e11c4fd6e390",
      "26583ec55ebb41a02a19b94cbf5bdd12c0798a95a98713a89abfd93e6842014f"),
     ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F<=4 goal1] + P[F goal2])",
-     "c17c766362a69244aba2c7a7abdff25d123f880c27850901c357e537db21d3b9",
+     "e065f883a5155e3fc0c3420e576441d540e0352510d659587af51d2c0a56c552",
      "bbd600d5d0543adf715568f9e8cbcc6322f159d8b24e8edbd7500be8528160c5"),
     ("power.csg", (), '<<p1:p2>>max=? (R{"r1"}[F done1] + R{"r2"}[F done2])',
-     "ede44614d14b2d12302e9d11c3ce718d6594c487bd530f60ce138a10f40bcac6",
+     "360869001f499fa1cc13c7cc400b9bb5c8d74dfad70c429e0b397514eb428369",
      "efde643bd88e44bda0fcd04258842cf51e9a822e858f1d2a96b1714928a974bf"),
     ("mac.csg", ("emax=2",),
      '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=4])',
@@ -45,7 +45,7 @@ CASES = [
     ("aloha.csg", ("D=3",),
      "<<p1:{p2,p3}>>max=? "
      "(P[F (sent1 & t<=8)] + P[F (sent2 & sent3 & t<=8)])",
-     "e57d15ff1997f8ccf54f07fb1f74c0bbf3ec1eca88075229736ab2674302abdf",
+     "9ae2cabd11c07b40fee099cfddbc18f9ac392ae4d0c46ff138be016f2665f54d",
      "5683f01f7f7932ede0e7fba69daf786da057b7ffe8ce28af353ca95a1c7764fc"),
     ("mac.csg", ("emax=2",),
      '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=6])',

@@ -439,6 +439,75 @@ class TestStepProb:
         assert vals["s4"] == 1
 
 
+def forward_closure(trans, reads):
+    reach, frontier = set(reads), list(reads)
+    while frontier:
+        for dist in trans[frontier.pop()].values():
+            for t in dist:
+                if t not in reach:
+                    reach.add(t)
+                    frontier.append(t)
+    return reach
+
+
+def close(got, want):
+    """Same keys, and values within the stop rule's reach: a run stops
+    once no value it iterates changes by 1e-6 in a sweep, so a run over
+    more states can stop later, with values nearer their limit.  An
+    infinite reward is None."""
+    return got.keys() == want.keys() and \
+        all(got[s] is want[s] is None or abs(got[s] - want[s]) < 1e-4
+            for s in got)
+
+
+class TestForwardClosure:
+    """With `reads`, an unbounded run indexes only the forward closure of
+    the read states, the states a play can reach from them: its values and
+    strategy cover exactly that closure.  Their values depend on the
+    closure alone, and equal the full run's up to where each run stopped."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rewarded_mdps(), st.sampled_from(["max", "min"]), st.data())
+    def test_reads_cover_their_forward_closure(self, case, opt, data):
+        trans, targets, constraint, action, state = case
+        mdp = simple_mdp(trans)
+        reads = data.draw(st.sets(st.sampled_from(mdp.states), min_size=1))
+        closure = forward_closure(trans, reads)
+        full = reach_prob(mdp, targets, opt, constraint=constraint,
+                          with_strategy=True)
+        vals, strat = reach_prob(mdp, targets, opt, constraint=constraint,
+                                 with_strategy=True, reads=reads)
+        assert close(vals, {s: full[0][s] for s in closure})
+        assert strat == {s: full[1][s] for s in closure}
+        # a reward is finite where every strategy reaches the targets
+        finite = prob1_min_set(mdp, targets)
+        action = {key: F(r) for key, r in action.items()}
+        state = {s: F(r) for s, r in state.items()}
+        if not reads <= finite:
+            with pytest.raises(InfiniteValue) as err:
+                expected_reward(mdp, "F", targets=targets, reads=reads)
+            assert set(err.value.states) == reads - finite
+            return
+        full = expected_reward(mdp, "F", targets=targets,
+                               action_rewards=action, state_rewards=state,
+                               optimise=opt, with_strategy=True,
+                               reads=finite)
+        vals, strat = expected_reward(mdp, "F", targets=targets,
+                                      action_rewards=action,
+                                      state_rewards=state, optimise=opt,
+                                      with_strategy=True, reads=reads)
+        assert close(vals, {s: full[0][s] for s in closure})
+        assert strat == {s: full[1][s] for s in closure}
+
+    def test_closure_keeps_the_model_order(self):
+        # read at s2, the closure is s2 and goal, listed in model order
+        trans = risky_chain(3, 1)
+        mdp = simple_mdp(trans)
+        vals = reach_prob(mdp, {"goal"}, reads={"s2"})
+        assert list(vals) == [s for s in mdp.states if s in ("s2", "goal")]
+        assert vals["s2"] == 1 and vals["goal"] == 1
+
+
 class TestExpectedReward:
     def reward_maps(self, g, mdp, name):
         cg = coalition_game(g, ["p1"])
@@ -488,11 +557,16 @@ class TestExpectedReward:
                             action_rewards=a, state_rewards=s)
         assert set(err.value.states) == {"s1", "s2"}
 
-    def test_infinite_value_respects_needed_states(self):
+    def test_infinite_value_respects_reads(self):
+        # the targets reach neither s1 nor s2, whose values are infinite:
+        # read at the targets alone, the values cover the targets alone
         g, mdp = appendix_c_mdp()
         vals = expected_reward(mdp, "F", targets={"t1", "t2"},
-                               needed_states={"t1", "t2"})
-        assert vals["t1"] == 0 and vals["s1"] is None
+                               reads={"t1", "t2"})
+        assert vals == {"t1": 0, "t2": 0}
+        with pytest.raises(InfiniteValue) as err:
+            expected_reward(mdp, "F", targets={"t1", "t2"}, reads={"s2"})
+        assert err.value.states == ("s2",)
 
     def test_geometric_accumulation(self):
         # stay with prob 1/2 gathering reward 1 per step: expected total 2

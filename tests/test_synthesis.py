@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import REWARD_GAME, labelled, model_path, small_csgs
 from csgnash import nash, synthesis
-from csgnash.errors import NotConverged
+from csgnash.errors import InfiniteValue, NotConverged
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
 from csgnash.model import MemoryStrategy, induce_mdp
@@ -17,6 +18,7 @@ from csgnash.properties import NashNode, Objective, TrueF, parse_property
 from csgnash.synthesis import (SynthesisedProfile, _name,
                                synthesise_profile, verify_epsilon_ne)
 from oracles import bounded_reach_pair
+from test_golden import CASES
 
 
 def solved_profile(csg, text):
@@ -77,22 +79,26 @@ EXPORTED = [
     ("mac.csg", {"emax": 2}, '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=6])'),
     ("robot.csg", {"l": 3}, "<<p1:p2>>max=? (P[F<=4 goal1] + P[F<=6 goal2])"),
     ("fig1.csgx", {}, "<<p1:p2>>max=? (P[!send2 U send1] + P[!send1 U send2])"),
+    ("robot.csg", {"l": 3}, "<<p1:p2>>max=? (P[F goal1] + P[F goal2])"),
+    ("power.csg", {}, '<<p1:p2>>max=? (R{"r1"}[F done1] + R{"r2"}[F done2])'),
 ]
 
 
 @pytest.mark.parametrize("model,consts,prop", EXPORTED)
 def test_exported_modes_are_reachable(model, consts, prop):
     """An export lists a mode only if the memory can hold it: every
-    objective it marks won or lost can settle.  It lists every node with
-    something at stake that a deviation reaches, the steps below 0 that a
-    padded bounded profile plays included."""
+    objective it marks won or lost can settle, into a set that is not
+    empty.  It lists every node with something at stake that a deviation
+    reaches, the steps below 0 that a padded bounded profile plays
+    included."""
     csg = (load_model(model_path(model), consts) if model.endswith(".csg")
            else load_explicit(model_path(model)))
     ev, profile = solved_profile(csg, prop)
     result = ev.solve
     entries = profile.export()["entries"]
     settles = [can for _, _, can in result.statuses]
-    assert all(st == "pending" or settles[l]
+    sets = [{"won": win, "lost": lose} for win, lose, _ in result.statuses]
+    assert all(st == "pending" or settles[l] and sets[l][st]
                for e in entries for l, st in enumerate(e["mode"]))
     listed = {(e["state"], e.get("step"), tuple(e["mode"])) for e in entries}
     bounded = result.kind == "bounded"
@@ -225,6 +231,107 @@ class TestDemandDrivenVerification:
         monkeypatch.setattr(synthesis, "_optimum", full)
         assert report == verify_epsilon_ne(game, profile, ev.formula, 1e-4)
         assert report.gap1 > 0 and not report.passed
+
+
+def strategy_lookups(monkeypatch):
+    """Spy on `SynthesisedProfile.choice`: records, for each call where an
+    objective is pending with steps left and the other is settled or its
+    steps have run out, whether the profile found that objective's
+    strategy entry (False: it fell back to `_first_pair`)."""
+    lookups = []
+    choice, first_pair = SynthesisedProfile.choice, synthesis._first_pair
+    current = []
+
+    def spy_choice(self, state, step, statuses):
+        pending = [l for l, st in enumerate(statuses) if st == "pending"]
+        at_stake = [l for l in pending if step is None or
+                    step + self.result.pads[l] > 0]
+        plays = at_stake and (len(pending) == 1 or
+                              step is not None and step < 1)
+        current.append(bool(plays))
+        if plays:
+            lookups.append(True)
+        try:
+            return choice(self, state, step, statuses)
+        finally:
+            current.pop()
+
+    def spy_first_pair(game, state):
+        if current and current[-1]:
+            lookups[-1] = False
+        return first_pair(game, state)
+
+    monkeypatch.setattr(SynthesisedProfile, "choice", spy_choice)
+    monkeypatch.setattr(synthesis, "_first_pair", spy_first_pair)
+    return lookups
+
+
+# t1 is won at w; the play then passes m, which settles nothing, before p1
+# can move on to the t2 target g: t2's optimum is played at m, outside the
+# states where t1 is settled
+AFTER_A_WIN = (loads_explicit("""\
+player p1 a b
+player p2 x
+init s0
+label w t1
+label g t2
+s0 (a,-) -> 1:w
+s0 (b,-) -> 1:m
+w (-,-) -> 1:m
+m (a,-) -> 1:g
+m (b,-) -> 1/2:m + 1/2:w
+g (-,-) -> 1:g
+"""), ("p1",))
+
+
+class TestOptimaCoverEveryPlay:
+    """The engines compute a single-objective optimum only where a profile
+    can play it (`nash._coop_optima`).  Verification folds the profile with
+    each coalition free to deviate, so every memory a deviation reaches is
+    looked up: each lookup must find its strategy entry."""
+
+    @pytest.mark.parametrize("model,consts,prop", [case[:3] for case in CASES])
+    def test_golden_queries(self, monkeypatch, model, consts, prop):
+        csg = load_model(model_path(model),
+                         dict(c.split("=") for c in consts))
+        ev, profile = solved_profile(csg, prop)
+        lookups = strategy_lookups(monkeypatch)
+        assert verify_epsilon_ne(ev.game, profile, ev.query).passed
+        assert all(lookups)
+        # robot's goals settle where a play reaches them
+        if model == "robot.csg" or any(ev.solve.pads):
+            assert lookups
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_csgs(), st.sampled_from([
+        ("P", (2, 2)), ("P", (2, 3)), ("P", (None, None)), ("P", (2, None)),
+        ("C", (2, 3)), ("F", (None, None))]))
+    @example(AFTER_A_WIN, ("P", (None, None)))
+    @example(AFTER_A_WIN, ("P", (3, 3)))
+    def test_random_games(self, case, shape):
+        csg, coalition = case
+        kind, bounds = shape
+        rest = tuple(p for p in csg.players if p not in coalition)
+        objectives = tuple(
+            Objective("P", "U", sub1=TrueF(), sub2=labelled(csg, name),
+                      bound=bound) if kind == "P" else
+            Objective("R", kind, sub2=labelled(csg, name) if kind == "F"
+                      else None, reward=reward, bound=bound)
+            for name, reward, bound in zip(("t1", "t2"), ("r1", "r2"),
+                                           bounds))
+        query = NashNode(coalition, rest, "max=?", None, objectives)
+        try:
+            ev = evaluate(csg, query)
+        except (NotConverged, InfiniteValue):
+            return              # the pair has no profile to play
+        profile = synthesise_profile(ev.game, query, ev.solve)
+        with pytest.MonkeyPatch.context() as patch:
+            lookups = strategy_lookups(patch)
+            try:
+                verify_epsilon_ne(ev.game, profile, ev.query)
+            except InfiniteValue:
+                pass
+        assert all(lookups)
 
 
 class TestRewardProfiles:
