@@ -204,9 +204,12 @@ def _evaluate_property(csg, text, args):
         if args.verify:
             report = verify_epsilon_ne(result.game, profile, result.query,
                                        args.epsilon)
+            # an unbounded deviation's infinite gap is written "inf", as
+            # JSON has no infinity
             record["verification"] = {
                 "epsilon": report.epsilon,
-                "gap1": report.gap1, "gap2": report.gap2,
+                "gap1": _finite_or_inf(report.gap1),
+                "gap2": _finite_or_inf(report.gap2),
                 "passed": report.passed,
             }
             subgame = {"subgame_gap1": report.subgame_gap1,
@@ -217,6 +220,10 @@ def _evaluate_property(csg, text, args):
             if not report.passed and status == EXIT_OK:
                 status = EXIT_VIOLATED
     return record, status
+
+
+def _finite_or_inf(gap):
+    return "inf" if gap == float("inf") else gap
 
 
 def _emit_human(stats, records, out):
@@ -249,8 +256,8 @@ def _emit_human(stats, records, out):
             subgame = "".join(f"{key}={ver[key]:.3g} "
                               for key in ("subgame_gap1", "subgame_gap2")
                               if key in ver)
-            print(f"  verification: gap1={ver['gap1']:.3g} "
-                  f"gap2={ver['gap2']:.3g} {subgame}"
+            print(f"  verification: gap1={float(ver['gap1']):.3g} "
+                  f"gap2={float(ver['gap2']):.3g} {subgame}"
                   f"passed={str(ver['passed']).lower()}", file=out)
         if "strategy_file" in rec:
             print(f"  strategy written to {rec['strategy_file']}", file=out)

@@ -5,42 +5,44 @@ optionally with an until-style constraint set), one-step probabilities,
 expected rewards (instantaneous, cumulative, reachability), qualitative
 prob-1 analysis, and extraction of optimal strategies.
 
-Each public call reads its MDP once, into one id-indexed form (`_index`):
+Every call runs on one id-indexed form of its MDP (`model.IndexedMdp`):
 states are numbered in `mdp.states` order, each state's choices become
 (choice id, successor ids, probabilities), and each state lists the choices
-leading to it, for the qualitative sets and the max-reach strategy.  All
-other code works on ids.
+leading to it, for the qualitative sets and the max-reach strategy.  A dict
+`Mdp` (the joint MDP, or one a test builds) is read into that form once per
+call (`_index`); verification's induced MDPs are built in it
+(`model.induce_mdp`) and passed through.  All other code works on ids.
 
 Unbounded values are computed by value iteration after qualitative
 precomputation of the probability-0 and probability-1 state sets, so states
 decided qualitatively carry exact 0/1 values even when iteration runs in
 floating point.  Every value is computed only where it is read.  An
-unbounded caller may name the states it reads: the MDP is then indexed over
-their forward closure alone, the states a play can reach from them, which
-is all their values depend on (`_index`).  Bounded values are backward
-steps: a caller may name the (state, horizon) pairs it reads, and a state
-is then backed up at horizon n only if such a read reaches it in the
-remaining steps through unpinned states (`_backward`).  A caller that names
-no reads gets every state (at every horizon).  On an exact MDP the steps run
-on integers: every probability and reward is a numerator over one common
+unbounded caller may name the states it reads: a dict `Mdp` is then indexed
+over their forward closure alone, the states a play can reach from them,
+which is all their values depend on (`_index`); an `IndexedMdp` is always
+solved whole.  Bounded values are backward
+steps: a caller may name the (state, horizon) pairs it reads, and a state is
+then backed up at horizon n only if such a read reaches it in the remaining
+steps through unpinned states (`_backward`).  A caller that names no reads
+gets every state (at every horizon).  On an exact MDP the steps run on
+integers: every probability and reward is a numerator over one common
 denominator D, the value vector after n steps holds numerators over a known
 power of D, and exact rationals are built only for the vectors returned.  On
 an MDP compiled to floats they run in floats.  Fixed 0/1 values are in the
-MDP's `number` type: Fractions for an exact model, floats for one compiled to
-floats.
+MDP's `number` type: Fractions for an exact model, floats for one compiled
+to floats.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import mul
 
 from .errors import InfiniteValue, NotConverged, SolverError
-from .model import Mdp
+from .model import IndexedMdp, Mdp
 
 __all__ = [
     "reach_prob",
@@ -56,22 +58,21 @@ DEFAULT_MAX_ITERS = 100000
 _ARG_TOL = 1e-9
 
 
-_Graph = namedtuple("_Graph", "states ids rows owner preds number")
-
-
 def _index(mdp, reads=None):
-    """`mdp` in the id-indexed form; the only reader of `mdp.choices`.
+    """`mdp` in the id-indexed form (`model.IndexedMdp`); the only reader of
+    `mdp.choices`.
 
-    With `reads`, a set of states, the form holds only their forward
-    closure: the states a play can reach from them, still in `mdp.states`
-    order, so ids, and every tie broken by id, keep their relative order.
-    State i is `states[i]` (`ids` maps it back) and `rows[i]` lists its
-    choices as (choice id, successor ids, probabilities); the probabilities
-    are a view of the distribution's values.  Choices are also numbered in
-    row order: `owner[c]` is the state id of choice c, and `preds[i]` lists
-    the numbers of the choices leading to state i (one entry per choice,
-    shared by all of its successors).
+    An MDP already in that form is returned as it is, whatever `reads`:
+    verification builds its MDPs in that form and always reads their
+    initial nodes, whose forward closure is the whole MDP.  A dict `Mdp` is
+    read once.  With `reads`, a set of states, the form then holds only
+    their forward closure: the states a play can reach from them, still in
+    `mdp.states` order, so ids, and every tie broken by id, keep their
+    relative order.  A row's probabilities are a view of the distribution's
+    values.
     """
+    if isinstance(mdp, IndexedMdp):
+        return mdp
     states = mdp.states
     if reads is not None:
         seen = set(reads)
@@ -94,7 +95,8 @@ def _index(mdp, reads=None):
             owner.append(i)
             for t in succ:
                 preds[t].append(c)
-    return _Graph(states, ids, rows, owner, preds, mdp.number)
+    return IndexedMdp(states, ids, rows, owner, preds, mdp.number,
+                      tuple(s for s in mdp.initial if s in ids), mdp.rewards)
 
 
 def _id_set(g, states):
@@ -375,7 +377,8 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
     backward steps); `all_horizons` additionally returns the value vectors of
     every horizon 0..k.  `reads` restricts the run to what a caller reads:
     unbounded, a set of states, and the values and strategy then cover
-    their forward closure (`_index`); bounded, (state, horizon) pairs
+    their forward closure (`_index`), or every state of an `IndexedMdp`,
+    which is always solved whole; bounded, (state, horizon) pairs
     (`_backward`).  With `with_strategy`, also returns the optimal strategy:
     a map state -> choice-id (unbounded, memoryless) or a list indexed by
     remaining steps 1..k (bounded).
@@ -498,8 +501,8 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
     kind "F": rewards accumulated until first hitting `targets`; requires the
         targets to be reached almost surely under every strategy from each
         state in `reads` (default: all), else InfiniteValue is raised
-        carrying the offending states.  Other states of the forward closure
-        of `reads` whose value is infinite map to None.
+        carrying the offending states.  Other states solved (`reads`
+        in `reach_prob`) whose value is infinite map to None.
 
     `all_horizons` and `reads` serve as in `reach_prob`.
     """

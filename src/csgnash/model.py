@@ -10,7 +10,6 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
@@ -33,6 +32,7 @@ __all__ = [
     "CoalitionGame",
     "EndComponent",
     "Mdp",
+    "IndexedMdp",
     "MemoryStrategy",
     "AssumptionReport",
     "coalition_game",
@@ -41,6 +41,7 @@ __all__ = [
     "check_assumption",
     "joint_mdp",
     "induce_mdp",
+    "induced_chain",
 ]
 
 
@@ -422,6 +423,28 @@ class Mdp:
     number: type = Fraction
 
 
+@dataclass(frozen=True)
+class IndexedMdp:
+    """An MDP in the id-indexed form that the solvers of `mdp` run on.
+
+    State i is `states[i]` (`ids` maps it back) and `rows[i]` lists its
+    choices as (choice id, successor ids, probabilities), the probabilities
+    of type `number`.  Choices are also numbered in row order: `owner[c]` is
+    the state id of choice c, and `preds[i]` lists the numbers of the
+    choices leading to state i (one entry per choice, shared by all of its
+    successors).  `initial` and `rewards` are as in `Mdp`.
+    """
+
+    states: list
+    ids: dict
+    rows: list
+    owner: list
+    preds: list
+    number: type
+    initial: tuple
+    rewards: dict
+
+
 def joint_mdp(game) -> Mdp:
     """The MDP where one controller picks whole joint actions.
 
@@ -452,91 +475,158 @@ class MemoryStrategy:
         raise NotImplementedError
 
     def update(self, mode, next_state):
-        """Memory mode after moving to `next_state`."""
+        """Memory mode after moving to `next_state`.
+
+        The result must depend on `mode` and `next_state` alone, not on the
+        state moved from: `induce_mdp` calls it once per mode and successor
+        state and reuses the result at every node in that mode.
+        """
         raise NotImplementedError
 
 
-def _fold(game, start, node_choices, update) -> Mdp:
+def _fold(game, start, node_choices, update) -> IndexedMdp:
     """The MDP over reachable (state, memory-mode) nodes of `game` under
     strategies whose memory starts in mode `start(s)` at each initial state
-    s and moves by `update`.
+    s and moves by `update`, built in the id-indexed form in one
+    breadth-first pass.
 
     `node_choices(state, mode)` lists the node's choices as (choice-id,
-    {joint action: weight}) pairs; a choice mixes the distributions and the
-    action rewards of its joint actions by weight.  Every reward structure of
-    the game is folded, state rewards carried over per node.  Weights are
-    converted once to the game's number type, and `update` runs once per
-    node and successor state.
+    {joint action: weight}) pairs, each weight in the game's number type; a
+    choice mixes the distributions and the action rewards of its joint
+    actions by weight.  Nodes are numbered in the order they are found.  A
+    choice lists its successors in the order its joint actions, and their
+    distributions, first reach them, and each successor's probability sums
+    the weighted game probabilities in that order.  Every reward structure
+    of the game is folded, action rewards keyed by (node, choice id) and
+    state rewards carried over per node.  `update` runs once per mode and
+    successor state (`MemoryStrategy.update`).
     """
-    number = game.number
+    structures = list(game.rewards.items())
     rewards = {name: RewardStructure() for name in game.rewards}
-    init = [(s, start(s)) for s in game.initial]
-    states = []
-    seen = set(init)
-    frontier = deque(init)
-    choices = {}
-    while frontier:
-        node = frontier.popleft()
-        states.append(node)
+    states = [(s, start(s)) for s in game.initial]
+    initial = tuple(states)
+    ids = {node: i for i, node in enumerate(states)}
+    rows, owner, preds = [], [], [[] for _ in states]
+    found = {}                  # mode -> {successor state: its node's id}
+    for i, node in enumerate(states):           # `states` grows as we go
         s, mode = node
         trans = game.trans[s]
-        node_choices_out = []
-        successors = {}                 # state -> its node from this one
+        succ_ids = found.get(mode)
+        if succ_ids is None:
+            succ_ids = found[mode] = {}
+        row = []
         for cid, weights in node_choices(s, mode):
-            if number is not Fraction:
-                weights = {pair: number(w) for pair, w in weights.items()}
             dist = {}
             for pair, w in weights.items():
                 if pair not in trans:
                     raise IncompleteStrategy(
                         f"strategy plays unavailable action {pair!r} at {s!r}")
                 for t, pt in trans[pair].items():
-                    succ = successors.get(t)
-                    if succ is None:
-                        succ = successors[t] = (t, update(mode, t))
+                    j = succ_ids.get(t)
+                    if j is None:
+                        succ = (t, update(mode, t))
+                        j = ids.get(succ)
+                        if j is None:
+                            j = ids[succ] = len(states)
+                            states.append(succ)
+                            preds.append([])
+                        succ_ids[t] = j
                     p = w * pt
-                    dist[succ] = dist[succ] + p if succ in dist else p
-            node_choices_out.append((cid, dist))
-            for name, rs in game.rewards.items():
+                    dist[j] = dist[j] + p if j in dist else p
+            c = len(owner)
+            owner.append(i)
+            for j in dist:
+                preds[j].append(c)
+            row.append((cid, tuple(dist), tuple(dist.values())))
+            for name, rs in structures:
                 folded = sum(w * rs.action_rewards[(s, pair)]
                              for pair, w in weights.items()
                              if (s, pair) in rs.action_rewards)
                 if folded:
                     rewards[name].action_rewards[(node, cid)] = folded
-            for succ in dist:
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-        choices[node] = node_choices_out
-        for name, rs in game.rewards.items():
+        rows.append(row)
+        for name, rs in structures:
             if rs.state_rewards.get(s):
                 rewards[name].state_rewards[node] = rs.state_rewards[s]
-    return Mdp(tuple(states), tuple(init), choices, rewards, number)
+    return IndexedMdp(states, ids, rows, owner, preds, game.number, initial,
+                      rewards)
 
 
-def induce_mdp(cg: CoalitionGame, fixed: int, strategy: MemoryStrategy) -> Mdp:
+def induce_mdp(cg: CoalitionGame, fixed: int,
+               strategy: MemoryStrategy) -> IndexedMdp:
     """Fold one side's strategy into the game, leaving the other side free.
 
     `fixed` is 1 or 2 (which side follows `strategy`).  The result is an MDP
-    over reachable (state, memory-mode) pairs whose choices are the free
-    side's actions; transition probabilities and action rewards are averaged
-    over the fixed side's randomisation, and `Mdp.rewards` holds every folded
-    reward structure of the game.
+    over reachable (state, memory-mode) pairs, in the id-indexed form
+    (`_fold`), whose choices are the free side's actions; transition
+    probabilities and action rewards are averaged over the fixed side's
+    randomisation, its weights converted once to the game's number type,
+    and `rewards` holds every folded reward structure of the game.
     """
     if fixed not in (1, 2):
         raise ModelError("fixed side must be 1 or 2")
+    number = cg.number
+    convert = number is not Fraction
 
     def node_choices(s, mode):
         sigma = strategy.distribution(s, mode)
         if sigma is None:
             raise IncompleteStrategy(
                 f"no strategy entry for state {s!r}, mode {mode!r}")
+        sigma = [(a, number(pa) if convert else pa)
+                 for a, pa in sigma.items() if pa != 0]
         free = cg.actions2(s) if fixed == 1 else cg.actions1(s)
         return [(b, {((a, b) if fixed == 1 else (b, a)): pa
-                     for a, pa in sigma.items() if pa != 0})
+                     for a, pa in sigma})
                 for b in free]
 
     return _fold(cg, strategy.start, node_choices, strategy.update)
+
+
+def induced_chain(cg: CoalitionGame, mdp: IndexedMdp,
+                  strategy1: MemoryStrategy,
+                  strategy2: MemoryStrategy) -> IndexedMdp:
+    """The Markov chain of the profile (`strategy1`, `strategy2`), read off
+    `mdp = induce_mdp(cg, 2, strategy2)`.
+
+    The two strategies must start and move their memory alike, as the two
+    sides of a synthesised profile do, else ModelError is raised.  Then the
+    chain's nodes are nodes of `mdp`, and its memory moves are those `mdp`'s
+    edges record: `strategy2.update` does not run again, and
+    `strategy1.update` runs once per mode and successor state, to check
+    the move.  Each node has one choice, "step", which mixes the joint
+    actions (a, b) of positive weight σ1(a)·σ2(b), each weight converted
+    once to the game's number type, a-major (`_fold`).
+    """
+    number = cg.number
+    convert = number is not Fraction
+    nodes = mdp.states
+    moves = {(mode, nodes[j][0]): nodes[j][1]
+             for (_, mode), row in zip(nodes, mdp.rows)
+             for _, succ, _ in row for j in succ}
+    for s, mode in mdp.initial:
+        if strategy1.start(s) != mode:
+            raise ModelError(
+                f"the strategies start in different memory modes at {s!r}")
+
+    def update(mode, t):
+        if (mode, t) not in moves or strategy1.update(mode, t) != \
+                moves[mode, t]:
+            raise ModelError(f"the strategies move their memory differently "
+                             f"from mode {mode!r} to state {t!r}")
+        return moves[mode, t]
+
+    def node_choices(s, mode):
+        d1 = strategy1.distribution(s, mode)
+        d2 = strategy2.distribution(s, mode)
+        if d1 is None or d2 is None:
+            raise IncompleteStrategy(
+                f"no strategy entry for state {s!r}, mode {mode!r}")
+        return [("step", {(a, b): number(pa * pb) if convert else pa * pb
+                          for a, pa in d1.items() if pa
+                          for b, pb in d2.items() if pb})]
+
+    return _fold(cg, dict(mdp.initial).__getitem__, node_choices, update)
 
 
 @dataclass(frozen=True)

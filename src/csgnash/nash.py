@@ -233,11 +233,11 @@ def _optimum(mdp, obj, optimise, status, all_horizons=False,
     `reads` names what the caller reads, and the optimum is computed only
     where that needs it.  For an unbounded objective it is a set of states:
     values and strategy cover their forward closure, the states a play can
-    reach from them (`mdp._index`), and a reachability reward must be
-    finite at the reads alone.  For a bounded objective it is (state,
-    horizon) pairs: a state is backed up at a horizon only where a read
-    reaches it (`mdp._backward`), and each vector holds its horizon's reads
-    alone.
+    reach from them (`mdp._index`), or every state of a `model.IndexedMdp`,
+    which is always solved whole; a reachability reward must be finite at
+    the reads alone.  For a bounded objective it is (state, horizon) pairs:
+    a state is backed up at a horizon only where a read reaches it
+    (`mdp._backward`), and each vector holds its horizon's reads alone.
     """
     win, lose, _ = status
     if obj.kind == "R":

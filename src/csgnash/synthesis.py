@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfiniteValue
-from .model import MemoryStrategy, _fold, induce_mdp
+from .model import MemoryStrategy, induce_mdp, induced_chain
 # unused here: perfbench/layers.py wraps these two names in this module
 from .mdp import expected_reward, reach_prob
 from .nash import (LOST, PENDING, WON, PairResult, _horizon, _optimum,
@@ -247,29 +247,25 @@ def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
                       epsilon=1e-4) -> VerificationReport:
     """Check the profile is an ε-Nash equilibrium of the objective pair.
     `query` is the pair solved on `cg`: for a mixed pair, the product's
-    rewritten query (`Evaluation.query`)."""
+    rewritten query (`Evaluation.query`).  The two strategies of
+    `profile.strategy` must start and move their memory alike, as a
+    synthesised profile's do; ModelError is raised where they do not
+    (`model.induced_chain`)."""
     s1, s2 = profile.strategy(1), profile.strategy(2)
-
-    def joint_choice(state, mode):
-        # the induced chain has one choice, both strategies' product
-        d1, d2 = s1.distribution(state, mode), s2.distribution(state, mode)
-        return [("step", {(a, b): pa * pb for a, pa in d1.items()
-                          for b, pb in d2.items()})]
-
-    chain = _fold(cg, s1.start, joint_choice, s1.update)
-    chain_nodes = set(chain.states)
-    statuses = profile.result.statuses
+    # coalition 1 deviates in the MDP where side 2 plays its strategy, and
+    # the profile's own chain is read off that MDP
+    induced2 = induce_mdp(cg, 2, s2)
+    chain = induced_chain(cg, induced2, s1, s2)
     bounded = profile.result.kind == "bounded"
     gaps = []
     sub_gaps = []
-    for idx, obj in enumerate(query.objectives):
-        fixed_side = 2 if idx == 0 else 1
-        status = statuses[idx]
-        induced = induce_mdp(cg, fixed_side, profile.strategy(fixed_side))
+    for obj, status, fixed in zip(query.objectives, profile.result.statuses,
+                                  (2, 1)):
+        induced = induced2 if fixed == 2 else induce_mdp(cg, 1, s1)
         # a bounded objective is read at the initial nodes alone, an
         # unbounded one at every node of the chain
         reads = [(n, _horizon(obj)) for n in chain.initial] if bounded \
-            else chain_nodes
+            else chain.states
         try:
             best, achieved = [_optimum(mdp, obj, "max", _lift(status, mdp),
                                        reads=reads)
@@ -283,9 +279,8 @@ def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
         gap = max(float(best[n]) - float(achieved[n]) for n in chain.initial)
         gaps.append(gap)
         if not bounded:
-            pend = [n for n in chain.states
-                    if _refine(statuses, n[0], n[1])
-                    == (PENDING, PENDING)]
+            # a synthesised mode is refined at its node's state already
+            pend = [n for n in chain.states if n[1] == (PENDING, PENDING)]
             sub = max((float(best[n]) - float(achieved[n]) for n in pend
                        if n in best and n in achieved), default=0.0)
             sub_gaps.append(sub)

@@ -6,7 +6,7 @@ from itertools import product
 from hypothesis import strategies as st
 
 from csgnash.model import IDLE, Csg, RewardStructure
-from csgnash.properties import StateSet
+from csgnash.properties import NashNode, Objective, StateSet, TrueF
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -118,3 +118,18 @@ def small_csgs(draw):
 def labelled(csg, name):
     """The states of `csg` labelled `name`, as a resolved state formula."""
     return StateSet(frozenset(s for s in csg.states if name in csg.labels[s]))
+
+
+def pair_query(csg, coalition, kind, bounds):
+    """The query `coalition` against the other players of `csg` for a pair
+    of objectives on labels t1 and t2 or rewards r1 and r2: kind "P" is
+    P[F<=k t1] + P[F<=k t2], "C" is R[C<=k] and "F" is R[F t1] + R[F t2],
+    with the bounds k in `bounds` (None: unbounded)."""
+    rest = tuple(p for p in csg.players if p not in coalition)
+    objectives = tuple(
+        Objective("P", "U", sub1=TrueF(), sub2=labelled(csg, name),
+                  bound=bound) if kind == "P" else
+        Objective("R", kind, sub2=labelled(csg, name) if kind == "F"
+                  else None, reward=reward, bound=bound)
+        for name, reward, bound in zip(("t1", "t2"), ("r1", "r2"), bounds))
+    return NashNode(coalition, rest, "max=?", None, objectives)

@@ -30,7 +30,12 @@ main code so that agreement is meaningful:
   sweep helper).  They share the package's local-game, equilibrium and MDP
   primitives, so agreement checks the loops, not those primitives.  Their
   single-objective optima cover every state with a finite value (the
-  package's cover only the states a profile can play them at).
+  package's cover only the states a profile can play them at);
+- the package's earlier folds of an induced MDP and of a profile's chain,
+  which build dict `Mdp`s in a breadth-first walk over (state, memory mode)
+  nodes, updating the memory once per node and successor (the package
+  builds the id-indexed form in that walk, updates the memory once per mode
+  and successor, and reads the chain off an induced MDP).
 """
 
 import heapq
@@ -41,7 +46,10 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 
 from csgnash.bimatrix import BimatrixGame, MixedProfile, select_swne
-from csgnash.errors import ModelTypeError, NotConverged, UndeclaredSymbol
+from csgnash.errors import (IncompleteStrategy, ModelError, ModelTypeError,
+                            NotConverged, UndeclaredSymbol)
+from csgnash.model import (CoalitionGame, Mdp, MemoryStrategy,
+                           RewardStructure)
 from csgnash.nash import (DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, ONE,
                           PENDING, ZERO, PairResult, _horizon, _optimum,
                           _OSC_TOL, _reward_names, _settled_pair, _settlement,
@@ -995,3 +1003,104 @@ def walk_expr(node, env):
                 raise ModelTypeError(f"division by zero in {text}")
             return dividend % divisor
     raise ModelTypeError(f"cannot evaluate {node!r}")
+
+
+# --- dict folds of induced MDPs ----------------------------------------------
+
+def _dict_fold(game, start, node_choices, update) -> Mdp:
+    """The MDP over reachable (state, memory-mode) nodes of `game` under
+    strategies whose memory starts in mode `start(s)` at each initial state
+    s and moves by `update`.
+
+    `node_choices(state, mode)` lists the node's choices as (choice-id,
+    {joint action: weight}) pairs; a choice mixes the distributions and the
+    action rewards of its joint actions by weight.  Every reward structure of
+    the game is folded, state rewards carried over per node.  Weights are
+    converted once to the game's number type, and `update` runs once per
+    node and successor state.
+    """
+    number = game.number
+    rewards = {name: RewardStructure() for name in game.rewards}
+    init = [(s, start(s)) for s in game.initial]
+    states = []
+    seen = set(init)
+    frontier = deque(init)
+    choices = {}
+    while frontier:
+        node = frontier.popleft()
+        states.append(node)
+        s, mode = node
+        trans = game.trans[s]
+        node_choices_out = []
+        successors = {}                 # state -> its node from this one
+        for cid, weights in node_choices(s, mode):
+            if number is not Fraction:
+                weights = {pair: number(w) for pair, w in weights.items()}
+            dist = {}
+            for pair, w in weights.items():
+                if pair not in trans:
+                    raise IncompleteStrategy(
+                        f"strategy plays unavailable action {pair!r} at {s!r}")
+                for t, pt in trans[pair].items():
+                    succ = successors.get(t)
+                    if succ is None:
+                        succ = successors[t] = (t, update(mode, t))
+                    p = w * pt
+                    dist[succ] = dist[succ] + p if succ in dist else p
+            node_choices_out.append((cid, dist))
+            for name, rs in game.rewards.items():
+                folded = sum(w * rs.action_rewards[(s, pair)]
+                             for pair, w in weights.items()
+                             if (s, pair) in rs.action_rewards)
+                if folded:
+                    rewards[name].action_rewards[(node, cid)] = folded
+            for succ in dist:
+                if succ not in seen:
+                    seen.add(succ)
+                    frontier.append(succ)
+        choices[node] = node_choices_out
+        for name, rs in game.rewards.items():
+            if rs.state_rewards.get(s):
+                rewards[name].state_rewards[node] = rs.state_rewards[s]
+    return Mdp(tuple(states), tuple(init), choices, rewards, number)
+
+
+def induce_mdp_by_dict_fold(cg: CoalitionGame, fixed: int,
+                            strategy: MemoryStrategy) -> Mdp:
+    """Fold one side's strategy into the game, leaving the other side free.
+
+    `fixed` is 1 or 2 (which side follows `strategy`).  The result is an MDP
+    over reachable (state, memory-mode) pairs whose choices are the free
+    side's actions; transition probabilities and action rewards are averaged
+    over the fixed side's randomisation, and `Mdp.rewards` holds every folded
+    reward structure of the game.
+    """
+    if fixed not in (1, 2):
+        raise ModelError("fixed side must be 1 or 2")
+
+    def node_choices(s, mode):
+        sigma = strategy.distribution(s, mode)
+        if sigma is None:
+            raise IncompleteStrategy(
+                f"no strategy entry for state {s!r}, mode {mode!r}")
+        free = cg.actions2(s) if fixed == 1 else cg.actions1(s)
+        return [(b, {((a, b) if fixed == 1 else (b, a)): pa
+                     for a, pa in sigma.items() if pa != 0})
+                for b in free]
+
+    return _dict_fold(cg, strategy.start, node_choices, strategy.update)
+
+
+def chain_by_dict_fold(cg, mdp, strategy1, strategy2) -> Mdp:
+    """The profile's Markov chain folded from the game into a dict `Mdp`, as
+    verification folded it before the chain was read off an induced MDP;
+    `mdp` is ignored (the arguments are those of `model.induced_chain`)."""
+
+    def joint_choice(state, mode):
+        # the induced chain has one choice, both strategies' product
+        d1 = strategy1.distribution(state, mode)
+        d2 = strategy2.distribution(state, mode)
+        return [("step", {(a, b): pa * pb for a, pa in d1.items()
+                          for b, pb in d2.items()})]
+
+    return _dict_fold(cg, strategy1.start, joint_choice, strategy1.update)

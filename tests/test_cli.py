@@ -343,6 +343,32 @@ class TestVerifyAndExport:
         assert code == 0 and verification["passed"]
         assert "subgame_gap1" not in verification
 
+    def test_infinite_gap_is_valid_json(self, capsys, tmp_path):
+        # nothing reaches the empty target, so a deviation's reward is
+        # unbounded: the gaps are infinite, written "inf" as on the human
+        # line
+        model = tmp_path / "game.csgx"
+        model.write_text("player p1 a1\nplayer p2 a2\ninit s0\n"
+                         "s0 (a1,a2) -> 1:s0\n"
+                         "reward r1 action s0 (a1,a2) 0\n"
+                         "reward r2 action s0 (a1,a2) 0\n")
+        prop = '<<p1:p2>>max=? (R{"r1"}[F false] + R{"r2"}[F false])'
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        code, out, _ = run_cli(capsys, "run", "--model", str(model),
+                               "--property", prop, "--verify",
+                               "--format", "json")
+        (record,) = json.loads(out, parse_constant=no_constant)["results"]
+        assert code == 1
+        assert record["verification"] == {
+            "epsilon": 1e-4, "gap1": "inf", "gap2": "inf", "passed": False}
+        code, out, _ = run_cli(capsys, "run", "--model", str(model),
+                               "--property", prop, "--verify")
+        assert code == 1
+        assert "verification: gap1=inf gap2=inf passed=false" in out
+
     # value iteration reaches s0's value 1/2 (x) only geometrically
     GEOMETRIC = """player p1 a
 player p2 b

@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csgnash import nash
 from csgnash.errors import (
     EmptyCoalition,
     FullCoalition,
     IncompleteStrategy,
+    InfiniteValue,
     ModelError,
+    NotConverged,
     UnknownPlayer,
 )
 from csgnash.explicit import load_explicit
@@ -20,11 +24,16 @@ from csgnash.model import (
     compile_game,
     enumerate_mecs,
     induce_mdp,
+    induced_chain,
     joint_mdp,
 )
+from csgnash.mdp import _index
+from csgnash.nash import evaluate
+from csgnash.synthesis import synthesise_profile
 
-from conftest import model_path, small_csgs
-from oracles import maximal_end_components
+from conftest import model_path, pair_query, small_csgs
+from oracles import (chain_by_dict_fold, induce_mdp_by_dict_fold,
+                     maximal_end_components)
 
 F = Fraction
 
@@ -290,6 +299,41 @@ class FixedStrategy(MemoryStrategy):
         return 0
 
 
+def choices_at(mdp, node):
+    """The choices of `node` in an indexed MDP, as {choice id: {successor
+    node: probability}}."""
+    return {cid: dict(zip([mdp.states[j] for j in succ], probs))
+            for cid, succ, probs in mdp.rows[mdp.ids[node]]}
+
+
+def _typed(value):
+    return type(value), value.hex() if type(value) is float else value
+
+
+def assert_same_mdp(indexed, oracle):
+    """`indexed` is the dict MDP `oracle` in the id-indexed form: the same
+    nodes in the same order, each choice with the same id, successors in
+    the same order and probabilities of the same type and bits, and the same
+    folded rewards."""
+    expected = _index(oracle)
+    assert indexed.states == list(oracle.states)
+    assert indexed.initial == oracle.initial
+    assert indexed.number is oracle.number
+    assert (indexed.ids, indexed.owner, indexed.preds) == \
+        (expected.ids, expected.owner, expected.preds)
+    assert [[(cid, succ, list(map(_typed, probs))) for cid, succ, probs in row]
+            for row in indexed.rows] == \
+        [[(cid, succ, list(map(_typed, probs))) for cid, succ, probs in row]
+         for row in expected.rows]
+    assert indexed.rewards.keys() == oracle.rewards.keys()
+    for name, rs in oracle.rewards.items():
+        ours = indexed.rewards[name]
+        for got, want in ((ours.action_rewards, rs.action_rewards),
+                          (ours.state_rewards, rs.state_rewards)):
+            assert {k: _typed(v) for k, v in got.items()} == \
+                {k: _typed(v) for k, v in want.items()}
+
+
 class TestInduceMdp:
     def test_fold_always_transmit(self):
         g = fig1()
@@ -299,7 +343,9 @@ class TestInduceMdp:
                      else {cg.actions1(s)[0]: F(1)})
                  for s in g.states}
         mdp = induce_mdp(cg, 1, FixedStrategy(table))
-        choices = dict(mdp.choices[("s0", 0)])
+        assert_same_mdp(mdp, induce_mdp_by_dict_fold(cg, 1,
+                                                     FixedStrategy(table)))
+        choices = choices_at(mdp, ("s0", 0))
         # p2 transmitting against t1 reaches joint success with prob q2 = 3/4
         assert choices[("t2",)] == {("s1", 0): F(3, 4), ("s2", 0): F(1, 4)}
         assert choices[("w2",)] == {("s3", 0): F(1)}
@@ -317,8 +363,10 @@ class TestInduceMdp:
                  "s2": {(IDLE,): F(1)},
                  "t1": {(IDLE,): F(1)}, "t2": {(IDLE,): F(1)}}
         mdp = induce_mdp(floats, 1, FixedStrategy(table))
-        for (s, mode), choices in mdp.choices.items():
-            for b, dist in choices:
+        assert_same_mdp(mdp, induce_mdp_by_dict_fold(floats, 1,
+                                                     FixedStrategy(table)))
+        for s, mode in mdp.states:
+            for b, dist in choices_at(mdp, (s, mode)).items():
                 expected = {}
                 for a, w in table[s].items():
                     for t, p in floats.trans[s][(a, b)].items():
@@ -336,8 +384,9 @@ class TestInduceMdp:
     def test_incomplete_strategy(self):
         g = fig1()
         cg = coalition_game(g, ["p1"])
-        with pytest.raises(IncompleteStrategy):
-            induce_mdp(cg, 1, FixedStrategy({"s0": {("w1",): F(1)}}))
+        for fold in (induce_mdp, induce_mdp_by_dict_fold):
+            with pytest.raises(IncompleteStrategy):
+                fold(cg, 1, FixedStrategy({"s0": {("w1",): F(1)}}))
 
     def test_reward_folding(self):
         g = load_explicit(model_path("appendix_c.csgx"))
@@ -347,6 +396,78 @@ class TestInduceMdp:
                  "s2": {(IDLE,): F(1)},
                  "t1": {(IDLE,): F(1)}, "t2": {(IDLE,): F(1)}}
         mdp = induce_mdp(cg, 1, FixedStrategy(table))
+        assert_same_mdp(mdp, induce_mdp_by_dict_fold(cg, 1,
+                                                     FixedStrategy(table)))
         folded = mdp.rewards["r1"].action_rewards
         # half the weight on the rewarded send action at s1
         assert folded[(("s1", 0), (IDLE,))] == F(1, 6)
+
+    def test_update_runs_once_per_mode_and_successor(self):
+        g = fig1()
+        cg = coalition_game(g, ["p1"])
+        table = {s: {cg.actions1(s)[0]: F(1)} for s in g.states}
+        calls = []
+
+        class Counted(FixedStrategy):
+            def update(self, mode, next_state):
+                calls.append((mode, next_state))
+                return 0
+
+        mdp = induce_mdp(cg, 1, Counted(table))
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(0, mdp.states[j][0]) for row in mdp.rows
+                              for _, succ, _ in row for j in succ}
+
+    def test_chain_needs_strategies_whose_memory_moves_alike(self):
+        g = fig1()
+        cg = coalition_game(g, ["p1"])
+        wait1 = {s: {("w1",): F(1)} for s in g.states}
+        send2 = {s: {("t2",) if s == "s0" else ("w2",): F(1)}
+                 for s in g.states}
+        s2 = FixedStrategy(send2)
+        induced = induce_mdp(cg, 2, s2)
+        chain = induced_chain(cg, induced, FixedStrategy(wait1), s2)
+        assert_same_mdp(chain, chain_by_dict_fold(
+            cg, induced, FixedStrategy(wait1), s2))
+
+        class StartsElsewhere(FixedStrategy):
+            initial_mode = 1
+
+        class MovesElsewhere(FixedStrategy):
+            def update(self, mode, next_state):
+                return 1
+
+        with pytest.raises(ModelError, match="start in different memory "
+                           "modes at 's0'"):
+            induced_chain(cg, induced, StartsElsewhere(wait1), s2)
+        with pytest.raises(ModelError, match="move their memory differently "
+                           "from mode 0 to state 's4'"):
+            induced_chain(cg, induced, MovesElsewhere(wait1), s2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_csgs(), st.sampled_from([
+        ("P", (2, 3)), ("P", (None, None)), ("P", (2, None)),
+        ("C", (2, 3)), ("F", (None, None))]))
+    def test_synthesised_profiles_fold_like_the_dict_fold(self, case, shape):
+        """On random games, with bounded, unbounded, mixed, R[C] and R[F]
+        pairs: both induced MDPs, and the chain read off the side-2 one,
+        equal the dict folds node for node.  Bounded pairs are solved
+        exactly; the others are solved in floats, as exact value iteration
+        can stall on a cyclic component."""
+        csg, coalition = case
+        query = pair_query(csg, coalition, *shape)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nash, "_EXACT_STATE_LIMIT", 0)
+            try:
+                ev = evaluate(csg, query)
+            except (NotConverged, InfiniteValue):
+                return              # the pair has no profile to play
+        cg = ev.game
+        profile = synthesise_profile(cg, query, ev.solve)
+        s1, s2 = profile.strategy(1), profile.strategy(2)
+        for side, strategy in ((1, s1), (2, s2)):
+            assert_same_mdp(induce_mdp(cg, side, strategy),
+                            induce_mdp_by_dict_fold(cg, side, strategy))
+        induced = induce_mdp(cg, 2, s2)
+        assert_same_mdp(induced_chain(cg, induced, s1, s2),
+                        chain_by_dict_fold(cg, None, s1, s2))

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REWARD_GAME, labelled, model_path, small_csgs
+from conftest import REWARD_GAME, model_path, pair_query, small_csgs
 from csgnash import nash, synthesis
-from csgnash.errors import InfiniteValue, NotConverged
+from csgnash.errors import IncompleteStrategy, InfiniteValue, NotConverged
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
 from csgnash.model import MemoryStrategy, induce_mdp
 from csgnash.nash import evaluate
-from csgnash.properties import NashNode, Objective, TrueF, parse_property
+from csgnash.properties import parse_property
 from csgnash.synthesis import (SynthesisedProfile, _name,
                                synthesise_profile, verify_epsilon_ne)
-from oracles import bounded_reach_pair
+from oracles import (bounded_reach_pair, chain_by_dict_fold,
+                     induce_mdp_by_dict_fold)
 from test_golden import CASES
 
 
@@ -140,6 +141,21 @@ class TestFailingProfile:
         report = verify_epsilon_ne(ev.game, lazy, formula, 1e-4)
         assert report.gap1 == report.gap2 == 1
         assert not report.passed
+
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_an_unavailable_action_is_an_incomplete_strategy(self, side):
+        # either side's unavailable action is found, in the chain or in the
+        # MDP the chain is read off
+        csg = load_explicit(model_path("fig1.csgx"))
+        formula = parse_property(
+            "<<p1:p2>>max=? (P[F sent1] + P[F sent2])")
+        ev = evaluate(csg, formula)
+        broken = SynthesisedProfile(formula, ev.game, ev.solve)
+        waits = {1: "w1", 2: "w2"}
+        broken.strategy = lambda s: AlwaysWait(
+            "bogus" if s == side else waits[s])
+        with pytest.raises(IncompleteStrategy, match="unavailable action"):
+            verify_epsilon_ne(ev.game, broken, formula, 1e-4)
 
     def test_any_profile_passes_with_epsilon_one(self):
         csg = load_explicit(model_path("fig1.csgx"))
@@ -310,16 +326,7 @@ class TestOptimaCoverEveryPlay:
     @example(AFTER_A_WIN, ("P", (3, 3)))
     def test_random_games(self, case, shape):
         csg, coalition = case
-        kind, bounds = shape
-        rest = tuple(p for p in csg.players if p not in coalition)
-        objectives = tuple(
-            Objective("P", "U", sub1=TrueF(), sub2=labelled(csg, name),
-                      bound=bound) if kind == "P" else
-            Objective("R", kind, sub2=labelled(csg, name) if kind == "F"
-                      else None, reward=reward, bound=bound)
-            for name, reward, bound in zip(("t1", "t2"), ("r1", "r2"),
-                                           bounds))
-        query = NashNode(coalition, rest, "max=?", None, objectives)
+        query = pair_query(csg, coalition, *shape)
         try:
             ev = evaluate(csg, query)
         except (NotConverged, InfiniteValue):
@@ -393,14 +400,17 @@ class TestRandomGames:
     @staticmethod
     def verified(case, bounds):
         csg, coalition = case
-        rest = tuple(p for p in csg.players if p not in coalition)
-        query = NashNode(coalition, rest, "max=?", None, tuple(
-            Objective("P", "U", sub1=TrueF(), sub2=labelled(csg, name),
-                      bound=bound)
-            for name, bound in zip(("t1", "t2"), bounds)))
+        query = pair_query(csg, coalition, "P", bounds)
         ev = evaluate(csg, query)
         profile = synthesise_profile(ev.game, query, ev.solve)
-        return verify_epsilon_ne(ev.game, profile, ev.query, 1e-4)
+        report = verify_epsilon_ne(ev.game, profile, ev.query, 1e-4)
+        # the same report on the dict MDPs of the reference folds
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synthesis, "induce_mdp", induce_mdp_by_dict_fold)
+            patch.setattr(synthesis, "induced_chain", chain_by_dict_fold)
+            assert verify_epsilon_ne(ev.game, profile, ev.query,
+                                     1e-4) == report
+        return report
 
     @settings(max_examples=75, deadline=None)
     @given(small_csgs())
