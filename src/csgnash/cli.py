@@ -21,6 +21,7 @@ import csv
 import json
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from .bimatrix import BimatrixGame, enumerate_equilibria, select_swne
@@ -108,9 +109,12 @@ def _num(value):
 
 
 def _exact(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return None
+    """`str(value)` of a Fraction, at any size (`Decimal` writes integers
+    without the interpreter's int-to-str digit limit); None otherwise."""
+    if not isinstance(value, Fraction):
+        return None
+    num, den = map(Decimal, value.as_integer_ratio())
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # --- run subcommand ----------------------------------------------------------------

@@ -5,27 +5,23 @@ optionally with an until-style constraint set), one-step probabilities,
 expected rewards (instantaneous, cumulative, reachability), qualitative
 prob-1 analysis, and extraction of optimal strategies.
 
-Every call runs on one id-indexed form of its MDP (`model.IndexedMdp`):
-states are numbered in `mdp.states` order, each state's choices become
-(choice id, successor ids, probabilities), and each state lists the choices
-leading to it, for the qualitative sets and the max-reach strategy.  A dict
-`Mdp` (the joint MDP, or one a test builds) is read into that form once per
-call (`_index`); verification's induced MDPs are built in it
-(`model.induce_mdp`) and passed through.  All other code works on ids.
+Every routine takes an MDP in the one id-indexed form, `model.IndexedMdp`,
+and solves the graph it is given: states are numbered, each state's choices
+are (choice id, successor ids, probabilities), and each state lists the
+choices leading to it, for the qualitative sets and the max-reach strategy.
+The joint MDP is built in that form by `model.joint_mdp`, over the forward
+closure of the states a caller reads if it names them, and verification's
+induced MDPs by `model.induce_mdp`.
 
 Unbounded values are computed by value iteration after qualitative
 precomputation of the probability-0 and probability-1 state sets, so states
 decided qualitatively carry exact 0/1 values even when iteration runs in
-floating point.  Every value is computed only where it is read.  An
-unbounded caller may name the states it reads: a dict `Mdp` is then indexed
-over their forward closure alone, the states a play can reach from them,
-which is all their values depend on (`_index`); an `IndexedMdp` is always
-solved whole.  Bounded values are backward
-steps: a caller may name the (state, horizon) pairs it reads, and a state is
-then backed up at horizon n only if such a read reaches it in the remaining
-steps through unpinned states (`_backward`).  A caller that names no reads
-gets every state (at every horizon).  On an exact MDP the steps run on
-integers: every probability and reward is a numerator over one common
+floating point.  Bounded values are backward steps, computed only where they
+are read: a caller may name the (state, horizon) pairs it reads, and a state
+is then backed up at horizon n only if such a read reaches it in the
+remaining steps through unpinned states (`_backward`).  A caller that names
+no reads gets every state at every horizon.  On an exact MDP the steps run
+on integers: every probability and reward is a numerator over one common
 denominator D, the value vector after n steps holds numerators over a known
 power of D, and exact rationals are built only for the vectors returned.  On
 an MDP compiled to floats they run in floats.  Fixed 0/1 values are in the
@@ -42,7 +38,7 @@ from math import lcm
 from operator import mul
 
 from .errors import InfiniteValue, NotConverged, SolverError
-from .model import IndexedMdp, Mdp
+from .model import IndexedMdp
 
 __all__ = [
     "reach_prob",
@@ -56,47 +52,6 @@ DEFAULT_MAX_ITERS = 100000
 
 # relative slack when recovering argmax/argmin sets from float-valued vectors
 _ARG_TOL = 1e-9
-
-
-def _index(mdp, reads=None):
-    """`mdp` in the id-indexed form (`model.IndexedMdp`); the only reader of
-    `mdp.choices`.
-
-    An MDP already in that form is returned as it is, whatever `reads`:
-    verification builds its MDPs in that form and always reads their
-    initial nodes, whose forward closure is the whole MDP.  A dict `Mdp` is
-    read once.  With `reads`, a set of states, the form then holds only
-    their forward closure: the states a play can reach from them, still in
-    `mdp.states` order, so ids, and every tie broken by id, keep their
-    relative order.  A row's probabilities are a view of the distribution's
-    values.
-    """
-    if isinstance(mdp, IndexedMdp):
-        return mdp
-    states = mdp.states
-    if reads is not None:
-        seen = set(reads)
-        frontier = list(seen)
-        while frontier:
-            for _, dist in mdp.choices[frontier.pop()]:
-                for t in dist:
-                    if t not in seen:
-                        seen.add(t)
-                        frontier.append(t)
-        if len(seen) < len(states):
-            states = [s for s in states if s in seen]
-    ids = {s: i for i, s in enumerate(states)}
-    rows = [[(cid, tuple([ids[t] for t in dist]), dist.values())
-             for cid, dist in mdp.choices[s]] for s in states]
-    owner, preds = [], [[] for _ in rows]
-    for i, choices in enumerate(rows):
-        for _, succ, _ in choices:
-            c = len(owner)
-            owner.append(i)
-            for t in succ:
-                preds[t].append(c)
-    return IndexedMdp(states, ids, rows, owner, preds, mdp.number,
-                      tuple(s for s in mdp.initial if s in ids), mdp.rewards)
 
 
 def _id_set(g, states):
@@ -124,15 +79,15 @@ def _attractor(g, sources, through, out):
     return reached
 
 
-def prob1_min_set(mdp: Mdp, targets):
+def prob1_min_set(mdp: IndexedMdp, targets):
     """States from which EVERY strategy reaches `targets` almost surely.
 
     These are the states with no path, through non-target states, into the
     states where some strategy avoids the targets forever.
     """
-    g = _index(mdp)
-    _, sure = _almost_sure(g, _id_set(g, targets), set(range(len(g.rows))))
-    return {s for s, i in g.ids.items() if i in sure}
+    _, sure = _almost_sure(mdp, _id_set(mdp, targets),
+                           set(range(len(mdp.rows))))
+    return {s for s, i in mdp.ids.items() if i in sure}
 
 
 def _almost_sure(g, targets, allowed):
@@ -368,19 +323,18 @@ def _backward(g, vals, k, optimise, pinned=(), action_rewards=None,
     return (history if all_horizons else history[-1]), steps
 
 
-def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
-               with_strategy=False, all_horizons=False, reads=None):
+def reach_prob(mdp: IndexedMdp, targets, optimise="max", bound=None,
+               constraint=None, with_strategy=False, all_horizons=False,
+               reads=None):
     """(Constrained) reachability probabilities, optimised over strategies.
 
     With `constraint` the event is (constraint U targets); without, plain
     eventual reachability.  `bound=k` gives the k-step bounded variant (exact
     backward steps); `all_horizons` additionally returns the value vectors of
-    every horizon 0..k.  `reads` restricts the run to what a caller reads:
-    unbounded, a set of states, and the values and strategy then cover
-    their forward closure (`_index`), or every state of an `IndexedMdp`,
-    which is always solved whole; bounded, (state, horizon) pairs
-    (`_backward`).  With `with_strategy`, also returns the optimal strategy:
-    a map state -> choice-id (unbounded, memoryless) or a list indexed by
+    every horizon 0..k.  `reads`, bounded only, names the (state, horizon)
+    pairs a caller reads (`_backward`); an unbounded run covers every state
+    of `mdp`.  With `with_strategy`, also returns the optimal strategy: a
+    map state -> choice-id (unbounded, memoryless) or a list indexed by
     remaining steps 1..k (bounded).
     """
     targets = set(targets)
@@ -390,31 +344,35 @@ def reach_prob(mdp: Mdp, targets, optimise="max", bound=None, constraint=None,
     if bound is not None:
         vals = {s: one if s in targets else zero for s in mdp.states}
         pinned = {s for s in mdp.states if s in targets or s not in allowed}
-        result, steps = _backward(_index(mdp), vals, bound, optimise, pinned,
+        result, steps = _backward(mdp, vals, bound, optimise, pinned,
                                   all_horizons=all_horizons, reads=reads)
         return (result, steps) if with_strategy else result
+    if reads is not None:
+        raise SolverError("reads name the (state, horizon) pairs of a "
+                          "bounded objective; an unbounded one solves the "
+                          "MDP it is given")
 
     # qualitative analysis, on ids from here on
-    g = _index(mdp, reads)
-    targets, allowed = _id_set(g, targets), _id_set(g, allowed)
+    targets, allowed = _id_set(mdp, targets), _id_set(mdp, allowed)
     if optimise == "max":
-        can = _attractor(g, targets, allowed - targets, bytes(len(g.owner)))
-        never = set(range(len(g.rows))) - can
-        sure = _prob1_max_set(g, targets, allowed)
+        can = _attractor(mdp, targets, allowed - targets,
+                         bytes(len(mdp.owner)))
+        never = set(range(len(mdp.rows))) - can
+        sure = _prob1_max_set(mdp, targets, allowed)
     else:
-        never, sure = _almost_sure(g, targets, allowed)
+        never, sure = _almost_sure(mdp, targets, allowed)
 
     start = [one if i in targets or i in sure else
              zero if i in never or i not in allowed else None
-             for i in range(len(g.rows))]
+             for i in range(len(mdp.rows))]
     undecided = [i for i, v in enumerate(start) if v is None]
-    vals, _ = _iterate(g, start, undecided, optimise)
+    vals, _ = _iterate(mdp, start, undecided, optimise)
     # the result lists the decided states first, then the undecided ones
     order = chain((i for i, v in enumerate(start) if v is not None), undecided)
-    result = {g.states[i]: vals[i] for i in order}
+    result = {mdp.states[i]: vals[i] for i in order}
     if not with_strategy:
         return result
-    strategy = _extract_reach_strategy(g, vals, targets, allowed, optimise,
+    strategy = _extract_reach_strategy(mdp, vals, targets, allowed, optimise,
                                        never)
     return result, strategy
 
@@ -479,32 +437,32 @@ def _extract_reach_strategy(g, vals, targets, allowed, optimise, never):
     return strategy
 
 
-def step_prob(mdp: Mdp, targets, optimise="max", with_strategy=False,
+def step_prob(mdp: IndexedMdp, targets, optimise="max", with_strategy=False,
               reads=None):
     """One-step (next-state) probabilities of hitting `targets`; `reads`
-    as for `reach_prob`."""
+    as for a bounded `reach_prob`."""
     targets = set(targets)
     zero, one = mdp.number(0), mdp.number(1)
     start = {s: one if s in targets else zero for s in mdp.states}
-    vals, (_, strategy) = _backward(_index(mdp), start, 1, optimise,
-                                    reads=reads)
+    vals, (_, strategy) = _backward(mdp, start, 1, optimise, reads=reads)
     return (vals, strategy) if with_strategy else vals
 
 
-def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
+def expected_reward(mdp: IndexedMdp, kind, *, k=None, targets=None,
                     action_rewards=None, state_rewards=None, optimise="max",
                     with_strategy=False, all_horizons=False, reads=None):
     """Optimal expected reward for one of the three reward shapes.
 
     kind "I": state reward observed after exactly k steps.
     kind "C": state+action rewards accumulated over the first k steps.
-    kind "F": rewards accumulated until first hitting `targets`; requires the
-        targets to be reached almost surely under every strategy from each
-        state in `reads` (default: all), else InfiniteValue is raised
-        carrying the offending states.  Other states solved (`reads`
-        in `reach_prob`) whose value is infinite map to None.
+    kind "F": rewards accumulated until first hitting `targets`, at every
+        state of `mdp`; requires the targets to be reached almost surely
+        under every strategy from each state in `reads` (default: all), else
+        InfiniteValue is raised carrying the offending states.  Other
+        states whose value is infinite map to None.
 
-    `all_horizons` and `reads` serve as in `reach_prob`.
+    `all_horizons`, and the (state, horizon) `reads` of "I" and "C", serve
+    as in a bounded `reach_prob`.
     """
     a_rew = action_rewards or {}
     s_rew = state_rewards or {}
@@ -515,36 +473,36 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
             raise SolverError("bounded reward objectives need a bound k >= 0")
         if kind == "I":
             vals = {s: s_rew.get(s, zero) for s in mdp.states}
-            result, steps = _backward(_index(mdp), vals, k, optimise,
+            result, steps = _backward(mdp, vals, k, optimise,
                                       all_horizons=all_horizons, reads=reads)
         else:
             vals = {s: zero for s in mdp.states}
-            result, steps = _backward(_index(mdp), vals, k, optimise, (),
-                                      a_rew, s_rew, all_horizons, reads)
+            result, steps = _backward(mdp, vals, k, optimise, (), a_rew,
+                                      s_rew, all_horizons, reads)
         return (result, steps) if with_strategy else result
 
     if kind != "F":
         raise SolverError(f"unknown reward objective kind {kind!r}")
     targets = set(targets or ())
-    g = _index(mdp, reads)
-    target_ids = _id_set(g, targets)
+    target_ids = _id_set(mdp, targets)
     # the states reaching the targets almost surely, as `prob1_min_set`
-    _, finite = _almost_sure(g, target_ids, set(range(len(g.rows))))
-    wanted = g.states if reads is None else reads
-    bad = sorted((s for s in wanted if g.ids[s] not in finite), key=str)
+    _, finite = _almost_sure(mdp, target_ids, set(range(len(mdp.rows))))
+    wanted = mdp.states if reads is None else reads
+    bad = sorted((s for s in wanted if mdp.ids[s] not in finite), key=str)
     if bad:
         raise InfiniteValue(
             "expected reachability reward is infinite: targets are not "
             "reached almost surely under all strategies", states=bad)
-    undecided = [i for i in range(len(g.rows))
+    undecided = [i for i in range(len(mdp.rows))
                  if i in finite and i not in target_ids]
     a_rew = {key: float(r) for key, r in a_rew.items()}
-    s_rew = {g.states[i]: float(s_rew.get(g.states[i], 0)) for i in undecided}
-    cur, chosen = _iterate(g, [zero] * len(g.rows), undecided, optimise,
+    s_rew = {mdp.states[i]: float(s_rew.get(mdp.states[i], 0))
+             for i in undecided}
+    cur, chosen = _iterate(mdp, [zero] * len(mdp.rows), undecided, optimise,
                            a_rew, s_rew, with_strategy)
-    vals = dict.fromkeys((s for s in targets if s in g.ids), zero)
-    vals.update((g.states[i], cur[i]) for i in undecided)
-    for s in g.states:
+    vals = dict.fromkeys((s for s in targets if s in mdp.ids), zero)
+    vals.update((mdp.states[i], cur[i]) for i in undecided)
+    for s in mdp.states:
         vals.setdefault(s, None)        # states with infinite value, unread
     if not with_strategy:
         return vals
@@ -552,4 +510,4 @@ def expected_reward(mdp: Mdp, kind, *, k=None, targets=None,
     # optimal
     chosen = dict(zip(undecided, chosen))
     return vals, {s: chosen.get(i, choices[0][0])
-                  for i, (s, choices) in enumerate(zip(g.states, g.rows))}
+                  for i, (s, choices) in enumerate(zip(mdp.states, mdp.rows))}

@@ -1,5 +1,6 @@
-"""Core model types: concurrent stochastic games, coalition reduction,
-end-component analysis, and MDP extraction.
+"""Core model types: concurrent stochastic games, coalition reduction, the
+one MDP form (`IndexedMdp`: the joint-action MDP and the MDPs a strategy
+induces), and end-component analysis on it.
 
 A game has players 1..n with pairwise-disjoint action alphabets plus a shared
 idle symbol.  At each state a player's available actions are the enabled
@@ -31,7 +32,6 @@ __all__ = [
     "RewardStructure",
     "CoalitionGame",
     "EndComponent",
-    "Mdp",
     "IndexedMdp",
     "MemoryStrategy",
     "AssumptionReport",
@@ -51,8 +51,8 @@ class RewardStructure:
 
     Action rewards are keyed by (state, the holder's own choice id): a joint
     action in a Csg, an (a1, a2) pair in a coalition or product game, a
-    choice id in an Mdp.  Missing entries mean zero (an int, so that adding
-    one keeps the other operand's number type).
+    choice id in an `IndexedMdp`.  Missing entries mean zero (an int, so
+    that adding one keeps the other operand's number type).
     """
 
     action_rewards: dict = field(default_factory=dict)
@@ -63,6 +63,20 @@ class RewardStructure:
 
     def state(self, state):
         return self.state_rewards.get(state, 0)
+
+
+def _forward_closure(trans, sources):
+    """The states a play can reach from `sources` in `trans` (state ->
+    action -> distribution), `sources` included."""
+    seen = set(sources)
+    frontier = list(seen)
+    while frontier:
+        for dist in trans[frontier.pop()].values():
+            for t in dist:
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+    return seen
 
 
 def _exact(value, what, where):
@@ -196,15 +210,7 @@ class Csg:
             reward_structs[name] = RewardStructure(action_rewards, state_rewards)
 
         # prune unreachable states, preserving declaration order
-        reached = set(initial)
-        frontier = list(initial)
-        while frontier:
-            s = frontier.pop()
-            for dist in trans[s].values():
-                for t in dist:
-                    if t not in reached:
-                        reached.add(t)
-                        frontier.append(t)
+        reached = _forward_closure(trans, initial)
         if reached != state_set:
             states = tuple(s for s in states if s in reached)
             trans = {s: trans[s] for s in states}
@@ -307,13 +313,69 @@ def compile_game(game: CoalitionGame, number) -> CoalitionGame:
 
 @dataclass(frozen=True)
 class EndComponent:
-    """A sub-game (states, retained actions) that is strongly connected and
-    closed under the retained actions; non_terminal records whether the base
-    game can still leave it via some defined action."""
+    """A sub-MDP (states, retained choices) that is strongly connected and
+    closed under the retained choices; non_terminal records whether the MDP
+    can still leave it by some choice."""
 
     states: frozenset
-    sub_trans: dict        # (state, joint-action) -> distribution
+    sub_trans: dict        # (state, choice id) -> {successor: probability}
     non_terminal: bool
+
+
+@dataclass(frozen=True)
+class IndexedMdp:
+    """An MDP in the id-indexed form that the solvers of `mdp` run on.
+
+    State i is `states[i]` (`ids` maps it back) and `rows[i]` lists its
+    choices as (choice id, successor ids, probabilities), the probabilities
+    of type `number`.  Choices are also numbered in row order: `owner[c]` is
+    the state id of choice c, and `preds[i]` lists the numbers of the
+    choices leading to state i (one entry per choice, shared by all of its
+    successors).  `initial` holds the initial states among `states`, and
+    `rewards` maps each reward structure name to a RewardStructure whose
+    action rewards are keyed by (state, choice id).
+    """
+
+    states: list
+    ids: dict
+    rows: list
+    owner: list
+    preds: list
+    number: type
+    initial: tuple
+    rewards: dict
+
+
+def joint_mdp(game, reads=None) -> IndexedMdp:
+    """The MDP where one controller picks whole joint actions of `game` (a
+    Csg or a CoalitionGame), in the id-indexed form; the only place a game
+    becomes an MDP.
+
+    Choice ids are the sorted joint-action keys, so the game's reward
+    structures and number type carry over.  With `reads`, a set of states,
+    the MDP holds only their forward closure, which is all their values
+    depend on.  States keep `game.states` order, so ties broken by id fall
+    as on the whole game; successors keep distribution order, and a row's
+    probabilities are a view of the distribution's values.
+    """
+    trans, states = game.trans, list(game.states)
+    if reads is not None:
+        seen = _forward_closure(trans, reads)
+        states = [s for s in states if s in seen]
+    ids = {s: i for i, s in enumerate(states)}
+    rows, owner, preds = [], [], [[] for _ in states]
+    for i, s in enumerate(states):
+        row = []
+        for cid, dist in sorted(trans[s].items()):
+            succ = tuple([ids[t] for t in dist])
+            c = len(owner)
+            owner.append(i)
+            for t in succ:
+                preds[t].append(c)
+            row.append((cid, succ, dist.values()))
+        rows.append(row)
+    return IndexedMdp(states, ids, rows, owner, preds, game.number,
+                      tuple(s for s in game.initial if s in ids), game.rewards)
 
 
 def _sccs(nodes, edges):
@@ -364,97 +426,51 @@ def _sccs(nodes, edges):
     return result
 
 
-def _mec_state_sets(trans):
-    """Maximal end components of `trans` (state -> action -> dist), as
-    (state set, retained {(state, action): dist}) pairs."""
-    candidates = [set(trans)]
+def _mec_id_sets(rows):
+    """Maximal end components of an MDP given by its id-indexed `rows`, as
+    id sets.  A state keeps the choices whose successors all lie in its
+    candidate set, and the edges of those choices."""
+    candidates = [set(range(len(rows)))]
     final = []
     while candidates:
         group = candidates.pop()
         while True:
-            retained = {s: [a for a, dist in trans[s].items()
-                            if set(dist) <= group]
-                        for s in group}
-            dropped = {s for s, acts in retained.items() if not acts}
+            edges = {i: [t for _, succ, _ in rows[i]
+                         if group.issuperset(succ) for t in succ]
+                     for i in group}
+            dropped = {i for i, succ in edges.items() if not succ}
             if dropped:
                 group -= dropped
                 if not group:
                     break
                 continue
-            edges = {s: {t for a in retained[s] for t in trans[s][a]}
-                     for s in group}
-            comps = _sccs(sorted(group, key=str), edges)
+            comps = _sccs(sorted(group), edges)
             if len(comps) == 1:
-                final.append((group, {(s, a): trans[s][a]
-                                      for s in group for a in retained[s]}))
+                final.append(group)
                 break
             candidates.extend(comps)
             break
     return final
 
 
-def enumerate_mecs(game: Csg):
-    """All maximal end components of the game, flagged (non-)terminal."""
+def enumerate_mecs(mdp: IndexedMdp):
+    """All maximal end components of `mdp` (a `joint_mdp`), flagged
+    (non-)terminal, each with its states and retained choices by name."""
+    states, rows = mdp.states, mdp.rows
+    name = states.__getitem__
     mecs = []
-    for group, sub in _mec_state_sets(game.trans):
-        non_terminal = any(
-            t not in group
-            for s in group
-            for dist in game.trans[s].values()
-            for t in dist)
-        mecs.append(EndComponent(frozenset(group), sub, non_terminal))
+    for group in _mec_id_sets(rows):
+        sub, non_terminal = {}, False
+        for i in group:
+            for cid, succ, probs in rows[i]:
+                if group.issuperset(succ):
+                    sub[states[i], cid] = dict(zip(map(name, succ), probs))
+                else:
+                    non_terminal = True
+        mecs.append(EndComponent(frozenset(map(name, group)), sub,
+                                 non_terminal))
     mecs.sort(key=lambda ec: sorted(map(str, ec.states)))
     return mecs
-
-
-@dataclass(frozen=True)
-class Mdp:
-    """A plain MDP: `choices[s]` lists (choice-id, distribution) pairs.
-
-    `rewards` maps each reward structure name to a RewardStructure whose
-    action rewards are keyed by (state, choice-id); `number` is the type of
-    its probabilities (Fraction or float).
-    """
-
-    states: tuple
-    initial: tuple
-    choices: dict
-    rewards: dict = field(default_factory=dict)
-    number: type = Fraction
-
-
-@dataclass(frozen=True)
-class IndexedMdp:
-    """An MDP in the id-indexed form that the solvers of `mdp` run on.
-
-    State i is `states[i]` (`ids` maps it back) and `rows[i]` lists its
-    choices as (choice id, successor ids, probabilities), the probabilities
-    of type `number`.  Choices are also numbered in row order: `owner[c]` is
-    the state id of choice c, and `preds[i]` lists the numbers of the
-    choices leading to state i (one entry per choice, shared by all of its
-    successors).  `initial` and `rewards` are as in `Mdp`.
-    """
-
-    states: list
-    ids: dict
-    rows: list
-    owner: list
-    preds: list
-    number: type
-    initial: tuple
-    rewards: dict
-
-
-def joint_mdp(game) -> Mdp:
-    """The MDP where one controller picks whole joint actions.
-
-    Accepts a Csg or a CoalitionGame.  The choice ids are the game's
-    joint-action keys, so its reward structures and number type carry over
-    unchanged.
-    """
-    choices = {s: sorted(game.trans[s].items()) for s in game.states}
-    return Mdp(tuple(game.states), tuple(game.initial), choices, game.rewards,
-               game.number)
 
 
 class MemoryStrategy:
@@ -664,14 +680,16 @@ class AssumptionReport:
         return out
 
 
-def check_assumption(game: Csg, query) -> AssumptionReport:
-    """Check the no-nonterminal-end-component assumption for a query.
+def check_assumption(game, query) -> AssumptionReport:
+    """Check the no-nonterminal-end-component assumption for a query on
+    `game`, a Csg or a CoalitionGame.
 
-    Finite-horizon-only queries pass trivially.  Infinite-horizon
-    probabilistic objectives trigger a report of every non-terminal maximal
-    end component; infinite-horizon reward objectives additionally require
-    the target to be reached with probability 1 under all strategy profiles
-    (min reachability probability 1 on the joint-action MDP).
+    Finite-horizon-only queries pass trivially.  Otherwise the joint-action
+    MDP (`joint_mdp`) is built once, and every check runs on it.
+    Infinite-horizon probabilistic objectives trigger a report of every
+    non-terminal maximal end component; infinite-horizon reward objectives
+    additionally require the target to be reached with probability 1 under
+    all strategy profiles (min reachability probability 1 on that MDP).
     """
     from .mdp import prob1_min_set          # local import: avoids a cycle
     from .properties import satisfying_states
@@ -680,18 +698,16 @@ def check_assumption(game: Csg, query) -> AssumptionReport:
     infinite = [obj for obj in objectives if not obj.is_finite_horizon()]
     if not infinite:
         return AssumptionReport((), ())
+    mdp = joint_mdp(game)
     nonterminal = ()
     if any(obj.kind == "P" for obj in infinite):
-        nonterminal = tuple(ec for ec in enumerate_mecs(game) if ec.non_terminal)
+        nonterminal = tuple(ec for ec in enumerate_mecs(mdp) if ec.non_terminal)
     reward_issues = []
-    if any(obj.kind == "R" for obj in infinite):
-        mdp = joint_mdp(game)
-        for idx, obj in enumerate(objectives):
-            if obj.kind != "R" or obj.is_finite_horizon():
-                continue
-            targets = satisfying_states(game, obj.sub2)
-            sure = prob1_min_set(mdp, targets)
-            bad = [s for s in game.states if s not in sure]
-            if bad:
-                reward_issues.append((idx, tuple(bad)))
+    for idx, obj in enumerate(objectives):
+        if obj.kind != "R" or obj.is_finite_horizon():
+            continue
+        sure = prob1_min_set(mdp, satisfying_states(game, obj.sub2))
+        bad = [s for s in game.states if s not in sure]
+        if bad:
+            reward_issues.append((idx, tuple(bad)))
     return AssumptionReport(nonterminal, tuple(reward_issues))

@@ -231,13 +231,13 @@ def _optimum(mdp, obj, optimise, status, all_horizons=False,
     bounded objectives, None at horizon 0).
 
     `reads` names what the caller reads, and the optimum is computed only
-    where that needs it.  For an unbounded objective it is a set of states:
-    values and strategy cover their forward closure, the states a play can
-    reach from them (`mdp._index`), or every state of a `model.IndexedMdp`,
-    which is always solved whole; a reachability reward must be finite at
-    the reads alone.  For a bounded objective it is (state, horizon) pairs:
-    a state is backed up at a horizon only where a read reaches it
-    (`mdp._backward`), and each vector holds its horizon's reads alone.
+    where that needs it.  For an unbounded objective it is a set of states
+    where a reachability reward must be finite; the values and strategy
+    cover every state of `mdp`, so a caller that reads less solves on the
+    forward closure of its reads (`model.joint_mdp(game, reads)`).  For a
+    bounded objective it is (state, horizon) pairs: a state is backed up at
+    a horizon only where a read reaches it (`mdp._backward`), and each
+    vector holds its horizon's reads alone.
     """
     win, lose, _ = status
     if obj.kind == "R":
@@ -251,7 +251,8 @@ def _optimum(mdp, obj, optimise, status, all_horizons=False,
         return reach_prob(mdp, win, optimise, bound=obj.bound,
                           constraint={s for s in mdp.states if s not in lose},
                           with_strategy=with_strategy,
-                          all_horizons=all_horizons, reads=reads)
+                          all_horizons=all_horizons,
+                          reads=None if obj.bound is None else reads)
     vals, strategy = step_prob(mdp, win, optimise, with_strategy=True,
                                reads=reads)
     if all_horizons:
@@ -362,36 +363,40 @@ def _reward_names(objectives):
                  for obj in objectives)
 
 
-def _coop_optima(jmdp, objectives, stat, settled, pads=None):
-    """Per objective, its joint optimum on `jmdp` and an optimal strategy,
-    and the seconds they took; with `pads` (a bounded pair), the optima of
-    every horizon.
+def _coop_optima(cg, objectives, stat, settled, pads=None):
+    """Per objective, its optimum on the joint MDP of `cg` and an optimal
+    strategy, and the seconds they took; with `pads` (a bounded pair), the
+    optima of every horizon.
 
     An optimum is computed only where it is read.  Both coalitions play
     objective l's optimum only once the other objective is settled and l is
     still pending: from `need`, the settled states where l is pending, and
     the states a play can reach from them.  Nothing else reads it, neither
     the solve's rows nor a synthesised profile's memory, whichever side
-    deviates.  So an unbounded optimum is computed on the forward closure
-    of `need`, and not at all when `need` is empty.  A bounded pair also
+    deviates.  So an unbounded optimum is computed on the joint MDP of the
+    forward closure of `need`, and not at all when `need` is empty.  A
+    bounded pair solves both objectives on one joint MDP of every state.  It
     reads objective l at every state at horizons 0..pads[l], where its
     stage count starts and where a profile plays it once the shared stages
     run out; above pads[l] it reads `need` alone.
     """
     start = time.perf_counter()
     optima, strategies = [None, None], [None, None]
+    jmdp = None if pads is None else joint_mdp(cg)
     for l, (obj, status) in enumerate(zip(objectives, stat)):
         need = [s for s, row in settled.items() if row[l] == PENDING]
         if pads is None:
             if not need:
                 continue
             reads = set(need)
+            mdp = joint_mdp(cg, reads)
         else:
-            reads = [(s, n) for n in range(pads[l] + 1) for s in jmdp.states]
+            mdp = jmdp
+            reads = [(s, n) for n in range(pads[l] + 1) for s in mdp.states]
             reads += [(s, n) for n in range(pads[l] + 1, _horizon(obj) + 1)
                       for s in need]
         optima[l], strategies[l] = _optimum(
-            jmdp, obj, "max", status, all_horizons=pads is not None,
+            mdp, obj, "max", status, all_horizons=pads is not None,
             with_strategy=True, reads=reads)
     return optima, strategies, time.perf_counter() - start
 
@@ -428,9 +433,8 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
     k1, k2 = (_horizon(obj) for obj in objectives)
     k = min(k1, k2)
     pads = (k1 - k, k2 - k)
-    jmdp = joint_mdp(cg)
     stat, settled = _settlement(cg, objectives)
-    coop, coop_strats, mdp_s = _coop_optima(jmdp, objectives, stat, settled,
+    coop, coop_strats, mdp_s = _coop_optima(cg, objectives, stat, settled,
                                             pads)
     free = [s for s in cg.states if s not in settled]
     table = local_game_table(cg, free, _reward_names(objectives))
@@ -539,10 +543,8 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     component, whole, as they stood when it stopped.
     """
     objectives = query.objectives
-    jmdp = joint_mdp(cg)
     stat, settled = _settlement(cg, objectives)
-    opt_vals, opt_strats, mdp_s = _coop_optima(jmdp, objectives, stat,
-                                               settled)
+    opt_vals, opt_strats, mdp_s = _coop_optima(cg, objectives, stat, settled)
     free = [s for s in cg.states if s not in settled]
     table = local_game_table(cg, free, _reward_names(objectives))
 

@@ -15,10 +15,9 @@ main code so that agreement is meaningful:
 - a plain rational backward recursion for bounded MDP values (the package
   runs it on integer numerators over one common denominator);
 - the package's earlier unbounded reachability, which walks the
-  `mdp.choices` dicts once per qualitative set, per value-iteration sweep
+  `Mdp.trans` dicts once per qualitative set, per value-iteration sweep
   and for the strategy, waking pending states through its own map (the
-  package reads each MDP once into an id-indexed form with predecessor
-  lists);
+  package solves on an id-indexed form with predecessor lists);
 - a tree-walking expression evaluator (the package compiles expressions to
   closures once, folding constant sub-expressions);
 - the package's earlier local-game builder, which sums each payoff entry in
@@ -32,24 +31,24 @@ main code so that agreement is meaningful:
   single-objective optima cover every state with a finite value (the
   package's cover only the states a profile can play them at);
 - the package's earlier folds of an induced MDP and of a profile's chain,
-  which build dict `Mdp`s in a breadth-first walk over (state, memory mode)
-  nodes, updating the memory once per node and successor (the package
-  builds the id-indexed form in that walk, updates the memory once per mode
-  and successor, and reads the chain off an induced MDP).
+  which build dict `Mdp` records in a breadth-first walk over (state,
+  memory mode) nodes, updating the memory once per node and successor (the
+  package builds the id-indexed form in that walk, updates the memory once
+  per mode and successor, and reads the chain off an induced MDP).
 """
 
 import heapq
 import math
 import time
 from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
 
 from csgnash.bimatrix import BimatrixGame, MixedProfile, select_swne
 from csgnash.errors import (IncompleteStrategy, ModelError, ModelTypeError,
                             NotConverged, UndeclaredSymbol)
-from csgnash.model import (CoalitionGame, Mdp, MemoryStrategy,
-                           RewardStructure)
+from csgnash.model import CoalitionGame, MemoryStrategy, RewardStructure
 from csgnash.nash import (DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, ONE,
                           PENDING, ZERO, PairResult, _horizon, _optimum,
                           _OSC_TOL, _reward_names, _settled_pair, _settlement,
@@ -57,6 +56,22 @@ from csgnash.nash import (DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, ONE,
                           local_game_table, solve_swne)
 from csgnash.expr import Binary, Call, Lit, Unary, Var, expr_to_text
 from csgnash.mdp import prob1_min_set
+
+
+@dataclass(frozen=True)
+class Mdp:
+    """A plain dict MDP, the oracles' input form: `trans[s]` maps each
+    choice id to a distribution {successor: probability}, in choice-id
+    order; `rewards` maps each reward structure name to a RewardStructure
+    whose action rewards are keyed by (state, choice id); `number` is the
+    type of its probabilities.  `model.joint_mdp` reads it as it reads a
+    game, into the form the package solves on."""
+
+    states: tuple
+    initial: tuple
+    trans: dict
+    rewards: dict = field(default_factory=dict)
+    number: type = Fraction
 
 
 def _solve_unique(matrix, rhs):
@@ -447,7 +462,7 @@ def _choice_edges(mdp, allowed=None):
             out[s] = set()
             continue
         succ = set()
-        for _, dist in mdp.choices[s]:
+        for dist in mdp.trans[s].values():
             succ |= set(dist)
         out[s] = succ
     return out
@@ -478,7 +493,7 @@ def _leaving(mdp, states, inside):
     the numbers of the choices leading to it."""
     owner, out, preds = [], [], {t: [] for t in inside}
     for s in states:
-        for _, dist in mdp.choices[s]:
+        for dist in mdp.trans[s].values():
             c = len(out)
             owner.append(s)
             n = 0
@@ -554,7 +569,7 @@ def reach_prob_by_dicts(mdp, targets, optimise="max", constraint=None):
     """The package's earlier unbounded `reach_prob(..., with_strategy=True)`.
 
     Qualitative sets as above, then Jacobi value iteration from 0.0 over the
-    `mdp.choices` dicts, each one-step value summed left to right as
+    `mdp.trans` dicts, each one-step value summed left to right as
     p * v[t] (the package's order, so float values agree to the bit), with
     the package's stop rule.  Returns the values, fixed states first, and
     the strategy of `_extract_reach_strategy`.
@@ -584,7 +599,7 @@ def reach_prob_by_dicts(mdp, targets, optimise="max", constraint=None):
         new = dict(vals)
         for s in undecided:
             new[s] = pick(sum(p * vals[t] for t, p in dist.items())
-                          for _, dist in mdp.choices[s])
+                          for dist in mdp.trans[s].values())
         delta = max(abs(new[s] - vals[s]) / max(1.0, abs(new[s]))
                     for s in undecided)
         vals = new
@@ -604,10 +619,10 @@ def _extract_reach_strategy(mdp, vals, targets, allowed, optimise, zero):
     candidates = {}
     for s in mdp.states:
         if s in targets or s not in allowed or s in zero and optimise == "max":
-            strategy[s] = mdp.choices[s][0][0]
+            strategy[s] = next(iter(mdp.trans[s]))
             continue
         step = [(cid, sum(p * vals[t] for t, p in dist.items()))
-                for cid, dist in mdp.choices[s]]
+                for cid, dist in mdp.trans[s].items()]
         best = (max if optimise == "max" else min)(val for _, val in step)
         candidates[s] = [cid for cid, val in step
                          if abs(val - best) <= 1e-9 * max(1.0, abs(best))]
@@ -621,7 +636,7 @@ def _extract_reach_strategy(mdp, vals, targets, allowed, optimise, zero):
     queued = set()
     waiting = {}                  # successor -> heap entries of states reaching it
     for i, (s, cand) in enumerate(candidates.items()):
-        dists = dict(mdp.choices[s])
+        dists = mdp.trans[s]
         pending[s] = [(cid, dists[cid]) for cid in cand]
         entry = (str(s), i, s)
         succ = set().union(*(dist for _, dist in pending[s]))
@@ -851,7 +866,8 @@ def unbounded_pair_by_sweep_loop(cg, query,
                 continue
             reads = need | prob1_min_set(jmdp, stat[l][0])
         opt_vals[l], opt_strats[l] = _optimum(
-            jmdp, obj, "max", stat[l], with_strategy=True, reads=reads)
+            jmdp if reads is None else joint_mdp(cg, reads), obj, "max",
+            stat[l], with_strategy=True, reads=reads)
     opt = [vals or {} for vals in opt_vals]
     units = (cg.number(0), cg.number(1))
     fixed = {s: _settled_pair((o1, o2), row, [vals.get(s) for vals in opt],
@@ -1058,7 +1074,7 @@ def _dict_fold(game, start, node_choices, update) -> Mdp:
                 if succ not in seen:
                     seen.add(succ)
                     frontier.append(succ)
-        choices[node] = node_choices_out
+        choices[node] = dict(node_choices_out)
         for name, rs in game.rewards.items():
             if rs.state_rewards.get(s):
                 rewards[name].state_rewards[node] = rs.state_rewards[s]

@@ -5,11 +5,14 @@ import csv
 import io
 import json
 import re
+import sys
+from fractions import Fraction
 
 import pytest
 
 from conftest import model_path
-from csgnash.cli import _parse_const, _parse_sweep, _parse_value, main
+from csgnash.cli import (_exact, _parse_const, _parse_sweep, _parse_value,
+                         main)
 from csgnash.lang import parse_constant_value
 
 
@@ -71,6 +74,34 @@ class TestOptionParsing:
         assert excinfo.value.code == 2
         assert f"expected a positive integer, got '{value}'" in \
             capsys.readouterr().err
+
+
+class TestExactStrings:
+    def test_small_values_read_as_str(self):
+        for value in (Fraction(0), Fraction(5), Fraction(-7, 3),
+                      Fraction(2 ** 70, 3 ** 40)):
+            assert _exact(value) == str(value)
+        assert _exact(0.5) is None
+
+    def test_beyond_the_int_to_str_limit(self):
+        # 5,001 digits: str() of the denominator exceeds Python's default
+        # limit of 4,300 digits
+        value = Fraction(-3, 10 ** 5000)
+        assert _exact(value) == "-3/1" + "0" * 5000
+        # zeros inside a chunk and across chunk boundaries are kept
+        assert _exact(Fraction(10 ** 1200 + 10 ** 600 + 7)) == \
+            "1" + "0" * 599 + "1" + "0" * 599 + "7"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str limit on this interpreter")
+    def test_at_the_lowest_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            text = _exact(Fraction(1, 10 ** 700 + 1))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text == "1/1" + "0" * 699 + "1"
 
 
 class TestRunExitCodes:

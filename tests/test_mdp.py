@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from csgnash.errors import InfiniteValue, SolverError
 from csgnash.explicit import load_explicit
-from csgnash.model import Mdp, coalition_game, joint_mdp
+from csgnash.model import coalition_game, joint_mdp
 from csgnash.mdp import expected_reward, prob1_min_set, reach_prob, step_prob
 
 from conftest import model_path
-from oracles import (chain_reach_probability, mdp_backward_induction,
+from oracles import (Mdp, chain_reach_probability, mdp_backward_induction,
                      mdp_extreme_reach, prob1_min_set_by_dicts,
                      reach_prob_by_dicts)
 
@@ -33,13 +33,27 @@ def appendix_c_mdp():
     return g, joint_mdp(coalition_game(g, ["p1"]))
 
 
-def simple_mdp(trans, number=F):
-    """trans: state -> {action: {succ: prob}}, first state initial."""
+def simple_record(trans, number=F):
+    """trans: state -> {action: {succ: prob}}, first state initial, as the
+    oracles' dict record."""
     states = tuple(trans)
-    choices = {s: [(a, {t: number(p) for t, p in dist.items()})
-                   for a, dist in sorted(trans[s].items())]
-               for s in states}
-    return Mdp(states, (states[0],), choices, number=number)
+    return Mdp(states, (states[0],),
+               {s: {a: {t: number(p) for t, p in dist.items()}
+                    for a, dist in sorted(trans[s].items())}
+                for s in states}, number=number)
+
+
+def simple_mdp(trans, number=F):
+    """The MDP of `simple_record` in the form the package solves on."""
+    return joint_mdp(simple_record(trans, number))
+
+
+def dict_choices(mdp):
+    """The choices of an indexed MDP, as state -> {choice id: {successor:
+    probability}}."""
+    return {s: {cid: dict(zip(map(mdp.states.__getitem__, succ), probs))
+                for cid, succ, probs in row}
+            for s, row in zip(mdp.states, mdp.rows)}
 
 
 # the ways to split one choice's probability over 1, 2 or 3 successors
@@ -142,7 +156,7 @@ class TestReachability:
     def test_bounded_matches_oracle_chains(self):
         g, mdp = fig1_mdp()
         targets = {s for s in g.states if "sent2" in g.labels[s]}
-        trans = {s: dict(mdp.choices[s]) for s in mdp.states}
+        trans = dict_choices(mdp)
         for k in range(4):
             vals = reach_prob(mdp, targets, "max", bound=k)
             actions = [sorted(trans[s]) for s in sorted(trans)]
@@ -159,7 +173,7 @@ class TestReachability:
         for maker in (fig1_mdp, appendix_b_mdp):
             g, mdp = maker()
             targets = {s for s in g.states if g.labels[s]}
-            trans = {s: dict(mdp.choices[s]) for s in mdp.states}
+            trans = dict_choices(mdp)
             for opt in ("max", "min"):
                 ours = reach_prob(mdp, targets, opt)
                 brute = mdp_extreme_reach(trans, targets, maximise=opt == "max")
@@ -179,7 +193,7 @@ class TestReachability:
         g, mdp = fig1_mdp()
         targets = {s for s in g.states if "sent1" in g.labels[s]}
         vals, strat = reach_prob(mdp, targets, "max", with_strategy=True)
-        trans = {s: dict(mdp.choices[s]) for s in mdp.states}
+        trans = dict_choices(mdp)
         for s in mdp.states:
             achieved = chain_reach_probability(trans, strat, targets, s)
             assert abs(achieved - vals[s]) < 1e-9, s
@@ -213,7 +227,7 @@ class TestReachability:
         g, mdp = appendix_b_mdp()
         targets = {"t1"}
         vals, strat = reach_prob(mdp, targets, "min", with_strategy=True)
-        trans = {s: dict(mdp.choices[s]) for s in mdp.states}
+        trans = dict_choices(mdp)
         for s in mdp.states:
             achieved = chain_reach_probability(trans, strat, targets, s)
             assert abs(achieved - vals[s]) < 1e-9, s
@@ -249,20 +263,21 @@ class TestAgainstOracles:
 
 class TestAgainstDictReference:
     """The id-indexed routines against the earlier ones that walk the
-    `mdp.choices` dicts: the same values, number types and strategies."""
+    dict record's `trans`: the same values, number types and strategies."""
 
     @settings(max_examples=100, deadline=None)
     @given(small_mdps(), st.sampled_from([F, float]))
     @example((TWINS, {"g"}, None), F)
     def test_values_types_and_strategies(self, case, number):
         trans, targets, constraint = case
-        mdp = simple_mdp(trans, number)
+        record = simple_record(trans, number)
+        mdp = joint_mdp(record)
         assert prob1_min_set(mdp, targets) == \
-            prob1_min_set_by_dicts(mdp, targets)
+            prob1_min_set_by_dicts(record, targets)
         for opt in ("max", "min"):
             vals, strat = reach_prob(mdp, targets, opt, constraint=constraint,
                                      with_strategy=True)
-            want, want_strat = reach_prob_by_dicts(mdp, targets, opt,
+            want, want_strat = reach_prob_by_dicts(record, targets, opt,
                                                    constraint)
             assert list(vals.items()) == list(want.items())
             assert list(map(type, vals.values())) == \
@@ -292,7 +307,7 @@ class TestBoundedAgainstOracle:
     def test_values_and_choices_every_horizon(self, case, k, opt):
         trans, targets, constraint, action, state = case
         mdp = simple_mdp(trans)
-        choices = {s: dict(mdp.choices[s]) for s in mdp.states}
+        choices = dict_choices(mdp)
         maximise = opt == "max"
         allowed = set(trans) if constraint is None else constraint | targets
         start = {s: F(s in targets) for s in mdp.states}
@@ -461,22 +476,25 @@ def close(got, want):
 
 
 class TestForwardClosure:
-    """With `reads`, an unbounded run indexes only the forward closure of
-    the read states, the states a play can reach from them: its values and
-    strategy cover exactly that closure.  Their values depend on the
-    closure alone, and equal the full run's up to where each run stopped."""
+    """`joint_mdp(game, reads)` holds only the forward closure of the read
+    states, the states a play can reach from them, so an unbounded run on
+    it covers exactly that closure.  Their values depend on the closure
+    alone, and equal the full run's up to where each run stopped."""
 
     @settings(max_examples=150, deadline=None)
     @given(rewarded_mdps(), st.sampled_from(["max", "min"]), st.data())
     def test_reads_cover_their_forward_closure(self, case, opt, data):
         trans, targets, constraint, action, state = case
-        mdp = simple_mdp(trans)
+        record = simple_record(trans)
+        mdp = joint_mdp(record)
         reads = data.draw(st.sets(st.sampled_from(mdp.states), min_size=1))
         closure = forward_closure(trans, reads)
+        closed = joint_mdp(record, reads)
+        assert closed.states == [s for s in mdp.states if s in closure]
         full = reach_prob(mdp, targets, opt, constraint=constraint,
                           with_strategy=True)
-        vals, strat = reach_prob(mdp, targets, opt, constraint=constraint,
-                                 with_strategy=True, reads=reads)
+        vals, strat = reach_prob(closed, targets, opt, constraint=constraint,
+                                 with_strategy=True)
         assert close(vals, {s: full[0][s] for s in closure})
         assert strat == {s: full[1][s] for s in closure}
         # a reward is finite where every strategy reaches the targets
@@ -485,14 +503,14 @@ class TestForwardClosure:
         state = {s: F(r) for s, r in state.items()}
         if not reads <= finite:
             with pytest.raises(InfiniteValue) as err:
-                expected_reward(mdp, "F", targets=targets, reads=reads)
+                expected_reward(closed, "F", targets=targets, reads=reads)
             assert set(err.value.states) == reads - finite
             return
         full = expected_reward(mdp, "F", targets=targets,
                                action_rewards=action, state_rewards=state,
                                optimise=opt, with_strategy=True,
                                reads=finite)
-        vals, strat = expected_reward(mdp, "F", targets=targets,
+        vals, strat = expected_reward(closed, "F", targets=targets,
                                       action_rewards=action,
                                       state_rewards=state, optimise=opt,
                                       with_strategy=True, reads=reads)
@@ -501,11 +519,16 @@ class TestForwardClosure:
 
     def test_closure_keeps_the_model_order(self):
         # read at s2, the closure is s2 and goal, listed in model order
-        trans = risky_chain(3, 1)
-        mdp = simple_mdp(trans)
-        vals = reach_prob(mdp, {"goal"}, reads={"s2"})
-        assert list(vals) == [s for s in mdp.states if s in ("s2", "goal")]
+        record = simple_record(risky_chain(3, 1))
+        vals = reach_prob(joint_mdp(record, {"s2"}), {"goal"})
+        assert list(vals) == [s for s in record.states
+                              if s in ("s2", "goal")]
         assert vals["s2"] == 1 and vals["goal"] == 1
+
+    def test_unbounded_reach_takes_no_reads(self):
+        # an unbounded run solves the MDP it is given; reads would be ignored
+        with pytest.raises(SolverError, match="bounded objective"):
+            reach_prob(simple_mdp(risky_chain(3, 1)), {"goal"}, reads={"s2"})
 
 
 class TestExpectedReward:
@@ -513,7 +536,7 @@ class TestExpectedReward:
         cg = coalition_game(g, ["p1"])
         action = {}
         for s in mdp.states:
-            for cid, _ in mdp.choices[s]:
+            for cid in dict_choices(mdp)[s]:
                 val = cg.rewards[name].action(s, cid)
                 if val:
                     action[(s, cid)] = val
@@ -559,11 +582,16 @@ class TestExpectedReward:
 
     def test_infinite_value_respects_reads(self):
         # the targets reach neither s1 nor s2, whose values are infinite:
-        # read at the targets alone, the values cover the targets alone
+        # read at the targets alone, on their closure, the values cover the
+        # targets alone; on the whole MDP, s1 and s2 map to None
         g, mdp = appendix_c_mdp()
-        vals = expected_reward(mdp, "F", targets={"t1", "t2"},
+        closed = joint_mdp(coalition_game(g, ["p1"]), {"t1", "t2"})
+        vals = expected_reward(closed, "F", targets={"t1", "t2"},
                                reads={"t1", "t2"})
         assert vals == {"t1": 0, "t2": 0}
+        vals = expected_reward(mdp, "F", targets={"t1", "t2"},
+                               reads={"t1", "t2"})
+        assert vals == {"t1": 0, "t2": 0, "s1": None, "s2": None}
         with pytest.raises(InfiniteValue) as err:
             expected_reward(mdp, "F", targets={"t1", "t2"}, reads={"s2"})
         assert err.value.states == ("s2",)

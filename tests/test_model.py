@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csgnash import nash
+from csgnash import mdp as mdp_module
+from csgnash import model, nash
 from csgnash.errors import (
     EmptyCoalition,
     FullCoalition,
@@ -14,10 +15,11 @@ from csgnash.errors import (
     NotConverged,
     UnknownPlayer,
 )
-from csgnash.explicit import load_explicit
+from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.model import (
     IDLE,
     Csg,
+    IndexedMdp,
     MemoryStrategy,
     RewardStructure,
     coalition_game,
@@ -27,11 +29,12 @@ from csgnash.model import (
     induced_chain,
     joint_mdp,
 )
-from csgnash.mdp import _index
 from csgnash.nash import evaluate
+from csgnash.properties import NashNode, Objective, TrueF, parse_property
 from csgnash.synthesis import synthesise_profile
 
-from conftest import model_path, pair_query, small_csgs
+from conftest import (REWARD_GAME, labelled, model_path, pair_query,
+                      small_csgs)
 from oracles import (chain_by_dict_fold, induce_mdp_by_dict_fold,
                      maximal_end_components)
 
@@ -204,7 +207,7 @@ class TestCoalitionGame:
     def test_one_game_type_carries_its_number(self):
         from csgnash.model import CoalitionGame
         from csgnash.nash import mixed_horizon_transform
-        from csgnash.properties import parse_property
+        from csgnash.properties import NashNode, Objective, TrueF, parse_property
         g = fig1()
         cg = coalition_game(g, ["p1"])
         assert cg.number is F and compile_game(cg, F) is cg
@@ -225,7 +228,7 @@ class TestCoalitionGame:
 
 class TestEndComponents:
     def test_appendix_b_mec(self):
-        mecs = enumerate_mecs(appendix_b())
+        mecs = enumerate_mecs(joint_mdp(appendix_b()))
         by_states = {ec.states: ec for ec in mecs}
         assert frozenset({"s1", "s2"}) in by_states
         assert by_states[frozenset({"s1", "s2"})].non_terminal
@@ -234,7 +237,7 @@ class TestEndComponents:
         assert len(mecs) == 3
 
     def test_fig1_mecs(self):
-        mecs = enumerate_mecs(fig1())
+        mecs = enumerate_mecs(joint_mdp(fig1()))
         info = {ec.states: ec.non_terminal for ec in mecs}
         # absorbing sinks are terminal; wait self-loops are non-terminal
         assert info[frozenset({"s1"})] is False
@@ -246,7 +249,8 @@ class TestEndComponents:
 
     def test_matches_bruteforce_on_small_games(self):
         for game in (fig1(), appendix_b()):
-            ours = sorted(sorted(ec.states) for ec in enumerate_mecs(game))
+            ours = sorted(sorted(ec.states)
+                          for ec in enumerate_mecs(joint_mdp(game)))
             brute = sorted(sorted(c) for c in maximal_end_components(game.trans))
             assert ours == brute
 
@@ -254,7 +258,7 @@ class TestEndComponents:
     @given(small_csgs())
     def test_matches_bruteforce_on_random_games(self, case):
         game, _ = case
-        mecs = enumerate_mecs(game)
+        mecs = enumerate_mecs(joint_mdp(game))
         assert sorted(sorted(ec.states) for ec in mecs) == \
             sorted(sorted(c) for c in maximal_end_components(game.trans))
         for ec in mecs:
@@ -264,24 +268,81 @@ class TestEndComponents:
                 for s in ec.states for dist in game.trans[s].values())
 
     def test_sub_trans_closed_and_connected(self):
-        for ec in enumerate_mecs(fig1()) + enumerate_mecs(appendix_b()):
+        for ec in enumerate_mecs(joint_mdp(fig1())) + \
+                enumerate_mecs(joint_mdp(appendix_b())):
             for (s, _), dist in ec.sub_trans.items():
                 assert s in ec.states
                 assert set(dist) <= ec.states
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_csgs())
+    def test_sub_trans_holds_every_action_that_stays(self, case):
+        # the game's distribution of each joint action of a member whose
+        # successors all lie in the component
+        game, _ = case
+        for ec in enumerate_mecs(joint_mdp(game)):
+            assert ec.sub_trans == {(s, alpha): dist for s in ec.states
+                                    for alpha, dist in game.trans[s].items()
+                                    if set(dist) <= ec.states}
 
 
 class TestMdpExtraction:
     def test_joint_mdp_choices(self):
         g = fig1()
         mdp = joint_mdp(coalition_game(g, ["p1"]))
-        assert len(mdp.choices["s0"]) == 4
-        assert len(mdp.choices["s3"]) == 2
+        assert len(choices_at(mdp, "s0")) == 4
+        assert len(choices_at(mdp, "s3")) == 2
         assert mdp.initial == ("s0",)
 
     def test_joint_mdp_appendix_b(self):
         mdp = joint_mdp(coalition_game(appendix_b(), ["p1"]))
-        ids = [cid for cid, _ in mdp.choices["s1"]]
+        ids = list(choices_at(mdp, "s1"))
         assert ids == [(("c1",), ("-",)), (("s1_",), ("-",))]
+
+
+def spied(monkeypatch, module, name):
+    """The first argument of each call of `module.name`, and its results;
+    the spy replaces the function where `module`'s code looks it up."""
+    args, results = [], []
+    original = getattr(module, name)
+
+    def spy(first, *rest, **kwargs):
+        args.append(first)
+        results.append(original(first, *rest, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return args, results
+
+
+class TestOneJointMdp:
+    """Each solve and each assumption check builds the joint MDP once per
+    closure it reads, and every MDP routine runs on that graph."""
+
+    def test_bounded_solve_indexes_the_joint_mdp_once(self, monkeypatch):
+        built = [spied(monkeypatch, module, "joint_mdp")[1]
+                 for module in (model, nash)]
+        evaluate(fig1(), parse_property(
+            "<<p1:p2>>max=? (P[F<=2 sent1] + P[F<=3 sent2])"))
+        (graph,) = built[0] + built[1]
+        assert isinstance(graph, IndexedMdp) and len(graph.states) == 6
+
+    def test_check_assumption_indexes_the_joint_mdp_once(self, monkeypatch):
+        # a P[F] and an R[F] objective: the check needs both the end
+        # components and a prob-1 set
+        game = loads_explicit(REWARD_GAME)
+        goal = labelled(game, "goal")
+        query = NashNode(("p1",), ("p2",), "max=?", None, (
+            Objective("P", "U", sub1=TrueF(), sub2=goal),
+            Objective("R", "F", sub2=goal, reward="r")))
+        _, built = spied(monkeypatch, model, "joint_mdp")
+        mecs_on, _ = spied(monkeypatch, model, "enumerate_mecs")
+        prob1_on, _ = spied(monkeypatch, mdp_module, "prob1_min_set")
+        report = model.check_assumption(game, query)
+        (graph,) = built
+        assert mecs_on == prob1_on == [graph]
+        assert graph.states == list(game.states)
+        assert report.passed
 
 
 class FixedStrategy(MemoryStrategy):
@@ -315,7 +376,7 @@ def assert_same_mdp(indexed, oracle):
     nodes in the same order, each choice with the same id, successors in
     the same order and probabilities of the same type and bits, and the same
     folded rewards."""
-    expected = _index(oracle)
+    expected = joint_mdp(oracle)
     assert indexed.states == list(oracle.states)
     assert indexed.initial == oracle.initial
     assert indexed.number is oracle.number

@@ -12,7 +12,7 @@ from csgnash import nash, synthesis
 from csgnash.errors import IncompleteStrategy, InfiniteValue, NotConverged
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
-from csgnash.model import MemoryStrategy, induce_mdp
+from csgnash.model import MemoryStrategy, induce_mdp, joint_mdp
 from csgnash.nash import evaluate
 from csgnash.properties import parse_property
 from csgnash.synthesis import (SynthesisedProfile, _name,
@@ -406,8 +406,10 @@ class TestRandomGames:
         report = verify_epsilon_ne(ev.game, profile, ev.query, 1e-4)
         # the same report on the dict MDPs of the reference folds
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(synthesis, "induce_mdp", induce_mdp_by_dict_fold)
-            patch.setattr(synthesis, "induced_chain", chain_by_dict_fold)
+            patch.setattr(synthesis, "induce_mdp", lambda *args: joint_mdp(
+                induce_mdp_by_dict_fold(*args)))
+            patch.setattr(synthesis, "induced_chain", lambda *args: joint_mdp(
+                chain_by_dict_fold(*args)))
             assert verify_epsilon_ne(ev.game, profile, ev.query,
                                      1e-4) == report
         return report
