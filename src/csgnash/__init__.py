@@ -15,7 +15,7 @@ from .explicit import load_explicit
 from .lang import build_csg, load_model, parse_model, resolve_constants
 from .model import (AssumptionReport, CoalitionGame, Csg, IndexedMdp,
                     MemoryStrategy, check_assumption, coalition_game,
-                    compile_game, enumerate_mecs, induce_mdp, joint_mdp)
+                    enumerate_mecs, induce_mdp, joint_mdp)
 from .mdp import expected_reward, prob1_min_set, reach_prob, step_prob
 from .nash import (Evaluation, PairResult, evaluate, mixed_horizon_transform,
                    solve_bounded_pair, solve_unbounded_pair)

@@ -28,7 +28,7 @@ from .bimatrix import BimatrixGame, enumerate_equilibria, select_swne
 from .errors import (AssumptionViolated, CsgError, ModelTypeError,
                      NotConverged, UndefinedConstant)
 from .explicit import load_explicit
-from .lang import load_model, parse_constant_value, parse_model
+from .lang import load_model, parse_constant_value, parse_model, read_text
 from .nash import DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, evaluate
 from .properties import NashNode, parse_property, property_lines
 from .synthesis import synthesise_profile, verify_epsilon_ne
@@ -97,8 +97,7 @@ def _parse_sweep(text):
 def _read_properties(args):
     texts = list(args.property or [])
     if args.property_file:
-        with open(args.property_file, encoding="utf-8") as handle:
-            texts += property_lines(handle.read())
+        texts += property_lines(read_text(args.property_file))
     return texts
 
 
@@ -288,8 +287,7 @@ def _declared_constants(path):
     """Names of the constants a model file declares (none in `.csgx`)."""
     if path.endswith(".csgx"):
         return set()
-    with open(path, encoding="utf-8") as handle:
-        return {c.name for c in parse_model(handle.read()).constants}
+    return {c.name for c in parse_model(read_text(path)).constants}
 
 
 def _sweep_points(args, name, values, prop):
@@ -398,11 +396,16 @@ def _parse_matrix(text, where):
 
 def _load_nfg(args):
     if args.file:
-        with open(args.file, encoding="utf-8") as handle:
-            data = json.load(handle)
+        try:
+            data = json.loads(read_text(args.file))
+        except json.JSONDecodeError as err:
+            raise CsgError(f"{args.file}: not valid JSON: {err}")
         for key in ("z1", "z2"):
             if not isinstance(data, dict) or key not in data:
                 raise CsgError(f"{args.file}: missing key {key!r}")
+            if not isinstance(data[key], list) or not all(
+                    isinstance(row, list) for row in data[key]):
+                raise CsgError(f"{args.file}: {key} is not a list of rows")
         z1, z2 = ([[_entry(e, f"{args.file}: {key}") for e in row]
                    for row in data[key]] for key in ("z1", "z2"))
         return BimatrixGame.from_rows(z1, z2)

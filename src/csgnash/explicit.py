@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ModelError
+from .lang import read_text
 from .model import Csg, RewardStructure
 
 __all__ = ["load_explicit", "loads_explicit", "dump_explicit", "dumps_explicit"]
@@ -132,8 +133,7 @@ def loads_explicit(text) -> Csg:
 
 
 def load_explicit(path) -> Csg:
-    with open(path, encoding="utf-8") as handle:
-        return loads_explicit(handle.read())
+    return loads_explicit(read_text(path))
 
 
 def _fmt(value):

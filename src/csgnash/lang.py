@@ -42,6 +42,7 @@ from fractions import Fraction
 
 from .errors import (
     AlphabetViolation,
+    CsgError,
     ModelError,
     ModelSyntaxError,
     ModelTypeError,
@@ -68,7 +69,7 @@ from .expr import (
 from .model import IDLE, Csg, RewardStructure
 
 __all__ = ["parse_model", "build_csg", "load_model", "ModelAst",
-           "parse_constant_value"]
+           "parse_constant_value", "read_text"]
 
 
 # --- AST -----------------------------------------------------------------------
@@ -873,6 +874,14 @@ def _not_a_condition(line):
     return ModelTypeError(f"expected a boolean condition at line {line}")
 
 
-def load_model(path, overrides=None) -> Csg:
+def read_text(path) -> str:
+    """The text of the UTF-8 file `path`; CsgError if it is not UTF-8."""
     with open(path, encoding="utf-8") as handle:
-        return build_csg(parse_model(handle.read()), overrides)
+        try:
+            return handle.read()
+        except UnicodeDecodeError as err:
+            raise CsgError(f"{path}: not UTF-8 text: {err}")
+
+
+def load_model(path, overrides=None) -> Csg:
+    return build_csg(parse_model(read_text(path)), overrides)

@@ -11,7 +11,7 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import ClassVar
@@ -36,7 +36,6 @@ __all__ = [
     "MemoryStrategy",
     "AssumptionReport",
     "coalition_game",
-    "compile_game",
     "enumerate_mecs",
     "check_assumption",
     "joint_mdp",
@@ -253,8 +252,11 @@ class CoalitionGame:
         return self.moves[state][1]
 
 
-def coalition_game(game: Csg, coalition) -> CoalitionGame:
-    """Regroup an n-player game into the two-player coalition game."""
+def coalition_game(game: Csg, coalition, number=Fraction) -> CoalitionGame:
+    """Regroup an n-player game into the two-player coalition game, its
+    probabilities and rewards in `number`.  They are the base game's own in
+    its type, else converted here (the one place a game changes type); equal
+    numbers, distributions and action lists are stored once."""
     members = list(coalition)
     for p in members:
         if p not in game.players:
@@ -266,56 +268,43 @@ def coalition_game(game: Csg, coalition) -> CoalitionGame:
         raise FullCoalition("coalition must be a proper subset of the players")
     idx1 = [i for i, p in enumerate(game.players) if p in member_set]
     idx2 = [i for i, p in enumerate(game.players) if p not in member_set]
+    same, numbers, dists = number is game.number, {}, {}
 
     def split(alpha):
         return tuple(alpha[i] for i in idx1), tuple(alpha[i] for i in idx2)
 
+    def value(v):
+        if same:
+            return v
+        v = number(v)
+        return numbers.setdefault(v, v)
+
+    def convert(dist):
+        items = tuple([(t, value(p)) for t, p in dist.items()])
+        return dists.get(items) or dists.setdefault(items, dict(items))
+
     trans, moves, shared = {}, {}, {}
     for s in game.states:
-        trans[s] = row = {split(alpha): dist
+        trans[s] = row = {split(alpha): dist if same else convert(dist)
                           for alpha, dist in game.trans[s].items()}
         pair = (tuple(sorted({a1 for a1, _ in row})),
                 tuple(sorted({a2 for _, a2 in row})))
         moves[s] = shared.setdefault(pair, pair)
     rewards = {name: RewardStructure(
-        {(s, split(alpha)): v for (s, alpha), v in rs.action_rewards.items()},
-        rs.state_rewards) for name, rs in game.rewards.items()}
-    return CoalitionGame(game, game.states, game.initial, trans, rewards,
-                         moves)
-
-
-def compile_game(game: CoalitionGame, number) -> CoalitionGame:
-    """`game` with every probability and reward converted to `number`.
-
-    A game already in `number` is returned as is.  The copy shares `moves`;
-    converted numbers and distributions that are equal are stored once, so
-    a float copy of a large model costs a fraction of the model's own
-    size."""
-    if number is game.number:
-        return game
-    shared, dists, trans = {}, {}, {}
-
-    def once(value):
-        return shared.setdefault(value, value)
-
-    for s in game.states:
-        row = {}
-        for pair, dist in game.trans[s].items():
-            items = tuple((t, once(number(p))) for t, p in dist.items())
-            row[pair] = dists.get(items) or dists.setdefault(items, dict(items))
-        trans[s] = row
-    rewards = {name: RewardStructure(
-        {key: number(v) for key, v in rs.action_rewards.items()},
-        {s: number(v) for s, v in rs.state_rewards.items()})
+        {(s, split(alpha)): value(v)
+         for (s, alpha), v in rs.action_rewards.items()},
+        {s: value(v) for s, v in rs.state_rewards.items()})
         for name, rs in game.rewards.items()}
-    return replace(game, trans=trans, rewards=rewards, number=number)
+    return CoalitionGame(game, game.states, game.initial, trans, rewards,
+                         moves, number)
 
 
 @dataclass(frozen=True)
 class EndComponent:
     """A sub-MDP (states, retained choices) that is strongly connected and
     closed under the retained choices; non_terminal records whether the MDP
-    can still leave it by some choice."""
+    can still leave it by some choice.  `sub_trans` holds the MDP's numbers:
+    in a solve's assumption check, the solved game's."""
 
     states: frozenset
     sub_trans: dict        # (state, choice id) -> {successor: probability}
@@ -689,7 +678,7 @@ def check_assumption(game, query) -> AssumptionReport:
     Infinite-horizon probabilistic objectives trigger a report of every
     non-terminal maximal end component; infinite-horizon reward objectives
     additionally require the target to be reached with probability 1 under
-    all strategy profiles (min reachability probability 1 on that MDP).
+    all strategy profiles (once per target set).  All checks are qualitative.
     """
     from .mdp import prob1_min_set          # local import: avoids a cycle
     from .properties import satisfying_states
@@ -702,12 +691,14 @@ def check_assumption(game, query) -> AssumptionReport:
     nonterminal = ()
     if any(obj.kind == "P" for obj in infinite):
         nonterminal = tuple(ec for ec in enumerate_mecs(mdp) if ec.non_terminal)
-    reward_issues = []
+    reward_issues, sure = [], {}
     for idx, obj in enumerate(objectives):
         if obj.kind != "R" or obj.is_finite_horizon():
             continue
-        sure = prob1_min_set(mdp, satisfying_states(game, obj.sub2))
-        bad = [s for s in game.states if s not in sure]
+        targets = frozenset(satisfying_states(game, obj.sub2))
+        if targets not in sure:
+            sure[targets] = prob1_min_set(mdp, targets)
+        bad = [s for s in game.states if s not in sure[targets]]
         if bad:
             reward_issues.append((idx, tuple(bad)))
     return AssumptionReport(nonterminal, tuple(reward_issues))

@@ -14,11 +14,11 @@ and any other component by sweeps over its own states until its stop rule
 holds.  Mixed pairs (one finite, one infinite horizon) are reduced to
 infinite-horizon pairs on a step-counter product game.
 
-The number type of a solve is chosen once, in `_solve_nash`, and the solved
-game is compiled to it (`model.compile_game`): bounded pairs and games of up
-to `_EXACT_STATE_LIMIT` states are exact, larger unbounded and mixed pairs
-run in floats end to end.  Each engine compiles the states it solves once
-into a `LocalGameTable`; on an exact solve every local game is then an
+The number type of a solve is chosen once, in `_solve_nash`, before the game
+is regrouped into it (`model.coalition_game`): bounded pairs and solved games
+of up to `_EXACT_STATE_LIMIT` states are exact, larger unbounded and mixed
+pairs run in floats end to end.  Each engine compiles the states it solves
+once into a `LocalGameTable`; on an exact solve every local game is then an
 integer game, one denominator per player in lowest terms.
 
 Vocabulary used below for an objective at a state (`_refine` classifies,
@@ -54,7 +54,6 @@ from .model import (
     _sccs,
     check_assumption,
     coalition_game,
-    compile_game,
     joint_mdp,
 )
 from .mdp import expected_reward, reach_prob, step_prob
@@ -593,6 +592,14 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
 
 # --- mixed horizons ---------------------------------------------------------------
 
+def _finite_side(objectives):
+    """A mixed pair's finite objective's index and its product's absorbing
+    layer: one past its horizon, or at it for C<=k, which pays below it."""
+    fi = 0 if objectives[0].is_finite_horizon() else 1
+    obj = objectives[fi]
+    return fi, _horizon(obj) + (obj.op != "C")
+
+
 def mixed_horizon_transform(cg, query: NashNode):
     """Reduce a mixed-horizon pair to an infinite-horizon pair on a product.
 
@@ -601,24 +608,14 @@ def mixed_horizon_transform(cg, query: NashNode):
     infinite objective, in the layers its bound allows for the finite one.
     Returns (product game, rewritten query, embedding base-state -> product
     state).  The product is a `CoalitionGame` over states (s, layer), the
-    layer counting up to an absorbing cap; it has no base game, (s, i) has
-    the moves of s, and its initial states are (s, 0) for the initial s.
-    Values of the original pair at s equal values of the rewritten pair at
-    (s, 0).
+    layer counting up to an absorbing cap, with `cg`'s numbers; it has no
+    base game, (s, i) has the moves of s, and its initial states are (s, 0)
+    for the initial s.  Values of the original pair at s equal values of
+    the rewritten pair at (s, 0).
     """
     objectives = list(query.objectives)
-    fi = 0 if objectives[0].is_finite_horizon() else 1
+    fi, cap = _finite_side(objectives)
     obj = objectives[fi]
-
-    if obj.kind == "P" and obj.op == "X":
-        cap = 2
-    elif obj.kind == "P":                    # bounded until
-        cap = obj.bound + 1
-    elif obj.op == "I":
-        cap = obj.bound + 1
-    else:                                    # bounded cumulative
-        cap = obj.bound
-
     states = tuple((s, i) for i in range(cap + 1) for s in cg.states)
     initial = tuple((s, 0) for s in cg.initial)
     trans = {}
@@ -697,34 +694,33 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     Each objective's state sub-formulae are resolved once, on the base game,
     to `StateSet`s: the assumption check, the engines and the mixed-horizon
     product read sets only.  `true` stays as is: it holds on every game, and
-    a set of every state would stay in the evaluation's query.  The solved
-    game (the coalition game, or the
-    product of a mixed pair) is compiled once to the solve's number type:
-    exact for bounded pairs and for games of at most `_EXACT_STATE_LIMIT`
-    states, floats otherwise.  With `strict_assumptions` a failed assumption
-    check raises AssumptionViolated before anything is solved.  Returns the
-    `Evaluation` fields of the solve by name: `solve`, `game`, `query`,
-    `embedding`, `assumption` and the per-base-state `values`; a
-    NotConverged raised by the solver carries the assumption report.  The
-    assumption is checked on the solved game: a coalition game has its base
-    game's distributions, so its end components and prob-1 sets."""
-    cg = coalition_game(csg, node.coalition1)
+    a set of every state would stay in the evaluation's query.  The number
+    type is chosen first: exact for bounded pairs and where the solved game
+    (the coalition game, or a mixed pair's product) has at most
+    `_EXACT_STATE_LIMIT` states, floats otherwise.  The coalition game is
+    built once, in that type, and the product lifted from it.  The
+    assumption is checked on the solved game; with `strict_assumptions` a
+    failed check raises AssumptionViolated before anything is solved.
+    Returns the `Evaluation` fields of the solve by name: `solve`, `game`,
+    `query`, `embedding`, `assumption` and the per-base-state `values`; a
+    NotConverged raised by the solver carries the assumption report."""
+    horizon = classify_horizon(node)
+    mixed = horizon.startswith("mixed")
+    layers = _finite_side(node.objectives)[1] + 1 if mixed else 1
+    exact = horizon == "both-finite" or \
+        len(csg.states) * layers <= _EXACT_STATE_LIMIT
+    game = coalition_game(csg, node.coalition1, Fraction if exact else float)
     node = replace(node, objectives=tuple(
         _with_sets(obj, lambda sub: sub if sub == TrueF() else
                    StateSet(_sat(csg, sub)))
         for obj in node.objectives))
-    horizon = classify_horizon(node)
-    if horizon.startswith("mixed"):
-        game, query, embedding = mixed_horizon_transform(cg, node)
-    else:
-        game, query, embedding = cg, node, None
+    # a mixed pair's coalition game is dropped for its product
+    game, query, embedding = mixed_horizon_transform(game, node) if mixed \
+        else (game, node, None)
     report = check_assumption(game, query)
     if strict_assumptions and not report.passed:
         raise AssumptionViolated(
             "assumption violated: " + "; ".join(report.messages()), report)
-    exact = horizon == "both-finite" or \
-        len(game.states) <= _EXACT_STATE_LIMIT
-    game = compile_game(game, Fraction if exact else float)
     try:
         if horizon == "both-finite":
             result = solve_bounded_pair(game, query)
@@ -736,7 +732,7 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
         err.assumption = report
         raise
     values = result.values if embedding is None else \
-        {s: result.values[embedding[s]] for s in cg.states}
+        {s: result.values[embedding[s]] for s in csg.states}
     return dict(values=values, solve=result, game=game, query=query,
                 embedding=embedding, assumption=report)
 

@@ -166,6 +166,19 @@ class TestRunExitCodes:
         assert code == 2
         assert "no constants" in err
 
+    @pytest.mark.parametrize("suffix", [".csg", ".csgx"])
+    def test_model_that_is_not_utf8_exits_two(self, capsys, tmp_path,
+                                              suffix):
+        model = tmp_path / f"game{suffix}"
+        model.write_bytes(b"player p1 m endplayer\n\xff\n")
+        code, out, err = run_cli(
+            capsys, "run", "--model", str(model),
+            "--property", "<<p1:p2>>max=? (P[F a] + P[F b])")
+        assert code == 2 and out == ""
+        assert err == (f"error: {model}: not UTF-8 text: 'utf-8' codec "
+                       f"can't decode byte 0xff in position 22: invalid start "
+                       f"byte\n")
+
     def test_nonconvergent_run_exits_three(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--model", model_path("appendix_b.csgx"),
@@ -703,6 +716,20 @@ class TestSolveNfg:
         code, _, err = run_cli(capsys, "solve-nfg", "--file", str(path))
         assert code == 2
         assert err == f"error: {path}: missing key 'z2'\n"
+
+    def test_matrix_file_with_a_scalar_row_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"z1": [1, 2], "z2": [[1, 2]]}))
+        code, _, err = run_cli(capsys, "solve-nfg", "--file", str(path))
+        assert code == 2
+        assert err == f"error: {path}: z1 is not a list of rows\n"
+
+    def test_truncated_matrix_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "game.json"
+        path.write_text('{"z1": [[1, 2]], "z2": [[1')
+        code, _, err = run_cli(capsys, "solve-nfg", "--file", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}: not valid JSON: ")
 
     def test_missing_matrices_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "solve-nfg", "--z1", self.Z1)

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from csgnash.errors import ModelError
+from csgnash.errors import CsgError, ModelError
 from csgnash.explicit import dumps_explicit, load_explicit, loads_explicit
+from csgnash.lang import load_model
 
 from conftest import model_path
 
@@ -78,6 +79,15 @@ u (a,-) -> 1/2:u + 1/2:u
                            "reward r1 action u (a, b) 1/2\n"
                            "u (a,b) -> 1:u\n")
         assert g.rewards["r1"].action("u", ("a", "b")) == F(1, 2)
+
+
+@pytest.mark.parametrize("load, suffix", [(load_explicit, ".csgx"),
+                                          (load_model, ".csg")])
+def test_loader_rejects_a_file_that_is_not_utf8(tmp_path, load, suffix):
+    path = tmp_path / f"game{suffix}"
+    path.write_bytes(b"player p1 m\n\xff\n")
+    with pytest.raises(CsgError, match="not UTF-8 text"):
+        load(path)
 
 
 class TestRoundTrip:

@@ -51,6 +51,10 @@ CASES = [
      '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=6])',
      "d554882b5196645801a862c0636268950f1d278f0391fe5827c4be0dab2a5533",
      "a4e7c9a6a5d925f7754d599e4cd4e0667f0f056df1a3fb81c2833ef886dd8321"),
+    # a mixed pair whose 20-state product is solved exactly
+    ("fig1.csg", (), "<<p1:p2>>max=? (P[F<=2 sent1] + P[F sent2])",
+     "2d7c224c65e681d342450cc93b569e3cac9469b95121adadd97f99bda2260319",
+     "726e301c8291759efc177bee44f456f5f075a2c305cd9c4459389c0d043f45a4"),
 ]
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csgnash.bimatrix import solve_swne
-from csgnash.model import Csg, RewardStructure, coalition_game, compile_game
+from csgnash.model import Csg, RewardStructure, coalition_game
 from csgnash.nash import local_game, local_game_table
 from oracles import local_game_by_fractions
 
@@ -29,9 +29,9 @@ def distributions(draw, states):
 
 
 @st.composite
-def coalition_games(draw):
-    """A two-player coalition game of up to 6 states and 3 actions per
-    player, with optional state and action rewards "r1" and "r2"."""
+def two_player_games(draw):
+    """A two-player game of up to 6 states and 3 actions per player, with
+    optional state and action rewards "r1" and "r2"."""
     states = [f"s{i}" for i in range(draw(st.integers(1, 6)))]
     acts = {p: [f"{p}{i}" for i in range(draw(st.integers(1, 3)))]
             for p in ("a", "b")}
@@ -47,9 +47,8 @@ def coalition_games(draw):
                                         st.sampled_from(acts["b"]))),
                     REWARDS)),
                 draw(st.dictionaries(st.sampled_from(states), REWARDS)))
-    csg = Csg.create(("p1", "p2"), {"p1": acts["a"], "p2": acts["b"]},
-                     states, states[:1], trans, rewards=rewards)
-    return coalition_game(csg, ("p1",))
+    return Csg.create(("p1", "p2"), {"p1": acts["a"], "p2": acts["b"]},
+                      states, states[:1], trans, rewards=rewards)
 
 
 exact_values = st.fractions(0, 8, max_denominator=2 ** 40)
@@ -60,11 +59,10 @@ class TestAgainstFractionBuilder:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_local_game_equals_the_fraction_game(self, data):
-        cg = data.draw(coalition_games())
+        csg = data.draw(two_player_games())
         exact = data.draw(st.booleans())
-        values = exact_values
-        if not exact:
-            cg, values = compile_game(cg, float), float_values
+        cg = coalition_game(csg, ("p1",), F if exact else float)
+        values = exact_values if exact else float_values
         rewards = tuple(data.draw(st.sampled_from((None, name)))
                         if name in cg.rewards else None
                         for name in ("r1", "r2"))

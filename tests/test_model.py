@@ -23,7 +23,6 @@ from csgnash.model import (
     MemoryStrategy,
     RewardStructure,
     coalition_game,
-    compile_game,
     enumerate_mecs,
     induce_mdp,
     induced_chain,
@@ -210,15 +209,24 @@ class TestCoalitionGame:
         from csgnash.properties import NashNode, Objective, TrueF, parse_property
         g = fig1()
         cg = coalition_game(g, ["p1"])
-        assert cg.number is F and compile_game(cg, F) is cg
+        assert cg.number is F and coalition_game(g, ["p1"], F).number is F
         assert joint_mdp(g).number is F and joint_mdp(cg).number is F
-        floats = compile_game(cg, float)
+        floats = coalition_game(g, ["p1"], float)
         assert isinstance(floats, CoalitionGame) and floats.number is float
-        assert floats.moves is cg.moves and floats.base is g
-        assert compile_game(floats, float) is floats
+        assert floats.moves == cg.moves and floats.base is g
+        assert floats.trans == cg.trans and all(
+            type(p) is float for row in floats.trans.values()
+            for dist in row.values() for p in dist.values())
         assert joint_mdp(floats).number is float
-        # equal action lists are stored once
-        assert cg.moves["s1"] is cg.moves["s2"] is cg.moves["s5"]
+        # equal action lists, and equal converted distributions and numbers,
+        # are stored once
+        for game in (cg, floats):
+            assert game.moves["s1"] is game.moves["s2"] is game.moves["s5"]
+        dists = [dist for row in floats.trans.values() for dist in row.values()]
+        assert len({id(d) for d in dists}) == \
+            len({tuple(d.items()) for d in dists})
+        numbers = [p for d in dists for p in d.values()]
+        assert len({id(p) for p in numbers}) == len(set(numbers))
         product, _, _ = mixed_horizon_transform(cg, parse_property(
             "<<p1:p2>>max=? (P[X sent1] + P[F sent2])"))
         assert isinstance(product, CoalitionGame) and product.base is None
@@ -344,6 +352,18 @@ class TestOneJointMdp:
         assert graph.states == list(game.states)
         assert report.passed
 
+    def test_check_assumption_finds_each_prob1_set_once(self, monkeypatch):
+        # two reward objectives on one target: one prob-1 set, read twice
+        game = load_explicit(model_path("appendix_c.csgx"))
+        query = parse_property('<<p1:p2>>max=? (R{"r1"}[F a] + R{"r2"}[F a])')
+        prob1_on, _ = spied(monkeypatch, mdp_module, "prob1_min_set")
+        report = model.check_assumption(game, query)
+        assert len(prob1_on) == 1
+        assert report.reward_issues == ((0, ("s1", "s2")), (1, ("s1", "s2")))
+        assert report.messages() == [
+            f"objective {i}: target not reached almost surely under all "
+            f"profiles (offending states: s1, s2)" for i in (1, 2)]
+
 
 class FixedStrategy(MemoryStrategy):
     """Memoryless strategy from a plain state -> distribution map."""
@@ -417,8 +437,7 @@ class TestInduceMdp:
         # weights are converted to float once per choice; the products are
         # those of Fraction * float, bit for bit
         g = load_explicit(model_path("appendix_c.csgx"))
-        exact = coalition_game(g, ["p1"])
-        floats = compile_game(exact, float)
+        floats = coalition_game(g, ["p1"], float)
         third = F(1, 3)
         table = {"s1": {("c1",): third, ("s1_",): 1 - third},
                  "s2": {(IDLE,): F(1)},

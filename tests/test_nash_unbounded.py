@@ -330,6 +330,35 @@ class TestAssumptionCheckedOnTheSolvedGame:
         assert len(base.messages()) == count
 
 
+class TestExactStateLimit:
+    """A solve is exact when its solved game, the coalition game or a mixed
+    pair's product, has at most `_EXACT_STATE_LIMIT` states.  The type is
+    chosen before the game is built, from the model's size and the product's
+    layer count; C<=0 has one layer, and so a product of the model's size."""
+
+    CASES = [
+        ("fig1.csg", "<<p1:p2>>max=? (P[F<=2 sent1] + P[F sent2])", 20),
+        ("fig1.csg", "<<p1:p2>>max=? (P[X sent1] + P[F sent2])", 15),
+        ("power.csg",
+         '<<p1:p2>>max=? (R{"r1"}[I=1] + R{"r2"}[F done2])', 123),
+        ("power.csg",
+         '<<p1:p2>>max=? (R{"r1"}[C<=0] + R{"r2"}[F done2])', 41),
+        ("fig1.csg", "<<p1:p2>>max=? (P[F sent1] + P[F sent2])", 5),
+    ]
+
+    @pytest.mark.parametrize("name,prop,size", CASES)
+    def test_exact_up_to_the_limit(self, name, prop, size, monkeypatch):
+        csg = load_model(model_path(name))
+        formula = parse_property(prop, csg)
+        for limit, number in ((size, F), (size - 1, float)):
+            monkeypatch.setattr(nash, "_EXACT_STATE_LIMIT", limit)
+            ev = evaluate(csg, formula)
+            assert len(ev.game.states) == size
+            assert ev.game.number is number
+            assert all(type(p) is number for row in ev.game.trans.values()
+                       for dist in row.values() for p in dist.values())
+
+
 class TestExactAndFloatEnginesAgree:
     """The same query solved exactly and, with the exact limit lowered to 0,
     in floats: values agree, and the float solve is float throughout."""

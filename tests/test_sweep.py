@@ -25,7 +25,7 @@ from csgnash import nash
 from csgnash.errors import InfiniteValue, NotConverged
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
-from csgnash.model import coalition_game, compile_game
+from csgnash.model import coalition_game
 from csgnash.nash import (PENDING, PairResult, _horizon, _refine, evaluate,
                           solve_bounded_pair, solve_unbounded_pair)
 from csgnash.properties import NashNode, Objective, TrueF, parse_property
@@ -184,7 +184,7 @@ class TestAgainstPerEngineLoops:
     @given(unbounded_cases())
     def test_unbounded_pairs(self, case):
         csg, coalition, objectives, number = case
-        cg = compile_game(coalition_game(csg, coalition), number)
+        cg = coalition_game(csg, coalition, number)
         query = pair(csg, coalition, objectives)
         got = solved(solve_unbounded_pair, cg, query)
         want = solved(oracles.unbounded_pair_by_sweep_loop, cg, query)
