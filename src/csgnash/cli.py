@@ -23,6 +23,7 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from math import isfinite
 
 from .bimatrix import BimatrixGame, enumerate_equilibria, select_swne
 from .errors import (AssumptionViolated, CsgError, ModelTypeError,
@@ -65,6 +66,26 @@ def _positive_int(text):
         pass
     raise argparse.ArgumentTypeError(
         f"expected a positive integer, got {text!r}")
+
+
+def _finite_float(text, kind, accept):
+    try:
+        value = float(text)
+        if isfinite(value) and accept(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a {kind} finite number, got {text!r}")
+
+
+def _positive_float(text):
+    return _finite_float(text, "positive", lambda value: value > 0)
+
+
+def _nonnegative_float(text):
+    # 0 is meaningful: an exact solve's gaps are exactly 0
+    return _finite_float(text, "non-negative", lambda value: value >= 0)
 
 
 def _parse_sweep(text):
@@ -465,9 +486,9 @@ def build_parser():
                      help="property formula (repeatable)")
     run.add_argument("--property-file", metavar="PATH",
                      help="file with one property per line (// comments)")
-    run.add_argument("--epsilon", type=float, default=1e-4,
+    run.add_argument("--epsilon", type=_nonnegative_float, default=1e-4,
                      help="equilibrium tolerance for --verify")
-    run.add_argument("--conv-epsilon", type=float,
+    run.add_argument("--conv-epsilon", type=_positive_float,
                      default=DEFAULT_CONV_EPSILON,
                      help="value-iteration convergence threshold")
     run.add_argument("--max-iters", type=_positive_int,

@@ -6,13 +6,16 @@ pairs by topological value iteration.  The rows of states where an objective
 is already settled hold single-objective MDP optima; every other (free)
 state solves one bimatrix game per sweep in `_sweep`, which re-solves a
 state only when a successor's value pair changed in the previous sweep
-(otherwise its game, and so its pair and profile, would repeat).  Backwards
-induction sweeps every free state once per stage.  Value iteration solves
-the strongly connected components of the free states one at a time, sinks
-first: a state off every cycle once, against its successors' final pairs,
-and any other component by sweeps over its own states until its stop rule
-holds.  Mixed pairs (one finite, one infinite horizon) are reduced to
-infinite-horizon pairs on a step-counter product game.
+(otherwise its game, and so its pair and profile, would repeat), and looks
+the game up by its shape and successor pairs before building it, so each
+distinct local game is built and solved once per solve (`LocalGameTable`).
+Backwards induction sweeps every free state once per stage.  Value
+iteration solves the strongly connected components of the free states one
+at a time, sinks first: a state off every cycle once, against its
+successors' final pairs, and any other component by sweeps over its own
+states until its stop rule holds.  Mixed pairs (one finite, one infinite
+horizon) are reduced to infinite-horizon pairs on a step-counter product
+game.
 
 The number type of a solve is chosen once, in `_solve_nash`, before the game
 is regrouped into it (`model.coalition_game`): bounded pairs and solved games
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -275,7 +278,8 @@ def _over_lcm(values, exact):
 
 @dataclass(frozen=True)
 class LocalGameTable:
-    """What the local games of one solve are built from, per state.
+    """What the local games of one solve are built from, per state, and the
+    equilibria selected on them so far.
 
     `entries[s]` is (moves, successors, D, choices, payments): the state's
     `moves`; the union of its successors; per joint move, row-major over the
@@ -285,6 +289,13 @@ class LocalGameTable:
     reward of each move as numerators over R).  In float mode every
     denominator is 1 and the numbers are the game's floats.
 
+    `shapes[s]` numbers the state's (moves, D, choices, payments): states
+    with one shape id build equal local games from equal successor pairs,
+    taken in their successor order.  `memo` maps such a (shape id,
+    successor pairs) key to the pair and profile `_sweep` selected for it,
+    so each distinct local game of a solve is built and solved once.  It
+    holds at most one key per entry: `_sweep` empties it when it is full.
+
     `read` holds the states in some successor union: those whose value
     pairs some local game reads.
     """
@@ -292,6 +303,8 @@ class LocalGameTable:
     exact: bool
     entries: dict
     read: frozenset
+    shapes: dict
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def local_game_table(game, states, rewards=(None, None)) -> LocalGameTable:
@@ -301,7 +314,7 @@ def local_game_table(game, states, rewards=(None, None)) -> LocalGameTable:
     exact = game.number is Fraction
     structures = [None if name is None else game.rewards[name]
                   for name in rewards]
-    entries, read = {}, set()
+    entries, read, shapes, ids = {}, set(), {}, {}
     for s in states:
         acts1, acts2 = moves = game.moves[s]
         dists = [game.trans[s][(a, b)] for a in acts1 for b in acts2]
@@ -319,9 +332,15 @@ def local_game_table(game, states, rewards=(None, None)) -> LocalGameTable:
         for rs in structures:
             pays = [] if rs is None else [rs.state(s) + rs.action(s, (a, b))
                                           for a in acts1 for b in acts2]
-            payments.append(_over_lcm(pays, exact) if any(pays) else None)
-        entries[s] = (moves, succ, d, choices, tuple(payments))
-    return LocalGameTable(exact, entries, frozenset(read))
+            if any(pays):
+                r, pays = _over_lcm(pays, exact)
+                payments.append((r, tuple(pays)))
+            else:
+                payments.append(None)
+        choices, payments = tuple(choices), tuple(payments)
+        shapes[s] = ids.setdefault((moves, d, choices, payments), len(ids))
+        entries[s] = (moves, succ, d, choices, payments)
+    return LocalGameTable(exact, entries, frozenset(read), shapes)
 
 
 def local_game(table, state, continuation) -> BimatrixGame:
@@ -410,17 +429,36 @@ def _sweep(table, states, vals, changed, profiles):
     a state is re-solved only when a successor is in `changed`, the states
     whose pairs changed in the previous sweep; `changed` None solves them
     all.  A skipped state keeps its pair in `vals` and its profile in
-    `profiles`.  The check reads the successors of `states` alone."""
+    `profiles`.  The check reads the successors of `states` alone.
+
+    A state that is re-solved first looks its game up in `table.memo`, by
+    its shape id and its successors' pairs: on an exact table as integer
+    ratios, which `local_game` reads a float as too, so a float and its
+    `Fraction` image give one key.  Only a game not found there is built
+    and solved."""
     pairs, out = {}, {}
+    entries, shapes, memo, exact = \
+        table.entries, table.shapes, table.memo, table.exact
     for s in states:
-        moves, succ = table.entries[s][:2]
+        succ = entries[s][1]
         if changed is not None and changed.isdisjoint(succ):
             pairs[s], out[s] = vals[s], profiles[s]
             continue
-        chosen, _ = solve_swne(local_game(table, s, vals))
-        pairs[s] = (chosen.u, chosen.v) if table.exact else \
-            (float(chosen.u), float(chosen.v))
-        out[s] = ("mix", *moves, chosen.x, chosen.y)
+        if exact:
+            key = (shapes[s], *[(u.as_integer_ratio(), v.as_integer_ratio())
+                                for u, v in map(vals.__getitem__, succ)])
+        else:
+            key = (shapes[s], *map(vals.__getitem__, succ))
+        solved = memo.get(key)
+        if solved is None:
+            chosen, _ = solve_swne(local_game(table, s, vals))
+            if len(memo) >= len(entries):
+                memo.clear()
+            solved = memo[key] = (
+                (chosen.u, chosen.v) if exact else
+                (float(chosen.u), float(chosen.v)),
+                ("mix", *entries[s][0], chosen.x, chosen.y))
+        pairs[s], out[s] = solved
     return pairs, out
 
 

@@ -46,6 +46,25 @@ reward r2 state m1 1
 """
 
 
+# x=0 reaches the goal with probability 1/N per step and otherwise stays: at
+# N=1 it is off every cycle and solved once; above, its self-loop needs about
+# 6 / log10(N / (N - 1)) sweeps to move by less than 1e-6 (20 at N=2, 34 at
+# N=3).
+LEAKY_LOOP = """\
+const int N;
+player p1 m endplayer
+player p2 w endplayer
+module m
+  x : [0..1] init 0;
+  [a] x=0 -> 1/N:(x'=1) + 1-1/N:(x'=0);
+  [a] x=1 -> true;
+endmodule
+module w
+  [b] true -> true;
+endmodule
+label "goal" = x=1;
+"""
+
 # A small game with both state and action rewards; every profile reaches
 # `goal` almost surely (the s1/s2 cycle and the s0 self-loop each leak to g),
 # so reachability rewards are finite.  Hand-checked values are in the tests.
@@ -114,6 +133,45 @@ def small_csgs(draw):
                            max_size=len(players) - 1))
     return csg, tuple(p for p in players if p in members)
 
+
+@st.composite
+def acyclic_csgs(draw):
+    """A random CSG on which every play is absorbed within k steps, a random
+    proper coalition of its players, and k.
+
+    Players, actions and labels are drawn as in `small_csgs`.  The states
+    lie in layers 0..k (k 1-3), 1-2 states each; a state below layer k
+    moves only to deeper layers, with integer weights 0-3, and the states of
+    layer k are deadlocks (`Csg.create` gives them an idle self-loop).
+    """
+    k = draw(st.integers(1, 3))
+    players = [f"p{i}" for i in range(1, draw(st.integers(2, 3)) + 1)]
+    alphabets = {p: [f"{p}{c}" for c in "abc"[:draw(st.integers(1, 3))]]
+                 for p in players}
+    layers = [[f"s{i}_{j}" for j in range(draw(st.integers(1, 2)))]
+              for i in range(k + 1)]
+    trans = {s: {} for s in layers[-1]}
+    for i, layer in enumerate(layers[:-1]):
+        deeper = [t for later in layers[i + 1:] for t in later]
+        for s in layer:
+            avail = [sorted(draw(st.sets(st.sampled_from(alphabets[p]))))
+                     or [IDLE] for p in players]
+            trans[s] = {}
+            for joint in product(*avail):
+                weights = draw(st.lists(st.integers(0, 3),
+                                        min_size=len(deeper),
+                                        max_size=len(deeper)))
+                if not any(weights):
+                    weights[draw(st.integers(0, len(deeper) - 1))] = 1
+                trans[s][joint] = {t: Fraction(w, sum(weights))
+                                   for t, w in zip(deeper, weights) if w}
+    states = [s for layer in layers for s in layer]
+    labels = {s: {name for name in ("t1", "t2") if draw(st.booleans())}
+              for s in states}
+    csg = Csg.create(players, alphabets, states, states[:1], trans, labels)
+    members = draw(st.sets(st.sampled_from(players), min_size=1,
+                           max_size=len(players) - 1))
+    return csg, tuple(p for p in players if p in members), k
 
 def labelled(csg, name):
     """The states of `csg` labelled `name`, as a resolved state formula."""

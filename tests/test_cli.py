@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import model_path
+from conftest import LEAKY_LOOP, model_path
 from csgnash.cli import (_exact, _parse_const, _parse_sweep, _parse_value,
                          main)
 from csgnash.lang import parse_constant_value
@@ -74,6 +74,36 @@ class TestOptionParsing:
         assert excinfo.value.code == 2
         assert f"expected a positive integer, got '{value}'" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, kind", [
+        # a threshold of 0 or below reported a converging component as a
+        # period-2 oscillation, and NaN ran every sweep: both exited 3
+        ("--conv-epsilon", "0", "positive"),
+        ("--conv-epsilon", "-1", "positive"),
+        ("--conv-epsilon", "nan", "positive"),
+        ("--conv-epsilon", "inf", "positive"),
+        # a negative or NaN ε failed verification with gaps of 0 (exit 1)
+        ("--epsilon", "-1", "non-negative"),
+        ("--epsilon", "nan", "non-negative"),
+        ("--epsilon", "inf", "non-negative"),
+    ])
+    def test_tolerances_must_be_finite_and_in_range(self, capsys, option,
+                                                    value, kind):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--model", model_path("fig1.csgx"), "--verify",
+                  option, value,
+                  "--property", "<<p1:p2>>max=? (P[F sent1] + P[F sent2])"])
+        assert excinfo.value.code == 2
+        assert f"expected a {kind} finite number, got '{value}'" in \
+            capsys.readouterr().err
+
+    def test_zero_epsilon_asks_for_exact_gaps(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--model", model_path("fig1.csgx"), "--verify",
+            "--epsilon", "0",
+            "--property", "<<p1:p2>>max=? (P[F sent1] + P[F sent2])")
+        assert code == 0
+        assert "passed=true" in out
 
 
 class TestExactStrings:
@@ -620,21 +650,10 @@ class TestSweepRecipes:
                        "within 1 sweeps, in a strongly connected component "
                        "of 1 free state: (1, 1, 1, 1)\n")
 
-    # x=0 reaches the goal with probability 1/N per step and otherwise
-    # stays: at N=1 it is off every cycle and solved once; above, its
-    # self-loop needs about 6 / log10(N / (N - 1)) sweeps to move by less
-    # than 1e-6 (20 at N=2, 34 at N=3)
-    LEAKY_LOOP = ("const int N;\nplayer p1 m endplayer\n"
-                  "player p2 w endplayer\nmodule m\n  x : [0..1] init 0;\n"
-                  "  [a] x=0 -> 1/N:(x'=1) + 1-1/N:(x'=0);\n"
-                  "  [a] x=1 -> true;\nendmodule\n"
-                  "module w\n  [b] true -> true;\nendmodule\n"
-                  "label \"goal\" = x=1;\n")
-
     def test_points_solved_before_a_non_converged_one_are_printed(
             self, capsys, tmp_path):
         model = tmp_path / "loop.csg"
-        model.write_text(self.LEAKY_LOOP)
+        model.write_text(LEAKY_LOOP)
         code, out, err = run_cli(
             capsys, "run", "--model", str(model), "--sweep", "N=1..3",
             "--max-iters", "30",

@@ -7,11 +7,13 @@ strongly connected component of the free states at a time, sinks first,
 where `oracles.unbounded_pair_by_sweep_loop` sweeps the whole game: off
 cycles it must give the loop's values and profiles exactly, on them the same
 limit within the stop rule's reach, or the same oscillation.  The sweep
-re-solves a state only when a successor's pair changed, so both engines
-solve fewer local games than those loops, which solve every state every
-time.  The engines compute each single-objective optimum only where a
-profile can play it, the loops everywhere, so `PairResult.single` is
-compared at the entries a profile reads (`same_result`)."""
+re-solves a state only when a successor's pair changed, and looks its local
+game up in the table's memo before building it, so a game that repeats
+within a solve is built once.  So both engines build fewer local games than
+those loops, which build every state's game every time and so stay an
+independent path.  The engines compute each single-objective optimum only
+where a profile can play it, the loops everywhere, so `PairResult.single`
+is compared at the entries a profile reads (`same_result`)."""
 
 from fractions import Fraction
 
@@ -20,13 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import labelled, model_path, small_csgs
+from conftest import LEAKY_LOOP, labelled, model_path, small_csgs
 from csgnash import nash
 from csgnash.errors import InfiniteValue, NotConverged
 from csgnash.explicit import load_explicit, loads_explicit
-from csgnash.lang import load_model
+from csgnash.lang import build_csg, load_model, parse_model
 from csgnash.model import coalition_game
-from csgnash.nash import (PENDING, PairResult, _horizon, _refine, evaluate,
+from csgnash.nash import (ONE, PENDING, ZERO, PairResult, _horizon, _refine,
+                          _sweep, evaluate, local_game_table,
                           solve_bounded_pair, solve_unbounded_pair)
 from csgnash.properties import NashNode, Objective, TrueF, parse_property
 
@@ -227,6 +230,20 @@ def lies_on_cycle(cg, free):
     return False
 
 
+def swept(monkeypatch):
+    """The states and the `changed` set of each `nash._sweep` call, in call
+    order."""
+    calls = []
+    original = nash._sweep
+
+    def spy(table, states, vals, changed, profiles):
+        calls.append((list(states), changed))
+        return original(table, states, vals, changed, profiles)
+
+    monkeypatch.setattr(nash, "_sweep", spy)
+    return calls
+
+
 def counted(monkeypatch, module):
     """The state of each `local_game` call made from `module`, in call
     order."""
@@ -286,9 +303,14 @@ class TestChangeDrivenSweeps:
         ev = evaluate(load_model(model_path("robot.csg"), {"l": 3}),
                       parse_property(
                           "<<p1:p2>>max=? (P[F<=4 goal1] + P[F goal2])"))
+        visits = swept(monkeypatch)
         solves = counted(monkeypatch, nash)
         result = solve_unbounded_pair(ev.game, ev.query)
-        assert sorted(solves) == sorted(result.profiles)
+        assert all(changed is None for _, changed in visits)
+        assert sorted(s for states, _ in visits for s in states) == \
+            sorted(result.profiles)
+        # states with equal local games share one build
+        assert 0 < len(solves) < len(result.profiles)
         assert result.iterations == 1
         assert same_result(
             ev.game, ev.query, result,
@@ -319,3 +341,83 @@ class TestChangeDrivenSweeps:
                            oracles.bounded_pair_by_stage_loop(cg, query))
         assert result.values["s0"] == (1, Fraction(7, 8))
         assert solves.count("s0") == 4 and solves.count("d") == 1
+
+
+# s0 and s1 are the same game over different successors: g and h are
+# targets of t1, d and e are dead ends.
+TWINS = loads_explicit("""\
+player p1 a b
+player p2 x y
+init s0 s1
+label g t1
+label h t1
+s0 (a,x) -> 1:g
+s0 (a,y) -> 1:d
+s0 (b,x) -> 1:d
+s0 (b,y) -> 1/2:g + 1/2:d
+s1 (a,x) -> 1:h
+s1 (a,y) -> 1:e
+s1 (b,x) -> 1:e
+s1 (b,y) -> 1/2:h + 1/2:e
+g (-,-) -> 1:g
+h (-,-) -> 1:h
+d (-,-) -> 1:d
+e (-,-) -> 1:e
+""")
+
+
+class TestLocalGameMemo:
+    def test_equal_games_are_built_once(self, monkeypatch):
+        query = pair(TWINS, ("p1",), (reach(TWINS, "t1", 1),
+                                      reach(TWINS, "t2", 1)))
+        cg = coalition_game(TWINS, ("p1",))
+        solves = counted(monkeypatch, nash)
+        result = solve_bounded_pair(cg, query)
+        # s1 repeats s0's game, e repeats d's
+        assert solves == ["s0", "d"]
+        assert result.values["s1"] == result.values["s0"] == (1, 0)
+        assert result.profiles[1]["s1"] == result.profiles[1]["s0"]
+        assert same_result(cg, query, result,
+                           oracles.bounded_pair_by_stage_loop(cg, query))
+
+    @pytest.mark.parametrize("image, builds", [
+        (Fraction(0.1), ["s0"]),
+        (Fraction(1, 10), ["s0", "s1"]),
+    ])
+    def test_a_float_and_its_fraction_share_a_key(self, monkeypatch, image,
+                                                  builds):
+        # a settled state's optimum can reach an exact solve as a float;
+        # local_game reads it as the rational it denotes, and so does the key
+        cg = coalition_game(TWINS, ("p1",))
+        table = local_game_table(cg, ["s0", "s1"])
+        vals = {"g": (ONE, 0.1), "h": (ONE, image),
+                "d": (ZERO, ZERO), "e": (ZERO, ZERO)}
+        solves = counted(monkeypatch, nash)
+        pairs, profiles = _sweep(table, ["s0", "s1"], vals, None, {})
+        assert solves == builds
+        assert len(table.memo) == len(builds)
+        assert (pairs["s0"] == pairs["s1"]) == (len(builds) == 1)
+
+    def test_memo_holds_at_most_one_game_per_state(self, monkeypatch):
+        # the loop's one free state changes its pair on every sweep, so each
+        # sweep builds a new game, and the memo is emptied before each insert
+        ev = evaluate(build_csg(parse_model(LEAKY_LOOP), {"N": 3}),
+                      parse_property("<<p1:p2>>max=? (P[F goal] + P[F goal])"))
+        held = []
+        original = nash._sweep
+
+        def spy(table, *args):
+            swept = original(table, *args)
+            held.append((len(table.memo), len(table.entries)))
+            return swept
+
+        monkeypatch.setattr(nash, "_sweep", spy)
+        solves = counted(monkeypatch, nash)
+        result = solve_unbounded_pair(ev.game, ev.query)
+        assert result.iterations > 30
+        assert len(solves) == len(held) == result.iterations
+        assert all(size <= states for size, states in held)
+        assert same_result(
+            ev.game, ev.query, result,
+            oracles.unbounded_pair_by_sweep_loop(ev.game, ev.query),
+            SWEEP_ORDER_FREE + ("iterations",))

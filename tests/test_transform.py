@@ -2,7 +2,9 @@
 
 from fractions import Fraction as F
 
-from conftest import ACYCLIC_GAME, model_path
+from hypothesis import given, settings
+
+from conftest import ACYCLIC_GAME, acyclic_csgs, model_path, pair_query
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import build_csg, parse_model
 from csgnash.model import coalition_game
@@ -135,6 +137,22 @@ class TestValueAgreement:
         self.agree(f"<<p1:p2>>max=? (P[F<=2 g1] + P[F {nested}])",
                    f"<<p1:p2>>max=? (P[F<=2 g1] + P[F<=2 {nested}])")
 
+
+class TestRandomAcyclicGames:
+    """Where every play is absorbed within k steps, an unbounded reachability
+    objective is worth what its k-step bound is, so the unbounded pair and
+    both mixed pairs (through the product) equal the both-bounded pair at
+    horizon k, the fixture's check on random games."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(acyclic_csgs())
+    def test_unbounded_and_mixed_equal_bounded(self, case):
+        csg, coalition, k = case
+        want = evaluate(csg, pair_query(csg, coalition, "P", (k, k))).values
+        for bounds in ((None, None), (k, None), (None, k)):
+            got = evaluate(csg, pair_query(csg, coalition, "P", bounds))
+            assert got.solve.converged
+            assert got.values == want, bounds
 
 class TestRewardValuesByHand:
     def setup_method(self):
