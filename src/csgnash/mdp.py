@@ -264,13 +264,12 @@ def _backward(g, vals, k, optimise, pinned=(), action_rewards=None,
               state_rewards=None, all_horizons=False, reads=None):
     """`k` exact backward steps from the horizon-0 value vector `vals`.
 
-    States in `pinned` keep their value and record no choice.  Without
-    `reads`, every other state is backed up at every step and each returned
-    vector holds every state.  With `reads`, (state, horizon) pairs with
-    0 <= horizon <= k, a state is backed up at step n only if a read
-    reaches it in the remaining steps through unpinned states (`_demand`),
-    and each returned vector holds the states read at its horizon alone.
-    A value at a read is the same either way.
+    `reads` names (state, horizon) pairs with 0 <= horizon <= k, by default
+    every pair.  States in `pinned` keep their value and record no choice.
+    A state is backed up at step n only if a read reaches it in the
+    remaining steps through unpinned states (`_demand`), and each returned
+    vector holds the states read at its horizon alone.  A value at a read
+    does not depend on what else is read.
 
     On an exact MDP the steps run on integers: with D from `_on_integers`
     and S the lcm of the denominators in `vals`, the value at horizon n is
@@ -284,12 +283,9 @@ def _backward(g, vals, k, optimise, pinned=(), action_rewards=None,
     states = g.states
     fixed = {i for i, s in enumerate(states) if s in pinned}
     if reads is None:
-        free = [i for i in range(len(states)) if i not in fixed]
-        shown, held, backed = None, [sorted(fixed)] * (k + 1), \
-            [None] + [free] * k
-    else:
-        shown, held, backed = _demand(g, k, fixed, reads)
-        free = sorted(set().union(*backed[1:]))
+        reads = [(s, n) for n in range(k + 1) for s in states]
+    shown, held, backed = _demand(g, k, fixed, reads)
+    free = sorted(set().union(*backed[1:]))
     rows = _rows(g, free, action_rewards, state_rewards)
     exact = g.number is Fraction
     if exact:
@@ -302,8 +298,7 @@ def _backward(g, vals, k, optimise, pinned=(), action_rewards=None,
         base = [vals[s] for s in states]
     row_of = dict(zip(free, rows))
     cur = base
-    history = [vals if shown is None else
-               {states[i]: vals[states[i]] for i in shown[0]}]
+    history = [{states[i]: vals[states[i]] for i in shown[0]}]
     steps = [None]
     maximise = optimise == "max"
     for n in range(1, k + 1):
@@ -316,8 +311,7 @@ def _backward(g, vals, k, optimise, pinned=(), action_rewards=None,
                 cur[i] = base[i] * grow
         steps.append(dict(zip(map(states.__getitem__, backed[n]), chosen)))
         if all_horizons or n == k:
-            pairs = zip(states, cur) if shown is None else \
-                ((states[i], cur[i]) for i in shown[n])
+            pairs = ((states[i], cur[i]) for i in shown[n])
             history.append({s: Fraction(v, scale) for s, v in pairs}
                            if exact else dict(pairs))
     return (history if all_horizons else history[-1]), steps

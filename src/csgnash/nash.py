@@ -49,6 +49,7 @@ from .errors import (
     AssumptionViolated,
     NotConverged,
     PropertyError,
+    UnknownReward,
     UnsupportedOperator,
 )
 from .model import (
@@ -142,7 +143,6 @@ class Evaluation:
     solve: PairResult = None
     game: object = None          # the CoalitionGame that was solved
     query: NashNode = None       # the pair solved on it (rewritten if mixed)
-    embedding: dict = None       # base state -> solved-game state (mixed only)
     assumption: object = None
 
 
@@ -740,8 +740,8 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     assumption is checked on the solved game; with `strict_assumptions` a
     failed check raises AssumptionViolated before anything is solved.
     Returns the `Evaluation` fields of the solve by name: `solve`, `game`,
-    `query`, `embedding`, `assumption` and the per-base-state `values`; a
-    NotConverged raised by the solver carries the assumption report."""
+    `query`, `assumption` and the per-base-state `values`; a NotConverged
+    raised by the solver carries the assumption report."""
     horizon = classify_horizon(node)
     mixed = horizon.startswith("mixed")
     layers = _finite_side(node.objectives)[1] + 1 if mixed else 1
@@ -772,7 +772,7 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     values = result.values if embedding is None else \
         {s: result.values[embedding[s]] for s in csg.states}
     return dict(values=values, solve=result, game=game, query=query,
-                embedding=embedding, assumption=report)
+                assumption=report)
 
 
 def sat_operator(game, node):
@@ -792,8 +792,18 @@ def evaluate(csg, formula, conv_epsilon=DEFAULT_CONV_EPSILON,
     query form yield per-state values with a summary at the initial states,
     in threshold form a satisfying set plus initial-state truth values.
     With `strict_assumptions`, a Nash operator whose assumption check fails
-    raises AssumptionViolated instead of being solved.
+    raises AssumptionViolated instead of being solved.  A coalition
+    operator naming a reward structure the game does not declare raises
+    UnknownReward before anything is built, as parsing against the model
+    would.
     """
+    if isinstance(formula, (NashNode, ZeroSumNode)):
+        objectives = formula.objectives if isinstance(formula, NashNode) \
+            else (formula.objective,)
+        for obj in objectives:
+            if obj.reward is not None and obj.reward not in csg.rewards:
+                raise UnknownReward(
+                    f"unknown reward structure {obj.reward!r}")
     if isinstance(formula, ZeroSumNode):
         vals = _zero_sum_values(csg, formula)
         if formula.threshold is None:

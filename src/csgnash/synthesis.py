@@ -2,12 +2,12 @@
 verification of the synthesised profiles.
 
 A synthesised profile is a finite-memory stochastic strategy pair.  Memory
-tracks each objective's status (pending / won / lost) and, for finite-horizon
-pairs, the remaining step count.  While both objectives are pending the
-coalitions play the local equilibrium recorded at each state during the
-solve; once exactly one objective is settled both sides follow a joint
-strategy optimal for the single remaining objective; with nothing at stake
-they play the first available actions.
+tracks the remaining step count (1 throughout an infinite-horizon pair) and
+each objective's status (pending / won / lost).  While both objectives are
+pending the coalitions play the local equilibrium recorded at each state
+during the solve; once exactly one objective is settled both sides follow a
+joint strategy optimal for the single remaining objective; with nothing at
+stake they play the first available actions.
 
 Verification fixes one coalition's strategy, computes the free coalition's
 best-response value in the induced MDP, and compares it with the value the
@@ -54,26 +54,25 @@ class SynthesisedProfile:
 
     def choice(self, state, step, statuses):
         """The joint behaviour at a state for memory contents `statuses`
-        refined at that state (and `step` stages left of a bounded pair):
-        either ("mix", acts1, acts2, x, y) or ("pure", a1, a2).  Where both
-        objectives are pending the state is free, so the solve recorded a
-        "mix" profile there."""
+        refined at that state and `step` stages left (1 throughout an
+        unbounded pair): ("mix", acts1, acts2, x, y), ("pure", a1, a2), or
+        None where no play reaches the memory.  Where both objectives are
+        pending the state is free, so the solve recorded a "mix" profile
+        there.  Where one is pending with steps left, both sides play its
+        strategy, which holds the states a play can reach with that memory
+        (`nash._coop_optima`).  Where both are pending below step 1, a
+        bounded pair's longer horizon is played, and its strategy holds
+        every state where both are pending."""
         result = self.result
-        bounded = step is not None
         pending = [l for l, st in enumerate(statuses) if st == PENDING]
-        if len(pending) == 2 and (not bounded or step >= 1):
-            return (result.profiles[step] if bounded else
+        if len(pending) == 2 and step >= 1:
+            return (result.profiles[step] if result.kind == "bounded" else
                     result.profiles)[state]
-        # one objective settled, or a bounded pair's shared stage count ran
-        # out with one objective's longer horizon still live; an unbounded
-        # pair's entry 1 is its strategy, as nothing runs out
         for l in pending:
-            remaining = step + result.pads[l] if bounded else 1
-            if remaining > 0 or len(pending) == 1:
-                steps = result.single[l]
-                strat = steps[min(max(remaining, 0), len(steps) - 1)]
-                cid = strat.get(state) if strat else None
-                return ("pure",) + tuple(cid or _first_pair(self.game, state))
+            remaining = step + result.pads[l]
+            if remaining > 0:
+                cid = (result.single[l][remaining] or {}).get(state)
+                return None if cid is None else ("pure",) + tuple(cid)
         return ("pure",) + _first_pair(self.game, state)
 
     def strategy(self, side) -> "TableStrategy":
@@ -82,14 +81,13 @@ class SynthesisedProfile:
     def export(self):
         """JSON-shaped description: query, memory modes, per-entry choices.
 
-        Only reachable modes are listed: a mode marks an objective won or
-        lost only if that objective can settle and its win or lose set is
-        not empty, and it is listed at a state only if the state settles no
-        objective it leaves pending.  Where a mode with one objective
-        pending plays that objective's strategy, it is listed only at the
-        states where the strategy has an entry, those a play can reach
-        (`nash._coop_optima`).  A state (s, layer) of a mixed pair's product
-        (a game with no base) is named by s, with its layer beside it."""
+        The memory is walked from its initial step down to its floor
+        (`TableStrategy`), with a `step` key for bounded pairs alone.  A
+        mode marks an objective won or lost only if that objective can
+        settle and its win or lose set is not empty, and it is listed at a
+        state that settles no objective it leaves pending, where `choice`
+        plays it.  A state (s, layer) of a mixed pair's product (a game with
+        no base) is named by s, with its layer beside it."""
 
         def place(state):
             if self.game.base is None:
@@ -98,6 +96,7 @@ class SynthesisedProfile:
 
         entries = []
         result = self.result
+        bounded = result.kind == "bounded"
         statuses_seen = [
             statuses for statuses in [(PENDING, PENDING), (WON, PENDING),
                                       (LOST, PENDING), (PENDING, WON),
@@ -105,26 +104,19 @@ class SynthesisedProfile:
             if all(st == PENDING or can and (win if st == WON else lose)
                    for st, (win, lose, can) in zip(statuses,
                                                    result.statuses))]
-        # a bounded memory counts down to -max(pads) (`TableStrategy`)
-        steps = [None] if result.kind == "unbounded" else \
-            list(range(result.iterations, -max(result.pads) - 1, -1))
+        memory = TableStrategy(self, 1)
+        steps = range(memory.initial_mode[0], memory._floor - 1, -1)
         for state in self.game.states:
             for step in steps:
                 for statuses in statuses_seen:
                     if _refine(result.statuses, state, statuses) != statuses:
-                        continue        # not a reachable memory for this state
-                    if statuses != (PENDING, PENDING):
-                        l = statuses.index(PENDING)
-                        remaining = 1 if step is None else \
-                            step + result.pads[l]
-                        if remaining > 0 and \
-                                state not in (result.single[l][remaining]
-                                              or ()):
-                            continue    # no play reaches this memory here
-                    entry = {**place(state), "mode": list(statuses)}
-                    if step is not None:
-                        entry["step"] = step
+                        continue        # the memory settles at this state
                     ch = self.choice(state, step, statuses)
+                    if ch is None:
+                        continue
+                    entry = {**place(state), "mode": list(statuses)}
+                    if bounded:
+                        entry["step"] = step
                     if ch[0] == "mix":
                         _, acts1, acts2, x, y = ch
                         entry["x"] = {_name(a): _num(p)
@@ -164,35 +156,32 @@ def _num(value):
 class TableStrategy(MemoryStrategy):
     """One coalition's side of a synthesised profile.
 
-    Memory modes are (status1, status2) tuples, prefixed with the remaining
-    step count for finite-horizon pairs.  The start mode is refined against
-    the initial state and each update against the successor, so a mode's
-    statuses are always refined at the state it is consulted in.
+    A memory mode is (step, status1, status2): the stages left and each
+    objective's status.  A bounded pair's step counts down from its stage
+    count to its floor, -max(pads), where the longer horizon's last steps
+    are played; an unbounded or mixed pair's step is 1 and stays 1.  The
+    start mode is refined against the initial state and each update against
+    the successor, so a mode's statuses are always refined at the state it
+    is consulted in.  Where `choice` finds no play reaching a mode, the
+    coalitions play the first available actions.
     """
 
     def __init__(self, profile: SynthesisedProfile, side):
         self.profile = profile
         self.side = side
         result = profile.result
-        statuses = (PENDING, PENDING)
-        if result.kind == "bounded":
-            self.initial_mode = (result.iterations,) + statuses
-            self._floor = -max(result.pads)
-        else:
-            self.initial_mode = statuses
+        bounded = result.kind == "bounded"
+        self.initial_mode = (result.iterations if bounded else 1,
+                             PENDING, PENDING)
+        self._floor = -max(result.pads) if bounded else 1
 
     def start(self, state):
-        step, statuses = self._split(self.initial_mode)
-        statuses = _refine(self.profile.result.statuses, state, statuses)
-        return statuses if step is None else (step,) + statuses
-
-    def _split(self, mode):
-        if self.profile.result.kind == "bounded":
-            return mode[0], mode[1:]
-        return None, mode
+        return (self.initial_mode[0],) + _refine(
+            self.profile.result.statuses, state, self.initial_mode[1:])
 
     def distribution(self, state, mode):
-        ch = self.profile.choice(state, *self._split(mode))
+        ch = self.profile.choice(state, mode[0], mode[1:]) or \
+            ("pure",) + _first_pair(self.profile.game, state)
         if ch[0] == "pure":
             return {ch[self.side]: Fraction(1)}
         _, acts1, acts2, x, y = ch
@@ -200,11 +189,8 @@ class TableStrategy(MemoryStrategy):
         return {a: p for a, p in zip(acts, weights) if p}
 
     def update(self, mode, next_state):
-        step, statuses = self._split(mode)
-        statuses = _refine(self.profile.result.statuses, next_state, statuses)
-        if step is None:
-            return statuses
-        return (max(step - 1, self._floor),) + statuses
+        return (max(mode[0] - 1, self._floor),) + _refine(
+            self.profile.result.statuses, next_state, mode[1:])
 
 
 def synthesise_profile(game, query: NashNode, result: PairResult
@@ -280,7 +266,8 @@ def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
         gaps.append(gap)
         if not bounded:
             # a synthesised mode is refined at its node's state already
-            pend = [n for n in chain.states if n[1] == (PENDING, PENDING)]
+            pend = [n for n in chain.states
+                    if n[1][1:] == (PENDING, PENDING)]
             sub = max((float(best[n]) - float(achieved[n]) for n in pend
                        if n in best and n in achieved), default=0.0)
             sub_gaps.append(sub)

@@ -55,6 +55,15 @@ CASES = [
     ("fig1.csg", (), "<<p1:p2>>max=? (P[F<=2 sent1] + P[F sent2])",
      "2d7c224c65e681d342450cc93b569e3cac9469b95121adadd97f99bda2260319",
      "726e301c8291759efc177bee44f456f5f075a2c305cd9c4459389c0d043f45a4"),
+    # an unbounded pair whose export lists lost modes
+    ("robot.csg", ("l=3",),
+     "<<p1:p2>>max=? (P[!crash U goal1] + P[!crash U goal2])",
+     "89658886f075d0f09b596e02e3246aa493eec9a9ba95e5a158f6c3cd9821400c",
+     "36bea337c49ddc4a25913b3b98ce4ff58c04908fe1f763d7821cc1dde900ddbc"),
+    # a bounded pair with pads (0, 2), whose memory counts down to step -2
+    ("fig1.csg", (), "<<p1:p2>>max=? (P[X sent1] + P[F<=3 sent2])",
+     "f085732e7e452dc0d850650cab10bad3cc63e848ed68fa0f34439789e88ca0ab",
+     "c5ceac1ff5c8e798a3d6d9180f3bcbe8c7c94ea7636b6a80b52e6ac803fda36f"),
 ]
 
 

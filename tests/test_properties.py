@@ -14,7 +14,8 @@ from csgnash.errors import (
     UnknownReward,
 )
 from csgnash.explicit import load_explicit
-from csgnash.lang import build_csg, parse_model
+from csgnash import nash
+from csgnash.lang import build_csg, load_model, parse_model
 from csgnash.properties import (
     And,
     Atom,
@@ -118,6 +119,23 @@ class TestParseErrors:
     def test_unknown_reward(self):
         with pytest.raises(UnknownReward):
             parse_property("<<p1:p2>>max=? (R{zz}[C<=1] + R{zz}[C<=1])", fig1())
+
+    @pytest.mark.parametrize("text", [
+        '<<p1:p2>>max=? (R{"nope"}[F sent1] + R{"nope"}[F sent2])',
+        '<<{p1,p2}>>R{"nope"}max=? [C<=2]',
+    ])
+    def test_unknown_reward_of_a_formula_parsed_without_its_model(
+            self, monkeypatch, text):
+        # evaluation checks the names parsing could not, before any game is
+        # built
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a game was built")
+
+        monkeypatch.setattr(nash, "coalition_game", unbuilt)
+        monkeypatch.setattr(nash, "joint_mdp", unbuilt)
+        csg = load_model(model_path("fig1.csg"))
+        with pytest.raises(UnknownReward, match="'nope'"):
+            nash.evaluate(csg, parse_property(text))
 
     def test_bad_probability_threshold(self):
         with pytest.raises(BadThreshold):

@@ -52,11 +52,13 @@ class TestSharedChannelProfiles:
         ev, profile = solved_profile(
             self.csg, "<<p1:p2>>max=? (P[F sent1] + P[F sent2])")
         strategy = profile.strategy(1)
-        assert strategy.initial_mode == ("pending", "pending")
+        # an unbounded pair's step is 1 and stays 1
+        assert strategy.initial_mode == (1, "pending", "pending")
         # s3 satisfies sent1 only; s1 satisfies both
-        assert strategy.update(("pending", "pending"), "s3") == \
-            ("won", "pending")
-        assert strategy.update(("won", "pending"), "s1") == ("won", "won")
+        assert strategy.update((1, "pending", "pending"), "s3") == \
+            (1, "won", "pending")
+        assert strategy.update((1, "won", "pending"), "s1") == \
+            (1, "won", "won")
 
     def test_export_round_trips_through_json(self, tmp_path):
         ev, profile = solved_profile(
@@ -101,12 +103,13 @@ def test_exported_modes_are_reachable(model, consts, prop):
     sets = [{"won": win, "lost": lose} for win, lose, _ in result.statuses]
     assert all(st == "pending" or settles[l] and sets[l][st]
                for e in entries for l, st in enumerate(e["mode"]))
-    listed = {(e["state"], e.get("step"), tuple(e["mode"])) for e in entries}
-    bounded = result.kind == "bounded"
+    # an unbounded export writes no step: its memory's step is 1 throughout
+    listed = {(e["state"], e.get("step", 1), tuple(e["mode"]))
+              for e in entries}
     for side in (1, 2):
         for state, mode in induce_mdp(ev.game, side,
                                       profile.strategy(side)).states:
-            step, statuses = (mode[0], mode[1:]) if bounded else (None, mode)
+            step, statuses = mode[0], mode[1:]
             if "pending" in statuses:
                 assert (_name(state), step, statuses) in listed
     if not any(settles):
@@ -253,32 +256,19 @@ def strategy_lookups(monkeypatch):
     """Spy on `SynthesisedProfile.choice`: records, for each call where an
     objective is pending with steps left and the other is settled or its
     steps have run out, whether the profile found that objective's
-    strategy entry (False: it fell back to `_first_pair`)."""
+    strategy entry (False: `choice` found no entry and returned None)."""
     lookups = []
-    choice, first_pair = SynthesisedProfile.choice, synthesis._first_pair
-    current = []
+    choice = SynthesisedProfile.choice
 
     def spy_choice(self, state, step, statuses):
         pending = [l for l, st in enumerate(statuses) if st == "pending"]
-        at_stake = [l for l in pending if step is None or
-                    step + self.result.pads[l] > 0]
-        plays = at_stake and (len(pending) == 1 or
-                              step is not None and step < 1)
-        current.append(bool(plays))
-        if plays:
-            lookups.append(True)
-        try:
-            return choice(self, state, step, statuses)
-        finally:
-            current.pop()
-
-    def spy_first_pair(game, state):
-        if current and current[-1]:
-            lookups[-1] = False
-        return first_pair(game, state)
+        at_stake = [l for l in pending if step + self.result.pads[l] > 0]
+        played = choice(self, state, step, statuses)
+        if at_stake and (len(pending) == 1 or step < 1):
+            lookups.append(played is not None)
+        return played
 
     monkeypatch.setattr(SynthesisedProfile, "choice", spy_choice)
-    monkeypatch.setattr(synthesis, "_first_pair", spy_first_pair)
     return lookups
 
 
