@@ -17,8 +17,8 @@ from .model import (AssumptionReport, CoalitionGame, Csg, IndexedMdp,
                     MemoryStrategy, check_assumption, coalition_game,
                     enumerate_mecs, induce_mdp, joint_mdp)
 from .mdp import expected_reward, prob1_min_set, reach_prob, step_prob
-from .nash import (Evaluation, PairResult, evaluate, mixed_horizon_transform,
-                   solve_bounded_pair, solve_unbounded_pair)
+from .nash import (Evaluation, PairResult, evaluate, solve_bounded_pair,
+                   solve_unbounded_pair)
 from .properties import (NashNode, Objective, ZeroSumNode, classify_horizon,
                          parse_property, satisfying_states, to_text)
 from .synthesis import (SynthesisedProfile, TableStrategy, VerificationReport,

@@ -219,8 +219,8 @@ def _evaluate_property(csg, text, args):
                                 "messages": result.assumption.messages()}
 
     if (args.export_strategy or args.verify) and result.solve is not None:
-        # the export names the user's query; a mixed pair is verified on the
-        # product's rewritten one
+        # the export names the user's query; verification reads the solved
+        # pair, its state formulae resolved
         profile = synthesise_profile(result.game, formula, result.solve)
         if args.export_strategy:
             profile.export_json(args.export_strategy)
@@ -238,7 +238,7 @@ def _evaluate_property(csg, text, args):
             }
             subgame = {"subgame_gap1": report.subgame_gap1,
                        "subgame_gap2": report.subgame_gap2}
-            # None for bounded pairs, and where a deviation is unbounded
+            # None where a deviation is unbounded
             record["verification"].update(
                 {key: gap for key, gap in subgame.items() if gap is not None})
             if not report.passed and status == EXIT_OK:

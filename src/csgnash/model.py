@@ -49,7 +49,7 @@ class RewardStructure:
     """Nonnegative action rewards r_A(s, alpha) and state rewards r_S(s).
 
     Action rewards are keyed by (state, the holder's own choice id): a joint
-    action in a Csg, an (a1, a2) pair in a coalition or product game, a
+    action in a Csg, an (a1, a2) pair in a coalition game, a
     choice id in an `IndexedMdp`.  Missing entries mean zero (an int, so
     that adding one keeps the other operand's number type).
     """
@@ -233,8 +233,8 @@ class CoalitionGame:
     the flattened joint action, `rewards` the base reward structures with
     action rewards keyed by (state, (a1, a2)), and `moves[s]` the sorted
     side-1 and side-2 actions at s.  Every probability and reward is a
-    `number`.  `base` is the game whose labels state formulae resolve on;
-    a step-counter product has none, its formulae being resolved already.
+    `number`.  `base` is the game it regroups, whose labels state
+    formulae resolve on.
     """
 
     base: Csg

@@ -13,16 +13,20 @@ Backwards induction sweeps every free state once per stage.  Value
 iteration solves the strongly connected components of the free states one
 at a time, sinks first: a state off every cycle once, against its
 successors' final pairs, and any other component by sweeps over its own
-states until its stop rule holds.  Mixed pairs (one finite, one infinite
-horizon) are reduced to infinite-horizon pairs on a step-counter product
-game.
+states until its stop rule holds.  A mixed pair (one finite, one infinite
+horizon) is solved by backwards induction too, on the coalition game: once
+the finite horizon runs out only the infinite objective has stakes left, so
+its cooperative optimum is its value at stage 0, and at every stage where
+the finite objective is settled.
 
 The number type of a solve is chosen once, in `_solve_nash`, before the game
-is regrouped into it (`model.coalition_game`): bounded pairs and solved games
-of up to `_EXACT_STATE_LIMIT` states are exact, larger unbounded and mixed
-pairs run in floats end to end.  Each engine compiles the states it solves
-once into a `LocalGameTable`; on an exact solve every local game is then an
-integer game, one denominator per player in lowest terms.
+is regrouped into it (`model.coalition_game`): bounded pairs are exact, and
+any other pair is exact when the model's states times its layer count (1,
+or for a mixed pair its finite horizon plus 2, plus 1 for C<=k) are at most
+`_EXACT_STATE_LIMIT`; larger pairs run in floats end to end.  Each engine
+compiles the states it solves once into a `LocalGameTable`; on an exact
+solve every local game is then an integer game, one denominator per player
+in lowest terms.
 
 Vocabulary used below for an objective at a state (`_refine` classifies,
 and both engines and synthesis share it):
@@ -54,7 +58,6 @@ from .errors import (
 )
 from .model import (
     CoalitionGame,
-    RewardStructure,
     _sccs,
     check_assumption,
     coalition_game,
@@ -79,7 +82,6 @@ __all__ = [
     "local_game_table",
     "solve_bounded_pair",
     "solve_unbounded_pair",
-    "mixed_horizon_transform",
     "evaluate",
     "sat_operator",
 ]
@@ -92,9 +94,6 @@ _EXACT_STATE_LIMIT = 64
 # two sweeps back, and a run stopped at sweep 4 still holds sweeps 0..4
 _TRACE_LENGTH = 5
 
-ONE = Fraction(1)
-ZERO = Fraction(0)
-
 PENDING, WON, LOST = "pending", "won", "lost"
 
 
@@ -103,19 +102,23 @@ PENDING, WON, LOST = "pending", "won", "lost"
 @dataclass
 class PairResult:
     """Outcome of solving one objective pair on a two-coalition game, and
-    everything synthesis plays from it.  `iterations` is the stage count of
-    a bounded pair (its shorter horizon); for an unbounded pair, the most
-    sweeps any strongly connected component of its free states took (1
-    when none lies on a cycle).  `trace` holds a bounded pair's last
+    everything synthesis plays from it.  `kind` is "bounded" for a pair
+    with a finite horizon, mixed pairs included, whose `iterations` is its
+    stage count (its shorter finite horizon); for an unbounded pair,
+    `iterations` is the most sweeps any strongly connected component of its
+    free states took (1 when none lies on a cycle).  `pads[l]` is how far
+    objective l's horizon exceeds the stage count, None for an objective
+    with no finite horizon.  `trace` holds a bounded pair's last
     _TRACE_LENGTH stage vectors; a converged unbounded pair's final vector
     alone; a failed one's last _TRACE_LENGTH sweeps of the component that
     failed, as whole vectors.  `single[l]` holds objective l's optimal
     joint choices (state -> joint action) by remaining steps, None at 0: a
-    bounded pair's per-step list, `[None, strategy]` for an unbounded pair.
-    A strategy holds only the states where a profile can play it
-    (`_coop_optima`): an unbounded one the forward closure of the settled
-    states where l is pending (None if there are none), a bounded one every
-    state up to step pads[l] and above it the states a read reaches."""
+    finite objective's per-step list, `[None, strategy]` for an infinite
+    one.  A strategy holds only the states where a profile can play it
+    (`_coop_optima`): an unbounded pair's the forward closure of the
+    settled states where l is pending (None if there are none), a finite
+    objective's every state up to step pads[l] and above it the states a
+    read reaches, and a mixed pair's infinite objective's every state."""
 
     values: dict                 # state -> (v1, v2)
     iterations: int
@@ -126,7 +129,7 @@ class PairResult:
     profiles: object = None      # per-state local profiles; bounded: per stage
     statuses: tuple = None       # `_statuses` of the pair
     single: tuple = None
-    pads: tuple = (0, 0)         # how far each horizon exceeds `iterations`
+    pads: tuple = (None, None)   # how far each horizon exceeds `iterations`
     mdp_s: float = 0.0           # seconds the single-objective optima took
 
 
@@ -142,7 +145,7 @@ class Evaluation:
     initial: dict = None         # initial state -> value(s) / boolean
     solve: PairResult = None
     game: object = None          # the CoalitionGame that was solved
-    query: NashNode = None       # the pair solved on it (rewritten if mixed)
+    query: NashNode = None       # the pair solved on it, state sets resolved
     assumption: object = None
 
 
@@ -260,7 +263,8 @@ def _optimum(mdp, obj, optimise, status, all_horizons=False,
     if all_horizons:
         start = mdp.states if reads is None else \
             [s for s, n in reads if n == 0]
-        vals = [{s: ONE if s in win else ZERO for s in start}, vals]
+        one, zero = mdp.number(1), mdp.number(0)
+        vals = [{s: one if s in win else zero for s in start}, vals]
         strategy = [None, strategy]
     return (vals, strategy) if with_strategy else vals
 
@@ -381,41 +385,46 @@ def _reward_names(objectives):
                  for obj in objectives)
 
 
-def _coop_optima(cg, objectives, stat, settled, pads=None):
+def _coop_optima(cg, objectives, stat, settled, pads=(None, None)):
     """Per objective, its optimum on the joint MDP of `cg` and an optimal
-    strategy, and the seconds they took; with `pads` (a bounded pair), the
-    optima of every horizon.
+    strategy by remaining steps, and the seconds they took; for an
+    objective with a finite horizon (`pads[l]` not None), the optima of
+    every horizon.
 
     An optimum is computed only where it is read.  Both coalitions play
     objective l's optimum only once the other objective is settled and l is
     still pending: from `need`, the settled states where l is pending, and
     the states a play can reach from them.  Nothing else reads it, neither
     the solve's rows nor a synthesised profile's memory, whichever side
-    deviates.  So an unbounded optimum is computed on the joint MDP of the
-    forward closure of `need`, and not at all when `need` is empty.  A
-    bounded pair solves both objectives on one joint MDP of every state.  It
-    reads objective l at every state at horizons 0..pads[l], where its
-    stage count starts and where a profile plays it once the shared stages
-    run out; above pads[l] it reads `need` alone.
+    deviates.  So an unbounded pair's optimum is computed on the joint MDP
+    of the forward closure of `need`, and not at all when `need` is empty.
+    A pair with a finite horizon solves both objectives on one joint MDP of
+    every state.  It reads a finite objective at every state at horizons
+    0..pads[l], where its stage count starts and where a profile plays it
+    once the shared stages run out, and above pads[l] at `need` alone; it
+    reads an infinite one at every state, its value once the finite horizon
+    runs out.
     """
     start = time.perf_counter()
-    optima, strategies = [None, None], [None, None]
-    jmdp = None if pads is None else joint_mdp(cg)
+    optima, strategies = [None, None], [[None, None], [None, None]]
+    stages = pads != (None, None)
+    jmdp = joint_mdp(cg) if stages else None
     for l, (obj, status) in enumerate(zip(objectives, stat)):
         need = [s for s, row in settled.items() if row[l] == PENDING]
-        if pads is None:
+        mdp, reads = jmdp, None
+        if pads[l] is not None:
+            reads = [(s, n) for n in range(pads[l] + 1) for s in mdp.states]
+            reads += [(s, n) for n in range(pads[l] + 1, _horizon(obj) + 1)
+                      for s in need]
+        elif not stages:
             if not need:
                 continue
             reads = set(need)
             mdp = joint_mdp(cg, reads)
-        else:
-            mdp = jmdp
-            reads = [(s, n) for n in range(pads[l] + 1) for s in mdp.states]
-            reads += [(s, n) for n in range(pads[l] + 1, _horizon(obj) + 1)
-                      for s in need]
-        optima[l], strategies[l] = _optimum(
-            mdp, obj, "max", status, all_horizons=pads is not None,
+        optima[l], strategy = _optimum(
+            mdp, obj, "max", status, all_horizons=pads[l] is not None,
             with_strategy=True, reads=reads)
+        strategies[l] = strategy if pads[l] is not None else [None, strategy]
     return optima, strategies, time.perf_counter() - start
 
 
@@ -465,18 +474,33 @@ def _sweep(table, states, vals, changed, profiles):
 # --- bounded pairs ----------------------------------------------------------------
 
 def solve_bounded_pair(cg, query: NashNode) -> PairResult:
-    """Exact backwards induction for a pair of finite-horizon objectives."""
+    """Backwards induction for a pair with at least one finite horizon, in
+    the number type of `cg`: exact on an exact game, but for an infinite
+    objective's optimum, a value-iteration float where it is not decided
+    qualitatively.
+
+    The stage count k is the shorter finite horizon.  Stage 0 holds each
+    objective's cooperative optimum: a finite one's at its pad, the steps
+    its horizon exceeds k by, and an infinite one's, which is its value at
+    every stage where it alone has stakes left.  Each of the k stages then
+    solves the free states' local games against the stage before.
+    """
     objectives = query.objectives
-    k1, k2 = (_horizon(obj) for obj in objectives)
-    k = min(k1, k2)
-    pads = (k1 - k, k2 - k)
+    horizons = [_horizon(obj) for obj in objectives]
+    k = min(h for h in horizons if h is not None)
+    pads = tuple(None if h is None else h - k for h in horizons)
     stat, settled = _settlement(cg, objectives)
     coop, coop_strats, mdp_s = _coop_optima(cg, objectives, stat, settled,
                                             pads)
     free = [s for s in cg.states if s not in settled]
     table = local_game_table(cg, free, _reward_names(objectives))
+    units = cg.number(0), cg.number(1)
 
-    vals = {s: (coop[0][pads[0]][s], coop[1][pads[1]][s]) for s in cg.states}
+    def optimum(l, n):
+        """Objective l's cooperative optimum with n stages left."""
+        return coop[l] if pads[l] is None else coop[l][n + pads[l]]
+
+    vals = {s: (optimum(0, 0)[s], optimum(1, 0)[s]) for s in cg.states}
     history = deque([vals], maxlen=_TRACE_LENGTH)
     stage_profiles = [None]
     changed = None
@@ -486,8 +510,8 @@ def solve_bounded_pair(cg, query: NashNode) -> PairResult:
         new = dict(vals)
         new.update((s, _settled_pair(
                         objectives, row,
-                        [coop[l][n + pads[l]][s] if st == PENDING else None
-                         for l, st in enumerate(row)], (ZERO, ONE)))
+                        [optimum(l, n)[s] if st == PENDING else None
+                         for l, st in enumerate(row)], units))
                    for s, row in settled.items())
         new.update(pairs)
         changed = {t for t in table.read if new[t] != vals[t]}
@@ -581,7 +605,7 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     """
     objectives = query.objectives
     stat, settled = _settlement(cg, objectives)
-    opt_vals, opt_strats, mdp_s = _coop_optima(cg, objectives, stat, settled)
+    opt_vals, single, mdp_s = _coop_optima(cg, objectives, stat, settled)
     free = [s for s in cg.states if s not in settled]
     table = local_game_table(cg, free, _reward_names(objectives))
 
@@ -613,9 +637,7 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
         trace=[vals] if failed is None else
         [{**vals, **pairs} for pairs in history],
         profiles={s: profiles[s] for s in free if s in profiles},
-        statuses=stat,
-        single=tuple([None, strategy] for strategy in opt_strats),
-        mdp_s=mdp_s)
+        statuses=stat, single=tuple(single), mdp_s=mdp_s)
     if failed is not None:
         message = diagnostic or (
             f"value iteration did not converge within {sweeps} sweeps")
@@ -630,79 +652,9 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
 
 # --- mixed horizons ---------------------------------------------------------------
 
-def _finite_side(objectives):
-    """A mixed pair's finite objective's index and its product's absorbing
-    layer: one past its horizon, or at it for C<=k, which pays below it."""
-    fi = 0 if objectives[0].is_finite_horizon() else 1
-    obj = objectives[fi]
-    return fi, _horizon(obj) + (obj.op != "C")
-
-
-def mixed_horizon_transform(cg, query: NashNode):
-    """Reduce a mixed-horizon pair to an infinite-horizon pair on a product.
-
-    Each state sub-formula is resolved on the base game (a `StateSet` as
-    is) and lifted to the product states over it: in every layer for the
-    infinite objective, in the layers its bound allows for the finite one.
-    Returns (product game, rewritten query, embedding base-state -> product
-    state).  The product is a `CoalitionGame` over states (s, layer), the
-    layer counting up to an absorbing cap, with `cg`'s numbers; it has no
-    base game, (s, i) has the moves of s, and its initial states are (s, 0)
-    for the initial s.  Values of the original pair at s equal values of
-    the rewritten pair at (s, 0).
-    """
-    objectives = list(query.objectives)
-    fi, cap = _finite_side(objectives)
-    obj = objectives[fi]
-    states = tuple((s, i) for i in range(cap + 1) for s in cg.states)
-    initial = tuple((s, 0) for s in cg.initial)
-    trans = {}
-    for (s, i) in states:
-        nxt = min(i + 1, cap)
-        trans[(s, i)] = {pair: {(t, nxt): p for t, p in dist.items()}
-                         for pair, dist in cg.trans[s].items()}
-
-    def layered(formula, layers=range(cap + 1)):
-        sat = _sat(cg, formula)
-        return StateSet(frozenset(p for p in states
-                                  if p[0] in sat and p[1] in layers))
-
-    # the finite objective becomes an unbounded one over layer-indexed sets
-    if obj.kind == "P" and obj.op == "X":
-        new_obj = Objective("P", "U", sub1=layered(TrueF()),
-                            sub2=layered(obj.sub2, [1]))
-    elif obj.kind == "P":
-        k = obj.bound
-        new_obj = Objective("P", "U", sub1=layered(obj.sub1, range(k)),
-                            sub2=layered(obj.sub2, range(k + 1)))
-    else:
-        new_obj = Objective("R", "F", sub2=layered(TrueF(), [cap]),
-                            reward="__bounded")
-    objectives[1 - fi] = _with_sets(objectives[1 - fi], layered)
-
-    def lift(rs, layers):
-        return RewardStructure(
-            {((s, i), pair): v for (s, pair), v in rs.action_rewards.items()
-             for i in layers},
-            {(s, i): v for s, v in rs.state_rewards.items() for i in layers})
-
-    rewards = {o.reward: lift(cg.rewards[o.reward], range(cap + 1))
-               for o in objectives if o.reward is not None}
-    if obj.kind == "R":
-        # I=k pays the state reward at layer k only; C<=k pays in layers < k
-        bounded = cg.rewards[obj.reward]
-        if obj.op == "I":
-            bounded = RewardStructure({}, bounded.state_rewards)
-        rewards["__bounded"] = lift(
-            bounded, [obj.bound] if obj.op == "I" else range(obj.bound))
-
-    objectives[fi] = new_obj
-    new_query = NashNode(query.coalition1, query.coalition2, query.relation,
-                         query.threshold, tuple(objectives))
-    product = CoalitionGame(None, states, initial, trans, rewards,
-                            {p: cg.moves[p[0]] for p in states}, cg.number)
-    embedding = {s: (s, 0) for s in cg.states}
-    return product, new_query, embedding
+# Mixed pairs are solved by `solve_bounded_pair`.  The name stays bound
+# because perfbench/layers.py traces it; ROADMAP item 9 removes it.
+mixed_horizon_transform = None
 
 
 # --- evaluation and nested operators -----------------------------------------------
@@ -727,51 +679,50 @@ def _zero_sum_values(game, node: ZeroSumNode):
 
 def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
                 max_iters=DEFAULT_MAX_ITERS, strict_assumptions=False):
-    """Dispatch a Nash query to the matching solver.
+    """Dispatch a Nash query to the matching solver: a pair of infinite
+    horizons to value iteration, any other to backwards induction.
 
     Each objective's state sub-formulae are resolved once, on the base game,
-    to `StateSet`s: the assumption check, the engines and the mixed-horizon
-    product read sets only.  `true` stays as is: it holds on every game, and
-    a set of every state would stay in the evaluation's query.  The number
-    type is chosen first: exact for bounded pairs and where the solved game
-    (the coalition game, or a mixed pair's product) has at most
-    `_EXACT_STATE_LIMIT` states, floats otherwise.  The coalition game is
-    built once, in that type, and the product lifted from it.  The
-    assumption is checked on the solved game; with `strict_assumptions` a
-    failed check raises AssumptionViolated before anything is solved.
-    Returns the `Evaluation` fields of the solve by name: `solve`, `game`,
-    `query`, `assumption` and the per-base-state `values`; a NotConverged
-    raised by the solver carries the assumption report."""
+    to `StateSet`s: the assumption check and the engines read sets only.
+    `true` stays as is: it holds on every game, and a set of every state
+    would stay in the evaluation's query.  The number type is chosen first:
+    exact for bounded pairs and where the model's states times the pair's
+    layer count are at most `_EXACT_STATE_LIMIT`, floats otherwise.  A
+    mixed pair counts its finite horizon plus 2 layers, plus 1 for C<=k,
+    the size of the step-counter product it was once solved on.  The
+    coalition game is built once, in that type.  The assumption is checked
+    on it; with `strict_assumptions` a failed check raises
+    AssumptionViolated before anything is solved.  Returns the
+    `Evaluation` fields of the solve by name: `solve`, `game`, `query`,
+    `assumption` and `values`; a NotConverged raised by the solver carries
+    the assumption report."""
     horizon = classify_horizon(node)
-    mixed = horizon.startswith("mixed")
-    layers = _finite_side(node.objectives)[1] + 1 if mixed else 1
+    layers = 1
+    if horizon.startswith("mixed"):
+        obj = next(o for o in node.objectives if o.is_finite_horizon())
+        layers = _horizon(obj) + 1 + (obj.op != "C")
     exact = horizon == "both-finite" or \
         len(csg.states) * layers <= _EXACT_STATE_LIMIT
     game = coalition_game(csg, node.coalition1, Fraction if exact else float)
-    node = replace(node, objectives=tuple(
+    query = replace(node, objectives=tuple(
         _with_sets(obj, lambda sub: sub if sub == TrueF() else
                    StateSet(_sat(csg, sub)))
         for obj in node.objectives))
-    # a mixed pair's coalition game is dropped for its product
-    game, query, embedding = mixed_horizon_transform(game, node) if mixed \
-        else (game, node, None)
     report = check_assumption(game, query)
     if strict_assumptions and not report.passed:
         raise AssumptionViolated(
             "assumption violated: " + "; ".join(report.messages()), report)
     try:
-        if horizon == "both-finite":
-            result = solve_bounded_pair(game, query)
-        else:
+        if horizon == "both-infinite":
             result = solve_unbounded_pair(game, query,
                                           conv_epsilon=conv_epsilon,
                                           max_iters=max_iters)
+        else:
+            result = solve_bounded_pair(game, query)
     except NotConverged as err:
         err.assumption = report
         raise
-    values = result.values if embedding is None else \
-        {s: result.values[embedding[s]] for s in csg.states}
-    return dict(values=values, solve=result, game=game, query=query,
+    return dict(values=result.values, solve=result, game=game, query=query,
                 assumption=report)
 
 

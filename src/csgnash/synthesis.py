@@ -4,17 +4,18 @@ verification of the synthesised profiles.
 A synthesised profile is a finite-memory stochastic strategy pair.  Memory
 tracks the remaining step count (1 throughout an infinite-horizon pair) and
 each objective's status (pending / won / lost).  While both objectives are
-pending the coalitions play the local equilibrium recorded at each state
-during the solve; once exactly one objective is settled both sides follow a
-joint strategy optimal for the single remaining objective; with nothing at
+pending with stages left the coalitions play the local equilibrium recorded
+at each state during the solve; once exactly one objective has stakes left
+both sides follow a joint strategy optimal for it alone; with nothing at
 stake they play the first available actions.
 
 Verification fixes one coalition's strategy, computes the free coalition's
 best-response value in the induced MDP, and compares it with the value the
-profile itself achieves (the fully induced chain).  Both values come from
-`nash._optimum`, the engine's own objective dispatcher, run on the
-(state, mode) nodes of those MDPs, so every objective shape the engine
-solves is verified.
+profile itself achieves (the fully induced chain), at the initial nodes and
+at every node of the chain where the local equilibria are played.  Both
+values come from `nash._optimum`, the engine's own objective dispatcher,
+run on the (state, mode) nodes of those MDPs, so every objective shape the
+engine solves is verified.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .errors import InfiniteValue
 from .model import MemoryStrategy, induce_mdp, induced_chain
 # unused here: perfbench/layers.py wraps these two names in this module
 from .mdp import expected_reward, reach_prob
-from .nash import (LOST, PENDING, WON, PairResult, _horizon, _optimum,
-                   _refine)
+from .nash import LOST, PENDING, WON, PairResult, _optimum, _refine
 from .properties import NashNode, to_text
 
 __all__ = [
@@ -60,8 +60,9 @@ class SynthesisedProfile:
         pending the state is free, so the solve recorded a "mix" profile
         there.  Where one is pending with steps left, both sides play its
         strategy, which holds the states a play can reach with that memory
-        (`nash._coop_optima`).  Where both are pending below step 1, a
-        bounded pair's longer horizon is played, and its strategy holds
+        (`nash._coop_optima`); an objective with no finite horizon always
+        has steps left, and plays its one strategy.  Where both are pending
+        below step 1, the longer horizon is played, and its strategy holds
         every state where both are pending."""
         result = self.result
         pending = [l for l, st in enumerate(statuses) if st == PENDING]
@@ -69,7 +70,8 @@ class SynthesisedProfile:
             return (result.profiles[step] if result.kind == "bounded" else
                     result.profiles)[state]
         for l in pending:
-            remaining = step + result.pads[l]
+            pad = result.pads[l]
+            remaining = 1 if pad is None else step + pad
             if remaining > 0:
                 cid = (result.single[l][remaining] or {}).get(state)
                 return None if cid is None else ("pure",) + tuple(cid)
@@ -82,18 +84,11 @@ class SynthesisedProfile:
         """JSON-shaped description: query, memory modes, per-entry choices.
 
         The memory is walked from its initial step down to its floor
-        (`TableStrategy`), with a `step` key for bounded pairs alone.  A
-        mode marks an objective won or lost only if that objective can
-        settle and its win or lose set is not empty, and it is listed at a
-        state that settles no objective it leaves pending, where `choice`
-        plays it.  A state (s, layer) of a mixed pair's product (a game with
-        no base) is named by s, with its layer beside it."""
-
-        def place(state):
-            if self.game.base is None:
-                return {"state": _name(state[0]), "layer": state[1]}
-            return {"state": _name(state)}
-
+        (`TableStrategy`), with a `step` key for a pair with a finite
+        horizon alone.  A mode marks an objective won or lost only if that
+        objective can settle and its win or lose set is not empty, and it
+        is listed at a state that settles no objective it leaves pending,
+        where `choice` plays it."""
         entries = []
         result = self.result
         bounded = result.kind == "bounded"
@@ -114,7 +109,7 @@ class SynthesisedProfile:
                     ch = self.choice(state, step, statuses)
                     if ch is None:
                         continue
-                    entry = {**place(state), "mode": list(statuses)}
+                    entry = {"state": _name(state), "mode": list(statuses)}
                     if bounded:
                         entry["step"] = step
                     if ch[0] == "mix":
@@ -131,7 +126,7 @@ class SynthesisedProfile:
             "query": to_text(self.query),
             "kind": result.kind,
             "modes": ["pending", "won", "lost"],
-            "values": {place(s)["state"]: [_num(v) for v in result.values[s]]
+            "values": {_name(s): [_num(v) for v in result.values[s]]
                        for s in self.game.initial},
             "entries": entries,
         }
@@ -157,13 +152,14 @@ class TableStrategy(MemoryStrategy):
     """One coalition's side of a synthesised profile.
 
     A memory mode is (step, status1, status2): the stages left and each
-    objective's status.  A bounded pair's step counts down from its stage
-    count to its floor, -max(pads), where the longer horizon's last steps
-    are played; an unbounded or mixed pair's step is 1 and stays 1.  The
-    start mode is refined against the initial state and each update against
-    the successor, so a mode's statuses are always refined at the state it
-    is consulted in.  Where `choice` finds no play reaching a mode, the
-    coalitions play the first available actions.
+    objective's status.  A bounded pair's step, a mixed pair's included,
+    counts down from its stage count to its floor, minus the largest pad of
+    a finite horizon, where the longer horizon's last steps are played; an
+    unbounded pair's step is 1 and stays 1.  The start mode is refined
+    against the initial state and each update against the successor, so a
+    mode's statuses are always refined at the state it is consulted in.
+    Where `choice` finds no play reaching a mode, the coalitions play the
+    first available actions.
     """
 
     def __init__(self, profile: SynthesisedProfile, side):
@@ -173,7 +169,8 @@ class TableStrategy(MemoryStrategy):
         bounded = result.kind == "bounded"
         self.initial_mode = (result.iterations if bounded else 1,
                              PENDING, PENDING)
-        self._floor = -max(result.pads) if bounded else 1
+        self._floor = -max(pad for pad in result.pads
+                           if pad is not None) if bounded else 1
 
     def start(self, state):
         return (self.initial_mode[0],) + _refine(
@@ -206,9 +203,10 @@ class VerificationReport:
     """Best-response gaps of a synthesised profile.
 
     gap1/gap2: the most any coalition could gain at an initial state by
-    unilaterally deviating.  subgame_gaps: the same check at every reachable
-    node where both objectives are still pending (None for bounded pairs,
-    where remaining horizons differ per node).
+    unilaterally deviating.  subgame_gap1/subgame_gap2: the same check at
+    every node of the profile's chain where both objectives are pending
+    with stages left, the nodes where it plays its local equilibria; None
+    where a deviation makes the objective unbounded.
     """
 
     epsilon: float
@@ -231,47 +229,48 @@ def _lift(status, mdp):
 
 def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
                       epsilon=1e-4) -> VerificationReport:
-    """Check the profile is an ε-Nash equilibrium of the objective pair.
-    `query` is the pair solved on `cg`: for a mixed pair, the product's
-    rewritten query (`Evaluation.query`).  The two strategies of
-    `profile.strategy` must start and move their memory alike, as a
-    synthesised profile's do; ModelError is raised where they do not
-    (`model.induced_chain`)."""
+    """Check the profile is an ε-Nash equilibrium of the objective pair
+    `query` on `cg`, and report its subgame gaps.  Each objective is read
+    at every node of the profile's chain, in the MDP where its coalition
+    deviates and in the chain: an infinite one at the node, a finite one at
+    the steps the node's memory has left, `max(0, step + pads[l])`.  The
+    two strategies of `profile.strategy` must start and move their memory
+    alike, as a synthesised profile's do; ModelError is raised where they
+    do not (`model.induced_chain`)."""
     s1, s2 = profile.strategy(1), profile.strategy(2)
     # coalition 1 deviates in the MDP where side 2 plays its strategy, and
     # the profile's own chain is read off that MDP
     induced2 = induce_mdp(cg, 2, s2)
     chain = induced_chain(cg, induced2, s1, s2)
-    bounded = profile.result.kind == "bounded"
+    # a synthesised mode is refined at its node's state already
+    played = [n for n in chain.states
+              if n[1][1:] == (PENDING, PENDING) and n[1][0] >= 1]
     gaps = []
     sub_gaps = []
-    for obj, status, fixed in zip(query.objectives, profile.result.statuses,
-                                  (2, 1)):
+    for obj, status, fixed, pad in zip(query.objectives,
+                                       profile.result.statuses, (2, 1),
+                                       profile.result.pads):
         induced = induced2 if fixed == 2 else induce_mdp(cg, 1, s1)
-        # a bounded objective is read at the initial nodes alone, an
-        # unbounded one at every node of the chain
-        reads = [(n, _horizon(obj)) for n in chain.initial] if bounded \
-            else chain.states
+        left = None if pad is None else \
+            {n: max(0, n[1][0] + pad) for n in chain.states}
         try:
-            best, achieved = [_optimum(mdp, obj, "max", _lift(status, mdp),
-                                       reads=reads)
-                              for mdp in (induced, chain)]
+            best, achieved = [
+                _optimum(mdp, obj, "max", _lift(status, mdp),
+                         all_horizons=left is not None,
+                         reads=chain.states if left is None else left.items())
+                for mdp in (induced, chain)]
         except InfiniteValue:
             # a unilateral deviation can make the objective unbounded, so
             # no finite gap exists
             gaps.append(float("inf"))
             sub_gaps.append(None)
             continue
-        gap = max(float(best[n]) - float(achieved[n]) for n in chain.initial)
-        gaps.append(gap)
-        if not bounded:
-            # a synthesised mode is refined at its node's state already
-            pend = [n for n in chain.states
-                    if n[1][1:] == (PENDING, PENDING)]
-            sub = max((float(best[n]) - float(achieved[n]) for n in pend
-                       if n in best and n in achieved), default=0.0)
-            sub_gaps.append(sub)
-        else:
-            sub_gaps.append(None)
+        if left is not None:
+            best, achieved = ({n: vals[h][n] for n, h in left.items()}
+                              for vals in (best, achieved))
+        def gap(n):
+            return float(best[n]) - float(achieved[n])
+        gaps.append(max(map(gap, chain.initial)))
+        sub_gaps.append(max(map(gap, played), default=0.0))
     return VerificationReport(epsilon, gaps[0], gaps[1],
                               sub_gaps[0], sub_gaps[1])

@@ -30,6 +30,10 @@ main code so that agreement is meaningful:
   primitives, so agreement checks the loops, not those primitives.  Their
   single-objective optima cover every state with a finite value (the
   package's cover only the states a profile can play them at);
+- the package's earlier mixed-horizon route, which runs value iteration
+  on a step-counter product of the game with one layer per remaining step
+  of the finite horizon (the package runs backwards induction on the game
+  itself, from the infinite objective's cooperative optimum);
 - the package's earlier folds of an induced MDP and of a profile's chain,
   which build dict `Mdp` records in a breadth-first walk over (state,
   memory mode) nodes, updating the memory once per node and successor (the
@@ -49,13 +53,14 @@ from csgnash.bimatrix import BimatrixGame, MixedProfile, select_swne
 from csgnash.errors import (IncompleteStrategy, ModelError, ModelTypeError,
                             NotConverged, UndeclaredSymbol)
 from csgnash.model import CoalitionGame, MemoryStrategy, RewardStructure
-from csgnash.nash import (DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, ONE,
-                          PENDING, ZERO, PairResult, _horizon, _optimum,
-                          _OSC_TOL, _reward_names, _settled_pair, _settlement,
-                          _TRACE_LENGTH, joint_mdp, local_game,
-                          local_game_table, solve_swne)
+from csgnash.nash import (DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, PENDING,
+                          PairResult, _horizon, _optimum, _OSC_TOL,
+                          _reward_names, _sat, _settled_pair, _settlement,
+                          _TRACE_LENGTH, _with_sets, joint_mdp, local_game,
+                          local_game_table, solve_swne, solve_unbounded_pair)
 from csgnash.expr import Binary, Call, Lit, Unary, Var, expr_to_text
 from csgnash.mdp import prob1_min_set
+from csgnash.properties import NashNode, Objective, StateSet, TrueF
 
 
 @dataclass(frozen=True)
@@ -793,13 +798,15 @@ def bounded_cumulative_pair(transitions, rewards1, rewards2, horizon):
 
 
 def bounded_pair_by_stage_loop(cg, query):
-    """Backwards induction for a finite-horizon pair, one stage at a time:
-    settled states take their rows from the cooperative optima, every other
-    state solves its local game against the previous stage."""
+    """Backwards induction for a pair with a finite horizon, one stage at a
+    time: settled states take their rows from the cooperative optima, every
+    other state solves its local game against the previous stage.  A mixed
+    pair's infinite objective is solved once, and its optimum is its value
+    at every stage."""
     o1, o2 = query.objectives
-    k1, k2 = _horizon(o1), _horizon(o2)
-    k = min(k1, k2)
-    pads = (k1 - k, k2 - k)
+    horizons = (_horizon(o1), _horizon(o2))
+    k = min(h for h in horizons if h is not None)
+    pads = tuple(None if h is None else h - k for h in horizons)
     jmdp = joint_mdp(cg)
     stat, settled = _settlement(cg, (o1, o2))
     coop = []
@@ -808,16 +815,19 @@ def bounded_pair_by_stage_loop(cg, query):
     for l, (obj, status) in enumerate(zip((o1, o2), stat)):
         family, strats = _optimum(jmdp, obj, "max", status,
                                   all_horizons=True, with_strategy=True)
+        if pads[l] is None:
+            family, strats = [family] * (k + 1), [None, strats]
+        else:
+            family = family[pads[l]:]
         coop.append(family)
         coop_strats.append(strats)
     mdp_s = time.perf_counter() - start
-    rewards = _reward_names((o1, o2))
     table = local_game_table(
         cg, [s for s in cg.states if s not in settled],
-        tuple(name if obj.op == "C" else None
-              for name, obj in zip(rewards, (o1, o2))))
+        _reward_names((o1, o2)))
+    units = (cg.number(0), cg.number(1))
 
-    vals = {s: (coop[0][pads[0]][s], coop[1][pads[1]][s]) for s in cg.states}
+    vals = {s: (coop[0][0][s], coop[1][0][s]) for s in cg.states}
     history = deque([vals], maxlen=_TRACE_LENGTH)
     stage_profiles = [None]
     for n in range(1, k + 1):
@@ -827,12 +837,12 @@ def bounded_pair_by_stage_loop(cg, query):
             row = settled.get(s)
             if row is not None:
                 new[s] = _settled_pair(
-                    (o1, o2), row,
-                    [coop[l][n + pads[l]][s] for l in (0, 1)], (ZERO, ONE))
+                    (o1, o2), row, [coop[l][n][s] for l in (0, 1)], units)
             else:
                 chosen, _ = solve_swne(local_game(table, s, vals))
                 acts1, acts2 = table.entries[s][0]
-                new[s] = (chosen.u, chosen.v)
+                new[s] = (chosen.u, chosen.v) if table.exact else \
+                    (float(chosen.u), float(chosen.v))
                 profiles[s] = ("mix", acts1, acts2, chosen.x, chosen.y)
         vals = new
         history.append(vals)
@@ -930,6 +940,84 @@ def unbounded_pair_by_sweep_loop(cg, query,
             f"value iteration did not converge within {iterations} sweeps")
         raise NotConverged(message, result)
     return result
+
+
+def mixed_horizon_transform(cg, query: NashNode):
+    """Reduce a mixed-horizon pair to an infinite-horizon pair on a product.
+
+    Each state sub-formula is resolved on the base game (a `StateSet` as
+    is) and lifted to the product states over it: in every layer for the
+    infinite objective, in the layers its bound allows for the finite one.
+    Returns (product game, rewritten query, embedding base-state -> product
+    state).  The product is a `CoalitionGame` over states (s, layer), the
+    layer counting up to an absorbing cap (one past the finite horizon, or
+    at it for C<=k, which pays below it), with `cg`'s numbers; it has no
+    base game, (s, i) has the moves of s, and its initial states are (s, 0)
+    for the initial s.  Values of the original pair at s equal values of
+    the rewritten pair at (s, 0).
+    """
+    objectives = list(query.objectives)
+    fi = 0 if objectives[0].is_finite_horizon() else 1
+    obj = objectives[fi]
+    cap = _horizon(obj) + (obj.op != "C")
+    states = tuple((s, i) for i in range(cap + 1) for s in cg.states)
+    initial = tuple((s, 0) for s in cg.initial)
+    trans = {}
+    for (s, i) in states:
+        nxt = min(i + 1, cap)
+        trans[(s, i)] = {pair: {(t, nxt): p for t, p in dist.items()}
+                         for pair, dist in cg.trans[s].items()}
+
+    def layered(formula, layers=range(cap + 1)):
+        sat = _sat(cg, formula)
+        return StateSet(frozenset(p for p in states
+                                  if p[0] in sat and p[1] in layers))
+
+    # the finite objective becomes an unbounded one over layer-indexed sets
+    if obj.kind == "P" and obj.op == "X":
+        new_obj = Objective("P", "U", sub1=layered(TrueF()),
+                            sub2=layered(obj.sub2, [1]))
+    elif obj.kind == "P":
+        k = obj.bound
+        new_obj = Objective("P", "U", sub1=layered(obj.sub1, range(k)),
+                            sub2=layered(obj.sub2, range(k + 1)))
+    else:
+        new_obj = Objective("R", "F", sub2=layered(TrueF(), [cap]),
+                            reward="__bounded")
+    objectives[1 - fi] = _with_sets(objectives[1 - fi], layered)
+
+    def lift(rs, layers):
+        return RewardStructure(
+            {((s, i), pair): v for (s, pair), v in rs.action_rewards.items()
+             for i in layers},
+            {(s, i): v for s, v in rs.state_rewards.items() for i in layers})
+
+    rewards = {o.reward: lift(cg.rewards[o.reward], range(cap + 1))
+               for o in objectives if o.reward is not None}
+    if obj.kind == "R":
+        # I=k pays the state reward at layer k only; C<=k pays in layers < k
+        bounded = cg.rewards[obj.reward]
+        if obj.op == "I":
+            bounded = RewardStructure({}, bounded.state_rewards)
+        rewards["__bounded"] = lift(
+            bounded, [obj.bound] if obj.op == "I" else range(obj.bound))
+
+    objectives[fi] = new_obj
+    new_query = NashNode(query.coalition1, query.coalition2, query.relation,
+                         query.threshold, tuple(objectives))
+    product = CoalitionGame(None, states, initial, trans, rewards,
+                            {p: cg.moves[p[0]] for p in states}, cg.number)
+    embedding = {s: (s, 0) for s in cg.states}
+    return product, new_query, embedding
+
+
+def mixed_pair_by_product(cg, query):
+    """The package's earlier mixed-horizon route: the values of a mixed pair
+    at every state of `cg`, read off value iteration on the step-counter
+    product (`mixed_horizon_transform`)."""
+    product, rewritten, embedding = mixed_horizon_transform(cg, query)
+    values = solve_unbounded_pair(product, rewritten).values
+    return {s: values[embedding[s]] for s in cg.states}
 
 
 def _need_num(value, node):

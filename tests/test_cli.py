@@ -408,14 +408,15 @@ class TestVerifyAndExport:
             data = json.load(handle)
         assert data["kind"] == "unbounded"
         assert data["entries"]
-        # bounded pairs have no subgame gaps, so the record omits them
+        # bounded pairs report subgame gaps too
         code, out, _ = run_cli(
             capsys, "run", "--model", model_path("fig1.csgx"),
             "--property", "<<p1:p2>>max=? (P[F<=2 sent1] + P[F<=2 sent2])",
             "--verify", "--format", "json")
         verification = json.loads(out)["results"][0]["verification"]
         assert code == 0 and verification["passed"]
-        assert "subgame_gap1" not in verification
+        assert verification["subgame_gap1"] == verification["subgame_gap2"] \
+            == 0
 
     def test_infinite_gap_is_valid_json(self, capsys, tmp_path):
         # nothing reaches the empty target, so a deviation's reward is
@@ -498,12 +499,15 @@ sink (a1,b) -> 1:sink
         assert verification["passed"]
         assert verification["gap1"] <= 1e-4 and verification["gap2"] <= 1e-4
         data = json.loads(target.read_text())
-        # the user's query, base state names, the product layer per entry
+        # the user's query, model state names, the steps left per entry:
+        # the next step's 1, then 0 once it has run out
         assert data["query"] == "<<p1:p2>>max=?(P[X sent1] + P[F sent2])"
+        assert data["kind"] == "bounded"
         assert list(data["values"]) == ["s0"]
         assert data["entries"][0]["state"] == "s0"
-        assert data["entries"][0]["layer"] == 0
-        assert {e["layer"] for e in data["entries"]} == {0, 1, 2}
+        assert data["entries"][0]["step"] == 1
+        assert {e["step"] for e in data["entries"]} == {0, 1}
+        assert all("layer" not in e for e in data["entries"])
         assert all(e["state"] in {f"s{i}" for i in range(6)}
                    for e in data["entries"])
 

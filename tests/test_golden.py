@@ -22,26 +22,26 @@ VOLATILE = ("time", "mdp_time", "constr_time", "strategy_file")
 CASES = [
     ("fig1.csg", (), "<<p1:p2>>max=? (P[F<=3 sent1] + P[F<=3 sent2])",
      "731e216e0113750258affeebbe98ac98b67167834e2d75d978992204a82830b5",
-     "1af5f4701ca61aaeceb1f94167bb3dce2ec2b8dacbadf85f8a6593b453cb1821"),
+     "f737acce2ae0e3e9ea670306f3e48bf9cdd2d1805c3a054c13b05d3804e77de5"),
     ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F<=6 goal1] + P[F<=6 goal2])",
      "1c5ee07b4a47e33ee265e26f8b93f838fddbc8ad6f9e5ce55daecb0645deb9c5",
-     "897b7d1a676096aece62aad466037e75d0313e882c8749955250ff55f023bbc5"),
+     "092b7b9075fec21bdd21478db583dcda5a6db935109bafb7945ca5485c3bf0c3"),
     ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F<=4 goal1] + P[F<=6 goal2])",
      "5c952cff58da05f9e3c784f327d0f814f7e63d0205b24ef4b545a4d9b181682b",
-     "1189811bfbad279129968aa2e07225e4ad3963ff0a83dc6b12acf36c86a84678"),
+     "58c1f5485d57061ad37ce6c15e94026a8610f08e2b1c935d7509530eb9442dd3"),
     ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F goal1] + P[F goal2])",
      "d836d75d294e92843bc99fc37f09d6693285f12b93b4878a0f65e11c4fd6e390",
      "26583ec55ebb41a02a19b94cbf5bdd12c0798a95a98713a89abfd93e6842014f"),
     ("robot.csg", ("l=3",), "<<p1:p2>>max=? (P[F<=4 goal1] + P[F goal2])",
-     "e065f883a5155e3fc0c3420e576441d540e0352510d659587af51d2c0a56c552",
-     "bbd600d5d0543adf715568f9e8cbcc6322f159d8b24e8edbd7500be8528160c5"),
+     "514e7467f88336116289c32b905c725a6e528588daa6330369739a37ab3d96c9",
+     "223f00d6a20dea7bfaffa2e94b366da7f4630574317fe6908025f8c4444142e0"),
     ("power.csg", (), '<<p1:p2>>max=? (R{"r1"}[F done1] + R{"r2"}[F done2])',
      "360869001f499fa1cc13c7cc400b9bb5c8d74dfad70c429e0b397514eb428369",
      "efde643bd88e44bda0fcd04258842cf51e9a822e858f1d2a96b1714928a974bf"),
     ("mac.csg", ("emax=2",),
      '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=4])',
      "4372175892ed6fa77f2da4fdc763d254c90caa4c43949f18714085da1efb92c1",
-     "859a5a631f9a10242dbd68003313f279d7a17026b9d8e819a2aeac21caea75c8"),
+     "1e6cc5f8c2401e32327e90a7e362edea948cd6280ae2884aa9161083a504101b"),
     ("aloha.csg", ("D=3",),
      "<<p1:{p2,p3}>>max=? "
      "(P[F (sent1 & t<=8)] + P[F (sent2 & sent3 & t<=8)])",
@@ -50,11 +50,11 @@ CASES = [
     ("mac.csg", ("emax=2",),
      '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=6])',
      "d554882b5196645801a862c0636268950f1d278f0391fe5827c4be0dab2a5533",
-     "a4e7c9a6a5d925f7754d599e4cd4e0667f0f056df1a3fb81c2833ef886dd8321"),
-    # a mixed pair whose 20-state product is solved exactly
+     "b4567500850eaa802f6b8b2b3a2c709e05cb1b5474b2988e2c1191538562e65b"),
+    # a mixed pair, solved exactly (5 states times 4 layers)
     ("fig1.csg", (), "<<p1:p2>>max=? (P[F<=2 sent1] + P[F sent2])",
-     "2d7c224c65e681d342450cc93b569e3cac9469b95121adadd97f99bda2260319",
-     "726e301c8291759efc177bee44f456f5f075a2c305cd9c4459389c0d043f45a4"),
+     "3e93b4a9a3222f3e649ac2c41a4208e682974e397a6c9bb5e4cb272f99c18df1",
+     "62e78266718a4e0b272715d1760c0f778878d043c536523b0d773e6939d2213e"),
     # an unbounded pair whose export lists lost modes
     ("robot.csg", ("l=3",),
      "<<p1:p2>>max=? (P[!crash U goal1] + P[!crash U goal2])",
@@ -63,7 +63,7 @@ CASES = [
     # a bounded pair with pads (0, 2), whose memory counts down to step -2
     ("fig1.csg", (), "<<p1:p2>>max=? (P[X sent1] + P[F<=3 sent2])",
      "f085732e7e452dc0d850650cab10bad3cc63e848ed68fa0f34439789e88ca0ab",
-     "c5ceac1ff5c8e798a3d6d9180f3bcbe8c7c94ea7636b6a80b52e6ac803fda36f"),
+     "457b19f1004e7d32fa71ddf5590176b46a572529c80df61c093c685e3f4677a9"),
 ]
 
 

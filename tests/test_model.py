@@ -204,9 +204,9 @@ class TestCoalitionGame:
             coalition_game(g, ["p9"])
 
     def test_one_game_type_carries_its_number(self):
+        from oracles import mixed_horizon_transform
         from csgnash.model import CoalitionGame
-        from csgnash.nash import mixed_horizon_transform
-        from csgnash.properties import NashNode, Objective, TrueF, parse_property
+        from csgnash.properties import parse_property
         g = fig1()
         cg = coalition_game(g, ["p1"])
         assert cg.number is F and coalition_game(g, ["p1"], F).number is F

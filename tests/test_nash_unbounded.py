@@ -333,10 +333,11 @@ class TestAssumptionCheckedOnTheSolvedGame:
 
 
 class TestExactStateLimit:
-    """A solve is exact when its solved game, the coalition game or a mixed
-    pair's product, has at most `_EXACT_STATE_LIMIT` states.  The type is
-    chosen before the game is built, from the model's size and the product's
-    layer count; C<=0 has one layer, and so a product of the model's size."""
+    """A solve is exact when the model's states times the pair's layer count
+    are at most `_EXACT_STATE_LIMIT`.  A mixed pair counts its finite
+    horizon plus 2 layers, or plus 1 for C<=k, so C<=0 counts one.  The
+    type is chosen before the coalition game is built, and that game is
+    the model's size in either type."""
 
     CASES = [
         ("fig1.csg", "<<p1:p2>>max=? (P[F<=2 sent1] + P[F sent2])", 20),
@@ -355,7 +356,7 @@ class TestExactStateLimit:
         for limit, number in ((size, F), (size - 1, float)):
             monkeypatch.setattr(nash, "_EXACT_STATE_LIMIT", limit)
             ev = evaluate(csg, formula)
-            assert len(ev.game.states) == size
+            assert ev.game.states == csg.states
             assert ev.game.number is number
             assert all(type(p) is number for row in ev.game.trans.values()
                        for dist in row.values() for p in dist.values())
@@ -417,7 +418,7 @@ class TestExactAndFloatEnginesAgree:
                    for dist in ev.game.trans[s].values()
                    for p in dist.values())
 
-        # a mixed pair is verified on the product's rewritten query
+        # a mixed pair is verified on the solved query
         profile = synthesise_profile(ev.game, formula, ev.solve)
         assert verify_epsilon_ne(ev.game, profile, ev.query, 1e-4).passed
 

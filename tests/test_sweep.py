@@ -28,9 +28,9 @@ from csgnash.errors import InfiniteValue, NotConverged
 from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import build_csg, load_model, parse_model
 from csgnash.model import coalition_game
-from csgnash.nash import (ONE, PENDING, ZERO, PairResult, _horizon, _refine,
-                          _sweep, evaluate, local_game_table,
-                          solve_bounded_pair, solve_unbounded_pair)
+from csgnash.nash import (PENDING, PairResult, _horizon, _refine, _sweep,
+                          evaluate, local_game_table, solve_bounded_pair,
+                          solve_unbounded_pair)
 from csgnash.properties import NashNode, Objective, TrueF, parse_property
 
 MAX_ITERS = 25
@@ -68,16 +68,20 @@ def read_entries(cg, query, result):
     """Per objective l, the (remaining steps, state) entries of
     `result.single[l]` that a profile reads, all at states that leave l
     pending: at the states where the other objective is settled, and at
-    every state an unbounded play reaches from them; a bounded pair's
-    every state up to step pads[l], and above it those settled states."""
+    every state an unbounded play reaches from them; a finite objective's
+    every state up to step pads[l], and above it those settled states; a
+    mixed pair's infinite objective's every state."""
     rows = {s: _refine(result.statuses, s, (PENDING, PENDING))
             for s in cg.states}
     entries = []
     for l, obj in enumerate(query.objectives):
         live = {s for s, row in rows.items() if row[l] == PENDING}
         need = {s for s in live if rows[s] != (PENDING, PENDING)}
+        pad = result.pads[l]
+        if result.kind == "bounded" and pad is None:
+            entries.append({(1, s) for s in live})
+            continue
         if result.kind == "bounded":
-            pad = result.pads[l]
             entries.append({(n, s) for n in range(1, pad + 1)
                             for s in live} |
                            {(n, s) for n in range(pad + 1, _horizon(obj) + 1)
@@ -298,14 +302,15 @@ class TestChangeDrivenSweeps:
         assert 0 < len(engine) < len(oracle)
 
     def test_acyclic_states_are_solved_once(self, monkeypatch):
-        # the mixed pair's step-counter product has no cycle through a free
+        # a mixed pair's step-counter product has no cycle through a free
         # state: its layers only count up, and the cap layer is settled
         ev = evaluate(load_model(model_path("robot.csg"), {"l": 3}),
                       parse_property(
                           "<<p1:p2>>max=? (P[F<=4 goal1] + P[F goal2])"))
+        game, query, _ = oracles.mixed_horizon_transform(ev.game, ev.query)
         visits = swept(monkeypatch)
         solves = counted(monkeypatch, nash)
-        result = solve_unbounded_pair(ev.game, ev.query)
+        result = solve_unbounded_pair(game, query)
         assert all(changed is None for _, changed in visits)
         assert sorted(s for states, _ in visits for s in states) == \
             sorted(result.profiles)
@@ -313,8 +318,8 @@ class TestChangeDrivenSweeps:
         assert 0 < len(solves) < len(result.profiles)
         assert result.iterations == 1
         assert same_result(
-            ev.game, ev.query, result,
-            oracles.unbounded_pair_by_sweep_loop(ev.game, ev.query),
+            game, query, result,
+            oracles.unbounded_pair_by_sweep_loop(game, query),
             SWEEP_ORDER_FREE)
 
     def test_a_component_on_a_cycle_gives_the_loops_result(self):
@@ -390,8 +395,9 @@ class TestLocalGameMemo:
         # local_game reads it as the rational it denotes, and so does the key
         cg = coalition_game(TWINS, ("p1",))
         table = local_game_table(cg, ["s0", "s1"])
-        vals = {"g": (ONE, 0.1), "h": (ONE, image),
-                "d": (ZERO, ZERO), "e": (ZERO, ZERO)}
+        one, zero = Fraction(1), Fraction(0)
+        vals = {"g": (one, 0.1), "h": (one, image),
+                "d": (zero, zero), "e": (zero, zero)}
         solves = counted(monkeypatch, nash)
         pairs, profiles = _sweep(table, ["s0", "s1"], vals, None, {})
         assert solves == builds

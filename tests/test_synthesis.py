@@ -14,7 +14,7 @@ from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
 from csgnash.model import MemoryStrategy, induce_mdp, joint_mdp
 from csgnash.nash import evaluate
-from csgnash.properties import parse_property
+from csgnash.properties import classify_horizon, parse_property
 from csgnash.synthesis import (SynthesisedProfile, _name,
                                synthesise_profile, verify_epsilon_ne)
 from oracles import (bounded_reach_pair, chain_by_dict_fold,
@@ -84,6 +84,7 @@ EXPORTED = [
     ("fig1.csgx", {}, "<<p1:p2>>max=? (P[!send2 U send1] + P[!send1 U send2])"),
     ("robot.csg", {"l": 3}, "<<p1:p2>>max=? (P[F goal1] + P[F goal2])"),
     ("power.csg", {}, '<<p1:p2>>max=? (R{"r1"}[F done1] + R{"r2"}[F done2])'),
+    ("robot.csg", {"l": 3}, "<<p1:p2>>max=? (P[F<=4 goal1] + P[F goal2])"),
 ]
 
 
@@ -252,17 +253,60 @@ class TestDemandDrivenVerification:
         assert report.gap1 > 0 and not report.passed
 
 
+BOUNDED_CASES = [case[:3] for case in CASES
+                 if classify_horizon(parse_property(case[2])) != "both-infinite"]
+
+
+class TestBoundedSubgameGaps:
+    """A pair with a finite horizon reports subgame gaps too: each
+    objective is read at every node of the profile's chain, at the steps
+    the node's memory has left."""
+
+    @pytest.mark.parametrize("model,consts,prop", BOUNDED_CASES)
+    def test_bundled_queries_have_none(self, model, consts, prop):
+        csg = load_model(model_path(model),
+                         dict(c.split("=") for c in consts))
+        ev, profile = solved_profile(csg, prop)
+        report = verify_epsilon_ne(ev.game, profile, ev.query)
+        assert ev.solve.kind == "bounded" and report.passed
+        assert report.subgame_gap1 == report.subgame_gap2 == 0
+
+    def test_a_stage_off_equilibrium_shows(self):
+        # at fig1's start with 3 steps left both wait, an equilibrium still:
+        # each transmits alone later.  With 2 left both transmit, which
+        # succeeds with probability 3/4 only; a coalition that waits there
+        # lets the other succeed alone and transmits alone next, so it
+        # gains 1/4 at a node of the chain past the start
+        csg = load_model(model_path("fig1.csg"))
+        ev, profile = solved_profile(
+            csg, "<<p1:p2>>max=? (P[F<=3 sent1] + P[F<=3 sent2])")
+        (start,) = ev.game.initial
+        _, acts1, acts2, _, _ = ev.solve.profiles[3][start]
+        assert acts1 == (("t1",), ("w1",)) and acts2 == (("t2",), ("w2",))
+        profiles = ev.solve.profiles
+        profiles[3][start] = ("mix", acts1, acts2, (0, 1), (0, 1))
+        report = verify_epsilon_ne(ev.game, profile, ev.query)
+        assert report.gap1 == report.gap2 == 0
+        assert report.subgame_gap1 == report.subgame_gap2 == 0
+        profiles[2][start] = ("mix", acts1, acts2, (1, 0), (1, 0))
+        report = verify_epsilon_ne(ev.game, profile, ev.query)
+        assert report.subgame_gap1 == report.subgame_gap2 == 0.25
+
+
 def strategy_lookups(monkeypatch):
     """Spy on `SynthesisedProfile.choice`: records, for each call where an
     objective is pending with steps left and the other is settled or its
     steps have run out, whether the profile found that objective's
-    strategy entry (False: `choice` found no entry and returned None)."""
+    strategy entry (False: `choice` found no entry and returned None).  An
+    objective with no finite horizon (pad None) always has steps left."""
     lookups = []
     choice = SynthesisedProfile.choice
 
     def spy_choice(self, state, step, statuses):
         pending = [l for l, st in enumerate(statuses) if st == "pending"]
-        at_stake = [l for l in pending if step + self.result.pads[l] > 0]
+        pads = self.result.pads
+        at_stake = [l for l in pending
+                    if pads[l] is None or step + pads[l] > 0]
         played = choice(self, state, step, statuses)
         if at_stake and (len(pending) == 1 or step < 1):
             lookups.append(played is not None)

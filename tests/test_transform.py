@@ -1,73 +1,37 @@
-"""Step-counter product constructions for mixed-horizon objective pairs."""
+"""Mixed-horizon objective pairs: one finite horizon, one infinite.
 
+The engine solves them by backwards induction on the coalition game, from
+the infinite objective's cooperative optimum.  The package's earlier route,
+value iteration on a step-counter product (`oracles.mixed_pair_by_product`),
+is the oracle they are checked against, beside bounded pairs on acyclic
+games."""
+
+import math
+from dataclasses import replace
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ACYCLIC_GAME, acyclic_csgs, model_path, pair_query
-from csgnash.explicit import load_explicit, loads_explicit
+import oracles
+from conftest import (ACYCLIC_GAME, acyclic_csgs, labelled, model_path,
+                      pair_query, small_csgs)
+from csgnash.errors import InfiniteValue
+from csgnash.explicit import loads_explicit
 from csgnash.lang import build_csg, parse_model
 from csgnash.model import coalition_game
-from csgnash.nash import evaluate, mixed_horizon_transform
-from csgnash.properties import StateSet, parse_property
+from csgnash.nash import evaluate, solve_bounded_pair
+from csgnash.properties import NashNode, Objective, TrueF, parse_property
 
 
 def initial_pair(evaluation):
     return next(iter(evaluation.initial.values()))
 
 
-def transform(csg, text):
-    node = parse_property(text)
-    cg = coalition_game(csg, node.coalition1)
-    return mixed_horizon_transform(cg, node)
-
-
 class TestConstructions:
-    def setup_method(self):
-        self.csg = load_explicit(model_path("fig1.csgx"))
-        self.n = len(self.csg.states)
-
-    def test_next_product_layers_and_labels(self):
-        product, query, embedding = transform(
-            self.csg, "<<p1:p2>>max=? (P[X sent1] + P[F sent2])")
-        # layers 0, 1 and an absorbing top layer so the rewritten target can
-        # only be reached exactly one step in
-        assert len(product.states) == 3 * self.n
-        first, second = query.objectives
-        assert first.sub2 == StateSet(frozenset(
-            (s, 1) for s in self.csg.states if "sent1" in self.csg.labels[s]))
-        # the infinite objective's target holds in every layer
-        assert second.sub2 == StateSet(frozenset(
-            (s, i) for s in self.csg.states if "sent2" in self.csg.labels[s]
-            for i in range(3)))
-        assert embedding["s0"] == ("s0", 0)
-        assert first.op == "U"
-        assert not first.is_finite_horizon()
-
-    def test_bounded_until_product_labels_respect_the_bound(self):
-        k = 2
-        product, query, _ = transform(
-            self.csg, f"<<p1:p2>>max=? (P[F<={k} sent1] + P[F sent2])")
-        assert len(product.states) == (k + 2) * self.n
-        cons, target = query.objectives[0].sub1, query.objectives[0].sub2
-        assert cons == StateSet(frozenset(
-            (s, i) for s in self.csg.states
-            for i in range(k)))                     # "true" below the bound
-        assert target == StateSet(frozenset(
-            (s, i) for s in self.csg.states if "sent1" in self.csg.labels[s]
-            for i in range(k + 1)))
-
-    def test_layers_advance_and_saturate(self):
-        product, _, _ = transform(
-            self.csg, "<<p1:p2>>max=? (P[X sent1] + P[F sent2])")
-        cap = max(i for _, i in product.states)
-        for (s, i) in product.states:
-            for dist in product.trans[(s, i)].values():
-                assert all(j == min(i + 1, cap) for (_, j) in dist)
-
-
     def test_declared_label_that_never_holds_stays_known(self):
-        # the product must carry the declared label names: "never" holds in
+        # the solve must know the declared label names: "never" holds in
         # no reachable state, so only the declaration makes it a label
         with open(model_path("robot.csg"), encoding="utf-8") as handle:
             text = handle.read() + '\nlabel "never" = x1=l & y1=l;\n'
@@ -77,47 +41,18 @@ class TestConstructions:
         assert initial_pair(ev) == (1, 0)
 
 
-class TestRewardConstructions:
-    def setup_method(self):
-        self.csg = loads_explicit(ACYCLIC_GAME)
-
-    def test_instantaneous_reward_paid_only_at_the_bound_layer(self):
-        k = 1
-        product, query, _ = transform(
-            self.csg,
-            f'<<p1:p2>>max=? (R{{"r1"}}[I={k}] + R{{"r2"}}[F end])')
-        bounded = product.rewards["__bounded"]
-        action_map, state_map = bounded.action_rewards, bounded.state_rewards
-        assert not action_map
-        assert state_map == {("m2", k): F(3)}       # the only r1 state reward
-        assert query.objectives[0].reward == "__bounded"
-
-    def test_cumulative_reward_zeroed_at_the_final_layer(self):
-        k = 1
-        product, _, _ = transform(
-            self.csg,
-            f'<<p1:p2>>max=? (R{{"r1"}}[C<={k}] + R{{"r2"}}[F end])')
-        bounded = product.rewards["__bounded"]
-        action_map, state_map = bounded.action_rewards, bounded.state_rewards
-        assert all(i < k for (_, i) in state_map)
-        assert all(i < k for ((_, i), _) in action_map)
-        assert action_map[(("s0", 0), (("a1",), ("b1",)))] == 2
-
-
 class TestValueAgreement:
-    """On an acyclic game of depth d, the product route for a mixed pair must
-    agree with the direct backwards induction once the infinite objective is
-    re-expressed with bound d."""
+    """On an acyclic game of depth d, a mixed pair must agree with the
+    bounded pair whose infinite objective is re-expressed with bound d."""
 
     def setup_method(self):
         self.csg = loads_explicit(ACYCLIC_GAME)
 
     def agree(self, mixed, bounded):
-        via_product = evaluate(self.csg, parse_property(mixed))
+        got = evaluate(self.csg, parse_property(mixed))
         direct = evaluate(self.csg, parse_property(bounded))
-        assert via_product.game.base is None        # solved on the product
         for s in self.csg.states:
-            assert via_product.values[s] == direct.values[s]
+            assert got.values[s] == direct.values[s]
 
     def test_next_with_eventuality(self):
         self.agree("<<p1:p2>>max=? (P[X g1] + P[F g2])",
@@ -132,7 +67,7 @@ class TestValueAgreement:
                    "<<p1:p2>>max=? (P[F<=2 g1] + P[X g2])")
 
     def test_nested_operator_in_the_infinite_objective(self):
-        # the inner operator is solved on the base game, then lifted
+        # the inner operator is solved on the base game first
         nested = "(g2 & <<{p1,p2}>>P>=1 [F g1])"
         self.agree(f"<<p1:p2>>max=? (P[F<=2 g1] + P[F {nested}])",
                    f"<<p1:p2>>max=? (P[F<=2 g1] + P[F<=2 {nested}])")
@@ -141,8 +76,9 @@ class TestValueAgreement:
 class TestRandomAcyclicGames:
     """Where every play is absorbed within k steps, an unbounded reachability
     objective is worth what its k-step bound is, so the unbounded pair and
-    both mixed pairs (through the product) equal the both-bounded pair at
-    horizon k, the fixture's check on random games."""
+    both mixed pairs equal the both-bounded pair at horizon k, the
+    fixture's check on random games; and a next step paired with an
+    eventuality equals it paired with the eventuality bounded at k."""
 
     @settings(max_examples=150, deadline=None)
     @given(acyclic_csgs())
@@ -153,6 +89,129 @@ class TestRandomAcyclicGames:
             got = evaluate(csg, pair_query(csg, coalition, "P", bounds))
             assert got.solve.converged
             assert got.values == want, bounds
+
+    @settings(max_examples=100, deadline=None)
+    @given(acyclic_csgs())
+    def test_next_with_eventuality_equals_it_bounded(self, case):
+        csg, coalition, k = case
+        nxt = Objective("P", "X", sub2=labelled(csg, "t1"))
+        values = []
+        for bound in (None, k):
+            query = pair_query(csg, coalition, "P", (None, bound))
+            query = replace(query, objectives=(nxt, query.objectives[1]))
+            values.append(evaluate(csg, query).values)
+        assert values[0] == values[1]
+
+
+def mixed_pair(csg, coalition, shape, k, finite_first):
+    """P[F<=k t1] + P[F t2] (shape "P") or R{r1}[C<=k] + R{r2}[F t2]
+    (shape "R") for `coalition` on `csg`, the finite objective first or
+    second."""
+    if shape == "P":
+        finite = Objective("P", "U", sub1=TrueF(), sub2=labelled(csg, "t1"),
+                           bound=k)
+        infinite = Objective("P", "U", sub1=TrueF(),
+                             sub2=labelled(csg, "t2"))
+    else:
+        finite = Objective("R", "C", reward="r1", bound=k)
+        infinite = Objective("R", "F", sub2=labelled(csg, "t2"),
+                             reward="r2")
+    rest = tuple(p for p in csg.players if p not in coalition)
+    pair = (finite, infinite) if finite_first else (infinite, finite)
+    return NashNode(coalition, rest, "max=?", None, pair)
+
+
+def values_or_infinite(solve, cg, query):
+    try:
+        return solve(cg, query)
+    except InfiniteValue:
+        return "InfiniteValue"
+
+
+class TestAgainstTheProductRoute:
+    """Backwards induction on the game gives the values value iteration on
+    the step-counter product gave, at every state, or both routes find an
+    infinite reward.  These shapes settle the product's cap layer, so the
+    product route never iterates a free state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_csgs(), st.sampled_from("PR"), st.integers(1, 3),
+           st.booleans())
+    def test_random_games(self, case, shape, k, finite_first):
+        csg, coalition = case
+        cg = coalition_game(csg, coalition)
+        query = mixed_pair(csg, coalition, shape, k, finite_first)
+        got = values_or_infinite(
+            lambda *args: solve_bounded_pair(*args).values, cg, query)
+        want = values_or_infinite(oracles.mixed_pair_by_product, cg, query)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str)
+        for s in cg.states:
+            assert all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+                       for a, b in zip(got[s], want[s])), s
+
+
+# s1 is the goal and s0 leaves for it with probability 2/3 a step, so
+# P[F goal] is 1 everywhere and P[X goal] is 2/3 at s0.
+NEXT_AND_EVENTUALLY = """\
+player p1 a
+player p2 b
+init s0
+label s1 goal
+s0 (-,-) -> 1/3:s0 + 2/3:s1
+s1 (-,-) -> 1:s0
+"""
+
+# Every state pays r1 1, so I=2 is worth 1 whatever is played: p2 is
+# indifferent on it, and the SWNE maximises r2's reachability reward, 35/9
+# at s3.
+INSTANT_AND_REACH = """\
+player p1 p1a
+player p2 p2a p2b p2c
+init s0
+label s1 t1 t2
+label s2 t2
+label s3 t1
+s0 (p1a,p2c) -> 2/5:s1 + 2/5:s2 + 1/5:s3
+s1 (-,p2b) -> 1/4:s0 + 3/4:s3
+s2 (-,-) -> 3/7:s0 + 2/7:s1 + 2/7:s2
+s3 (-,p2b) -> 1/2:s0 + 1/2:s2
+s3 (-,p2c) -> 1/3:s0 + 1/9:s1 + 1/3:s2 + 2/9:s3
+reward r1 action s3 (-,p2b) 2
+reward r1 state s0 1
+reward r1 state s1 1
+reward r1 state s2 1
+reward r1 state s3 1
+reward r2 action s0 (p1a,p2c) 2
+reward r2 action s2 (-,-) 1
+reward r2 action s3 (-,p2b) 1
+reward r2 state s0 1
+reward r2 state s2 1
+reward r2 state s3 1
+"""
+
+
+class TestProductRouteErrors:
+    """Two mixed shapes the step-counter product solved wrongly."""
+
+    def test_next_step_pair_is_exact(self):
+        # the product iterated its cap layer 15 sweeps in Fractions and
+        # stopped at v2 = 129140162/129140163
+        ev = evaluate(loads_explicit(NEXT_AND_EVENTUALLY), parse_property(
+            "<<p1:p2>>max=? (P[X goal] + P[F goal])"))
+        assert ev.values["s0"] == (F(2, 3), F(1))
+        assert ev.solve.iterations == 1
+
+    def test_instantaneous_reward_keeps_its_indifference(self):
+        # the product read I=2 through a float reachability reward, whose
+        # 0.9999999999999998 at s2 broke p2's indifference: (1, 3.1235)
+        ev = evaluate(loads_explicit(INSTANT_AND_REACH), parse_property(
+            '<<p2:p1>>max=? (R{"r1"}[I=2] + R{"r2"}[F t2])'))
+        v1, v2 = ev.values["s3"]
+        assert type(v1) is F and v1 == 1
+        assert v2 == pytest.approx(F(35, 9), abs=1e-6)
 
 class TestRewardValuesByHand:
     def setup_method(self):
