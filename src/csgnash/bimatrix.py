@@ -14,12 +14,21 @@ best-response polytopes
 are exactly the Nash equilibria (after normalising x', y' to distributions).
 Each polytope is scaled to integers over one denominator per player: with
 D the lcm of the denominators of the shifted matrix Z', B = D Z' is an
-integer matrix and {p >= 0 | B p <= D 1} is the same polytope.  A vertex is
-found for every set of tight inequalities by Bareiss's fraction-free
-elimination, as integer numerators over a determinant, so degenerate games
-yield the finitely many vertices of each equilibrium component.  Equilibrium
-strategies, their payoffs and the SWNE selection stay exact rationals; only
-the polytope constraints are scaled, never the payoffs.
+integer matrix and {p >= 0 | B p <= D 1} is the same polytope.  A vertex
+with one nonzero coordinate f is e_f, tight where column f of B is
+largest; every other vertex is found for its set of tight inequalities by
+Bareiss's fraction-free elimination, as integer numerators over a
+determinant, so degenerate games yield the finitely many vertices of each
+equilibrium component.  In a game with one row or one column every vertex
+has one nonzero coordinate, so no elimination runs.
+
+Vertex pairs stay integers up to selection: each equilibrium is kept as
+its two numerator vectors with their sums and its exact payoffs u and v,
+and `select_swne` picks the SWNE on those, reading strategies as Fractions
+only to break a tie.  On the solve path (`solve_swne`) only the selected
+profile is built in Fractions; `enumerate_equilibria` builds the full
+sorted list on request.  Strategies, payoffs and the selection stay exact
+rationals; only the polytope constraints are scaled, never the payoffs.
 
 Each player's payoffs are numerators over one denominator: entry (i, j) of
 player k is z_k[i][j] / den_k.  The local games of an exact solve are
@@ -42,7 +51,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, isfinite, lcm
-from operator import gt
+from operator import gt, methodcaller
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, EmptyList, NonFinitePayoff, SolverError
 
@@ -144,7 +154,40 @@ class MixedProfile:
         return tuple(j for j, p in enumerate(self.y) if p > 0)
 
     def sort_key(self):
-        return (self.support_x, self.support_y, self.x, self.y)
+        return _order(self.x, self.y)
+
+
+def _order(x, y):
+    """The key `select_swne` breaks ties by: supports, then probabilities."""
+    return (tuple(i for i, p in enumerate(x) if p),
+            tuple(j for j, q in enumerate(y) if q), x, y)
+
+
+class _Pair(NamedTuple):
+    """An equilibrium as its integer vertex pair: x = xn/sx and y = yn/sy,
+    with the payoffs u and v."""
+
+    xn: tuple[int, ...]
+    sx: int
+    yn: tuple[int, ...]
+    sy: int
+    u: Fraction
+    v: Fraction
+
+    def profile(self) -> MixedProfile:
+        return MixedProfile(tuple(Fraction(c, self.sx) for c in self.xn),
+                            tuple(Fraction(c, self.sy) for c in self.yn),
+                            self.u, self.v)
+
+    def sort_key(self):
+        return _order(_shares(self.xn, self.sx), _shares(self.yn, self.sy))
+
+
+def _shares(nums, total):
+    """The probabilities nums/total for a tie-break: a pure strategy's
+    numerators are its probabilities already (ints and Fractions compare
+    exactly), so only a mixed one is divided out."""
+    return nums if total == 1 else tuple(Fraction(c, total) for c in nums)
 
 
 # --- fraction-free vertex enumeration ----------------------------------------
@@ -206,14 +249,24 @@ def _vertices(rows, d):
     `rows` are integer vectors with positive entries.  A vertex has s free
     coordinates F and s rows T tight at it with rows[T][F] nonsingular, for
     some s >= 1; on F it is N/det for the Cramer numerators N of
-    rows[T][F] p = d*1, and 0 elsewhere.  Every (F, T) is tried, and each
-    vertex is kept once, keyed by its numerator vector divided by its gcd
+    rows[T][F] p = d*1, and 0 elsewhere.  With s = 1, coordinate f gives
+    the point e_f (scaled by d over the column's maximum), tight at the rows
+    where column f is largest; every larger (F, T) is solved.  Each vertex
+    is kept once, keyed by its numerator vector divided by its gcd
     (distinct nonzero vertices never lie on one ray).  Returns a dict from
     that key to (bitmask of zero coordinates, bitmask of tight rows).
     """
     n, k = len(rows[0]), len(rows)
     found = {}
-    for size in range(1, min(n, k) + 1):
+    for f in range(n):
+        column = [r[f] for r in rows]
+        top = max(column)
+        key = [0] * n
+        key[f] = 1
+        found[tuple(key)] = (((1 << n) - 1) & ~(1 << f),
+                             sum(1 << t for t, c in enumerate(column)
+                                 if c == top))
+    for size in range(2, min(n, k) + 1):
         for free in combinations(range(n), size):
             sub = [[r[f] for f in free] for r in rows]
             for tight in combinations(range(k), size):
@@ -288,23 +341,32 @@ def eliminate_dominated(game: BimatrixGame):
     return reduced, tuple(rows), tuple(cols)
 
 
-def enumerate_equilibria(game: BimatrixGame, *, with_swne=False):
-    """All Nash equilibria of the game (vertices of equilibrium components).
+def enumerate_equilibria(game: BimatrixGame) -> list[MixedProfile]:
+    """All Nash equilibria of the game (vertices of equilibrium components),
+    sorted by `MixedProfile.sort_key`.
 
     Every returned profile satisfies `is_equilibrium` with tolerance 0; the
-    list is never empty (finite games always admit an equilibrium).  With
-    `with_swne`, returns (equilibria, i) where equilibria[i] is the profile
-    `select_swne` picks, selected once per distinct game.
+    list is never empty (finite games always admit an equilibrium).
     """
-    profiles, best = _enumerate_cached(game.z1, game.den1, game.z2, game.den2)
-    if not profiles:
-        raise SolverError(
-            "internal error: no equilibrium found (finite games always have one)")
-    return (list(profiles), best) if with_swne else list(profiles)
+    pairs, _ = _enumerate_cached(game.z1, game.den1, game.z2, game.den2)
+    return sorted((p.profile() for p in pairs), key=MixedProfile.sort_key)
 
 
 @lru_cache(maxsize=65536)
 def _enumerate_cached(z1, den1, z2, den2):
+    """(pairs, swne) of the game z1/den1, z2/den2: its equilibria as
+    `_Pair`s, and the one `select_swne` picks among them, the only one
+    built as a MixedProfile."""
+    pairs = _vertex_pairs(z1, den1, z2, den2)
+    if not pairs:
+        raise SolverError(
+            "internal error: no equilibrium found (finite games always have one)")
+    return tuple(pairs), select_swne(pairs).profile()
+
+
+def _vertex_pairs(z1, den1, z2, den2):
+    """The completely labelled vertex pairs of the game's best-response
+    polytopes, on integers up to their payoffs."""
     l = len(z1)
     a1, den1, b1, d1 = _integer_matrix(z1, den1)
     a2, den2, b2, d2 = _integer_matrix(z2, den2)
@@ -313,27 +375,23 @@ def _enumerate_cached(z1, den1, z2, den2):
     # (y_j = 0).
     x_verts = [(nums, zero | tight << l)
                for nums, (zero, tight) in _vertices(list(zip(*b2)), d2).items()]
-    y_verts = [(nums, tight | zero << l)
+    y_verts = [(nums, sum(nums), tight | zero << l)
                for nums, (zero, tight) in _vertices(b1, d1).items()]
     full = (1 << (l + len(z1[0]))) - 1
     # payoffs from the unshifted integer image: u = x^T Z1 y with
     # x = xn/sx, y = yn/sy and Z1 = a1/den1
-    profiles = []
+    pairs = []
     for xn, x_labels in x_verts:
         missing = full & ~x_labels
         sx = sum(xn)
-        x = tuple(Fraction(c, sx) for c in xn)
-        for yn, y_labels in y_verts:
+        for yn, sy, y_labels in y_verts:
             if missing & ~y_labels:
                 continue
-            sy = sum(yn)
-            y = tuple(Fraction(c, sy) for c in yn)
-            profiles.append(MixedProfile(
-                x, y, Fraction(_bilinear(xn, a1, yn), den1 * sx * sy),
+            pairs.append(_Pair(
+                xn, sx, yn, sy,
+                Fraction(_bilinear(xn, a1, yn), den1 * sx * sy),
                 Fraction(_bilinear(xn, a2, yn), den2 * sx * sy)))
-    profiles.sort(key=MixedProfile.sort_key)
-    best = profiles.index(select_swne(profiles)) if profiles else None
-    return tuple(profiles), best
+    return pairs
 
 
 def is_equilibrium(game: BimatrixGame, x, y, u, v, tolerance=0) -> bool:
@@ -360,26 +418,28 @@ def is_equilibrium(game: BimatrixGame, x, y, u, v, tolerance=0) -> bool:
     return abs(comp1) <= tol and abs(comp2) <= tol
 
 
-def select_swne(equilibria) -> MixedProfile:
+def select_swne(equilibria):
     """Pick a social-welfare-optimal equilibrium from a nonempty list.
 
     Among maximum-sum equilibria, an equal-payoff one is preferred if any
     exists; otherwise the one maximal for player 1. Remaining ties go to the
     lexicographically smallest (x, y) by support indices then probabilities,
     so selection is deterministic.
+
+    The candidates are MixedProfiles or anything else with payoffs `u` and
+    `v` and a `sort_key()`, such as the integer vertex pairs of an
+    enumeration; a sort key is read only where the payoffs tie.
     """
-    equilibria = list(equilibria)
-    if not equilibria:
+    pool = list(equilibria)
+    if not pool:
         raise EmptyList("cannot select from an empty equilibrium list")
-    best_sum = max(p.u + p.v for p in equilibria)
-    pool = [p for p in equilibria if p.u + p.v == best_sum]
-    equal = [p for p in pool if p.u == p.v]
-    if equal:
-        pool = equal
-    else:
-        best_u = max(p.u for p in pool)
-        pool = [p for p in pool if p.u == best_u]
-    return min(pool, key=MixedProfile.sort_key)
+    sums = [p.u + p.v for p in pool]
+    best_sum = max(sums)
+    pool = [p for p, total in zip(pool, sums) if total == best_sum]
+    pool = [p for p in pool if p.u == p.v] or pool
+    best_u = max(p.u for p in pool)
+    pool = [p for p in pool if p.u == best_u]
+    return pool[0] if len(pool) == 1 else min(pool, key=methodcaller("sort_key"))
 
 
 _ZERO = Fraction(0)
@@ -395,16 +455,16 @@ def _lift(profile: MixedProfile, row_map, col_map, rows, cols) -> MixedProfile:
     return MixedProfile(tuple(x), tuple(y), profile.u, profile.v)
 
 
-def solve_swne(game: BimatrixGame):
-    """Convenience pipeline: dominance filter, enumerate, lift, select.
+def solve_swne(game: BimatrixGame) -> MixedProfile:
+    """The SWNE of the game that `select_swne` picks among its equilibria.
 
-    Returns (selected SWNE profile, all equilibria), both in the index space
-    of the original game.
+    Strictly dominated strategies are eliminated first, and the profile
+    selected in the reduced game is lifted back to the index space of the
+    original game (lifting keeps the order `select_swne` breaks ties by).
     """
     reduced, row_map, col_map = eliminate_dominated(game)
-    equilibria, best = enumerate_equilibria(reduced, with_swne=True)
+    _, chosen = _enumerate_cached(reduced.z1, reduced.den1,
+                                  reduced.z2, reduced.den2)
     if len(row_map) != game.rows or len(col_map) != game.cols:
-        # lifting keeps the order select_swne breaks ties by
-        equilibria = [_lift(p, row_map, col_map, game.rows, game.cols)
-                      for p in equilibria]
-    return equilibria[best], equilibria
+        chosen = _lift(chosen, row_map, col_map, game.rows, game.cols)
+    return chosen

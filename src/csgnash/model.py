@@ -674,11 +674,14 @@ def check_assumption(game, query) -> AssumptionReport:
     `game`, a Csg or a CoalitionGame.
 
     Finite-horizon-only queries pass trivially.  Otherwise the joint-action
-    MDP (`joint_mdp`) is built once, and every check runs on it.
-    Infinite-horizon probabilistic objectives trigger a report of every
-    non-terminal maximal end component; infinite-horizon reward objectives
-    additionally require the target to be reached with probability 1 under
-    all strategy profiles (once per target set).  All checks are qualitative.
+    MDP (`joint_mdp`) is built once, and every check runs on it.  A pair of
+    infinite-horizon objectives, one of them probabilistic, triggers a
+    report of every non-terminal maximal end component, which can stall the
+    pair's value iteration; a mixed pair runs none (it is backwards
+    induction from one MDP optimum), so it gets no such report.  Every
+    infinite-horizon reward objective requires the target to be reached
+    with probability 1 under all strategy profiles (once per target set).
+    All checks are qualitative.
     """
     from .mdp import prob1_min_set          # local import: avoids a cycle
     from .properties import satisfying_states
@@ -689,7 +692,8 @@ def check_assumption(game, query) -> AssumptionReport:
         return AssumptionReport((), ())
     mdp = joint_mdp(game)
     nonterminal = ()
-    if any(obj.kind == "P" for obj in infinite):
+    if len(infinite) == len(objectives) and \
+            any(obj.kind == "P" for obj in infinite):
         nonterminal = tuple(ec for ec in enumerate_mecs(mdp) if ec.non_terminal)
     reward_issues, sure = [], {}
     for idx, obj in enumerate(objectives):

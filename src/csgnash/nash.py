@@ -460,7 +460,7 @@ def _sweep(table, states, vals, changed, profiles):
             key = (shapes[s], *map(vals.__getitem__, succ))
         solved = memo.get(key)
         if solved is None:
-            chosen, _ = solve_swne(local_game(table, s, vals))
+            chosen = solve_swne(local_game(table, s, vals))
             if len(memo) >= len(entries):
                 memo.clear()
             solved = memo[key] = (

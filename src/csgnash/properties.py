@@ -432,6 +432,9 @@ def to_text(node):
         return f"({to_text(node.left)} & {to_text(node.right)})"
     if isinstance(node, Or):
         return f"({to_text(node.left)} | {to_text(node.right)})"
+    if isinstance(node, StateSet):
+        # the resolved states by name, which does not parse back
+        return "{" + ", ".join(sorted(map(str, node.states))) + "}"
     if isinstance(node, ZeroSumNode):
         obj = node.objective
         body = _objective_text(obj)

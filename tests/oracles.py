@@ -8,7 +8,8 @@ main code so that agreement is meaningful:
 - the package's earlier vertex enumerator, which solves every tight subset
   of the best-response polytopes by Gauss-Jordan elimination on Fractions
   (the package solves the same subsets on integer-scaled polytopes by
-  fraction-free elimination);
+  fraction-free elimination), with the SWNE selection rule written out
+  again (the package selects on integer vertex pairs);
 - a brute-force maximal-end-component search for small models;
 - a pure-strategy-profile Markov-chain evaluator for reachability values;
 - an exhaustive memoryless-strategy MDP evaluator;
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from csgnash.bimatrix import BimatrixGame, MixedProfile, select_swne
+from csgnash.bimatrix import BimatrixGame, MixedProfile
 from csgnash.errors import (IncompleteStrategy, ModelError, ModelTypeError,
                             NotConverged, UndeclaredSymbol)
 from csgnash.model import CoalitionGame, MemoryStrategy, RewardStructure
@@ -226,9 +227,10 @@ def _polytope_vertices(constraints, dim):
 
 def equilibria_by_vertex_subsets(z1, z2):
     """(profiles, best) of the bimatrix game (z1, z2), as the package's
-    `_enumerate_cached` returns them: every completely labelled vertex pair
-    of the best-response polytopes, normalised to MixedProfiles and sorted
-    by `MixedProfile.sort_key`, with `best` the index `select_swne` picks.
+    `enumerate_equilibria` lists them: every completely labelled vertex
+    pair of the best-response polytopes, normalised to MixedProfiles and
+    sorted by `MixedProfile.sort_key`, with `best` the index of the SWNE
+    (`swne_index`).
 
     Each polytope is built in Fractions and each of its C(l+m, l) tight
     subsets solved by rational Gauss-Jordan elimination.
@@ -289,8 +291,21 @@ def equilibria_by_vertex_subsets(z1, z2):
             v = sum(x[i] * z2[i][j] * y[j] for i in range(l) for j in range(m))
             profiles.append(MixedProfile(x, y, Fraction(u), Fraction(v)))
     profiles.sort(key=MixedProfile.sort_key)
-    best = profiles.index(select_swne(profiles)) if profiles else None
-    return tuple(profiles), best
+    return tuple(profiles), swne_index(profiles) if profiles else None
+
+
+def swne_index(profiles):
+    """The index of the SWNE in `profiles`, sorted by
+    `MixedProfile.sort_key`, by the selection rule written out again: the
+    largest payoff sum, then the first equal-payoff profile if there is
+    one, and else the first with the largest u among them."""
+    best = max(p.u + p.v for p in profiles)
+    pool = [i for i, p in enumerate(profiles) if p.u + p.v == best]
+    equal = [i for i in pool if profiles[i].u == profiles[i].v]
+    if equal:
+        return equal[0]
+    top = max(profiles[i].u for i in pool)
+    return next(i for i in pool if profiles[i].u == top)
 
 def maximal_end_components(transitions):
     """Maximal end components of a small game/MDP, by brute force.
@@ -839,7 +854,7 @@ def bounded_pair_by_stage_loop(cg, query):
                 new[s] = _settled_pair(
                     (o1, o2), row, [coop[l][n][s] for l in (0, 1)], units)
             else:
-                chosen, _ = solve_swne(local_game(table, s, vals))
+                chosen = solve_swne(local_game(table, s, vals))
                 acts1, acts2 = table.entries[s][0]
                 new[s] = (chosen.u, chosen.v) if table.exact else \
                     (float(chosen.u), float(chosen.v))
@@ -900,7 +915,7 @@ def unbounded_pair_by_sweep_loop(cg, query,
     for iterations in range(1, max_iters + 1):
         new = dict(vals)
         for s in free:
-            chosen, _ = solve_swne(local_game(table, s, vals))
+            chosen = solve_swne(local_game(table, s, vals))
             acts1, acts2 = table.entries[s][0]
             new[s] = (number(chosen.u), number(chosen.v))
             profiles[s] = ("mix", acts1, acts2, chosen.x, chosen.y)

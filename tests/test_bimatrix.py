@@ -9,6 +9,7 @@ from csgnash.bimatrix import (
     BimatrixGame,
     MixedProfile,
     _enumerate_cached,
+    _lift,
     eliminate_dominated,
     enumerate_equilibria,
     is_equilibrium,
@@ -20,6 +21,7 @@ from csgnash.errors import (DimensionMismatch, EmptyList, NonFinitePayoff,
 
 from oracles import (equilibria_by_vertex_subsets,
                      nash_equilibria_by_support)
+from small_games import every_game, mismatch
 
 F = Fraction
 
@@ -45,7 +47,7 @@ class TestKnownGames:
 
     def test_stag_hunt_swne(self):
         game = BimatrixGame.from_rows(STAG_Z1, STAG_Z2)
-        best, _ = solve_swne(game)
+        best = solve_swne(game)
         assert (best.u, best.v) == (F(6), F(9))
         assert best.x == (F(0), F(1)) and best.y == (F(0), F(0), F(1))
 
@@ -73,15 +75,15 @@ class TestKnownGames:
         game = BimatrixGame.from_rows([[3, 0], [5, 1]], [[3, 5], [0, 1]])
         reduced, row_map, col_map = eliminate_dominated(game)
         assert row_map == (1,) and col_map == (1,)
-        best, eqs = solve_swne(game)
-        assert len(eqs) == 1
+        best = solve_swne(game)
+        assert len(enumerate_equilibria(game)) == 1
         assert best.x == (F(0), F(1)) and best.y == (F(0), F(1))
         assert (best.u, best.v) == (F(1), F(1))
 
     def test_single_cell_game(self):
         game = BimatrixGame.from_rows([[F(7, 3)]], [[-2]])
-        best, eqs = solve_swne(game)
-        assert len(eqs) == 1
+        best = solve_swne(game)
+        assert len(enumerate_equilibria(game)) == 1
         assert best.x == (F(1),) and best.y == (F(1),)
         assert (best.u, best.v) == (F(7, 3), F(-2))
 
@@ -190,13 +192,18 @@ class TestAgainstOracle:
                 assert is_equilibrium(game, x, y, u, v, tolerance=0)
 
     def test_dominance_preserves_equilibria(self):
+        # the reduced game's equilibria, lifted back, are the full game's,
+        # in the same order, so the selection is the full game's too
         rng = random.Random(99)
         for _ in range(60):
             z1, z2 = random_game(rng, max_dim=3)
             game = BimatrixGame.from_rows(z1, z2)
-            with_filter = as_tuples(solve_swne(game)[1])
-            without = as_tuples(enumerate_equilibria(game))
+            reduced, row_map, col_map = eliminate_dominated(game)
+            with_filter = [_lift(p, row_map, col_map, game.rows, game.cols)
+                           for p in enumerate_equilibria(reduced)]
+            without = enumerate_equilibria(game)
             assert with_filter == without, (z1, z2)
+            assert solve_swne(game) == select_swne(without), (z1, z2)
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -261,12 +268,14 @@ class TestFloatPayoffs:
             [[F(v) for v in row] for row in z2])
         assert all(isinstance(v, float)
                    for row in floats.z1 + floats.z2 for v in row)
-        chosen, equilibria = solve_swne(floats)
+        chosen = solve_swne(floats)
         before = _enumerate_cached.cache_info()
-        assert solve_swne(image) == (chosen, equilibria)
+        assert solve_swne(image) == chosen
         after = _enumerate_cached.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        assert all(isinstance(c, Fraction) for p in equilibria
+        equilibria = enumerate_equilibria(floats)
+        assert enumerate_equilibria(image) == equilibria
+        assert all(isinstance(c, Fraction) for p in equilibria + [chosen]
                    for c in p.x + p.y + (p.u, p.v))
 
 
@@ -300,8 +309,46 @@ class TestAgainstVertexSubsetOracle:
     def test_enumeration_equals_the_oracle(self, zz):
         game = BimatrixGame.from_rows(*zz)
         profiles, best = equilibria_by_vertex_subsets(game.z1, game.z2)
-        assert enumerate_equilibria(game, with_swne=True) == \
-            (list(profiles), best)
+        assert enumerate_equilibria(game) == list(profiles)
+        assert solve_swne(game) == profiles[best]
+
+
+@st.composite
+def three_by_three(draw, entries):
+    return tuple([[draw(entries) for _ in range(3)] for _ in range(3)]
+                 for _ in range(2))
+
+
+# 2x2 games, most of whose vertices have one coordinate, and lines 1xn and
+# nx1 with n <= 3, all of whose vertices have one coordinate
+SMALL_SHAPES = ((2, 2), (1, 1), (1, 2), (1, 3), (2, 1), (3, 1))
+
+
+class TestSmallGames:
+    # Exhaustive over small payoff sets, where ties and degenerate games
+    # are the rule: the SWNE selected on integer vertex pairs is the one
+    # selected from the full list.  tests/small_games.py runs the oracle
+    # over every 2x2 game with payoffs in {0, 1, 2}.
+    def test_every_small_game_selects_from_its_equilibria(self):
+        for rows, cols in SMALL_SHAPES:
+            for z1, z2 in every_game(rows, cols, (0, 1, 2)):
+                game = BimatrixGame.from_rows(z1, z2)
+                assert solve_swne(game) == \
+                    select_swne(enumerate_equilibria(game)), (z1, z2)
+
+    def test_every_small_game_matches_the_oracle(self):
+        for rows, cols in SMALL_SHAPES:
+            for z1, z2 in every_game(rows, cols, (0, 1)):
+                assert mismatch(z1, z2) is None, (z1, z2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        three_by_three(st.one_of(
+            st.sampled_from([F(0), F(1, 2), F(1), F(-2, 3)]),
+            st.fractions(-3, 3, max_denominator=12))),
+        three_by_three(float_entries)))
+    def test_three_by_three_games_match_the_oracle(self, zz):
+        assert mismatch(*zz) is None, zz
 
 
 @st.composite
@@ -331,10 +378,10 @@ class TestSelectedProfile:
         dominated_games(float_entries, st.sampled_from([0.5, 1.25, 3.0]))))
     def test_solve_swne_selects_from_its_equilibria(self, zz):
         game = BimatrixGame.from_rows(*zz)
-        chosen, equilibria = solve_swne(game)
-        assert chosen == select_swne(equilibria)
+        chosen = solve_swne(game)
+        assert chosen == select_swne(enumerate_equilibria(game))
         before = _enumerate_cached.cache_info()
-        assert solve_swne(game) == (chosen, equilibria)
+        assert solve_swne(game) == chosen
         after = _enumerate_cached.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
@@ -389,9 +436,9 @@ class TestDenominators:
         assert rows == (0, 1)
         assert (reduced.z1, reduced.den1) == over([[1, 0], [0, 1]], 2)
         assert eliminate_dominated(second)[0] == reduced
-        chosen, equilibria = solve_swne(first)
+        chosen = solve_swne(first)
         before = _enumerate_cached.cache_info()
-        assert solve_swne(second) == (chosen, equilibria)
+        assert solve_swne(second) == chosen
         after = _enumerate_cached.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 

@@ -300,6 +300,23 @@ class TestRunExitCodes:
         assert code == 2
         assert "assumption violated" in out
 
+    def test_mixed_pair_reports_no_end_components(self, capsys,
+                                                  monkeypatch):
+        # a mixed pair is backwards induction from one MDP optimum, which
+        # end components do not stall: fig1 has three non-terminal ones
+        import csgnash.model
+        calls = []
+        monkeypatch.setattr(csgnash.model, "enumerate_mecs",
+                            lambda game: calls.append(game) or [])
+        code, out, err = run_cli(
+            capsys, "run", "--model", model_path("fig1.csg"),
+            "--strict-assumptions",
+            "--property", "<<p1:p2>>max=? (P[X sent1] + P[F sent2])")
+        assert code == 0
+        assert calls == []
+        assert "end component" not in out + err
+        assert "v1=1 v2=1" in out
+
     @pytest.mark.parametrize("model,prop,expected", [
         ("appendix_b.csgx", "<<p1:p2>>max=? (P[F a1] + P[F a2])", 2),
         ("robot.csg", "<<p1:p2>>max=? (P[F goal1] + P[F goal2])", 0),

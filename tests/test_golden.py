@@ -51,10 +51,11 @@ CASES = [
      '<<p1:p2>>max=? (R{"r1"}[C<=4] + R{"r2"}[C<=6])',
      "d554882b5196645801a862c0636268950f1d278f0391fe5827c4be0dab2a5533",
      "b4567500850eaa802f6b8b2b3a2c709e05cb1b5474b2988e2c1191538562e65b"),
-    # a mixed pair, solved exactly (5 states times 4 layers)
+    # a mixed pair, solved exactly (5 states times 4 layers), with no
+    # end-component warning
     ("fig1.csg", (), "<<p1:p2>>max=? (P[F<=2 sent1] + P[F sent2])",
      "3e93b4a9a3222f3e649ac2c41a4208e682974e397a6c9bb5e4cb272f99c18df1",
-     "62e78266718a4e0b272715d1760c0f778878d043c536523b0d773e6939d2213e"),
+     "63ac982608b0e0b804d030f0e1fd436605cded8d5449463b7a5a8cfad129cedf"),
     # an unbounded pair whose export lists lost modes
     ("robot.csg", ("l=3",),
      "<<p1:p2>>max=? (P[!crash U goal1] + P[!crash U goal2])",

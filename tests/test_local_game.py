@@ -80,4 +80,4 @@ class TestAgainstFractionBuilder:
                 assert gcd(den, *(v for row in z for v in row)) == 1
             else:
                 assert den == 1
-        assert solve_swne(game)[0] == solve_swne(oracle)[0]
+        assert solve_swne(game) == solve_swne(oracle)

@@ -474,3 +474,14 @@ class TestRandomGames:
     @given(small_csgs())
     def test_mixed_profiles_pass(self, case):
         assert self.verified(case, (2, None)).passed
+
+
+def test_export_of_a_resolved_query():
+    # pair_query's targets are resolved state sets, which the export names
+    csg, coalition = INITIAL_TARGET
+    query = pair_query(csg, coalition, "P", (2, 3))
+    ev = evaluate(csg, query)
+    data = synthesise_profile(ev.game, query, ev.solve).export()
+    assert data["query"] == "<<p1:p2>>max=?(P[F<=2 {s0}] + P[F<=3 {g}])"
+    assert data["values"] == {"s0": [1, 1]}
+    assert json.loads(json.dumps(data)) == data
