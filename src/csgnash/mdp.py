@@ -9,9 +9,10 @@ Every routine takes an MDP in the one id-indexed form, `model.IndexedMdp`,
 and solves the graph it is given: states are numbered, each state's choices
 are (choice id, successor ids, probabilities), and each state lists the
 choices leading to it, for the qualitative sets and the max-reach strategy.
-The joint MDP is built in that form by `model.joint_mdp`, over the forward
-closure of the states a caller reads if it names them, and verification's
-induced MDPs by `model.induce_mdp`.
+The joint MDP is built in that form as the game is regrouped
+(`model.coalition_game`), `model.joint_mdp` restricts it to the forward
+closure of the states a caller reads, and verification's induced MDPs are
+folded in it by `model.induce_mdp`.
 
 Unbounded values are computed by value iteration after qualitative
 precomputation of the probability-0 and probability-1 state sets, so states

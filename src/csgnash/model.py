@@ -1,6 +1,8 @@
 """Core model types: concurrent stochastic games, coalition reduction, the
 one MDP form (`IndexedMdp`: the joint-action MDP and the MDPs a strategy
-induces), and end-component analysis on it.
+induces), and end-component analysis on it.  A coalition game is its
+joint-action MDP, built in one pass over the base game as it is regrouped;
+the assumption check, the solvers and the strategy folds all read it.
 
 A game has players 1..n with pairwise-disjoint action alphabets plus a shared
 idle symbol.  At each state a player's available actions are the enabled
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import ClassVar
 
@@ -225,25 +228,64 @@ class Csg:
 
 
 @dataclass(frozen=True)
+class IndexedMdp:
+    """An MDP in the id-indexed form that the solvers of `mdp` run on.
+
+    State i is `states[i]` (`ids` maps it back) and `rows[i]` lists its
+    choices as (choice id, successor ids, probabilities), the probabilities
+    a tuple of type `number`.  Choices are also numbered in row order:
+    `owner[c]` is the state id of choice c, and `preds[i]` lists the numbers
+    of the choices leading to state i (one entry per choice, shared by all
+    of its successors).  `initial` holds the initial states among `states`,
+    and `rewards` maps each reward structure name to a RewardStructure whose
+    action rewards are keyed by (state, choice id).
+    """
+
+    states: list
+    ids: dict
+    rows: list
+    owner: list
+    preds: list
+    number: type
+    initial: tuple
+    rewards: dict
+
+
+@dataclass(frozen=True)
 class CoalitionGame:
     """Two-player regrouping of a game: side 1 is the coalition, side 2 the rest.
 
     Actions of each side are tuples over the members' actions in ascending
-    player-index order; `trans[s][(a1, a2)]` carries the base distribution of
-    the flattened joint action, `rewards` the base reward structures with
-    action rewards keyed by (state, (a1, a2)), and `moves[s]` the sorted
-    side-1 and side-2 actions at s.  Every probability and reward is a
-    `number`.  `base` is the game it regroups, whose labels state
-    formulae resolve on.
+    player-index order, and `moves[s]` holds the sorted side-1 and side-2
+    actions at s.  `graph` is the game's joint MDP, the one form in which
+    every layer reads its transitions: the choices of state s are the pairs
+    (a1, a2) of the base game's joint actions, each with its base
+    distribution, listed row-major over `moves[s]`, so that (a1, a2) sits at
+    position i1 * len(actions2) + i2 of s's row.  Its rewards are the base
+    reward structures with action rewards keyed by (state, (a1, a2)).
+    Every probability and reward is a `number`.  `base` is the game it
+    regroups, whose labels state formulae resolve on.
     """
 
     base: Csg
-    states: tuple
-    initial: tuple
-    trans: dict            # state -> {(a1, a2): {successor: number}}
-    rewards: dict          # name -> RewardStructure over (a1, a2) pairs
     moves: dict            # state -> (sorted actions1, sorted actions2)
-    number: type = Fraction
+    graph: IndexedMdp
+
+    @property
+    def states(self):
+        return self.graph.states
+
+    @property
+    def initial(self):
+        return self.graph.initial
+
+    @property
+    def rewards(self):
+        return self.graph.rewards
+
+    @property
+    def number(self):
+        return self.graph.number
 
     def actions1(self, state):
         return self.moves[state][0]
@@ -252,11 +294,73 @@ class CoalitionGame:
         return self.moves[state][1]
 
 
+def _first(choice):
+    return choice[0]
+
+
+def _index(game: Csg, split, number) -> IndexedMdp:
+    """The joint MDP of `game`, each joint action renamed by `split` (kept
+    if None), its probabilities and rewards in `number`, in one pass.
+
+    States keep `game.states` order, rows are sorted by choice id, and
+    successors keep distribution order.  The base game's numbers are kept
+    where `number` is its type, else each distinct number object is
+    converted once (objects are keyed by identity, which is stable while
+    the game holds them); equal numbers, renamed actions and probability
+    tuples are stored once."""
+    same = number is game.number
+    states = game.states
+    ids = {s: i for i, s in enumerate(states)}
+    rows, owner, preds = [], [], [[] for _ in states]
+    names, converted, numbers, by_objects, tuples = {}, {}, {}, {}, {}
+
+    def name(alpha):
+        cid = names.get(alpha)
+        if cid is None:
+            cid = names[alpha] = alpha if split is None else split(alpha)
+        return cid
+
+    def value(v):
+        if same:
+            return v
+        w = converted.get(id(v))
+        if w is None:
+            w = number(v)
+            w = converted[id(v)] = numbers.setdefault(w, w)
+        return w
+
+    for i, s in enumerate(states):
+        row = []
+        for alpha, dist in game.trans[s].items():
+            values = dist.values()
+            key = tuple(map(id, values))
+            probs = by_objects.get(key)
+            if probs is None:
+                probs = tuple(map(value, values))
+                probs = by_objects[key] = tuples.setdefault(probs, probs)
+            row.append((name(alpha), tuple([ids[t] for t in dist]), probs))
+        row.sort(key=_first)
+        for _, succ, _ in row:
+            c = len(owner)
+            owner.append(i)
+            for t in succ:
+                preds[t].append(c)
+        rows.append(row)
+    rewards = {label: RewardStructure(
+        {(s, names[alpha]): value(v)
+         for (s, alpha), v in rs.action_rewards.items()},
+        {s: value(v) for s, v in rs.state_rewards.items()})
+        for label, rs in game.rewards.items()}
+    return IndexedMdp(states, ids, rows, owner, preds, number, game.initial,
+                      rewards)
+
+
 def coalition_game(game: Csg, coalition, number=Fraction) -> CoalitionGame:
     """Regroup an n-player game into the two-player coalition game, its
     probabilities and rewards in `number`.  They are the base game's own in
-    its type, else converted here (the one place a game changes type); equal
-    numbers, distributions and action lists are stored once."""
+    its type, else converted here (the one place a game changes type).  The
+    joint MDP is built in the same pass over the base game (`_index`);
+    equal action lists are stored once."""
     members = list(coalition)
     for p in members:
         if p not in game.players:
@@ -268,35 +372,18 @@ def coalition_game(game: Csg, coalition, number=Fraction) -> CoalitionGame:
         raise FullCoalition("coalition must be a proper subset of the players")
     idx1 = [i for i, p in enumerate(game.players) if p in member_set]
     idx2 = [i for i, p in enumerate(game.players) if p not in member_set]
-    same, numbers, dists = number is game.number, {}, {}
 
     def split(alpha):
         return tuple(alpha[i] for i in idx1), tuple(alpha[i] for i in idx2)
 
-    def value(v):
-        if same:
-            return v
-        v = number(v)
-        return numbers.setdefault(v, v)
-
-    def convert(dist):
-        items = tuple([(t, value(p)) for t, p in dist.items()])
-        return dists.get(items) or dists.setdefault(items, dict(items))
-
-    trans, moves, shared = {}, {}, {}
-    for s in game.states:
-        trans[s] = row = {split(alpha): dist if same else convert(dist)
-                          for alpha, dist in game.trans[s].items()}
-        pair = (tuple(sorted({a1 for a1, _ in row})),
-                tuple(sorted({a2 for _, a2 in row})))
+    graph = _index(game, split, number)
+    moves, shared = {}, {}
+    for s, row in zip(graph.states, graph.rows):
+        acts1 = tuple(dict.fromkeys(a1 for (a1, _), _, _ in row))
+        pair = (acts1, tuple(a2 for (_, a2), _, _ in
+                             row[:len(row) // len(acts1)]))
         moves[s] = shared.setdefault(pair, pair)
-    rewards = {name: RewardStructure(
-        {(s, split(alpha)): value(v)
-         for (s, alpha), v in rs.action_rewards.items()},
-        {s: value(v) for s, v in rs.state_rewards.items()})
-        for name, rs in game.rewards.items()}
-    return CoalitionGame(game, game.states, game.initial, trans, rewards,
-                         moves, number)
+    return CoalitionGame(game, moves, graph)
 
 
 @dataclass(frozen=True)
@@ -311,60 +398,54 @@ class EndComponent:
     non_terminal: bool
 
 
-@dataclass(frozen=True)
-class IndexedMdp:
-    """An MDP in the id-indexed form that the solvers of `mdp` run on.
-
-    State i is `states[i]` (`ids` maps it back) and `rows[i]` lists its
-    choices as (choice id, successor ids, probabilities), the probabilities
-    of type `number`.  Choices are also numbered in row order: `owner[c]` is
-    the state id of choice c, and `preds[i]` lists the numbers of the
-    choices leading to state i (one entry per choice, shared by all of its
-    successors).  `initial` holds the initial states among `states`, and
-    `rewards` maps each reward structure name to a RewardStructure whose
-    action rewards are keyed by (state, choice id).
-    """
-
-    states: list
-    ids: dict
-    rows: list
-    owner: list
-    preds: list
-    number: type
-    initial: tuple
-    rewards: dict
+def _reach(rows, sources, through=None):
+    """The ids a play can reach in `rows` from the ids `sources`, moving on
+    only from ids in `through` (from every id if None); `sources` included."""
+    seen = set(sources)
+    frontier = [i for i in seen if through is None or i in through]
+    while frontier:
+        for _, succ, _ in rows[frontier.pop()]:
+            for t in succ:
+                if t not in seen:
+                    seen.add(t)
+                    if through is None or t in through:
+                        frontier.append(t)
+    return seen
 
 
 def joint_mdp(game, reads=None) -> IndexedMdp:
-    """The MDP where one controller picks whole joint actions of `game` (a
-    Csg or a CoalitionGame), in the id-indexed form; the only place a game
-    becomes an MDP.
+    """The MDP where one controller picks whole joint actions of `game`, in
+    the id-indexed form: a CoalitionGame's own `graph`, or for a Csg one
+    built from its joint actions (`_index`), whose choice ids are the joint
+    actions and whose reward structures and number type are the game's.
 
-    Choice ids are the sorted joint-action keys, so the game's reward
-    structures and number type carry over.  With `reads`, a set of states,
-    the MDP holds only their forward closure, which is all their values
-    depend on.  States keep `game.states` order, so ties broken by id fall
-    as on the whole game; successors keep distribution order, and a row's
-    probabilities are a view of the distribution's values.
+    With `reads`, a set of states, the MDP holds only their forward closure,
+    which is all their values depend on.  States keep their order, so ties
+    broken by id fall as on the whole game, and rows keep their choices,
+    successors and probability tuples.
     """
-    trans, states = game.trans, list(game.states)
-    if reads is not None:
-        seen = _forward_closure(trans, reads)
-        states = [s for s in states if s in seen]
-    ids = {s: i for i, s in enumerate(states)}
-    rows, owner, preds = [], [], [[] for _ in states]
-    for i, s in enumerate(states):
+    graph = game.graph if isinstance(game, CoalitionGame) else \
+        _index(game, None, game.number)
+    if reads is None:
+        return graph
+    keep = sorted(_reach(graph.rows, [graph.ids[s] for s in reads]))
+    new = dict(zip(keep, range(len(keep))))
+    states = [graph.states[i] for i in keep]
+    rows, owner, preds = [], [], [[] for _ in keep]
+    for n, i in enumerate(keep):
         row = []
-        for cid, dist in sorted(trans[s].items()):
-            succ = tuple([ids[t] for t in dist])
+        for cid, succ, probs in graph.rows[i]:
+            succ = tuple([new[t] for t in succ])
             c = len(owner)
-            owner.append(i)
+            owner.append(n)
             for t in succ:
                 preds[t].append(c)
-            row.append((cid, succ, dist.values()))
+            row.append((cid, succ, probs))
         rows.append(row)
-    return IndexedMdp(states, ids, rows, owner, preds, game.number,
-                      tuple(s for s in game.initial if s in ids), game.rewards)
+    ids = {s: n for n, s in enumerate(states)}
+    return IndexedMdp(states, ids, rows, owner, preds, graph.number,
+                      tuple(s for s in graph.initial if s in ids),
+                      graph.rewards)
 
 
 def _sccs(nodes, edges):
@@ -504,18 +585,27 @@ def _fold(game, start, node_choices, update) -> IndexedMdp:
     the weighted game probabilities in that order.  Every reward structure
     of the game is folded, action rewards keyed by (node, choice id) and
     state rewards carried over per node.  `update` runs once per mode and
-    successor state (`MemoryStrategy.update`).
+    successor state (`MemoryStrategy.update`).  The game is read in its
+    `graph`: a joint action's row position comes from the state's moves,
+    and a successor id of the graph maps to a node id once per mode.
     """
+    graph = game.graph
+    positions = {}              # moves -> {joint action: row position}
     structures = list(game.rewards.items())
     rewards = {name: RewardStructure() for name in game.rewards}
     states = [(s, start(s)) for s in game.initial]
     initial = tuple(states)
     ids = {node: i for i, node in enumerate(states)}
     rows, owner, preds = [], [], [[] for _ in states]
-    found = {}                  # mode -> {successor state: its node's id}
+    found = {}                  # mode -> {successor's graph id: node id}
     for i, node in enumerate(states):           # `states` grows as we go
         s, mode = node
-        trans = game.trans[s]
+        joint = graph.rows[graph.ids[s]]
+        moves = game.moves[s]
+        at = positions.get(moves)
+        if at is None:
+            at = positions[moves] = {pair: k for k, pair in
+                                     enumerate(product(*moves))}
         succ_ids = found.get(mode)
         if succ_ids is None:
             succ_ids = found[mode] = {}
@@ -523,17 +613,20 @@ def _fold(game, start, node_choices, update) -> IndexedMdp:
         for cid, weights in node_choices(s, mode):
             dist = {}
             for pair, w in weights.items():
-                if pair not in trans:
+                k = at.get(pair)
+                if k is None:
                     raise IncompleteStrategy(
                         f"strategy plays unavailable action {pair!r} at {s!r}")
-                for t, pt in trans[pair].items():
+                _, succ, probs = joint[k]
+                for t, pt in zip(succ, probs):
                     j = succ_ids.get(t)
                     if j is None:
-                        succ = (t, update(mode, t))
-                        j = ids.get(succ)
+                        u = graph.states[t]
+                        nxt = (u, update(mode, u))
+                        j = ids.get(nxt)
                         if j is None:
-                            j = ids[succ] = len(states)
-                            states.append(succ)
+                            j = ids[nxt] = len(states)
+                            states.append(nxt)
                             preds.append([])
                         succ_ids[t] = j
                     p = w * pt
@@ -673,15 +766,18 @@ def check_assumption(game, query) -> AssumptionReport:
     """Check the no-nonterminal-end-component assumption for a query on
     `game`, a Csg or a CoalitionGame.
 
-    Finite-horizon-only queries pass trivially.  Otherwise the joint-action
-    MDP (`joint_mdp`) is built once, and every check runs on it.  A pair of
-    infinite-horizon objectives, one of them probabilistic, triggers a
-    report of every non-terminal maximal end component, which can stall the
-    pair's value iteration; a mixed pair runs none (it is backwards
-    induction from one MDP optimum), so it gets no such report.  Every
-    infinite-horizon reward objective requires the target to be reached
-    with probability 1 under all strategy profiles (once per target set).
-    All checks are qualitative.
+    Finite-horizon-only queries pass trivially.  Otherwise every check runs
+    on the joint-action MDP (`joint_mdp`: a coalition game's own graph, a
+    Csg's built once).  A pair of infinite-horizon objectives, one of them
+    probabilistic, triggers a report of the non-terminal maximal end
+    components that can stall the pair's value iteration: those with a
+    state from which each probabilistic objective's target can be reached
+    (through its until constraint's states).  In any other, some objective
+    is worth 0 at each of its states, so it cannot stall the pair.  A mixed pair runs no such check (it is backwards
+    induction from one MDP optimum).  Every infinite-horizon reward
+    objective requires the target to be reached with probability 1 under
+    all strategy profiles (once per target set).  All checks are
+    qualitative.
     """
     from .mdp import prob1_min_set          # local import: avoids a cycle
     from .properties import satisfying_states
@@ -691,10 +787,28 @@ def check_assumption(game, query) -> AssumptionReport:
     if not infinite:
         return AssumptionReport((), ())
     mdp = joint_mdp(game)
+    if isinstance(game, CoalitionGame) and game.base is not None:
+        game = game.base            # whose labels state formulae resolve on
     nonterminal = ()
     if len(infinite) == len(objectives) and \
             any(obj.kind == "P" for obj in infinite):
-        nonterminal = tuple(ec for ec in enumerate_mecs(mdp) if ec.non_terminal)
+        stakes = []                 # per P objective: (targets, through)
+        for obj in infinite:
+            if obj.kind == "P":
+                targets = {mdp.ids[s] for s in
+                           satisfying_states(game, obj.sub2)}
+                stakes.append((targets, {
+                    mdp.ids[s] for s in satisfying_states(game, obj.sub1)}
+                    - targets))
+
+        def stalls(ec):
+            ids = [mdp.ids[s] for s in ec.states]
+            return all(not targets.isdisjoint(_reach(
+                mdp.rows, [i for i in ids if i in through or i in targets],
+                through)) for targets, through in stakes)
+
+        nonterminal = tuple(ec for ec in enumerate_mecs(mdp)
+                            if ec.non_terminal and stalls(ec))
     reward_issues, sure = [], {}
     for idx, obj in enumerate(objectives):
         if obj.kind != "R" or obj.is_finite_horizon():

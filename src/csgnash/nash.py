@@ -312,37 +312,41 @@ class LocalGameTable:
 
 
 def local_game_table(game, states, rewards=(None, None)) -> LocalGameTable:
-    """The local-game table of `states`; per objective, `rewards` may name a
-    reward structure whose state and action rewards every entry adds (the
-    cumulative and reachability-reward shapes)."""
+    """The local-game table of `states`, read off the game's joint MDP (a
+    state's row lists its joint moves row-major already); per objective,
+    `rewards` may name a reward structure whose state and action rewards
+    every entry adds (the cumulative and reachability-reward shapes)."""
     exact = game.number is Fraction
+    graph = game.graph
+    names, rows, ids = graph.states, graph.rows, graph.ids
     structures = [None if name is None else game.rewards[name]
                   for name in rewards]
-    entries, read, shapes, ids = {}, set(), {}, {}
+    entries, read, shapes, numbered = {}, set(), {}, {}
     for s in states:
-        acts1, acts2 = moves = game.moves[s]
-        dists = [game.trans[s][(a, b)] for a in acts1 for b in acts2]
-        succ = list(dict.fromkeys(t for dist in dists for t in dist))
+        row = rows[ids[s]]
+        union = list(dict.fromkeys(t for _, succ, _ in row for t in succ))
+        pos = {t: i for i, t in enumerate(union)}
+        succ = [names[t] for t in union]
         read.update(succ)
-        pos = {t: i for i, t in enumerate(succ)}
-        d, probs = _over_lcm([p for dist in dists for p in dist.values()],
-                             exact)
+        d, probs = _over_lcm([p for _, _, ps in row for p in ps], exact)
         choices, at = [], 0
-        for dist in dists:
-            choices.append((tuple(pos[t] for t in dist),
-                            tuple(probs[at:at + len(dist)])))
-            at += len(dist)
+        for _, ts, ps in row:
+            choices.append((tuple([pos[t] for t in ts]),
+                            tuple(probs[at:at + len(ps)])))
+            at += len(ps)
         payments = []
         for rs in structures:
-            pays = [] if rs is None else [rs.state(s) + rs.action(s, (a, b))
-                                          for a in acts1 for b in acts2]
+            pays = [] if rs is None else [rs.state(s) + rs.action(s, cid)
+                                          for cid, _, _ in row]
             if any(pays):
                 r, pays = _over_lcm(pays, exact)
                 payments.append((r, tuple(pays)))
             else:
                 payments.append(None)
+        moves = game.moves[s]
         choices, payments = tuple(choices), tuple(payments)
-        shapes[s] = ids.setdefault((moves, d, choices, payments), len(ids))
+        shapes[s] = numbered.setdefault((moves, d, choices, payments),
+                                        len(numbered))
         entries[s] = (moves, succ, d, choices, payments)
     return LocalGameTable(exact, entries, frozenset(read), shapes)
 

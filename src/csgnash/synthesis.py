@@ -40,7 +40,8 @@ __all__ = [
 ]
 
 def _first_pair(game, state):
-    return min(game.trans[state])
+    acts1, acts2 = game.moves[state]
+    return acts1[0], acts2[0]
 
 
 @dataclass
@@ -240,8 +241,8 @@ def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
     s1, s2 = profile.strategy(1), profile.strategy(2)
     # coalition 1 deviates in the MDP where side 2 plays its strategy, and
     # the profile's own chain is read off that MDP
-    induced2 = induce_mdp(cg, 2, s2)
-    chain = induced_chain(cg, induced2, s1, s2)
+    induced = induce_mdp(cg, 2, s2)
+    chain = induced_chain(cg, induced, s1, s2)
     # a synthesised mode is refined at its node's state already
     played = [n for n in chain.states
               if n[1][1:] == (PENDING, PENDING) and n[1][0] >= 1]
@@ -250,7 +251,11 @@ def verify_epsilon_ne(cg, profile: SynthesisedProfile, query: NashNode,
     for obj, status, fixed, pad in zip(query.objectives,
                                        profile.result.statuses, (2, 1),
                                        profile.result.pads):
-        induced = induced2 if fixed == 2 else induce_mdp(cg, 1, s1)
+        if fixed == 1:
+            # one induced MDP at a time: side 2's, and the optima read on
+            # it, are dropped before side 1's is folded
+            induced = best = achieved = None
+            induced = induce_mdp(cg, 1, s1)
         left = None if pad is None else \
             {n: max(0, n[1][0] + pad) for n in chain.states}
         try:

@@ -53,7 +53,8 @@ from itertools import chain, combinations, product
 from csgnash.bimatrix import BimatrixGame, MixedProfile
 from csgnash.errors import (IncompleteStrategy, ModelError, ModelTypeError,
                             NotConverged, UndeclaredSymbol)
-from csgnash.model import CoalitionGame, MemoryStrategy, RewardStructure
+from csgnash.model import (CoalitionGame, IndexedMdp, MemoryStrategy,
+                            RewardStructure)
 from csgnash.nash import (DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, PENDING,
                           PairResult, _horizon, _optimum, _OSC_TOL,
                           _reward_names, _sat, _settled_pair, _settlement,
@@ -71,13 +72,85 @@ class Mdp:
     order; `rewards` maps each reward structure name to a RewardStructure
     whose action rewards are keyed by (state, choice id); `number` is the
     type of its probabilities.  `model.joint_mdp` reads it as it reads a
-    game, into the form the package solves on."""
+    Csg, into the form the package solves on."""
 
     states: tuple
     initial: tuple
     trans: dict
     rewards: dict = field(default_factory=dict)
     number: type = Fraction
+
+
+def regroup(game, coalition, number=Fraction):
+    """The package's earlier coalition regrouping, into dicts: returns the
+    `Mdp` over `game`'s states whose choice ids are the (a1, a2) pairs of
+    each base joint action, split into the coalition's and the rest's
+    actions in player order, with its distribution and rewards converted to
+    `number`, and the sorted actions of each side per state."""
+    members = set(coalition)
+    idx1 = [i for i, p in enumerate(game.players) if p in members]
+    idx2 = [i for i, p in enumerate(game.players) if p not in members]
+
+    def split(alpha):
+        return tuple(alpha[i] for i in idx1), tuple(alpha[i] for i in idx2)
+
+    def value(v):
+        return v if number is Fraction else number(v)
+
+    trans, moves = {}, {}
+    for s in game.states:
+        trans[s] = {split(alpha): {t: value(p) for t, p in dist.items()}
+                    for alpha, dist in sorted(
+                        game.trans[s].items(),
+                        key=lambda item: split(item[0]))}
+        moves[s] = (tuple(sorted({a1 for a1, _ in trans[s]})),
+                    tuple(sorted({a2 for _, a2 in trans[s]})))
+    rewards = {name: RewardStructure(
+        {(s, split(alpha)): value(v)
+         for (s, alpha), v in rs.action_rewards.items()},
+        {s: value(v) for s, v in rs.state_rewards.items()})
+        for name, rs in game.rewards.items()}
+    return Mdp(game.states, game.initial, trans, rewards, number), moves
+
+
+def coalition_trans(game):
+    """The transitions of a coalition game's joint MDP as dicts: state ->
+    {(a1, a2): {successor: probability}}, in row and successor order."""
+    graph = game.graph
+    return {s: {cid: dict(zip([graph.states[t] for t in succ], probs))
+                for cid, succ, probs in row}
+            for s, row in zip(graph.states, graph.rows)}
+
+
+def joint_mdp_by_dicts(mdp, reads=None):
+    """The package's earlier joint-MDP build, from the `trans` dicts of
+    `mdp` (an `Mdp`): states in order, choices sorted by id, successors in
+    distribution order, probabilities a view of each distribution; with
+    `reads`, over the forward closure of those states alone."""
+    trans, states = mdp.trans, list(mdp.states)
+    if reads is not None:
+        seen, frontier = set(reads), list(reads)
+        while frontier:
+            for dist in trans[frontier.pop()].values():
+                for t in dist:
+                    if t not in seen:
+                        seen.add(t)
+                        frontier.append(t)
+        states = [s for s in states if s in seen]
+    ids = {s: i for i, s in enumerate(states)}
+    rows, owner, preds = [], [], [[] for _ in states]
+    for i, s in enumerate(states):
+        row = []
+        for cid, dist in sorted(trans[s].items()):
+            succ = tuple([ids[t] for t in dist])
+            c = len(owner)
+            owner.append(i)
+            for t in succ:
+                preds[t].append(c)
+            row.append((cid, succ, dist.values()))
+        rows.append(row)
+    return IndexedMdp(states, ids, rows, owner, preds, mdp.number,
+                      tuple(s for s in mdp.initial if s in ids), mdp.rewards)
 
 
 def _solve_unique(matrix, rhs):
@@ -688,13 +761,14 @@ def local_game_by_fractions(game, state, continuation, rewards=(None, None)):
     action rewards are added.  Built in the game's own numbers.
     """
     acts1, acts2 = game.actions1(state), game.actions2(state)
+    trans = coalition_trans(game)[state]
     structures = [(l, game.rewards[name]) for l, name in enumerate(rewards)
                   if name is not None]
     z1, z2 = [], []
     for a in acts1:
         row1, row2 = [], []
         for b in acts2:
-            dist = game.trans[state][(a, b)]
+            dist = trans[(a, b)]
             vals = [sum(p * continuation[t][l] for t, p in dist.items())
                     for l in (0, 1)]
             for l, rs in structures:
@@ -977,11 +1051,11 @@ def mixed_horizon_transform(cg, query: NashNode):
     cap = _horizon(obj) + (obj.op != "C")
     states = tuple((s, i) for i in range(cap + 1) for s in cg.states)
     initial = tuple((s, 0) for s in cg.initial)
-    trans = {}
+    trans, base = {}, coalition_trans(cg)
     for (s, i) in states:
         nxt = min(i + 1, cap)
         trans[(s, i)] = {pair: {(t, nxt): p for t, p in dist.items()}
-                         for pair, dist in cg.trans[s].items()}
+                         for pair, dist in base[s].items()}
 
     def layered(formula, layers=range(cap + 1)):
         sat = _sat(cg, formula)
@@ -1020,8 +1094,9 @@ def mixed_horizon_transform(cg, query: NashNode):
     objectives[fi] = new_obj
     new_query = NashNode(query.coalition1, query.coalition2, query.relation,
                          query.threshold, tuple(objectives))
-    product = CoalitionGame(None, states, initial, trans, rewards,
-                            {p: cg.moves[p[0]] for p in states}, cg.number)
+    product = CoalitionGame(
+        None, {p: cg.moves[p[0]] for p in states},
+        joint_mdp_by_dicts(Mdp(states, initial, trans, rewards, cg.number)))
     embedding = {s: (s, 0) for s in cg.states}
     return product, new_query, embedding
 
@@ -1139,6 +1214,7 @@ def _dict_fold(game, start, node_choices, update) -> Mdp:
     node and successor state.
     """
     number = game.number
+    game_trans = coalition_trans(game)
     rewards = {name: RewardStructure() for name in game.rewards}
     init = [(s, start(s)) for s in game.initial]
     states = []
@@ -1149,7 +1225,7 @@ def _dict_fold(game, start, node_choices, update) -> Mdp:
         node = frontier.popleft()
         states.append(node)
         s, mode = node
-        trans = game.trans[s]
+        trans = game_trans[s]
         node_choices_out = []
         successors = {}                 # state -> its node from this one
         for cid, weights in node_choices(s, mode):

@@ -19,7 +19,8 @@ from csgnash.model import check_assumption
 from csgnash.nash import evaluate
 from csgnash.properties import parse_property
 from csgnash.synthesis import synthesise_profile, verify_epsilon_ne
-from oracles import bounded_reach_pair, nash_equilibria_by_support
+from oracles import (bounded_reach_pair, coalition_trans,
+                     nash_equilibria_by_support)
 
 
 def timed(fn):
@@ -121,7 +122,7 @@ def test_criterion_5_grid_coordination_values():
     cg = bounded.game
     targets1 = {s for s in csg.states if "goal1" in csg.labels[s]}
     targets2 = {s for s in csg.states if "goal2" in csg.labels[s]}
-    oracle = bounded_reach_pair(cg.trans, targets1, targets2, 3)
+    oracle = bounded_reach_pair(coalition_trans(cg), targets1, targets2, 3)
     assert {s: tuple(v) for s, v in bounded.values.items()} == oracle
 
 

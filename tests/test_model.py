@@ -16,6 +16,7 @@ from csgnash.errors import (
     UnknownPlayer,
 )
 from csgnash.explicit import load_explicit, loads_explicit
+from csgnash.lang import load_model
 from csgnash.model import (
     IDLE,
     Csg,
@@ -34,8 +35,9 @@ from csgnash.synthesis import synthesise_profile
 
 from conftest import (REWARD_GAME, labelled, model_path, pair_query,
                       small_csgs)
-from oracles import (chain_by_dict_fold, induce_mdp_by_dict_fold,
-                     maximal_end_components)
+from oracles import (Mdp, chain_by_dict_fold, coalition_trans,
+                     induce_mdp_by_dict_fold, joint_mdp_by_dicts,
+                     maximal_end_components, regroup)
 
 F = Fraction
 
@@ -170,10 +172,16 @@ class TestCoalitionGame:
         assert cg.actions2("s0") == (("t2",), ("w2",))
         # faithfulness: each base joint action, split into the two sides,
         # keeps its distribution, and no other pair is defined
+        trans = coalition_trans(cg)
         for s in g.states:
-            assert len(cg.trans[s]) == len(g.trans[s])
+            assert len(trans[s]) == len(g.trans[s])
             for (b1, b2), dist in g.trans[s].items():
-                assert cg.trans[s][((b1,), (b2,))] is dist
+                assert trans[s][((b1,), (b2,))] == dist
+        # an exact game keeps the base game's numbers, uncopied
+        base = {id(p) for s in g.states for dist in g.trans[s].values()
+                for p in dist.values()}
+        assert all(id(p) in base for row in cg.graph.rows
+                   for _, _, probs in row for p in probs)
 
     def test_three_player_regrouping(self):
         g = Csg.create(
@@ -214,24 +222,67 @@ class TestCoalitionGame:
         floats = coalition_game(g, ["p1"], float)
         assert isinstance(floats, CoalitionGame) and floats.number is float
         assert floats.moves == cg.moves and floats.base is g
-        assert floats.trans == cg.trans and all(
-            type(p) is float for row in floats.trans.values()
-            for dist in row.values() for p in dist.values())
-        assert joint_mdp(floats).number is float
-        # equal action lists, and equal converted distributions and numbers,
-        # are stored once
+        assert coalition_trans(floats) == coalition_trans(cg) and all(
+            type(p) is float for row in floats.graph.rows
+            for _, _, probs in row for p in probs)
+        assert joint_mdp(floats) is floats.graph and \
+            floats.graph.number is float
+        # equal action lists, probability tuples and converted numbers are
+        # stored once
         for game in (cg, floats):
             assert game.moves["s1"] is game.moves["s2"] is game.moves["s5"]
-        dists = [dist for row in floats.trans.values() for dist in row.values()]
-        assert len({id(d) for d in dists}) == \
-            len({tuple(d.items()) for d in dists})
-        numbers = [p for d in dists for p in d.values()]
+        tuples = [probs for row in floats.graph.rows for _, _, probs in row]
+        assert len({id(t) for t in tuples}) == len(set(tuples))
+        numbers = [p for probs in tuples for p in probs]
         assert len({id(p) for p in numbers}) == len(set(numbers))
         product, _, _ = mixed_horizon_transform(cg, parse_property(
             "<<p1:p2>>max=? (P[X sent1] + P[F sent2])"))
         assert isinstance(product, CoalitionGame) and product.base is None
         assert all(product.moves[p] is cg.moves[p[0]]
                    for p in product.states)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_csgs(), st.sampled_from([F, float]))
+    def test_graph_is_the_dict_regroup(self, case, number):
+        # rows, successor order, probability values and types, moves and
+        # rewards as the earlier regrouping into dicts gives them
+        csg, coalition = case
+        cg = coalition_game(csg, coalition, number)
+        oracle, moves = regroup(csg, coalition, number)
+        assert cg.moves == moves
+        assert cg.states == csg.states and cg.initial == csg.initial
+        assert_same_mdp(cg.graph, oracle)
+
+    def test_each_number_object_is_converted_once(self):
+        converted = []
+
+        class Counted(float):
+            def __new__(cls, value):
+                converted.append(value)
+                return super().__new__(cls, value)
+
+        game = load_model(model_path("aloha.csg"), {"D": 2})
+        numbers = [p for s in game.states for dist in game.trans[s].values()
+                   for p in dist.values()]
+        numbers += [v for rs in game.rewards.values()
+                    for v in (*rs.action_rewards.values(),
+                              *rs.state_rewards.values())]
+        cg = coalition_game(game, ["p1"], Counted)
+        assert cg.number is Counted
+        assert len({id(v) for v in converted}) == len(converted) <= \
+            len({id(v) for v in numbers}) < len(numbers)
+        assert {id(v) for v in converted} <= {id(v) for v in numbers}
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_csgs(), st.booleans(), st.data())
+    def test_closure_is_the_dict_closure(self, case, exact, data):
+        csg, coalition = case
+        cg = coalition_game(csg, coalition, F if exact else float)
+        reads = data.draw(st.sets(st.sampled_from(cg.states), min_size=1))
+        closed = joint_mdp(cg, reads)
+        oracle = Mdp(cg.states, cg.initial, coalition_trans(cg), cg.rewards,
+                     cg.number)
+        assert_same_mdp(closed, oracle, reads)
 
 
 class TestEndComponents:
@@ -328,12 +379,16 @@ class TestOneJointMdp:
     closure it reads, and every MDP routine runs on that graph."""
 
     def test_bounded_solve_indexes_the_joint_mdp_once(self, monkeypatch):
-        built = [spied(monkeypatch, module, "joint_mdp")[1]
-                 for module in (model, nash)]
-        evaluate(fig1(), parse_property(
+        # the coalition game indexes it, and the solve reads that graph
+        _, indexed = spied(monkeypatch, model, "_index")
+        read = [spied(monkeypatch, module, "joint_mdp")[1]
+                for module in (model, nash)]
+        ev = evaluate(fig1(), parse_property(
             "<<p1:p2>>max=? (P[F<=2 sent1] + P[F<=3 sent2])"))
-        (graph,) = built[0] + built[1]
+        (graph,) = indexed
         assert isinstance(graph, IndexedMdp) and len(graph.states) == 6
+        assert graph is ev.game.graph
+        assert read[0] + read[1] == [graph]
 
     def test_check_assumption_indexes_the_joint_mdp_once(self, monkeypatch):
         # a P[F] and an R[F] objective: the check needs both the end
@@ -349,8 +404,13 @@ class TestOneJointMdp:
         report = model.check_assumption(game, query)
         (graph,) = built
         assert mecs_on == prob1_on == [graph]
-        assert graph.states == list(game.states)
+        assert graph.states == game.states
         assert report.passed
+        # on a coalition game the check reads its graph and builds nothing
+        cg = coalition_game(game, ["p1"])
+        _, indexed = spied(monkeypatch, model, "_index")
+        assert model.check_assumption(cg, query) == report
+        assert not indexed and mecs_on[1:] == prob1_on[1:] == [cg.graph]
 
     def test_check_assumption_finds_each_prob1_set_once(self, monkeypatch):
         # two reward objectives on one target: one prob-1 set, read twice
@@ -391,14 +451,15 @@ def _typed(value):
     return type(value), value.hex() if type(value) is float else value
 
 
-def assert_same_mdp(indexed, oracle):
-    """`indexed` is the dict MDP `oracle` in the id-indexed form: the same
-    nodes in the same order, each choice with the same id, successors in
-    the same order and probabilities of the same type and bits, and the same
-    folded rewards."""
-    expected = joint_mdp(oracle)
-    assert indexed.states == list(oracle.states)
-    assert indexed.initial == oracle.initial
+def assert_same_mdp(indexed, oracle, reads=None):
+    """`indexed` is the dict MDP `oracle` in the id-indexed form, as the
+    earlier build from dicts gives it (over the forward closure of `reads`
+    if given): the same nodes in the same order, each choice with the same
+    id, successors in the same order and probabilities of the same type and
+    bits, and the same folded rewards."""
+    expected = joint_mdp_by_dicts(oracle, reads)
+    assert list(indexed.states) == expected.states
+    assert indexed.initial == expected.initial
     assert indexed.number is oracle.number
     assert (indexed.ids, indexed.owner, indexed.preds) == \
         (expected.ids, expected.owner, expected.preds)
@@ -445,11 +506,12 @@ class TestInduceMdp:
         mdp = induce_mdp(floats, 1, FixedStrategy(table))
         assert_same_mdp(mdp, induce_mdp_by_dict_fold(floats, 1,
                                                      FixedStrategy(table)))
+        trans = coalition_trans(floats)
         for s, mode in mdp.states:
             for b, dist in choices_at(mdp, (s, mode)).items():
                 expected = {}
                 for a, w in table[s].items():
-                    for t, p in floats.trans[s][(a, b)].items():
+                    for t, p in trans[s][(a, b)].items():
                         expected[(t, 0)] = expected.get((t, 0), 0) + w * p
                 assert dist == expected
                 assert all(type(p) is float for p in dist.values())

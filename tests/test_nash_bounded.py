@@ -13,7 +13,8 @@ from csgnash.lang import load_model
 from csgnash.model import coalition_game
 from csgnash.nash import evaluate, solve_bounded_pair
 from csgnash.properties import NashNode, Objective, TrueF, parse_property
-from oracles import bounded_cumulative_pair, bounded_reach_pair
+from oracles import (bounded_cumulative_pair, bounded_reach_pair,
+                     coalition_trans)
 
 
 def pair_query(obj1, obj2):
@@ -101,14 +102,15 @@ class TestMediumAccessCumulative:
         for name in ("r1", "r2"):
             self.rew[name] = {
                 (s, pair): self.csg.rewards[name].action(s, pair[0] + pair[1])
-                for s in self.cg.states for pair in self.cg.trans[s]}
+                for s in self.cg.states
+                for pair in coalition_trans(self.cg)[s]}
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_game_tree_oracle(self, k):
         ev = evaluate(self.csg, parse_property(
             f'<<p1:p2>>max=? (R{{"r1"}}[C<={k}] + R{{"r2"}}[C<={k}])'))
         oracle = bounded_cumulative_pair(
-            self.cg.trans, self.rew["r1"], self.rew["r2"], k)
+            coalition_trans(self.cg), self.rew["r1"], self.rew["r2"], k)
         for s in self.cg.states:
             assert ev.values[s] == oracle[s]
 
@@ -138,7 +140,7 @@ class TestAgainstBackwardsInductionOracle:
                       bound=horizon))
         result = solve_bounded_pair(cg, query)
         oracle = bounded_reach_pair(
-            cg.trans, labelled(csg, "t1").states,
+            coalition_trans(cg), labelled(csg, "t1").states,
             labelled(csg, "t2").states, horizon)
         assert result.values == oracle
 
@@ -151,10 +153,11 @@ class TestAgainstBackwardsInductionOracle:
                            Objective("R", "C", reward="r2", bound=horizon))
         result = solve_bounded_pair(cg, query)
         # each step pays the state reward plus the joint action's reward
+        trans = coalition_trans(cg)
         paid = [{(s, joint): rs.state(s) + rs.action(s, joint)
-                 for s in cg.states for joint in cg.trans[s]}
+                 for s in cg.states for joint in trans[s]}
                 for rs in (cg.rewards["r1"], cg.rewards["r2"])]
-        oracle = bounded_cumulative_pair(cg.trans, *paid, horizon)
+        oracle = bounded_cumulative_pair(trans, *paid, horizon)
         assert result.values == oracle
 
 

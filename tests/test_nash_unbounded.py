@@ -18,7 +18,7 @@ from csgnash.model import check_assumption
 from csgnash.nash import evaluate
 from csgnash.properties import parse_property
 from csgnash.synthesis import synthesise_profile, verify_epsilon_ne
-from oracles import chain_reach_probability
+from oracles import chain_reach_probability, coalition_trans
 
 
 def initial_pair(evaluation):
@@ -358,7 +358,8 @@ class TestExactStateLimit:
             ev = evaluate(csg, formula)
             assert ev.game.states == csg.states
             assert ev.game.number is number
-            assert all(type(p) is number for row in ev.game.trans.values()
+            assert all(type(p) is number
+                       for row in coalition_trans(ev.game).values()
                        for dist in row.values() for p in dist.values())
 
 
@@ -415,7 +416,7 @@ class TestExactAndFloatEnginesAgree:
         assert all(isinstance(v, float)
                    for pair in ev.solve.values.values() for v in pair)
         assert all(isinstance(p, float) for s in ev.game.states
-                   for dist in ev.game.trans[s].values()
+                   for dist in coalition_trans(ev.game)[s].values()
                    for p in dist.values())
 
         # a mixed pair is verified on the solved query

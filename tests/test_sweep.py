@@ -88,8 +88,9 @@ def read_entries(cg, query, result):
                             for s in need})
             continue
         reach, frontier = set(need), list(need)
+        trans = oracles.coalition_trans(cg)
         while frontier:
-            for dist in cg.trans[frontier.pop()].values():
+            for dist in trans[frontier.pop()].values():
                 for t in dist:
                     if t not in reach:
                         reach.add(t)
@@ -220,7 +221,8 @@ def solved(solve, cg, query):
 
 def lies_on_cycle(cg, free):
     """Whether a state of `free` reaches itself through `free` states."""
-    succ = {s: {t for dist in cg.trans[s].values() for t in dist if t in free}
+    trans = oracles.coalition_trans(cg)
+    succ = {s: {t for dist in trans[s].values() for t in dist if t in free}
             for s in free}
     for s in free:
         seen, stack = set(), list(succ[s])

@@ -17,7 +17,7 @@ from csgnash.nash import evaluate
 from csgnash.properties import classify_horizon, parse_property
 from csgnash.synthesis import (SynthesisedProfile, _name,
                                synthesise_profile, verify_epsilon_ne)
-from oracles import (bounded_reach_pair, chain_by_dict_fold,
+from oracles import (bounded_reach_pair, chain_by_dict_fold, coalition_trans,
                      induce_mdp_by_dict_fold)
 from test_golden import CASES
 
@@ -195,7 +195,7 @@ class TestGridProfiles:
                     if "goal1" in self.csg.labels[s]}
         targets2 = {s for s in self.csg.states
                     if "goal2" in self.csg.labels[s]}
-        oracle = bounded_reach_pair(cg.trans, targets1, targets2, 3)
+        oracle = bounded_reach_pair(coalition_trans(cg), targets1, targets2, 3)
         for s in cg.states:
             assert tuple(ev.values[s]) == oracle[s]
 
@@ -237,7 +237,7 @@ class TestDemandDrivenVerification:
         # p1 at (1,1,2,2) with 4 of 6 stages left: first reached at step 2
         late, step = (1, 1, 2, 2), 4
         (start,) = game.initial
-        early = {start} | {t for dist in game.trans[start].values()
+        early = {start} | {t for dist in coalition_trans(game)[start].values()
                            for t in dist}
         assert late not in early
         _, acts1, acts2, x, y = result.profiles[step][late]
