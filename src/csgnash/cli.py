@@ -154,11 +154,10 @@ def _load(path, overrides):
 
 
 def _model_stats(game):
-    choices = sum(len(game.trans[s]) for s in game.states)
-    transitions = sum(len(d) for s in game.states
-                      for d in game.trans[s].values())
-    return {"states": len(game.states), "choices": choices,
-            "transitions": transitions}
+    rows = game.graph.rows
+    return {"states": len(rows), "choices": sum(map(len, rows)),
+            "transitions": sum(len(succ) for row in rows
+                               for _, succ, _ in row)}
 
 
 def _evaluate_property(csg, text, args):

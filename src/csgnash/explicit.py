@@ -12,8 +12,10 @@ probabilities as rationals (`3/4`, `0.75`, `1`).
     reward r1 action s0 (t1,w2) 1/3
     reward r1 state s0 2
 
-States are declared implicitly by transition lines.  Exporting a game and
-re-importing it yields an isomorphic game.
+States are declared implicitly by transition lines.  A joint action may
+contain spaces (`(t1, t2)`); a repeated transition line, or a repeated
+reward line for one state or one (state, joint action), is an error.
+Exporting a game and re-importing it yields an isomorphic game.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ def _joint(token, lineno):
     if not (token.startswith("(") and token.endswith(")")):
         raise ModelError(f"line {lineno}: expected joint action tuple, got {token!r}")
     return tuple(a.strip() for a in token[1:-1].split(","))
+
+
+def _joint_end(parts, start):
+    """The index after the joint action tuple starting at `parts[start]`:
+    the tuple may contain spaces, so it ends at the first token closing it
+    (at the last token if none does)."""
+    return next((i + 1 for i in range(start, len(parts))
+                 if parts[i].endswith(")")), len(parts) - 1)
 
 
 def loads_explicit(text) -> Csg:
@@ -81,12 +91,7 @@ def loads_explicit(text) -> Csg:
             if len(parts) < 5 or parts[2] not in ("action", "state"):
                 raise ModelError(f"line {lineno}: malformed reward line")
             name, state = parts[1], parts[3]
-            end = 4                     # index of the value token
-            if parts[2] == "action":
-                # the joint action tuple may contain spaces: it ends at the
-                # first token closing it
-                end = next((i + 1 for i in range(4, len(parts))
-                            if parts[i].endswith(")")), len(parts) - 1)
+            end = 4 if parts[2] == "state" else _joint_end(parts, 4)
             rest = parts[end:]
             if not rest:
                 raise ModelError(f"line {lineno}: reward line has no value")
@@ -95,18 +100,22 @@ def loads_explicit(text) -> Csg:
                                  f"after the reward value")
             value = _rational(rest[0], lineno)
             if parts[2] == "state":
-                reward_states.setdefault(name, {})[state] = value
+                entries, key = reward_states.setdefault(name, {}), state
             else:
-                joint = _joint(" ".join(parts[4:end]), lineno)
-                reward_actions.setdefault(name, {})[(state, joint)] = value
+                entries = reward_actions.setdefault(name, {})
+                key = (state, _joint(" ".join(parts[4:end]), lineno))
+            if key in entries:
+                raise ModelError(f"line {lineno}: duplicate reward {name!r} "
+                                 f"{parts[2]} line at {state}")
+            entries[key] = value
         else:
             if "->" not in parts:
                 raise ModelError(f"line {lineno}: unrecognised line {line!r}")
             arrow = parts.index("->")
-            if arrow != 2:
+            if arrow < 2 or _joint_end(parts, 1) != arrow:
                 raise ModelError(f"line {lineno}: expected 'state (a,..) -> ...'")
             state = parts[0]
-            joint = _joint(parts[1], lineno)
+            joint = _joint(" ".join(parts[1:arrow]), lineno)
             touch(state)
             dist = {}
             branch = " ".join(parts[arrow + 1:])

@@ -36,7 +36,6 @@ order, all arithmetic exact (decimal literals become rationals).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -66,7 +65,7 @@ from .expr import (
     parse_expression,
     tokenize,
 )
-from .model import IDLE, Csg, RewardStructure
+from .model import IDLE, Csg, IndexedMdp, RewardStructure
 
 __all__ = ["parse_model", "build_csg", "load_model", "ModelAst",
            "parse_constant_value", "read_text"]
@@ -659,11 +658,11 @@ class _Clash:
 
 def _products(prob_lists):
     """The product of one probability from each list, for every choice in
-    lexicographic order."""
+    lexicographic order, as a tuple."""
     out = [Fraction(1)]
     for probs in prob_lists:
         out = [a * b for a in out for b in probs]
-    return out
+    return tuple(out)
 
 
 def build_csg(ast: ModelAst, overrides=None) -> Csg:
@@ -675,6 +674,11 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
     Csg additionally carries `variables` (the variable names, in slot
     order), `constants` and `label_names`, so that properties compile their
     predicates against the same layout.
+
+    States are numbered as they are discovered, and each state's joint
+    actions, in sorted order, become its row of the game's graph as it is
+    explored: successor ids and a probability tuple, one tuple object for
+    every choice with the same probability objects.
 
     This is the one validation of a language model, so the Csg is
     constructed directly, not through `Csg.create`.  Probabilities, variable
@@ -748,13 +752,11 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
         return steps
 
     init_state = tuple(info.init for info in infos)
-    order = [init_state]
-    seen = {init_state}
-    trans = {}
-    queue = deque(order)
+    order = [init_state]       # state id -> state, in discovery order
+    ids = {init_state: 0}
+    rows = []
     plans = {}                 # guard values -> plan
-    while queue:
-        state = queue.popleft()
+    for state in order:                         # `order` grows as we go
         held = []
         for guard, line in guards:
             value = guard(state)
@@ -766,14 +768,14 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
         if steps is None:
             steps = plans[held] = plan(held)
         outcomes = {}                  # command index -> its branches here
-        state_trans = {}
+        row = []
         for joint, fired, weights in steps:
             for cmd in fired:
                 if cmd.index not in outcomes:
                     outcomes[cmd.index] = cmd.outcomes(state, var_names)
             if weights is None:
                 weights = _products([outcomes[cmd.index][0] for cmd in fired])
-            dist = {}
+            dist = {}                  # successor id -> probability
             for w, combo in zip(weights, itertools.product(
                     *[outcomes[cmd.index][1] for cmd in fired])):
                 succ = list(state)
@@ -781,16 +783,21 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
                     for slot, value in updates:
                         succ[slot] = value
                 succ = tuple(succ)
-                if succ in dist:
-                    dist[succ] += w
+                t = ids.get(succ)
+                if t is None:
+                    t = ids[succ] = len(order)
+                    order.append(succ)
+                if t in dist:
+                    dist[t] += w
                 else:
-                    dist[succ] = w
-                    if succ not in seen:
-                        seen.add(succ)
-                        order.append(succ)
-                        queue.append(succ)
-            state_trans[joint] = dist
-        trans[state] = state_trans
+                    dist[t] = w
+            # with no successors merged the probabilities are the weights,
+            # one tuple for every state that fires commands of fixed
+            # probabilities; merged sums are new numbers
+            probs = weights if len(dist) == len(weights) else \
+                tuple(dist.values())
+            row.append((joint, tuple(dist), probs))
+        rows.append(row)
 
     label_preds = [(name, compiled(pred), line)
                    for name, pred, line in ast.labels]
@@ -808,7 +815,7 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
             items.append((compiled(item.guard), compiled(item.value),
                           tuple(wanted.items()), item))
         action_rewards, state_rewards = {}, {}
-        for state in order:
+        for state, row in zip(order, rows):
             for guard, value_of, wanted, item in items:
                 if not _holds(guard, state, item.line):
                     continue
@@ -819,7 +826,7 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
                 if not item.actions:
                     state_rewards[state] = state_rewards.get(state, 0) + value
                     continue
-                for joint in trans[state]:
+                for joint, _, _ in row:
                     if all(joint[i] == a for i, a in wanted):
                         key = (state, joint)
                         action_rewards[key] = action_rewards.get(key, 0) + value
@@ -827,8 +834,10 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
             _reward_values(action_rewards, "action", block.name),
             _reward_values(state_rewards, "state", block.name))
 
-    return Csg(players, dict(ast.alphabets), tuple(order), (init_state,),
-               trans, labels, rewards, variables=var_names,
+    graph = IndexedMdp(tuple(order), ids, rows, Fraction, (init_state,),
+                       rewards)
+    return Csg(players, dict(ast.alphabets), graph, labels,
+               variables=var_names,
                constants=dict(constants),
                label_names=frozenset(name for name, _, _ in ast.labels))
 

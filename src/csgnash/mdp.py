@@ -9,10 +9,11 @@ Every routine takes an MDP in the one id-indexed form, `model.IndexedMdp`,
 and solves the graph it is given: states are numbered, each state's choices
 are (choice id, successor ids, probabilities), and each state lists the
 choices leading to it, for the qualitative sets and the max-reach strategy.
-The joint MDP is built in that form as the game is regrouped
-(`model.coalition_game`), `model.joint_mdp` restricts it to the forward
-closure of the states a caller reads, and verification's induced MDPs are
-folded in it by `model.induce_mdp`.
+A game is built in that form (`Csg.graph`, by the `.csg` builder or
+`Csg.create`), the coalition game regroups it (`model.coalition_game`),
+`model.joint_mdp` restricts it to the forward closure of the states a
+caller reads, and verification's induced MDPs are folded in it by
+`model.induce_mdp`.
 
 Unbounded values are computed by value iteration after qualitative
 precomputation of the probability-0 and probability-1 state sets, so states

@@ -1,8 +1,11 @@
 """Core model types: concurrent stochastic games, coalition reduction, the
-one MDP form (`IndexedMdp`: the joint-action MDP and the MDPs a strategy
-induces), and end-component analysis on it.  A coalition game is its
-joint-action MDP, built in one pass over the base game as it is regrouped;
-the assumption check, the solvers and the strategy folds all read it.
+one MDP form (`IndexedMdp`: a game's joint-action MDP and the MDPs a
+strategy induces), and end-component analysis on it.  A game holds its
+transitions in that form alone: a `Csg` is its joint-action MDP on state
+ids, as the builder or `Csg.create` indexes it, and a coalition game
+regroups that MDP's choices into (a1, a2) pairs, sharing its states and
+successor tuples; the assumption check, the solvers and the strategy folds
+all read it.
 
 A game has players 1..n with pairwise-disjoint action alphabets plus a shared
 idle symbol.  At each state a player's available actions are the enabled
@@ -13,11 +16,12 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
-from typing import ClassVar
 
 from .errors import (
     EmptyCoalition,
@@ -67,18 +71,45 @@ class RewardStructure:
         return self.state_rewards.get(state, 0)
 
 
-def _forward_closure(trans, sources):
-    """The states a play can reach from `sources` in `trans` (state ->
-    action -> distribution), `sources` included."""
-    seen = set(sources)
-    frontier = list(seen)
-    while frontier:
-        for dist in trans[frontier.pop()].values():
-            for t in dist:
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-    return seen
+@dataclass(frozen=True)
+class IndexedMdp:
+    """An MDP in the id-indexed form that the solvers of `mdp` run on.
+
+    State i is `states[i]` (`ids` maps it back) and `rows[i]` lists its
+    choices as (choice id, successor ids, probabilities), the probabilities
+    a tuple of type `number`.  Choices are also numbered in row order:
+    `owner[c]` is the state id of choice c, and `preds[i]` lists the numbers
+    of the choices leading to state i (one entry per choice, shared by all
+    of its successors); both are derived from the rows when first read.
+    `initial` holds the initial states among `states`, and `rewards` maps
+    each reward structure name to a RewardStructure whose action rewards are
+    keyed by (state, choice id).
+    """
+
+    states: list
+    ids: dict
+    rows: list
+    number: type
+    initial: tuple
+    rewards: dict
+
+    @cached_property
+    def owner(self):
+        return [i for i, row in enumerate(self.rows) for _ in row]
+
+    @cached_property
+    def preds(self):
+        preds, c = [[] for _ in self.rows], 0
+        for row in self.rows:
+            for _, succ, _ in row:
+                for t in succ:
+                    preds[t].append(c)
+                c += 1
+        return preds
+
+
+def _first(choice):
+    return choice[0]
 
 
 def _exact(value, what, where):
@@ -91,32 +122,87 @@ def _exact(value, what, where):
     return Fraction(value)
 
 
+class _Transitions(Mapping):
+    """A game's graph read as state -> {joint action: {successor:
+    probability}}, each state's dicts built per lookup."""
+
+    def __init__(self, graph):
+        self._graph = graph
+
+    def __getitem__(self, state):
+        graph = self._graph
+        name = graph.states.__getitem__
+        return {joint: dict(zip(map(name, succ), probs))
+                for joint, succ, probs in graph.rows[graph.ids[state]]}
+
+    def __iter__(self):
+        return iter(self._graph.states)
+
+    def __len__(self):
+        return len(self._graph.states)
+
+
+class _OnGraph:
+    """The parts of a game that its graph holds."""
+
+    @property
+    def states(self):
+        return self.graph.states
+
+    @property
+    def initial(self):
+        return self.graph.initial
+
+    @property
+    def rewards(self):
+        return self.graph.rewards
+
+    @property
+    def number(self):
+        return self.graph.number
+
+
 @dataclass(frozen=True)
-class Csg:
+class Csg(_OnGraph):
     """A concurrent stochastic game over named players and states.
 
-    `trans[s][alpha]` maps each defined joint action tuple `alpha` (one entry
-    per player, idle written as IDLE) to a probability distribution
-    {successor: probability}.  Every game is validated once, where it is
-    made: `lang.build_csg` checks what it builds and constructs the Csg
-    directly; explicit files and direct calls go through `Csg.create`, which
-    checks all of it and normalises.  Language-built games also carry
-    `variables`, the variable names in slot order (each state is the tuple
-    of their values; None for explicit games), the model constants and the
-    declared label names.
+    `graph` is the game's joint-action MDP, the one form in which it holds
+    its transitions: the choices of a state are its defined joint actions
+    (one entry per player, idle written as IDLE), sorted, each with its
+    successor ids in distribution order and its exact probabilities, in a
+    tuple shared by every choice with the same probability objects.  Its
+    rewards are the game's, action rewards keyed by (state, joint action).
+    `trans` reads the graph back as dicts, state -> {joint action:
+    {successor: probability}}, built per lookup.
+
+    Every game is validated once, where it is made: `lang.build_csg` checks
+    what it builds and indexes it as it explores; explicit files and direct
+    calls go through `Csg.create`, which checks all of it and normalises.
+    Language-built games also carry `variables`, the variable names in slot
+    order (each state is the tuple of their values; None for explicit
+    games), the model constants and the declared label names.
     """
 
     players: tuple
     alphabets: dict
-    states: tuple
-    initial: tuple
-    trans: dict
+    graph: IndexedMdp          # of exact numbers only
     labels: dict
-    rewards: dict = field(default_factory=dict)
     variables: tuple = None
     constants: dict = field(default_factory=dict)
     label_names: frozenset = frozenset()
-    number: ClassVar[type] = Fraction      # models hold exact numbers only
+
+    @property
+    def trans(self):
+        return _Transitions(self.graph)
+
+    def state_name(self, state):
+        """`state` as messages name it: `(x=1,y=0)`, its variables and their
+        values, in a language-built game; its name in an explicit one."""
+        if self.variables is None:
+            return str(state)
+        return "(" + ",".join(
+            f"{v}={str(x).lower() if type(x) is bool else x}"
+            for v, x in zip(self.variables, state)) + ")"
 
     @classmethod
     def create(cls, players, alphabets, states, initial, trans, labels=None,
@@ -128,7 +214,10 @@ class Csg:
         actions; probabilities are positive exact rationals summing to 1
         over known successors; rewards are nonnegative exact rationals on
         defined actions.  Deadlocks get an all-idle self-loop, labels become
-        frozensets, zero rewards are dropped and unreachable states pruned.
+        frozensets and zero rewards are dropped.  Each state's choices are
+        indexed into the game's graph as they are checked, and unreachable
+        states are pruned by restricting the graph to the forward closure of
+        the initial states, with their labels and rewards.
         """
         players = tuple(players)
         if not players or len(set(players)) != len(players):
@@ -143,20 +232,20 @@ class Csg:
             seen_actions |= alphabets[p]
 
         states = tuple(states)
-        state_set = set(states)
-        if not states or len(state_set) != len(states):
+        ids = {s: i for i, s in enumerate(states)}
+        if not states or len(ids) != len(states):
             raise ModelError("states must be a nonempty list of distinct names")
         initial = tuple(initial)
-        if not initial or not set(initial) <= state_set:
+        if not initial or not set(initial) <= ids.keys():
             raise ModelError("initial states must be a nonempty subset of states")
 
-        trans = {s: dict(trans.get(s, {})) for s in states}
+        rows, tuples, defined = [], {}, set()
         for s in states:
-            if not trans[s]:
-                # idle-deadlock normalisation: an all-idle self-loop
-                trans[s] = {(IDLE,) * len(players): {s: Fraction(1)}}
+            # idle-deadlock normalisation: an all-idle self-loop
+            choices = trans.get(s) or {(IDLE,) * len(players): {s: 1}}
             per_player = [set() for _ in players]
-            for alpha, dist in trans[s].items():
+            row = []
+            for alpha, dist in choices.items():
                 if len(alpha) != len(players):
                     raise ModelError(f"joint action {alpha} has wrong arity at {s}")
                 for i, a in enumerate(alpha):
@@ -166,15 +255,21 @@ class Csg:
                     per_player[i].add(a)
                 dist = {t: _exact(p, "probability", (s, alpha))
                         for t, p in dist.items()}
-                trans[s][alpha] = dist
                 if any(p <= 0 for p in dist.values()):
                     raise ModelError(f"non-positive probability at {s}, {alpha}")
                 den = lcm(*(p.denominator for p in dist.values()))
                 if sum(p.numerator * (den // p.denominator)
                        for p in dist.values()) != den:
                     raise ModelError(f"distribution at {s}, {alpha} does not sum to 1")
-                if not set(dist) <= state_set:
+                if not dist.keys() <= ids.keys():
                     raise ModelError(f"unknown successor at {s}, {alpha}")
+                defined.add((s, alpha))
+                # one tuple per set of probability objects, keyed by their
+                # identities (stable while the stored tuple holds them)
+                values = dist.values()
+                probs = tuples.setdefault(tuple(map(id, values)),
+                                          tuple(values))
+                row.append((alpha, tuple([ids[t] for t in dist]), probs))
             for i, avail in enumerate(per_player):
                 if IDLE in avail and len(avail) > 1:
                     raise ModelError(
@@ -182,10 +277,11 @@ class Csg:
             expected = 1
             for avail in per_player:
                 expected *= len(avail)
-            if len(trans[s]) != expected:
+            if len(row) != expected:
                 raise ModelError(
                     f"joint actions at {s} are not a full product of "
                     f"per-player availability sets")
+            rows.append(sorted(row, key=_first))
 
         labels = {s: frozenset(labels.get(s, ())) if labels else frozenset()
                   for s in states}
@@ -197,7 +293,7 @@ class Csg:
                 val = _exact(val, "action reward", (name, s, alpha))
                 if val < 0:
                     raise ModelError(f"negative action reward in {name!r}")
-                if s not in state_set or alpha not in trans[s]:
+                if (s, alpha) not in defined:
                     raise ModelError(f"reward {name!r} on undefined action {s}, {alpha}")
                 if val != 0:
                     action_rewards[(s, alpha)] = val
@@ -205,54 +301,31 @@ class Csg:
                 val = _exact(val, "state reward", (name, s))
                 if val < 0:
                     raise ModelError(f"negative state reward in {name!r}")
-                if s not in state_set:
+                if s not in ids:
                     raise ModelError(f"reward {name!r} on unknown state {s}")
                 if val != 0:
                     state_rewards[s] = val
             reward_structs[name] = RewardStructure(action_rewards, state_rewards)
 
+        graph = IndexedMdp(states, ids, rows, Fraction, initial,
+                           reward_structs)
         # prune unreachable states, preserving declaration order
-        reached = _forward_closure(trans, initial)
-        if reached != state_set:
-            states = tuple(s for s in states if s in reached)
-            trans = {s: trans[s] for s in states}
-            labels = {s: labels[s] for s in states}
-            reward_structs = {
+        reached = _reach(rows, [ids[s] for s in initial])
+        if len(reached) < len(states):
+            graph = _restrict(graph, sorted(reached))
+            kept = graph.ids
+            labels = {s: labels[s] for s in kept}
+            graph = replace(graph, states=tuple(graph.states), rewards={
                 name: RewardStructure(
-                    {k: v for k, v in rs.action_rewards.items() if k[0] in reached},
-                    {s: v for s, v in rs.state_rewards.items() if s in reached})
-                for name, rs in reward_structs.items()}
-
-        return cls(players, alphabets, states, initial, trans, labels,
-                   reward_structs)
-
-
-@dataclass(frozen=True)
-class IndexedMdp:
-    """An MDP in the id-indexed form that the solvers of `mdp` run on.
-
-    State i is `states[i]` (`ids` maps it back) and `rows[i]` lists its
-    choices as (choice id, successor ids, probabilities), the probabilities
-    a tuple of type `number`.  Choices are also numbered in row order:
-    `owner[c]` is the state id of choice c, and `preds[i]` lists the numbers
-    of the choices leading to state i (one entry per choice, shared by all
-    of its successors).  `initial` holds the initial states among `states`,
-    and `rewards` maps each reward structure name to a RewardStructure whose
-    action rewards are keyed by (state, choice id).
-    """
-
-    states: list
-    ids: dict
-    rows: list
-    owner: list
-    preds: list
-    number: type
-    initial: tuple
-    rewards: dict
+                    {k: v for k, v in rs.action_rewards.items()
+                     if k[0] in kept},
+                    {s: v for s, v in rs.state_rewards.items() if s in kept})
+                for name, rs in reward_structs.items()})
+        return cls(players, alphabets, graph, labels)
 
 
 @dataclass(frozen=True)
-class CoalitionGame:
+class CoalitionGame(_OnGraph):
     """Two-player regrouping of a game: side 1 is the coalition, side 2 the rest.
 
     Actions of each side are tuples over the members' actions in ascending
@@ -271,22 +344,6 @@ class CoalitionGame:
     moves: dict            # state -> (sorted actions1, sorted actions2)
     graph: IndexedMdp
 
-    @property
-    def states(self):
-        return self.graph.states
-
-    @property
-    def initial(self):
-        return self.graph.initial
-
-    @property
-    def rewards(self):
-        return self.graph.rewards
-
-    @property
-    def number(self):
-        return self.graph.number
-
     def actions1(self, state):
         return self.moves[state][0]
 
@@ -294,30 +351,21 @@ class CoalitionGame:
         return self.moves[state][1]
 
 
-def _first(choice):
-    return choice[0]
-
-
 def _index(game: Csg, split, number) -> IndexedMdp:
-    """The joint MDP of `game`, each joint action renamed by `split` (kept
-    if None), its probabilities and rewards in `number`, in one pass.
-
-    States keep `game.states` order, rows are sorted by choice id, and
-    successors keep distribution order.  The base game's numbers are kept
-    where `number` is its type, else each distinct number object is
-    converted once (objects are keyed by identity, which is stable while
-    the game holds them); equal numbers, renamed actions and probability
-    tuples are stored once."""
-    same = number is game.number
-    states = game.states
-    ids = {s: i for i, s in enumerate(states)}
-    rows, owner, preds = [], [], [[] for _ in states]
+    """The graph of `game` regrouped: each joint action renamed by `split`,
+    each row sorted by the new choice ids, probabilities and rewards in
+    `number`.  States, ids and successor tuples are the base graph's, and so
+    are the probability tuples where `number` is the base's type; else each
+    distinct tuple object and number object is converted once (keyed by
+    identity), and equal converted numbers and tuples are stored once."""
+    base = game.graph
+    same = number is base.number
     names, converted, numbers, by_objects, tuples = {}, {}, {}, {}, {}
 
     def name(alpha):
         cid = names.get(alpha)
         if cid is None:
-            cid = names[alpha] = alpha if split is None else split(alpha)
+            cid = names[alpha] = split(alpha)
         return cid
 
     def value(v):
@@ -329,38 +377,35 @@ def _index(game: Csg, split, number) -> IndexedMdp:
             w = converted[id(v)] = numbers.setdefault(w, w)
         return w
 
-    for i, s in enumerate(states):
-        row = []
-        for alpha, dist in game.trans[s].items():
-            values = dist.values()
-            key = tuple(map(id, values))
-            probs = by_objects.get(key)
-            if probs is None:
-                probs = tuple(map(value, values))
-                probs = by_objects[key] = tuples.setdefault(probs, probs)
-            row.append((name(alpha), tuple([ids[t] for t in dist]), probs))
-        row.sort(key=_first)
-        for _, succ, _ in row:
-            c = len(owner)
-            owner.append(i)
-            for t in succ:
-                preds[t].append(c)
-        rows.append(row)
+    rows = []
+    for row in base.rows:
+        regrouped = []
+        for alpha, succ, probs in row:
+            if not same:
+                done = by_objects.get(id(probs))
+                if done is None:
+                    done = tuple(map(value, probs))
+                    done = by_objects[id(probs)] = tuples.setdefault(done,
+                                                                     done)
+                probs = done
+            regrouped.append((name(alpha), succ, probs))
+        regrouped.sort(key=_first)
+        rows.append(regrouped)
     rewards = {label: RewardStructure(
         {(s, names[alpha]): value(v)
          for (s, alpha), v in rs.action_rewards.items()},
         {s: value(v) for s, v in rs.state_rewards.items()})
         for label, rs in game.rewards.items()}
-    return IndexedMdp(states, ids, rows, owner, preds, number, game.initial,
+    return IndexedMdp(base.states, base.ids, rows, number, base.initial,
                       rewards)
 
 
 def coalition_game(game: Csg, coalition, number=Fraction) -> CoalitionGame:
     """Regroup an n-player game into the two-player coalition game, its
     probabilities and rewards in `number`.  They are the base game's own in
-    its type, else converted here (the one place a game changes type).  The
-    joint MDP is built in the same pass over the base game (`_index`);
-    equal action lists are stored once."""
+    its type, else converted here (the one place a game changes type).  Its
+    graph regroups the base game's (`_index`), sharing its states, ids and
+    successor tuples; equal action lists are stored once."""
     members = list(coalition)
     for p in members:
         if p not in game.players:
@@ -415,35 +460,30 @@ def _reach(rows, sources, through=None):
 
 def joint_mdp(game, reads=None) -> IndexedMdp:
     """The MDP where one controller picks whole joint actions of `game`, in
-    the id-indexed form: a CoalitionGame's own `graph`, or for a Csg one
-    built from its joint actions (`_index`), whose choice ids are the joint
-    actions and whose reward structures and number type are the game's.
+    the id-indexed form: the game's own `graph`, whose choice ids are a
+    Csg's joint actions or a CoalitionGame's (a1, a2) pairs.
 
     With `reads`, a set of states, the MDP holds only their forward closure,
-    which is all their values depend on.  States keep their order, so ties
-    broken by id fall as on the whole game, and rows keep their choices,
-    successors and probability tuples.
+    which is all their values depend on (`_restrict`).
     """
-    graph = game.graph if isinstance(game, CoalitionGame) else \
-        _index(game, None, game.number)
+    graph = game.graph
     if reads is None:
         return graph
-    keep = sorted(_reach(graph.rows, [graph.ids[s] for s in reads]))
+    return _restrict(graph, sorted(_reach(graph.rows,
+                                          [graph.ids[s] for s in reads])))
+
+
+def _restrict(graph, keep) -> IndexedMdp:
+    """`graph` over the ids `keep` alone, ascending and closed under
+    successors.  States keep their order, so ties broken by id fall as on
+    the whole graph, and rows keep their choices, successors and
+    probability tuples."""
     new = dict(zip(keep, range(len(keep))))
     states = [graph.states[i] for i in keep]
-    rows, owner, preds = [], [], [[] for _ in keep]
-    for n, i in enumerate(keep):
-        row = []
-        for cid, succ, probs in graph.rows[i]:
-            succ = tuple([new[t] for t in succ])
-            c = len(owner)
-            owner.append(n)
-            for t in succ:
-                preds[t].append(c)
-            row.append((cid, succ, probs))
-        rows.append(row)
+    rows = [[(cid, tuple([new[t] for t in succ]), probs)
+             for cid, succ, probs in graph.rows[i]] for i in keep]
     ids = {s: n for n, s in enumerate(states)}
-    return IndexedMdp(states, ids, rows, owner, preds, graph.number,
+    return IndexedMdp(states, ids, rows, graph.number,
                       tuple(s for s in graph.initial if s in ids),
                       graph.rewards)
 
@@ -596,7 +636,7 @@ def _fold(game, start, node_choices, update) -> IndexedMdp:
     states = [(s, start(s)) for s in game.initial]
     initial = tuple(states)
     ids = {node: i for i, node in enumerate(states)}
-    rows, owner, preds = [], [], [[] for _ in states]
+    rows = []
     found = {}                  # mode -> {successor's graph id: node id}
     for i, node in enumerate(states):           # `states` grows as we go
         s, mode = node
@@ -627,14 +667,9 @@ def _fold(game, start, node_choices, update) -> IndexedMdp:
                         if j is None:
                             j = ids[nxt] = len(states)
                             states.append(nxt)
-                            preds.append([])
                         succ_ids[t] = j
                     p = w * pt
                     dist[j] = dist[j] + p if j in dist else p
-            c = len(owner)
-            owner.append(i)
-            for j in dist:
-                preds[j].append(c)
             row.append((cid, tuple(dist), tuple(dist.values())))
             for name, rs in structures:
                 folded = sum(w * rs.action_rewards[(s, pair)]
@@ -646,8 +681,7 @@ def _fold(game, start, node_choices, update) -> IndexedMdp:
         for name, rs in structures:
             if rs.state_rewards.get(s):
                 rewards[name].state_rewards[node] = rs.state_rewards[s]
-    return IndexedMdp(states, ids, rows, owner, preds, game.number, initial,
-                      rewards)
+    return IndexedMdp(states, ids, rows, game.number, initial, rewards)
 
 
 def induce_mdp(cg: CoalitionGame, fixed: int,
@@ -767,17 +801,17 @@ def check_assumption(game, query) -> AssumptionReport:
     `game`, a Csg or a CoalitionGame.
 
     Finite-horizon-only queries pass trivially.  Otherwise every check runs
-    on the joint-action MDP (`joint_mdp`: a coalition game's own graph, a
-    Csg's built once).  A pair of infinite-horizon objectives, one of them
-    probabilistic, triggers a report of the non-terminal maximal end
-    components that can stall the pair's value iteration: those with a
-    state from which each probabilistic objective's target can be reached
-    (through its until constraint's states).  In any other, some objective
-    is worth 0 at each of its states, so it cannot stall the pair.  A mixed pair runs no such check (it is backwards
-    induction from one MDP optimum).  Every infinite-horizon reward
-    objective requires the target to be reached with probability 1 under
-    all strategy profiles (once per target set).  All checks are
-    qualitative.
+    on the game's joint-action MDP, its own graph (`joint_mdp`).  A pair of
+    infinite-horizon objectives, one of them probabilistic, triggers a
+    report of the non-terminal maximal end components that can stall the
+    pair's value iteration: those with a state from which each
+    probabilistic objective's target can be reached (through its until
+    constraint's states).  In any other, some objective is worth 0 at each
+    of its states, so it cannot stall the pair.  A mixed pair runs no such
+    check (it is backwards induction from one MDP optimum).  Every
+    infinite-horizon reward objective requires the target to be reached
+    with probability 1 under all strategy profiles (once per target set).
+    All checks are qualitative.
     """
     from .mdp import prob1_min_set          # local import: avoids a cycle
     from .properties import satisfying_states

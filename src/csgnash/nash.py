@@ -22,11 +22,11 @@ the finite objective is settled.
 The number type of a solve is chosen once, in `_solve_nash`, before the game
 is regrouped into it (`model.coalition_game`): bounded pairs are exact, and
 any other pair is exact when the model's states times its layer count (1,
-or for a mixed pair its finite horizon plus 2, plus 1 for C<=k) are at most
-`_EXACT_STATE_LIMIT`; larger pairs run in floats end to end.  Each engine
-compiles the states it solves once into a `LocalGameTable`; on an exact
-solve every local game is then an integer game, one denominator per player
-in lowest terms.
+or for a mixed pair its finite horizon plus 2, or plus 1 for a C<=k
+objective) are at most `_EXACT_STATE_LIMIT`; larger pairs run in floats end
+to end.  Each engine compiles the states it solves once into a
+`LocalGameTable`; on an exact solve every local game is then an integer
+game, one denominator per player in lowest terms.
 
 Vocabulary used below for an objective at a state (`_refine` classifies,
 and both engines and synthesis share it):
@@ -645,7 +645,7 @@ def solve_unbounded_pair(cg, query: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     if failed is not None:
         message = diagnostic or (
             f"value iteration did not converge within {sweeps} sweeps")
-        names = ", ".join(map(str, failed[:5]))
+        names = ", ".join(map(cg.base.state_name, failed[:5]))
         more = ", ..." if len(failed) > 5 else ""
         raise NotConverged(
             f"{message}, in a strongly connected component of "
@@ -692,10 +692,10 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
     would stay in the evaluation's query.  The number type is chosen first:
     exact for bounded pairs and where the model's states times the pair's
     layer count are at most `_EXACT_STATE_LIMIT`, floats otherwise.  A
-    mixed pair counts its finite horizon plus 2 layers, plus 1 for C<=k,
-    the size of the step-counter product it was once solved on.  The
-    coalition game is built once, in that type.  The assumption is checked
-    on it; with `strict_assumptions` a failed check raises
+    mixed pair counts its finite horizon plus 2 layers, or plus 1 for a
+    C<=k objective, the size of the step-counter product it was once solved
+    on.  The coalition game is built once, in that type.  The assumption is
+    checked on it; with `strict_assumptions` a failed check raises
     AssumptionViolated before anything is solved.  Returns the
     `Evaluation` fields of the solve by name: `solve`, `game`, `query`,
     `assumption` and `values`; a NotConverged raised by the solver carries

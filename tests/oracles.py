@@ -71,14 +71,19 @@ class Mdp:
     choice id to a distribution {successor: probability}, in choice-id
     order; `rewards` maps each reward structure name to a RewardStructure
     whose action rewards are keyed by (state, choice id); `number` is the
-    type of its probabilities.  `model.joint_mdp` reads it as it reads a
-    Csg, into the form the package solves on."""
+    type of its probabilities.  Its `graph`, which `model.joint_mdp`
+    reads as it reads a game's, is the form the package solves on, built
+    from the dicts by `joint_mdp_by_dicts`."""
 
     states: tuple
     initial: tuple
     trans: dict
     rewards: dict = field(default_factory=dict)
     number: type = Fraction
+
+    @property
+    def graph(self):
+        return joint_mdp_by_dicts(self)
 
 
 def regroup(game, coalition, number=Fraction):
@@ -138,19 +143,24 @@ def joint_mdp_by_dicts(mdp, reads=None):
                         frontier.append(t)
         states = [s for s in states if s in seen]
     ids = {s: i for i, s in enumerate(states)}
-    rows, owner, preds = [], [], [[] for _ in states]
-    for i, s in enumerate(states):
-        row = []
-        for cid, dist in sorted(trans[s].items()):
-            succ = tuple([ids[t] for t in dist])
+    rows = [[(cid, tuple([ids[t] for t in dist]), dist.values())
+             for cid, dist in sorted(trans[s].items())] for s in states]
+    return IndexedMdp(states, ids, rows, mdp.number,
+                      tuple(s for s in mdp.initial if s in ids), mdp.rewards)
+
+
+def choice_numbering(rows):
+    """The `owner` and `preds` lists of an IndexedMdp with `rows`, by the
+    earlier build's loop: choices numbered in row order, `owner[c]` the
+    state of choice c, `preds[t]` the choices with successor t."""
+    owner, preds = [], [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for _, succ, _ in row:
             c = len(owner)
             owner.append(i)
             for t in succ:
                 preds[t].append(c)
-            row.append((cid, succ, dist.values()))
-        rows.append(row)
-    return IndexedMdp(states, ids, rows, owner, preds, mdp.number,
-                      tuple(s for s in mdp.initial if s in ids), mdp.rewards)
+    return owner, preds
 
 
 def _solve_unique(matrix, rhs):

@@ -669,7 +669,7 @@ class TestSweepRecipes:
         assert code == 3 and out == ""
         assert err == ("error: q=1/10: value iteration did not converge "
                        "within 1 sweeps, in a strongly connected component "
-                       "of 1 free state: (1, 1, 1, 1)\n")
+                       "of 1 free state: (x1=1,y1=1,x2=1,y2=1)\n")
 
     def test_points_solved_before_a_non_converged_one_are_printed(
             self, capsys, tmp_path):
@@ -688,7 +688,7 @@ class TestSweepRecipes:
             ["2", "0.9999995232", "0.9999995232", "1.999999046", "21"]]
         assert err == ("error: N=3: value iteration did not converge "
                        "within 30 sweeps, in a strongly connected component "
-                       "of 1 free state: (0,)\n")
+                       "of 1 free state: (x=0)\n")
 
 
 class TestSolveNfg:

@@ -80,6 +80,25 @@ u (a,-) -> 1/2:u + 1/2:u
                            "u (a,b) -> 1:u\n")
         assert g.rewards["r1"].action("u", ("a", "b")) == F(1, 2)
 
+    def test_transition_tuple_may_contain_spaces(self):
+        g = loads_explicit("player p1 a\nplayer p2 b\ninit u\n"
+                           "u (a, b) -> 1:u\n")
+        assert g.trans["u"] == {("a", "b"): {"u": F(1)}}
+        with pytest.raises(ModelError, match="line 4: expected 'state"):
+            loads_explicit("player p1 a\nplayer p2 b\ninit u\n"
+                           "u (a, b) c -> 1:u\n")
+
+    @pytest.mark.parametrize("first, again", [
+        ("state u 2", "state u 3"),
+        ("action u (a,b) 2", "action u (a, b) 3"),
+    ])
+    def test_repeated_reward_line_is_an_error(self, first, again):
+        # a later line would silently replace the earlier value
+        with pytest.raises(ModelError, match="line 5: duplicate reward 'r'"):
+            loads_explicit(f"player p1 a\nplayer p2 b\ninit u\n"
+                           f"reward r {first}\nreward r {again}\n"
+                           f"u (a,b) -> 1:u\n")
+
 
 @pytest.mark.parametrize("load, suffix", [(load_explicit, ".csgx"),
                                           (load_model, ".csg")])

@@ -17,7 +17,7 @@ from csgnash.errors import (
     UndefinedConstant,
     UpdateClash,
 )
-from csgnash.explicit import dumps_explicit, loads_explicit
+from csgnash.explicit import dumps_explicit, load_explicit, loads_explicit
 from csgnash.lang import build_csg, load_model, parse_model
 from csgnash.model import Csg, RewardStructure
 from csgnash.properties import parse_property
@@ -168,19 +168,30 @@ endmodule
         assert a.states == b.states and a.trans == b.trans
 
     def test_explicit_round_trip(self):
-        # the builder alone checks a built game; read back from its explicit
-        # text, the same game passes Csg.create's full checks unchanged
+        # every bundled game, its states renamed, passes Csg.create's full
+        # checks unchanged, and so does its explicit text read back
         for model, consts, prop in [
-            ("robot.csg", {"l": 3}, "<<p1:p2>>max=? (P[F goal1] + P[F goal2])"),
+            ("robot.csg", {"l": 3},
+             "<<p1:p2>>max=? (P[F goal1] + P[F goal2])"),
             ("power.csg", {},
              '<<p1:p2>>max=? (R{"r1"}[F done1] + R{"r2"}[F done2])'),
+            ("aloha.csg", {"D": 2},
+             "<<p1:{p2,p3}>>max=? (P[F<=3 sent1] + P[F<=3 (sent2 & sent3)])"),
+            ("mac.csg", {"emax": 2},
+             '<<p1:p2>>max=? (R{"r1"}[C<=3] + R{"r2"}[C<=3])'),
+            ("fig1.csg", {}, "<<p1:p2>>max=? (P[F sent1] + P[F sent2])"),
+            ("fig1.csgx", {}, "<<p1:p2>>max=? (P[F<=3 sent1] + P[F sent2])"),
+            ("appendix_b.csgx", {},
+             "<<p1:p2>>max=? (P[F<=4 a1] + P[F<=4 a2])"),
+            ("appendix_c.csgx", {},
+             '<<p1:p2>>max=? (R{"r1"}[C<=3] + R{"r2"}[C<=3])'),
         ]:
-            g = load_model(model_path(model), consts)
+            g = load_explicit(model_path(model)) if model.endswith(".csgx") \
+                else load_model(model_path(model), consts)
             named = {s: f"u{i}" for i, s in enumerate(g.states)}
-            renamed = Csg(
+            renamed = Csg.create(
                 g.players, g.alphabets,
-                tuple(named[s] for s in g.states),
-                tuple(named[s] for s in g.initial),
+                [named[s] for s in g.states], [named[s] for s in g.initial],
                 {named[s]: {a: {named[t]: p for t, p in d.items()}
                             for a, d in g.trans[s].items()}
                  for s in g.states},
@@ -190,6 +201,7 @@ endmodule
                      for (s, a), v in rs.action_rewards.items()},
                     {named[s]: v for s, v in rs.state_rewards.items()})
                  for name, rs in g.rewards.items()})
+            assert renamed.states == tuple(named[s] for s in g.states)
             text_game = loads_explicit(dumps_explicit(renamed))
             assert set(text_game.states) == set(renamed.states)
             assert text_game.initial == renamed.initial
@@ -206,6 +218,7 @@ endmodule
             read = nash.evaluate(text_game, parse_property(prop))
             assert {named[s]: v for s, v in built.values.items()} == \
                 read.values
+            assert any(any(pair) for pair in read.values.values())
 
 
 class TestErrors:

@@ -35,9 +35,9 @@ from csgnash.synthesis import synthesise_profile
 
 from conftest import (REWARD_GAME, labelled, model_path, pair_query,
                       small_csgs)
-from oracles import (Mdp, chain_by_dict_fold, coalition_trans,
-                     induce_mdp_by_dict_fold, joint_mdp_by_dicts,
-                     maximal_end_components, regroup)
+from oracles import (Mdp, chain_by_dict_fold, choice_numbering,
+                     coalition_trans, induce_mdp_by_dict_fold,
+                     joint_mdp_by_dicts, maximal_end_components, regroup)
 
 F = Fraction
 
@@ -162,6 +162,125 @@ class TestValidation:
         with pytest.raises(ModelError):
             tiny_game(rewards={"r": RewardStructure(
                 {("u", ("a", "b")): F(-1)}, {})})
+
+
+BUNDLED = [("aloha.csg", {"D": 2}), ("robot.csg", {"l": 3}),
+           ("mac.csg", {"emax": 2}), ("power.csg", {}), ("fig1.csg", {}),
+           ("fig1.csgx", {}), ("appendix_b.csgx", {}), ("appendix_c.csgx", {})]
+
+
+def bundled(model, consts):
+    if model.endswith(".csgx"):
+        return load_explicit(model_path(model))
+    return load_model(model_path(model), consts)
+
+
+def assert_well_formed(csg):
+    """`csg.graph` is the game's one transition form: ids are positions,
+    rows are sorted by joint action, `owner` and `preds` follow the rows,
+    probabilities are positive Fractions summing to 1, and each distinct
+    probability tuple (by the identity of its numbers) is stored once."""
+    graph = csg.graph
+    assert joint_mdp(csg) is graph
+    assert graph.ids == {s: i for i, s in enumerate(csg.states)}
+    assert type(csg.states) is tuple and graph.number is F
+    for row in graph.rows:
+        joints = [joint for joint, _, _ in row]
+        assert joints == sorted(set(joints))
+        for _, succ, probs in row:
+            assert len(set(succ)) == len(succ) == len(probs)
+            assert all(type(p) is F and p > 0 for p in probs)
+            assert sum(probs) == 1
+    assert (graph.owner, graph.preds) == choice_numbering(graph.rows)
+    tuples = [probs for row in graph.rows for _, _, probs in row]
+    assert len({id(t) for t in tuples}) == \
+        len({tuple(map(id, t)) for t in tuples})
+    assert all(type(probs) is tuple for probs in tuples)
+
+
+class TestGameGraph:
+    @pytest.mark.parametrize("model, consts", BUNDLED)
+    def test_bundled_models(self, model, consts):
+        assert_well_formed(bundled(model, consts))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_csgs())
+    def test_random_games(self, case):
+        assert_well_formed(case[0])
+
+    def test_create_sorts_rows_and_prunes_on_the_graph(self):
+        # w is unreachable: its id goes, later states move up, and its
+        # labels and rewards are dropped
+        g = Csg.create(
+            ["p1"], {"p1": ["a", "b"]}, ["u", "w", "v"], ["u"],
+            {"u": {("b",): {"v": F(1)}, ("a",): {"u": F(1, 2), "v": F(1, 2)}},
+             "w": {("a",): {"v": F(1)}}},
+            {"w": {"x"}, "v": {"y"}},
+            {"r": RewardStructure({("w", ("a",)): 1, ("u", ("b",)): 2},
+                                  {"w": 1, "v": 3})})
+        assert_well_formed(g)
+        assert g.states == ("u", "v")
+        assert g.graph.rows == [[(("a",), (0, 1), (F(1, 2), F(1, 2))),
+                                 (("b",), (1,), (F(1),))],
+                                [((IDLE,), (1,), (F(1),))]]
+        assert g.labels == {"u": frozenset(), "v": frozenset({"y"})}
+        assert g.rewards == {"r": RewardStructure({("u", ("b",)): 2},
+                                                  {"v": 3})}
+
+    def test_trans_is_a_view_of_the_graph(self):
+        g = fig1()
+        assert "trans" not in vars(g)
+        assert list(g.trans) == list(g.states) and len(g.trans) == 6
+        assert g.trans["s0"][("t1", "t2")] == {"s1": F(3, 4), "s2": F(1, 4)}
+        assert "nowhere" not in g.trans
+
+    @pytest.mark.parametrize("model, consts", BUNDLED)
+    def test_regrouping_shares_the_base_graph(self, model, consts):
+        # states, ids and successor tuples are the base's; so are the
+        # probability tuples of an exact game
+        game = bundled(model, consts)
+        coalition = game.players[:1] if len(game.players) < 3 \
+            else game.players[1:]
+        base = game.graph
+        base_probs = {id(probs) for row in base.rows for _, _, probs in row}
+        for number in (F, float):
+            graph = coalition_game(game, coalition, number).graph
+            assert graph.states is base.states and graph.ids is base.ids
+            for row, base_row in zip(graph.rows, base.rows):
+                assert sorted(id(succ) for _, succ, _ in row) == \
+                    sorted(id(succ) for _, succ, _ in base_row)
+            probs = {id(probs) for row in graph.rows for _, _, probs in row}
+            assert (probs <= base_probs) == (number is F)
+
+    def test_each_probability_tuple_is_converted_once(self):
+        # a float game calls `float` at most once per number of each
+        # distinct probability tuple object, and each such tuple becomes
+        # one float tuple
+        converted = []
+
+        class Counted(float):
+            def __new__(cls, value):
+                converted.append(value)
+                return super().__new__(cls, value)
+
+        game = load_model(model_path("aloha.csg"), {"D": 2})
+        base = game.graph
+        distinct = {id(probs): probs for row in base.rows
+                    for _, _, probs in row}
+        rewards = [v for rs in game.rewards.values()
+                   for v in (*rs.action_rewards.values(),
+                             *rs.state_rewards.values())]
+        graph = coalition_game(game, ["p1"], Counted).graph
+        assert len(converted) <= \
+            sum(map(len, distinct.values())) + len(rewards)
+        assert sum(map(len, distinct.values())) < \
+            sum(len(probs) for row in base.rows for _, _, probs in row)
+        made = {}
+        for row, base_row in zip(graph.rows, base.rows):
+            by_joint = {joint: probs for joint, _, probs in base_row}
+            for (a1, a2), _, probs in row:
+                joint = (*a1, *a2)
+                assert made.setdefault(id(by_joint[joint]), probs) is probs
 
 
 class TestCoalitionGame:
@@ -462,7 +581,7 @@ def assert_same_mdp(indexed, oracle, reads=None):
     assert indexed.initial == expected.initial
     assert indexed.number is oracle.number
     assert (indexed.ids, indexed.owner, indexed.preds) == \
-        (expected.ids, expected.owner, expected.preds)
+        (expected.ids, *choice_numbering(expected.rows))
     assert [[(cid, succ, list(map(_typed, probs))) for cid, succ, probs in row]
             for row in indexed.rows] == \
         [[(cid, succ, list(map(_typed, probs))) for cid, succ, probs in row]
