@@ -145,14 +145,6 @@ class MixedProfile:
     u: Fraction
     v: Fraction
 
-    @property
-    def support_x(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.x) if p > 0)
-
-    @property
-    def support_y(self) -> tuple[int, ...]:
-        return tuple(j for j, p in enumerate(self.y) if p > 0)
-
     def sort_key(self):
         return _order(self.x, self.y)
 

@@ -21,7 +21,6 @@ import csv
 import json
 import sys
 import time
-from decimal import Decimal
 from fractions import Fraction
 from math import isfinite
 
@@ -29,6 +28,7 @@ from .bimatrix import BimatrixGame, enumerate_equilibria, select_swne
 from .errors import (AssumptionViolated, CsgError, ModelTypeError,
                      NotConverged, UndefinedConstant)
 from .explicit import load_explicit
+from .expr import rational_text
 from .lang import load_model, parse_constant_value, parse_model, read_text
 from .nash import DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, evaluate
 from .properties import NashNode, parse_property, property_lines
@@ -129,12 +129,8 @@ def _num(value):
 
 
 def _exact(value):
-    """`str(value)` of a Fraction, at any size (`Decimal` writes integers
-    without the interpreter's int-to-str digit limit); None otherwise."""
-    if not isinstance(value, Fraction):
-        return None
-    num, den = map(Decimal, value.as_integer_ratio())
-    return str(num) if den == 1 else f"{num}/{den}"
+    """A Fraction as exact text, at any size; None otherwise."""
+    return rational_text(value) if isinstance(value, Fraction) else None
 
 
 # --- run subcommand ----------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ModelError
+from .expr import rational_text
 from .lang import read_text
 from .model import Csg, RewardStructure
 
@@ -86,7 +87,8 @@ def loads_explicit(text) -> Csg:
             if len(parts) < 3:
                 raise ModelError(f"line {lineno}: label needs a state and names")
             touch(parts[1])
-            labels.setdefault(parts[1], set()).update(parts[2:])
+            for name in parts[2:]:
+                labels.setdefault(name, set()).add(parts[1])
         elif head == "reward":
             if len(parts) < 5 or parts[2] not in ("action", "state"):
                 raise ModelError(f"line {lineno}: malformed reward line")
@@ -145,27 +147,27 @@ def load_explicit(path) -> Csg:
     return loads_explicit(read_text(path))
 
 
-def _fmt(value):
-    return str(Fraction(value))
-
-
 def dumps_explicit(game: Csg) -> str:
     lines = []
     for p in game.players:
         lines.append(" ".join(["player", p, *sorted(game.alphabets[p])]))
     lines.append(" ".join(["init", *game.initial]))
     for s in game.states:
-        if game.labels[s]:
-            lines.append(" ".join(["label", s, *sorted(game.labels[s])]))
+        names = sorted(name for name, holds in game.labels.items()
+                       if s in holds)
+        if names:
+            lines.append(" ".join(["label", s, *names]))
     for s in game.states:
         for joint, dist in sorted(game.trans[s].items()):
-            branch = " + ".join(f"{_fmt(p)}:{t}" for t, p in sorted(dist.items()))
+            branch = " + ".join(f"{rational_text(p)}:{t}"
+                                for t, p in sorted(dist.items()))
             lines.append(f"{s} ({','.join(joint)}) -> {branch}")
     for name, rs in sorted(game.rewards.items()):
         for (s, joint), val in sorted(rs.action_rewards.items()):
-            lines.append(f"reward {name} action {s} ({','.join(joint)}) {_fmt(val)}")
+            lines.append(f"reward {name} action {s} ({','.join(joint)}) "
+                         f"{rational_text(val)}")
         for s, val in sorted(rs.state_rewards.items()):
-            lines.append(f"reward {name} state {s} {_fmt(val)}")
+            lines.append(f"reward {name} state {s} {rational_text(val)}")
     return "\n".join(lines) + "\n"
 
 

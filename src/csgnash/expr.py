@@ -1,23 +1,28 @@
 """Shared tokenizer, expression AST, parser, and compiler.
 
-Used by both the model language and the property language.  Numbers are kept
-exact: integer literals as ints, decimal literals as Fractions.
-`compile_expr` turns an expression into a function of a state tuple once,
-folding every constant sub-expression; `eval_expr` evaluates an expression
-against a name environment through the same compiler.  Boolean and
-arithmetic operators follow the usual precedence
+One grammar serves the model language's guards and expressions and the
+property language's state formulae; a property's coalition operators are
+atoms that the property parser supplies through `TokenStream.coalition`.
+Numbers are kept exact: integer literals as ints, decimal literals as
+Fractions.  `compile_expr` turns an expression into a function of a state
+tuple once, folding every constant sub-expression; `eval_expr` evaluates an
+expression against a name environment through the same compiler.  Boolean
+and arithmetic operators follow the usual precedence
 
     |  <  &  <  !  <  comparisons  <  + -  <  * /  <  unary -  <  atoms
 
-and the functions min, max, floor, ceil, pow, mod are available.  Division
-by zero (`/`, `mod`, `pow(0, e<0)`) raises ModelTypeError.
+so a leading `!` negates the whole comparison after it (`!x=1` is
+`!(x=1)`), while a `!` after an operator negates the operand after it
+(`x=!b`).  The functions min, max, floor, ceil, pow, mod are available.
+Division by zero (`/`, `mod`, `pow(0, e<0)`) raises ModelTypeError.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ModelSyntaxError, ModelTypeError, UndeclaredSymbol
@@ -25,8 +30,8 @@ from .errors import ModelSyntaxError, ModelTypeError, UndeclaredSymbol
 __all__ = [
     "Token", "TokenStream", "tokenize",
     "Lit", "Var", "Unary", "Binary", "Call",
-    "parse_expression", "eval_expr", "compile_expr", "free_vars",
-    "expr_to_text", "integer",
+    "parse_expression", "eval_expr", "compile_expr", "operands", "free_vars",
+    "expr_to_text", "operand_text", "integer", "rational_text",
 ]
 
 _SYMBOLS = [
@@ -108,9 +113,14 @@ def tokenize(text):
 
 
 class TokenStream:
-    def __init__(self, tokens):
+    """A cursor over `tokens`.  `coalition`, when given, parses the `<<`
+    operator that the property language adds to the atoms of an expression;
+    the model language gives none, so `<<` is a syntax error there."""
+
+    def __init__(self, tokens, coalition=None):
         self.tokens = tokens
         self.pos = 0
+        self.coalition = coalition
 
     def peek(self, ahead=0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -159,8 +169,8 @@ class Lit:
 @dataclass(frozen=True)
 class Var:
     name: str
-    line: int = 0
-    col: int = 0
+    line: int = field(default=0, compare=False)     # where it was read
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -187,9 +197,10 @@ _CMP = ("=", "!=", "<=", ">=", "<", ">")
 
 
 def parse_expression(ts: TokenStream, min_level=0):
-    """Precedence-climbing parser; levels: 0 '|', 1 '&', 2 comparisons,
-    3 additive, 4 multiplicative."""
-    return _parse_or(ts) if min_level == 0 else _LEVELS[min_level](ts)
+    """Precedence-climbing parser; levels: 0 '|', 1 '&', 2 a leading '!'
+    over a comparison, 3 additive, 4 multiplicative.  A '!' that follows
+    an operator negates the operand after it, as unary '-' does."""
+    return _LEVELS[min_level](ts)
 
 
 def _parse_or(ts):
@@ -200,10 +211,16 @@ def _parse_or(ts):
 
 
 def _parse_and(ts):
-    node = _parse_cmp(ts)
+    node = _parse_not(ts)
     while ts.take_sym("&"):
-        node = Binary("&", node, _parse_cmp(ts))
+        node = Binary("&", node, _parse_not(ts))
     return node
+
+
+def _parse_not(ts):
+    if ts.take_sym("!"):
+        return Unary("!", _parse_not(ts))
+    return _parse_cmp(ts)
 
 
 def _parse_cmp(ts):
@@ -239,6 +256,8 @@ def _parse_unary(ts):
 
 
 def _parse_atom(ts):
+    if ts.coalition is not None and ts.at_sym("<<"):
+        return ts.coalition()
     tok = ts.peek()
     if tok.kind == "num":
         ts.next()
@@ -262,23 +281,23 @@ def _parse_atom(ts):
     ts.error(f"expected an expression, got {tok.value!r}")
 
 
-_LEVELS = {0: _parse_or, 1: _parse_and, 2: _parse_cmp, 3: _parse_add,
+_LEVELS = {0: _parse_or, 1: _parse_and, 2: _parse_not, 3: _parse_add,
            4: _parse_mul}
+
+
+def operands(node):
+    """The sub-expressions that `node` applies its operator or function to."""
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    return node.args if isinstance(node, Call) else ()
 
 
 def free_vars(node):
     if isinstance(node, Var):
         return {node.name}
-    if isinstance(node, Unary):
-        return free_vars(node.operand)
-    if isinstance(node, Binary):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Call):
-        out = set()
-        for a in node.args:
-            out |= free_vars(a)
-        return out
-    return set()
+    return set().union(*map(free_vars, operands(node)))
 
 
 def integer(value, what):
@@ -289,6 +308,13 @@ def integer(value, what):
     if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     raise ModelTypeError(f"{what} must be an integer")
+
+
+def rational_text(value):
+    """An exact rational as `n` or `n/d`, at any size (`Decimal` writes
+    integers without the interpreter's int-to-str digit limit)."""
+    num, den = map(Decimal, Fraction(value).as_integer_ratio())
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _need_num(value, node):
@@ -528,7 +554,16 @@ def expr_to_text(node):
     if isinstance(node, Unary):
         return f"{node.op}({expr_to_text(node.operand)})"
     if isinstance(node, Binary):
-        return f"({expr_to_text(node.left)} {node.op} {expr_to_text(node.right)})"
+        return (f"({operand_text(node.left, node.op)} {node.op} "
+                f"{expr_to_text(node.right)})")
     if isinstance(node, Call):
         return f"{node.func}({', '.join(expr_to_text(a) for a in node.args)})"
     return repr(node)
+
+
+def operand_text(node, op):
+    """`expr_to_text(node)` as the left operand of `op`, parenthesised if a
+    leading `!` there would negate the whole comparison instead."""
+    text = expr_to_text(node)
+    wrap = op not in ("&", "|") and isinstance(node, Unary) and node.op == "!"
+    return f"({text})" if wrap else text

@@ -127,6 +127,7 @@ class RewardItem:
 class RewardBlock:
     name: str
     items: tuple
+    line: int
 
 
 @dataclass(frozen=True)
@@ -305,7 +306,7 @@ def _parse_assignment(ts):
 
 
 def _parse_rewards(ts):
-    ts.next()
+    line = ts.next().line
     tok = ts.next()
     if tok.kind not in ("id", "str"):
         raise ModelSyntaxError("rewards block needs a name", tok.line, tok.col)
@@ -324,7 +325,7 @@ def _parse_rewards(ts):
         value = parse_expression(ts)
         ts.expect_sym(";")
         items.append(RewardItem(actions, guard, value, nxt.line))
-    return RewardBlock(name, tuple(items))
+    return RewardBlock(name, tuple(items), line)
 
 
 def _parse_label(ts):
@@ -368,6 +369,15 @@ def _check_model(ast: ModelAst) -> ModelAst:
         if mod.name not in owner:
             raise ModelSyntaxError(f"module {mod.name!r} is not assigned to "
                                    f"a player", mod.line)
+    # a repeated reward structure or label is an error, as a repeated
+    # module is: neither may silently replace or merge into the first
+    for what, declared in (("rewards", [(b.name, b.line) for b in ast.rewards]),
+                           ("label", [(n, line) for n, _, line in ast.labels])):
+        names = set()
+        for name, line in declared:
+            if name in names:
+                raise ModelSyntaxError(f"duplicate {what} {name!r}", line)
+            names.add(name)
 
     # pass 1: alphabets = declared actions + single-labelled command actions
     alphabets = {block.name: set(block.actions) for block in ast.players}
@@ -672,8 +682,10 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
     the state layout and the variable types, before exploration starts; a
     state is a tuple of variable values in declaration order.  The returned
     Csg additionally carries `variables` (the variable names, in slot
-    order), `constants` and `label_names`, so that properties compile their
-    predicates against the same layout.
+    order) and `constants`, so that properties compile their predicates
+    against the same layout.  Each label is evaluated once per state into
+    the frozenset of states where it holds; a label that holds nowhere maps
+    to the empty set.
 
     States are numbered as they are discovered, and each state's joint
     actions, in sorted order, become its row of the game's graph as it is
@@ -799,11 +811,11 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
             row.append((joint, tuple(dist), probs))
         rows.append(row)
 
-    label_preds = [(name, compiled(pred), line)
-                   for name, pred, line in ast.labels]
-    labels = {state: frozenset(name for name, pred, line in label_preds
-                               if _holds(pred, state, line))
-              for state in order}
+    labels = {}
+    for name, pred, line in ast.labels:
+        holds = compiled(pred)
+        labels[name] = frozenset([state for state in order
+                                  if _holds(holds, state, line)])
 
     # rewards
     rewards = {}
@@ -837,9 +849,7 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
     graph = IndexedMdp(tuple(order), ids, rows, Fraction, (init_state,),
                        rewards)
     return Csg(players, dict(ast.alphabets), graph, labels,
-               variables=var_names,
-               constants=dict(constants),
-               label_names=frozenset(name for name, _, _ in ast.labels))
+               variables=var_names, constants=dict(constants))
 
 
 def _reward_values(totals, kind, name):
@@ -860,8 +870,6 @@ def _same_expr_key(node):
     drop their position."""
     if isinstance(node, Lit):
         return Lit, type(node.value), node.value
-    if isinstance(node, Var):
-        return Var, node.name
     if isinstance(node, Unary):
         return Unary, node.op, _same_expr_key(node.operand)
     if isinstance(node, Binary):

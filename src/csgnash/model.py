@@ -175,21 +175,23 @@ class Csg(_OnGraph):
     `trans` reads the graph back as dicts, state -> {joint action:
     {successor: probability}}, built per lookup.
 
+    `labels` maps each label to the frozenset of states where it holds;
+    every label a model declares is a key, even one that holds nowhere.
+
     Every game is validated once, where it is made: `lang.build_csg` checks
     what it builds and indexes it as it explores; explicit files and direct
     calls go through `Csg.create`, which checks all of it and normalises.
     Language-built games also carry `variables`, the variable names in slot
     order (each state is the tuple of their values; None for explicit
-    games), the model constants and the declared label names.
+    games), and the model constants.
     """
 
     players: tuple
     alphabets: dict
     graph: IndexedMdp          # of exact numbers only
-    labels: dict
+    labels: dict               # label -> frozenset of states
     variables: tuple = None
     constants: dict = field(default_factory=dict)
-    label_names: frozenset = frozenset()
 
     @property
     def trans(self):
@@ -213,11 +215,13 @@ class Csg(_OnGraph):
         action set must be the full product of the players' available
         actions; probabilities are positive exact rationals summing to 1
         over known successors; rewards are nonnegative exact rationals on
-        defined actions.  Deadlocks get an all-idle self-loop, labels become
-        frozensets and zero rewards are dropped.  Each state's choices are
-        indexed into the game's graph as they are checked, and unreachable
-        states are pruned by restricting the graph to the forward closure of
-        the initial states, with their labels and rewards.
+        defined actions, and `labels` maps each label to states of the game
+        where it holds.  Deadlocks get an all-idle self-loop, each label's
+        states become a frozenset and zero rewards are dropped.  Each
+        state's choices are indexed into the game's graph as they are
+        checked, and unreachable states are pruned by restricting the graph
+        to the forward closure of the initial states, with their labels and
+        rewards.
         """
         players = tuple(players)
         if not players or len(set(players)) != len(players):
@@ -283,8 +287,12 @@ class Csg(_OnGraph):
                     f"per-player availability sets")
             rows.append(sorted(row, key=_first))
 
-        labels = {s: frozenset(labels.get(s, ())) if labels else frozenset()
-                  for s in states}
+        labels = {name: frozenset(holds)
+                  for name, holds in (labels or {}).items()}
+        for name, holds in labels.items():
+            if not holds <= ids.keys():
+                raise ModelError(f"label {name!r} on unknown state "
+                                 f"{min(holds - ids.keys(), key=str)}")
 
         reward_structs = {}
         for name, rs in (rewards or {}).items():
@@ -314,7 +322,8 @@ class Csg(_OnGraph):
         if len(reached) < len(states):
             graph = _restrict(graph, sorted(reached))
             kept = graph.ids
-            labels = {s: labels[s] for s in kept}
+            labels = {name: frozenset(s for s in holds if s in kept)
+                      for name, holds in labels.items()}
             graph = replace(graph, states=tuple(graph.states), rewards={
                 name: RewardStructure(
                     {k: v for k, v in rs.action_rewards.items()
@@ -821,7 +830,7 @@ def check_assumption(game, query) -> AssumptionReport:
     if not infinite:
         return AssumptionReport((), ())
     mdp = joint_mdp(game)
-    if isinstance(game, CoalitionGame) and game.base is not None:
+    if isinstance(game, CoalitionGame):
         game = game.base            # whose labels state formulae resolve on
     nonterminal = ()
     if len(infinite) == len(objectives) and \

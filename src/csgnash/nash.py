@@ -56,6 +56,7 @@ from .errors import (
     UnknownReward,
     UnsupportedOperator,
 )
+from .expr import Lit
 from .model import (
     CoalitionGame,
     _sccs,
@@ -68,7 +69,6 @@ from .properties import (
     NashNode,
     Objective,
     StateSet,
-    TrueF,
     ZeroSumNode,
     classify_horizon,
     satisfying_states,
@@ -709,7 +709,7 @@ def _solve_nash(csg, node: NashNode, conv_epsilon=DEFAULT_CONV_EPSILON,
         len(csg.states) * layers <= _EXACT_STATE_LIMIT
     game = coalition_game(csg, node.coalition1, Fraction if exact else float)
     query = replace(node, objectives=tuple(
-        _with_sets(obj, lambda sub: sub if sub == TrueF() else
+        _with_sets(obj, lambda sub: sub if sub == Lit(True) else
                    StateSet(_sat(csg, sub)))
         for obj in node.objectives))
     report = check_assumption(game, query)

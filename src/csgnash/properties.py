@@ -1,8 +1,16 @@
 """Property language: parser, AST, printer, and state-formula evaluation.
 
-State formulae:  true | atom | variable predicates (e.g. ``e1=0``, ``t<=D``)
-| ! | & | ``|`` | ``<<C>>P~q[psi]`` | ``<<C>>R{r}~x[rho]`` |
-``<<C:C'>>~x(theta)`` | ``<<C:C'>>max=?(theta)``.
+A state formula is an expression of the model language's guard grammar
+(`expr.parse_expression`, with `expr`'s nodes), whose atoms also include
+the coalition operators ``<<C>>P~q[psi]`` | ``<<C>>R{r}~x[rho]`` |
+``<<C:C'>>~x(theta)`` | ``<<C:C'>>max=?(theta)``.  Above its comparisons
+it is built from ``&``, ``|`` and ``!`` over comparisons (``e1=0``,
+``(x+y)>=1``), names (a label, else a boolean variable), ``true``,
+``false`` and coalition operators; the precedence is the guards',
+
+    |  <  &  <  !  <  comparisons  <  + -  <  * /  <  unary -
+
+so ``!x=1`` means ``!(x=1)``.
 
 Path formulae psi:  ``X phi`` | ``phi U phi`` | ``phi U<=k phi``
 (``F phi`` / ``F<=k phi`` are sugar for ``true U phi`` variants).
@@ -32,54 +40,26 @@ from .expr import (
     Binary,
     Lit,
     TokenStream,
+    Unary,
     Var,
     compile_expr,
     eval_expr,
     expr_to_text,
+    operand_text,
+    operands,
     parse_expression,
     tokenize,
 )
 
 __all__ = [
-    "TrueF", "Atom", "VarPredicate", "Not", "And", "Or", "StateSet",
-    "ZeroSumNode", "NashNode", "Objective",
+    "StateSet", "ZeroSumNode", "NashNode", "Objective",
     "parse_property", "parse_property_file", "property_lines", "to_text",
     "classify_horizon", "satisfying_states",
 ]
 
 _RELATIONS = ("<=", ">=", "<", ">")
-
-
-@dataclass(frozen=True)
-class TrueF:
-    pass
-
-
-@dataclass(frozen=True)
-class Atom:
-    name: str
-
-
-@dataclass(frozen=True)
-class VarPredicate:
-    expr: object
-
-
-@dataclass(frozen=True)
-class Not:
-    sub: object
-
-
-@dataclass(frozen=True)
-class And:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
+_COMPARISONS = ("=", "!=", "<=", ">=", "<", ">")
+_CONNECTIVES = ("&", "|")
 
 
 @dataclass(frozen=True)
@@ -132,60 +112,15 @@ class NashNode:
 
 
 class _Parser:
-    def __init__(self, ts, model, constants):
-        self.ts = ts
+    def __init__(self, text, model, constants):
+        self.ts = TokenStream(tokenize(text), coalition=self.coalition_node)
         self.model = model
         self.constants = dict(constants or {})
         if model is not None:
             self.constants = {**model.constants, **self.constants}
 
-    # -- state formulae -------------------------------------------------------
-
     def state_formula(self):
-        node = self.and_formula()
-        while self.ts.take_sym("|"):
-            node = Or(node, self.and_formula())
-        return node
-
-    def and_formula(self):
-        node = self.unary_formula()
-        while self.ts.take_sym("&"):
-            node = And(node, self.unary_formula())
-        return node
-
-    def unary_formula(self):
-        if self.ts.take_sym("!"):
-            return Not(self.unary_formula())
-        return self.primary_formula()
-
-    def primary_formula(self):
-        ts = self.ts
-        if ts.at_sym("<<"):
-            return self.coalition_node()
-        if ts.at_sym("("):
-            ts.next()
-            node = self.state_formula()
-            ts.expect_sym(")")
-            return node
-        tok = ts.peek()
-        if tok.kind == "id" and tok.value == "true":
-            ts.next()
-            return TrueF()
-        if tok.kind == "id" and tok.value == "false":
-            ts.next()
-            return Not(TrueF())
-        if tok.kind not in ("id", "num"):
-            raise PropertySyntaxError(
-                f"expected a state formula, got {tok.value!r}")
-        left = parse_expression(ts, min_level=3)       # additive level
-        if ts.at_sym("=", "!=", "<=", ">=", "<", ">"):
-            op = ts.next().value
-            right = parse_expression(ts, min_level=3)
-            return VarPredicate(Binary(op, left, right))
-        if isinstance(left, Var):
-            return Atom(left.name)
-        raise PropertySyntaxError(f"bare expression {expr_to_text(left)!r} "
-                                  f"is not a state formula")
+        return _state_formula(parse_expression(self.ts))
 
     # -- coalition operators --------------------------------------------------
 
@@ -268,28 +203,20 @@ class _Parser:
                 relation, threshold = tok.value[1:] + "=?", None
             if threshold is not None and not 0 <= threshold <= 1:
                 raise BadThreshold("probability thresholds must lie in [0,1]")
-            ts.expect_sym("[")
-            objective = self.path_objective()
-            ts.expect_sym("]")
-            return ZeroSumNode(side, relation, threshold, objective)
+            return ZeroSumNode(side, relation, threshold,
+                               self.bracketed(self.path_objective))
         if tok.value == "R":
             reward = self.reward_name()
             relation, threshold = self.relation_or_query(("max", "min"))
             if threshold is not None and threshold < 0:
                 raise BadThreshold("reward thresholds must be nonnegative")
-            ts.expect_sym("[")
-            objective = self.reward_objective(reward)
-            ts.expect_sym("]")
-            return ZeroSumNode(side, relation, threshold, objective)
+            return ZeroSumNode(side, relation, threshold,
+                               self.bracketed(self.reward_objective, reward))
         raise PropertySyntaxError(f"expected P or R, got {tok.value!r}")
 
     def nash_tail(self, side1, side2):
-        if self.model is not None:
-            union = set(side1) | set(side2)
-            if set(side1) & set(side2) or union != set(self.model.players):
-                raise CoalitionNotPartition(
-                    "the two coalitions must partition the set of players")
-        elif set(side1) & set(side2):
+        if set(side1) & set(side2) or self.model is not None and \
+                set(side1) | set(side2) != set(self.model.players):
             raise CoalitionNotPartition(
                 "the two coalitions must partition the set of players")
         relation, threshold = self.relation_or_query(("max",))
@@ -314,17 +241,17 @@ class _Parser:
         ts = self.ts
         tok = ts.expect_id()
         if tok.value == "P":
-            ts.expect_sym("[")
-            objective = self.path_objective()
-            ts.expect_sym("]")
-            return objective
+            return self.bracketed(self.path_objective)
         if tok.value == "R":
-            reward = self.reward_name()
-            ts.expect_sym("[")
-            objective = self.reward_objective(reward)
-            ts.expect_sym("]")
-            return objective
+            return self.bracketed(self.reward_objective, self.reward_name())
         raise PropertySyntaxError(f"expected P or R, got {tok.value!r}")
+
+    def bracketed(self, parse, *args):
+        """`parse(*args)` of the input between `[` and `]`."""
+        self.ts.expect_sym("[")
+        node = parse(*args)
+        self.ts.expect_sym("]")
+        return node
 
     def path_objective(self):
         ts = self.ts
@@ -335,8 +262,8 @@ class _Parser:
         if tok.kind == "id" and tok.value == "F":
             ts.next()
             bound = self.bound() if ts.take_sym("<=") else None
-            return Objective("P", "U", sub1=TrueF(), sub2=self.state_formula(),
-                             bound=bound)
+            return Objective("P", "U", sub1=Lit(True),
+                             sub2=self.state_formula(), bound=bound)
         left = self.state_formula()
         tok = ts.expect_id()
         if tok.value != "U":
@@ -360,12 +287,38 @@ class _Parser:
             f"expected I=k, C<=k or F, got {tok.value!r}")
 
 
+def _state_formula(node):
+    """`node`, checked to be a state formula: `&`, `|` and `!` over
+    comparisons, names, truth values and coalition operators."""
+    if isinstance(node, Binary) and node.op in _CONNECTIVES:
+        _state_formula(node.left)
+        _state_formula(node.right)
+    elif isinstance(node, Unary) and node.op == "!":
+        _state_formula(node.operand)
+    elif not isinstance(node, (Var, ZeroSumNode, NashNode)):
+        _value(node)
+        if not (isinstance(node, Binary) and node.op in _COMPARISONS
+                or isinstance(node, Lit) and type(node.value) is bool):
+            raise PropertySyntaxError(f"bare expression {expr_to_text(node)!r} "
+                                      f"is not a state formula")
+    return node
+
+
+def _value(node):
+    """Raise if a coalition operator is an operand in `node`, an expression
+    that is evaluated on each state's variables."""
+    if isinstance(node, (ZeroSumNode, NashNode)):
+        raise PropertySyntaxError(
+            f"{to_text(node)} is an operand, not a state formula")
+    for sub in operands(node):
+        _value(sub)
+
+
 def parse_property(text, model=None, constants=None):
     """Parse one property against a model (used for name resolution)."""
-    ts = TokenStream(tokenize(text))
-    parser = _Parser(ts, model, constants)
+    parser = _Parser(text, model, constants)
     node = parser.state_formula()
-    tok = ts.peek()
+    tok = parser.ts.peek()
     if tok.kind != "end":
         raise PropertySyntaxError(f"unexpected trailing input {tok.value!r}")
     return node
@@ -397,7 +350,7 @@ def _objective_text(obj):
         if obj.op == "X":
             return f"P[X {to_text(obj.sub2)}]"
         bound = f"<={obj.bound}" if obj.bound is not None else ""
-        if obj.sub1 == TrueF():
+        if obj.sub1 == Lit(True):
             return f"P[F{bound} {to_text(obj.sub2)}]"
         return f"P[{to_text(obj.sub1)} U{bound} {to_text(obj.sub2)}]"
     head = f'R{{"{obj.reward}"}}'
@@ -419,19 +372,15 @@ def _threshold_text(relation, threshold):
 
 
 def to_text(node):
-    if isinstance(node, TrueF):
-        return "true"
-    if isinstance(node, Atom):
-        return node.name
-    if isinstance(node, VarPredicate):
-        e = node.expr
-        return f"{expr_to_text(e.left)}{e.op}{expr_to_text(e.right)}"
-    if isinstance(node, Not):
-        return f"!({to_text(node.sub)})"
-    if isinstance(node, And):
-        return f"({to_text(node.left)} & {to_text(node.right)})"
-    if isinstance(node, Or):
-        return f"({to_text(node.left)} | {to_text(node.right)})"
+    if isinstance(node, Binary) and node.op in _CONNECTIVES:
+        return f"({to_text(node.left)} {node.op} {to_text(node.right)})"
+    if isinstance(node, Unary) and node.op == "!":
+        return f"!({to_text(node.operand)})"
+    if isinstance(node, Binary) and node.op in _COMPARISONS:
+        return (f"{operand_text(node.left, node.op)}{node.op}"
+                f"{expr_to_text(node.right)}")
+    if isinstance(node, (Lit, Var)):
+        return expr_to_text(node)
     if isinstance(node, StateSet):
         # the resolved states by name, which does not parse back
         return "{" + ", ".join(sorted(map(str, node.states))) + "}"
@@ -464,21 +413,25 @@ def classify_horizon(query: NashNode) -> str:
 def satisfying_states(game, formula):
     """The set of states of `game` satisfying a state formula.
 
-    Atoms resolve against state labels first, then against boolean model
-    variables when the game names its `variables` (language-built models).
-    Coalition operators are delegated to the game engines; a `StateSet` is
-    already resolved and is returned as is.
+    `&`, `|` and `!` are set operations.  A name is a label, looked up in
+    `game.labels`, or else a boolean variable of a game that names its
+    `variables` (language-built models); a comparison is compiled once
+    against the state's variables and evaluated on every state.  Coalition
+    operators are delegated to the game engines; a `StateSet` is already
+    resolved and is returned as is.
     """
     if isinstance(formula, StateSet):
         return formula.states
+    if isinstance(formula, (ZeroSumNode, NashNode)):
+        from .nash import sat_operator       # local import: avoids a cycle
+        return sat_operator(game, formula)
     states = game.states
-    if isinstance(formula, TrueF):
-        return frozenset(states)
-    if isinstance(formula, Atom):
+    if isinstance(formula, Lit) and type(formula.value) is bool:
+        return frozenset(states) if formula.value else frozenset()
+    if isinstance(formula, Var):
         name = formula.name
-        if name in game.label_names or any(
-                name in labels for labels in game.labels.values()):
-            return frozenset(s for s in states if name in game.labels[s])
+        if name in game.labels:
+            return game.labels[name]
         if game.variables is not None and name in game.variables:
             slot = game.variables.index(name)
             # a variable's values all have its declared type
@@ -487,22 +440,17 @@ def satisfying_states(game, formula):
                     f"{name!r} is not a label or boolean variable")
             return frozenset(s for s in states if s[slot])
         raise UndeclaredSymbol(f"unknown atomic proposition {name!r}")
-    if isinstance(formula, VarPredicate):
+    if isinstance(formula, Unary) and formula.op == "!":
+        return frozenset(states) - satisfying_states(game, formula.operand)
+    if isinstance(formula, Binary) and formula.op in _CONNECTIVES:
+        left = satisfying_states(game, formula.left)
+        right = satisfying_states(game, formula.right)
+        return left & right if formula.op == "&" else left | right
+    if isinstance(formula, Binary) and formula.op in _COMPARISONS:
         if game.variables is None:
             raise UndeclaredSymbol(
                 "variable predicates need a model with state variables")
         slots = {name: i for i, name in enumerate(game.variables)}
-        holds = compile_expr(formula.expr, game.constants, slots)
+        holds = compile_expr(formula, game.constants, slots)
         return frozenset(s for s in states if holds(s))
-    if isinstance(formula, Not):
-        return frozenset(states) - satisfying_states(game, formula.sub)
-    if isinstance(formula, And):
-        return satisfying_states(game, formula.left) & \
-            satisfying_states(game, formula.right)
-    if isinstance(formula, Or):
-        return satisfying_states(game, formula.left) | \
-            satisfying_states(game, formula.right)
-    if isinstance(formula, (ZeroSumNode, NashNode)):
-        from .nash import sat_operator       # local import: avoids a cycle
-        return sat_operator(game, formula)
     raise PropertySyntaxError(f"cannot evaluate {formula!r} as a state formula")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfiniteValue
+from .expr import rational_text
 from .model import MemoryStrategy, induce_mdp, induced_chain
 # unused here: perfbench/layers.py wraps these two names in this module
 from .mdp import expected_reward, reach_prob
@@ -145,7 +146,7 @@ def _name(obj):
 
 def _num(value):
     if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else int(value)
+        return rational_text(value) if value.denominator != 1 else int(value)
     return float(value)
 
 

@@ -6,7 +6,8 @@ from itertools import product
 from hypothesis import strategies as st
 
 from csgnash.model import IDLE, Csg, RewardStructure
-from csgnash.properties import NashNode, Objective, StateSet, TrueF
+from csgnash.expr import Lit
+from csgnash.properties import NashNode, Objective, StateSet
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -92,6 +93,16 @@ reward r2 action s0 (b,d) 2
 """
 
 
+def draw_labels(draw, states):
+    """Labels `t1` and `t2`, each drawn per state, as label -> states."""
+    labels = {"t1": set(), "t2": set()}
+    for s in states:
+        for holds in labels.values():
+            if draw(st.booleans()):
+                holds.add(s)
+    return labels
+
+
 @st.composite
 def small_csgs(draw):
     """A small random CSG and a random proper coalition of its players.
@@ -120,8 +131,7 @@ def small_csgs(draw):
         avail = [sorted(draw(st.sets(st.sampled_from(alphabets[p]))))
                  or [IDLE] for p in players]
         trans[s] = {joint: dist() for joint in product(*avail)}
-    labels = {s: {name for name in ("t1", "t2") if draw(st.booleans())}
-              for s in states}
+    labels = draw_labels(draw, states)
     rewards = {name: RewardStructure(
         {(s, joint): draw(st.integers(0, 2))
          for s in states for joint in trans[s]},
@@ -166,8 +176,7 @@ def acyclic_csgs(draw):
                 trans[s][joint] = {t: Fraction(w, sum(weights))
                                    for t, w in zip(deeper, weights) if w}
     states = [s for layer in layers for s in layer]
-    labels = {s: {name for name in ("t1", "t2") if draw(st.booleans())}
-              for s in states}
+    labels = draw_labels(draw, states)
     csg = Csg.create(players, alphabets, states, states[:1], trans, labels)
     members = draw(st.sets(st.sampled_from(players), min_size=1,
                            max_size=len(players) - 1))
@@ -175,7 +184,7 @@ def acyclic_csgs(draw):
 
 def labelled(csg, name):
     """The states of `csg` labelled `name`, as a resolved state formula."""
-    return StateSet(frozenset(s for s in csg.states if name in csg.labels[s]))
+    return StateSet(csg.labels.get(name, frozenset()))
 
 
 def pair_query(csg, coalition, kind, bounds):
@@ -185,7 +194,7 @@ def pair_query(csg, coalition, kind, bounds):
     with the bounds k in `bounds` (None: unbounded)."""
     rest = tuple(p for p in csg.players if p not in coalition)
     objectives = tuple(
-        Objective("P", "U", sub1=TrueF(), sub2=labelled(csg, name),
+        Objective("P", "U", sub1=Lit(True), sub2=labelled(csg, name),
                   bound=bound) if kind == "P" else
         Objective("R", kind, sub2=labelled(csg, name) if kind == "F"
                   else None, reward=reward, bound=bound)

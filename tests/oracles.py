@@ -62,7 +62,7 @@ from csgnash.nash import (DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, PENDING,
                           local_game_table, solve_swne, solve_unbounded_pair)
 from csgnash.expr import Binary, Call, Lit, Unary, Var, expr_to_text
 from csgnash.mdp import prob1_min_set
-from csgnash.properties import NashNode, Objective, StateSet, TrueF
+from csgnash.properties import NashNode, Objective, StateSet
 
 
 @dataclass(frozen=True)
@@ -1074,14 +1074,14 @@ def mixed_horizon_transform(cg, query: NashNode):
 
     # the finite objective becomes an unbounded one over layer-indexed sets
     if obj.kind == "P" and obj.op == "X":
-        new_obj = Objective("P", "U", sub1=layered(TrueF()),
+        new_obj = Objective("P", "U", sub1=layered(Lit(True)),
                             sub2=layered(obj.sub2, [1]))
     elif obj.kind == "P":
         k = obj.bound
         new_obj = Objective("P", "U", sub1=layered(obj.sub1, range(k)),
                             sub2=layered(obj.sub2, range(k + 1)))
     else:
-        new_obj = Objective("R", "F", sub2=layered(TrueF(), [cap]),
+        new_obj = Objective("R", "F", sub2=layered(Lit(True), [cap]),
                             reward="__bounded")
     objectives[1 - fi] = _with_sets(objectives[1 - fi], layered)
 

@@ -120,8 +120,8 @@ def test_criterion_5_grid_coordination_values():
     bounded = evaluate(csg, parse_property(
         "<<p1:p2>>max=? (P[F<=3 goal1] + P[F<=3 goal2])"))
     cg = bounded.game
-    targets1 = {s for s in csg.states if "goal1" in csg.labels[s]}
-    targets2 = {s for s in csg.states if "goal2" in csg.labels[s]}
+    targets1 = {s for s in csg.states if s in csg.labels["goal1"]}
+    targets2 = {s for s in csg.states if s in csg.labels["goal2"]}
     oracle = bounded_reach_pair(coalition_trans(cg), targets1, targets2, 3)
     assert {s: tuple(v) for s, v in bounded.values.items()} == oracle
 

@@ -5,6 +5,7 @@ import pytest
 from csgnash.errors import CsgError, ModelError
 from csgnash.explicit import dumps_explicit, load_explicit, loads_explicit
 from csgnash.lang import load_model
+from csgnash.model import Csg
 
 from conftest import model_path
 
@@ -18,7 +19,7 @@ class TestParsing:
         assert len(g.states) == 6
         assert g.initial == ("s0",)
         assert g.trans["s0"][("t1", "t2")] == {"s1": F(3, 4), "s2": F(1, 4)}
-        assert "sent1" in g.labels["s3"] and "sent2" not in g.labels["s3"]
+        assert "s3" in g.labels["sent1"] and "s3" not in g.labels["sent2"]
 
     def test_appendix_c_rewards(self):
         g = load_explicit(model_path("appendix_c.csgx"))
@@ -122,3 +123,15 @@ class TestRoundTrip:
         assert h.trans == g.trans
         assert h.labels == g.labels
         assert h.rewards == g.rewards
+
+    def test_probabilities_past_the_int_to_str_limit(self):
+        # 10**4400 has more digits than str() of an int may write
+        tiny = F(1, 10 ** 4400)
+        g = Csg.create(["p1"], {"p1": ["a"]}, ["s0", "g"], ["s0"],
+                       {"s0": {("a",): {"s0": 1 - tiny, "g": tiny}}},
+                       {"goal": {"g"}})
+        text = dumps_explicit(g)
+        branch = next(line for line in text.splitlines()
+                      if line.startswith("s0 "))
+        assert branch.startswith("s0 (a) -> 1/1" + "0" * 4400 + ":g + 9")
+        assert "label g goal" in text

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csgnash.expr as expr
-from csgnash.errors import ModelTypeError, UndeclaredSymbol
+from csgnash.errors import ModelSyntaxError, ModelTypeError, UndeclaredSymbol
 from csgnash.expr import (
     Binary,
     Call,
@@ -73,6 +73,43 @@ def outcome(fn):
 
 def parse(text):
     return parse_expression(TokenStream(tokenize(text)))
+
+
+class TestGrammar:
+    def test_leading_not_applies_to_the_comparison(self):
+        assert parse("!x=1") == Unary("!", Binary("=", Var("x"), Lit(1)))
+        assert parse("!!a & b") == Binary(
+            "&", Unary("!", Unary("!", Var("a"))), Var("b"))
+        # on booleans the two readings agree
+        for a in (False, True):
+            for b in (False, True):
+                env = {"a": a, "b": b}
+                assert eval_expr(parse("!a=b"), env) == \
+                    eval_expr(parse("(!a)=b"), env)
+
+    def test_not_after_an_operator_is_an_operand(self):
+        assert parse("x=!b") == Binary("=", Var("x"), Unary("!", Var("b")))
+        assert parse("x + !b") == Binary("+", Var("x"), Unary("!", Var("b")))
+
+    def test_additive_level_is_level_three(self):
+        ts = TokenStream(tokenize("1-q : x"))
+        assert parse_expression(ts, min_level=3) == \
+            Binary("-", Lit(1), Var("q"))
+        assert ts.at_sym(":")
+
+    def test_positions_take_no_part_in_equality(self):
+        assert Var("x", 1, 2) == Var("x", 3, 4)
+        assert hash(Var("x", 1, 2)) == hash(Var("x"))
+
+    def test_coalition_operator_needs_a_hook(self):
+        with pytest.raises(ModelSyntaxError, match="got '<<'"):
+            parse("a & <<p1>>P>=1[F b]")
+
+    @pytest.mark.parametrize("text", ["(!b)=c", "(!b + 1)=c", "!(b=c)",
+                                      "x=!b", "!b & c"])
+    def test_printed_text_parses_back(self, text):
+        node = parse(text)
+        assert parse(expr_to_text(node)) == node
 
 
 class TestAgainstWalker:

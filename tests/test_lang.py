@@ -114,7 +114,7 @@ class TestOneShot:
         g = load_model(model_path("fig1.csg"))
         assert len(g.states) == 5
         init = g.initial[0]
-        assert g.labels[init] == frozenset()
+        assert not any(init in holds for holds in g.labels.values())
         both = g.trans[init][("t1", "t2")]
         assert {p for p in both.values()} == {F(3, 4), F(1, 4)}
 
@@ -122,7 +122,7 @@ class TestOneShot:
         g = load_model(model_path("fig1.csg"))
         init = g.initial[0]
         ((sent, _),) = g.trans[init][("t1", "w2")].items()
-        assert "sent1" in g.labels[sent]
+        assert sent in g.labels["sent1"]
         ((after, _),) = g.trans[sent][("w1", "w2")].items()
         assert after == sent   # waiting changes nothing once energy is gone
 
@@ -155,6 +155,23 @@ endmodule
 """
         g = build_csg(parse_model(text))
         assert g.trans[(1,)] == {(("-",)): {(1,): F(1)}}
+
+    def test_leading_not_negates_the_comparison(self):
+        # !x=1 is !(x=1): x steps from 0 to 1 and stops there
+        text = """
+player p1 m1 endplayer
+module m1
+  x : [0..2] init 0;
+  b : bool init false;
+  [a] !x=1 -> (x'=x+1) & (b'=!b);
+endmodule
+label "never" = x=2;
+"""
+        g = build_csg(parse_model(text))
+        assert g.states == ((0, False), (1, True))
+        assert g.trans[(1, True)] == {("-",): {(1, True): F(1)}}
+        # a declared label that holds nowhere is the empty set
+        assert g.labels == {"never": frozenset()}
 
     def test_frozen_module_keeps_values(self):
         g = build_csg(parse_model(TWO_COIN))
@@ -195,7 +212,8 @@ endmodule
                 {named[s]: {a: {named[t]: p for t, p in d.items()}
                             for a, d in g.trans[s].items()}
                  for s in g.states},
-                {named[s]: g.labels[s] for s in g.states},
+                {name: {named[s] for s in holds}
+                 for name, holds in g.labels.items()},
                 {name: RewardStructure(
                     {(named[s], a): v
                      for (s, a), v in rs.action_rewards.items()},
@@ -206,7 +224,9 @@ endmodule
             assert set(text_game.states) == set(renamed.states)
             assert text_game.initial == renamed.initial
             assert text_game.trans == renamed.trans
-            assert text_game.labels == renamed.labels
+            # a label that holds nowhere has no line in the explicit format
+            assert text_game.labels == {name: holds for name, holds
+                                        in renamed.labels.items() if holds}
             assert text_game.rewards == renamed.rewards
             for game in (g, text_game):
                 assert all(type(p) is Fraction for s in game.states
@@ -301,6 +321,22 @@ endmodule
             parse_model("\nplayer p1 m1 endplayer\nplayer p1 m2 endplayer\n"
                         "module m1\n  x : [0..1] init 0;\nendmodule\n"
                         "module m2\n  y : [0..1] init 0;\nendmodule\n")
+
+    def test_duplicate_label(self):
+        # a repeated label would otherwise merge into the first
+        with pytest.raises(ModelSyntaxError, match="8:0: duplicate label 'g'"):
+            parse_model('\nplayer p1 m endplayer\nmodule m\n'
+                        '  x : [0..1] init 0;\n  [a] true -> (x\'=1);\n'
+                        'endmodule\nlabel "g" = x=0;\nlabel "g" = x=1;\n')
+
+    def test_duplicate_reward_structure(self):
+        # a repeated structure would otherwise replace the first
+        with pytest.raises(ModelSyntaxError,
+                           match="8:0: duplicate rewards 'r'"):
+            parse_model('\nplayer p1 m endplayer\nmodule m\n'
+                        '  x : [0..1] init 0;\n  [a] true -> (x\'=1);\n'
+                        'endmodule\nrewards "r" true : 1; endrewards\n'
+                        'rewards "r"\n  true : 5;\nendrewards\n')
 
     def test_unassigned_module(self):
         text = """
@@ -426,9 +462,10 @@ def fingerprint(game):
          sorted((p, sorted(a)) for p, a in game.alphabets.items()),
          game.initial))
     put(sorted(game.constants.items()))
-    put(sorted(game.label_names))
+    put(sorted(game.labels))
     for s in game.states:
-        put((s, sorted(game.labels[s]), list(zip(game.variables, s))))
+        names = sorted(name for name, holds in game.labels.items() if s in holds)
+        put((s, names, list(zip(game.variables, s))))
         for joint, dist in game.trans[s].items():
             put((joint, list(dist.items())))
     for name, rs in sorted(game.rewards.items()):

@@ -110,7 +110,7 @@ TWINS = {1: {"a0": {"1": F(1)}, "a1": {"g": F(1)}},
 class TestReachability:
     def test_fig1_pmax_sent1(self):
         g, mdp = fig1_mdp()
-        targets = [s for s in g.states if "sent1" in g.labels[s]]
+        targets = [s for s in g.states if s in g.labels["sent1"]]
         vals = reach_prob(mdp, targets, "max")
         assert vals["s0"] == 1
         assert vals["s2"] == 0
@@ -131,14 +131,14 @@ class TestReachability:
 
     def test_fig1_pmin_sent1(self):
         g, mdp = fig1_mdp()
-        targets = [s for s in g.states if "sent1" in g.labels[s]]
+        targets = [s for s in g.states if s in g.labels["sent1"]]
         vals = reach_prob(mdp, targets, "min")
         assert all(v == 0 for s, v in vals.items() if s not in targets)
 
     def test_until_constraint(self):
         g, mdp = fig1_mdp()
-        send1 = [s for s in g.states if "send1" in g.labels[s]]
-        not_send2 = [s for s in g.states if "send2" not in g.labels[s]]
+        send1 = [s for s in g.states if s in g.labels["send1"]]
+        not_send2 = [s for s in g.states if s not in g.labels["send2"]]
         vals = reach_prob(mdp, send1, "max", constraint=not_send2)
         # transmitting alone wins; the joint branch succeeds with prob 3/4
         assert vals["s0"] == 1
@@ -146,7 +146,7 @@ class TestReachability:
 
     def test_bounded_exact(self):
         g, mdp = fig1_mdp()
-        targets = [s for s in g.states if "sent1" in g.labels[s]]
+        targets = [s for s in g.states if s in g.labels["sent1"]]
         all_vals = reach_prob(mdp, targets, "max", bound=3, all_horizons=True)
         assert all_vals[0]["s0"] == 0
         assert all_vals[1]["s0"] == 1          # (t1,w2) hits s3 surely
@@ -155,7 +155,7 @@ class TestReachability:
 
     def test_bounded_matches_oracle_chains(self):
         g, mdp = fig1_mdp()
-        targets = {s for s in g.states if "sent2" in g.labels[s]}
+        targets = {s for s in g.states if s in g.labels["sent2"]}
         trans = dict_choices(mdp)
         for k in range(4):
             vals = reach_prob(mdp, targets, "max", bound=k)
@@ -172,7 +172,7 @@ class TestReachability:
     def test_unbounded_matches_strategy_enumeration(self):
         for maker in (fig1_mdp, appendix_b_mdp):
             g, mdp = maker()
-            targets = {s for s in g.states if g.labels[s]}
+            targets = set().union(*g.labels.values())
             trans = dict_choices(mdp)
             for opt in ("max", "min"):
                 ours = reach_prob(mdp, targets, opt)
@@ -191,7 +191,7 @@ class TestReachability:
 
     def test_strategy_achieves_max(self):
         g, mdp = fig1_mdp()
-        targets = {s for s in g.states if "sent1" in g.labels[s]}
+        targets = {s for s in g.states if s in g.labels["sent1"]}
         vals, strat = reach_prob(mdp, targets, "max", with_strategy=True)
         trans = dict_choices(mdp)
         for s in mdp.states:
@@ -447,7 +447,7 @@ class TestQualitative:
 class TestStepProb:
     def test_one_step(self):
         g, mdp = fig1_mdp()
-        targets = {s for s in g.states if "sent1" in g.labels[s]}
+        targets = {s for s in g.states if s in g.labels["sent1"]}
         vals, strat = step_prob(mdp, targets, "max", with_strategy=True)
         assert vals["s0"] == 1 and strat["s0"] == (("t1",), ("w2",))
         assert vals["s2"] == 0  # dead state: no successor is ever labelled

@@ -30,7 +30,8 @@ from csgnash.model import (
     joint_mdp,
 )
 from csgnash.nash import evaluate
-from csgnash.properties import NashNode, Objective, TrueF, parse_property
+from csgnash.expr import Lit
+from csgnash.properties import NashNode, Objective, parse_property
 from csgnash.synthesis import synthesise_profile
 
 from conftest import (REWARD_GAME, labelled, model_path, pair_query,
@@ -60,7 +61,7 @@ def tiny_game(**overrides):
             "u": {("a", "b"): {"v": F(1)}},
             "v": {("a", "b"): {"v": F(1)}},
         },
-        labels={"v": {"goal"}},
+        labels={"goal": {"v"}},
     )
     spec.update(overrides)
     return Csg.create(**spec)
@@ -70,7 +71,7 @@ class TestValidation:
     def test_basic_build(self):
         g = tiny_game()
         assert g.states == ("u", "v")
-        assert g.labels["v"] == frozenset({"goal"})
+        assert g.labels["goal"] == frozenset({"v"})
 
     def test_bad_distribution_sum(self):
         with pytest.raises(ModelError):
@@ -157,6 +158,11 @@ class TestValidation:
         with pytest.raises(ModelError, match="float"):
             tiny_game(**spec)
 
+    def test_label_on_an_unknown_state_rejected(self):
+        with pytest.raises(ModelError,
+                           match="label 'goal' on unknown state w"):
+            tiny_game(labels={"goal": {"v", "w"}})
+
     def test_negative_reward_rejected(self):
         from csgnash.model import RewardStructure
         with pytest.raises(ModelError):
@@ -215,7 +221,7 @@ class TestGameGraph:
             ["p1"], {"p1": ["a", "b"]}, ["u", "w", "v"], ["u"],
             {"u": {("b",): {"v": F(1)}, ("a",): {"u": F(1, 2), "v": F(1, 2)}},
              "w": {("a",): {"v": F(1)}}},
-            {"w": {"x"}, "v": {"y"}},
+            {"x": {"w"}, "y": {"v"}},
             {"r": RewardStructure({("w", ("a",)): 1, ("u", ("b",)): 2},
                                   {"w": 1, "v": 3})})
         assert_well_formed(g)
@@ -223,7 +229,7 @@ class TestGameGraph:
         assert g.graph.rows == [[(("a",), (0, 1), (F(1, 2), F(1, 2))),
                                  (("b",), (1,), (F(1),))],
                                 [((IDLE,), (1,), (F(1),))]]
-        assert g.labels == {"u": frozenset(), "v": frozenset({"y"})}
+        assert g.labels == {"x": frozenset(), "y": frozenset({"v"})}
         assert g.rewards == {"r": RewardStructure({("u", ("b",)): 2},
                                                   {"v": 3})}
 
@@ -515,7 +521,7 @@ class TestOneJointMdp:
         game = loads_explicit(REWARD_GAME)
         goal = labelled(game, "goal")
         query = NashNode(("p1",), ("p2",), "max=?", None, (
-            Objective("P", "U", sub1=TrueF(), sub2=goal),
+            Objective("P", "U", sub1=Lit(True), sub2=goal),
             Objective("R", "F", sub2=goal, reward="r")))
         _, built = spied(monkeypatch, model, "joint_mdp")
         mecs_on, _ = spied(monkeypatch, model, "enumerate_mecs")

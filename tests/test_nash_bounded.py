@@ -12,7 +12,8 @@ from csgnash.explicit import load_explicit, loads_explicit
 from csgnash.lang import load_model
 from csgnash.model import coalition_game
 from csgnash.nash import evaluate, solve_bounded_pair
-from csgnash.properties import NashNode, Objective, TrueF, parse_property
+from csgnash.expr import Lit
+from csgnash.properties import NashNode, Objective, parse_property
 from oracles import (bounded_cumulative_pair, bounded_reach_pair,
                      coalition_trans)
 
@@ -134,9 +135,9 @@ class TestAgainstBackwardsInductionOracle:
         csg, coalition = case
         cg = coalition_game(csg, coalition)
         query = pair_query(
-            Objective("P", "U", sub1=TrueF(), sub2=labelled(csg, "t1"),
+            Objective("P", "U", sub1=Lit(True), sub2=labelled(csg, "t1"),
                       bound=horizon),
-            Objective("P", "U", sub1=TrueF(), sub2=labelled(csg, "t2"),
+            Objective("P", "U", sub1=Lit(True), sub2=labelled(csg, "t2"),
                       bound=horizon))
         result = solve_bounded_pair(cg, query)
         oracle = bounded_reach_pair(

@@ -56,15 +56,15 @@ class TestSharedChannel:
             # until objective once `blocked` holds without the target, and
             # is then replaced by an absorbing dead end
             cons_states = {s for s in csg.states
-                           if blocked not in csg.labels[s]
-                           or target in csg.labels[s]}
+                           if s not in csg.labels[blocked]
+                           or s in csg.labels[target]}
             trans = {}
             for s in csg.states:
                 if s in cons_states or s == "s0":
                     trans[s] = {a: dict(d) for a, d in csg.trans[s].items()}
                 else:
                     trans[s] = {a: {s: F(1)} for a in csg.trans[s]}
-            targets = {s for s in csg.states if target in csg.labels[s]}
+            targets = {s for s in csg.states if s in csg.labels[target]}
             until[l] = (trans, targets)
 
         def actions(side, s):
@@ -102,7 +102,7 @@ class TestSharedChannel:
         ev = evaluate(self.csg, parse_property(
             "<<p1:p2>>max=? (P[F sent1] + P[F sent2])"))
         both = [s for s in self.csg.states
-                if {"sent1", "sent2"} <= self.csg.labels[s]]
+                if s in self.csg.labels["sent1"] & self.csg.labels["sent2"]]
         assert both
         for sweep in ev.solve.trace:
             for s in both:

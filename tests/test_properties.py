@@ -16,14 +16,10 @@ from csgnash.errors import (
 from csgnash.explicit import load_explicit
 from csgnash import nash
 from csgnash.lang import build_csg, load_model, parse_model
+from csgnash.expr import Binary, Lit, Unary, Var
 from csgnash.properties import (
-    And,
-    Atom,
     NashNode,
-    Not,
     Objective,
-    TrueF,
-    VarPredicate,
     ZeroSumNode,
     classify_horizon,
     parse_property,
@@ -50,15 +46,15 @@ class TestParsing:
         assert f.coalition1 == ("p1",) and f.coalition2 == ("p2",)
         assert f.relation == "max=?"
         first, second = f.objectives
-        assert first == Objective("P", "U", sub1=TrueF(), sub2=Atom("sent1"))
-        assert second.sub2 == Atom("sent2")
+        assert first == Objective("P", "U", sub1=Lit(True), sub2=Var("sent1"))
+        assert second.sub2 == Var("sent2")
 
     def test_nash_until_pair(self):
         g = fig1()
         f = parse_property(
             "<<p1:p2>>max=? (P[!send2 U send1] + P[!send1 U send2])", g)
         first, _ = f.objectives
-        assert first.sub1 == Not(Atom("send2"))
+        assert first.sub1 == Unary("!", Var("send2"))
         assert first.bound is None
 
     def test_nash_threshold(self):
@@ -71,13 +67,13 @@ class TestParsing:
             "<<p1:{p2,p3}>>max=? (P[F (a & t<=4)] + P[F (b & c)])")
         assert f.coalition2 == ("p2", "p3")
         target = f.objectives[0].sub2
-        assert isinstance(target, And)
-        assert isinstance(target.right, VarPredicate)
+        assert isinstance(target, Binary) and target.op == "&"
+        assert target.right == Binary("<=", Var("t"), Lit(4))
 
     def test_bounded_sugars(self):
         f = parse_property("<<p1:p2>>max=? (P[F<=5 a] + P[b U<=3 c])")
-        assert f.objectives[0] == Objective("P", "U", sub1=TrueF(),
-                                            sub2=Atom("a"), bound=5)
+        assert f.objectives[0] == Objective("P", "U", sub1=Lit(True),
+                                            sub2=Var("a"), bound=5)
         assert f.objectives[1].bound == 3
 
     def test_reward_pair(self):
@@ -105,6 +101,18 @@ class TestParsing:
     def test_boolean_connectives(self):
         f = parse_property("a & !b | true")
         assert to_text(f) == "((a & !(b)) | true)"
+
+    def test_not_leads_a_comparison_as_in_guards(self):
+        assert parse_property("!x=1") == \
+            Unary("!", Binary("=", Var("x"), Lit(1)))
+        assert to_text(parse_property("!x=1")) == "!(x=1)"
+
+    def test_comparisons_of_any_arithmetic(self):
+        # parenthesised and negated left sides are comparisons too
+        assert parse_property("(x+1)=2") == \
+            Binary("=", Binary("+", Var("x"), Lit(1)), Lit(2))
+        assert parse_property("-x=1") == \
+            Binary("=", Unary("-", Var("x")), Lit(1))
 
 
 class TestParseErrors:
@@ -158,6 +166,16 @@ class TestParseErrors:
         with pytest.raises(PropertySyntaxError):
             parse_property("a & b extra")
 
+    @pytest.mark.parametrize("text", ["(x2+y2)", "3", "x & 1"])
+    def test_bare_expressions_are_not_state_formulae(self, text):
+        with pytest.raises(PropertySyntaxError,
+                           match="bare expression .* is not a state formula"):
+            parse_property(text)
+
+    def test_coalition_operator_is_no_operand(self):
+        with pytest.raises(PropertySyntaxError, match="is an operand"):
+            parse_property("<<{p1,p2}>>P>=1[F a] = true")
+
 
 class TestClassifyHorizon:
     def case(self, text, **kw):
@@ -196,7 +214,13 @@ SAMPLES = [
     "<<p1>>Pmax=?[X sent1]",
     '<<p2>>R{"r1"}<=3[C<=2]',
     "<<p1:p2>><0.25(P[F (a & b)] + P[F c])",
+    "(x+1)=2",
+    "-x=1",
+    "false",
 ]
+
+# how the samples print where that differs from how they are written
+PRINTED = {"(x+1)=2": "(x + 1)=2", "-x=1": "-(x)=1"}
 
 
 class TestRoundTrip:
@@ -206,20 +230,50 @@ class TestRoundTrip:
         again = parse_property(to_text(first))
         assert first == again
 
+    @pytest.mark.parametrize("text", SAMPLES)
+    def test_printed_form(self, text):
+        assert to_text(parse_property(text)) == PRINTED.get(text, text)
+
 
 class TestSatisfyingStates:
     def test_labels(self):
         g = fig1()
-        assert satisfying_states(g, Atom("sent1")) == {"s1", "s3", "s5"}
-        assert satisfying_states(g, TrueF()) == set(g.states)
+        assert satisfying_states(g, Var("sent1")) == {"s1", "s3", "s5"}
+        assert satisfying_states(g, Lit(True)) == set(g.states)
         both = parse_property("sent1 & sent2", g)
         assert satisfying_states(g, both) == {"s1", "s5"}
         neither = parse_property("!sent1 & !sent2", g)
         assert satisfying_states(g, neither) == {"s0", "s2"}
 
+    def test_declared_label_that_holds_nowhere(self):
+        g = build_csg(parse_model(
+            "player p1 m endplayer\nmodule m\n  x : [0..1] init 0;\n"
+            "  [a] true -> true;\nendmodule\nlabel \"far\" = x=1;\n"))
+        assert satisfying_states(g, Var("far")) == frozenset()
+        assert satisfying_states(g, parse_property("!far", g)) == {(0,)}
+
+    def test_threshold_operators_inside_connectives(self):
+        g = fig1()
+        for text, states in [
+                ("!sent2 & <<p1:p2>> >=2 (P[F sent1] + P[F sent2])",
+                 {"s0", "s3"}),
+                ("<<{p1,p2}>>P>0.5[X sent1] | sent2",
+                 {"s0", "s1", "s3", "s4", "s5"}),
+                ("!sent1 & <<{p1,p2}>>P>=1[F sent2]", {"s0", "s4"})]:
+            assert satisfying_states(g, parse_property(text, g)) == states
+
+    def test_parenthesised_arithmetic_in_a_target(self):
+        g = load_model(model_path("robot.csg"))
+        bare, wrapped = (nash.evaluate(g, parse_property(
+            "<<p1:p2>>max=? (P[!crash U (goal1 & " + target + ")]"
+            " + P[!crash U goal2])", g)) for target in ("x2+y2>=1",
+                                                         "(x2+y2)>=1"))
+        assert bare.values == wrapped.values
+        assert bare.initial == {(0, 0, 3, 0): (1, 1)}
+
     def test_unknown_atom(self):
         with pytest.raises(UndeclaredSymbol):
-            satisfying_states(fig1(), Atom("nope"))
+            satisfying_states(fig1(), Var("nope"))
 
     def test_var_predicate_requires_valuations(self):
         with pytest.raises(UndeclaredSymbol):
@@ -232,12 +286,12 @@ class TestSatisfyingStates:
             "  [a] x<3 -> (x'=x+1) & (b'=!b);\nendmodule\n"))
         assert g.variables == ("x", "b")
         assert g.states == ((0, False), (1, True), (2, False), (3, True))
-        assert satisfying_states(g, Atom("b")) == {(1, True), (3, True)}
+        assert satisfying_states(g, Var("b")) == {(1, True), (3, True)}
         assert satisfying_states(g, parse_property("x>=K & !b", g)) == \
             {(2, False)}
         with pytest.raises(UndeclaredSymbol,
                            match="'x' is not a label or boolean variable"):
-            satisfying_states(g, Atom("x"))
+            satisfying_states(g, Var("x"))
 
 
 @st.composite

@@ -31,7 +31,8 @@ from csgnash.model import coalition_game
 from csgnash.nash import (PENDING, PairResult, _horizon, _refine, _sweep,
                           evaluate, local_game_table, solve_bounded_pair,
                           solve_unbounded_pair)
-from csgnash.properties import NashNode, Objective, TrueF, parse_property
+from csgnash.expr import Lit
+from csgnash.properties import NashNode, Objective, parse_property
 
 MAX_ITERS = 25
 
@@ -142,7 +143,7 @@ def same_outcome(cg, query, got, want, names=FIELDS):
 
 
 def reach(csg, name, bound=None):
-    return Objective("P", "U", sub1=TrueF(), sub2=labelled(csg, name),
+    return Objective("P", "U", sub1=Lit(True), sub2=labelled(csg, name),
                      bound=bound)
 
 

@@ -1,6 +1,8 @@
 """Strategy-profile synthesis and ε-equilibrium verification."""
 
 import json
+from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -192,9 +194,9 @@ class TestGridProfiles:
 
         cg = ev.game
         targets1 = {s for s in self.csg.states
-                    if "goal1" in self.csg.labels[s]}
+                    if s in self.csg.labels["goal1"]}
         targets2 = {s for s in self.csg.states
-                    if "goal2" in self.csg.labels[s]}
+                    if s in self.csg.labels["goal2"]}
         oracle = bounded_reach_pair(coalition_trans(cg), targets1, targets2, 3)
         for s in cg.states:
             assert tuple(ev.values[s]) == oracle[s]
@@ -485,3 +487,22 @@ def test_export_of_a_resolved_query():
     assert data["query"] == "<<p1:p2>>max=?(P[F<=2 {s0}] + P[F<=3 {g}])"
     assert data["values"] == {"s0": [1, 1]}
     assert json.loads(json.dumps(data)) == data
+
+
+def test_export_of_values_past_the_int_to_str_limit(tmp_path):
+    # a value whose denominator has more digits than str() of an int may
+    # write, as long exact iteration on a slow loop makes, put in place of
+    # the solved one
+    ev, profile = solved_profile(load_explicit(model_path("fig1.csgx")),
+                                 "<<p1:p2>>max=? (P[F sent1] + P[F sent2])")
+    huge = F(1, 3 ** 10500)
+    profile = SynthesisedProfile(profile.query, profile.game, replace(
+        ev.solve, values={s: (huge, 1 - huge) for s in ev.solve.values}))
+    path = tmp_path / "profile.json"
+    profile.export_json(path)
+    with open(path, encoding="utf-8") as handle:
+        v1, v2 = json.load(handle)["values"]["s0"]
+    num, den = v1.split("/")
+    assert num == "1" and len(den) >= 5000
+    assert Decimal(den) == Decimal(huge.denominator)
+    assert v2 == f"{Decimal(huge.denominator - 1)}/{den}"

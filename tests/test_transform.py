@@ -22,7 +22,8 @@ from csgnash.explicit import loads_explicit
 from csgnash.lang import build_csg, parse_model
 from csgnash.model import coalition_game
 from csgnash.nash import evaluate, solve_bounded_pair
-from csgnash.properties import NashNode, Objective, TrueF, parse_property
+from csgnash.expr import Lit
+from csgnash.properties import NashNode, Objective, parse_property
 
 
 def initial_pair(evaluation):
@@ -108,9 +109,9 @@ def mixed_pair(csg, coalition, shape, k, finite_first):
     (shape "R") for `coalition` on `csg`, the finite objective first or
     second."""
     if shape == "P":
-        finite = Objective("P", "U", sub1=TrueF(), sub2=labelled(csg, "t1"),
+        finite = Objective("P", "U", sub1=Lit(True), sub2=labelled(csg, "t1"),
                            bound=k)
-        infinite = Objective("P", "U", sub1=TrueF(),
+        infinite = Objective("P", "U", sub1=Lit(True),
                              sub2=labelled(csg, "t2"))
     else:
         finite = Objective("R", "C", reward="r1", bound=k)
