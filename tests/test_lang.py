@@ -42,6 +42,78 @@ label "hit" = x=1 & y;
 """
 
 
+# m1's update reads m2's variable y
+FOREIGN_UPDATE = """
+player p1 m1 endplayer
+player p2 m2 endplayer
+module m1
+  x : [0..3] init 0;
+  [a] true -> (x'=min(x+y,3));
+  [c] x=3 -> 1/2:(x'=0) + 1/2:(x'=x);
+endmodule
+module m2
+  y : [0..2] init 0;
+  [b] true -> 1/3:(y'=min(y+1,2)) + 2/3:(y'=0);
+endmodule
+"""
+
+# m1's probabilities read m2's variable y
+FOREIGN_PROBABILITY = """
+player p1 m1 endplayer
+player p2 m2 endplayer
+module m1
+  x : [0..2] init 0;
+  [a] true -> y/4:(x'=min(x+1,2)) + (4-y)/4:(x'=0);
+endmodule
+module m2
+  y : [0..3] init 0;
+  [b] y<3 -> (y'=y+1);
+  [c] y>0 -> (y'=y-1);
+endmodule
+"""
+
+# guards, labels and reward items that read both modules' variables
+SPANNING_GUARD = """
+player p1 m1 endplayer
+player p2 m2 endplayer
+module m1
+  x : [0..3] init 0;
+  [a] x<y+1 & x<3 -> (x'=x+1);
+  [r] x>=y -> (x'=0);
+endmodule
+module m2
+  y : [0..3] init 1;
+  [b] y<3 & x+y<5 -> (y'=y+1);
+  [d] y>x -> 1/4:(y'=0) + 3/4:(y'=y);
+endmodule
+label "meet" = x=y & x>0;
+label "apart" = x+1<y | y+1<x;
+rewards "r"
+  [a] x<y : x+y;
+  x=y : 1/2;
+endrewards
+"""
+
+# [a] assigns constants only, and k is never written
+CONSTANT_ONLY = """
+player p1 m1 endplayer
+player p2 m2 endplayer
+module m1
+  x : [0..2] init 0;
+  b : bool init false;
+  k : [0..1] init 1;
+  [a] true -> 1/2:(x'=2)&(b'=true) + 1/2:(x'=0);
+  [e] x>0 -> (x'=x-1);
+endmodule
+module m2
+  y : [0..1] init 0;
+  [g] true -> (y'=1);
+  [h] y=1 -> (y'=0);
+endmodule
+label "top" = x=2 & b;
+"""
+
+
 def value(game, state, name):
     """The value of variable `name` at `state` of a language-built game."""
     return state[game.variables.index(name)]
@@ -493,9 +565,32 @@ class TestBuiltGames:
          "c6dff6589c3c93cacf84a423aaefc75bb293b94e7a8f4720520e60d736499208"),
         ("fig1.csg", {}, 5,
          "578105888df55c01fff87f07c408ee1f2400842e03975047397eaf75767ecbd8"),
+        ("aloha.csg", {"D": 3}, 2794,
+         "bda1f73cbbf034315e9a3471d4c1aafceade8bdd55832807468d1c3d9d3dc79f"),
+        ("aloha.csg", {"D": 16}, 15794,
+         "eb1d099b2b8d4787612446ee6530c7eae8a03cd3d2389976e7e814321b765ed6"),
     ])
     def test_fingerprint(self, model, consts, states, digest):
         g = load_model(model_path(model), consts)
+        assert len(g.states) == states
+        assert fingerprint(g) == digest
+
+    # Each inline model reads across modules in a way that an evaluation
+    # keyed by the variables it reads must cover; recorded with the
+    # builder that evaluated everything at every state.
+    @pytest.mark.parametrize("text, states, digest", [
+        (FOREIGN_UPDATE, 12,
+         "00648be30c1a41ce189f09f428a9c8868f6477abb0c6cd585e07babb8a8c33db"),
+        (FOREIGN_PROBABILITY, 12,
+         "247a97801433bc4d63fe5c379df4d34b6bc6fd3bcad971cfa6c4b00ae9b3b9d7"),
+        (SPANNING_GUARD, 12,
+         "e48f3232806acf1811bdf47eff04c07d800af08dd3ffef5d7f9869dd5185e316"),
+        (CONSTANT_ONLY, 8,
+         "0e0255aba26f5dc65f61122060f86faa2a60c7dbe5cae50ae720a525cf0d0356"),
+    ], ids=["foreign_update", "foreign_probability", "spanning_guard",
+            "constant_only"])
+    def test_inline_fingerprint(self, text, states, digest):
+        g = build_csg(parse_model(text))
         assert len(g.states) == states
         assert fingerprint(g) == digest
 
@@ -577,6 +672,63 @@ class TestProbabilityPaths:
                        "  [b] x>5 -> 0.3:(x'=0) + 0.3:(x'=1) + 1/0:(x'=2);")
         assert g.states == good.states
         assert g.trans == good.trans
+
+
+class TestErrorOrder:
+    # each message recorded with the builder that evaluated every guard,
+    # probability and update at every state
+    def test_first_failing_guard_in_guard_order(self):
+        # at x=1, y=1 the guards of lines 6 and 7 both fail; they read
+        # different variables, and line 6's error is raised
+        with pytest.raises(ModelTypeError) as err:
+            build_csg(parse_model("""
+player p1 m endplayer
+module m
+  x : [0..2] init 0;
+  y : [0..2] init 0;
+  [a] x<2 -> (x'=x+1)&(y'=min(y+1,2));
+  [b] x<1 | y -> (y'=0);
+  [c] x<1 | x -> (y'=1);
+endmodule
+"""))
+        assert str(err.value) == "expected a boolean in ((x < 1) | y)"
+
+    def test_range_overflow_at_the_first_state(self):
+        # m2's guard reads nothing and its update reads m1's x: the states
+        # (3,3) and (2,3) overflow, and (3,3) is discovered first
+        with pytest.raises(RangeOverflow) as err:
+            build_csg(parse_model("""
+player p1 m1 endplayer
+player p2 m2 endplayer
+module m1
+  x : [0..3] init 0;
+  [a] true -> 1/2:(x'=min(x+1,3)) + 1/2:(x'=x);
+endmodule
+module m2
+  y : [0..4] init 0;
+  [b] true -> (y'=x+y);
+endmodule
+"""))
+        assert str(err.value) == \
+            "variable 'y' leaves its range [0..4] (value 6)"
+
+    def test_probability_sum_names_the_whole_state(self):
+        # m1's probabilities read m2's y only; the message still names x
+        with pytest.raises(ProbabilitySum) as err:
+            build_csg(parse_model("""
+player p1 m1 endplayer
+player p2 m2 endplayer
+module m1
+  x : [0..2] init 0;
+  [a] true -> 1/2:(x'=min(x+1,2)) + (1/2+max(y-1,0)/4):(x'=0);
+endmodule
+module m2
+  y : [0..2] init 0;
+  [b] true -> (y'=min(y+1,2));
+endmodule
+"""))
+        assert str(err.value) == \
+            "probabilities at line 6 sum to 5/4 at state {'x': 2, 'y': 2}"
 
 
 class TestConstantAssignments:
