@@ -148,26 +148,31 @@ def load_explicit(path) -> Csg:
 
 
 def dumps_explicit(game: Csg) -> str:
+    """`game` in the explicit format, each state written as
+    `game.state_name(state)`: its name in an explicit game, its valuation,
+    such as `(x=0,y=1)`, in a language-built one."""
+    name = game.state_name
     lines = []
     for p in game.players:
         lines.append(" ".join(["player", p, *sorted(game.alphabets[p])]))
-    lines.append(" ".join(["init", *game.initial]))
+    lines.append(" ".join(["init", *map(name, game.initial)]))
     for s in game.states:
-        names = sorted(name for name, holds in game.labels.items()
+        names = sorted(label for label, holds in game.labels.items()
                        if s in holds)
         if names:
-            lines.append(" ".join(["label", s, *names]))
+            lines.append(" ".join(["label", name(s), *names]))
     for s in game.states:
         for joint, dist in sorted(game.trans[s].items()):
-            branch = " + ".join(f"{rational_text(p)}:{t}"
+            branch = " + ".join(f"{rational_text(p)}:{name(t)}"
                                 for t, p in sorted(dist.items()))
-            lines.append(f"{s} ({','.join(joint)}) -> {branch}")
-    for name, rs in sorted(game.rewards.items()):
+            lines.append(f"{name(s)} ({','.join(joint)}) -> {branch}")
+    for reward, rs in sorted(game.rewards.items()):
         for (s, joint), val in sorted(rs.action_rewards.items()):
-            lines.append(f"reward {name} action {s} ({','.join(joint)}) "
-                         f"{rational_text(val)}")
+            lines.append(f"reward {reward} action {name(s)} "
+                         f"({','.join(joint)}) {rational_text(val)}")
         for s, val in sorted(rs.state_rewards.items()):
-            lines.append(f"reward {name} state {s} {rational_text(val)}")
+            lines.append(f"reward {reward} state {name(s)} "
+                         f"{rational_text(val)}")
     return "\n".join(lines) + "\n"
 
 

@@ -124,6 +124,24 @@ class TestRoundTrip:
         assert h.labels == g.labels
         assert h.rewards == g.rewards
 
+    def test_language_built_game(self):
+        # each state is written as its valuation, `(x1=0,y1=0,x2=2,y2=0)`
+        g = load_model(model_path("robot.csg"), {"l": 3})
+        text = dumps_explicit(g)
+        assert "init (x1=0,y1=0,x2=2,y2=0)\n" in text
+        h = loads_explicit(text)
+        named = {s: g.state_name(s) for s in g.states}
+        assert len(h.states) == 44
+        assert sum(len(h.trans[s]) for s in h.states) == 128
+        assert sorted(h.labels) == ["crash", "goal1", "goal2"]
+        assert h.initial == tuple(named[s] for s in g.initial)
+        assert h.trans == {named[s]: {joint: {named[t]: p
+                                              for t, p in dist.items()}
+                                      for joint, dist in g.trans[s].items()}
+                           for s in g.states}
+        assert h.labels == {label: frozenset(named[s] for s in holds)
+                            for label, holds in g.labels.items()}
+
     def test_probabilities_past_the_int_to_str_limit(self):
         # 10**4400 has more digits than str() of an int may write
         tiny = F(1, 10 ** 4400)
