@@ -30,7 +30,10 @@ commands are sampled independently per module and read the pre-state.  Each
 variable is written only by its declaring module, so writes never conflict.
 
 State exploration is breadth-first from the initial valuation with a stable
-order, all arithmetic exact (decimal literals become rationals).
+order, all arithmetic exact (decimal literals become rationals).  Guards,
+command outcomes, labels and reward items are each evaluated once per
+distinct valuation of the variables they read, and a successor is
+assembled from one slice of variable values per module.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     AlphabetViolation,
@@ -564,37 +568,64 @@ class _VarInfo:
         return value
 
 
+def _reader(slots, width):
+    """A function of a state of `width` slots that returns its values at
+    `slots`: the key of an evaluation that reads those slots only.  Where
+    it reads them all, the key is the state itself."""
+    if len(slots) == width:
+        return _whole
+    return itemgetter(*slots) if slots else _no_slots
+
+
+def _whole(state):
+    return state
+
+
+def _no_slots(state):
+    return ()
+
+
 class _Command:
     """A command compiled against one model's constants and state layout.
 
     `needs` lists the (player index, action) pairs a joint action must
     contain for the command to fire; `own` is the action it makes available
-    to its module's player.  `branches` lists each update alternative as
-    (probability function, ((slot, check, value), ...)): an assignment of a
-    constant that the variable can hold has check None and its checked
-    value; any other has the variable's `check` and a value function, both
-    called at each state where the command fires.  When
-    every probability is a constant that passes the per-state checks and
-    sums to 1, `fixed` holds the (branch index, probability) pairs of the
-    positive branches; otherwise it is None and the probabilities are
-    evaluated and checked at each state where the command fires.
+    to its module's player.  `span` is the slice of the module's slots in a
+    state.  `branches` lists each update alternative as (probability
+    function, ((offset, check, value), ...)), offset within `span`: an
+    assignment of a constant that the variable can hold has check None and
+    its checked value; any other has the variable's `check` and a value
+    function, both called wherever the outcomes are evaluated.  When every
+    probability is a constant that passes the per-state checks and sums to
+    1, `fixed` holds the (branch index, probability) pairs of the positive
+    branches; otherwise it is None and the probabilities are evaluated and
+    checked with the outcomes.  The outcomes at a state depend only on the
+    slots its probabilities and assigned values read and on its own
+    module's slots; `key` returns the state's values at these.
     """
 
-    def __init__(self, index, cmd, player, ast, compiled, slots, infos):
+    def __init__(self, index, cmd, player, ast, compiled, slots, infos, span):
         players = [block.name for block in ast.players]
         self.index = index
         self.line = cmd.line
+        self.span = span
         self.needs = tuple((players.index(ast.action_owner[a]), a)
                            for a in cmd.actions)
         self.own = next(a for a in cmd.actions
                         if ast.action_owner[a] == player)
         self.branches = [
             (compiled(prob),
-             tuple(_assignment(slots[name], infos[slots[name]],
+             tuple(_assignment(slots[name] - span.start, infos[slots[name]],
                                compiled(value),
                                not free_vars(value) & slots.keys())
                    for name, value in assigns))
             for prob, assigns in cmd.updates]
+        reads = set(range(span.start, span.stop))
+        for prob, assigns in cmd.updates:
+            for node in (prob, *(value for _, value in assigns)):
+                reads.update(slots[name] for name in free_vars(node)
+                             if name in slots)
+        self.key = _reader(sorted(reads), len(infos))
         self.fixed = None
         if not any(free_vars(prob) & slots.keys() for prob, _ in cmd.updates):
             try:
@@ -622,8 +653,8 @@ class _Command:
         return kept, total
 
     def outcomes(self, state, var_names):
-        """(probabilities, updates) of the positive branches at `state`:
-        each update lists (slot, new value) pairs."""
+        """(probabilities, locals) of the positive branches at `state`: each
+        local is the tuple of the module's slot values after the branch."""
         kept = self.fixed
         if kept is None:
             kept, total = self.weigh(state)
@@ -631,23 +662,27 @@ class _Command:
                 raise ProbabilitySum(
                     f"probabilities at line {self.line} sum to {total} at "
                     f"state {dict(zip(var_names, state))}")
-        updates = [[(slot, value if check is None else check(value(state)))
-                    for slot, check, value in self.branches[k][1]]
-                   for k, _ in kept]
-        return [p for _, p in kept], updates
+        own = state[self.span]
+        locals_ = []
+        for k, _ in kept:
+            local = list(own)
+            for offset, check, value in self.branches[k][1]:
+                local[offset] = value if check is None else check(value(state))
+            locals_.append(tuple(local))
+        return tuple([p for _, p in kept]), tuple(locals_)
 
 
-def _assignment(slot, info, value, constant):
+def _assignment(offset, info, value, constant):
     """One compiled assignment of `_Command.branches`.  A constant is
     checked once, here.  One the variable cannot hold keeps its check at
     firing, as any other value: the build raises at the first state where
     the command fires, and a command that never fires raises nothing."""
     if constant:
         try:
-            return slot, None, info.check(value(()))
+            return offset, None, info.check(value(()))
         except Exception:
             pass
-    return slot, info.check, value
+    return offset, info.check, value
 
 
 class _Clash:
@@ -658,6 +693,8 @@ class _Clash:
 
     def __init__(self, module, first, second):
         self.module, self.first, self.second = module, first, second
+
+    key = staticmethod(_no_slots)
 
     def outcomes(self, state, var_names):
         raise UpdateClash(
@@ -675,17 +712,39 @@ def _products(prob_lists):
     return tuple(out)
 
 
+def _memoised(function, key):
+    """`function` of a state, evaluated once per distinct `key(state)`."""
+    memo = {}
+
+    def lookup(state):
+        k = key(state)
+        if k in memo:
+            return memo[k]
+        value = memo[k] = function(state)
+        return value
+    return lookup
+
+
 def build_csg(ast: ModelAst, overrides=None) -> Csg:
     """Explore the reachable state space and return the game.
 
     Every expression of the model is compiled once, against the constants,
     the state layout and the variable types, before exploration starts; a
-    state is a tuple of variable values in declaration order.  The returned
-    Csg additionally carries `variables` (the variable names, in slot
-    order) and `constants`, so that properties compile their predicates
-    against the same layout.  Each label is evaluated once per state into
-    the frozenset of states where it holds; a label that holds nowhere maps
-    to the empty set.
+    state is a tuple of variable values in declaration order, so each
+    module's variables fill one contiguous slice of it.  The returned Csg
+    additionally carries `variables` (the variable names, in slot order)
+    and `constants`, so that properties compile their predicates against
+    the same layout.  Each label becomes the frozenset of states where it
+    holds; a label that holds nowhere maps to the empty set.
+
+    Every evaluation depends only on the slots it reads, and runs once per
+    distinct valuation of them: equal guards are one guard, and guards
+    that read the same slots are evaluated together; a command's
+    probabilities and new values of its module's slots once per valuation
+    of the slots they read and of the module's own; a label, and a reward
+    item's guard and value, once per valuation of the slots they read.  A
+    successor is the concatenation of one slice per module: the new values
+    of the command that fires in it, or the state's own.
 
     States are numbered as they are discovered, and each state's joint
     actions, in sorted order, become its row of the game's graph as it is
@@ -695,15 +754,21 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
     This is the one validation of a language model, so the Csg is
     constructed directly, not through `Csg.create`.  Probabilities, variable
     values, guards, labels and reward values are checked where they are
-    evaluated, and the reward totals for being nonnegative.  The state
-    space is reachable, and every state's joint actions the full product of
-    its per-player actions, by construction; a state where no player acts
-    gets the all-idle self-loop.
+    first evaluated, which raises every error at the state where evaluating
+    everything at every state in discovery order would: among guards, the
+    first failing one in guard order.  Reward totals are checked for being
+    nonnegative.  The state space is reachable, and every state's joint
+    actions the full product of its per-player actions, by construction; a
+    state where no player acts gets the all-idle self-loop.
     """
     constants = resolve_constants(ast, overrides)
     players = tuple(block.name for block in ast.players)
-    infos = [_VarInfo(decl, constants)
-             for mod in ast.modules for decl in mod.variables]
+    infos, spans = [], []          # spans: module index -> slice of slots
+    for mod in ast.modules:
+        start = len(infos)
+        infos += [_VarInfo(decl, constants) for decl in mod.variables]
+        spans.append(slice(start, len(infos)))
+    width = len(infos)
     var_names = tuple(info.name for info in infos)
     slots = {name: i for i, name in enumerate(var_names)}
     types = {info.name: bool if info.kind == "bool" else int for info in infos}
@@ -711,13 +776,20 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
     def compiled(node):
         return compile_expr(node, constants, slots, types)
 
+    def reads(*nodes):
+        """The slots `nodes` read, in order."""
+        return tuple(sorted({slots[name] for node in nodes
+                             for name in free_vars(node) if name in slots}))
+
     # Commands in the order the availability scan visits them: players, each
     # player's modules, each module's commands.  Equal guards compile to one
-    # function, which is evaluated once per state.
+    # function; guards that read the same slots form a group, whose values
+    # are kept per valuation of those slots.
     modules = {mod.name: (m, mod) for m, mod in enumerate(ast.modules)}
     scan = []                  # (player, module, guard index, command)
     guards = []                # (function, line of its first command)
     guard_index = {}
+    groups = {}                # slots read -> indices of guards reading them
     for p, block in enumerate(ast.players):
         for mname in block.modules:
             m, mod = modules[mname]
@@ -725,34 +797,67 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
                 key = _same_expr_key(cmd.guard)
                 if key not in guard_index:
                     guard_index[key] = len(guards)
+                    groups.setdefault(reads(cmd.guard), []).append(len(guards))
                     guards.append((compiled(cmd.guard), cmd.line))
                 scan.append((p, m, guard_index[key],
                              _Command(len(scan), cmd, block.name, ast,
-                                      compiled, slots, infos)))
+                                      compiled, slots, infos, spans[m])))
+    groups = [(_reader(read, width), {}, members)
+              for read, members in groups.items()]
+    distinct = {}              # guard group values, one object each
+    firings = [(cmd, {}) for _, _, _, cmd in scan]   # key -> outcomes
     products = {}              # fired command indices -> branch products
 
+    def group_values(members, state):
+        """The values at `state` of the guards `members`.  Where a guard
+        fails there, the first failing guard in guard order raises."""
+        try:
+            values = tuple([guards[g][0](state) for g in members])
+            if all(v is True or v is False for v in values):
+                return distinct.setdefault(values, values)
+        except Exception:
+            pass
+        for guard, line in guards:
+            _holds(guard, state, line)
+
     def plan(held):
-        """The joint actions of a state whose guards evaluate to `held`, each
-        with the commands it fires in module order and, when they all have
+        """The joint actions of a state whose guard groups evaluate to
+        `held`, each with its parts and, when every command it fires has
         fixed probabilities, the products of their branch probabilities.
-        Where no player acts, the one joint action is all idle and fires no
-        command: the deadlock's self-loop."""
+        The parts cover the state's slots in order: a slice of the modules
+        that do not fire, or (command, its outcomes by key) for one that
+        does.  Where no player acts, the one joint action is all idle and
+        fires no command: the deadlock's self-loop."""
+        value = {}
+        for (_, _, members), values in zip(groups, held):
+            value.update(zip(members, values))
         enabled = [[] for _ in ast.modules]
         acts = [set() for _ in players]
         for p, m, g, cmd in scan:
-            if held[g]:
+            if value[g]:
                 enabled[m].append(cmd)
                 acts[p].add(cmd.own)
         steps = []
         for joint in itertools.product(*[sorted(a) or [IDLE] for a in acts]):
-            fired = []
+            fired, parts, start = [], [], 0
             for m, cmds in enumerate(enabled):
                 matching = [cmd for cmd in cmds
                             if all(joint[i] == a for i, a in cmd.needs)]
+                if not matching:
+                    continue
+                if start < spans[m].start:
+                    parts.append(slice(start, spans[m].start))
+                start = spans[m].stop
                 if len(matching) > 1:
-                    fired.append(_Clash(ast.modules[m].name, *matching[:2]))
+                    clash = _Clash(ast.modules[m].name, *matching[:2])
+                    fired.append(clash)
+                    parts.append((clash, {}))
                     break
                 fired += matching
+                parts.append(firings[matching[0].index])
+            else:
+                if start < width:
+                    parts.append(slice(start, width))
             weights = None
             if all(cmd.fixed is not None for cmd in fired):
                 key = tuple(cmd.index for cmd in fired)
@@ -760,41 +865,46 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
                     products[key] = _products(
                         [[prob for _, prob in cmd.fixed] for cmd in fired])
                 weights = products[key]
-            steps.append((joint, fired, weights))
+            steps.append((joint, parts, weights))
         return steps
 
     init_state = tuple(info.init for info in infos)
     order = [init_state]       # state id -> state, in discovery order
     ids = {init_state: 0}
     rows = []
-    plans = {}                 # guard values -> plan
+    plans = {}                 # guard group values -> plan
     for state in order:                         # `order` grows as we go
         held = []
-        for guard, line in guards:
-            value = guard(state)
-            if value is not True and value is not False:
-                raise _not_a_condition(line)
-            held.append(value)
+        for key, memo, members in groups:
+            k = key(state)
+            values = memo.get(k)
+            if values is None:
+                values = memo[k] = group_values(members, state)
+            held.append(values)
         held = tuple(held)
         steps = plans.get(held)
         if steps is None:
             steps = plans[held] = plan(held)
-        outcomes = {}                  # command index -> its branches here
         row = []
-        for joint, fired, weights in steps:
-            for cmd in fired:
-                if cmd.index not in outcomes:
-                    outcomes[cmd.index] = cmd.outcomes(state, var_names)
+        for joint, parts, weights in steps:
+            succs, probs = [()], []
+            for part in parts:
+                if type(part) is slice:
+                    own = state[part]
+                    succs = [succ + own for succ in succs]
+                    continue
+                cmd, memo = part
+                k = cmd.key(state)
+                outcomes = memo.get(k)
+                if outcomes is None:
+                    outcomes = memo[k] = cmd.outcomes(state, var_names)
+                probs.append(outcomes[0])
+                succs = [succ + local for succ in succs
+                         for local in outcomes[1]]
             if weights is None:
-                weights = _products([outcomes[cmd.index][0] for cmd in fired])
+                weights = _products(probs)
             dist = {}                  # successor id -> probability
-            for w, combo in zip(weights, itertools.product(
-                    *[outcomes[cmd.index][1] for cmd in fired])):
-                succ = list(state)
-                for updates in combo:
-                    for slot, value in updates:
-                        succ[slot] = value
-                succ = tuple(succ)
+            for w, succ in zip(weights, succs):
                 t = ids.get(succ)
                 if t is None:
                     t = ids[succ] = len(order)
@@ -813,9 +923,9 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
 
     labels = {}
     for name, pred, line in ast.labels:
-        holds = compiled(pred)
-        labels[name] = frozenset([state for state in order
-                                  if _holds(holds, state, line)])
+        holds = _memoised(_condition(compiled(pred), line),
+                           _reader(reads(pred), width))
+        labels[name] = frozenset([state for state in order if holds(state)])
 
     # rewards
     rewards = {}
@@ -824,17 +934,18 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
         for item in block.items:
             wanted = {players.index(ast.action_owner[a]): a
                       for a in item.actions}
-            items.append((compiled(item.guard), compiled(item.value),
+            items.append((_memoised(_reward_item(compiled(item.guard),
+                                                 compiled(item.value),
+                                                 item.line),
+                                    _reader(reads(item.guard, item.value),
+                                            width)),
                           tuple(wanted.items()), item))
         action_rewards, state_rewards = {}, {}
         for state, row in zip(order, rows):
-            for guard, value_of, wanted, item in items:
-                if not _holds(guard, state, item.line):
+            for value_at, wanted, item in items:
+                value = value_at(state)
+                if value is None:
                     continue
-                value = value_of(state)
-                if type(value) not in (int, Fraction):    # bool included
-                    raise ModelTypeError(
-                        f"reward is not numeric at line {item.line}")
                 if not item.actions:
                     state_rewards[state] = state_rewards.get(state, 0) + value
                     continue
@@ -850,6 +961,24 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
                        rewards)
     return Csg(players, dict(ast.alphabets), graph, labels,
                variables=var_names, constants=dict(constants))
+
+
+def _condition(condition, line):
+    """`condition` as a function of a state that checks it is boolean."""
+    return lambda state: _holds(condition, state, line)
+
+
+def _reward_item(guard, value_of, line):
+    """A reward item as a function of a state: its value where `guard`
+    holds, checked to be numeric, and None elsewhere."""
+    def value(state):
+        if not _holds(guard, state, line):
+            return None
+        value = value_of(state)
+        if type(value) not in (int, Fraction):    # bool included
+            raise ModelTypeError(f"reward is not numeric at line {line}")
+        return value
+    return value
 
 
 def _reward_values(totals, kind, name):

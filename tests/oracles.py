@@ -35,6 +35,12 @@ main code so that agreement is meaningful:
   on a step-counter product of the game with one layer per remaining step
   of the finite horizon (the package runs backwards induction on the game
   itself, from the infinite objective's cooperative optimum);
+- the package's earlier state-space exploration of a language model, which
+  evaluates every guard, every fired command's probabilities and updates,
+  every label and every reward item at every state, and builds each
+  successor slot by slot from a copy of the state (the package evaluates
+  each once per valuation of the slots it reads and concatenates
+  module-local tuples);
 - the package's earlier folds of an induced MDP and of a profile's chain,
   which build dict `Mdp` records in a breadth-first walk over (state,
   memory mode) nodes, updating the memory once per node and successor (the
@@ -52,15 +58,19 @@ from itertools import chain, combinations, product
 
 from csgnash.bimatrix import BimatrixGame, MixedProfile
 from csgnash.errors import (IncompleteStrategy, ModelError, ModelTypeError,
-                            NotConverged, UndeclaredSymbol)
-from csgnash.model import (CoalitionGame, IndexedMdp, MemoryStrategy,
+                            NotConverged, ProbabilitySum, UndeclaredSymbol)
+from csgnash.model import (IDLE, CoalitionGame, IndexedMdp, MemoryStrategy,
                             RewardStructure)
 from csgnash.nash import (DEFAULT_CONV_EPSILON, DEFAULT_MAX_ITERS, PENDING,
                           PairResult, _horizon, _optimum, _OSC_TOL,
                           _reward_names, _sat, _settled_pair, _settlement,
                           _TRACE_LENGTH, _with_sets, joint_mdp, local_game,
                           local_game_table, solve_swne, solve_unbounded_pair)
-from csgnash.expr import Binary, Call, Lit, Unary, Var, expr_to_text
+from csgnash.expr import (Binary, Call, Lit, Unary, Var, compile_expr,
+                          expr_to_text, free_vars)
+from csgnash.lang import (_Clash, _VarInfo, _holds, _not_a_condition,
+                          _products, _reward_values, _same_expr_key,
+                          resolve_constants)
 from csgnash.mdp import prob1_min_set
 from csgnash.properties import NashNode, Objective, StateSet
 
@@ -1309,3 +1319,202 @@ def chain_by_dict_fold(cg, mdp, strategy1, strategy2) -> Mdp:
                           for b, pb in d2.items()})]
 
     return _dict_fold(cg, strategy1.start, joint_choice, strategy1.update)
+
+
+class _ExploredCommand:
+    """A command as the earlier builder compiled it: `outcomes` evaluates and
+    checks every probability (unless `fixed`) and every assigned value at
+    each state where the command fires."""
+
+    def __init__(self, index, cmd, player, ast, compiled, slots, infos):
+        players = [block.name for block in ast.players]
+        self.index = index
+        self.line = cmd.line
+        self.needs = tuple((players.index(ast.action_owner[a]), a)
+                           for a in cmd.actions)
+        self.own = next(a for a in cmd.actions
+                        if ast.action_owner[a] == player)
+        self.branches = [
+            (compiled(prob),
+             tuple((slots[name], infos[slots[name]].check, compiled(value))
+                   for name, value in assigns))
+            for prob, assigns in cmd.updates]
+        self.fixed = None
+        if not any(free_vars(prob) & slots.keys() for prob, _ in cmd.updates):
+            try:
+                kept, total = self.weigh(())
+            except Exception:
+                return
+            if total == 1:
+                self.fixed = kept
+
+    def weigh(self, state):
+        kept, total = [], Fraction(0)
+        for k, (prob, _) in enumerate(self.branches):
+            p = prob(state)
+            if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
+                raise ModelTypeError(
+                    f"probability is not numeric at line {self.line}")
+            p = Fraction(p)
+            if p < 0:
+                raise ProbabilitySum(f"negative probability at line {self.line}")
+            total += p
+            if p > 0:
+                kept.append((k, p))
+        return kept, total
+
+    def outcomes(self, state, var_names):
+        kept = self.fixed
+        if kept is None:
+            kept, total = self.weigh(state)
+            if total != 1:
+                raise ProbabilitySum(
+                    f"probabilities at line {self.line} sum to {total} at "
+                    f"state {dict(zip(var_names, state))}")
+        updates = [[(slot, check(value(state)))
+                    for slot, check, value in self.branches[k][1]]
+                   for k, _ in kept]
+        return [p for _, p in kept], updates
+
+
+def explore_csg(ast, overrides=None):
+    """The language model `ast` explored as the earlier builder explored it:
+    (states in discovery order, rows, labels, rewards), the parts of
+    `lang.build_csg`'s game graph.  Each row lists a state's (joint action,
+    successor ids, probabilities) in sorted joint-action order; each label
+    maps to a frozenset of states; each reward structure is a
+    RewardStructure keyed by states."""
+    constants = resolve_constants(ast, overrides)
+    players = tuple(block.name for block in ast.players)
+    infos = [_VarInfo(decl, constants)
+             for mod in ast.modules for decl in mod.variables]
+    var_names = tuple(info.name for info in infos)
+    slots = {name: i for i, name in enumerate(var_names)}
+    types = {info.name: bool if info.kind == "bool" else int for info in infos}
+
+    def compiled(node):
+        return compile_expr(node, constants, slots, types)
+
+    modules = {mod.name: (m, mod) for m, mod in enumerate(ast.modules)}
+    scan = []                  # (player, module, guard index, command)
+    guards = []                # (function, line of its first command)
+    guard_index = {}
+    for p, block in enumerate(ast.players):
+        for mname in block.modules:
+            m, mod = modules[mname]
+            for cmd in mod.commands:
+                key = _same_expr_key(cmd.guard)
+                if key not in guard_index:
+                    guard_index[key] = len(guards)
+                    guards.append((compiled(cmd.guard), cmd.line))
+                scan.append((p, m, guard_index[key],
+                             _ExploredCommand(len(scan), cmd, block.name,
+                                              ast, compiled, slots, infos)))
+    products = {}              # fired command indices -> branch products
+
+    def plan(held):
+        enabled = [[] for _ in ast.modules]
+        acts = [set() for _ in players]
+        for p, m, g, cmd in scan:
+            if held[g]:
+                enabled[m].append(cmd)
+                acts[p].add(cmd.own)
+        steps = []
+        for joint in product(*[sorted(a) or [IDLE] for a in acts]):
+            fired = []
+            for m, cmds in enumerate(enabled):
+                matching = [cmd for cmd in cmds
+                            if all(joint[i] == a for i, a in cmd.needs)]
+                if len(matching) > 1:
+                    fired.append(_Clash(ast.modules[m].name, *matching[:2]))
+                    break
+                fired += matching
+            weights = None
+            if all(cmd.fixed is not None for cmd in fired):
+                key = tuple(cmd.index for cmd in fired)
+                if key not in products:
+                    products[key] = _products(
+                        [[prob for _, prob in cmd.fixed] for cmd in fired])
+                weights = products[key]
+            steps.append((joint, fired, weights))
+        return steps
+
+    init_state = tuple(info.init for info in infos)
+    order = [init_state]
+    ids = {init_state: 0}
+    rows = []
+    plans = {}                 # guard values -> plan
+    for state in order:
+        held = []
+        for guard, line in guards:
+            value = guard(state)
+            if value is not True and value is not False:
+                raise _not_a_condition(line)
+            held.append(value)
+        held = tuple(held)
+        steps = plans.get(held)
+        if steps is None:
+            steps = plans[held] = plan(held)
+        outcomes = {}                  # command index -> its branches here
+        row = []
+        for joint, fired, weights in steps:
+            for cmd in fired:
+                if cmd.index not in outcomes:
+                    outcomes[cmd.index] = cmd.outcomes(state, var_names)
+            if weights is None:
+                weights = _products([outcomes[cmd.index][0] for cmd in fired])
+            dist = {}                  # successor id -> probability
+            for w, combo in zip(weights, product(
+                    *[outcomes[cmd.index][1] for cmd in fired])):
+                succ = list(state)
+                for updates in combo:
+                    for slot, value in updates:
+                        succ[slot] = value
+                succ = tuple(succ)
+                t = ids.get(succ)
+                if t is None:
+                    t = ids[succ] = len(order)
+                    order.append(succ)
+                if t in dist:
+                    dist[t] += w
+                else:
+                    dist[t] = w
+            probs = weights if len(dist) == len(weights) else \
+                tuple(dist.values())
+            row.append((joint, tuple(dist), probs))
+        rows.append(row)
+
+    labels = {}
+    for name, pred, line in ast.labels:
+        holds = compiled(pred)
+        labels[name] = frozenset([state for state in order
+                                  if _holds(holds, state, line)])
+
+    rewards = {}
+    for block in ast.rewards:
+        items = []
+        for item in block.items:
+            wanted = {players.index(ast.action_owner[a]): a
+                      for a in item.actions}
+            items.append((compiled(item.guard), compiled(item.value),
+                          tuple(wanted.items()), item))
+        action_rewards, state_rewards = {}, {}
+        for state, row in zip(order, rows):
+            for guard, value_of, wanted, item in items:
+                if not _holds(guard, state, item.line):
+                    continue
+                value = value_of(state)
+                if type(value) not in (int, Fraction):
+                    raise ModelTypeError(
+                        f"reward is not numeric at line {item.line}")
+                if not item.actions:
+                    state_rewards[state] = state_rewards.get(state, 0) + value
+                    continue
+                for joint, _, _ in row:
+                    if all(joint[i] == a for i, a in wanted):
+                        key = (state, joint)
+                        action_rewards[key] = action_rewards.get(key, 0) + value
+        rewards[block.name] = RewardStructure(
+            _reward_values(action_rewards, "action", block.name),
+            _reward_values(state_rewards, "state", block.name))
+    return tuple(order), rows, labels, rewards
