@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 
 from .errors import (
@@ -690,11 +691,10 @@ class _Clash:
     build raises UpdateClash at the first state that reaches them."""
 
     index = fixed = None
+    key = staticmethod(_no_slots)
 
     def __init__(self, module, first, second):
         self.module, self.first, self.second = module, first, second
-
-    key = staticmethod(_no_slots)
 
     def outcomes(self, state, var_names):
         raise UpdateClash(
@@ -710,19 +710,6 @@ def _products(prob_lists):
     for probs in prob_lists:
         out = [a * b for a in out for b in probs]
     return tuple(out)
-
-
-def _memoised(function, key):
-    """`function` of a state, evaluated once per distinct `key(state)`."""
-    memo = {}
-
-    def lookup(state):
-        k = key(state)
-        if k in memo:
-            return memo[k]
-        value = memo[k] = function(state)
-        return value
-    return lookup
 
 
 def build_csg(ast: ModelAst, overrides=None) -> Csg:
@@ -781,6 +768,18 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
         return tuple(sorted({slots[name] for node in nodes
                              for name in free_vars(node) if name in slots}))
 
+    def memoised(function, *nodes):
+        """`function` of a state, evaluated once per valuation of the slots
+        that `nodes` read."""
+        key, memo = _reader(reads(*nodes), width), {}
+
+        def lookup(state):
+            k = key(state)
+            if k not in memo:
+                memo[k] = function(state)
+            return memo[k]
+        return lookup
+
     # Commands in the order the availability scan visits them: players, each
     # player's modules, each module's commands.  Equal guards compile to one
     # function; guards that read the same slots form a group, whose values
@@ -805,7 +804,8 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
     groups = [(_reader(read, width), {}, members)
               for read, members in groups.items()]
     distinct = {}              # guard group values, one object each
-    firings = [(cmd, {}) for _, _, _, cmd in scan]   # key -> outcomes
+    # (command, key -> its outcomes), one pair per command
+    firings = [(cmd, {}) for _, _, _, cmd in scan]
     products = {}              # fired command indices -> branch products
 
     def group_values(members, state):
@@ -923,8 +923,7 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
 
     labels = {}
     for name, pred, line in ast.labels:
-        holds = _memoised(_condition(compiled(pred), line),
-                           _reader(reads(pred), width))
+        holds = memoised(partial(_holds, compiled(pred), line=line), pred)
         labels[name] = frozenset([state for state in order if holds(state)])
 
     # rewards
@@ -934,11 +933,10 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
         for item in block.items:
             wanted = {players.index(ast.action_owner[a]): a
                       for a in item.actions}
-            items.append((_memoised(_reward_item(compiled(item.guard),
-                                                 compiled(item.value),
-                                                 item.line),
-                                    _reader(reads(item.guard, item.value),
-                                            width)),
+            items.append((memoised(_reward_item(compiled(item.guard),
+                                                compiled(item.value),
+                                                item.line),
+                                   item.guard, item.value),
                           tuple(wanted.items()), item))
         action_rewards, state_rewards = {}, {}
         for state, row in zip(order, rows):
@@ -961,11 +959,6 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
                        rewards)
     return Csg(players, dict(ast.alphabets), graph, labels,
                variables=var_names, constants=dict(constants))
-
-
-def _condition(condition, line):
-    """`condition` as a function of a state that checks it is boolean."""
-    return lambda state: _holds(condition, state, line)
 
 
 def _reward_item(guard, value_of, line):
