@@ -937,20 +937,27 @@ def build_csg(ast: ModelAst, overrides=None) -> Csg:
                                                 compiled(item.value),
                                                 item.line),
                                    item.guard, item.value),
-                          tuple(wanted.items()), item))
+                          tuple(wanted.items()), {}, item))
         action_rewards, state_rewards = {}, {}
         for state, row in zip(order, rows):
-            for value_at, wanted, item in items:
+            for value_at, wanted, fits, item in items:
                 value = value_at(state)
                 if value is None:
                     continue
                 if not item.actions:
-                    state_rewards[state] = state_rewards.get(state, 0) + value
-                    continue
-                for joint, _, _ in row:
-                    if all(joint[i] == a for i, a in wanted):
-                        key = (state, joint)
-                        action_rewards[key] = action_rewards.get(key, 0) + value
+                    keys, totals = (state,), state_rewards
+                else:
+                    keys, totals = [], action_rewards
+                    for joint, _, _ in row:
+                        fit = fits.get(joint)     # joint -> item applies
+                        if fit is None:
+                            fit = fits[joint] = all(joint[i] == a
+                                                    for i, a in wanted)
+                        if fit:
+                            keys.append((state, joint))
+                for key in keys:
+                    totals[key] = totals[key] + value if key in totals \
+                        else value
         rewards[block.name] = RewardStructure(
             _reward_values(action_rewards, "action", block.name),
             _reward_values(state_rewards, "state", block.name))
